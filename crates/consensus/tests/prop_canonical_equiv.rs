@@ -26,14 +26,13 @@ fn run<P>(
     inputs: &[u8],
     limits: ExploreLimits,
     threads: usize,
-    shards: usize,
     canonical: bool,
 ) -> ExploreOutcome
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    Explorer::with_config(ExploreConfig { limits, threads, shards, canonical, ..Default::default() })
+    Explorer::with_config(ExploreConfig { limits, threads, canonical, ..Default::default() })
         .explore(protocol, inputs)
 }
 
@@ -49,14 +48,13 @@ fn check_verdicts_agree<P>(
     inputs: &[u8],
     limits: ExploreLimits,
     threads: usize,
-    shards: usize,
 ) -> Result<(), TestCaseError>
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    let raw = run(protocol, inputs, limits, threads, shards, false);
-    let canon = run(protocol, inputs, limits, threads, shards, true);
+    let raw = run(protocol, inputs, limits, threads, false);
+    let canon = run(protocol, inputs, limits, threads, true);
 
     prop_assert!(canon.canonicalized, "protocol must declare Symmetric for this test");
     prop_assert!(
@@ -148,12 +146,12 @@ proptest! {
         shape in 0usize..=1,
         cap in prop_oneof![Just(usize::MAX), Just(300usize)],
     ) {
-        let (threads, shards) = [(1, 1), (4, 64)][shape];
+        let threads = [1, 4][shape];
         let inputs = &bits[..n];
         let limits = ExploreLimits { max_configs: cap, max_depth: 10_000 };
-        check_verdicts_agree(&NaiveWriteRead::new(n), inputs, limits, threads, shards)?;
-        check_verdicts_agree(&Optimistic::new(n, r), inputs, limits, threads, shards)?;
-        check_verdicts_agree(&Zigzag::new(n, r), inputs, limits, threads, shards)?;
+        check_verdicts_agree(&NaiveWriteRead::new(n), inputs, limits, threads)?;
+        check_verdicts_agree(&Optimistic::new(n, r), inputs, limits, threads)?;
+        check_verdicts_agree(&Zigzag::new(n, r), inputs, limits, threads)?;
     }
 
     /// The correct protocols (CAS, 2-process swap) and the historyless
@@ -163,13 +161,13 @@ proptest! {
         bits in prop::collection::vec(0u8..=1, 3),
         shape in 0usize..=1,
     ) {
-        let (threads, shards) = [(1, 1), (4, 16)][shape];
+        let threads = [1, 4][shape];
         let limits = ExploreLimits::default();
-        check_verdicts_agree(&CasModel::new(3), &bits[..3], limits, threads, shards)?;
-        check_verdicts_agree(&SwapTwoModel, &bits[..2], limits, threads, shards)?;
-        check_verdicts_agree(&SwapChain::new(3), &bits[..3], limits, threads, shards)?;
-        check_verdicts_agree(&TasRace::new(2), &bits[..2], limits, threads, shards)?;
-        check_verdicts_agree(&MixedZigzag::new(2), &bits[..2], limits, threads, shards)?;
+        check_verdicts_agree(&CasModel::new(3), &bits[..3], limits, threads)?;
+        check_verdicts_agree(&SwapTwoModel, &bits[..2], limits, threads)?;
+        check_verdicts_agree(&SwapChain::new(3), &bits[..3], limits, threads)?;
+        check_verdicts_agree(&TasRace::new(2), &bits[..2], limits, threads)?;
+        check_verdicts_agree(&MixedZigzag::new(2), &bits[..2], limits, threads)?;
     }
 
     /// The randomized protocols (coin branching): phase rounds and the
@@ -181,12 +179,11 @@ proptest! {
         cap in prop_oneof![Just(usize::MAX), Just(2_000usize)],
     ) {
         let limits = ExploreLimits { max_configs: cap, max_depth: 10_000 };
-        check_verdicts_agree(&PhaseModel::new(2, rounds), &bits[..2], limits, 1, 1)?;
+        check_verdicts_agree(&PhaseModel::new(2, rounds), &bits[..2], limits, 1)?;
         check_verdicts_agree(
             &WalkModel::with_tight_margins(2, WalkBacking::BoundedCounter),
             &bits[..2],
             limits,
-            1,
             1,
         )?;
     }
@@ -213,12 +210,12 @@ proptest! {
     ) {
         let limits = ExploreLimits::default();
         let p = NaiveWriteRead::new(3);
-        let base = run(&p, &bits, limits, 1, 1, true);
+        let base = run(&p, &bits, limits, 1, true);
         let mut perm = bits.clone();
         perm.rotate_left(1);
-        let rot = run(&p, &perm, limits, 1, 1, true);
+        let rot = run(&p, &perm, limits, 1, true);
         perm.swap(0, 1);
-        let swp = run(&p, &perm, limits, 1, 1, true);
+        let swp = run(&p, &perm, limits, 1, true);
         for other in [&rot, &swp] {
             prop_assert_eq!(base.configs_visited, other.configs_visited);
             prop_assert_eq!(base.raw_configs, other.raw_configs);

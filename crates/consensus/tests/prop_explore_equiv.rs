@@ -1,13 +1,13 @@
 //! Equivalence properties for the parallel exploration engine.
 //!
 //! The engine promises results identical to a sequential BFS for every
-//! thread and shard count. These tests hold it to that promise against
+//! thread count. These tests hold it to that promise against
 //! an independent **retained sequential reference**: a verbatim
 //! re-implementation of the pre-parallel `Explorer::explore_from` loop
 //! (`Configuration`-keyed `HashMap`, `VecDeque` queue, clone-per-probe)
 //! built on the public [`successors`] enumeration. For random protocols,
 //! inputs, and budgets, the engine at `threads = 1` and `threads = 4`
-//! (and across shard counts) must agree with the reference on
+//! must agree with the reference on
 //! `configs_visited`, `terminal_configs`, `is_safe()`, truncation, and
 //! the depth of each violation witness.
 
@@ -103,13 +103,12 @@ fn engine_explore<P>(
     inputs: &[u8],
     limits: ExploreLimits,
     threads: usize,
-    shards: usize,
 ) -> RefOutcome
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    let out = Explorer::with_config(ExploreConfig { limits, threads, shards, ..ExploreConfig::default() })
+    let out = Explorer::with_config(ExploreConfig { limits, threads, ..ExploreConfig::default() })
         .explore(protocol, inputs);
     RefOutcome {
         consistency_depth: out.consistency_violation.as_ref().map(|w| w.len()),
@@ -131,14 +130,13 @@ where
     P::State: Send + Sync,
 {
     let oracle = reference_explore(protocol, inputs, limits);
-    for (threads, shards) in [(1, 1), (1, 0), (4, 1), (4, 128)] {
-        let got = engine_explore(protocol, inputs, limits, threads, shards);
+    for threads in [1, 4] {
+        let got = engine_explore(protocol, inputs, limits, threads);
         prop_assert_eq!(
             &oracle,
             &got,
-            "threads={} shards={} inputs={:?} limits={:?}",
+            "threads={} inputs={:?} limits={:?}",
             threads,
-            shards,
             inputs,
             limits
         );
@@ -197,9 +195,9 @@ proptest! {
     ) {
         let p = PhaseModel::new(2, rounds);
         let limits = ExploreLimits::default();
-        let base = Explorer::with_config(ExploreConfig { limits, threads: 1, shards: 1, ..ExploreConfig::default() })
+        let base = Explorer::with_config(ExploreConfig { limits, threads: 1, ..ExploreConfig::default() })
             .valency(&p, &[a, b]);
-        let par = Explorer::with_config(ExploreConfig { limits, threads: 4, shards: 64, ..ExploreConfig::default() })
+        let par = Explorer::with_config(ExploreConfig { limits, threads: 4, ..ExploreConfig::default() })
             .valency(&p, &[a, b]);
         match (base, par) {
             (Some(x), Some(y)) => {
@@ -231,7 +229,7 @@ fn wide_space_is_stable_across_runs_and_threads() {
     let oracle = reference_explore(&p, &inputs, limits);
     for run in 0..2 {
         for threads in [2, 4] {
-            let got = engine_explore(&p, &inputs, limits, threads, 0);
+            let got = engine_explore(&p, &inputs, limits, threads);
             assert_eq!(oracle, got, "run={run} threads={threads}");
         }
     }

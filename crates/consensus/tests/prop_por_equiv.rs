@@ -26,7 +26,6 @@ fn run<P>(
     inputs: &[u8],
     limits: ExploreLimits,
     threads: usize,
-    shards: usize,
     por: bool,
     canonical: bool,
 ) -> ExploreOutcome
@@ -37,7 +36,6 @@ where
     Explorer::with_config(ExploreConfig {
         limits,
         threads,
-        shards,
         canonical,
         por,
         ..Default::default()
@@ -57,14 +55,13 @@ fn check_verdicts_agree<P>(
     inputs: &[u8],
     limits: ExploreLimits,
     threads: usize,
-    shards: usize,
 ) -> Result<(), TestCaseError>
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    let raw = run(protocol, inputs, limits, threads, shards, false, false);
-    let red = run(protocol, inputs, limits, threads, shards, true, false);
+    let raw = run(protocol, inputs, limits, threads, false, false);
+    let red = run(protocol, inputs, limits, threads, true, false);
 
     prop_assert!(red.por_enabled, "POR was requested but did not engage");
     prop_assert!(!raw.por_enabled, "raw run must not report POR");
@@ -155,12 +152,12 @@ proptest! {
         shape in 0usize..=1,
         cap in prop_oneof![Just(usize::MAX), Just(300usize)],
     ) {
-        let (threads, shards) = [(1, 1), (4, 64)][shape];
+        let threads = [1, 4][shape];
         let inputs = &bits[..n];
         let limits = ExploreLimits { max_configs: cap, max_depth: 10_000 };
-        check_verdicts_agree(&NaiveWriteRead::new(n), inputs, limits, threads, shards)?;
-        check_verdicts_agree(&Optimistic::new(n, r), inputs, limits, threads, shards)?;
-        check_verdicts_agree(&Zigzag::new(n, r), inputs, limits, threads, shards)?;
+        check_verdicts_agree(&NaiveWriteRead::new(n), inputs, limits, threads)?;
+        check_verdicts_agree(&Optimistic::new(n, r), inputs, limits, threads)?;
+        check_verdicts_agree(&Zigzag::new(n, r), inputs, limits, threads)?;
     }
 
     /// The correct protocols (CAS, the 2-process pairs) and the
@@ -172,15 +169,15 @@ proptest! {
         bits in prop::collection::vec(0u8..=1, 3),
         shape in 0usize..=1,
     ) {
-        let (threads, shards) = [(1, 1), (4, 16)][shape];
+        let threads = [1, 4][shape];
         let limits = ExploreLimits::default();
-        check_verdicts_agree(&CasModel::new(3), &bits[..3], limits, threads, shards)?;
-        check_verdicts_agree(&SwapTwoModel, &bits[..2], limits, threads, shards)?;
-        check_verdicts_agree(&TasTwoModel, &bits[..2], limits, threads, shards)?;
-        check_verdicts_agree(&FetchIncTwoModel, &bits[..2], limits, threads, shards)?;
-        check_verdicts_agree(&SwapChain::new(3), &bits[..3], limits, threads, shards)?;
-        check_verdicts_agree(&TasRace::new(2), &bits[..2], limits, threads, shards)?;
-        check_verdicts_agree(&MixedZigzag::new(2), &bits[..2], limits, threads, shards)?;
+        check_verdicts_agree(&CasModel::new(3), &bits[..3], limits, threads)?;
+        check_verdicts_agree(&SwapTwoModel, &bits[..2], limits, threads)?;
+        check_verdicts_agree(&TasTwoModel, &bits[..2], limits, threads)?;
+        check_verdicts_agree(&FetchIncTwoModel, &bits[..2], limits, threads)?;
+        check_verdicts_agree(&SwapChain::new(3), &bits[..3], limits, threads)?;
+        check_verdicts_agree(&TasRace::new(2), &bits[..2], limits, threads)?;
+        check_verdicts_agree(&MixedZigzag::new(2), &bits[..2], limits, threads)?;
     }
 
     /// The randomized protocols (coin branching): phase rounds, the
@@ -194,15 +191,14 @@ proptest! {
         cap in prop_oneof![Just(usize::MAX), Just(2_000usize)],
     ) {
         let limits = ExploreLimits { max_configs: cap, max_depth: 10_000 };
-        check_verdicts_agree(&PhaseModel::new(2, rounds), &bits[..2], limits, 1, 1)?;
+        check_verdicts_agree(&PhaseModel::new(2, rounds), &bits[..2], limits, 1)?;
         check_verdicts_agree(
             &WalkModel::with_tight_margins(2, WalkBacking::BoundedCounter),
             &bits[..2],
             limits,
             1,
-            1,
         )?;
-        check_verdicts_agree(&LocalCoinModel::new(2, mix), &bits[..2], limits, 1, 1)?;
+        check_verdicts_agree(&LocalCoinModel::new(2, mix), &bits[..2], limits, 1)?;
     }
 
     /// Valency classification is reduction-invariant, broken and
@@ -232,13 +228,13 @@ proptest! {
         for (raw, both) in [
             {
                 let p = NaiveWriteRead::new(3);
-                (run(&p, &bits, limits, 1, 1, false, false), run(&p, &bits, limits, 1, 1, true, true))
+                (run(&p, &bits, limits, 1, false, false), run(&p, &bits, limits, 1, true, true))
             },
             {
                 let p = PhaseModel::new(2, rounds);
                 (
-                    run(&p, &bits[..2], limits, 1, 1, false, false),
-                    run(&p, &bits[..2], limits, 1, 1, true, true),
+                    run(&p, &bits[..2], limits, 1, false, false),
+                    run(&p, &bits[..2], limits, 1, true, true),
                 )
             },
         ] {
@@ -299,8 +295,8 @@ fn local_coin_reduction_is_real_and_sound() {
     let p = LocalCoinModel::new(2, 4);
     let inputs = [0u8, 1];
     let limits = ExploreLimits::default();
-    let raw = run(&p, &inputs, limits, 1, 1, false, false);
-    let red = run(&p, &inputs, limits, 1, 1, true, false);
+    let raw = run(&p, &inputs, limits, 1, false, false);
+    let red = run(&p, &inputs, limits, 1, true, false);
     assert!(!raw.truncated && !red.truncated);
     assert!(red.por_pruned > 0, "no moves pruned on the showcase protocol");
     assert!(

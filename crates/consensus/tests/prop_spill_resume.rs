@@ -5,7 +5,7 @@
 //! *where bytes live*, never *what is computed*: every outcome field —
 //! visit counts, witness executions, termination/cycle facts, the
 //! arena's total footprint — must be bit-identical to the in-RAM tier,
-//! at every thread/shard shape and budget. Checkpointing promises that
+//! at every thread count and budget. Checkpointing promises that
 //! a search interrupted at a deadline or depth budget and resumed
 //! (possibly on the other storage tier) reaches the same final outcome
 //! as one that was never interrupted. These tests hold both features to
@@ -39,7 +39,6 @@ fn run<P>(
     inputs: &[u8],
     limits: ExploreLimits,
     threads: usize,
-    shards: usize,
     mem_budget_bytes: usize,
 ) -> ExploreOutcome
 where
@@ -49,7 +48,6 @@ where
     Explorer::with_config(ExploreConfig {
         limits,
         threads,
-        shards,
         mem_budget_bytes,
         ..Default::default()
     })
@@ -80,15 +78,14 @@ fn check_spill_matches_ram<P>(
     inputs: &[u8],
     limits: ExploreLimits,
     threads: usize,
-    shards: usize,
     budget: usize,
 ) -> Result<(), TestCaseError>
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    let ram = run(protocol, inputs, limits, threads, shards, 0);
-    let spill = run(protocol, inputs, limits, threads, shards, budget);
+    let ram = run(protocol, inputs, limits, threads, 0);
+    let spill = run(protocol, inputs, limits, threads, budget);
     prop_assert!(spill.spill_mode, "nonzero budget must select the out-of-core tier");
     prop_assert!(!ram.spill_mode && ram.spilled_bytes == 0);
     assert_identical(&ram, &spill)
@@ -111,7 +108,7 @@ where
     P::State: Send + Sync,
 {
     let full_limits = ExploreLimits { max_configs: 3_000_000, max_depth: 200_000 };
-    let uninterrupted = run(protocol, inputs, full_limits, 1, 1, 0);
+    let uninterrupted = run(protocol, inputs, full_limits, 1, 0);
     prop_assert!(!uninterrupted.truncated, "pick protocols the full budget exhausts");
 
     let path = ckpt_path(tag);
@@ -170,10 +167,10 @@ proptest! {
         shape in 0usize..=1,
         budget in prop_oneof![Just(1024usize), Just(4096), Just(64 * 1024)],
     ) {
-        let (threads, shards) = [(1, 1), (4, 64)][shape];
+        let threads = [1, 4][shape];
         let limits = ExploreLimits::default();
-        check_spill_matches_ram(&NaiveWriteRead::new(3), &bits, limits, threads, shards, budget)?;
-        check_spill_matches_ram(&Optimistic::new(3, r), &bits, limits, threads, shards, budget)?;
+        check_spill_matches_ram(&NaiveWriteRead::new(3), &bits, limits, threads, budget)?;
+        check_spill_matches_ram(&Optimistic::new(3, r), &bits, limits, threads, budget)?;
     }
 
     /// Correct and randomized protocols, including cycle verdicts and
@@ -185,16 +182,15 @@ proptest! {
         shape in 0usize..=1,
         cap in prop_oneof![Just(usize::MAX), Just(500usize)],
     ) {
-        let (threads, shards) = [(1, 1), (4, 16)][shape];
+        let threads = [1, 4][shape];
         let limits = ExploreLimits { max_configs: cap, max_depth: 10_000 };
-        check_spill_matches_ram(&CasModel::new(3), &bits, limits, threads, shards, 2048)?;
-        check_spill_matches_ram(&SwapChain::new(3), &bits, limits, threads, shards, 2048)?;
+        check_spill_matches_ram(&CasModel::new(3), &bits, limits, threads, 2048)?;
+        check_spill_matches_ram(&SwapChain::new(3), &bits, limits, threads, 2048)?;
         check_spill_matches_ram(
             &WalkModel::with_tight_margins(2, WalkBacking::BoundedCounter),
             &bits[..2],
             limits,
             threads,
-            shards,
             2048,
         )?;
     }

@@ -8,6 +8,8 @@
 //! replay, or missing registry binding is a *failure* — the gate never
 //! downgrades an unprovable property to a skip on its own.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use randsync_consensus::registry::{self, ProtocolEntry};
@@ -21,7 +23,8 @@ use randsync_core::combine35::{ample_pool, attack_historyless, GeneralOutcome};
 use randsync_core::witness::InconsistencyWitness;
 use randsync_model::runtime::{replay_execution, DynObject, ModelObject, Runtime};
 use randsync_model::{
-    ExploreConfig, ExploreLimits, Explorer, Protocol, SearchMode,
+    ExploreConfig, ExploreLimits, ExploreOutcome, Explorer, FrontierTransport, LocalFrontier, Protocol,
+    SearchMode, SharedFrontier, TransportError,
 };
 use randsync_objects::bridge;
 use randsync_objects::SnapshotCounter;
@@ -340,8 +343,45 @@ pub(crate) fn bound_2_1(_ctx: &CheckContext) -> CheckOutcome {
     out
 }
 
+/// A [`LocalFrontier`] that counts the probe batches it answers, so a
+/// check can tell the seen-set really lived behind the transport.
+struct CountingFrontier {
+    inner: LocalFrontier,
+    probes: Arc<AtomicU64>,
+}
+
+impl FrontierTransport for CountingFrontier {
+    fn open(&mut self, stride: usize) -> Result<(), TransportError> {
+        self.inner.open(stride)
+    }
+
+    fn probe_sorted(
+        &mut self,
+        hashes: &[u64],
+        words: &[u32],
+    ) -> Result<Vec<Option<u32>>, TransportError> {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.inner.probe_sorted(hashes, words)
+    }
+
+    fn insert_sorted(
+        &mut self,
+        hashes: &[u64],
+        indices: &[u32],
+        words: &[u32],
+    ) -> Result<(), TransportError> {
+        self.inner.insert_sorted(hashes, indices, words)
+    }
+
+    fn close(&mut self) -> Result<(), TransportError> {
+        self.inner.close()
+    }
+}
+
 /// Soundness of partial-order reduction: same verdict and termination
-/// facts, strictly fewer interleavings explored.
+/// facts, strictly fewer interleavings explored — and the same counts
+/// on every storage tier, since the cycle proviso is decided on the
+/// level merge's probe result, not on any one tier's data structure.
 pub(crate) fn por_equiv(ctx: &CheckContext) -> CheckOutcome {
     let entry = match binding("localcoin") {
         Ok(e) => e,
@@ -362,6 +402,37 @@ pub(crate) fn por_equiv(ctx: &CheckContext) -> CheckOutcome {
             raw.verdict_label(),
             por.verdict_label()
         ));
+    }
+    let probes = Arc::new(AtomicU64::new(0));
+    let counting = CountingFrontier { inner: LocalFrontier::new(), probes: Arc::clone(&probes) };
+    let transport = SharedFrontier::new(counting);
+    let budgeted = explorer_with(ctx, |c| {
+        c.por = true;
+        c.mem_budget_bytes = 4096;
+    })
+    .explore(&protocol, entry.default_inputs);
+    let remote = explorer_with(ctx, |c| {
+        c.por = true;
+        c.transport = Some(transport);
+    })
+    .explore(&protocol, entry.default_inputs);
+    let counts = |o: &ExploreOutcome| {
+        (o.verdict_label(), o.truncated, o.configs_visited, o.por_pruned, o.por_fallbacks)
+    };
+    for (tier, out) in [("mem_budget 4096", &budgeted), ("a LocalFrontier transport", &remote)] {
+        if counts(out) != counts(&por) {
+            return CheckOutcome::fail(format!(
+                "localcoin: POR under {tier} reported {:?}, in RAM {:?}",
+                counts(out),
+                counts(&por)
+            ));
+        }
+    }
+    if !budgeted.spill_mode {
+        return CheckOutcome::fail("localcoin: POR dropped the memory budget (spill_mode unset)");
+    }
+    if probes.load(Ordering::Relaxed) == 0 {
+        return CheckOutcome::fail("localcoin: POR bypassed the frontier transport");
     }
     CheckOutcome::pass()
         .bound("localcoin.por_configs", por.configs_visited as i128, BoundOp::Le, raw.configs_visited as i128)

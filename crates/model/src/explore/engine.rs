@@ -19,32 +19,33 @@
 //!    candidate successor is mapped to its permutation-class
 //!    representative (sorted process vector) before dedup, so the
 //!    search runs on the symmetry quotient (see [`super::canonical`]).
-//! 3. **Dedup.** Novelty checks go through a [`Dedup`] backend. The
-//!    in-RAM tier is [`SeenMaps`]: a precomputed 64-bit hash of the
-//!    packed words selects a shard, the shard maps the hash to
-//!    candidate arena indices, and candidates are collision-checked by
-//!    word-slice equality against the arena. When
-//!    [`ExploreConfig::mem_budget_bytes`] is set, the out-of-core tier
-//!    ([`super::spill::ExternalDedup`]) replaces it: per level, the
-//!    candidate keys are sorted and merged against an on-disk seen-set
-//!    of sorted runs with sequential I/O only. Both tiers compare full
-//!    words, so their dedup decisions — and hence every result — are
-//!    identical.
+//! 3. **Dedup.** One level merge, [`merge_level`], decides how every
+//!    search's candidates are deduplicated and ordered. Per level it
+//!    sorts the candidates' packed keys (64-bit word hash, then the full
+//!    words), resolves the distinct keys against the seen-set in one
+//!    sorted probe batch, and appends the newly interned keys in one
+//!    sorted insert batch — all through the [`FrontierTransport`] seam.
+//!    Behind the seam sits either the local
+//!    [`ExternalDedup`](super::spill::ExternalDedup) — an unbounded
+//!    sorted RAM buffer by default, spilling sorted runs to disk under
+//!    [`ExploreConfig::mem_budget_bytes`] — or a caller-supplied
+//!    transport (the distributed tier). Keys compare on full words, so
+//!    every tier makes the same dedup decisions, and every result is
+//!    identical across tiers. The POR cycle proviso is decided on the
+//!    same probe result (see [`merge_level`]).
 //! 4. **Deterministic parallelism.** Each BFS level is processed in two
 //!    phases. Phase 1 expands the frontier — in parallel chunks under
 //!    [`std::thread::scope`] when the frontier is large enough — with
-//!    *read-only* access to the arena and seen-maps, producing
-//!    candidate successors. Phase 2 merges the candidates sequentially,
-//!    in frontier order, at the level barrier: it resolves duplicates
-//!    discovered concurrently within the level, interns new states into
-//!    the codec, assigns arena indices, and records edges. Because the
-//!    merge runs in frontier order — and because the canonical order is
-//!    the protocol-level `Ord` on states, not an interning artifact —
-//!    the arena order (and hence every witness, count, and flag derived
-//!    from it) is **identical to a sequential BFS regardless of thread
-//!    count**, in RAM and spill mode alike (the external merge assigns
-//!    indices by first occurrence in frontier order, exactly like the
-//!    in-RAM probe loop).
+//!    *read-only* access to the arena, producing candidate successors.
+//!    Phase 2 merges the candidates sequentially at the level barrier:
+//!    it interns new states into the codec in frontier order, resolves
+//!    duplicates (including those discovered concurrently within the
+//!    level), assigns arena indices by first occurrence in frontier
+//!    order, and records edges. Because of that order — and because the
+//!    canonical order is the protocol-level `Ord` on states, not an
+//!    interning artifact — the arena order (and hence every witness,
+//!    count, and flag derived from it) is **identical to a sequential
+//!    BFS regardless of thread count or storage tier**.
 //! 5. **Checkpointing.** When a search stops cleanly at a level
 //!    boundary (deadline or depth budget, never a mid-level config cap)
 //!    and [`ExploreConfig::checkpoint`] is set, the parent forest is
@@ -52,9 +53,10 @@
 //!    and continue — see [`super::checkpoint`] for the soundness
 //!    argument.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::config::Configuration;
 use crate::execution::Step;
@@ -75,83 +77,25 @@ pub(super) type StopFn<'a, S> = dyn Fn(&Configuration<S>) -> bool + Sync + 'a;
 /// per-level thread spawn costs more than the expansion work it buys.
 const PARALLEL_FRONTIER_MIN: usize = 64;
 
-/// The sharded hash → arena-index dedup structure (the in-RAM tier).
-///
-/// Keys are precomputed [`hash_words`] values of packed
-/// configurations; a key maps to every arena index whose words have
-/// that hash (almost always one — the `Vec` exists only for 64-bit
-/// collisions, and lookups confirm by word-slice equality against the
-/// arena). Sharding by the low hash bits keeps lock contention
-/// negligible when many workers probe concurrently.
-pub(super) struct SeenMaps {
-    shards: Vec<Mutex<HashMap<u64, Vec<u32>>>>,
-    mask: u64,
+/// The seen-set behind the level merge: the local sorted-batch store
+/// (resident, or spilling sorted runs under a memory budget) or a
+/// pluggable [`FrontierTransport`] (typically a remote, sharded
+/// seen-set — see [`super::transport`]). [`merge_level`] drives both
+/// through the same seam, so the tier never changes interning order or
+/// any result.
+pub(super) enum Dedup {
+    Local(ExternalDedup),
+    Shared(SharedFrontier),
 }
 
-impl SeenMaps {
-    /// A map with `shards` shards, rounded up to a power of two.
-    pub(super) fn new(shards: usize) -> Self {
-        let n = shards.next_power_of_two().max(1);
-        SeenMaps {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n as u64 - 1,
+impl Dedup {
+    /// Run `f` against the seen-set through the frontier seam.
+    fn with<R>(&mut self, f: impl FnOnce(&mut dyn FrontierTransport) -> R) -> R {
+        match self {
+            Dedup::Local(d) => f(d),
+            Dedup::Shared(t) => f(&mut *t.lock()),
         }
     }
-
-    fn shard(&self, hash: u64) -> MutexGuard<'_, HashMap<u64, Vec<u32>>> {
-        // The maps are plain data; a panic while holding the lock cannot
-        // leave them incoherent, so poisoning is ignored.
-        self.shards[(hash & self.mask) as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The arena index of the configuration packed as `words`, if it
-    /// has been interned.
-    pub(super) fn probe<S: Clone + Eq + Hash>(
-        &self,
-        hash: u64,
-        words: &[u32],
-        arena: &PackedArena<S>,
-    ) -> Option<u32> {
-        self.shard(hash)
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|&j| arena.words_match(j, words))
-    }
-
-    /// Record that the configuration whose words hash to `hash` lives
-    /// at arena index `index`.
-    pub(super) fn insert(&self, hash: u64, index: u32) {
-        self.shard(hash).entry(hash).or_default().push(index);
-    }
-
-    /// Number of interned entries per shard — the load-balance view the
-    /// metrics layer reports (`explore.shard_entries`).
-    pub(super) fn shard_sizes(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum()
-            })
-            .collect()
-    }
-}
-
-/// The dedup backend: resident sharded maps, the out-of-core tier, or
-/// a pluggable [`FrontierTransport`] (typically a remote, sharded
-/// seen-set — see [`super::transport`]). The shared tier reuses the
-/// external tier's batch merge, so its interning order — and therefore
-/// every result — is identical to both local tiers.
-pub(super) enum Dedup {
-    Ram(SeenMaps),
-    Ext(ExternalDedup),
-    Shared(SharedFrontier),
 }
 
 /// Pre-resolved global-registry handles for the engine's per-level
@@ -169,7 +113,6 @@ struct EngineMetrics {
     spilled_bytes: randsync_obs::Gauge,
     max_depth: randsync_obs::Gauge,
     raw_represented: randsync_obs::Gauge,
-    shard_entries: randsync_obs::Histogram,
 }
 
 impl EngineMetrics {
@@ -188,7 +131,6 @@ impl EngineMetrics {
             spilled_bytes: m.gauge("explore.spilled_bytes"),
             max_depth: m.gauge("explore.max_depth"),
             raw_represented: m.gauge("explore.raw_represented"),
-            shard_entries: m.histogram("explore.shard_entries"),
         })
     }
 }
@@ -261,7 +203,36 @@ pub(super) struct BfsGraph<S> {
     pub(super) por_fallbacks: usize,
 }
 
-impl<S> BfsGraph<S> {
+impl<S: Clone + Eq + Hash> BfsGraph<S> {
+    /// An empty graph over `arena` for `search`, on the tier `dedup`
+    /// selected.
+    fn new<P: Protocol<State = S>>(arena: PackedArena<S>, search: &Search<'_, P>, dedup: &Dedup) -> Self {
+        BfsGraph {
+            arena,
+            parent: Vec::new(),
+            depth: Vec::new(),
+            succ: Vec::new(),
+            canonical: search.canon.enabled(),
+            raw_represented: 0,
+            raw_overflow: false,
+            config_capped: false,
+            deadline_hit: false,
+            depth_capped_active: false,
+            depth_capped_any: false,
+            hit: None,
+            spill_mode: matches!(dedup, Dedup::Local(d) if d.spills()),
+            spilled_bytes: 0,
+            dedup_merge_passes: 0,
+            resident_bytes: 0,
+            checkpoint_written: None,
+            checkpoint_error: None,
+            transport_error: None,
+            por_enabled: search.por.is_some(),
+            por_pruned: 0,
+            por_fallbacks: 0,
+        }
+    }
+
     /// Accumulate one interned node's permutation-class size into the
     /// raw-represented total with explicit overflow tracking (the
     /// multinomials at n ≥ 4 scales can exceed `usize`).
@@ -279,57 +250,35 @@ impl<S> BfsGraph<S> {
     }
 }
 
-/// A candidate successor produced during frontier expansion.
-enum SuccRef<S> {
-    /// Already interned at this arena index when the expansion probed.
-    Seen(u32),
-    /// Not interned at expansion time; carries the (single) clone made
-    /// once novelty was likely — already canonicalized in canonical
-    /// mode. The merge re-encodes it against the grown codec.
-    New(Configuration<S>),
+/// What one search holds fixed across all of its levels.
+struct Search<'a, P: Protocol> {
+    protocol: &'a P,
+    /// `Protocol::objects` allocates a fresh Vec per call; hoisted out
+    /// of the hot loop once for the whole search.
+    specs: Vec<ObjectSpec>,
+    canon: Canonicalizer,
+    /// The reduction context, built once per search; `ample` is then a
+    /// pure function of each configuration.
+    por: Option<PorContext<P::State>>,
+    stop: Option<&'a StopFn<'a, P::State>>,
+    record_edges: bool,
+    max_configs: usize,
 }
 
-/// Classify one candidate configuration (already canonical if the mode
-/// asks for it): pack it against the frozen codec, probe the seen-maps,
-/// and clone only if it looks novel. This is the hash-first /
-/// clone-on-insert discipline — known configurations cost an encode, a
-/// hash, and a probe, never an allocation. A candidate that fails to
-/// pack contains a never-interned state, so it cannot be a duplicate of
-/// anything interned. In spill mode there are no probeable seen-maps
-/// (`seen` is `None`): every candidate is cloned and the level merge
-/// resolves it against the external seen-set.
-fn classify<S: Clone + Eq + Hash>(
-    cand: &Configuration<S>,
-    seen: Option<&SeenMaps>,
-    arena: &PackedArena<S>,
-    words: &mut Vec<u32>,
-) -> SuccRef<S> {
-    if let Some(seen) = seen {
-        if arena.try_encode(cand, words) {
-            let hash = hash_words(words);
-            if let Some(j) = seen.probe(hash, words, arena) {
-                return SuccRef::Seen(j);
-            }
-        }
-    }
-    SuccRef::New(cand.clone())
-}
-
-/// One frontier node's expansion: its classified candidate successors
-/// plus what the ample-set reduction did to it.
+/// One frontier node's expansion: its candidate successors plus what
+/// the ample-set reduction did to it.
 struct NodeExpansion<S> {
-    cands: Vec<(Step, SuccRef<S>)>,
+    /// Candidate successors, already canonical in canonical mode.
+    cands: Vec<(Step, Configuration<S>)>,
     /// Only one process's steps were expanded (an ample singleton).
     reduced: bool,
     /// Enabled process moves the reduction skipped at this node.
     pruned: u32,
 }
 
-/// All one-step successors of `config`, classified against the current
-/// arena. Successors are enumerated in `(pid, coin)` order — the same
-/// order as [`super::successors`] — by mutating a single scratch clone
-/// in place and undoing each step, so a full configuration clone happens
-/// only for candidates that are not already interned.
+/// All one-step successors of `config`, enumerated in `(pid, coin)`
+/// order — the same order as [`super::successors`] — by mutating a
+/// single scratch clone in place and undoing each step.
 ///
 /// With a [`PorContext`], the node may be reduced to a singleton ample
 /// set: only that process's steps are expanded (and the skipped moves
@@ -338,41 +287,24 @@ struct NodeExpansion<S> {
 /// process turns out to contribute no successors (a degenerate apply
 /// failure), the node falls back to full expansion — a reduced node
 /// must never look terminal when it is not.
-fn expand_node<P>(
-    protocol: &P,
-    specs: &[ObjectSpec],
+fn expand_node<P: Protocol>(
+    search: &Search<'_, P>,
     config: &Configuration<P::State>,
-    canon: &Canonicalizer,
-    seen: Option<&SeenMaps>,
-    arena: &PackedArena<P::State>,
     por: Option<&PorContext<P::State>>,
-) -> NodeExpansion<P::State>
-where
-    P: Protocol,
-{
+) -> NodeExpansion<P::State> {
+    let protocol = search.protocol;
     let restrict: Option<crate::process::ProcessId> =
         por.and_then(|ctx| match ctx.ample(protocol, config) {
             Ample::Singleton(p) => Some(p),
             Ample::Full => None,
         });
-    let mut out = Vec::new();
+    let mut cands = Vec::new();
     let mut pruned = 0u32;
     let mut scratch = config.clone();
-    // Reusable buffers: the canonical copy of each candidate and its
-    // packed words.
-    let mut sorted = if canon.enabled() { Some(config.clone()) } else { None };
-    let mut words: Vec<u32> = Vec::new();
-    let mut push = |step: Step, scratch: &Configuration<P::State>, out: &mut Vec<_>| {
-        let cand: &Configuration<P::State> = match &mut sorted {
-            Some(c) => {
-                c.procs.clone_from(&scratch.procs);
-                c.values.clone_from(&scratch.values);
-                c.canonicalize();
-                c
-            }
-            None => scratch,
-        };
-        out.push((step, classify(cand, seen, arena, &mut words)));
+    let push = |step: Step, scratch: &Configuration<P::State>, cands: &mut Vec<_>| {
+        let mut cand = scratch.clone();
+        search.canon.canonicalize(&mut cand);
+        cands.push((step, cand));
     };
     for pid in config.active_processes() {
         if restrict.is_some_and(|p| p != pid) {
@@ -388,11 +320,11 @@ where
                     &mut scratch.procs[pid.0],
                     crate::config::ProcState::Decided(d),
                 );
-                push(Step::of(pid), &scratch, &mut out);
+                push(Step::of(pid), &scratch, &mut cands);
                 scratch.procs[pid.0] = prev;
             }
             Action::Invoke { object, op } => {
-                let Some(spec) = specs.get(object.0) else { continue };
+                let Some(spec) = search.specs.get(object.0) else { continue };
                 let Some(value) = config.values.get(object.0) else { continue };
                 let Ok((new_value, resp)) = spec.kind.apply(value, &op) else { continue };
                 let domain = protocol.coin_domain(state, &resp).max(1);
@@ -403,19 +335,19 @@ where
                         &mut scratch.procs[pid.0],
                         crate::config::ProcState::Active(next_state),
                     );
-                    push(Step::with_coin(pid, coin), &scratch, &mut out);
+                    push(Step::with_coin(pid, coin), &scratch, &mut cands);
                     scratch.procs[pid.0] = prev_proc;
                 }
                 scratch.values[object.0] = prev_value;
             }
         }
     }
-    if restrict.is_some() && out.is_empty() && pruned > 0 {
+    if restrict.is_some() && cands.is_empty() && pruned > 0 {
         // The ample process contributed nothing; expand in full.
-        return expand_node(protocol, specs, config, canon, seen, arena, None);
+        return expand_node(search, config, None);
     }
     let reduced = restrict.is_some() && pruned > 0;
-    NodeExpansion { cands: out, reduced, pruned: if reduced { pruned } else { 0 } }
+    NodeExpansion { cands, reduced, pruned: if reduced { pruned } else { 0 } }
 }
 
 /// Per-level merge tallies, flushed to metrics at the level barrier.
@@ -425,39 +357,31 @@ struct LevelStats {
     interned: u64,
 }
 
-/// Pick the storage tier from the configuration: resident arena +
-/// sharded maps, or spill store + external dedup under a budget.
-///
-/// Partial-order reduction forces the in-RAM tier: the cycle proviso
-/// re-expands nodes during the merge, which needs the probeable
-/// seen-maps the external tier does not keep.
+/// Pick the storage tier from the configuration. A transport takes
+/// precedence: the arena (and with it interning order) stays local
+/// while the seen-set lives behind the seam. Otherwise the seen-set is
+/// a local [`ExternalDedup`]: an unbounded RAM buffer over a resident
+/// arena, or — under a memory budget — a spilling one over a
+/// segment-backed arena.
 fn make_store<S: Clone + Eq + Hash>(
     config: &ExploreConfig,
     n_procs: usize,
     n_values: usize,
 ) -> (PackedArena<S>, Dedup) {
+    let stride = n_procs + n_values;
     if let Some(transport) = &config.transport {
-        if !config.por {
-            // The shared (distributed) tier: the arena stays local —
-            // the coordinator owns interning order — while the
-            // seen-set lives behind the transport. Takes precedence
-            // over a memory budget; POR still forces the in-RAM tier
-            // (the cycle proviso needs probeable seen-maps).
-            return (PackedArena::new(n_procs, n_values), Dedup::Shared(transport.clone()));
-        }
+        return (PackedArena::new(n_procs, n_values), Dedup::Shared(transport.clone()));
     }
-    if config.mem_budget_bytes > 0 && !config.por {
-        let stride = n_procs + n_values;
-        let plan = BudgetPlan::for_budget(config.mem_budget_bytes, stride);
-        let dir = SpillDir::create(config.spill_dir.clone());
-        let store = SpillStore::new(stride, &plan, Arc::clone(&dir));
-        (
-            PackedArena::with_store(n_procs, n_values, WordStore::Spill(store)),
-            Dedup::Ext(ExternalDedup::new(stride, &plan, dir)),
-        )
-    } else {
-        (PackedArena::new(n_procs, n_values), Dedup::Ram(SeenMaps::new(config.shard_count())))
+    if config.mem_budget_bytes == 0 {
+        return (PackedArena::new(n_procs, n_values), Dedup::Local(ExternalDedup::in_ram(stride)));
     }
+    let plan = BudgetPlan::for_budget(config.mem_budget_bytes, stride);
+    let dir = SpillDir::create(config.spill_dir.clone());
+    let store = SpillStore::new(stride, &plan, Arc::clone(&dir));
+    (
+        PackedArena::with_store(n_procs, n_values, WordStore::Spill(store)),
+        Dedup::Local(ExternalDedup::new(stride, &plan, dir)),
+    )
 }
 
 /// Depth-synchronous breadth-first exploration from `start`.
@@ -484,44 +408,21 @@ where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    // `Protocol::objects` allocates a fresh Vec per call; hoist it out
-    // of the hot loop once for the whole search.
-    let specs = protocol.objects();
     let canon = Canonicalizer::for_protocol(protocol, config.canonical);
-
     let mut start = start;
     canon.canonicalize(&mut start);
-
-    // The reduction context is built once per search; `ample` is then a
-    // pure function of each configuration.
-    let por = config.por.then(|| PorContext::build(protocol, &start));
+    let search = Search {
+        protocol,
+        specs: protocol.objects(),
+        por: config.por.then(|| PorContext::build(protocol, &start)),
+        canon,
+        stop,
+        record_edges,
+        max_configs: config.limits.max_configs,
+    };
 
     let (arena, mut dedup) = make_store(config, start.procs.len(), start.values.len());
-    let mut g = BfsGraph {
-        arena,
-        parent: Vec::new(),
-        depth: Vec::new(),
-        succ: Vec::new(),
-        canonical: canon.enabled(),
-        raw_represented: 0,
-        raw_overflow: false,
-        config_capped: false,
-        deadline_hit: false,
-        depth_capped_active: false,
-        depth_capped_any: false,
-        hit: None,
-        spill_mode: matches!(dedup, Dedup::Ext(_)),
-        spilled_bytes: 0,
-        dedup_merge_passes: 0,
-        resident_bytes: 0,
-        checkpoint_written: None,
-        checkpoint_error: None,
-        transport_error: None,
-        por_enabled: false,
-        por_pruned: 0,
-        por_fallbacks: 0,
-    };
-    // Reusable packed-word buffer for everything the merge interns.
+    let mut g = BfsGraph::new(arena, &search, &dedup);
     let mut words: Vec<u32> = Vec::new();
     g.arena.encode_intern(&start, &mut words);
     let start_hash = hash_words(&words);
@@ -531,58 +432,25 @@ where
     if record_edges {
         g.succ.push(Vec::new());
     }
-    match &mut dedup {
-        Dedup::Ram(seen) => seen.insert(start_hash, 0),
-        Dedup::Ext(d) => d.insert_sorted(&[start_hash], &[0], &words),
-        Dedup::Shared(t) => {
-            let mut t = t.lock();
-            let opened = t
-                .open(g.arena.stride())
-                .and_then(|()| t.insert_sorted(&[start_hash], &[0], &words));
-            if let Err(e) = opened {
-                drop(t);
-                g.transport_error = Some(e.to_string());
-                finalize(&mut g, &dedup, config, record_edges, 0);
-                close_transport(&mut dedup);
-                return g;
-            }
+    g.add_class(search.canon.class_size(&start.procs));
+    let stride = g.arena.stride();
+    let opened =
+        dedup.with(|t| t.open(stride).and_then(|()| t.insert_sorted(&[start_hash], &[0], &words)));
+    let final_depth = match opened {
+        Err(e) => {
+            g.transport_error = Some(e.to_string());
+            0
         }
-    }
-    g.add_class(if canon.enabled() { permutations_of_sorted(&start.procs) } else { 1 });
-    g.por_enabled = por.is_some();
-    if let Some(pred) = stop {
-        if pred(&start) {
+        Ok(()) if stop.is_some_and(|pred| pred(&start)) => {
             g.hit = Some(0);
-            finalize(&mut g, &dedup, config, record_edges, 0);
-            close_transport(&mut dedup);
-            return g;
+            0
         }
-    }
-
-    let final_depth = run_levels(
-        protocol,
-        &specs,
-        config,
-        record_edges,
-        stop,
-        &canon,
-        por.as_ref(),
-        &mut g,
-        &mut dedup,
-        vec![0],
-        0,
-    );
+        Ok(()) => run_levels(&search, config, &mut g, &mut dedup, vec![0], 0),
+    };
     finalize(&mut g, &dedup, config, record_edges, final_depth);
-    close_transport(&mut dedup);
+    // Close failures are unreportable: the search already finished.
+    let _ = dedup.with(|t| t.close());
     g
-}
-
-/// Best-effort end-of-search release of a shared frontier session
-/// (close failures are unreportable — the search already finished).
-fn close_transport(dedup: &mut Dedup) {
-    if let Dedup::Shared(t) = dedup {
-        let _ = t.lock().close();
-    }
 }
 
 /// Rebuild a checkpointed search and continue it to completion (or the
@@ -603,7 +471,6 @@ where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    let specs = protocol.objects();
     let canon = Canonicalizer::for_protocol(protocol, ckpt.canonical);
     if canon.enabled() != ckpt.canonical {
         return Err(CheckpointError::Mismatch(
@@ -629,41 +496,30 @@ where
     }
     let record_edges = ckpt.record_edges;
     let stride = n_procs + n_values;
+    // A resumed search always continues unreduced: the checkpointed
+    // prefix records no ample decisions, and correctness of the cycle
+    // proviso depends on the whole graph being built under one regime.
+    let search = Search {
+        protocol,
+        specs: protocol.objects(),
+        canon,
+        por: None,
+        stop: None,
+        record_edges,
+        max_configs: config.limits.max_configs,
+    };
 
     let (arena, mut dedup) = make_store(config, n_procs, n_values);
-    let mut g = BfsGraph {
-        arena,
-        parent: Vec::with_capacity(ckpt.nodes()),
-        depth: Vec::with_capacity(ckpt.nodes()),
-        succ: Vec::new(),
-        canonical: canon.enabled(),
-        raw_represented: 0,
-        raw_overflow: false,
-        config_capped: false,
-        deadline_hit: false,
-        depth_capped_active: false,
-        depth_capped_any: false,
-        hit: None,
-        spill_mode: matches!(dedup, Dedup::Ext(_)),
-        spilled_bytes: 0,
-        dedup_merge_passes: 0,
-        resident_bytes: 0,
-        checkpoint_written: None,
-        checkpoint_error: None,
-        transport_error: None,
-        por_enabled: false,
-        por_pruned: 0,
-        por_fallbacks: 0,
-    };
-    if let Dedup::Shared(t) = &mut dedup {
-        t.lock().open(stride).map_err(|e| {
-            CheckpointError::Mismatch(format!("frontier transport failed to open: {e}"))
-        })?;
-    }
+    let mut g = BfsGraph::new(arena, &search, &dedup);
+    g.parent.reserve(ckpt.nodes());
+    g.depth.reserve(ckpt.nodes());
+    dedup.with(|t| t.open(stride)).map_err(|e| {
+        CheckpointError::Mismatch(format!("frontier transport failed to open: {e}"))
+    })?;
 
     // Replay: one decode + step + intern per node, in interning order.
-    // In spill mode, seen-set entries are accumulated into bounded
-    // sorted chunks so the rebuild respects the memory budget too.
+    // Seen-set entries are accumulated into bounded sorted chunks, so
+    // the rebuild respects a memory budget too.
     let mut words: Vec<u32> = Vec::new();
     let (mut pend_h, mut pend_i, mut pend_w): (Vec<u64>, Vec<u32>, Vec<u32>) =
         (Vec::new(), Vec::new(), Vec::new());
@@ -682,7 +538,7 @@ where
                      checkpoint does not match this protocol"
                 ))
             })?;
-            canon.canonicalize(&mut c);
+            search.canon.canonicalize(&mut c);
             c
         };
         g.arena.encode_intern(&cfg, &mut words);
@@ -698,17 +554,12 @@ where
         if record_edges {
             g.succ.push(ckpt.succ[i].clone());
         }
-        g.add_class(if canon.enabled() { permutations_of_sorted(&cfg.procs) } else { 1 });
-        match &mut dedup {
-            Dedup::Ram(seen) => seen.insert(hash, j),
-            Dedup::Ext(_) | Dedup::Shared(_) => {
-                pend_h.push(hash);
-                pend_i.push(j);
-                pend_w.extend_from_slice(&words);
-                if pend_h.len() >= pend_cap {
-                    flush_pending(&mut dedup, &mut pend_h, &mut pend_i, &mut pend_w, stride)?;
-                }
-            }
+        g.add_class(search.canon.class_size(&cfg.procs));
+        pend_h.push(hash);
+        pend_i.push(j);
+        pend_w.extend_from_slice(&words);
+        if pend_h.len() >= pend_cap {
+            flush_pending(&mut dedup, &mut pend_h, &mut pend_i, &mut pend_w, stride)?;
         }
     }
     flush_pending(&mut dedup, &mut pend_h, &mut pend_i, &mut pend_w, stride)?;
@@ -720,29 +571,15 @@ where
         .filter(|&i| g.depth[i as usize] as usize == level_depth)
         .collect();
 
-    // A resumed search always continues unreduced: the checkpointed
-    // prefix records no ample decisions, and correctness of the cycle
-    // proviso depends on the whole graph being built under one regime.
-    let final_depth = run_levels(
-        protocol,
-        &specs,
-        config,
-        record_edges,
-        None,
-        &canon,
-        None,
-        &mut g,
-        &mut dedup,
-        frontier,
-        level_depth,
-    );
+    let final_depth = run_levels(&search, config, &mut g, &mut dedup, frontier, level_depth);
     finalize(&mut g, &dedup, config, record_edges, final_depth);
-    close_transport(&mut dedup);
+    let _ = dedup.with(|t| t.close());
     Ok(g)
 }
 
-/// Flush pending rebuild entries to a batch-oriented dedup tier; maps
-/// a transport failure to the checkpoint error the resume reports.
+/// Sort a chunk of pending rebuild entries by `(hash, words)` and hand
+/// it to the seen-set as one sorted batch; maps a transport failure to
+/// the checkpoint error the resume reports.
 fn flush_pending(
     dedup: &mut Dedup,
     h: &mut Vec<u64>,
@@ -750,63 +587,30 @@ fn flush_pending(
     w: &mut Vec<u32>,
     stride: usize,
 ) -> Result<(), CheckpointError> {
-    let result = match dedup {
-        Dedup::Ram(_) => return Ok(()),
-        Dedup::Ext(d) => flush_sorted_chunk(d, h, idx, w, stride),
-        Dedup::Shared(t) => flush_sorted_chunk(&mut *t.lock(), h, idx, w, stride),
-    };
-    result.map_err(|e| {
-        CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
-    })
-}
-
-/// Sort an unsorted chunk of seen-set entries by `(hash, words)` and
-/// hand it to a batch-oriented dedup tier as one sorted batch.
-fn flush_sorted_chunk(
-    dedup: &mut dyn FrontierTransport,
-    h: &mut Vec<u64>,
-    idx: &mut Vec<u32>,
-    w: &mut Vec<u32>,
-    stride: usize,
-) -> Result<(), TransportError> {
     if h.is_empty() {
         return Ok(());
     }
-    let mut order: Vec<u32> = (0..h.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        h[a].cmp(&h[b])
-            .then_with(|| w[a * stride..(a + 1) * stride].cmp(&w[b * stride..(b + 1) * stride]))
-    });
-    let mut sh = Vec::with_capacity(h.len());
-    let mut si = Vec::with_capacity(h.len());
-    let mut sw = Vec::with_capacity(w.len());
-    for &o in &order {
-        let o = o as usize;
-        sh.push(h[o]);
-        si.push(idx[o]);
-        sw.extend_from_slice(&w[o * stride..(o + 1) * stride]);
-    }
-    dedup.insert_sorted(&sh, &si, &sw)?;
+    let row = |o: usize| &w[o * stride..(o + 1) * stride];
+    let mut order: Vec<usize> = (0..h.len()).collect();
+    order.sort_unstable_by(|&a, &b| h[a].cmp(&h[b]).then_with(|| row(a).cmp(row(b))));
+    let sh: Vec<u64> = order.iter().map(|&o| h[o]).collect();
+    let si: Vec<u32> = order.iter().map(|&o| idx[o]).collect();
+    let sw: Vec<u32> = order.iter().flat_map(|&o| row(o).iter().copied()).collect();
     h.clear();
     idx.clear();
     w.clear();
-    Ok(())
+    dedup.with(|t| t.insert_sorted(&sh, &si, &sw)).map_err(|e| {
+        CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
+    })
 }
 
 /// The level loop shared by [`bfs`] and [`bfs_resume`]: expand, merge,
 /// repeat until the frontier empties or a budget stops the search at a
 /// level boundary. Returns the depth of the frontier when the loop
 /// stopped (the resume point).
-#[allow(clippy::too_many_arguments)]
 fn run_levels<P>(
-    protocol: &P,
-    specs: &[ObjectSpec],
+    search: &Search<'_, P>,
     config: &ExploreConfig,
-    record_edges: bool,
-    stop: Option<&StopFn<'_, P::State>>,
-    canon: &Canonicalizer,
-    por: Option<&PorContext<P::State>>,
     g: &mut BfsGraph<P::State>,
     dedup: &mut Dedup,
     mut frontier: Vec<u32>,
@@ -817,7 +621,6 @@ where
     P::State: Send + Sync,
 {
     let threads = config.effective_threads();
-    let max_configs = config.limits.max_configs;
     let max_depth = config.limits.max_depth;
     let metrics = EngineMetrics::resolve();
     // One span over the whole level loop, so the per-level
@@ -847,42 +650,18 @@ where
         }
 
         // Phase 1: expand every frontier node against a frozen view of
-        // the arena, codec, and seen-maps. Nothing is interned yet, so
-        // workers may race freely; duplicates discovered concurrently
-        // are resolved by the merge below. Frontier nodes are decoded
-        // from the packed arena on the fly — the engine never holds
-        // more than one heap configuration per in-flight expansion.
-        let seen_view: Option<&SeenMaps> = match &*dedup {
-            Dedup::Ram(seen) => Some(seen),
-            Dedup::Ext(_) | Dedup::Shared(_) => None,
-        };
-        let expansions: Vec<NodeExpansion<P::State>> =
+        // the arena and codec. Nothing is interned yet, so workers may
+        // race freely; duplicates are resolved by the merge below.
+        // Frontier nodes are decoded from the packed arena on the fly.
+        let expansions: Vec<NodeExpansion<P::State>> = {
+            let arena = &g.arena;
+            let expand = |&i: &u32| expand_node(search, &arena.decode(i), search.por.as_ref());
             if threads > 1 && frontier.len() >= PARALLEL_FRONTIER_MIN {
-                let arena = &g.arena;
-                let specs_ref = specs;
-                let canon_ref = canon;
-                let workers = threads.min(frontier.len());
-                let chunk = frontier.len().div_ceil(workers);
+                let chunk = frontier.len().div_ceil(threads.min(frontier.len()));
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = frontier
                         .chunks(chunk)
-                        .map(|ids| {
-                            scope.spawn(move || {
-                                ids.iter()
-                                    .map(|&i| {
-                                        expand_node(
-                                            protocol,
-                                            specs_ref,
-                                            &arena.decode(i),
-                                            canon_ref,
-                                            seen_view,
-                                            arena,
-                                            por,
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
+                        .map(|ids| scope.spawn(move || ids.iter().map(expand).collect::<Vec<_>>()))
                         .collect();
                     handles
                         .into_iter()
@@ -890,63 +669,14 @@ where
                         .collect()
                 })
             } else {
-                frontier
-                    .iter()
-                    .map(|&i| {
-                        expand_node(
-                            protocol,
-                            specs,
-                            &g.arena.decode(i),
-                            canon,
-                            seen_view,
-                            &g.arena,
-                            por,
-                        )
-                    })
-                    .collect()
-            };
-
-        // Phase 2: sequential merge at the level barrier, in frontier
-        // order. This is the only place the arena, the codec, and the
-        // seen-set grow, so interning order — and everything derived
-        // from it — matches the sequential BFS exactly, on either tier.
-        let merged = match dedup {
-            Dedup::Ram(seen) => Ok(merge_level_ram(
-                protocol,
-                specs,
-                g,
-                seen,
-                &frontier,
-                expansions,
-                level_depth,
-                max_configs,
-                canon,
-                stop,
-                record_edges,
-            )),
-            Dedup::Ext(ext) => merge_level_external(
-                g,
-                ext,
-                &frontier,
-                expansions,
-                level_depth,
-                max_configs,
-                canon,
-                stop,
-                record_edges,
-            ),
-            Dedup::Shared(t) => merge_level_external(
-                g,
-                &mut *t.lock(),
-                &frontier,
-                expansions,
-                level_depth,
-                max_configs,
-                canon,
-                stop,
-                record_edges,
-            ),
+                frontier.iter().map(expand).collect()
+            }
         };
+
+        // Phase 2: sequential merge at the level barrier. This is the
+        // only place the arena, the codec, and the seen-set grow.
+        let merged =
+            dedup.with(|t| merge_level(search, g, t, &frontier, expansions, level_depth));
         let (next_frontier, stats) = match merged {
             Ok(level) => level,
             Err(e) => {
@@ -964,7 +694,7 @@ where
             m.frontier.observe(frontier.len() as u64);
             m.arena_bytes.record_max(g.arena.bytes() as i64);
             let spilled = g.arena.spilled_bytes()
-                + if let Dedup::Ext(d) = &*dedup { d.spilled_bytes() } else { 0 };
+                + if let Dedup::Local(d) = &*dedup { d.spilled_bytes() } else { 0 };
             m.spilled_bytes.record_max(spilled as i64);
             m.max_depth.record_max(level_depth as i64 + 1);
             m.raw_represented.record_max(g.raw_represented as i64);
@@ -986,184 +716,7 @@ where
         frontier = next_frontier;
         level_depth += 1;
     }
-    if let Some(m) = &metrics {
-        if let Dedup::Ram(seen) = &*dedup {
-            for size in seen.shard_sizes() {
-                m.shard_entries.observe(size as u64);
-            }
-        }
-    }
     level_depth
-}
-
-/// Resolve one candidate successor against the arena and seen-maps:
-/// dedup or intern, record parent/depth/class, evaluate the stop
-/// predicate, and extend the next frontier. Returns the arena index the
-/// candidate resolved to (`None` if dropped at the config cap).
-#[allow(clippy::too_many_arguments)]
-fn merge_candidate<S: Clone + Eq + Hash>(
-    g: &mut BfsGraph<S>,
-    seen: &SeenMaps,
-    words: &mut Vec<u32>,
-    parent_idx: u32,
-    step: Step,
-    cand: SuccRef<S>,
-    level_depth: usize,
-    max_configs: usize,
-    canon: &Canonicalizer,
-    stop: Option<&StopFn<'_, S>>,
-    record_edges: bool,
-    next_frontier: &mut Vec<u32>,
-    stats: &mut LevelStats,
-) -> Option<u32> {
-    stats.candidates += 1;
-    match cand {
-        SuccRef::Seen(j) => {
-            stats.dedup += 1;
-            Some(j)
-        }
-        SuccRef::New(cand_config) => {
-            // Re-encode against the grown codec (interning any
-            // genuinely new states) and re-probe: another frontier
-            // node earlier in the merge may have interned this
-            // configuration within the same level.
-            g.arena.encode_intern(&cand_config, words);
-            let hash = hash_words(words);
-            if let Some(j) = seen.probe(hash, words, &g.arena) {
-                stats.dedup += 1;
-                Some(j)
-            } else if g.arena.len() >= max_configs {
-                g.config_capped = true;
-                None
-            } else {
-                let j = g.arena.push(words);
-                g.parent.push(Some((parent_idx, step)));
-                g.depth.push(level_depth as u32 + 1);
-                if record_edges {
-                    g.succ.push(Vec::new());
-                }
-                seen.insert(hash, j);
-                g.add_class(if canon.enabled() {
-                    permutations_of_sorted(&cand_config.procs)
-                } else {
-                    1
-                });
-                if g.hit.is_none() {
-                    if let Some(pred) = stop {
-                        if pred(&cand_config) {
-                            g.hit = Some(j);
-                        }
-                    }
-                }
-                stats.interned += 1;
-                next_frontier.push(j);
-                Some(j)
-            }
-        }
-    }
-}
-
-/// In-RAM level merge: probe the sharded maps candidate by candidate,
-/// in frontier order.
-///
-/// This is also where the reduction's **cycle proviso** lives: when a
-/// reduced node resolves an edge to a node at the same or an earlier
-/// BFS depth — the kind of edge every cycle must contain — the node is
-/// re-expanded in full (against the current maps, so already-interned
-/// ample successors simply dedup) and its edges are rebuilt from the
-/// full expansion. The check runs in the sequential merge, so the
-/// decision is identical at every thread count.
-#[allow(clippy::too_many_arguments)]
-fn merge_level_ram<P>(
-    protocol: &P,
-    specs: &[ObjectSpec],
-    g: &mut BfsGraph<P::State>,
-    seen: &SeenMaps,
-    frontier: &[u32],
-    expansions: Vec<NodeExpansion<P::State>>,
-    level_depth: usize,
-    max_configs: usize,
-    canon: &Canonicalizer,
-    stop: Option<&StopFn<'_, P::State>>,
-    record_edges: bool,
-) -> (Vec<u32>, LevelStats)
-where
-    P: Protocol,
-{
-    let mut next_frontier: Vec<u32> = Vec::new();
-    let mut stats = LevelStats { candidates: 0, dedup: 0, interned: 0 };
-    let mut words: Vec<u32> = Vec::new();
-    for (pos, expansion) in expansions.into_iter().enumerate() {
-        let parent_idx = frontier[pos];
-        let mut back_edge = false;
-        for (step, cand) in expansion.cands {
-            let interned = merge_candidate(
-                g,
-                seen,
-                &mut words,
-                parent_idx,
-                step,
-                cand,
-                level_depth,
-                max_configs,
-                canon,
-                stop,
-                record_edges,
-                &mut next_frontier,
-                &mut stats,
-            );
-            if let Some(j) = interned {
-                if record_edges {
-                    g.succ[parent_idx as usize].push(j);
-                }
-                back_edge |= g.depth[j as usize] as usize <= level_depth;
-            }
-        }
-        if expansion.reduced {
-            if back_edge {
-                // Cycle proviso: re-expand in full so every cycle in
-                // the reduced graph contains a fully expanded node.
-                g.por_fallbacks += 1;
-                let full = expand_node(
-                    protocol,
-                    specs,
-                    &g.arena.decode(parent_idx),
-                    canon,
-                    Some(seen),
-                    &g.arena,
-                    None,
-                );
-                if record_edges {
-                    g.succ[parent_idx as usize].clear();
-                }
-                for (step, cand) in full.cands {
-                    let interned = merge_candidate(
-                        g,
-                        seen,
-                        &mut words,
-                        parent_idx,
-                        step,
-                        cand,
-                        level_depth,
-                        max_configs,
-                        canon,
-                        stop,
-                        record_edges,
-                        &mut next_frontier,
-                        &mut stats,
-                    );
-                    if record_edges {
-                        if let Some(j) = interned {
-                            g.succ[parent_idx as usize].push(j);
-                        }
-                    }
-                }
-            } else {
-                g.por_pruned += expansion.pruned as usize;
-            }
-        }
-    }
-    (next_frontier, stats)
 }
 
 /// Resolution state of one distinct candidate key within a level.
@@ -1179,103 +732,217 @@ enum GroupState {
     Capped,
 }
 
-/// Batch-oriented level merge, shared by the out-of-core tier and
-/// every [`FrontierTransport`] (the distributed seen-set): encode
-/// every candidate in frontier order (codec ids are assigned here,
-/// exactly as the in-RAM merge would), sort the level's distinct keys,
-/// resolve them against the seen-set in one sorted probe batch, then
-/// assign arena indices by first occurrence in frontier order —
-/// reproducing the in-RAM merge's interning order bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn merge_level_external<S: Clone + Eq + Hash>(
-    g: &mut BfsGraph<S>,
-    dedup: &mut dyn FrontierTransport,
-    frontier: &[u32],
-    expansions: Vec<NodeExpansion<S>>,
-    level_depth: usize,
-    max_configs: usize,
-    canon: &Canonicalizer,
-    stop: Option<&StopFn<'_, S>>,
-    record_edges: bool,
-) -> Result<(Vec<u32>, LevelStats), TransportError> {
-    let stride = g.arena.stride();
-    let n_procs = g.arena.n_procs();
-    let keep_cfg = stop.is_some();
+impl GroupState {
+    fn probed(found: Option<u32>) -> Self {
+        found.map_or(GroupState::Unassigned, GroupState::Existing)
+    }
+}
 
-    // Pass A: encode every candidate in frontier order. This is where
-    // codec ids grow, in exactly the order the in-RAM merge grows them.
-    let mut lev_parent: Vec<u32> = Vec::new();
-    let mut lev_step: Vec<Step> = Vec::new();
-    let mut lev_hash: Vec<u64> = Vec::new();
-    let mut lev_words: Vec<u32> = Vec::new();
-    let mut lev_cfg: Vec<Configuration<S>> = Vec::new();
-    let mut words: Vec<u32> = Vec::new();
-    for (pos, expansion) in expansions.into_iter().enumerate() {
-        let parent_idx = frontier[pos];
-        // POR forces the in-RAM tier (see `make_store`), so external
-        // merges never see reduced expansions.
-        debug_assert!(!expansion.reduced);
-        for (step, cand) in expansion.cands {
-            let cfg = match cand {
-                SuccRef::New(c) => c,
-                SuccRef::Seen(_) => unreachable!("batch tiers never pre-classify"),
-            };
-            g.arena.encode_intern(&cfg, &mut words);
-            lev_hash.push(hash_words(&words));
-            lev_words.extend_from_slice(&words);
-            lev_parent.push(parent_idx);
-            lev_step.push(step);
-            if keep_cfg {
-                lev_cfg.push(cfg);
-            }
+/// One level's candidates, packed in the order they were encoded.
+/// Candidate `ord` has key `(hash[ord], row(ord))`.
+struct LevelKeys<S> {
+    stride: usize,
+    parent: Vec<u32>,
+    step: Vec<Step>,
+    hash: Vec<u64>,
+    words: Vec<u32>,
+    /// Heap forms, kept only when a stop predicate must see them.
+    cfg: Option<Vec<Configuration<S>>>,
+    scratch: Vec<u32>,
+}
+
+impl<S: Clone + Eq + Hash> LevelKeys<S> {
+    fn new(stride: usize, keep_cfg: bool) -> Self {
+        LevelKeys {
+            stride,
+            parent: Vec::new(),
+            step: Vec::new(),
+            hash: Vec::new(),
+            words: Vec::new(),
+            cfg: keep_cfg.then(Vec::new),
+            scratch: Vec::new(),
         }
     }
-    let k = lev_hash.len();
+
+    fn len(&self) -> usize {
+        self.hash.len()
+    }
+
+    fn row(&self, ord: usize) -> &[u32] {
+        &self.words[ord * self.stride..(ord + 1) * self.stride]
+    }
+
+    /// Encode one candidate, interning any new states and values.
+    fn push(&mut self, arena: &mut PackedArena<S>, parent: u32, step: Step, cfg: Configuration<S>) {
+        arena.encode_intern(&cfg, &mut self.scratch);
+        self.hash.push(hash_words(&self.scratch));
+        self.words.extend_from_slice(&self.scratch);
+        self.parent.push(parent);
+        self.step.push(step);
+        if let Some(cfgs) = &mut self.cfg {
+            cfgs.push(cfg);
+        }
+    }
+
+    /// Key order, ties broken by ordinal so that each key's group
+    /// starts with its earliest candidate.
+    fn cmp(&self, a: u32, b: u32) -> Ordering {
+        let (a, b) = (a as usize, b as usize);
+        self.hash[a].cmp(&self.hash[b]).then_with(|| self.row(a).cmp(self.row(b))).then(a.cmp(&b))
+    }
+
+    /// Label every candidate of a key-sorted `order` with its distinct
+    /// key's group. Returns the group of each candidate and each
+    /// group's representative (its earliest candidate), in key order.
+    fn group(&self, order: &[u32]) -> (Vec<u32>, Vec<u32>) {
+        let mut group_of = vec![0u32; self.len()];
+        let mut reps: Vec<u32> = Vec::new();
+        for (s, &ord) in order.iter().enumerate() {
+            let fresh = s == 0 || {
+                let (prev, cur) = (order[s - 1] as usize, ord as usize);
+                self.hash[prev] != self.hash[cur] || self.row(prev) != self.row(cur)
+            };
+            if fresh {
+                reps.push(ord);
+            }
+            group_of[ord as usize] = (reps.len() - 1) as u32;
+        }
+        (group_of, reps)
+    }
+
+    /// The keys of `reps` as one batch in the seam's layout.
+    fn keys(&self, reps: &[u32]) -> (Vec<u64>, Vec<u32>) {
+        let h = reps.iter().map(|&rep| self.hash[rep as usize]).collect();
+        let w = reps.iter().flat_map(|&rep| self.row(rep as usize)).copied().collect();
+        (h, w)
+    }
+
+    /// Resolve the distinct, key-sorted `reps` in one probe batch.
+    fn probe(
+        &self,
+        dedup: &mut dyn FrontierTransport,
+        reps: &[u32],
+    ) -> Result<Vec<Option<u32>>, TransportError> {
+        let (h, w) = self.keys(reps);
+        let found = dedup.probe_sorted(&h, &w)?;
+        if found.len() != h.len() {
+            return Err(TransportError::new(format!(
+                "probe batch of {} keys got {} answers",
+                h.len(),
+                found.len()
+            )));
+        }
+        Ok(found)
+    }
+}
+
+/// The level merge: the one place a level's candidates are
+/// deduplicated, ordered, and interned, for every storage tier and
+/// every search mode.
+///
+/// Every candidate is encoded in frontier order (codec ids grow here),
+/// the level's distinct keys are sorted and resolved against the
+/// seen-set in one sorted probe batch, and arena indices are then
+/// assigned by first occurrence in frontier order; the newly interned
+/// keys go back to the seen-set as one sorted insert batch.
+///
+/// This is also where the reduction's **cycle proviso** (C3) lives. A
+/// reduced node falls back to full expansion iff one of its retained
+/// candidates resolves to a key interned *before* this level: such an
+/// edge leads to depth ≤ the current level, the kind of edge every
+/// cycle must contain, while everything interned during the level has
+/// depth one greater. The fallback's candidates are resolved in a
+/// second sorted probe batch (only keys the first did not cover) and
+/// placed, reduced-then-full, at the node's frontier position; its
+/// edges come from the full expansion alone. Arena order, parents,
+/// depths, edges, and the reduction counts are therefore those of a
+/// sequential candidate-by-candidate merge, at every thread count and
+/// on every tier.
+fn merge_level<P: Protocol>(
+    search: &Search<'_, P>,
+    g: &mut BfsGraph<P::State>,
+    dedup: &mut dyn FrontierTransport,
+    frontier: &[u32],
+    expansions: Vec<NodeExpansion<P::State>>,
+    level_depth: usize,
+) -> Result<(Vec<u32>, LevelStats), TransportError> {
+    let n_procs = g.arena.n_procs();
+    let mut lev = LevelKeys::new(g.arena.stride(), search.stop.is_some());
+
+    // Pass A: encode every candidate in frontier order, remembering
+    // each node's span and any reduction it received.
+    let mut spans: Vec<Range<usize>> = Vec::with_capacity(frontier.len());
+    let mut reduced: Vec<(usize, u32)> = Vec::new();
+    for (pos, expansion) in expansions.into_iter().enumerate() {
+        let start = lev.len();
+        for (step, cfg) in expansion.cands {
+            lev.push(&mut g.arena, frontier[pos], step, cfg);
+        }
+        spans.push(start..lev.len());
+        if expansion.reduced {
+            reduced.push((pos, expansion.pruned));
+        }
+    }
+    let k = lev.len();
 
     // Pass B: group candidates by key. Two candidates are the same
     // configuration iff their full words match (the hash only orders).
-    let row = |ord: usize| &lev_words[ord * stride..(ord + 1) * stride];
     let mut order: Vec<u32> = (0..k as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        lev_hash[a].cmp(&lev_hash[b]).then_with(|| row(a).cmp(row(b)))
-    });
-    let mut group_of = vec![0u32; k];
-    let mut reps: Vec<u32> = Vec::new();
-    for (s, &ord) in order.iter().enumerate() {
-        let fresh = s == 0 || {
-            let prev = order[s - 1] as usize;
-            let cur = ord as usize;
-            lev_hash[prev] != lev_hash[cur] || row(prev) != row(cur)
-        };
-        if fresh {
-            reps.push(ord);
+    order.sort_unstable_by(|&a, &b| lev.cmp(a, b));
+    let (mut group_of, mut reps) = lev.group(&order);
+
+    // Pass C: one sorted probe batch against the seen-set.
+    let found = lev.probe(dedup, &reps)?;
+
+    // The cycle proviso, decided on the probe result.
+    let mut fallback: Vec<Option<Range<usize>>> = vec![None; frontier.len()];
+    for (pos, pruned) in reduced {
+        if spans[pos].clone().any(|ord| found[group_of[ord] as usize].is_some()) {
+            g.por_fallbacks += 1;
+            let full = expand_node(search, &g.arena.decode(frontier[pos]), None);
+            let start = lev.len();
+            for (step, cfg) in full.cands {
+                lev.push(&mut g.arena, frontier[pos], step, cfg);
+            }
+            fallback[pos] = Some(start..lev.len());
+        } else {
+            g.por_pruned += pruned as usize;
         }
-        group_of[ord as usize] = (reps.len() - 1) as u32;
     }
+    let mut gstate: Vec<GroupState> = if lev.len() == k {
+        found.into_iter().map(GroupState::probed).collect()
+    } else {
+        // Regroup with the fallback candidates (the sort merges them
+        // into the sorted prefix), reuse the first batch's answers, and
+        // probe the keys only the fallbacks produced.
+        order.extend(k as u32..lev.len() as u32);
+        order.sort_by(|&a, &b| lev.cmp(a, b));
+        let (all_group_of, all_reps) = lev.group(&order);
+        let fresh_reps: Vec<u32> = all_reps.iter().copied().filter(|&r| r as usize >= k).collect();
+        let fresh =
+            if fresh_reps.is_empty() { Vec::new() } else { lev.probe(dedup, &fresh_reps)? };
+        let mut fresh = fresh.into_iter();
+        let gstate = all_reps
+            .iter()
+            .map(|&rep| {
+                let rep = rep as usize;
+                GroupState::probed(if rep < k {
+                    found[group_of[rep] as usize]
+                } else {
+                    fresh.next().flatten()
+                })
+            })
+            .collect();
+        (group_of, reps) = (all_group_of, all_reps);
+        gstate
+    };
 
-    // Pass C: one sorted probe batch against the external seen-set —
-    // sequential merges over the RAM buffer and every on-disk run.
-    let mut probe_h: Vec<u64> = Vec::with_capacity(reps.len());
-    let mut probe_w: Vec<u32> = Vec::with_capacity(reps.len() * stride);
-    for &rep in &reps {
-        probe_h.push(lev_hash[rep as usize]);
-        probe_w.extend_from_slice(row(rep as usize));
-    }
-    let found = dedup.probe_sorted(&probe_h, &probe_w)?;
-
-    // Pass D: walk candidates in frontier order and intern first
-    // occurrences — identical index assignment to the in-RAM merge.
-    let mut gstate: Vec<GroupState> = found
-        .iter()
-        .map(|f| match f {
-            Some(j) => GroupState::Existing(*j),
-            None => GroupState::Unassigned,
-        })
-        .collect();
+    // Pass D: walk candidates in frontier order (a fallen-back node's
+    // reduced candidates, then its full ones) and intern first
+    // occurrences.
     let mut next_frontier: Vec<u32> = Vec::new();
-    let mut stats = LevelStats { candidates: k as u64, dedup: 0, interned: 0 };
-    for ord in 0..k {
+    let mut stats = LevelStats { candidates: lev.len() as u64, dedup: 0, interned: 0 };
+    let mut resolve = |ord: usize, edge: bool| {
         let gid = group_of[ord] as usize;
         let resolved = match gstate[gid] {
             GroupState::Existing(j) | GroupState::Assigned(j) => {
@@ -1286,59 +953,61 @@ fn merge_level_external<S: Clone + Eq + Hash>(
                 g.config_capped = true;
                 None
             }
+            GroupState::Unassigned if g.arena.len() >= search.max_configs => {
+                g.config_capped = true;
+                gstate[gid] = GroupState::Capped;
+                None
+            }
             GroupState::Unassigned => {
-                if g.arena.len() >= max_configs {
-                    g.config_capped = true;
-                    gstate[gid] = GroupState::Capped;
-                    None
-                } else {
-                    let class = if canon.enabled() {
-                        permutations_of_sorted(&row(ord)[..n_procs])
-                    } else {
-                        1
-                    };
-                    let j = g.arena.push(row(ord));
-                    g.parent.push(Some((lev_parent[ord], lev_step[ord])));
-                    g.depth.push(level_depth as u32 + 1);
-                    if record_edges {
-                        g.succ.push(Vec::new());
-                    }
-                    g.add_class(class);
-                    if g.hit.is_none() {
-                        if let Some(pred) = stop {
-                            if pred(&lev_cfg[ord]) {
-                                g.hit = Some(j);
-                            }
+                let row = lev.row(ord);
+                let class =
+                    if search.canon.enabled() { permutations_of_sorted(&row[..n_procs]) } else { 1 };
+                let j = g.arena.push(row);
+                g.parent.push(Some((lev.parent[ord], lev.step[ord])));
+                g.depth.push(level_depth as u32 + 1);
+                if search.record_edges {
+                    g.succ.push(Vec::new());
+                }
+                g.add_class(class);
+                if g.hit.is_none() {
+                    if let (Some(pred), Some(cfgs)) = (search.stop, &lev.cfg) {
+                        if pred(&cfgs[ord]) {
+                            g.hit = Some(j);
                         }
                     }
-                    stats.interned += 1;
-                    next_frontier.push(j);
-                    gstate[gid] = GroupState::Assigned(j);
-                    Some(j)
                 }
+                stats.interned += 1;
+                next_frontier.push(j);
+                gstate[gid] = GroupState::Assigned(j);
+                Some(j)
             }
         };
-        if record_edges {
-            if let Some(j) = resolved {
-                g.succ[lev_parent[ord] as usize].push(j);
-            }
+        if let (true, true, Some(j)) = (edge, search.record_edges, resolved) {
+            g.succ[lev.parent[ord] as usize].push(j);
+        }
+    };
+    for (span, full) in spans.into_iter().zip(&fallback) {
+        for ord in span {
+            resolve(ord, full.is_none());
+        }
+        for ord in full.clone().into_iter().flatten() {
+            resolve(ord, true);
         }
     }
 
     // Pass E: append the level's newly interned keys to the seen-set as
-    // one sorted batch (reps are already in sorted-key order).
-    let mut new_h: Vec<u64> = Vec::new();
-    let mut new_i: Vec<u32> = Vec::new();
-    let mut new_w: Vec<u32> = Vec::new();
-    for (gi, &rep) in reps.iter().enumerate() {
-        if let GroupState::Assigned(j) = gstate[gi] {
-            new_h.push(lev_hash[rep as usize]);
-            new_i.push(j);
-            new_w.extend_from_slice(row(rep as usize));
-        }
-    }
-    if !new_h.is_empty() {
-        dedup.insert_sorted(&new_h, &new_i, &new_w)?;
+    // one sorted batch (reps are in key order).
+    let (new_reps, new_idx): (Vec<u32>, Vec<u32>) = reps
+        .iter()
+        .zip(&gstate)
+        .filter_map(|(&rep, s)| match s {
+            GroupState::Assigned(j) => Some((rep, *j)),
+            _ => None,
+        })
+        .unzip();
+    if !new_reps.is_empty() {
+        let (h, w) = lev.keys(&new_reps);
+        dedup.insert_sorted(&h, &new_idx, &w)?;
     }
     Ok((next_frontier, stats))
 }
@@ -1356,11 +1025,7 @@ fn finalize<S: Clone + Eq + Hash>(
 ) {
     g.spilled_bytes = g.arena.spilled_bytes();
     match dedup {
-        Dedup::Ram(_) => {
-            // Arena + per-entry map cost, mirroring `arena_bytes`.
-            g.resident_bytes = g.arena.bytes() + g.arena.len() * 24;
-        }
-        Dedup::Ext(d) => {
+        Dedup::Local(d) => {
             g.spilled_bytes += d.spilled_bytes();
             g.dedup_merge_passes = d.merge_passes();
             g.resident_bytes = g.arena.resident_word_bytes() + d.resident_bytes();

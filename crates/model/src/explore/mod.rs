@@ -14,7 +14,7 @@
 //!    [`Explorer::solo_terminating`] finds such a witness by exhausting
 //!    the process's coin nondeterminism.
 //!
-//! # Architecture: packed arena + sharded dedup + level-parallel BFS
+//! # Architecture: packed arena + sorted-batch dedup + level-parallel BFS
 //!
 //! All exhaustive searches run on one engine (see [`engine`] — the
 //! module is private; this summary is the contract). Configurations are
@@ -23,10 +23,14 @@
 //! states and object values against a per-protocol codec — see
 //! [`pack`]) in one append-only flat buffer, and referred to by `u32`
 //! index everywhere else, so the search graph carries indices, not
-//! clones, and hashing/equality run over flat words. Deduplication uses
-//! a precomputed 64-bit hash of the packed words routed to one of
-//! [`ExploreConfig::shards`] lock-protected maps from hash to arena
-//! indices, collision-checked by word equality against the arena.
+//! clones, and hashing/equality run over flat words. Deduplication is
+//! one sorted batch merge per BFS level: the level's candidate keys (a
+//! 64-bit hash of the packed words, then the words themselves) are
+//! sorted and resolved against the seen-set in one probe batch, and
+//! the new keys are appended in one insert batch. The seen-set is a
+//! sorted RAM buffer by default, sorted runs on disk under
+//! [`ExploreConfig::mem_budget_bytes`], or remote shards behind
+//! [`ExploreConfig::transport`]; the merge is the same for all three.
 //!
 //! When [`ExploreConfig::canonical`] is set *and* the protocol declares
 //! [`Symmetry::Symmetric`](crate::protocol::Symmetry), the search runs
@@ -47,23 +51,21 @@
 //!
 //! For a fixed protocol, inputs, and [`ExploreLimits`], every result in
 //! this module — visit counts, witnesses, valencies, truncation flags —
-//! is **identical for every `threads` and `shards` setting**, including
-//! repeated runs. Parallel workers only *propose* successors; interning
-//! order is fixed by the sequential merge, and the hash function
-//! (std's `DefaultHasher`, SipHash with fixed keys) is deterministic.
-//! `threads = 1` is not a separate code path so much as the degenerate
-//! schedule of the same engine: the merge is what defines the
-//! semantics.
+//! is **identical for every `threads` setting and storage tier**,
+//! including repeated runs. Parallel workers only *propose* successors;
+//! interning order is fixed by the sequential merge, and the hash
+//! function (std's `DefaultHasher`, SipHash with fixed keys) is
+//! deterministic. `threads = 1` is not a separate code path so much as
+//! the degenerate schedule of the same engine: the merge is what
+//! defines the semantics.
 //!
-//! ## Picking `threads` and `shards`
+//! ## Picking `threads`
 //!
-//! The defaults (`threads = 0` → [`std::thread::available_parallelism`];
-//! `shards = 0` → 64) are right for almost everyone. Parallelism pays
-//! off once BFS levels hold a few hundred configurations — small spaces
-//! are expanded inline regardless, so oversubscribing `threads` on tiny
-//! protocols costs nothing. `shards` bounds lock contention on the
-//! dedup maps during expansion; it is rounded up to a power of two, and
-//! more than `4 × threads` shards buys little.
+//! The default (`threads = 0` → [`std::thread::available_parallelism`])
+//! is right for almost everyone. Parallelism pays off once BFS levels
+//! hold a few hundred configurations — small spaces are expanded inline
+//! regardless, so oversubscribing `threads` on tiny protocols costs
+//! nothing.
 
 mod canonical;
 mod checkpoint;
@@ -105,7 +107,7 @@ impl Default for ExploreLimits {
 /// execution shape.
 ///
 /// The execution shape never affects results (see the module-level
-/// determinism guarantee) — only wall-clock time and lock contention.
+/// determinism guarantee) — only wall-clock time.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreConfig {
     /// Budgets bounding the exploration.
@@ -113,9 +115,6 @@ pub struct ExploreConfig {
     /// Worker threads for frontier expansion; `0` (the default) means
     /// [`std::thread::available_parallelism`].
     pub threads: usize,
-    /// Shard count for the dedup maps, rounded up to a power of two;
-    /// `0` (the default) means 64.
-    pub shards: usize,
     /// Explore the process-symmetry quotient instead of the raw space.
     ///
     /// Takes effect only for protocols declaring
@@ -141,12 +140,13 @@ pub struct ExploreConfig {
     /// Resident-memory budget, in bytes, for the arena and the dedup
     /// structure. `0` (the default) keeps everything in RAM. A nonzero
     /// budget switches the engine to the **out-of-core tier**: arena
-    /// rows live in file segments with a small pinned window, and
-    /// dedup runs against an on-disk sorted seen-set with sequential
-    /// I/O only (see the `spill` module). Results are bit-identical to
-    /// the in-RAM tier — the budget trades wall-clock time for bounded
-    /// steady-state resident memory (per-level working buffers are
-    /// additional; see `DESIGN.md` §14).
+    /// rows live in file segments with a small pinned window, and the
+    /// sorted seen-set flushes sorted runs to disk, probed with
+    /// sequential I/O only (see the `spill` module). The level merge is
+    /// the same as in RAM, so results are bit-identical — the budget
+    /// trades wall-clock time for bounded steady-state resident memory
+    /// (per-level working buffers are additional; see `DESIGN.md` §14).
+    /// Composes with [`por`](ExploreConfig::por).
     pub mem_budget_bytes: usize,
     /// Directory for spill files; `None` (the default) uses
     /// [`std::env::temp_dir`]. Each search creates (and removes on
@@ -167,20 +167,20 @@ pub struct ExploreConfig {
     /// are unchanged; visit counts shrink (see the `por` module and
     /// `DESIGN.md` §15 for the soundness argument, including the cycle
     /// proviso). Composes with [`canonical`](ExploreConfig::canonical)
-    /// — the reductions multiply. Forces the in-RAM tier: a nonzero
-    /// [`mem_budget_bytes`](ExploreConfig::mem_budget_bytes) is ignored
-    /// while `por` is set, and resumed checkpoints always continue
-    /// unreduced.
+    /// — the reductions multiply — and with every storage tier: the
+    /// cycle proviso is decided on each level's sorted probe result, so
+    /// [`mem_budget_bytes`](ExploreConfig::mem_budget_bytes) and
+    /// [`transport`](ExploreConfig::transport) report the same counts.
+    /// Resumed checkpoints always continue unreduced.
     pub por: bool,
     /// Run the seen-set behind a pluggable [`FrontierTransport`] —
     /// the **distributed tier**. The arena (and therefore interning
     /// order, witnesses, and every verdict) stays local; only the
     /// dedup probe/insert batches cross the seam, so results are
-    /// bit-identical to the local tiers. Takes precedence over
-    /// [`mem_budget_bytes`](ExploreConfig::mem_budget_bytes); ignored
-    /// while [`por`](ExploreConfig::por) is set (the cycle proviso
-    /// needs the probeable in-RAM maps). A transport failure stops the
-    /// search at the level boundary with
+    /// bit-identical to the local tiers, with or without
+    /// [`por`](ExploreConfig::por). Takes precedence over
+    /// [`mem_budget_bytes`](ExploreConfig::mem_budget_bytes). A
+    /// transport failure stops the search at the level boundary with
     /// [`TruncationReason::Transport`].
     pub transport: Option<SharedFrontier>,
     /// Frontier discipline for [`Explorer::find_violation`]:
@@ -265,13 +265,6 @@ impl ExploreConfig {
         } else {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }
-    }
-
-    /// The actual shard count this configuration resolves to (a power
-    /// of two).
-    pub fn shard_count(&self) -> usize {
-        let shards = if self.shards == 0 { 64 } else { self.shards };
-        shards.next_power_of_two()
     }
 }
 
@@ -500,13 +493,6 @@ impl Explorer {
     /// on this setting.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Set the dedup shard count (`0` = default). Results do not depend
-    /// on this setting.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
         self
     }
 
@@ -1083,9 +1069,10 @@ fn path_to(parent: &[Option<(u32, Step)>], mut i: u32) -> Execution {
     Execution::from_steps(steps)
 }
 
-/// Estimated bytes held by the packed arena plus the dedup maps, for
-/// reporting. Per interned node the dedup maps hold roughly a key, an
-/// index, and bucket overhead on top of the arena's own words + codec.
+/// Estimated bytes held by the packed arena plus the seen-set, for
+/// reporting: a fixed per-node allowance for the seen-set's hash and
+/// index on top of the arena's own words + codec. The allowance does
+/// not depend on the tier, so footprints stay comparable across them.
 fn arena_bytes<S: Clone + Eq + std::hash::Hash>(arena: &pack::PackedArena<S>) -> usize {
     const SEEN_ENTRY_BYTES: usize = 24;
     arena.bytes() + arena.len() * SEEN_ENTRY_BYTES
@@ -1442,17 +1429,57 @@ mod tests {
     }
 
     /// The observable fields of an outcome, for cross-thread-count
-    /// comparison.
+    /// and cross-tier comparison.
     fn fingerprint(o: &ExploreOutcome) -> impl PartialEq + std::fmt::Debug {
         (
-            o.consistency_violation.clone(),
-            o.validity_violation.clone(),
+            (o.consistency_violation.clone(), o.validity_violation.clone()),
             o.configs_visited,
             o.terminal_configs,
             o.truncated,
             o.can_always_reach_termination,
             o.infinite_execution_possible,
+            (o.por_enabled, o.por_pruned, o.por_fallbacks),
         )
+    }
+
+    /// The reduction modes every storage tier must reproduce exactly.
+    fn modes() -> [(&'static str, Explorer); 3] {
+        [
+            ("raw", Explorer::default()),
+            ("por", Explorer::default().por(true)),
+            ("canonical+por", Explorer::default().canonical(true).por(true)),
+        ]
+    }
+
+    /// Explore and analyse `p` in every mode, in RAM and on the tier
+    /// `tier` selects, and assert the outcomes and valency analyses are
+    /// identical. Returns the tier's outcomes for tier-specific checks.
+    fn assert_tier_matches_ram<P>(
+        p: &P,
+        inputs: &[Decision],
+        tier: impl Fn(Explorer) -> Explorer,
+    ) -> Vec<ExploreOutcome>
+    where
+        P: Protocol + Sync,
+        P::State: Send + Sync,
+    {
+        modes()
+            .into_iter()
+            .map(|(mode, ram)| {
+                let via = tier(ram.clone());
+                let (a, b) = (ram.explore(p, inputs), via.explore(p, inputs));
+                assert_eq!(fingerprint(&a), fingerprint(&b), "{mode}: outcome diverged");
+                assert_eq!(a.raw_configs, b.raw_configs, "{mode}");
+                assert_eq!(a.arena_bytes, b.arena_bytes, "{mode}: totals are backing-independent");
+                assert_eq!(b.transport_error, None);
+                assert_eq!(
+                    format!("{:?}", ram.valency(p, inputs)),
+                    format!("{:?}", via.valency(p, inputs)),
+                    "{mode}: valency diverged"
+                );
+                b
+            })
+            .collect()
     }
 
     #[test]
@@ -1470,14 +1497,6 @@ mod tests {
     }
 
     #[test]
-    fn exploration_is_identical_across_shard_counts() {
-        let p = Cas { n: 3 };
-        let base = Explorer::default().shards(1).explore(&p, &[1, 0, 1]);
-        let wide = Explorer::default().shards(512).explore(&p, &[1, 0, 1]);
-        assert_eq!(fingerprint(&base), fingerprint(&wide));
-    }
-
-    #[test]
     fn find_violation_matches_across_thread_counts() {
         let p = Naive { n: 2 };
         let bad = |c: &Configuration<St>| c.is_inconsistent();
@@ -1492,10 +1511,8 @@ mod tests {
     fn explore_config_resolution() {
         let auto = ExploreConfig::default();
         assert!(auto.effective_threads() >= 1);
-        assert_eq!(auto.shard_count(), 64);
-        let explicit = ExploreConfig { threads: 3, shards: 5, ..ExploreConfig::default() };
+        let explicit = ExploreConfig { threads: 3, ..ExploreConfig::default() };
         assert_eq!(explicit.effective_threads(), 3);
-        assert_eq!(explicit.shard_count(), 8, "rounded up to a power of two");
     }
 
     #[test]
@@ -1663,45 +1680,95 @@ mod tests {
         assert!(!out.truncated);
     }
 
+    /// Processes that each flip a private register until a coin lets
+    /// them decide their input: the private steps reduce to singleton
+    /// ample sets, and the flips close cycles, so the cycle proviso
+    /// must fire.
+    #[derive(Debug)]
+    struct Toggle {
+        n: usize,
+    }
+
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    enum Tg {
+        Flip { pid: usize, bit: bool, pref: Decision },
+        Done(Decision),
+    }
+
+    impl Protocol for Toggle {
+        type State = Tg;
+
+        fn objects(&self) -> Vec<ObjectSpec> {
+            (0..self.n).map(|i| ObjectSpec::new(ObjectKind::Register, format!("r{i}"))).collect()
+        }
+
+        fn num_processes(&self) -> usize {
+            self.n
+        }
+
+        fn initial_state(&self, pid: ProcessId, input: Decision) -> Tg {
+            Tg::Flip { pid: pid.0, bit: false, pref: input }
+        }
+
+        fn action(&self, s: &Tg) -> Action {
+            match s {
+                Tg::Flip { pid, bit, .. } => Action::Invoke {
+                    object: ObjectId(*pid),
+                    op: Operation::Write(Value::Int(i64::from(*bit))),
+                },
+                Tg::Done(d) => Action::Decide(*d),
+            }
+        }
+
+        fn coin_domain(&self, _s: &Tg, _r: &Response) -> u32 {
+            2
+        }
+
+        fn transition(&self, s: &Tg, _resp: &Response, coin: u32) -> Tg {
+            match s {
+                Tg::Flip { pid, bit, pref } if coin == 0 => {
+                    Tg::Flip { pid: *pid, bit: !bit, pref: *pref }
+                }
+                Tg::Flip { pref, .. } => Tg::Done(*pref),
+                Tg::Done(d) => Tg::Done(*d),
+            }
+        }
+    }
+
     #[test]
     fn spill_mode_matches_ram_mode_bit_for_bit() {
-        let p = Naive { n: 3 };
-        let ram = Explorer::default().explore(&p, &[0, 1, 0]);
         // A budget far below the space's footprint forces real spilling.
-        let spill = Explorer::default().mem_budget(4096).explore(&p, &[0, 1, 0]);
-        assert!(spill.spill_mode && !ram.spill_mode);
-        assert!(spill.spilled_bytes > 0, "the budget must actually spill");
-        assert_eq!(fingerprint(&ram), fingerprint(&spill));
-        assert_eq!(ram.raw_configs, spill.raw_configs);
-        assert_eq!(ram.arena_bytes, spill.arena_bytes, "totals are backing-independent");
-        // Witnesses are not just equal in verdict but step-for-step.
-        assert_eq!(ram.consistency_violation, spill.consistency_violation);
+        let budget = |e: Explorer| e.mem_budget(4096);
+        let naive = assert_tier_matches_ram(&Naive { n: 3 }, &[0, 1, 0], budget);
+        assert!(naive[0].spilled_bytes > 0, "the budget must actually spill");
+        let toggle = assert_tier_matches_ram(&Toggle { n: 3 }, &[0, 1, 0], budget);
+        assert!(toggle[1].por_fallbacks > 0, "the cycle proviso must fire");
+        for out in naive.iter().chain(&toggle) {
+            assert!(out.spill_mode, "the budget holds in every mode");
+        }
+        assert!(!Explorer::default().por(true).explore(&Naive { n: 3 }, &[0, 1, 0]).spill_mode);
     }
 
     #[test]
     fn spill_mode_valency_matches_ram_mode() {
-        let p = Cas { n: 3 };
-        let ram = Explorer::default().valency(&p, &[1, 0, 1]).expect("not truncated");
-        let spill = Explorer::default()
-            .mem_budget(4096)
-            .valency(&p, &[1, 0, 1])
-            .expect("not truncated");
-        assert_eq!(format!("{ram:?}"), format!("{spill:?}"));
+        for out in assert_tier_matches_ram(&Cas { n: 3 }, &[1, 0, 1], |e| e.mem_budget(4096)) {
+            assert!(out.spill_mode);
+        }
     }
 
     #[test]
     fn transport_tier_matches_ram_mode_bit_for_bit() {
-        let p = Naive { n: 3 };
-        let ram = Explorer::default().explore(&p, &[0, 1, 0]);
-        let via = Explorer::default()
-            .frontier_transport(SharedFrontier::new(LocalFrontier::new()))
-            .explore(&p, &[0, 1, 0]);
-        assert_eq!(via.transport_error, None);
-        assert_eq!(fingerprint(&ram), fingerprint(&via));
-        assert_eq!(ram.raw_configs, via.raw_configs);
-        assert_eq!(ram.arena_bytes, via.arena_bytes, "totals are backing-independent");
-        // Witnesses are not just equal in verdict but step-for-step.
-        assert_eq!(ram.consistency_violation, via.consistency_violation);
+        let local = |e: Explorer| e.frontier_transport(SharedFrontier::new(LocalFrontier::new()));
+        assert_tier_matches_ram(&Naive { n: 3 }, &[0, 1, 0], local);
+        let toggle = assert_tier_matches_ram(&Toggle { n: 3 }, &[0, 1, 0], local);
+        assert!(toggle[1].por_fallbacks > 0, "the cycle proviso must fire");
+        // POR dedups through the transport too, so a dead one cuts it.
+        let dead = FlakyTransport { inner: LocalFrontier::new(), probes_left: 0 };
+        let out = Explorer::default()
+            .por(true)
+            .frontier_transport(SharedFrontier::new(dead))
+            .explore(&Toggle { n: 3 }, &[0, 1, 0]);
+        assert_eq!(out.truncation_reason, Some(TruncationReason::Transport));
     }
 
     #[test]
@@ -1720,18 +1787,25 @@ mod tests {
         // Expansion parallelism and the frontier seam compose: the
         // merge stays sequential, so the transport sees one canonical
         // batch order regardless of how many threads expanded.
-        let p = Naive { n: 3 };
-        let base = Explorer::default().threads(1).explore(&p, &[0, 1, 0]);
-        for threads in [2, 4] {
-            let out = Explorer::default()
-                .threads(threads)
-                .frontier_transport(SharedFrontier::new(LocalFrontier::new()))
-                .explore(&p, &[0, 1, 0]);
-            assert_eq!(
-                fingerprint(&base),
-                fingerprint(&out),
-                "transport tier with threads={threads} diverged"
-            );
+        let (naive, toggle) = (Naive { n: 3 }, Toggle { n: 3 });
+        for (mode, explorer) in modes() {
+            let base = explorer.clone().threads(1);
+            for threads in [2, 4] {
+                let via = explorer
+                    .clone()
+                    .threads(threads)
+                    .frontier_transport(SharedFrontier::new(LocalFrontier::new()));
+                assert_eq!(
+                    fingerprint(&base.explore(&naive, &[0, 1, 0])),
+                    fingerprint(&via.explore(&naive, &[0, 1, 0])),
+                    "{mode}: naive over the transport with threads={threads} diverged"
+                );
+                assert_eq!(
+                    fingerprint(&base.explore(&toggle, &[0, 1, 0])),
+                    fingerprint(&via.explore(&toggle, &[0, 1, 0])),
+                    "{mode}: toggle over the transport with threads={threads} diverged"
+                );
+            }
         }
     }
 

@@ -30,7 +30,7 @@
 //! Ids are assigned only by [`PackedArena::encode_intern`], which the
 //! engine calls solely from its sequential merge — so id assignment,
 //! and with it every word in the arena, is deterministic for every
-//! `threads`/`shards` setting.
+//! `threads` setting and storage tier.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -137,44 +137,11 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
         }
     }
 
-    /// Whether configuration `i` packs exactly to `words`.
-    pub(super) fn words_match(&self, i: u32, words: &[u32]) -> bool {
-        self.with_words(i, |w| w == words)
-    }
-
     /// Copy the packed words of configuration `i` into `out`.
     #[cfg(test)]
     pub(super) fn read_words(&self, i: u32, out: &mut Vec<u32>) {
         out.clear();
         self.with_words(i, |w| out.extend_from_slice(w));
-    }
-
-    /// Encode `config` into `out` **without interning**: succeeds only
-    /// if every state and value already has an id. A `false` return
-    /// means the configuration cannot equal any interned one (whatever
-    /// made encoding fail has never been seen). Read-only, so parallel
-    /// workers may call it freely against a frozen arena.
-    pub(super) fn try_encode(&self, config: &Configuration<S>, out: &mut Vec<u32>) -> bool {
-        debug_assert_eq!(config.procs.len(), self.n_procs);
-        out.clear();
-        for p in &config.procs {
-            match p {
-                ProcState::Crashed => out.push(WORD_CRASHED),
-                ProcState::Retired => out.push(WORD_RETIRED),
-                ProcState::Decided(d) => out.push(DECIDED_BASE + *d as u32),
-                ProcState::Active(s) => match self.state_ids.get(s) {
-                    Some(&id) => out.push(ACTIVE_BASE + id),
-                    None => return false,
-                },
-            }
-        }
-        for v in &config.values {
-            match self.value_ids.get(v) {
-                Some(&id) => out.push(id),
-                None => return false,
-            }
-        }
-        true
     }
 
     /// Encode `config` into `out`, interning any new states and values.
@@ -332,16 +299,14 @@ mod tests {
         let mut arena: PackedArena<u16> = PackedArena::new(5, 3);
         let c = sample();
         let mut words = Vec::new();
-        assert!(!arena.try_encode(&c, &mut words), "nothing interned yet");
         arena.encode_intern(&c, &mut words);
         let i = arena.push(&words);
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.decode(i), c);
-        // Now everything is interned: try_encode agrees word for word.
+        // Now everything is interned: re-encoding agrees word for word.
         let mut again = Vec::new();
-        assert!(arena.try_encode(&c, &mut again));
+        arena.encode_intern(&c, &mut again);
         assert_eq!(again, words);
-        assert!(arena.words_match(i, &words));
         let mut copied = Vec::new();
         arena.read_words(i, &mut copied);
         assert_eq!(copied, words);
@@ -431,9 +396,10 @@ mod tests {
         assert_eq!(ram.bytes(), spill.bytes(), "totals are backing-independent");
         for i in 0..100u32 {
             assert_eq!(ram.decode(i), spill.decode(i));
-            let mut w = Vec::new();
+            let (mut w, mut sw) = (Vec::new(), Vec::new());
             ram.read_words(i, &mut w);
-            assert!(spill.words_match(i, &w));
+            spill.read_words(i, &mut sw);
+            assert_eq!(w, sw);
             assert_eq!(ram.has_active(i), spill.has_active(i));
             assert_eq!(ram.decided_values(i), spill.decided_values(i));
         }

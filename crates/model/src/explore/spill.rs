@@ -1,9 +1,8 @@
-//! Out-of-core backing for the exploration engine: file-backed arena
-//! segments and an external-memory (sorted-run) seen-set.
+//! Storage for the exploration engine: file-backed arena segments and
+//! the sorted-batch seen-set every search dedups against.
 //!
 //! When [`ExploreConfig::mem_budget_bytes`](super::ExploreConfig::mem_budget_bytes)
-//! is nonzero the engine swaps its two unbounded in-RAM structures for
-//! the spillable tier in this module:
+//! is nonzero both structures in this module spill to disk:
 //!
 //! * [`SpillStore`] backs the packed arena's word buffer. Words are
 //!   appended to a RAM *tail segment*; when the tail fills, it is
@@ -13,16 +12,17 @@
 //!   matter how many configurations are interned. Segment size is a
 //!   multiple of the row stride, so a packed row never straddles two
 //!   segments.
-//! * [`ExternalDedup`] replaces the sharded hash maps. It stores
-//!   **exact** entries — the 64-bit word hash *plus the full packed
-//!   words* — so dedup decisions are identical to the in-RAM engine's
-//!   collision-checked probes (a fingerprint-only store could merge two
-//!   hash-colliding configurations and silently diverge). Entries live
-//!   in a bounded, sorted RAM buffer; when the buffer exceeds its share
-//!   of the budget it is flushed as a sorted *run* file. Each BFS level
-//!   probes one sorted batch of candidate keys against the buffer and
-//!   every run with two-pointer merges — strictly sequential I/O — and
-//!   runs are compacted by k-way merge when they accumulate.
+//! * [`ExternalDedup`] is the engine's local seen-set on every tier.
+//!   It stores **exact** entries — the 64-bit word hash *plus the full
+//!   packed words* — so dedup decisions compare full configurations (a
+//!   fingerprint-only store could merge two hash-colliding
+//!   configurations and silently diverge). Entries live in a sorted RAM
+//!   buffer. Without a budget the buffer is unbounded and nothing
+//!   touches disk; under a budget, when the buffer exceeds its share it
+//!   is flushed as a sorted *run* file. Each BFS level probes one sorted
+//!   batch of candidate keys against the buffer and every run with
+//!   two-pointer merges — strictly sequential I/O — and runs are
+//!   compacted by k-way merge when they accumulate.
 //!
 //! All files live in one [`SpillDir`] per search, deleted on drop.
 //!
@@ -263,7 +263,8 @@ struct DedupRun {
     entries: usize,
 }
 
-/// External-memory exact seen-set: sorted RAM buffer + sorted run files.
+/// Exact seen-set: a sorted RAM buffer, plus sorted run files when it
+/// has a spill directory.
 ///
 /// An entry is `(hash, packed words, arena index)`; ordering is
 /// lexicographic on `(hash, words)`. Every key is inserted exactly once
@@ -271,7 +272,8 @@ struct DedupRun {
 /// in exactly one place — the RAM buffer or one run.
 pub(super) struct ExternalDedup {
     stride: usize,
-    dir: Arc<SpillDir>,
+    /// Where runs go; `None` keeps every entry in the RAM buffer.
+    dir: Option<Arc<SpillDir>>,
     ram_cap_bytes: usize,
     /// Sorted parallel arrays: entry `k` is `hashes[k]`, `indices[k]`,
     /// `words[k*stride..][..stride]`.
@@ -294,11 +296,18 @@ fn key_cmp(ha: u64, wa: &[u32], hb: u64, wb: &[u32]) -> Ordering {
 }
 
 impl ExternalDedup {
+    /// A seen-set that flushes its buffer to runs in `dir` once it
+    /// outgrows the plan's dedup share.
     pub(super) fn new(stride: usize, plan: &BudgetPlan, dir: Arc<SpillDir>) -> ExternalDedup {
+        ExternalDedup { dir: Some(dir), ram_cap_bytes: plan.dedup_ram_bytes, ..Self::in_ram(stride) }
+    }
+
+    /// A seen-set that never spills: one unbounded sorted RAM buffer.
+    pub(super) fn in_ram(stride: usize) -> ExternalDedup {
         ExternalDedup {
             stride,
-            dir,
-            ram_cap_bytes: plan.dedup_ram_bytes,
+            dir: None,
+            ram_cap_bytes: usize::MAX,
             hashes: Vec::new(),
             indices: Vec::new(),
             words: Vec::new(),
@@ -307,6 +316,11 @@ impl ExternalDedup {
             spilled_bytes: 0,
             merge_passes: 0,
         }
+    }
+
+    /// Whether this seen-set can flush runs to disk.
+    pub(super) fn spills(&self) -> bool {
+        self.dir.is_some()
     }
 
     pub(super) fn spilled_bytes(&self) -> u64 {
@@ -320,8 +334,9 @@ impl ExternalDedup {
         self.merge_passes
     }
 
+    /// Bytes the RAM buffer holds allocated (capacity, not length).
     pub(super) fn resident_bytes(&self) -> usize {
-        self.hashes.len() * entry_bytes(self.stride)
+        self.hashes.capacity() * 8 + self.indices.capacity() * 4 + self.words.capacity() * 4
     }
 
     fn key_of(&self, k: usize) -> (u64, &[u32]) {
@@ -384,41 +399,46 @@ impl ExternalDedup {
     }
 
     /// Insert a sorted batch of new entries (keys ascending, unique, and
-    /// not present anywhere in the seen-set). Flushes the RAM buffer as
-    /// a run when it exceeds its budget share, and compacts runs when
-    /// they accumulate.
+    /// not present anywhere in the seen-set). The buffer grows in place
+    /// and the batch is merged in from the back, so no second copy of
+    /// the buffer is ever allocated. With a spill directory, flushes the
+    /// buffer as a run when it exceeds its budget share, and compacts
+    /// runs when they accumulate.
     pub(super) fn insert_sorted(&mut self, new_h: &[u64], new_idx: &[u32], new_w: &[u32]) {
         let stride = self.stride;
-        let total = self.hashes.len() + new_h.len();
-        let mut hashes = Vec::with_capacity(total);
-        let mut indices = Vec::with_capacity(total);
-        let mut words = Vec::with_capacity(total * stride);
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.hashes.len() || b < new_h.len() {
-            let take_old = if a == self.hashes.len() {
-                false
-            } else if b == new_h.len() {
-                true
-            } else {
-                let (oh, ow) = self.key_of(a);
-                key_cmp(oh, ow, new_h[b], &new_w[b * stride..(b + 1) * stride])
-                    != Ordering::Greater
+        let (mut a, mut b) = (self.hashes.len(), new_h.len());
+        if self.dir.is_some() {
+            // A budgeted buffer grows exactly, so amortized doubling
+            // never overshoots the share of the budget it accounts for.
+            self.hashes.reserve_exact(b);
+            self.indices.reserve_exact(b);
+            self.words.reserve_exact(b * stride);
+        }
+        self.hashes.resize(a + b, 0);
+        self.indices.resize(a + b, 0);
+        self.words.resize((a + b) * stride, 0);
+        // `out` is the next slot to fill, from the end; once the batch
+        // is exhausted the remaining old entries are already in place.
+        while b > 0 {
+            let out = a + b - 1;
+            let take_old = a > 0 && {
+                let old_w = &self.words[(a - 1) * stride..a * stride];
+                key_cmp(self.hashes[a - 1], old_w, new_h[b - 1], &new_w[(b - 1) * stride..b * stride])
+                    == Ordering::Greater
             };
             if take_old {
-                hashes.push(self.hashes[a]);
-                indices.push(self.indices[a]);
-                words.extend_from_slice(&self.words[a * stride..(a + 1) * stride]);
-                a += 1;
+                a -= 1;
+                self.hashes[out] = self.hashes[a];
+                self.indices[out] = self.indices[a];
+                self.words.copy_within(a * stride..(a + 1) * stride, out * stride);
             } else {
-                hashes.push(new_h[b]);
-                indices.push(new_idx[b]);
-                words.extend_from_slice(&new_w[b * stride..(b + 1) * stride]);
-                b += 1;
+                b -= 1;
+                self.hashes[out] = new_h[b];
+                self.indices[out] = new_idx[b];
+                self.words[out * stride..(out + 1) * stride]
+                    .copy_from_slice(&new_w[b * stride..(b + 1) * stride]);
             }
         }
-        self.hashes = hashes;
-        self.indices = indices;
-        self.words = words;
         if self.hashes.len() * entry_bytes(stride) > self.ram_cap_bytes {
             self.flush_ram();
             if self.runs.len() >= MAX_DEDUP_RUNS {
@@ -428,10 +448,11 @@ impl ExternalDedup {
     }
 
     fn flush_ram(&mut self) {
+        let Some(dir) = &self.dir else { return };
         if self.hashes.is_empty() {
             return;
         }
-        let path = self.dir.file(&format!("dedup-run-{}.bin", self.run_seq));
+        let path = dir.file(&format!("dedup-run-{}.bin", self.run_seq));
         self.run_seq += 1;
         let mut w = RunWriter::create(&path);
         for k in 0..self.hashes.len() {
@@ -451,9 +472,10 @@ impl ExternalDedup {
     /// K-way merge every run into one. Entry keys are globally unique,
     /// so the merge is a pure interleave.
     fn compact_runs(&mut self) {
+        let Some(dir) = &self.dir else { return };
+        let path = dir.file(&format!("dedup-run-{}.bin", self.run_seq));
         let old = std::mem::take(&mut self.runs);
         let total: usize = old.iter().map(|r| r.entries).sum();
-        let path = self.dir.file(&format!("dedup-run-{}.bin", self.run_seq));
         self.run_seq += 1;
         let mut readers: Vec<RunReader> =
             old.iter().map(|r| RunReader::open(&r.path, r.entries, self.stride)).collect();
@@ -490,11 +512,11 @@ impl ExternalDedup {
     }
 }
 
-/// The spill tier speaks the frontier-exchange seam natively: its two
-/// batch operations *are* the trait, and it never fails (I/O trouble
-/// panics with a diagnostic, as everywhere else in this module — a
-/// half-written spill file has no sound recovery). `open`/`close` are
-/// no-ops: the store's lifetime is the search's.
+/// The local seen-set speaks the frontier-exchange seam natively: its
+/// two batch operations *are* the trait, and it never fails (I/O
+/// trouble panics with a diagnostic, as everywhere else in this module
+/// — a half-written spill file has no sound recovery). `open`/`close`
+/// are no-ops: the store's lifetime is the search's.
 impl FrontierTransport for ExternalDedup {
     fn open(&mut self, stride: usize) -> Result<(), TransportError> {
         debug_assert_eq!(stride, self.stride);
@@ -639,40 +661,61 @@ mod tests {
 
     #[test]
     fn external_dedup_probe_matches_inserts_across_flushes() {
-        let dir = SpillDir::create(None);
         let stride = 2usize;
-        let mut dd = ExternalDedup::new(stride, &plan(), dir);
-        // Insert 64 unique entries in sorted chunks; the tiny RAM cap
-        // forces several run flushes and at least one compaction.
-        for chunk in 0..16u32 {
-            let mut keys: Vec<(u64, [u32; 2], u32)> = (0..4u32)
-                .map(|k| {
-                    let v = chunk * 4 + k;
-                    ((v as u64) * 11, [v, v * 3], v)
-                })
-                .collect();
-            keys.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            let h: Vec<u64> = keys.iter().map(|e| e.0).collect();
-            let idx: Vec<u32> = keys.iter().map(|e| e.2).collect();
-            let w: Vec<u32> = keys.iter().flat_map(|e| e.1).collect();
-            dd.insert_sorted(&h, &idx, &w);
+        // Entries come in pairs that share a hash, so equal-hash keys
+        // must be told apart by their words.
+        let key = |v: u32| (u64::from(v / 2) * 11, [v, v * 3]);
+        // Sixteen batches of the same 64 entries. Ascending batches only
+        // ever append; strided ones land before, between and after the
+        // keys already stored; descending ones land before all of them.
+        let schedules: [(&str, Vec<Vec<u32>>); 3] = [
+            ("ascending", (0..16).map(|c| (4 * c..4 * c + 4).collect()).collect()),
+            ("strided", (0..16).map(|c| (0..64).filter(|v| v % 16 == c).collect()).collect()),
+            ("descending", (0..16).rev().map(|c| (4 * c..4 * c + 4).collect()).collect()),
+        ];
+        for (name, batches) in &schedules {
+            // With a spill directory the tiny RAM cap forces several run
+            // flushes and at least one compaction; without one every
+            // entry stays in the RAM buffer.
+            for spill in [true, false] {
+                let mut dd = if spill {
+                    ExternalDedup::new(stride, &plan(), SpillDir::create(None))
+                } else {
+                    ExternalDedup::in_ram(stride)
+                };
+                for batch in batches {
+                    let mut keys: Vec<(u64, [u32; 2], u32)> = batch
+                        .iter()
+                        .map(|&v| {
+                            let (h, w) = key(v);
+                            (h, w, v)
+                        })
+                        .collect();
+                    keys.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                    let h: Vec<u64> = keys.iter().map(|e| e.0).collect();
+                    let idx: Vec<u32> = keys.iter().map(|e| e.2).collect();
+                    let w: Vec<u32> = keys.iter().flat_map(|e| e.1).collect();
+                    dd.insert_sorted(&h, &idx, &w);
+                }
+                assert_eq!(dd.spilled_bytes() > 0, spill, "{name}: runs flush only with a dir");
+                // Probe every inserted key plus misses interleaved, sorted.
+                let mut probes: Vec<(u64, [u32; 2], Option<u32>)> = Vec::new();
+                for v in 0..64u32 {
+                    let (h, w) = key(v);
+                    probes.push((h, w, Some(v)));
+                    probes.push((h + 1, [v, v], None));
+                    // Same hash, different words: must not match (exact dedup).
+                    probes.push((h, [v, v * 3 + 1], None));
+                }
+                probes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                let h: Vec<u64> = probes.iter().map(|e| e.0).collect();
+                let w: Vec<u32> = probes.iter().flat_map(|e| e.1).collect();
+                let got = dd.probe_sorted(&h, &w);
+                for (k, p) in probes.iter().enumerate() {
+                    assert_eq!(got[k], p.2, "{name} (spill={spill}): probe {k} diverged");
+                }
+                assert_eq!(dd.merge_passes() > 0, spill, "{name}");
+            }
         }
-        assert!(dd.spilled_bytes() > 0, "runs must have flushed");
-        // Probe every inserted key plus misses interleaved, sorted.
-        let mut probes: Vec<(u64, [u32; 2], Option<u32>)> = Vec::new();
-        for v in 0..64u32 {
-            probes.push(((v as u64) * 11, [v, v * 3], Some(v)));
-            probes.push(((v as u64) * 11 + 1, [v, v], None));
-            // Same hash, different words: must not match (exact dedup).
-            probes.push(((v as u64) * 11, [v, v * 3 + 1], None));
-        }
-        probes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let h: Vec<u64> = probes.iter().map(|e| e.0).collect();
-        let w: Vec<u32> = probes.iter().flat_map(|e| e.1).collect();
-        let got = dd.probe_sorted(&h, &w);
-        for (k, p) in probes.iter().enumerate() {
-            assert_eq!(got[k], p.2, "probe {k} diverged");
-        }
-        assert!(dd.merge_passes() > 0);
     }
 }

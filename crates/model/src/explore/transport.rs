@@ -1,11 +1,11 @@
 //! The **frontier-exchange seam**: a pluggable seen-set the engine's
 //! level merge probes and extends in sorted batches.
 //!
-//! The out-of-core merge ([`engine`](super::engine)) already talks to
-//! its dedup structure through exactly two bulk operations per BFS
-//! level: one sorted *probe* batch (which of these distinct candidate
-//! keys are already interned, and at which arena index?) and one sorted
-//! *insert* batch (these keys were just interned at these indices).
+//! The engine's level merge ([`engine`](super::engine)) talks to its
+//! dedup structure through exactly two bulk operations per BFS level:
+//! sorted *probe* batches (which of these distinct candidate keys are
+//! already interned, and at which arena index?) and one sorted *insert*
+//! batch (these keys were just interned at these indices).
 //! [`FrontierTransport`] names that contract as a trait, which is all
 //! it takes to stretch the fingerprint-sharded seen-set across
 //! machines: a coordinator keeps the arena and performs the in-order
@@ -19,8 +19,9 @@
 //! * [`LocalFrontier`] — the in-process reference implementation (a
 //!   plain hash map), used by the equivalence property suites and as
 //!   the semantic model every remote implementation must match.
-//! * `ExternalDedup` (the spill tier) implements the same trait, so
-//!   the engine's external merge is written once against the seam.
+//! * `ExternalDedup` (the local seen-set, resident or spilling)
+//!   implements the same trait, so the engine's one level merge is
+//!   written against the seam for every tier.
 //! * `randsync-svc`'s `DistributedFrontier` speaks the same contract
 //!   over the JSONL wire protocol to N worker processes.
 //!
@@ -127,7 +128,7 @@ type Bucket = Vec<(u32, Box<[u32]>)>;
 
 /// The in-process reference implementation of the seam: a hash map
 /// from fingerprint to the (words, index) pairs inserted under it.
-/// Semantically identical to the engine's in-RAM seen-maps; exists so
+/// Semantically identical to the engine's local seen-set; exists so
 /// the seam itself can be property-tested for bit-identity without any
 /// networking, and as the executable model for remote shards.
 #[derive(Debug, Default)]

@@ -43,7 +43,7 @@
 //! servers with `randsync worker [addr]`, then point a coordinator at
 //! them with `serve --workers-addrs host:port,host:port,...` — its
 //! `valency`/`explore`/`resume` jobs dedup against the shards and stay
-//! bit-identical to a single-node run. `serve --max-conns N` caps the
+//! bit-identical to a single-node run, with or without `por`. `serve --max-conns N` caps the
 //! event loop's simultaneously open connections (excess connections
 //! get an immediate `overloaded` error frame).
 //!
@@ -61,7 +61,8 @@
 //! Search modes (DESIGN.md §15): `valency --por` prunes
 //! Mazurkiewicz-equivalent interleavings (partial-order reduction;
 //! verdicts and valencies are preserved, the visited counts shrink, and
-//! a reduction report line shows what was pruned), and
+//! a reduction report line shows what was pruned; it composes with
+//! `--mem-budget`, which then also prints its out-of-core line), and
 //! `valency --best-first` switches to the guided adversary search — a
 //! valency-split-scored frontier that hunts for an inconsistency
 //! witness instead of sweeping the space; a found witness is minimized

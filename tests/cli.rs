@@ -85,6 +85,26 @@ fn valency_reports_the_flp_structure() {
 }
 
 #[test]
+fn por_valency_honours_the_memory_budget() {
+    // localcoin reduces without cycles; phase exercises the cycle
+    // proviso, whose selection is pinned to its established counts.
+    for (protocol, por_line) in [
+        ("localcoin", "on — 97 enabled moves pruned, 0 cycle-proviso fallbacks"),
+        ("phase", "on — 350 enabled moves pruned, 64 cycle-proviso fallbacks"),
+    ] {
+        let (ram, _, ok) = randsync(&["valency", protocol, "--por"]);
+        assert!(ok);
+        let (spill, _, ok) = randsync(&["valency", protocol, "--por", "--mem-budget", "65536"]);
+        assert!(ok);
+        let (spill_lines, rest): (Vec<&str>, Vec<&str>) =
+            spill.lines().partition(|l| l.starts_with("out-of-core"));
+        assert_eq!(spill_lines.len(), 1, "{protocol}: the budgeted run reports its spill line");
+        assert_eq!(rest, ram.lines().collect::<Vec<_>>(), "{protocol}: other lines match RAM");
+        assert!(ram.contains(&format!("partial-order red.  : {por_line}")), "{protocol}: {ram}");
+    }
+}
+
+#[test]
 fn walk_decides_consistently() {
     let (stdout, _, ok) = randsync(&["walk", "4", "7"]);
     assert!(ok);

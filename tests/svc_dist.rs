@@ -52,10 +52,11 @@ fn normalized(result: &Json) -> String {
 }
 
 /// The deterministic job mix every ensemble size must agree on:
-/// valency envelopes and full explorations, raw and canonical,
-/// sequential and multi-threaded expansion.
+/// valency envelopes and full explorations, raw, canonical and
+/// partial-order reduced, sequential and multi-threaded expansion.
 fn job_mix() -> Vec<(&'static str, Json)> {
     vec![
+        ("valency", por_valency()),
         ("valency", obj(&[("protocol", Json::Str("cas".to_string()))])),
         (
             "valency",
@@ -73,6 +74,12 @@ fn job_mix() -> Vec<(&'static str, Json)> {
             ]),
         ),
     ]
+}
+
+/// The reduced valency job of the mix: POR dedups through the shards
+/// like every other search.
+fn por_valency() -> Json {
+    obj(&[("protocol", Json::Str("localcoin".to_string())), ("por", Json::Bool(true))])
 }
 
 /// Read one counter out of a `metrics` control-frame snapshot.
@@ -100,6 +107,7 @@ fn distributed_frontier_matches_single_node_bit_for_bit() {
         let before = client.metrics().expect("metrics");
         for (kind, params) in job_mix() {
             let expected = direct(kind, &params);
+            let job_before = client.metrics().expect("metrics");
             let reply = client.request(kind, &params).expect("request");
             assert!(reply.ok, "{kind} on {n_workers} workers failed: {}", reply.body.render());
             assert_eq!(
@@ -107,6 +115,12 @@ fn distributed_frontier_matches_single_node_bit_for_bit() {
                 normalized(&expected),
                 "{kind} over {n_workers} workers diverged from single-node"
             );
+            if params == por_valency() {
+                let job_after = client.metrics().expect("metrics");
+                let probes = counter(&job_after, "svc.frontier.probes")
+                    - counter(&job_before, "svc.frontier.probes");
+                assert!(probes > 0, "the POR job must probe the shards itself (saw {probes})");
+            }
         }
         let after = client.metrics().expect("metrics");
 
