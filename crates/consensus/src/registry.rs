@@ -194,7 +194,9 @@ pub fn alternating_inputs(n: usize) -> Vec<u8> {
     (0..n).map(|p| (p % 2) as u8).collect()
 }
 
-const ENTRIES: &[ProtocolEntry] = &[
+// A `static`, not a `const`: each use of a `const` may promote its own
+// copy, and `registry()` and `find()` must hand out the same entries.
+static ENTRIES: &[ProtocolEntry] = &[
     ProtocolEntry {
         name: "cas",
         objects: "1 compare&swap register",

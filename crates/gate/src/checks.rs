@@ -250,10 +250,10 @@ fn walk_separation(ctx: &CheckContext, name: &str) -> CheckOutcome {
     };
     let protocol = entry.build_default();
     let n = entry.default_n as u64;
-    let out = explorer(ctx).explore(&protocol, entry.default_inputs);
-    if out.truncated {
+    let (out, val) = explorer(ctx).explore_with_valency(&protocol, entry.default_inputs);
+    let Some(val) = val else {
         return CheckOutcome::fail(format!("{name}: exploration truncated; facts unproven"));
-    }
+    };
     if !out.is_safe() {
         return CheckOutcome::fail(format!("{name}: {}", out.verdict_label()));
     }
@@ -269,9 +269,6 @@ fn walk_separation(ctx: &CheckContext, name: &str) -> CheckOutcome {
             out.infinite_execution_possible
         ));
     }
-    let Some(val) = explorer(ctx).valency(&protocol, entry.default_inputs) else {
-        return CheckOutcome::fail(format!("{name}: valency analysis exceeded the budget"));
-    };
     if !val.envelope_consistent() {
         return CheckOutcome::fail(format!(
             "{name}: valency envelope inconsistent ({} classified of {} configs)",

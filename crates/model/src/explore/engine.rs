@@ -2,10 +2,13 @@
 //!
 //! Every exhaustive search in this crate — consensus checking
 //! ([`Explorer::explore_from`](super::Explorer::explore_from)), valency
-//! analysis ([`Explorer::valency`](super::Explorer::valency)), and
-//! safety-property search
+//! analysis ([`Explorer::valency`](super::Explorer::valency)), both at
+//! once from one graph
+//! ([`Explorer::explore_with_valency`](super::Explorer::explore_with_valency)),
+//! and safety-property search
 //! ([`Explorer::find_violation`](super::Explorer::find_violation)) — is
-//! a thin wrapper over [`bfs`]. The engine owns five responsibilities:
+//! a thin wrapper over one [`bfs`] call. The engine owns five
+//! responsibilities:
 //!
 //! 1. **Packing.** Each distinct configuration is stored exactly once,
 //!    as a fixed-stride run of `u32` words in an append-only

@@ -588,7 +588,33 @@ impl Explorer {
         P::State: Send + Sync,
     {
         let g = engine::bfs(protocol, start, &self.config, true, None);
-        outcome_from_graph(&g, inputs)
+        outcome_from_graph(&g, inputs).0
+    }
+
+    /// Explore every interleaving and coin outcome of `protocol`, then
+    /// run the valency analysis on the **same** graph: one BFS answers
+    /// both [`explore`](Explorer::explore) and
+    /// [`valency`](Explorer::valency).
+    ///
+    /// The analysis is `None` exactly when the outcome is
+    /// [`truncated`](ExploreOutcome::truncated). An exhausted search hit
+    /// no config cap, deadline, transport failure or depth cap on an
+    /// active node, so its graph is the one the depth-unbounded
+    /// [`valency`](Explorer::valency) search builds, and the analysis
+    /// equals that call's.
+    pub fn explore_with_valency<P>(
+        &self,
+        protocol: &P,
+        inputs: &[Decision],
+    ) -> (ExploreOutcome, Option<ValencyAnalysis>)
+    where
+        P: Protocol + Sync,
+        P::State: Send + Sync,
+    {
+        let start = Configuration::initial(protocol, inputs);
+        let g = engine::bfs(protocol, start, &self.config, true, None);
+        let (outcome, pred) = outcome_from_graph(&g, inputs);
+        (outcome, pred.map(|pred| valency_of_graph(&g, &pred)))
     }
 
     /// Continue a checkpointed exploration to completion (or to this
@@ -620,7 +646,7 @@ impl Explorer {
             ));
         }
         let g = engine::bfs_resume(protocol, ckpt, &self.config)?;
-        Ok(outcome_from_graph(&g, &ckpt.inputs))
+        Ok(outcome_from_graph(&g, &ckpt.inputs).0)
     }
 
     /// FLP-style **valency analysis**: classify every reachable
@@ -650,70 +676,7 @@ impl Explorer {
         if g.config_capped || g.deadline_hit || g.transport_error.is_some() {
             return None;
         }
-
-        // Fixpoint: propagate reachable decision values backwards.
-        // mask bit 0 = "0 reachable", bit 1 = "1 reachable".
-        let n = g.arena.len();
-        let mut mask = vec![0u8; n];
-        for (i, m) in mask.iter_mut().enumerate() {
-            for d in g.arena.decided_values(i as u32) {
-                *m |= 1 << d.min(1);
-            }
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                let mut m = mask[i];
-                for &j in &g.succ[i] {
-                    m |= mask[j as usize];
-                }
-                if m != mask[i] {
-                    mask[i] = m;
-                    changed = true;
-                }
-            }
-        }
-
-        let mut analysis = ValencyAnalysis {
-            initial: Valency::from_mask(mask[0]),
-            zero_valent: 0,
-            one_valent: 0,
-            bivalent: 0,
-            stuck: 0,
-            configs: n,
-            bivalent_cycle: false,
-            critical_configs: 0,
-        };
-        for &m in &mask {
-            match Valency::from_mask(m) {
-                Valency::Zero => analysis.zero_valent += 1,
-                Valency::One => analysis.one_valent += 1,
-                Valency::Bivalent => analysis.bivalent += 1,
-                Valency::Stuck => analysis.stuck += 1,
-            }
-        }
-        // A bivalent cycle: a cycle within the bivalent subgraph.
-        let bivalent_succ: Vec<Vec<u32>> = (0..n)
-            .map(|i| {
-                if mask[i] == 3 {
-                    g.succ[i].iter().copied().filter(|&j| mask[j as usize] == 3).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        analysis.bivalent_cycle = has_cycle(&bivalent_succ);
-        // Critical configurations: bivalent, every successor univalent.
-        for i in 0..n {
-            if mask[i] == 3
-                && !g.succ[i].is_empty()
-                && g.succ[i].iter().all(|&j| mask[j as usize] != 3)
-            {
-                analysis.critical_configs += 1;
-            }
-        }
-        Some(analysis)
+        Some(valency_of_graph(&g, &Predecessors::of(&g.succ)))
     }
 
     /// Exhaustively search for a reachable configuration satisfying
@@ -974,13 +937,17 @@ where
     }
 }
 
-/// Derive the public [`ExploreOutcome`] from a finished BFS graph.
-/// Shared by [`Explorer::explore_from`] and [`Explorer::resume`], so a
-/// resumed search reports through exactly the same lens as a fresh one.
+/// Derive the public [`ExploreOutcome`] from a finished BFS graph,
+/// plus the graph's predecessor index when the search was exhausted
+/// (the index the termination check ran on, handed back so a valency
+/// pass over the same graph need not rebuild it). Shared by
+/// [`Explorer::explore_from`], [`Explorer::explore_with_valency`] and
+/// [`Explorer::resume`], so every search reports through exactly the
+/// same lens.
 fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
     g: &engine::BfsGraph<S>,
     inputs: &[Decision],
-) -> ExploreOutcome {
+) -> (ExploreOutcome, Option<Predecessors>) {
     let n = g.arena.len();
 
     // Scan the arena in BFS order — directly over the packed words,
@@ -1022,14 +989,16 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
     } else {
         None
     };
-    let (can_always_reach_termination, infinite_execution_possible) = if truncated {
-        (None, None)
-    } else {
-        (Some(all_can_terminate(&terminal, &g.succ)), Some(has_cycle(&g.succ)))
+    let pred = (!truncated).then(|| Predecessors::of(&g.succ));
+    let (can_always_reach_termination, infinite_execution_possible) = match &pred {
+        None => (None, None),
+        Some(pred) => {
+            (Some(all_can_terminate(&terminal, pred)), Some(has_cycle(&g.succ, |_| true)))
+        }
     };
 
     let arena_bytes = arena_bytes(&g.arena);
-    ExploreOutcome {
+    let outcome = ExploreOutcome {
         consistency_violation,
         validity_violation,
         configs_visited: n,
@@ -1055,6 +1024,72 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         por_enabled: g.por_enabled,
         por_pruned: g.por_pruned,
         por_fallbacks: g.por_fallbacks,
+    };
+    (outcome, pred)
+}
+
+/// Classify every node of an exhausted graph by the decision values
+/// reachable from it (see [`Explorer::valency`]); `pred` is the graph's
+/// predecessor index.
+fn valency_of_graph<S: Clone + Eq + std::hash::Hash>(
+    g: &engine::BfsGraph<S>,
+    pred: &Predecessors,
+) -> ValencyAnalysis {
+    // mask bit 0 = "0 reachable", bit 1 = "1 reachable".
+    let n = g.arena.len();
+    let mut mask = vec![0u8; n];
+    for (i, m) in mask.iter_mut().enumerate() {
+        for d in g.arena.decided_values(i as u32) {
+            *m |= 1 << d.min(1);
+        }
+    }
+    propagate_valency(pred, &mut mask);
+
+    let mut analysis = ValencyAnalysis {
+        initial: Valency::from_mask(mask[0]),
+        zero_valent: 0,
+        one_valent: 0,
+        bivalent: 0,
+        stuck: 0,
+        configs: n,
+        bivalent_cycle: false,
+        critical_configs: 0,
+    };
+    for &m in &mask {
+        match Valency::from_mask(m) {
+            Valency::Zero => analysis.zero_valent += 1,
+            Valency::One => analysis.one_valent += 1,
+            Valency::Bivalent => analysis.bivalent += 1,
+            Valency::Stuck => analysis.stuck += 1,
+        }
+    }
+    let bivalent = |i: usize| mask[i] == 3;
+    analysis.bivalent_cycle = has_cycle(&g.succ, bivalent);
+    // Critical configurations: bivalent, every successor univalent.
+    analysis.critical_configs = (0..n)
+        .filter(|&i| {
+            bivalent(i) && !g.succ[i].is_empty() && g.succ[i].iter().all(|&j| !bivalent(j as usize))
+        })
+        .count();
+    analysis
+}
+
+/// Propagate reachable decision values backwards to the least
+/// fixpoint: on return, `mask[i]` is the union of the initial masks of
+/// every node reachable from `i`. A worklist holds the nodes whose mask
+/// just grew; a mask has two bits, so it grows at most twice and each
+/// node's predecessors are scanned at most three times — O(n + e).
+fn propagate_valency(pred: &Predecessors, mask: &mut [u8]) {
+    let mut work: Vec<u32> = (0..mask.len() as u32).filter(|&j| mask[j as usize] != 0).collect();
+    while let Some(j) = work.pop() {
+        let m = mask[j as usize];
+        for &i in pred.of_node(j) {
+            let grown = mask[i as usize] | m;
+            if grown != mask[i as usize] {
+                mask[i as usize] = grown;
+                work.push(i);
+            }
+        }
     }
 }
 
@@ -1078,10 +1113,54 @@ fn arena_bytes<S: Clone + Eq + std::hash::Hash>(arena: &pack::PackedArena<S>) ->
     arena.bytes() + arena.len() * SEEN_ENTRY_BYTES
 }
 
-/// Does the reachable graph contain a cycle? (Terminal nodes have no
+/// The reverse edges of a successor graph in compressed sparse-row
+/// form: the predecessors of node `j` are
+/// `preds[offsets[j]..offsets[j + 1]]`, one entry per edge (duplicate
+/// edges repeat). Two flat allocations instead of one vector per node.
+struct Predecessors {
+    offsets: Vec<u32>,
+    preds: Vec<u32>,
+}
+
+impl Predecessors {
+    fn of(succ: &[Vec<u32>]) -> Predecessors {
+        let n = succ.len();
+        let edges: usize = succ.iter().map(Vec::len).sum();
+        assert!(u32::try_from(edges).is_ok(), "{edges} edges overflow the u32 predecessor index");
+        // Count in-degrees, prefix-sum them into range ends, then fill
+        // each range back to front, which leaves `offsets[j]` at the
+        // start of node `j`'s range.
+        let mut offsets = vec![0u32; n + 1];
+        for &j in succ.iter().flatten() {
+            offsets[j as usize] += 1;
+        }
+        let mut end = 0u32;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut preds = vec![0u32; edges];
+        for (i, outs) in succ.iter().enumerate().rev() {
+            for &j in outs {
+                offsets[j as usize] -= 1;
+                preds[offsets[j as usize] as usize] = i as u32;
+            }
+        }
+        Predecessors { offsets, preds }
+    }
+
+    /// The sources of the edges into node `j`.
+    fn of_node(&self, j: u32) -> &[u32] {
+        let j = j as usize;
+        &self.preds[self.offsets[j] as usize..self.offsets[j + 1] as usize]
+    }
+}
+
+/// Does the subgraph induced by the nodes passing `keep` contain a
+/// cycle? (Over the whole reachable graph: terminal nodes have no
 /// successors, so any cycle is among non-terminal configurations and
 /// witnesses an infinite execution.) Iterative three-color DFS.
-fn has_cycle(succ: &[Vec<u32>]) -> bool {
+fn has_cycle(succ: &[Vec<u32>], keep: impl Fn(usize) -> bool) -> bool {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -1091,7 +1170,7 @@ fn has_cycle(succ: &[Vec<u32>]) -> bool {
     let n = succ.len();
     let mut color = vec![Color::White; n];
     for start in 0..n {
-        if color[start] != Color::White {
+        if color[start] != Color::White || !keep(start) {
             continue;
         }
         // Stack of (node, next-child-index).
@@ -1101,6 +1180,9 @@ fn has_cycle(succ: &[Vec<u32>]) -> bool {
             if *next < succ[node].len() {
                 let child = succ[node][*next] as usize;
                 *next += 1;
+                if !keep(child) {
+                    continue;
+                }
                 match color[child] {
                     Color::Gray => return true,
                     Color::White => {
@@ -1120,27 +1202,15 @@ fn has_cycle(succ: &[Vec<u32>]) -> bool {
 
 /// Backward reachability: can every node reach a terminal node (no
 /// active processes)? `terminal[i]` flags the terminal nodes.
-fn all_can_terminate(terminal: &[bool], succ: &[Vec<u32>]) -> bool {
-    let n = terminal.len();
-    let mut pred: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, outs) in succ.iter().enumerate() {
-        for &j in outs {
-            pred[j as usize].push(i as u32);
-        }
-    }
-    let mut can = vec![false; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (i, &t) in terminal.iter().enumerate() {
-        if t {
-            can[i] = true;
-            queue.push_back(i);
-        }
-    }
+fn all_can_terminate(terminal: &[bool], pred: &Predecessors) -> bool {
+    let mut can = terminal.to_vec();
+    let mut queue: VecDeque<u32> =
+        (0..terminal.len() as u32).filter(|&j| terminal[j as usize]).collect();
     while let Some(j) = queue.pop_front() {
-        for &i in &pred[j] {
+        for &i in pred.of_node(j) {
             if !can[i as usize] {
                 can[i as usize] = true;
-                queue.push_back(i as usize);
+                queue.push_back(i);
             }
         }
     }
@@ -1376,6 +1446,76 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_valency_is_none_exactly_when_truncated() {
+        let p = Cas { n: 3 };
+        let inputs = [0, 1, 0];
+        let capped = Explorer::new(ExploreLimits { max_configs: 3, max_depth: 10_000 });
+        let expired = Explorer::default().deadline(std::time::Instant::now());
+        for (explorer, reason) in
+            [(capped, TruncationReason::ConfigCap), (expired, TruncationReason::Deadline)]
+        {
+            let (out, val) = explorer.explore_with_valency(&p, &inputs);
+            assert!(val.is_none(), "{reason}: a truncated graph must not be classified");
+            assert_eq!(out.truncation_reason, Some(reason));
+            assert_eq!(out.truncation_reason, explorer.explore(&p, &inputs).truncation_reason);
+        }
+    }
+
+    /// The pre-worklist valency fixpoint: sweep every node until no
+    /// mask changes. The reference the worklist must reproduce.
+    fn sweep_valency(succ: &[Vec<u32>], mask: &mut [u8]) {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in 0..succ.len() {
+                let m = succ[i].iter().fold(mask[i], |m, &j| m | mask[j as usize]);
+                if m != mask[i] {
+                    mask[i] = m;
+                    changed = true;
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// On random digraphs — self-loops, cycles, duplicate edges,
+        /// decided nodes anywhere — the worklist reaches the sweep's
+        /// fixpoint, and the predecessor index holds exactly the
+        /// reversed edges.
+        #[test]
+        fn worklist_valency_matches_the_sweep(
+            n in 1usize..24,
+            edges in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..64),
+            decided in proptest::collection::vec(0u8..8, 24),
+        ) {
+            let mut succ = vec![Vec::new(); n];
+            for e in &edges {
+                succ[(e % n as u64) as usize].push(((e >> 32) % n as u64) as u32);
+            }
+            // Masks 0..=3 at random, biased toward undecided (4..8 → 0).
+            let init: Vec<u8> = decided[..n].iter().map(|&d| if d < 4 { d } else { 0 }).collect();
+            let pred = Predecessors::of(&succ);
+            let mut worklist = init.clone();
+            propagate_valency(&pred, &mut worklist);
+            let mut sweep = init;
+            sweep_valency(&succ, &mut sweep);
+            proptest::prop_assert_eq!(worklist, sweep);
+
+            let mut reversed: Vec<(u32, u32)> = (0..n as u32)
+                .flat_map(|j| pred.of_node(j).iter().map(move |&i| (i, j)))
+                .collect();
+            let mut forward: Vec<(u32, u32)> = succ
+                .iter()
+                .enumerate()
+                .flat_map(|(i, outs)| outs.iter().map(move |&j| (i as u32, j)))
+                .collect();
+            reversed.sort_unstable();
+            forward.sort_unstable();
+            proptest::prop_assert_eq!(reversed, forward);
+        }
+    }
+
+    #[test]
     fn successors_enumerate_coin_branches() {
         /// One coin-flipping step with two outcomes.
         #[derive(Debug)]
@@ -1453,7 +1593,9 @@ mod tests {
 
     /// Explore and analyse `p` in every mode, in RAM and on the tier
     /// `tier` selects, and assert the outcomes and valency analyses are
-    /// identical. Returns the tier's outcomes for tier-specific checks.
+    /// identical — whether taken from separate `explore` and `valency`
+    /// searches or from one `explore_with_valency` search. Returns the
+    /// tier's outcomes for tier-specific checks.
     fn assert_tier_matches_ram<P>(
         p: &P,
         inputs: &[Decision],
@@ -1472,11 +1614,21 @@ mod tests {
                 assert_eq!(a.raw_configs, b.raw_configs, "{mode}");
                 assert_eq!(a.arena_bytes, b.arena_bytes, "{mode}: totals are backing-independent");
                 assert_eq!(b.transport_error, None);
+                let valency = format!("{:?}", ram.valency(p, inputs));
                 assert_eq!(
-                    format!("{:?}", ram.valency(p, inputs)),
+                    valency,
                     format!("{:?}", via.valency(p, inputs)),
                     "{mode}: valency diverged"
                 );
+                for one_pass in [&ram, &via] {
+                    let (c, val) = one_pass.explore_with_valency(p, inputs);
+                    assert_eq!(
+                        fingerprint(&a),
+                        fingerprint(&c),
+                        "{mode}: one-pass outcome diverged"
+                    );
+                    assert_eq!(valency, format!("{val:?}"), "{mode}: one-pass valency diverged");
+                }
                 b
             })
             .collect()

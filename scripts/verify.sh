@@ -77,6 +77,9 @@ cargo test -q --release -p randsync-objects --test prop_kind_conformance
 echo "== differential harness (runtime vs simulator vs explorer) =="
 cargo test -q --release --test differential
 
+echo "== consensus unit tests in release (registry identity, release-only codegen) =="
+cargo test -q --release -p randsync-consensus --lib
+
 echo "== explore_perf --smoke (raw + canonical, verdict divergence fails) =="
 cargo run --release --bin explore_perf -- --smoke --out target/BENCH_explore_smoke.json
 

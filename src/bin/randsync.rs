@@ -520,18 +520,19 @@ fn print_explore_footprint(out: &ExploreOutcome) {
     }
 }
 
-/// Explore (honouring any memory budget / deadline / checkpoint request
-/// in the explorer's config), then — if the space was exhausted — run
-/// the valency analysis and print it, followed by the symmetry
-/// reduction achieved and the arena footprint. A truncated exploration
-/// prints why it stopped (and where the checkpoint went) and fails.
+/// Explore once (honouring any memory budget / deadline / checkpoint
+/// request in the explorer's config) and, if the space was exhausted,
+/// print the valency analysis of that same graph, followed by the
+/// symmetry reduction achieved and the arena footprint. A truncated
+/// exploration prints why it stopped (and where the checkpoint went)
+/// and fails.
 fn valency_report<P>(explorer: &Explorer, protocol: &P, inputs: &[u8]) -> ExitCode
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
 {
-    let out = explorer.explore(protocol, inputs);
-    if out.truncated {
+    let (out, analysis) = explorer.explore_with_valency(protocol, inputs);
+    let Some(a) = analysis else {
         let reason = out
             .truncation_reason
             .map(|r| r.to_string())
@@ -539,10 +540,6 @@ where
         println!("configurations      : {} (truncated: {reason})", out.configs_visited);
         print_explore_footprint(&out);
         eprintln!("exploration truncated ({reason}); valencies would be unsound");
-        return ExitCode::FAILURE;
-    }
-    let Some(a) = explorer.valency(protocol, inputs) else {
-        eprintln!("state space exceeded the budget; valencies would be unsound");
         return ExitCode::FAILURE;
     };
     println!("initial valency     : {:?}", a.initial);
@@ -555,18 +552,6 @@ where
     println!("bivalent cycle      : {}", a.bivalent_cycle);
     print_explore_footprint(&out);
     ExitCode::SUCCESS
-}
-
-/// Package an inconsistency-reaching execution as a verified witness:
-/// replay it in the configuration algebra, read off one 0-decider and
-/// one 1-decider, and count the participants. `None` if the execution
-/// does not in fact end inconsistent.
-fn witness_from_execution<P: Protocol>(
-    protocol: &P,
-    inputs: &[u8],
-    execution: Execution,
-) -> Option<InconsistencyWitness> {
-    InconsistencyWitness::from_execution(protocol, inputs, execution)
 }
 
 /// The guided adversary search behind `valency --best-first`: hunt for
@@ -589,7 +574,8 @@ fn best_first_report(explorer: &Explorer, entry: &ProtocolEntry) -> ExitCode {
         return ExitCode::SUCCESS;
     };
     println!("guided search       : inconsistency reached in {} steps", execution.len());
-    let Some(witness) = witness_from_execution(&protocol, entry.default_inputs, execution)
+    let Some(witness) =
+        InconsistencyWitness::from_execution(&protocol, entry.default_inputs, execution)
     else {
         eprintln!("internal error: violating execution did not replay to an inconsistency");
         return ExitCode::FAILURE;
@@ -679,7 +665,8 @@ fn run_shrink(args: &[String]) -> ExitCode {
             .map(|&(pid, coin)| Step::with_coin(ProcessId(pid as usize), coin))
             .collect(),
     );
-    let Some(witness) = witness_from_execution(&protocol, &trace.inputs, execution) else {
+    let Some(witness) = InconsistencyWitness::from_execution(&protocol, &trace.inputs, execution)
+    else {
         eprintln!(
             "{path} does not witness an inconsistency (the replay never decides both values); \
              nothing to shrink"

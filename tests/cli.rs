@@ -85,6 +85,25 @@ fn valency_reports_the_flp_structure() {
 }
 
 #[test]
+fn valency_explores_the_space_once() {
+    // One BFS serves both the outcome and the valency analysis: every
+    // configuration but the start is interned once, and one level is
+    // walked per depth step.
+    let (stdout, _, ok) = randsync(&["valency", "cas", "1", "--metrics"]);
+    assert!(ok);
+    let metric = |name: &str| -> usize {
+        let line = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} line in:\n{stdout}"));
+        line.trim().parse().unwrap_or_else(|_| panic!("{name} is not a count: {line}"))
+    };
+    let configs = metric("configurations      :");
+    assert_eq!(metric("explore.interned"), configs - 1);
+    assert_eq!(metric("explore.levels"), metric("explore.max_depth"));
+}
+
+#[test]
 fn por_valency_honours_the_memory_budget() {
     // localcoin reduces without cycles; phase exercises the cycle
     // proviso, whose selection is pinned to its established counts.
