@@ -186,12 +186,18 @@ impl ProtocolEntry {
     pub fn build_default(&self) -> AnyProtocol {
         (self.build)(self.default_n, self.default_r)
     }
-}
 
-/// The input vector used when a caller overrides `n`: alternating
-/// `0, 1, 0, …` (both values present for every `n ≥ 2`).
-pub fn alternating_inputs(n: usize) -> Vec<u8> {
-    (0..n).map(|p| (p % 2) as u8).collect()
+    /// The input vector for an instance with `n` processes: the
+    /// registered `default_inputs` at `default_n`, otherwise
+    /// alternating `0, 1, 0, …` (both values present for every
+    /// `n ≥ 2`).
+    pub fn inputs_for(&self, n: usize) -> Vec<u8> {
+        if n == self.default_n {
+            self.default_inputs.to_vec()
+        } else {
+            (0..n).map(|p| (p % 2) as u8).collect()
+        }
+    }
 }
 
 // A `static`, not a `const`: each use of a `const` may promote its own
@@ -487,6 +493,9 @@ mod tests {
                 "{}: default inputs must cover default_n",
                 e.name
             );
+            assert_eq!(e.inputs_for(e.default_n), e.default_inputs, "{}", e.name);
+            let wider = e.inputs_for(e.default_n + 1);
+            assert_eq!((wider.len(), &wider[..2]), (e.default_n + 1, &[0, 1][..]), "{}", e.name);
             let p = e.build_default();
             assert_eq!(p.num_processes(), e.default_n, "{}: arity mismatch", e.name);
             assert!(!p.objects().is_empty(), "{}: protocols use shared objects", e.name);

@@ -531,13 +531,7 @@ mod tests {
         assert_eq!(trace.inputs, w.inputs);
         assert_eq!(trace.steps.len(), w.execution.len());
         // The recorded steps rebuild the witness's execution exactly.
-        let rebuilt = Execution::from_steps(
-            trace
-                .steps
-                .iter()
-                .map(|&(pid, coin)| Step::with_coin(ProcessId(pid as usize), coin))
-                .collect(),
-        );
+        let rebuilt = Execution::from_trace(&trace);
         let objects = ModelObject::instantiate_all(&p);
         let refs: Vec<&dyn DynObject> = objects.iter().map(AsRef::as_ref).collect();
         let decisions =

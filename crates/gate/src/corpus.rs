@@ -22,7 +22,7 @@ use randsync_core::combine31::CombineLimits;
 use randsync_core::combine35::{ample_pool, attack_historyless, GeneralOutcome};
 use randsync_core::witness::InconsistencyWitness;
 use randsync_model::runtime::DynObject;
-use randsync_model::{Execution, ExploreLimits, ProcessId, Protocol, Step};
+use randsync_model::{Execution, ExploreLimits, Protocol};
 use randsync_objects::bridge;
 use randsync_obs::{ExecutionTrace, Json};
 
@@ -258,14 +258,7 @@ pub fn replay_record(dir: &Path, record: &WitnessRecord) -> Result<(), String> {
 /// the `(pid, coin)` schedule back to model steps and let the replay
 /// find the two deciders (which also model-verifies the trace).
 fn rebuild_witness<P: Protocol>(protocol: &P, trace: &ExecutionTrace) -> Option<InconsistencyWitness> {
-    let execution = Execution::from_steps(
-        trace
-            .steps
-            .iter()
-            .map(|&(pid, coin)| Step::with_coin(ProcessId(pid as usize), coin))
-            .collect(),
-    );
-    InconsistencyWitness::from_execution(protocol, &trace.inputs, execution)
+    InconsistencyWitness::from_execution(protocol, &trace.inputs, Execution::from_trace(trace))
 }
 
 /// The catalog property a protocol's witnesses substantiate, by the

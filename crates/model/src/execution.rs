@@ -10,6 +10,8 @@
 use core::fmt;
 use core::hash::Hash;
 
+use randsync_obs::ExecutionTrace;
+
 use crate::config::Configuration;
 use crate::error::ModelError;
 use crate::op::{Operation, Response};
@@ -88,6 +90,18 @@ impl Execution {
     /// An execution from a step sequence.
     pub fn from_steps(steps: Vec<Step>) -> Self {
         Execution { steps }
+    }
+
+    /// The schedule a flight-recorder trace recorded: one step per
+    /// `(process id, coin)` pair, in linearization order.
+    pub fn from_trace(trace: &ExecutionTrace) -> Self {
+        Execution {
+            steps: trace
+                .steps
+                .iter()
+                .map(|&(pid, coin)| Step::with_coin(ProcessId(pid as usize), coin))
+                .collect(),
+        }
     }
 
     /// A solo execution: `k` consecutive steps of `pid` with the given
@@ -271,6 +285,23 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.participants(), vec![ProcessId(0), ProcessId(1)]);
         assert_eq!(format!("{c:?}"), "⟨P0 P0#1 P1⟩");
+    }
+
+    #[test]
+    fn from_trace_keeps_the_recorded_schedule() {
+        let trace = ExecutionTrace {
+            schema_version: randsync_obs::TRACE_SCHEMA_VERSION,
+            protocol: "fetch-once".to_string(),
+            n: 2,
+            r: 1,
+            seed: 0,
+            interpreter: "runtime".to_string(),
+            inputs: vec![0, 1],
+            steps: vec![(1, 0), (0, 3)],
+            decisions: vec![None, None],
+        };
+        let e = Execution::from_trace(&trace);
+        assert_eq!(e.steps(), &[Step::of(ProcessId(1)), Step::with_coin(ProcessId(0), 3)]);
     }
 
     #[test]

@@ -97,6 +97,14 @@ pub struct ExploreLimits {
     pub max_depth: usize,
 }
 
+impl ExploreLimits {
+    /// The budget of every exhaustive verdict the CLI and the job
+    /// server hand out (`valency`, `check`, `resume`, and the job
+    /// defaults): wide enough to exhaust every registry protocol.
+    pub const EXHAUSTIVE: ExploreLimits =
+        ExploreLimits { max_configs: 3_000_000, max_depth: 200_000 };
+}
+
 impl Default for ExploreLimits {
     fn default() -> Self {
         ExploreLimits { max_configs: 200_000, max_depth: 10_000 }
@@ -651,8 +659,11 @@ impl Explorer {
 
     /// FLP-style **valency analysis**: classify every reachable
     /// configuration by the set of decision values still reachable from
-    /// it. Returns `None` if the exploration hit the configuration
-    /// budget (valencies would be unsound on a truncated graph).
+    /// it. This is [`explore_with_valency`](Explorer::explore_with_valency)
+    /// on a copy of this explorer without a depth budget, so it returns
+    /// `None` exactly when that search is truncated — by the
+    /// configuration budget, the deadline or a transport failure
+    /// (valencies would be unsound on a truncated graph).
     ///
     /// A configuration is *bivalent* if both 0 and 1 remain reachable,
     /// *v-valent* if only `v` does, and *stuck* if no decision is
@@ -671,12 +682,7 @@ impl Explorer {
         // budget does not apply (and never did).
         let mut config = self.config.clone();
         config.limits.max_depth = usize::MAX;
-        let start = Configuration::initial(protocol, inputs);
-        let g = engine::bfs(protocol, start, &config, true, None);
-        if g.config_capped || g.deadline_hit || g.transport_error.is_some() {
-            return None;
-        }
-        Some(valency_of_graph(&g, &Predecessors::of(&g.succ)))
+        Explorer::with_config(config).explore_with_valency(protocol, inputs).1
     }
 
     /// Exhaustively search for a reachable configuration satisfying

@@ -83,6 +83,22 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 impl ExecutionTrace {
+    /// Whether `replayed` — the decisions a replay of this trace
+    /// produced — reproduces what the recording claims. Witness traces
+    /// (`interpreter == "witness"`) claim only their designated
+    /// deciders, so `None` entries match anything; every other trace
+    /// claims each process's outcome exactly.
+    pub fn decisions_match(&self, replayed: &[Option<u8>]) -> bool {
+        if self.interpreter == "witness" {
+            self.decisions
+                .iter()
+                .enumerate()
+                .all(|(pid, claim)| claim.is_none() || replayed.get(pid) == Some(claim))
+        } else {
+            self.decisions == replayed
+        }
+    }
+
     /// Serialize to JSONL: header, one line per step, footer.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(64 + self.steps.len() * 24);
@@ -303,6 +319,18 @@ mod tests {
             steps: vec![(0, 0), (1, 3), (0, 1), (1, 0)],
             decisions: vec![Some(0), None],
         }
+    }
+
+    #[test]
+    fn witness_traces_claim_only_their_deciders() {
+        let mut trace = sample();
+        trace.interpreter = "witness".to_string();
+        assert!(trace.decisions_match(&[Some(0), Some(1)]), "a None claim matches anything");
+        assert!(!trace.decisions_match(&[Some(1), None]), "a claimed decider must match");
+        trace.interpreter = "runtime".to_string();
+        assert!(trace.decisions_match(&[Some(0), None]));
+        assert!(!trace.decisions_match(&[Some(1), None]), "one flipped decision diverges");
+        assert!(!trace.decisions_match(&[Some(0), Some(1)]), "runtime claims every process");
     }
 
     #[test]

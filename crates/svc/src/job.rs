@@ -18,8 +18,7 @@ use randsync_core::witness::InconsistencyWitness;
 use randsync_model::runtime::{replay_execution, Runtime};
 use randsync_model::{
     monte_carlo_summary, Checkpoint, CheckpointRequest, DynObject, Execution, ExploreConfig,
-    ExploreLimits, ExploreOutcome, Explorer, McSummary, ProcessId, Protocol, SearchMode,
-    SharedFrontier, Step,
+    ExploreLimits, ExploreOutcome, Explorer, McSummary, Protocol, SearchMode, SharedFrontier,
 };
 use randsync_obs::{ExecutionTrace, Json};
 use randsync_objects::bridge;
@@ -277,6 +276,7 @@ impl Job {
     /// `unknown_job`, `unknown_protocol`, or `bad_request` — all cheap,
     /// so malformed requests are rejected before touching the queue.
     pub fn parse(kind: &str, params: &Json) -> Result<Job, JobError> {
+        let limits = ExploreLimits::EXHAUSTIVE;
         match kind {
             "valency" => {
                 let entry = get_protocol(params, "cas")?;
@@ -285,8 +285,8 @@ impl Job {
                     threads: get_usize(params, "threads", 0)?,
                     canonical: get_bool(params, "canonical", false)?,
                     por: get_bool(params, "por", false)?,
-                    max_configs: get_usize(params, "max_configs", 3_000_000)?,
-                    max_depth: get_usize(params, "max_depth", 200_000)?,
+                    max_configs: get_usize(params, "max_configs", limits.max_configs)?,
+                    max_depth: get_usize(params, "max_depth", limits.max_depth)?,
                 })
             }
             "explore" => {
@@ -299,8 +299,8 @@ impl Job {
                     canonical: get_bool(params, "canonical", false)?,
                     por: get_bool(params, "por", false)?,
                     search: get_search(params)?,
-                    max_configs: get_usize(params, "max_configs", 3_000_000)?,
-                    max_depth: get_usize(params, "max_depth", 200_000)?,
+                    max_configs: get_usize(params, "max_configs", limits.max_configs)?,
+                    max_depth: get_usize(params, "max_depth", limits.max_depth)?,
                     mem_budget: get_usize(params, "mem_budget", 0)?,
                     deadline_millis: get_u64(params, "deadline_millis", 0)?,
                 })
@@ -318,8 +318,8 @@ impl Job {
                 Ok(Job::Resume {
                     checkpoint,
                     threads: get_usize(params, "threads", 0)?,
-                    max_configs: get_usize(params, "max_configs", 3_000_000)?,
-                    max_depth: get_usize(params, "max_depth", 200_000)?,
+                    max_configs: get_usize(params, "max_configs", limits.max_configs)?,
+                    max_depth: get_usize(params, "max_depth", limits.max_depth)?,
                     mem_budget: get_usize(params, "mem_budget", 0)?,
                     deadline_millis: get_u64(params, "deadline_millis", 0)?,
                 })
@@ -597,11 +597,7 @@ impl Job {
                 let entry = registry::find(protocol).expect("parse validated the name");
                 let built = (entry.build)(*n, *r);
                 let n_eff = built.num_processes();
-                let inputs: Vec<u8> = if n_eff == entry.default_n {
-                    entry.default_inputs.to_vec()
-                } else {
-                    registry::alternating_inputs(n_eff)
-                };
+                let inputs = entry.inputs_for(n_eff);
                 let (id, path) = checkpoint_store().reserve();
                 let explorer = Explorer::with_config(ExploreConfig {
                     limits: ExploreLimits { max_configs: *max_configs, max_depth: *max_depth },
@@ -668,11 +664,7 @@ impl Job {
                 let entry = registry::find(protocol).expect("parse validated the name");
                 let protocol = (entry.build)(*n, entry.default_r);
                 let n = protocol.num_processes();
-                let inputs: Vec<u8> = if n == entry.default_n {
-                    entry.default_inputs.to_vec()
-                } else {
-                    registry::alternating_inputs(n)
-                };
+                let inputs = entry.inputs_for(n);
                 let objects = bridge::instantiate_all(&protocol)
                     .map_err(|e| JobError::failed(format!("cannot bridge objects: {e}")))?;
                 let report =
@@ -719,11 +711,7 @@ impl Job {
                 let entry = registry::find(protocol).expect("parse validated the name");
                 let protocol = (entry.build)(*n, entry.default_r);
                 let n = protocol.num_processes();
-                let inputs: Vec<u8> = if n == entry.default_n {
-                    entry.default_inputs.to_vec()
-                } else {
-                    registry::alternating_inputs(n)
-                };
+                let inputs = entry.inputs_for(n);
                 // Slice the seed range so the wall-clock budget is
                 // honored between slices; the merged summary is
                 // bit-identical to the unsliced run (McSummary::absorb).
@@ -753,25 +741,10 @@ impl Job {
                 let objects = bridge::instantiate_all(&protocol)
                     .map_err(|e| JobError::failed(format!("cannot bridge objects: {e}")))?;
                 let refs: Vec<&dyn DynObject> = objects.iter().map(AsRef::as_ref).collect();
-                let execution = Execution::from_steps(
-                    trace
-                        .steps
-                        .iter()
-                        .map(|&(pid, coin)| Step::with_coin(ProcessId(pid as usize), coin))
-                        .collect(),
-                );
+                let execution = Execution::from_trace(&trace);
                 let decisions = replay_execution(&protocol, &refs, &trace.inputs, &execution)
                     .map_err(|e| JobError::failed(format!("replay diverged: {e}")))?;
-                // Witness traces claim only their designated deciders.
-                let matches = if trace.interpreter == "witness" {
-                    trace
-                        .decisions
-                        .iter()
-                        .enumerate()
-                        .all(|(pid, claim)| claim.is_none() || decisions.get(pid) == Some(claim))
-                } else {
-                    decisions == trace.decisions
-                };
+                let matches = trace.decisions_match(&decisions);
                 Ok(Json::Obj(vec![
                     ("protocol".to_string(), Json::Str(entry.name.to_string())),
                     ("interpreter".to_string(), Json::Str(trace.interpreter.clone())),
@@ -1128,7 +1101,7 @@ mod tests {
         let job = Job::parse("valency", &Json::Null).unwrap();
         let result = job.execute(far()).unwrap();
         let entry = registry::find("cas").unwrap();
-        let direct = Explorer::new(ExploreLimits { max_configs: 3_000_000, max_depth: 200_000 })
+        let direct = Explorer::new(ExploreLimits::EXHAUSTIVE)
             .valency(&entry.build_default(), entry.default_inputs)
             .unwrap();
         assert_eq!(result.get("configs").and_then(Json::as_usize), Some(direct.configs));

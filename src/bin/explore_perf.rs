@@ -45,7 +45,6 @@
 //!
 //! ```text
 //! cargo run --release --bin explore_perf            # full workloads (~10^5..10^6 configs)
-//! cargo run --release --bin explore_perf -- --smoke # small workload, a few seconds
 //! cargo run --release --bin explore_perf -- --out my.json
 //! ```
 //!
@@ -507,7 +506,6 @@ fn git_revision() -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -520,135 +518,103 @@ fn main() {
     // single-core hosts (where the speedup column then reads ~1 or
     // below — the point of the run there is the equivalence check).
     let threads = host.max(2);
-    println!(
-        "explore_perf: host_parallelism={host}, parallel runs use {threads} thread(s), mode={}",
-        if smoke { "smoke" } else { "full" }
-    );
+    println!("explore_perf: host_parallelism={host}, parallel runs use {threads} thread(s)");
 
     let wide = ExploreLimits { max_configs: 2_000_000, max_depth: 1_000_000 };
     let mut rows = Vec::new();
     let mut spill_rows = Vec::new();
     let mut guided_rows = Vec::new();
-    if smoke {
-        rows.push(measure(
-            "optimistic(n=3,r=3)",
-            &from_registry("optimistic", 3, 3),
-            &[0, 1, 0],
-            threads,
-            wide,
-        ));
-        rows.push(measure(
-            "localcoin(n=2,r=4)",
-            &from_registry("localcoin", 2, 4),
-            &[0, 1],
-            threads,
-            wide,
-        ));
-        spill_rows.push(measure_spill(
-            "optimistic(n=3,r=3)",
-            &from_registry("optimistic", 3, 3),
-            &[0, 1, 0],
-            64 * 1024,
-            wide,
-        ));
-        guided_rows.push(measure_guided(
-            "naive(n=2)",
-            &from_registry("naive", 2, 1),
-            &[0, 1],
-        ));
-    } else {
-        rows.push(measure(
-            "optimistic(n=3,r=3)",
-            &from_registry("optimistic", 3, 3),
-            &[0, 1, 0],
-            threads,
-            wide,
-        ));
-        rows.push(measure(
-            "walk_counter(n=3,default)",
-            &from_registry("walk-default", 3, 1),
-            &[0, 1, 0],
-            threads,
-            wide,
-        ));
-        rows.push(measure(
-            "phase_model(n=3,rounds=3)",
-            &from_registry("phase", 3, 3),
-            &[0, 1, 0],
-            threads,
-            wide,
-        ));
-        // The POR showcase rows: every mixing increment commutes with
-        // every other process's, so the ample-set rule collapses the
-        // interleaving lattice of the private phase to chains. These
-        // two are the workloads behind the ">1.5x on at least two
-        // workloads" acceptance gate.
-        rows.push(measure(
-            "localcoin(n=2,r=4)",
-            &from_registry("localcoin", 2, 4),
-            &[0, 1],
-            threads,
-            wide,
-        ));
-        rows.push(measure(
-            "localcoin(n=3,r=2)",
-            &from_registry("localcoin", 3, 2),
-            &[0, 1, 1],
-            threads,
-            wide,
-        ));
-        // The n=4 frontier workload runs at the explorer's *default*
-        // budgets: raw exploration blows through them (truncated at
-        // max_configs), canonical exploration completes — the symmetry
-        // quotient turns an infeasible space into a feasible one. The
-        // uniform input vector maximizes the quotient (the start is
-        // fully symmetric) and makes `raw_configs` exact, so the JSON
-        // still records the true raw-space size the budget could not
-        // hold.
-        rows.push(measure(
-            "walk_tight(n=4,uniform)",
-            &from_registry("walk-counter", 4, 1),
-            &[0, 0, 0, 0],
-            threads,
-            ExploreLimits::default(),
-        ));
-        // The out-of-core flagship: the full raw walk_tight(n=4) space
-        // — which the in-RAM row above could only truncate at the
-        // default budget, and whose complete arena is ~22 MiB — run to
-        // exhaustion under a 4 MiB resident budget and checked
-        // bit-identical against an unlimited-RAM run at the same wide
-        // limits.
-        spill_rows.push(measure_spill(
-            "walk_tight(n=4,uniform)",
-            &from_registry("walk-counter", 4, 1),
-            &[0, 0, 0, 0],
-            4 * 1024 * 1024,
-            wide,
-        ));
-        // The scale row: phase_model pushed to n=4/rounds=4 (mixed
-        // inputs) blows past the 2M-config wide cap either way; the
-        // point is that the budgeted run reaches the same capped
-        // frontier, bit-identically, with ~7x less resident memory
-        // (~34 MiB vs a ~240 MiB in-RAM arena).
-        spill_rows.push(measure_spill(
-            "phase_model(n=4,rounds=4)",
-            &from_registry("phase", 4, 4),
-            &[0, 1, 0, 1],
-            64 * 1024 * 1024,
-            wide,
-        ));
-        // The guided-search flagship: a broken register protocol sized
-        // so exhaustive BFS blows the default configuration budget
-        // hunting for the (deep) shortest witness, while the
-        // straddle-scored frontier digs one out, which is then shrunk
-        // and re-verified.
-        guided_rows.push(measure_guided(
-            "optimistic(n=5,r=4)",
-            &from_registry("optimistic", 5, 4),
-            &[0, 1, 0, 1, 0],
-        ));
-    }
-    let mc = measure_monte_carlo(if smoke { 20 } else { 200 }, threads);
+    rows.push(measure(
+        "optimistic(n=3,r=3)",
+        &from_registry("optimistic", 3, 3),
+        &[0, 1, 0],
+        threads,
+        wide,
+    ));
+    rows.push(measure(
+        "walk_counter(n=3,default)",
+        &from_registry("walk-default", 3, 1),
+        &[0, 1, 0],
+        threads,
+        wide,
+    ));
+    rows.push(measure(
+        "phase_model(n=3,rounds=3)",
+        &from_registry("phase", 3, 3),
+        &[0, 1, 0],
+        threads,
+        wide,
+    ));
+    // The POR showcase rows: every mixing increment commutes with
+    // every other process's, so the ample-set rule collapses the
+    // interleaving lattice of the private phase to chains. These
+    // two are the workloads behind the ">1.5x on at least two
+    // workloads" acceptance gate.
+    rows.push(measure(
+        "localcoin(n=2,r=4)",
+        &from_registry("localcoin", 2, 4),
+        &[0, 1],
+        threads,
+        wide,
+    ));
+    rows.push(measure(
+        "localcoin(n=3,r=2)",
+        &from_registry("localcoin", 3, 2),
+        &[0, 1, 1],
+        threads,
+        wide,
+    ));
+    // The n=4 frontier workload runs at the explorer's *default*
+    // budgets: raw exploration blows through them (truncated at
+    // max_configs), canonical exploration completes — the symmetry
+    // quotient turns an infeasible space into a feasible one. The
+    // uniform input vector maximizes the quotient (the start is
+    // fully symmetric) and makes `raw_configs` exact, so the JSON
+    // still records the true raw-space size the budget could not
+    // hold.
+    rows.push(measure(
+        "walk_tight(n=4,uniform)",
+        &from_registry("walk-counter", 4, 1),
+        &[0, 0, 0, 0],
+        threads,
+        ExploreLimits::default(),
+    ));
+    // The out-of-core flagship: the full raw walk_tight(n=4) space
+    // — which the in-RAM row above could only truncate at the
+    // default budget, and whose complete arena is ~22 MiB — run to
+    // exhaustion under a 4 MiB resident budget and checked
+    // bit-identical against an unlimited-RAM run at the same wide
+    // limits.
+    spill_rows.push(measure_spill(
+        "walk_tight(n=4,uniform)",
+        &from_registry("walk-counter", 4, 1),
+        &[0, 0, 0, 0],
+        4 * 1024 * 1024,
+        wide,
+    ));
+    // The scale row: phase_model pushed to n=4/rounds=4 (mixed
+    // inputs) blows past the 2M-config wide cap either way; the
+    // point is that the budgeted run reaches the same capped
+    // frontier, bit-identically, with ~7x less resident memory
+    // (~34 MiB vs a ~240 MiB in-RAM arena).
+    spill_rows.push(measure_spill(
+        "phase_model(n=4,rounds=4)",
+        &from_registry("phase", 4, 4),
+        &[0, 1, 0, 1],
+        64 * 1024 * 1024,
+        wide,
+    ));
+    // The guided-search flagship: a broken register protocol sized
+    // so exhaustive BFS blows the default configuration budget
+    // hunting for the (deep) shortest witness, while the
+    // straddle-scored frontier digs one out, which is then shrunk
+    // and re-verified.
+    guided_rows.push(measure_guided(
+        "optimistic(n=5,r=4)",
+        &from_registry("optimistic", 5, 4),
+        &[0, 1, 0, 1, 0],
+    ));
+    let mc = measure_monte_carlo(200, threads);
 
     let all_equivalent = rows.iter().all(|r| r.equivalent)
         && spill_rows.iter().all(|r| r.identical)
@@ -673,7 +639,7 @@ fn main() {
     json.push_str("  \"bench\": \"explore_perf\",\n");
     json.push_str("  \"schema_version\": 4,\n");
     json.push_str(&format!("  \"git_rev\": \"{}\",\n", json_escape(&git_revision())));
-    json.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
+    json.push_str("  \"mode\": \"full\",\n");
     json.push_str(&format!("  \"host_parallelism\": {host},\n"));
     json.push_str(&format!("  \"threads_parallel\": {threads},\n"));
     json.push_str("  \"threads_sequential\": 1,\n");

@@ -92,7 +92,7 @@ use randsync::model::runtime::{replay_execution, Runtime};
 use randsync::core::witness::InconsistencyWitness;
 use randsync::model::{
     Checkpoint, CheckpointRequest, Configuration, Execution, ExploreConfig, ExploreLimits,
-    ExploreOutcome, Explorer, ProcessId, Protocol, SearchMode, Step,
+    ExploreOutcome, Explorer, Protocol, SearchMode,
 };
 use randsync::objects::bridge;
 use randsync::obs::{self, ExecutionTrace, Field, Json, MetricValue, Snapshot, TraceSink};
@@ -442,7 +442,7 @@ fn run_valency(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let mut config = ExploreConfig {
-        limits: ExploreLimits { max_configs: 3_000_000, max_depth: 200_000 },
+        limits: ExploreLimits::EXHAUSTIVE,
         threads,
         canonical,
         por,
@@ -658,13 +658,7 @@ fn run_shrink(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let protocol = (entry.build)(trace.n, trace.r);
-    let execution = Execution::from_steps(
-        trace
-            .steps
-            .iter()
-            .map(|&(pid, coin)| Step::with_coin(ProcessId(pid as usize), coin))
-            .collect(),
-    );
+    let execution = Execution::from_trace(&trace);
     let Some(witness) = InconsistencyWitness::from_execution(&protocol, &trace.inputs, execution)
     else {
         eprintln!(
@@ -744,7 +738,7 @@ fn run_resume(args: &[String]) -> ExitCode {
         ckpt.level_depth,
         ckpt.nodes()
     );
-    let explorer = Explorer::new(ExploreLimits { max_configs: 3_000_000, max_depth: 200_000 })
+    let explorer = Explorer::new(ExploreLimits::EXHAUSTIVE)
         .mem_budget(mem_budget);
     let out = match explorer.resume(&(entry.build)(ckpt.n as usize, ckpt.r as usize), &ckpt) {
         Ok(out) => out,
@@ -764,15 +758,14 @@ fn run_check(args: &[String]) -> ExitCode {
         Ok(e) => e,
         Err(code) => return code,
     };
-    let limits = ExploreLimits { max_configs: 3_000_000, max_depth: 200_000 };
-    let explorer = Explorer::new(limits);
+    let explorer = Explorer::new(ExploreLimits::EXHAUSTIVE);
     let out = explorer.explore(&(entry.build)(entry.default_n, r), entry.default_inputs);
     print_check_summary(&out);
     ExitCode::SUCCESS
 }
 
 /// The two-line model-checking verdict shared by `check` and `resume`
-/// (identical output lets `verify.sh` diff a resumed search against an
+/// (identical output lets a resumed search be diffed against an
 /// uninterrupted one).
 fn print_check_summary(out: &ExploreOutcome) {
     println!(
@@ -820,11 +813,7 @@ fn run_threaded(args: &[String]) -> ExitCode {
     }
     let protocol = (entry.build)(n, entry.default_r);
     let n = protocol.num_processes(); // fixed-arity entries ignore the request
-    let inputs: Vec<u8> = if n == entry.default_n {
-        entry.default_inputs.to_vec()
-    } else {
-        registry::alternating_inputs(n)
-    };
+    let inputs = entry.inputs_for(n);
     let objects = match bridge::instantiate_all(&protocol) {
         Ok(o) => o,
         Err(e) => {
@@ -924,13 +913,7 @@ fn run_replay(args: &[String]) -> ExitCode {
     };
     let refs: Vec<&dyn randsync::model::DynObject> =
         objects.iter().map(AsRef::as_ref).collect();
-    let execution = Execution::from_steps(
-        trace
-            .steps
-            .iter()
-            .map(|&(pid, coin)| Step::with_coin(ProcessId(pid as usize), coin))
-            .collect(),
-    );
+    let execution = Execution::from_trace(&trace);
     let decisions = match replay_execution(&protocol, &refs, &trace.inputs, &execution) {
         Ok(d) => d,
         Err(e) => {
@@ -942,18 +925,7 @@ fn run_replay(args: &[String]) -> ExitCode {
     println!("  recorded by : {} interpreter, seed {}", trace.interpreter, trace.seed);
     println!("  inputs      : {:?}", trace.inputs);
     println!("  decisions   : {decisions:?}");
-    // Witness traces only claim the decisions of their designated
-    // deciders; runtime traces claim every process's outcome.
-    let matches = if trace.interpreter == "witness" {
-        trace
-            .decisions
-            .iter()
-            .enumerate()
-            .all(|(pid, claim)| claim.is_none() || decisions.get(pid) == Some(claim))
-    } else {
-        decisions == trace.decisions
-    };
-    if matches {
+    if trace.decisions_match(&decisions) {
         println!("  verdict     : decisions match the recorded run");
         ExitCode::SUCCESS
     } else {

@@ -1,15 +1,55 @@
 //! End-to-end tests of the `randsync` CLI binary.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
+use std::thread;
+
+use randsync::obs::{parse_json, Json};
 
 fn randsync(args: &[&str]) -> (String, String, bool) {
+    randsync_in(Path::new("."), args)
+}
+
+/// Run the binary with `dir` as its working directory.
+fn randsync_in(dir: &Path, args: &[&str]) -> (String, String, bool) {
     let exe = env!("CARGO_BIN_EXE_randsync");
-    let out = Command::new(exe).args(args).output().expect("binary runs");
+    let out = Command::new(exe).args(args).current_dir(dir).output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.success(),
     )
+}
+
+/// A fresh, empty per-test directory under the system temp dir.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("randsync-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+fn path_str(path: &Path) -> &str {
+    path.to_str().expect("utf-8 temp path")
+}
+
+/// Spawn `randsync <args>` as a server. Returns the child, the address
+/// its `listening on` line names, and a thread collecting the rest of
+/// its stdout (so the child never blocks on a full pipe).
+fn spawn_server(args: &[&str]) -> (Child, String, thread::JoinHandle<Vec<String>>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_randsync"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let addr = lines
+        .by_ref()
+        .find_map(|l| Some(l.ok()?.strip_prefix("randsync-svc listening on ")?.to_string()))
+        .expect("server prints its address");
+    (child, addr, thread::spawn(move || lines.map_while(Result::ok).collect()))
 }
 
 #[test]
@@ -120,7 +160,145 @@ fn por_valency_honours_the_memory_budget() {
         assert_eq!(spill_lines.len(), 1, "{protocol}: the budgeted run reports its spill line");
         assert_eq!(rest, ram.lines().collect::<Vec<_>>(), "{protocol}: other lines match RAM");
         assert!(ram.contains(&format!("partial-order red.  : {por_line}")), "{protocol}: {ram}");
+
+        // Against the unreduced search: strictly fewer configurations,
+        // the same valency verdict and bivalent-cycle fact.
+        let (raw, _, ok) = randsync(&["valency", protocol]);
+        assert!(ok);
+        let line = |out: &str, key: &str| -> String {
+            out.lines()
+                .find_map(|l| l.strip_prefix(key))
+                .unwrap_or_else(|| panic!("{protocol}: no {key:?} line in:\n{out}"))
+                .to_string()
+        };
+        let configs = |out: &str| -> usize {
+            line(out, "configurations      : ").parse().expect("a configuration count")
+        };
+        assert!(configs(&ram) < configs(&raw), "{protocol}: POR must prune");
+        for key in ["initial valency     : ", "bivalent cycle      : "] {
+            assert_eq!(line(&ram, key), line(&raw, key), "{protocol}: {key}");
+        }
     }
+}
+
+#[test]
+fn deadline_cut_valency_resumes_to_the_check_verdict() {
+    let dir = scratch_dir("resume");
+    let ckpt = dir.join("cut.ckpt");
+    // An already-expired deadline cuts the search at the first level
+    // boundary: the run fails (truncated) but leaves a checkpoint.
+    let (_, _, ok) = randsync(&[
+        "valency",
+        "walk-counter",
+        "0",
+        "--deadline-ms",
+        "0",
+        "--checkpoint",
+        path_str(&ckpt),
+    ]);
+    assert!(!ok, "a deadline-cut valency run must exit nonzero");
+    assert!(ckpt.exists(), "the cut run must write its checkpoint");
+    // Resuming on the spill tier prints what an uninterrupted check
+    // prints, byte for byte.
+    let (resumed, stderr, ok) = randsync(&["resume", path_str(&ckpt), "--mem-budget", "65536"]);
+    assert!(ok, "{stderr}");
+    let (check, _, ok) = randsync(&["check", "walk-counter"]);
+    assert!(ok);
+    assert_eq!(resumed, check);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn traced_runs_replay_through_the_binary() {
+    let dir = scratch_dir("trace");
+    let runs = [("walk-counter", "2", "1"), ("fetchinc2", "2", "7"), ("cas", "3", "42")];
+    for (protocol, n, seed) in runs {
+        let trace = dir.join(format!("{protocol}.jsonl"));
+        let trace_arg = path_str(&trace);
+        let (stdout, stderr, ok) = randsync(&["run", protocol, n, seed, "--trace", trace_arg]);
+        assert!(ok, "{protocol}: {stderr}");
+        assert!(stdout.contains("verdict   : consistent and valid"), "{protocol}: {stdout}");
+        let (stdout, stderr, ok) = randsync(&["replay", trace_arg]);
+        assert!(ok, "{protocol}: replay diverged: {stderr}");
+        assert!(stdout.contains("decisions match the recorded run"), "{protocol}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn best_first_witness_shrinks_and_replays() {
+    let dir = scratch_dir("best-first");
+    let (stdout, stderr, ok) = randsync_in(&dir, &["valency", "naive", "--best-first"]);
+    assert!(ok, "best-first must produce a verified witness: {stderr}");
+    assert!(stdout.contains("guided search       : inconsistency reached"), "{stdout}");
+    assert!(stdout.contains("minimized           : "), "{stdout}");
+    // The minimized witness lands in the working directory as a trace.
+    let trace = std::fs::read_dir(&dir)
+        .expect("read temp dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.to_string_lossy().contains("randsync-witness-"))
+        .expect("best-first dumps a flight trace");
+    let (_, stderr, ok) = randsync(&["replay", path_str(&trace)]);
+    assert!(ok, "the dumped trace must replay: {stderr}");
+    let min = dir.join("min.jsonl");
+    let (_, stderr, ok) = randsync(&["shrink", path_str(&trace), "--out", path_str(&min)]);
+    assert!(ok, "shrink must accept the dumped trace: {stderr}");
+    let (_, stderr, ok) = randsync(&["replay", path_str(&min)]);
+    assert!(ok, "the shrunk trace must replay: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn served_jobs_resume_soak_and_drain_over_a_worker_shard() {
+    let dir = scratch_dir("serve");
+    let (mut worker, worker_addr, worker_out) = spawn_server(&["worker", "127.0.0.1:0"]);
+    let (mut coord, addr, coord_out) = spawn_server(&[
+        "serve",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+        "--workers-addrs",
+        &worker_addr,
+        "--checkpoint-dir",
+        path_str(&dir),
+    ]);
+    let submit = |args: &[&str]| -> Json {
+        let (stdout, stderr, ok) = randsync(&[&["submit", addr.as_str()], args].concat());
+        assert!(ok, "submit {args:?}: {stderr}");
+        parse_json(stdout.trim()).expect("submit prints the result JSON")
+    };
+
+    let run = submit(&["run", "protocol=walk-counter", "seed=7"]);
+    assert_eq!(run.get("consistent"), Some(&Json::Bool(true)));
+    // A depth-capped explore on the spill tier checkpoints into the
+    // server's --checkpoint-dir; resuming its id reaches the full count.
+    let full = submit(&["explore", "protocol=naive"]);
+    let cut = submit(&["explore", "protocol=naive", "max_depth=2", "mem_budget=4096"]);
+    assert_eq!(cut.get("truncation_reason").and_then(Json::as_str), Some("depth-cap"));
+    let id = cut.get("checkpoint").and_then(Json::as_str).expect("checkpoint id");
+    assert!(std::fs::read_dir(&dir).expect("checkpoint dir").next().is_some());
+    let resumed = submit(&["resume", &format!("checkpoint={id}")]);
+    let configs = |job: &Json| job.get("configs").and_then(Json::as_u64).expect("config count");
+    assert_eq!(configs(&resumed), configs(&full));
+    assert_eq!(resumed.get("truncated"), Some(&Json::Bool(false)));
+    // Mixed load at the backpressure boundary; a leaked gauge, a broken
+    // p99 ceiling or a cache hit rate under the floor exits nonzero.
+    let (stdout, stderr, ok) = randsync(&["soak", &addr, "--duration-s", "5"]);
+    assert!(ok, "the soak monitor flagged the server: {stdout}{stderr}");
+    assert!(stdout.contains("PASS"), "{stdout}");
+    let (stdout, stderr, ok) = randsync(&["submit", &addr, "metrics"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("svc.jobs.ok"), "metrics must carry svc.* entries: {stdout}");
+
+    let servers = [(&mut coord, coord_out, &addr), (&mut worker, worker_out, &worker_addr)];
+    for (server, out, addr) in servers {
+        let (_, stderr, ok) = randsync(&["shutdown", addr]);
+        assert!(ok, "shutdown {addr}: {stderr}");
+        assert!(server.wait().expect("server exits").success());
+        let out = out.join().expect("stdout reader");
+        assert!(out.iter().any(|l| l == "randsync-svc drained and stopped"), "{out:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -10,9 +10,10 @@
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use randsync::obs::Json;
+use randsync::svc::job::Job;
 use randsync::svc::soak::{run_soak, SoakConfig, ThresholdCatalog};
 use randsync::svc::{Client, Server, ServerConfig};
 
@@ -85,7 +86,7 @@ fn distributed_job_spans_stitch_across_three_server_processes() {
         &coord_trace,
     ]);
 
-    let (_, stderr, ok) = run_cli(&[
+    let (stdout, stderr, ok) = run_cli(&[
         "submit",
         &coord_addr,
         "valency",
@@ -94,6 +95,13 @@ fn distributed_job_spans_stitch_across_three_server_processes() {
         "protocol=cas",
     ]);
     assert!(ok, "distributed submit failed: {stderr}");
+    // The sharded answer is the single-node answer, byte for byte.
+    let params = obj(&[("protocol", Json::Str("cas".to_string()))]);
+    let single = Job::parse("valency", &params)
+        .expect("valid job")
+        .execute(Instant::now() + Duration::from_secs(3600))
+        .expect("job runs");
+    assert_eq!(stdout.trim_end(), single.render(), "sharded valency diverged from single-node");
 
     // Drain-then-exit shutdown flushes each process's JSONL sink.
     for addr in [&coord_addr, &w1_addr, &w2_addr] {
