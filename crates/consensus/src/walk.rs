@@ -18,7 +18,7 @@
 //!   termination property the paper's lower bound is stated against.)
 //!
 //! The protocol's state machine lives in
-//! [`WalkModel`](crate::model_protocols::WalkModel) — the same machine
+//! [`WalkModel`] — the same machine
 //! the explorer model checks exhaustively. This type **instantiates**
 //! that machine on real shared memory: each [`CounterAccess`] backing is
 //! exposed to [`randsync_model::runtime`] as the model's single shared

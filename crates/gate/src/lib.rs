@@ -3,7 +3,7 @@
 //! This crate turns "the workspace reproduces the paper" from a claim
 //! into a machine-checkable contract, in three pieces:
 //!
-//! - [`catalog`] — one [`PropertyEntry`](catalog::PropertyEntry) per
+//! - [`catalog`](mod@catalog) — one [`PropertyEntry`] per
 //!   reproduced theorem/lemma (Theorem 3.3, Lemma 3.6, Theorems 4.2
 //!   and 4.4, the Theorem 2.1 composition bound, plus the workspace's
 //!   own equivalence properties), each binding the paper hook and the
@@ -16,7 +16,7 @@
 //!   interpreters on every run.
 //! - [`runner`] — `randsync gate`: executes catalog plus corpus under
 //!   per-entry deadlines and emits a machine-readable
-//!   [`GateReport`](runner::GateReport). Fail-closed: any failure,
+//!   [`GateReport`]. Fail-closed: any failure,
 //!   lost witness, or skip exits nonzero; there is no soft mode.
 //!
 //! See DESIGN.md §18 for the schema and semantics.

@@ -18,10 +18,13 @@
 //! child), so resume rebuilds the arena in one linear pass: decode the
 //! parent row, apply the step via [`Configuration::step`]
 //! (canonicalizing in canonical mode), and re-intern. `encode_intern`
-//! assigns codec ids in first-use order, and the replay visits nodes in
-//! the original interning order, so the rebuilt arena — every word,
-//! every id — is identical to the one that was checkpointed, in RAM
-//! *or* spill mode, regardless of which mode produced the file.
+//! assigns codec ids in first-use order — as do the word deltas the
+//! live search interns, whose changed state and value are the only
+//! entries a full encode of the same successor could add — and the
+//! replay visits nodes in the original interning order, so the rebuilt
+//! arena — every word, every id — is identical to the one that was
+//! checkpointed, in RAM *or* spill mode, regardless of which mode
+//! produced the file.
 //!
 //! The frontier is not stored either: it is exactly the set of nodes at
 //! depth [`Checkpoint::level_depth`], in index order.

@@ -39,12 +39,16 @@
 //! 4. **Deterministic parallelism.** Each BFS level is processed in two
 //!    phases. Phase 1 expands the frontier — in parallel chunks under
 //!    [`std::thread::scope`] when the frontier is large enough — with
-//!    *read-only* access to the arena, producing candidate successors.
-//!    Phase 2 merges the candidates sequentially at the level barrier:
-//!    it interns new states into the codec in frontier order, resolves
-//!    duplicates (including those discovered concurrently within the
-//!    level), assigns arena indices by first occurrence in frontier
-//!    order, and records edges. Because of that order — and because the
+//!    *read-only* access to the arena: each node is expanded straight
+//!    from its packed row, and each candidate successor is a small
+//!    delta against that row (see [`expand_node`]); no configuration is
+//!    decoded or cloned. Phase 2 merges the candidates sequentially at
+//!    the level barrier: it builds each candidate's row from its
+//!    parent's, interning only the changed state and value into the
+//!    codec in frontier order, resolves duplicates (including those
+//!    discovered concurrently within the level), assigns arena indices
+//!    by first occurrence in frontier order, and records edges. Because
+//!    of that order — and because the
 //!    canonical order is the protocol-level `Ord` on states, not an
 //!    interning artifact — the arena order (and hence every witness,
 //!    count, and flag derived from it) is **identical to a sequential
@@ -56,14 +60,15 @@
 //!    and continue — see [`super::checkpoint`] for the soundness
 //!    argument.
 
-use std::cmp::Ordering;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::config::Configuration;
+use crate::config::{Configuration, ProcState};
 use crate::execution::Step;
+use crate::process::ProcessId;
 use crate::protocol::{Action, Decision, ObjectSpec, Protocol};
+use crate::value::Value;
 
 use super::canonical::{permutations_of_sorted, Canonicalizer};
 use super::checkpoint::{Checkpoint, CheckpointError};
@@ -268,86 +273,91 @@ struct Search<'a, P: Protocol> {
     max_configs: usize,
 }
 
+/// One candidate successor, as a delta against its parent's packed
+/// row: the step taken, the stepping process's new slot, and the object
+/// whose value the step changed, if any. Every other slot is the
+/// parent's.
+struct Cand<S> {
+    step: Step,
+    proc: ProcState<S>,
+    value: Option<(usize, Value)>,
+}
+
 /// One frontier node's expansion: its candidate successors plus what
 /// the ample-set reduction did to it.
 struct NodeExpansion<S> {
-    /// Candidate successors, already canonical in canonical mode.
-    cands: Vec<(Step, Configuration<S>)>,
+    /// Candidate successors, as deltas against the node's row.
+    cands: Vec<Cand<S>>,
     /// Only one process's steps were expanded (an ample singleton).
     reduced: bool,
     /// Enabled process moves the reduction skipped at this node.
     pruned: u32,
 }
 
-/// All one-step successors of `config`, enumerated in `(pid, coin)`
-/// order — the same order as [`super::successors`] — by mutating a
-/// single scratch clone in place and undoing each step.
+/// All one-step successors of the node whose packed words are `row`,
+/// enumerated in `(pid, coin)` order — the same order as
+/// [`super::successors`] — as deltas against `row`.
+///
+/// The node is never decoded: process states and object values are
+/// borrowed from the arena's codec, so a candidate costs one protocol
+/// transition and no configuration clone. Canonicalization happens
+/// when the merge builds the candidate's row.
 ///
 /// With a [`PorContext`], the node may be reduced to a singleton ample
 /// set: only that process's steps are expanded (and the skipped moves
-/// counted). The ample choice is a pure function of `config`, so
-/// parallel workers and sequential re-expansion agree. If the ample
+/// counted). The ample choice is a pure function of the configuration,
+/// so parallel workers and sequential re-expansion agree. If the ample
 /// process turns out to contribute no successors (a degenerate apply
 /// failure), the node falls back to full expansion — a reduced node
 /// must never look terminal when it is not.
 fn expand_node<P: Protocol>(
     search: &Search<'_, P>,
-    config: &Configuration<P::State>,
+    arena: &PackedArena<P::State>,
+    row: &[u32],
     por: Option<&PorContext<P::State>>,
 ) -> NodeExpansion<P::State> {
     let protocol = search.protocol;
-    let restrict: Option<crate::process::ProcessId> =
-        por.and_then(|ctx| match ctx.ample(protocol, config) {
+    let (procs, values) = row.split_at(arena.n_procs());
+    let restrict: Option<ProcessId> = por.and_then(|ctx| {
+        match ctx.ample(protocol, procs.iter().map(|&w| arena.state_of(w))) {
             Ample::Singleton(p) => Some(p),
             Ample::Full => None,
-        });
+        }
+    });
     let mut cands = Vec::new();
     let mut pruned = 0u32;
-    let mut scratch = config.clone();
-    let push = |step: Step, scratch: &Configuration<P::State>, cands: &mut Vec<_>| {
-        let mut cand = scratch.clone();
-        search.canon.canonicalize(&mut cand);
-        cands.push((step, cand));
-    };
-    for pid in config.active_processes() {
+    for (pid, &word) in procs.iter().enumerate() {
+        let Some(state) = arena.state_of(word) else { continue };
+        let pid = ProcessId(pid);
         if restrict.is_some_and(|p| p != pid) {
             pruned += 1;
             continue;
         }
-        // `state` borrows from `config`, never from `scratch`, so the
-        // in-place mutations below cannot invalidate it.
-        let Some(state) = config.procs[pid.0].state() else { continue };
         match protocol.action(state) {
             Action::Decide(d) => {
-                let prev = std::mem::replace(
-                    &mut scratch.procs[pid.0],
-                    crate::config::ProcState::Decided(d),
-                );
-                push(Step::of(pid), &scratch, &mut cands);
-                scratch.procs[pid.0] = prev;
+                cands.push(Cand { step: Step::of(pid), proc: ProcState::Decided(d), value: None });
             }
             Action::Invoke { object, op } => {
                 let Some(spec) = search.specs.get(object.0) else { continue };
-                let Some(value) = config.values.get(object.0) else { continue };
+                let Some(&value_word) = values.get(object.0) else { continue };
+                let value = arena.value_of(value_word);
                 let Ok((new_value, resp)) = spec.kind.apply(value, &op) else { continue };
+                let value = (new_value != *value).then_some((object.0, new_value));
                 let domain = protocol.coin_domain(state, &resp).max(1);
-                let prev_value = std::mem::replace(&mut scratch.values[object.0], new_value);
                 for coin in 0..domain {
-                    let next_state = protocol.transition(state, &resp, coin);
-                    let prev_proc = std::mem::replace(
-                        &mut scratch.procs[pid.0],
-                        crate::config::ProcState::Active(next_state),
-                    );
-                    push(Step::with_coin(pid, coin), &scratch, &mut cands);
-                    scratch.procs[pid.0] = prev_proc;
+                    let next = protocol.transition(state, &resp, coin);
+                    cands.push(Cand {
+                        step: Step::with_coin(pid, coin),
+                        proc: ProcState::Active(next),
+                        value,
+                    });
                 }
-                scratch.values[object.0] = prev_value;
             }
         }
     }
     if restrict.is_some() && cands.is_empty() && pruned > 0 {
         // The ample process contributed nothing; expand in full.
-        return expand_node(search, config, None);
+        return expand_node(search, arena, row, None);
     }
     let reduced = restrict.is_some() && pruned > 0;
     NodeExpansion { cands, reduced, pruned: if reduced { pruned } else { 0 } }
@@ -655,10 +665,12 @@ where
         // Phase 1: expand every frontier node against a frozen view of
         // the arena and codec. Nothing is interned yet, so workers may
         // race freely; duplicates are resolved by the merge below.
-        // Frontier nodes are decoded from the packed arena on the fly.
+        // Frontier nodes are expanded straight from their packed rows.
         let expansions: Vec<NodeExpansion<P::State>> = {
             let arena = &g.arena;
-            let expand = |&i: &u32| expand_node(search, &arena.decode(i), search.por.as_ref());
+            let expand = |&i: &u32| {
+                arena.with_words(i, |row| expand_node(search, arena, row, search.por.as_ref()))
+            };
             if threads > 1 && frontier.len() >= PARALLEL_FRONTIER_MIN {
                 let chunk = frontier.len().div_ceil(threads.min(frontier.len()));
                 std::thread::scope(|scope| {
@@ -743,27 +755,25 @@ impl GroupState {
 
 /// One level's candidates, packed in the order they were encoded.
 /// Candidate `ord` has key `(hash[ord], row(ord))`.
-struct LevelKeys<S> {
+struct LevelKeys {
     stride: usize,
     parent: Vec<u32>,
     step: Vec<Step>,
     hash: Vec<u64>,
     words: Vec<u32>,
-    /// Heap forms, kept only when a stop predicate must see them.
-    cfg: Option<Vec<Configuration<S>>>,
-    scratch: Vec<u32>,
+    /// The packed row of the node whose candidates are being encoded.
+    base: Vec<u32>,
 }
 
-impl<S: Clone + Eq + Hash> LevelKeys<S> {
-    fn new(stride: usize, keep_cfg: bool) -> Self {
+impl LevelKeys {
+    fn new(stride: usize) -> Self {
         LevelKeys {
             stride,
             parent: Vec::new(),
             step: Vec::new(),
             hash: Vec::new(),
             words: Vec::new(),
-            cfg: keep_cfg.then(Vec::new),
-            scratch: Vec::new(),
+            base: Vec::new(),
         }
     }
 
@@ -775,40 +785,73 @@ impl<S: Clone + Eq + Hash> LevelKeys<S> {
         &self.words[ord * self.stride..(ord + 1) * self.stride]
     }
 
-    /// Encode one candidate, interning any new states and values.
-    fn push(&mut self, arena: &mut PackedArena<S>, parent: u32, step: Step, cfg: Configuration<S>) {
-        arena.encode_intern(&cfg, &mut self.scratch);
-        self.hash.push(hash_words(&self.scratch));
-        self.words.extend_from_slice(&self.scratch);
-        self.parent.push(parent);
-        self.step.push(step);
-        if let Some(cfgs) = &mut self.cfg {
-            cfgs.push(cfg);
+    /// Encode the candidates of frontier node `parent`: each row is the
+    /// parent's row with the stepping slot and the changed object
+    /// re-interned, its process words re-sorted on the symmetry
+    /// quotient. The parent's other slots are interned already, so the
+    /// codec grows exactly as a full encode of each successor would
+    /// grow it.
+    fn push_node<S: Clone + Eq + Ord + Hash>(
+        &mut self,
+        arena: &mut PackedArena<S>,
+        canonical: bool,
+        parent: u32,
+        cands: Vec<Cand<S>>,
+    ) {
+        if cands.is_empty() {
+            return;
+        }
+        arena.with_words(parent, |row| {
+            self.base.clear();
+            self.base.extend_from_slice(row);
+        });
+        let n_procs = arena.n_procs();
+        for cand in cands {
+            let at = self.words.len();
+            self.words.extend_from_slice(&self.base);
+            let row = &mut self.words[at..];
+            row[cand.step.pid.0] = arena.intern_proc(&cand.proc);
+            if let Some((object, value)) = &cand.value {
+                row[n_procs + object] = arena.intern_value(value);
+            }
+            if canonical {
+                arena.sort_procs(&mut row[..n_procs]);
+            }
+            self.hash.push(hash_words(row));
+            self.parent.push(parent);
+            self.step.push(cand.step);
         }
     }
 
-    /// Key order, ties broken by ordinal so that each key's group
-    /// starts with its earliest candidate.
-    fn cmp(&self, a: u32, b: u32) -> Ordering {
-        let (a, b) = (a as usize, b as usize);
-        self.hash[a].cmp(&self.hash[b]).then_with(|| self.row(a).cmp(self.row(b))).then(a.cmp(&b))
-    }
-
-    /// Label every candidate of a key-sorted `order` with its distinct
-    /// key's group. Returns the group of each candidate and each
+    /// Group every candidate by key. Candidates are ordered by
+    /// `(hash, words, ordinal)`: flat `(hash << 32) | ordinal` keys are
+    /// sorted, and only runs of equal hash are re-sorted, stably, on
+    /// their words. Returns the group of each candidate and each
     /// group's representative (its earliest candidate), in key order.
-    fn group(&self, order: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    fn group(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut keys: Vec<u128> = self
+            .hash
+            .iter()
+            .enumerate()
+            .map(|(ord, &h)| u128::from(h) << 32 | ord as u128)
+            .collect();
+        keys.sort_unstable();
+        let mut order: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
         let mut group_of = vec![0u32; self.len()];
         let mut reps: Vec<u32> = Vec::new();
-        for (s, &ord) in order.iter().enumerate() {
-            let fresh = s == 0 || {
-                let (prev, cur) = (order[s - 1] as usize, ord as usize);
-                self.hash[prev] != self.hash[cur] || self.row(prev) != self.row(cur)
-            };
-            if fresh {
-                reps.push(ord);
+        let mut s = 0;
+        while s < keys.len() {
+            let h = keys[s] >> 32;
+            let e = keys[s..].iter().position(|&key| key >> 32 != h).map_or(keys.len(), |n| s + n);
+            let run = &mut order[s..e];
+            run.sort_by(|&a, &b| self.row(a as usize).cmp(self.row(b as usize)));
+            for (i, &ord) in run.iter().enumerate() {
+                if i == 0 || self.row(run[i - 1] as usize) != self.row(ord as usize) {
+                    reps.push(ord);
+                }
+                group_of[ord as usize] = (reps.len() - 1) as u32;
             }
-            group_of[ord as usize] = (reps.len() - 1) as u32;
+            s = e;
         }
         (group_of, reps)
     }
@@ -870,7 +913,8 @@ fn merge_level<P: Protocol>(
     level_depth: usize,
 ) -> Result<(Vec<u32>, LevelStats), TransportError> {
     let n_procs = g.arena.n_procs();
-    let mut lev = LevelKeys::new(g.arena.stride(), search.stop.is_some());
+    let canonical = search.canon.enabled();
+    let mut lev = LevelKeys::new(g.arena.stride());
 
     // Pass A: encode every candidate in frontier order, remembering
     // each node's span and any reduction it received.
@@ -878,9 +922,7 @@ fn merge_level<P: Protocol>(
     let mut reduced: Vec<(usize, u32)> = Vec::new();
     for (pos, expansion) in expansions.into_iter().enumerate() {
         let start = lev.len();
-        for (step, cfg) in expansion.cands {
-            lev.push(&mut g.arena, frontier[pos], step, cfg);
-        }
+        lev.push_node(&mut g.arena, canonical, frontier[pos], expansion.cands);
         spans.push(start..lev.len());
         if expansion.reduced {
             reduced.push((pos, expansion.pruned));
@@ -890,9 +932,7 @@ fn merge_level<P: Protocol>(
 
     // Pass B: group candidates by key. Two candidates are the same
     // configuration iff their full words match (the hash only orders).
-    let mut order: Vec<u32> = (0..k as u32).collect();
-    order.sort_unstable_by(|&a, &b| lev.cmp(a, b));
-    let (mut group_of, mut reps) = lev.group(&order);
+    let (mut group_of, mut reps) = lev.group();
 
     // Pass C: one sorted probe batch against the seen-set.
     let found = lev.probe(dedup, &reps)?;
@@ -902,11 +942,10 @@ fn merge_level<P: Protocol>(
     for (pos, pruned) in reduced {
         if spans[pos].clone().any(|ord| found[group_of[ord] as usize].is_some()) {
             g.por_fallbacks += 1;
-            let full = expand_node(search, &g.arena.decode(frontier[pos]), None);
+            let full =
+                g.arena.with_words(frontier[pos], |row| expand_node(search, &g.arena, row, None));
             let start = lev.len();
-            for (step, cfg) in full.cands {
-                lev.push(&mut g.arena, frontier[pos], step, cfg);
-            }
+            lev.push_node(&mut g.arena, canonical, frontier[pos], full.cands);
             fallback[pos] = Some(start..lev.len());
         } else {
             g.por_pruned += pruned as usize;
@@ -915,12 +954,9 @@ fn merge_level<P: Protocol>(
     let mut gstate: Vec<GroupState> = if lev.len() == k {
         found.into_iter().map(GroupState::probed).collect()
     } else {
-        // Regroup with the fallback candidates (the sort merges them
-        // into the sorted prefix), reuse the first batch's answers, and
-        // probe the keys only the fallbacks produced.
-        order.extend(k as u32..lev.len() as u32);
-        order.sort_by(|&a, &b| lev.cmp(a, b));
-        let (all_group_of, all_reps) = lev.group(&order);
+        // Regroup with the fallback candidates, reuse the first batch's
+        // answers, and probe the keys only the fallbacks produced.
+        let (all_group_of, all_reps) = lev.group();
         let fresh_reps: Vec<u32> = all_reps.iter().copied().filter(|&r| r as usize >= k).collect();
         let fresh =
             if fresh_reps.is_empty() { Vec::new() } else { lev.probe(dedup, &fresh_reps)? };
@@ -963,8 +999,7 @@ fn merge_level<P: Protocol>(
             }
             GroupState::Unassigned => {
                 let row = lev.row(ord);
-                let class =
-                    if search.canon.enabled() { permutations_of_sorted(&row[..n_procs]) } else { 1 };
+                let class = if canonical { permutations_of_sorted(&row[..n_procs]) } else { 1 };
                 let j = g.arena.push(row);
                 g.parent.push(Some((lev.parent[ord], lev.step[ord])));
                 g.depth.push(level_depth as u32 + 1);
@@ -972,12 +1007,8 @@ fn merge_level<P: Protocol>(
                     g.succ.push(Vec::new());
                 }
                 g.add_class(class);
-                if g.hit.is_none() {
-                    if let (Some(pred), Some(cfgs)) = (search.stop, &lev.cfg) {
-                        if pred(&cfgs[ord]) {
-                            g.hit = Some(j);
-                        }
-                    }
+                if g.hit.is_none() && search.stop.is_some_and(|pred| pred(&g.arena.decode(j))) {
+                    g.hit = Some(j);
                 }
                 stats.interned += 1;
                 next_frontier.push(j);
@@ -1064,5 +1095,168 @@ fn finalize<S: Clone + Eq + Hash>(
     match ck.save(&req.path) {
         Ok(()) => g.checkpoint_written = Some(req.path.clone()),
         Err(e) => g.checkpoint_error = Some(e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::*;
+    use crate::kind::ObjectKind;
+    use crate::op::{Operation, Response};
+    use crate::process::ObjectId;
+    use crate::protocol::{ObjectSpec, Symmetry};
+
+    /// Coin-driven climbers on a bounded counter that settle a
+    /// preference by swapping it into a shared register, then decide.
+    #[derive(Debug)]
+    struct Climb;
+
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    enum St {
+        Flip { left: u8 },
+        Swap { pref: Decision },
+        Done(Decision),
+    }
+
+    impl Protocol for Climb {
+        type State = St;
+
+        fn objects(&self) -> Vec<ObjectSpec> {
+            vec![
+                ObjectSpec::new(ObjectKind::BoundedCounter { lo: 0, hi: 3 }, "c"),
+                ObjectSpec::new(ObjectKind::SwapRegister, "r"),
+            ]
+        }
+
+        fn num_processes(&self) -> usize {
+            3
+        }
+
+        fn initial_state(&self, _pid: ProcessId, _input: Decision) -> St {
+            St::Flip { left: 2 }
+        }
+
+        fn action(&self, s: &St) -> Action {
+            match s {
+                St::Flip { .. } => Action::Invoke {
+                    object: ObjectId(0),
+                    op: Operation::Inc,
+                },
+                St::Swap { pref } => Action::Invoke {
+                    object: ObjectId(1),
+                    op: Operation::Swap(Value::Int(i64::from(*pref))),
+                },
+                St::Done(d) => Action::Decide(*d),
+            }
+        }
+
+        fn coin_domain(&self, s: &St, _resp: &Response) -> u32 {
+            if matches!(s, St::Flip { .. }) {
+                2
+            } else {
+                1
+            }
+        }
+
+        fn transition(&self, s: &St, resp: &Response, coin: u32) -> St {
+            match s {
+                St::Flip { left } if coin == 0 && *left > 0 => St::Flip { left: left - 1 },
+                St::Flip { .. } => St::Swap {
+                    pref: coin as Decision,
+                },
+                St::Swap { pref } => St::Done(resp.as_int().map_or(*pref, |v| v as Decision)),
+                St::Done(d) => St::Done(*d),
+            }
+        }
+
+        fn symmetry(&self) -> Symmetry {
+            Symmetry::Symmetric
+        }
+    }
+
+    /// Exhaust `Climb` from a start with crashed, retired and decided
+    /// slots, building every candidate twice: as a word delta against
+    /// its parent's row, and by `encode_intern` of the heap successor
+    /// (canonicalized on the quotient) in a second arena. The rows,
+    /// their hashes and the codec growth must agree candidate by
+    /// candidate.
+    fn deltas_match_full_encoding(canonical: bool) {
+        let p = Climb;
+        let canon = Canonicalizer::for_protocol(&p, canonical);
+        assert_eq!(canon.enabled(), canonical);
+        let search = Search {
+            protocol: &p,
+            specs: p.objects(),
+            canon,
+            por: None,
+            stop: None,
+            record_edges: false,
+            max_configs: usize::MAX,
+        };
+        let mut start = Configuration {
+            procs: vec![
+                ProcState::Active(St::Flip { left: 2 }),
+                ProcState::Crashed,
+                ProcState::Active(St::Swap { pref: 1 }),
+                ProcState::Retired,
+                ProcState::Decided(1),
+                ProcState::Active(St::Flip { left: 1 }),
+            ],
+            values: vec![Value::Int(0), Value::Bottom],
+        };
+        canon.canonicalize(&mut start);
+        let (mut delta, mut full) = (PackedArena::new(6, 2), PackedArena::new(6, 2));
+        let mut row = Vec::new();
+        full.encode_intern(&start, &mut row);
+        full.push(&row);
+        delta.encode_intern(&start, &mut row);
+        delta.push(&row);
+        let mut seen: HashSet<Vec<u32>> = HashSet::from([row.clone()]);
+        let (mut node, mut candidates) = (0u32, 0usize);
+        while (node as usize) < delta.len() {
+            let parent = full.decode(node);
+            let expected: Vec<(Step, Configuration<St>)> = parent
+                .active_processes()
+                .into_iter()
+                .flat_map(|pid| super::super::successors(&p, &parent, pid))
+                .collect();
+            let expansion = delta.with_words(node, |r| expand_node(&search, &delta, r, None));
+            let steps: Vec<Step> = expansion.cands.iter().map(|c| c.step).collect();
+            assert_eq!(steps, expected.iter().map(|(s, _)| *s).collect::<Vec<_>>());
+            let mut lev = LevelKeys::new(delta.stride());
+            lev.push_node(&mut delta, canonical, node, expansion.cands);
+            for (ord, (_, mut succ)) in expected.into_iter().enumerate() {
+                canon.canonicalize(&mut succ);
+                full.encode_intern(&succ, &mut row);
+                assert_eq!(lev.row(ord), row.as_slice(), "node {node}, candidate {ord}");
+                assert_eq!(lev.hash[ord], hash_words(&row));
+                if seen.insert(row.clone()) {
+                    assert_eq!(delta.push(&row), full.push(&row));
+                }
+                candidates += 1;
+            }
+            // Same ids in the same order: the two codecs are the same size.
+            assert_eq!(delta.bytes(), full.bytes(), "node {node}");
+            node += 1;
+        }
+        for i in 0..delta.len() as u32 {
+            assert_eq!(delta.decode(i), full.decode(i));
+        }
+        assert!(
+            candidates > 100,
+            "the space is big enough to mean something: {candidates}"
+        );
+    }
+
+    #[test]
+    fn word_deltas_equal_full_encoding_raw() {
+        deltas_match_full_encoding(false);
+    }
+
+    #[test]
+    fn word_deltas_equal_full_encoding_canonical() {
+        deltas_match_full_encoding(true);
     }
 }

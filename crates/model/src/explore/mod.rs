@@ -16,18 +16,22 @@
 //!
 //! # Architecture: packed arena + sorted-batch dedup + level-parallel BFS
 //!
-//! All exhaustive searches run on one engine (see [`engine`] — the
-//! module is private; this summary is the contract). Configurations are
+//! All exhaustive searches run on one engine (the private `engine`
+//! module; this summary is the contract). Configurations are
 //! *interned and packed*: each distinct configuration is stored once,
 //! as a fixed-stride run of `u32` words (small-int encoded process
-//! states and object values against a per-protocol codec — see
-//! [`pack`]) in one append-only flat buffer, and referred to by `u32`
-//! index everywhere else, so the search graph carries indices, not
-//! clones, and hashing/equality run over flat words. Deduplication is
-//! one sorted batch merge per BFS level: the level's candidate keys (a
-//! 64-bit hash of the packed words, then the words themselves) are
-//! sorted and resolved against the seen-set in one probe batch, and
-//! the new keys are appended in one insert batch. The seen-set is a
+//! states and object values against a per-protocol codec — see the
+//! private `pack` module) in one append-only flat buffer, and referred
+//! to by `u32` index everywhere else, so the search graph carries
+//! indices, not clones, and hashing/equality run over flat words. A
+//! successor is never built as a heap configuration: a node is
+//! expanded straight from its packed row, and each successor's row is
+//! the parent's with only the changed process slot and object
+//! re-interned. Deduplication is one sorted batch merge per BFS level:
+//! the level's candidate keys (a 64-bit hash of the packed words, then
+//! the words themselves) are sorted and resolved against the seen-set
+//! in one probe batch, and the new keys are appended in one insert
+//! batch. The seen-set is a
 //! sorted RAM buffer by default, sorted runs on disk under
 //! [`ExploreConfig::mem_budget_bytes`], or remote shards behind
 //! [`ExploreConfig::transport`]; the merge is the same for all three.
@@ -37,9 +41,9 @@
 //! on the **symmetry quotient**: every configuration is mapped to the
 //! canonical representative of its process-permutation class (sorted
 //! process vector) before dedup, shrinking the space by up to `n!`
-//! while preserving every verdict (see [`canonical`] for the soundness
-//! argument). [`ExploreOutcome::raw_configs`] still reports the raw
-//! count via per-class multinomials.
+//! while preserving every verdict (the private `canonical` module
+//! holds the soundness argument). [`ExploreOutcome::raw_configs`]
+//! still reports the raw count via per-class multinomials.
 //!
 //! The BFS is **depth-synchronous**: each level is expanded as a whole,
 //! in parallel chunks across [`ExploreConfig::threads`] scoped threads
@@ -53,9 +57,11 @@
 //! this module — visit counts, witnesses, valencies, truncation flags —
 //! is **identical for every `threads` setting and storage tier**,
 //! including repeated runs. Parallel workers only *propose* successors;
-//! interning order is fixed by the sequential merge, and the hash
-//! function (std's `DefaultHasher`, SipHash with fixed keys) is
-//! deterministic. `threads = 1` is not a separate code path so much as
+//! interning order is fixed by the sequential merge, and the row hash
+//! (a fixed multiply-rotate fold with an `fmix64` finish, no per-process
+//! keys) is deterministic — and only orders candidates and routes them
+//! to dedup shards, since every dedup decision compares full words.
+//! `threads = 1` is not a separate code path so much as
 //! the degenerate schedule of the same engine: the merge is what
 //! defines the semantics.
 //!
@@ -131,7 +137,7 @@ pub struct ExploreConfig {
     /// valency, violation existence, termination/cycle facts) are
     /// unchanged by this setting; visit counts and witness step
     /// sequences may differ (witnesses become quotient-level; see
-    /// [`canonical`]).
+    /// [`Canonicalizer`]).
     pub canonical: bool,
     /// Cooperative wall-clock cancellation: stop expanding at the first
     /// BFS **level boundary** at or after this instant, returning a

@@ -15,8 +15,17 @@
 //! Distinct `S` states and `Value`s are interned once in side tables
 //! (the per-protocol **state codec** — the number of distinct local
 //! states is tiny compared to the number of configurations). Equality
-//! is a word-slice compare, hashing is one pass over flat words, and a
-//! node costs `4·(procs + objects)` bytes instead of two allocations.
+//! is a word-slice compare, hashing is one [`WordHasher`] pass over
+//! flat words, and a node costs `4·(procs + objects)` bytes instead of
+//! two allocations.
+//!
+//! The engine never needs a successor's heap form: it expands a node
+//! by reading its row and borrowing codec entries
+//! ([`PackedArena::state_of`], [`PackedArena::value_of`]), and builds
+//! each successor's row by copying the parent's and interning only the
+//! slot and object that changed ([`PackedArena::intern_proc`],
+//! [`PackedArena::intern_value`]), re-sorting the process words with
+//! [`PackedArena::sort_procs`] on the symmetry quotient.
 //!
 //! The word buffer itself is a [`WordStore`]: either one resident
 //! `Vec<u32>` (the default) or a [`SpillStore`] of file-backed segments
@@ -27,14 +36,16 @@
 //! hashes, same ids. The codec tables always stay in RAM (they are
 //! bounded by distinct states, not configurations).
 //!
-//! Ids are assigned only by [`PackedArena::encode_intern`], which the
-//! engine calls solely from its sequential merge — so id assignment,
-//! and with it every word in the arena, is deterministic for every
-//! `threads` setting and storage tier.
+//! Ids are assigned only by [`PackedArena::encode_intern`] and the two
+//! delta interners, which the engine calls solely from its sequential
+//! merge — so id assignment, and with it every word in the arena, is
+//! deterministic for every `threads` setting and storage tier. A delta
+//! assigns the same ids a full `encode_intern` of the successor would:
+//! every unchanged slot was interned with the parent, so the changed
+//! state and value are the only ones that can be new.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
 
 use crate::config::{Configuration, ProcState};
@@ -52,11 +63,85 @@ const DECIDED_BASE: u32 = 2;
 /// Base of the active band: `ACTIVE_BASE + id` encodes `Active(states[id])`.
 const ACTIVE_BASE: u32 = DECIDED_BASE + 256;
 
-/// Deterministic 64-bit hash of a packed configuration's words
-/// (`DefaultHasher` is SipHash with fixed keys).
+/// Odd multiplier of the [`WordHasher`] fold (2⁶⁴ / φ).
+const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The arena's one hasher: a multiply-rotate fold over 64-bit lanes
+/// finished by MurmurHash3's `fmix64` avalanche.
+///
+/// It keys the codec maps (through [`WordBuild`]) and hashes packed
+/// rows ([`hash_words`]). It is deterministic — no per-process keys —
+/// and not collision-resistant against an adversary, which is fine
+/// here: every key is a state, value or row the protocol itself
+/// produced, a row hash only orders candidates and routes them to
+/// dedup shards, and every dedup decision compares the full words. The
+/// finalizer makes every output bit depend on every input bit: the
+/// shard split (`((h · n) >> 64)`) reads the top bits and the codec
+/// maps index by the low bits, and a bare fold leaves a difference in
+/// the high half of the last lane out of the low bits entirely.
+#[derive(Default)]
+struct WordHasher(u64);
+
+/// `BuildHasher` for the codec maps.
+type WordBuild = BuildHasherDefault<WordHasher>;
+
+impl WordHasher {
+    #[inline]
+    fn fold(&mut self, lane: u64) {
+        self.0 = (self.0.rotate_left(26) ^ lane).wrapping_mul(FOLD_K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut lane = [0u8; 8];
+            lane[..chunk.len()].copy_from_slice(chunk);
+            self.fold(u64::from_le_bytes(lane));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.fold(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.fold(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.fold(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.fold(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.fold(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// Deterministic 64-bit hash of a packed configuration's words: the
+/// [`WordHasher`] fold over the words two at a time.
 pub(super) fn hash_words(words: &[u32]) -> u64 {
-    let mut h = DefaultHasher::new();
-    words.hash(&mut h);
+    let mut h = WordHasher::default();
+    let mut pairs = words.chunks_exact(2);
+    for pair in &mut pairs {
+        h.fold(u64::from(pair[0]) | u64::from(pair[1]) << 32);
+    }
+    if let [last] = pairs.remainder() {
+        h.fold(u64::from(*last));
+    }
     h.finish()
 }
 
@@ -79,11 +164,11 @@ pub(super) struct PackedArena<S> {
     /// Interned states: id → state.
     states: Vec<S>,
     /// Interned states: state → id.
-    state_ids: HashMap<S, u32>,
+    state_ids: HashMap<S, u32, WordBuild>,
     /// Interned object values: id → value.
     values: Vec<Value>,
     /// Interned object values: value → id.
-    value_ids: HashMap<Value, u32>,
+    value_ids: HashMap<Value, u32, WordBuild>,
 }
 
 impl<S: Clone + Eq + Hash> PackedArena<S> {
@@ -101,9 +186,9 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
             n_procs,
             stride: n_procs + n_values,
             states: Vec::new(),
-            state_ids: HashMap::new(),
+            state_ids: HashMap::default(),
             values: Vec::new(),
-            value_ids: HashMap::new(),
+            value_ids: HashMap::default(),
         }
     }
 
@@ -151,38 +236,57 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
         debug_assert_eq!(config.procs.len(), self.n_procs);
         out.clear();
         for p in &config.procs {
-            match p {
-                ProcState::Crashed => out.push(WORD_CRASHED),
-                ProcState::Retired => out.push(WORD_RETIRED),
-                ProcState::Decided(d) => out.push(DECIDED_BASE + *d as u32),
-                ProcState::Active(s) => {
-                    let id = match self.state_ids.get(s) {
-                        Some(&id) => id,
-                        None => {
-                            let id = u32::try_from(self.states.len())
-                                .expect("distinct-state count exceeds u32");
-                            self.states.push(s.clone());
-                            self.state_ids.insert(s.clone(), id);
-                            id
-                        }
-                    };
-                    out.push(ACTIVE_BASE + id);
-                }
-            }
+            out.push(self.intern_proc(p));
         }
         for v in &config.values {
-            let id = match self.value_ids.get(v) {
-                Some(&id) => id,
-                None => {
-                    let id = u32::try_from(self.values.len())
-                        .expect("distinct-value count exceeds u32");
-                    self.values.push(*v);
-                    self.value_ids.insert(*v, id);
-                    id
-                }
-            };
-            out.push(id);
+            out.push(self.intern_value(v));
         }
+    }
+
+    /// The process-slot word of `p`, interning its state if it is new.
+    /// Sequential merge only, like [`encode_intern`](Self::encode_intern).
+    pub(super) fn intern_proc(&mut self, p: &ProcState<S>) -> u32 {
+        match p {
+            ProcState::Crashed => WORD_CRASHED,
+            ProcState::Retired => WORD_RETIRED,
+            ProcState::Decided(d) => DECIDED_BASE + u32::from(*d),
+            ProcState::Active(s) => {
+                let id = match self.state_ids.get(s) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(self.states.len())
+                            .expect("distinct-state count exceeds u32");
+                        self.states.push(s.clone());
+                        self.state_ids.insert(s.clone(), id);
+                        id
+                    }
+                };
+                ACTIVE_BASE + id
+            }
+        }
+    }
+
+    /// The object-slot word of `v`, interning it if it is new.
+    /// Sequential merge only, like [`encode_intern`](Self::encode_intern).
+    pub(super) fn intern_value(&mut self, v: &Value) -> u32 {
+        if let Some(&id) = self.value_ids.get(v) {
+            return id;
+        }
+        let id = u32::try_from(self.values.len()).expect("distinct-value count exceeds u32");
+        self.values.push(*v);
+        self.value_ids.insert(*v, id);
+        id
+    }
+
+    /// The state of an active process-slot word; `None` for a crashed,
+    /// retired or decided slot.
+    pub(super) fn state_of(&self, word: u32) -> Option<&S> {
+        word.checked_sub(ACTIVE_BASE).map(|id| &self.states[id as usize])
+    }
+
+    /// The value an object-slot word encodes.
+    pub(super) fn value_of(&self, word: u32) -> &Value {
+        &self.values[word as usize]
     }
 
     /// Append an encoded configuration; returns its index.
@@ -195,6 +299,28 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
             WordStore::Spill(s) => s.push_words(words),
         }
         i as u32
+    }
+
+    /// Sort a row's process words into the derived [`ProcState`] order
+    /// — the order [`Configuration::canonicalize`] sorts the heap form
+    /// into — comparing active states through the codec. Interning is
+    /// injective, so equal words are equal states and the result is
+    /// the canonical row whatever the sort's stability.
+    pub(super) fn sort_procs(&self, procs: &mut [u32])
+    where
+        S: Ord,
+    {
+        // Derived variant order: Active < Decided < Crashed < Retired.
+        let rank = |w: u32| match w {
+            WORD_CRASHED => 2,
+            WORD_RETIRED => 3,
+            w if w < ACTIVE_BASE => 1,
+            _ => 0,
+        };
+        procs.sort_unstable_by(|&a, &b| match (self.state_of(a), self.state_of(b)) {
+            (Some(sa), Some(sb)) => sa.cmp(sb),
+            _ => rank(a).cmp(&rank(b)).then(a.cmp(&b)),
+        });
     }
 
     /// Decode configuration `i` back into its heap form.
@@ -354,6 +480,81 @@ mod tests {
         arena.encode_intern(&b, &mut wb);
         assert_ne!(wa, wb, "packing is injective on raw configurations");
         assert_ne!(hash_words(&wa), hash_words(&wb));
+    }
+
+    #[test]
+    fn sort_procs_matches_canonicalize() {
+        // A small LCG drives mixed vectors of every slot kind; states
+        // are interned in arrival order, so id order is not state order.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % m
+        };
+        let mut arena: PackedArena<u16> = PackedArena::new(7, 1);
+        let mut words = Vec::new();
+        for _ in 0..500 {
+            let procs = (0..7)
+                .map(|_| match next(5) {
+                    0 => ProcState::Crashed,
+                    1 => ProcState::Retired,
+                    2 => ProcState::Decided(next(3) as Decision),
+                    _ => ProcState::Active(1000 - next(12) as u16 * 37),
+                })
+                .collect();
+            let mut c = Configuration { procs, values: vec![Value::Int(0)] };
+            arena.encode_intern(&c, &mut words);
+            arena.sort_procs(&mut words[..7]);
+            c.canonicalize();
+            let mut expected = Vec::new();
+            arena.encode_intern(&c, &mut expected);
+            assert_eq!(words, expected, "{:?}", c.procs);
+        }
+    }
+
+    #[test]
+    fn row_hashes_split_evenly_in_top_and_low_bits() {
+        // Low-entropy rows as the engine produces them: small state and
+        // value ids in every slot, or rows that differ only in their
+        // last word (which a bare multiply leaves out of the low bits).
+        // Shards split on the top bits; the codec maps index by the low.
+        const ROWS: u64 = 100_000;
+        let row = |family: &str, i: u64| -> Vec<u32> {
+            match family {
+                "mixed" => vec![
+                    ACTIVE_BASE + (i % 7) as u32,
+                    ACTIVE_BASE + (i / 7 % 11) as u32,
+                    DECIDED_BASE + (i / 77 % 3) as u32,
+                    (i / 231 % 20) as u32,
+                    (i / 4620) as u32,
+                ],
+                _ => vec![ACTIVE_BASE, ACTIVE_BASE + 1, 0, i as u32],
+            }
+        };
+        let check = |name: &str, buckets: &[u64], tolerance: f64| {
+            let fair = ROWS as f64 / buckets.len() as f64;
+            for (k, &count) in buckets.iter().enumerate() {
+                let skew = (count as f64 - fair).abs() / fair;
+                assert!(skew <= tolerance, "{name}: bucket {k} of {} holds {count}", buckets.len());
+            }
+        };
+        for family in ["mixed", "last word"] {
+            let hashes: Vec<u64> = (0..ROWS).map(|i| hash_words(&row(family, i))).collect();
+            for n in [2u64, 3] {
+                let mut shards = vec![0u64; n as usize];
+                for &h in &hashes {
+                    shards[((u128::from(h) * u128::from(n)) >> 64) as usize] += 1;
+                }
+                check(&format!("{family}, {n} shards"), &shards, 0.02);
+            }
+            let mut low = [0u64; 16];
+            for &h in &hashes {
+                low[(h & 15) as usize] += 1;
+            }
+            check(&format!("{family}, low bits"), &low, 0.05);
+        }
     }
 
     #[test]

@@ -285,17 +285,24 @@ impl<S: Clone + Eq + Hash> PorContext<S> {
         PorContext { info, conflicts, exact: true }
     }
 
-    /// The ample choice for `config` — a pure function of the
-    /// configuration (and this context), evaluated identically by
-    /// parallel workers and the sequential merge.
-    pub(super) fn ample<P>(&self, protocol: &P, config: &Configuration<P::State>) -> Ample
+    /// The ample choice for a configuration whose process slots hold
+    /// `slots` (the state of each active slot, `None` for the rest, in
+    /// process-id order) — a pure function of the configuration (and
+    /// this context), evaluated identically by parallel workers and the
+    /// sequential merge.
+    pub(super) fn ample<'s, P>(
+        &self,
+        protocol: &P,
+        slots: impl IntoIterator<Item = Option<&'s S>>,
+    ) -> Ample
     where
         P: Protocol<State = S>,
+        S: 's,
     {
         // Rule 1: decide priority.
         let mut active: Vec<(usize, &S)> = Vec::new();
-        for (i, p) in config.procs.iter().enumerate() {
-            let Some(s) = p.state() else { continue };
+        for (i, s) in slots.into_iter().enumerate() {
+            let Some(s) = s else { continue };
             if matches!(protocol.action(s), Action::Decide(_)) {
                 return Ample::Singleton(ProcessId(i));
             }
@@ -332,6 +339,7 @@ impl<S: Clone + Eq + Hash> PorContext<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProcState;
     use crate::kind::ObjectKind;
     use crate::op::Response;
     use crate::process::ObjectId;
@@ -407,7 +415,7 @@ mod tests {
         assert!(ctx.exact);
         // Both processes are mixing on private counters; the first one
         // is a valid singleton ample set.
-        match ctx.ample(&p, &start) {
+        match ctx.ample(&p, start.procs.iter().map(ProcState::state)) {
             Ample::Singleton(pid) => assert_eq!(pid, ProcessId(0)),
             Ample::Full => panic!("private mixing must reduce"),
         }
@@ -428,7 +436,7 @@ mod tests {
         // read... which is still independent). So instead check the
         // decide-priority rule dominates once a decision is poised.
         config.procs[0] = crate::config::ProcState::Active(St::Done(0));
-        match ctx.ample(&p, &config) {
+        match ctx.ample(&p, config.procs.iter().map(ProcState::state)) {
             Ample::Singleton(pid) => assert_eq!(pid, ProcessId(0), "decide has priority"),
             Ample::Full => panic!("poised decide must reduce"),
         }
@@ -490,6 +498,6 @@ mod tests {
         assert!(ctx.exact);
         // Both are about to write distinct values to the same register:
         // dependent, and each other's footprint contains the write.
-        assert!(matches!(ctx.ample(&p, &start), Ample::Full));
+        assert!(matches!(ctx.ample(&p, start.procs.iter().map(ProcState::state)), Ample::Full));
     }
 }

@@ -50,6 +50,8 @@ const MIN_SEGMENT_BYTES: usize = 1024;
 const MAX_SEGMENT_BYTES: usize = 1024 * 1024;
 /// Compact dedup runs by k-way merge once this many accumulate.
 const MAX_DEDUP_RUNS: usize = 8;
+/// Read buffer of one sorted-run reader.
+const RUN_READ_BUF: usize = 64 * 1024;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -90,7 +92,7 @@ impl Drop for SpillDir {
 ///
 /// The budget bounds the *steady-state resident* set: the arena's
 /// resident window plus the dedup RAM buffer. The per-level working set
-/// (phase-1 candidate clones and the level merge buffers) is additional
+/// (phase-1 candidate deltas and the level merge buffers) is additional
 /// and proportional to the widest BFS level, as it always was for the
 /// in-RAM engine.
 #[derive(Clone, Copy, Debug)]
@@ -228,17 +230,11 @@ impl SpillStore {
             return Arc::clone(words);
         }
         let path = self.seg_path(seg);
-        let file = File::open(&path)
+        let mut file = File::open(&path)
             .unwrap_or_else(|e| panic!("cannot reopen spill segment {}: {e}", path.display()));
-        let mut r = BufReader::new(file);
-        let mut words = Vec::with_capacity(self.segment_words);
-        let mut buf = [0u8; 4];
-        for _ in 0..self.segment_words {
-            r.read_exact(&mut buf)
-                .unwrap_or_else(|e| panic!("spill segment read failed: {e}"));
-            words.push(u32::from_le_bytes(buf));
-        }
-        let words = Arc::new(words);
+        let mut bytes = vec![0u8; self.segment_words * 4];
+        file.read_exact(&mut bytes).unwrap_or_else(|e| panic!("spill segment read failed: {e}"));
+        let words = Arc::new(bytes.chunks_exact(4).map(le_word).collect::<Vec<u32>>());
         let mut win = self.lock_window();
         Self::admit(&mut win, self.window_cap, seg, Arc::clone(&words));
         words
@@ -295,6 +291,11 @@ fn key_cmp(ha: u64, wa: &[u32], hb: u64, wb: &[u32]) -> Ordering {
     ha.cmp(&hb).then_with(|| wa.cmp(wb))
 }
 
+/// The little-endian `u32` in a 4-byte chunk.
+fn le_word(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
 impl ExternalDedup {
     /// A seen-set that flushes its buffer to runs in `dir` once it
     /// outgrows the plan's dedup share.
@@ -339,8 +340,47 @@ impl ExternalDedup {
         self.hashes.capacity() * 8 + self.indices.capacity() * 4 + self.words.capacity() * 4
     }
 
-    fn key_of(&self, k: usize) -> (u64, &[u32]) {
-        (self.hashes[k], &self.words[k * self.stride..(k + 1) * self.stride])
+    /// The words of buffered entry `k`.
+    fn row(&self, k: usize) -> &[u32] {
+        &self.words[k * self.stride..(k + 1) * self.stride]
+    }
+
+    /// Whether buffered entry `k` sorts before key `(h, w)`.
+    fn below(&self, k: usize, h: u64, w: &[u32]) -> bool {
+        key_cmp(self.hashes[k], self.row(k), h, w) == Ordering::Less
+    }
+
+    /// The first buffered entry in `lo..hi` that does not sort before
+    /// `(h, w)` (or `hi`), by binary search.
+    fn lower_bound(&self, mut lo: usize, mut hi: usize, h: u64, w: &[u32]) -> usize {
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.below(mid, h, w) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// [`lower_bound`](Self::lower_bound) over `from..`, galloping: the
+    /// bracket doubles from `from` until it passes the key, so a sparse
+    /// batch skips long stretches of the buffer in logarithmic time.
+    fn gallop(&self, from: usize, h: u64, w: &[u32]) -> usize {
+        let len = self.hashes.len();
+        let (mut lo, mut step) = (from, 1);
+        loop {
+            let probe = lo + step - 1;
+            if probe >= len {
+                return self.lower_bound(lo, len, h, w);
+            }
+            if !self.below(probe, h, w) {
+                return self.lower_bound(lo, probe, h, w);
+            }
+            lo = probe + 1;
+            step *= 2;
+        }
     }
 
     /// Resolve a sorted batch of candidate keys against the seen-set.
@@ -348,26 +388,23 @@ impl ExternalDedup {
     /// `keys_h[k]` / `keys_w[k*stride..]` hold key `k`; keys are unique
     /// and ascending by `(hash, words)`. Returns, per key, the arena
     /// index of the matching interned configuration if one exists. One
-    /// two-pointer merge over the RAM buffer plus one sequential scan
-    /// per run — no random I/O.
+    /// galloping pass over the RAM buffer plus one sequential scan per
+    /// run — no random I/O.
     pub(super) fn probe_sorted(&mut self, keys_h: &[u64], keys_w: &[u32]) -> Vec<Option<u32>> {
         let stride = self.stride;
         let n = keys_h.len();
         let mut out = vec![None; n];
-        // RAM buffer merge.
-        let mut ki = 0usize;
+        // RAM buffer: each key's search starts where the last one ended.
         let mut ri = 0usize;
-        while ki < n && ri < self.hashes.len() {
-            let kw = &keys_w[ki * stride..(ki + 1) * stride];
-            let (rh, rw) = self.key_of(ri);
-            match key_cmp(keys_h[ki], kw, rh, rw) {
-                Ordering::Less => ki += 1,
-                Ordering::Greater => ri += 1,
-                Ordering::Equal => {
-                    out[ki] = Some(self.indices[ri]);
-                    ki += 1;
-                    ri += 1;
-                }
+        for (ki, slot) in out.iter_mut().enumerate() {
+            if ri == self.hashes.len() {
+                break;
+            }
+            let (h, w) = (keys_h[ki], &keys_w[ki * stride..(ki + 1) * stride]);
+            ri = self.gallop(ri, h, w);
+            if ri < self.hashes.len() && self.hashes[ri] == h && self.row(ri) == w {
+                *slot = Some(self.indices[ri]);
+                ri += 1;
             }
         }
         // Run merges.
@@ -401,9 +438,10 @@ impl ExternalDedup {
     /// Insert a sorted batch of new entries (keys ascending, unique, and
     /// not present anywhere in the seen-set). The buffer grows in place
     /// and the batch is merged in from the back, so no second copy of
-    /// the buffer is ever allocated. With a spill directory, flushes the
-    /// buffer as a run when it exceeds its budget share, and compacts
-    /// runs when they accumulate.
+    /// the buffer is ever allocated: each new key's slot is found by
+    /// binary search, and the old entries above it move up as one block.
+    /// With a spill directory, flushes the buffer as a run when it
+    /// exceeds its budget share, and compacts runs when they accumulate.
     pub(super) fn insert_sorted(&mut self, new_h: &[u64], new_idx: &[u32], new_w: &[u32]) {
         let stride = self.stride;
         let (mut a, mut b) = (self.hashes.len(), new_h.len());
@@ -417,27 +455,21 @@ impl ExternalDedup {
         self.hashes.resize(a + b, 0);
         self.indices.resize(a + b, 0);
         self.words.resize((a + b) * stride, 0);
-        // `out` is the next slot to fill, from the end; once the batch
-        // is exhausted the remaining old entries are already in place.
+        // Largest new key first: the old entries above its slot `p`
+        // shift up by the `b` keys still to place, and the key lands
+        // just below them. Once the batch is exhausted the remaining old
+        // entries are already in place.
         while b > 0 {
-            let out = a + b - 1;
-            let take_old = a > 0 && {
-                let old_w = &self.words[(a - 1) * stride..a * stride];
-                key_cmp(self.hashes[a - 1], old_w, new_h[b - 1], &new_w[(b - 1) * stride..b * stride])
-                    == Ordering::Greater
-            };
-            if take_old {
-                a -= 1;
-                self.hashes[out] = self.hashes[a];
-                self.indices[out] = self.indices[a];
-                self.words.copy_within(a * stride..(a + 1) * stride, out * stride);
-            } else {
-                b -= 1;
-                self.hashes[out] = new_h[b];
-                self.indices[out] = new_idx[b];
-                self.words[out * stride..(out + 1) * stride]
-                    .copy_from_slice(&new_w[b * stride..(b + 1) * stride]);
-            }
+            let key_w = &new_w[(b - 1) * stride..b * stride];
+            let p = self.lower_bound(0, a, new_h[b - 1], key_w);
+            self.hashes.copy_within(p..a, p + b);
+            self.indices.copy_within(p..a, p + b);
+            self.words.copy_within(p * stride..a * stride, (p + b) * stride);
+            let out = p + b - 1;
+            self.hashes[out] = new_h[b - 1];
+            self.indices[out] = new_idx[b - 1];
+            self.words[out * stride..(out + 1) * stride].copy_from_slice(key_w);
+            (a, b) = (p, b - 1);
         }
         if self.hashes.len() * entry_bytes(stride) > self.ram_cap_bytes {
             self.flush_ram();
@@ -582,6 +614,8 @@ impl RunWriter {
 struct RunReader {
     r: BufReader<File>,
     remaining: usize,
+    /// One encoded entry: hash, index, then the words (all LE).
+    entry: Vec<u8>,
     words: Vec<u32>,
 }
 
@@ -589,23 +623,27 @@ impl RunReader {
     fn open(path: &std::path::Path, entries: usize, stride: usize) -> RunReader {
         let file = File::open(path)
             .unwrap_or_else(|e| panic!("cannot reopen dedup run {}: {e}", path.display()));
-        RunReader { r: BufReader::new(file), remaining: entries, words: vec![0; stride] }
+        RunReader {
+            r: BufReader::with_capacity(RUN_READ_BUF, file),
+            remaining: entries,
+            entry: vec![0; 12 + 4 * stride],
+            words: vec![0; stride],
+        }
     }
 
+    /// Read the next entry with one `read_exact`.
     fn next(&mut self) -> Option<(u64, u32)> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
-        let mut b8 = [0u8; 8];
-        let mut b4 = [0u8; 4];
-        self.r.read_exact(&mut b8).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
-        let hash = u64::from_le_bytes(b8);
-        self.r.read_exact(&mut b4).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
-        let index = u32::from_le_bytes(b4);
+        self.r.read_exact(&mut self.entry).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
+        let mut lanes = self.entry.chunks_exact(4).map(le_word);
+        let mut lane = || lanes.next().unwrap_or(0);
+        let hash = u64::from(lane()) | u64::from(lane()) << 32;
+        let index = lane();
         for slot in self.words.iter_mut() {
-            self.r.read_exact(&mut b4).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
-            *slot = u32::from_le_bytes(b4);
+            *slot = lane();
         }
         Some((hash, index))
     }
@@ -665,13 +703,17 @@ mod tests {
         // Entries come in pairs that share a hash, so equal-hash keys
         // must be told apart by their words.
         let key = |v: u32| (u64::from(v / 2) * 11, [v, v * 3]);
-        // Sixteen batches of the same 64 entries. Ascending batches only
+        // Batches covering the same 64 entries. Ascending batches only
         // ever append; strided ones land before, between and after the
-        // keys already stored; descending ones land before all of them.
-        let schedules: [(&str, Vec<Vec<u32>>); 3] = [
+        // keys already stored; descending ones land before all of them;
+        // "ends" puts small batches at both ends of a large buffer.
+        let ends: Vec<Vec<u32>> =
+            vec![(4..60).collect(), vec![0, 63], vec![1, 2, 61, 62], vec![3, 60]];
+        let schedules: [(&str, Vec<Vec<u32>>); 4] = [
             ("ascending", (0..16).map(|c| (4 * c..4 * c + 4).collect()).collect()),
             ("strided", (0..16).map(|c| (0..64).filter(|v| v % 16 == c).collect()).collect()),
             ("descending", (0..16).rev().map(|c| (4 * c..4 * c + 4).collect()).collect()),
+            ("ends", ends),
         ];
         for (name, batches) in &schedules {
             // With a spill directory the tiny RAM cap forces several run
@@ -713,6 +755,17 @@ mod tests {
                 let got = dd.probe_sorted(&h, &w);
                 for (k, p) in probes.iter().enumerate() {
                     assert_eq!(got[k], p.2, "{name} (spill={spill}): probe {k} diverged");
+                }
+                // A sparse batch (every 17th probe plus the first and the
+                // last) gallops over long stretches of the buffer.
+                let last = probes.len() - 1;
+                let sparse: Vec<_> =
+                    probes.iter().enumerate().filter(|&(k, _)| k % 17 == 0 || k == last).collect();
+                let h: Vec<u64> = sparse.iter().map(|(_, e)| e.0).collect();
+                let w: Vec<u32> = sparse.iter().flat_map(|(_, e)| e.1).collect();
+                let got = dd.probe_sorted(&h, &w);
+                for (s, (k, p)) in sparse.iter().enumerate() {
+                    assert_eq!(got[s], p.2, "{name} (spill={spill}): sparse probe {k} diverged");
                 }
                 assert_eq!(dd.merge_passes() > 0, spill, "{name}");
             }

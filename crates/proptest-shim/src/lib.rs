@@ -138,7 +138,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice among boxed alternatives (see [`prop_oneof!`]).
+    /// Uniform choice among boxed alternatives (see [`prop_oneof!`](crate::prop_oneof)).
     #[derive(Debug)]
     pub struct Union<T> {
         options: Vec<BoxedStrategy<T>>,
@@ -246,7 +246,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::TestRng;
 
-    /// A length range for [`vec`], as in proptest: built from
+    /// A length range for [`vec()`], as in proptest: built from
     /// `usize` ranges (or a single exact length), so plain `0..6`
     /// literals infer as `usize`.
     #[derive(Clone, Copy, Debug)]
@@ -383,7 +383,7 @@ pub mod test_runner {
     /// Why a single test case did not pass.
     #[derive(Clone, Debug)]
     pub enum TestCaseError {
-        /// The case's inputs did not satisfy a [`prop_assume!`]
+        /// The case's inputs did not satisfy a [`prop_assume!`](crate::prop_assume)
         /// precondition; the runner draws a fresh case instead.
         Reject(String),
         /// An assertion failed; the whole test fails.

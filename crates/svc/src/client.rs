@@ -1,6 +1,7 @@
 //! A minimal blocking client for the job server, used by the CLI's
 //! `submit`/`shutdown` subcommands and the loopback integration tests.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -34,12 +35,16 @@ impl Reply {
 }
 
 /// One connection to a job server. Requests are correlated by `id`, so
-/// several may be pipelined before reading replies.
+/// several may be pipelined before reading replies, and waited on in
+/// any order.
 #[derive(Debug)]
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     next_id: i128,
+    /// Frames [`Client::wait`] read for other requests, in arrival
+    /// order; [`Client::next_frame`] and later waits drain them first.
+    pending: VecDeque<Json>,
 }
 
 impl Client {
@@ -77,7 +82,7 @@ impl Client {
         // round trips especially); never trade latency for batching.
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
-        Ok(Client { writer, reader: BufReader::new(stream), next_id: 0 })
+        Ok(Client { writer, reader: BufReader::new(stream), next_id: 0, pending: VecDeque::new() })
     }
 
     /// Change the idle deadline of an established connection.
@@ -119,12 +124,21 @@ impl Client {
     }
 
     /// Read the next frame from the server, whatever request it
-    /// belongs to.
+    /// belongs to: first any frames an earlier [`Client::wait`] set
+    /// aside, then the socket.
     ///
     /// # Errors
     ///
     /// I/O failure, closed connection, or an unparseable frame.
     pub fn next_frame(&mut self) -> std::io::Result<Json> {
+        match self.pending.pop_front() {
+            Some(frame) => Ok(frame),
+            None => self.read_frame(),
+        }
+    }
+
+    /// Read the next frame off the socket.
+    fn read_frame(&mut self) -> std::io::Result<Json> {
         loop {
             let mut line = String::new();
             let n = self.reader.read_line(&mut line)?;
@@ -148,7 +162,8 @@ impl Client {
 
     /// Read frames until the final `ok`/`error` frame for `id`,
     /// invoking `on_progress` for each `progress` frame on the way.
-    /// Frames for other (pipelined) request ids are skipped.
+    /// Frames for other (pipelined) request ids are kept, in order, for
+    /// later [`Client::wait`] or [`Client::next_frame`] calls.
     ///
     /// # Errors
     ///
@@ -159,9 +174,17 @@ impl Client {
         mut on_progress: impl FnMut(&Json),
     ) -> std::io::Result<Reply> {
         let mut progress = Vec::new();
-        loop {
-            let frame = self.next_frame()?;
+        let mut buffered = std::mem::take(&mut self.pending).into_iter();
+        let reply = loop {
+            let frame = match buffered.next() {
+                Some(frame) => frame,
+                None => match self.read_frame() {
+                    Ok(frame) => frame,
+                    Err(e) => break Err(e),
+                },
+            };
             if frame.get("id") != Some(id) {
+                self.pending.push_back(frame);
                 continue;
             }
             match frame.get("status").and_then(Json::as_str) {
@@ -171,20 +194,23 @@ impl Client {
                 }
                 Some("ok") => {
                     let body = frame.get("result").cloned().unwrap_or(Json::Null);
-                    return Ok(Reply { ok: true, body, progress });
+                    break Ok(Reply { ok: true, body, progress });
                 }
                 Some("error") => {
                     let body = frame.get("error").cloned().unwrap_or(Json::Null);
-                    return Ok(Reply { ok: false, body, progress });
+                    break Ok(Reply { ok: false, body, progress });
                 }
                 _ => {
-                    return Err(std::io::Error::new(
+                    break Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!("frame without a known status: {}", frame.render()),
                     ));
                 }
             }
-        }
+        };
+        // Frames behind the one that ended the wait keep their place.
+        self.pending.extend(buffered);
+        reply
     }
 
     /// Send one request and block for its reply.

@@ -6,9 +6,11 @@
 # Steps, each of which fails the script on any error:
 #   1. release build of the workspace
 #   2. clippy over every target, warnings denied
-#   3. the workspace test suites in debug, then in release (release
+#   3. rustdoc over the workspace, warnings (broken or private
+#      intra-doc links) denied
+#   4. the workspace test suites in debug, then in release (release
 #      codegen has caught bugs the debug build hides)
-#   4. `randsync gate --filter smoke`: the fail-closed property catalog
+#   5. `randsync gate --filter smoke`: the fail-closed property catalog
 #      (Thm 3.3, Lemma 3.6, Thms 4.2/4.4, the Thm 2.1 bound and the
 #      equivalence properties) plus the witness regression corpus; the
 #      report must also say "passed":true
@@ -18,6 +20,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test -q --workspace
 cargo test -q --release --workspace
 

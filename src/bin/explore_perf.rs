@@ -83,7 +83,7 @@ struct Row {
     /// any shipped workload).
     raw_truncated: bool,
     /// Why the raw run truncated, if it did (rendered
-    /// [`TruncationReason`]).
+    /// [`TruncationReason`](randsync::model::TruncationReason)).
     raw_truncation_reason: Option<String>,
     /// Whether the canonical run's multinomial raw-count accumulation
     /// saturated `usize` (never expected in shipped workloads).

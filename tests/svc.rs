@@ -178,6 +178,29 @@ fn full_queue_rejects_with_overloaded_instead_of_hanging() {
 }
 
 #[test]
+fn pipelined_replies_can_be_awaited_in_reverse_order() {
+    // One worker runs the jobs back to back, so the first job's final
+    // frame arrives before the second's. Waiting on the second first
+    // must keep the first's reply for the later wait; the read timeout
+    // turns a lost frame into a failure instead of a hang.
+    let (addr, server) = start_server(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut client =
+        Client::connect_with_timeout(addr, Some(Duration::from_secs(5))).expect("connect");
+    let id1 = client.send("sleep", &obj(&[("millis", Json::Int(20))])).expect("send");
+    let id2 = client.send("sleep", &obj(&[("millis", Json::Int(20))])).expect("send");
+    let reply2 = client.wait(&id2, |_| {}).expect("second reply");
+    let reply1 = client.wait(&id1, |_| {}).expect("first reply, read before the second's");
+    assert!(reply1.ok && reply2.ok);
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server drains");
+}
+
+#[test]
 fn shutdown_drains_in_flight_and_queued_jobs() {
     let (addr, server) = start_server(ServerConfig {
         workers: 1,
