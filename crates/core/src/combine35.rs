@@ -190,6 +190,15 @@ pub fn ample_pool(r: usize) -> usize {
     2 * (3 * r * r + r)
 }
 
+/// The pool to run [`attack_historyless`] with against `protocol`:
+/// [`ample_pool`] over its object count, since Lemma 3.6 needs a pool
+/// that grows with the number of objects. Every caller that attacks a
+/// registry target (CLI, job server, gate) sizes its pool here, so they
+/// cannot disagree.
+pub fn ample_pool_for<P: Protocol>(protocol: &P) -> usize {
+    ample_pool(protocol.objects().len())
+}
+
 /// Run the Lemma 3.6 adversary: break a historyless-object protocol by
 /// combining a 0-deciding and a 1-deciding interruptible execution.
 ///

@@ -59,7 +59,7 @@ pub mod weave;
 pub mod witness;
 
 pub use attack::{attack_identical, attack_minimized, AttackError, AttackOutcome};
-pub use combine35::{ample_pool, attack_historyless, GeneralError, GeneralOutcome, GeneralStats};
+pub use combine35::{ample_pool, ample_pool_for, attack_historyless, GeneralError, GeneralOutcome, GeneralStats};
 pub use bounds::*;
 pub use hierarchy::{separation_table, PrimitiveProfile, SpaceBound};
 pub use interruptible::{ExcessCapacity, InterruptibleExecution, Piece};

@@ -19,7 +19,7 @@ use randsync_core::bounds::{
     min_registers_identical,
 };
 use randsync_core::combine31::CombineLimits;
-use randsync_core::combine35::{ample_pool, attack_historyless, GeneralOutcome};
+use randsync_core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
 use randsync_core::witness::InconsistencyWitness;
 use randsync_model::runtime::{replay_execution, DynObject, ModelObject, Runtime};
 use randsync_model::{
@@ -207,8 +207,7 @@ pub(crate) fn lemma_3_6(_ctx: &CheckContext) -> CheckOutcome {
             Err(fail) => return fail,
         };
         let protocol = entry.build_default();
-        let r = protocol.objects().len();
-        let pool = ample_pool(r);
+        let pool = ample_pool_for(&protocol);
         let witness =
             match attack_historyless(&protocol, pool, &ExploreLimits::default()) {
                 Ok(GeneralOutcome::Inconsistent { witness, .. }) => witness,
@@ -232,7 +231,7 @@ pub(crate) fn lemma_3_6(_ctx: &CheckContext) -> CheckOutcome {
                 format!("{name}.processes_used"),
                 minimal.processes_used as i128,
                 BoundOp::Le,
-                ample_pool(r) as i128,
+                pool as i128,
             )
             .note(format!("{name}.witness_steps"), Json::Int(minimal.execution.len() as i128));
     }

@@ -19,7 +19,7 @@ use std::path::Path;
 use randsync_consensus::registry::{self, AttackFamily, ProtocolEntry};
 use randsync_core::attack::attack_for_witness;
 use randsync_core::combine31::CombineLimits;
-use randsync_core::combine35::{ample_pool, attack_historyless, GeneralOutcome};
+use randsync_core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
 use randsync_core::witness::InconsistencyWitness;
 use randsync_model::runtime::DynObject;
 use randsync_model::{Execution, ExploreLimits, Protocol};
@@ -374,10 +374,8 @@ pub fn seed_corpus(dir: &Path) -> Result<Vec<WitnessRecord>, String> {
                 }
             }
             AttackFamily::Historyless => {
-                // Pool sized to the object count, as Lemma 3.6 requires
-                // (one plain register is ample_pool(1); mixedzigzag
-                // spans four historyless objects).
-                let pool = ample_pool(protocol.objects().len());
+                // Pool sized to the object count, as Lemma 3.6 requires.
+                let pool = ample_pool_for(&protocol);
                 match attack_historyless(&protocol, pool, &ExploreLimits::default()) {
                     Ok(GeneralOutcome::Inconsistent { witness, .. }) => witness,
                     Ok(GeneralOutcome::InvalidExecution { .. }) => {

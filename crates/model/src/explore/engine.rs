@@ -13,10 +13,12 @@
 //! 1. **Packing.** Each distinct configuration is stored exactly once,
 //!    as a fixed-stride run of `u32` words in an append-only
 //!    [`PackedArena`] (interned states and values; see [`super::pack`]).
-//!    All bookkeeping — parent links, depths, successor edges, the
-//!    frontier — refers to configurations by their `u32` arena index,
-//!    so the graph costs a few words per node instead of two heap
-//!    vectors, and hashing/equality run over flat words.
+//!    All bookkeeping refers to configurations by their `u32` arena
+//!    index, and none of it allocates per configuration: parent links
+//!    are one 12-byte [`Link`] per node, successor edges one append-only
+//!    [`Csr`] (see [`super::graph`]), and the frontier an index range.
+//!    The graph costs `12·n + 4·(n+1) + 4·e` bytes beside the arena,
+//!    and hashing/equality run over flat words.
 //! 2. **Canonicalization.** When the caller opts in and the protocol
 //!    declares itself [`Symmetric`](crate::protocol::Symmetry), every
 //!    candidate successor is mapped to its permutation-class
@@ -65,13 +67,13 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::config::{Configuration, ProcState};
-use crate::execution::Step;
 use crate::process::ProcessId;
 use crate::protocol::{Action, Decision, ObjectSpec, Protocol};
 use crate::value::Value;
 
 use super::canonical::{permutations_of_sorted, Canonicalizer};
 use super::checkpoint::{Checkpoint, CheckpointError};
+use super::graph::{Csr, Link};
 use super::pack::{hash_words, PackedArena, WordStore};
 use super::por::{Ample, PorContext};
 use super::spill::{BudgetPlan, ExternalDedup, SpillDir, SpillStore};
@@ -149,16 +151,17 @@ pub(super) struct BfsGraph<S> {
     /// 0 is the start configuration (canonicalized in canonical mode).
     pub(super) arena: PackedArena<S>,
     /// `parent[i]` is the node and step that first reached node `i`
-    /// (`None` only for the start node); follows shortest paths. In
-    /// canonical mode the step applies to the canonical parent and the
-    /// result re-canonicalizes to node `i`.
-    pub(super) parent: Vec<Option<(u32, Step)>>,
-    /// BFS depth of each node.
-    pub(super) depth: Vec<u32>,
-    /// Successor edges, in `(pid, coin)` enumeration order, including
-    /// edges to already-interned nodes. Empty unless edges were
-    /// requested.
-    pub(super) succ: Vec<Vec<u32>>,
+    /// ([`Link::ROOT`] only for the start node), one flat 12-byte link
+    /// per node; follows shortest paths. In canonical mode the step
+    /// applies to the canonical parent and the result re-canonicalizes
+    /// to node `i`.
+    pub(super) parent: Vec<Link>,
+    /// Successor edges as one CSR over all nodes, each node's edges in
+    /// `(pid, coin)` enumeration order, including edges to
+    /// already-interned nodes. Appended as nodes are expanded in index
+    /// order and closed at every node when the search ends. Empty
+    /// unless edges were requested.
+    pub(super) succ: Csr,
     /// Whether the search ran on the symmetry quotient.
     pub(super) canonical: bool,
     /// Total raw configurations represented: the sum over interned
@@ -218,8 +221,7 @@ impl<S: Clone + Eq + Hash> BfsGraph<S> {
         BfsGraph {
             arena,
             parent: Vec::new(),
-            depth: Vec::new(),
-            succ: Vec::new(),
+            succ: Csr::default(),
             canonical: search.canon.enabled(),
             raw_represented: 0,
             raw_overflow: false,
@@ -239,6 +241,12 @@ impl<S: Clone + Eq + Hash> BfsGraph<S> {
             por_pruned: 0,
             por_fallbacks: 0,
         }
+    }
+
+    /// Heap bytes of the graph bookkeeping, from lengths: one
+    /// [`Link`] per node plus the edge CSR.
+    pub(super) fn graph_bytes(&self) -> usize {
+        std::mem::size_of::<Link>() * self.parent.len() + self.succ.heap_bytes()
     }
 
     /// Accumulate one interned node's permutation-class size into the
@@ -274,11 +282,12 @@ struct Search<'a, P: Protocol> {
 }
 
 /// One candidate successor, as a delta against its parent's packed
-/// row: the step taken, the stepping process's new slot, and the object
-/// whose value the step changed, if any. Every other slot is the
-/// parent's.
+/// row: the step taken (`pid`, `coin`), the stepping process's new
+/// slot, and the object whose value the step changed, if any. Every
+/// other slot is the parent's.
 struct Cand<S> {
-    step: Step,
+    pid: u32,
+    coin: u32,
     proc: ProcState<S>,
     value: Option<(usize, Value)>,
 }
@@ -326,16 +335,17 @@ fn expand_node<P: Protocol>(
     });
     let mut cands = Vec::new();
     let mut pruned = 0u32;
-    for (pid, &word) in procs.iter().enumerate() {
+    for (slot, &word) in procs.iter().enumerate() {
         let Some(state) = arena.state_of(word) else { continue };
-        let pid = ProcessId(pid);
-        if restrict.is_some_and(|p| p != pid) {
+        if restrict.is_some_and(|p| p != ProcessId(slot)) {
             pruned += 1;
             continue;
         }
+        // `make_store` checked that every slot index fits in `u32`.
+        let pid = slot as u32;
         match protocol.action(state) {
             Action::Decide(d) => {
-                cands.push(Cand { step: Step::of(pid), proc: ProcState::Decided(d), value: None });
+                cands.push(Cand { pid, coin: 0, proc: ProcState::Decided(d), value: None });
             }
             Action::Invoke { object, op } => {
                 let Some(spec) = search.specs.get(object.0) else { continue };
@@ -347,7 +357,8 @@ fn expand_node<P: Protocol>(
                 for coin in 0..domain {
                     let next = protocol.transition(state, &resp, coin);
                     cands.push(Cand {
-                        step: Step::with_coin(pid, coin),
+                        pid,
+                        coin,
                         proc: ProcState::Active(next),
                         value,
                     });
@@ -382,6 +393,8 @@ fn make_store<S: Clone + Eq + Hash>(
     n_values: usize,
 ) -> (PackedArena<S>, Dedup) {
     let stride = n_procs + n_values;
+    // Parent links and candidates carry the pid as `u32`.
+    assert!(u32::try_from(n_procs).is_ok(), "{n_procs} processes overflow a u32 pid");
     if let Some(transport) = &config.transport {
         return (PackedArena::new(n_procs, n_values), Dedup::Shared(transport.clone()));
     }
@@ -440,11 +453,7 @@ where
     g.arena.encode_intern(&start, &mut words);
     let start_hash = hash_words(&words);
     g.arena.push(&words);
-    g.parent.push(None);
-    g.depth.push(0);
-    if record_edges {
-        g.succ.push(Vec::new());
-    }
+    g.parent.push(Link::ROOT);
     g.add_class(search.canon.class_size(&start.procs));
     let stride = g.arena.stride();
     let opened =
@@ -458,7 +467,7 @@ where
             g.hit = Some(0);
             0
         }
-        Ok(()) => run_levels(&search, config, &mut g, &mut dedup, vec![0], 0),
+        Ok(()) => run_levels(&search, config, &mut g, &mut dedup, 0..1, 0),
     };
     finalize(&mut g, &dedup, config, record_edges, final_depth);
     // Close failures are unreportable: the search already finished.
@@ -525,7 +534,8 @@ where
     let (arena, mut dedup) = make_store(config, n_procs, n_values);
     let mut g = BfsGraph::new(arena, &search, &dedup);
     g.parent.reserve(ckpt.nodes());
-    g.depth.reserve(ckpt.nodes());
+    // Depths only locate the frontier; the live search keeps none.
+    let mut depth: Vec<u32> = Vec::with_capacity(ckpt.nodes());
     dedup.with(|t| t.open(stride)).map_err(|e| {
         CheckpointError::Mismatch(format!("frontier transport failed to open: {e}"))
     })?;
@@ -558,15 +568,8 @@ where
         let hash = hash_words(&words);
         let j = g.arena.push(&words);
         debug_assert_eq!(j as usize, i);
-        g.parent.push(ckpt.parent[i]);
-        let d = match ckpt.parent[i] {
-            None => 0,
-            Some((p, _)) => g.depth[p as usize] + 1,
-        };
-        g.depth.push(d);
-        if record_edges {
-            g.succ.push(ckpt.succ[i].clone());
-        }
+        g.parent.push(Link::from_entry(ckpt.parent[i]));
+        depth.push(ckpt.parent[i].map_or(0, |(p, _)| depth[p as usize] + 1));
         g.add_class(search.canon.class_size(&cfg.procs));
         pend_h.push(hash);
         pend_i.push(j);
@@ -577,12 +580,30 @@ where
     }
     flush_pending(&mut dedup, &mut pend_h, &mut pend_i, &mut pend_w, stride)?;
 
-    // The frontier is exactly the nodes at the stop depth, in index
-    // (i.e. original interning) order.
+    // The frontier is exactly the nodes at the stop depth: the last BFS
+    // level, so an index range at the end. Nothing in it was expanded.
     let level_depth = ckpt.level_depth as usize;
-    let frontier: Vec<u32> = (0..ckpt.nodes() as u32)
-        .filter(|&i| g.depth[i as usize] as usize == level_depth)
-        .collect();
+    let first = depth.iter().position(|&d| d as usize == level_depth).unwrap_or(depth.len());
+    if depth[..first].iter().any(|&d| d as usize > level_depth)
+        || depth[first..].iter().any(|&d| d as usize != level_depth)
+    {
+        return Err(CheckpointError::Corrupt(format!(
+            "the nodes at depth {level_depth} are not the last BFS level"
+        )));
+    }
+    if record_edges {
+        if ckpt.succ.len() != ckpt.nodes() || ckpt.succ[first..].iter().any(|outs| !outs.is_empty())
+        {
+            return Err(CheckpointError::Corrupt(
+                "successor lists do not match the unexpanded frontier".into(),
+            ));
+        }
+        for (i, outs) in ckpt.succ[..first].iter().enumerate() {
+            g.succ.start(i as u32);
+            outs.iter().for_each(|&j| g.succ.push(j));
+        }
+    }
+    let frontier = first as u32..ckpt.nodes() as u32;
 
     let final_depth = run_levels(&search, config, &mut g, &mut dedup, frontier, level_depth);
     finalize(&mut g, &dedup, config, record_edges, final_depth);
@@ -621,12 +642,17 @@ fn flush_pending(
 /// repeat until the frontier empties or a budget stops the search at a
 /// level boundary. Returns the depth of the frontier when the loop
 /// stopped (the resume point).
+///
+/// A frontier is always an index range: the nodes the previous merge
+/// interned, which are appended to the arena in order. So nodes are
+/// expanded in index order, which is what lets the edge CSR grow by
+/// appending.
 fn run_levels<P>(
     search: &Search<'_, P>,
     config: &ExploreConfig,
     g: &mut BfsGraph<P::State>,
     dedup: &mut Dedup,
-    mut frontier: Vec<u32>,
+    mut frontier: Range<u32>,
     mut level_depth: usize,
 ) -> usize
 where
@@ -648,7 +674,7 @@ where
     while !frontier.is_empty() && g.hit.is_none() {
         if level_depth >= max_depth {
             g.depth_capped_any = true;
-            if frontier.iter().any(|&i| g.arena.has_active(i)) {
+            if frontier.clone().any(|i| g.arena.has_active(i)) {
                 g.depth_capped_active = true;
             }
             break;
@@ -668,15 +694,20 @@ where
         // Frontier nodes are expanded straight from their packed rows.
         let expansions: Vec<NodeExpansion<P::State>> = {
             let arena = &g.arena;
-            let expand = |&i: &u32| {
+            let expand = |i: u32| {
                 arena.with_words(i, |row| expand_node(search, arena, row, search.por.as_ref()))
             };
-            if threads > 1 && frontier.len() >= PARALLEL_FRONTIER_MIN {
-                let chunk = frontier.len().div_ceil(threads.min(frontier.len()));
+            let width = frontier.len();
+            if threads > 1 && width >= PARALLEL_FRONTIER_MIN {
+                let chunk = width.div_ceil(threads.min(width)) as u32;
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = frontier
-                        .chunks(chunk)
-                        .map(|ids| scope.spawn(move || ids.iter().map(expand).collect::<Vec<_>>()))
+                        .clone()
+                        .step_by(chunk as usize)
+                        .map(|lo| {
+                            let ids = lo..(lo + chunk).min(frontier.end);
+                            scope.spawn(move || ids.map(expand).collect::<Vec<_>>())
+                        })
                         .collect();
                     handles
                         .into_iter()
@@ -684,14 +715,13 @@ where
                         .collect()
                 })
             } else {
-                frontier.iter().map(expand).collect()
+                frontier.clone().map(expand).collect()
             }
         };
 
         // Phase 2: sequential merge at the level barrier. This is the
         // only place the arena, the codec, and the seen-set grow.
-        let merged =
-            dedup.with(|t| merge_level(search, g, t, &frontier, expansions, level_depth));
+        let merged = dedup.with(|t| merge_level(search, g, t, frontier.clone(), expansions));
         let (next_frontier, stats) = match merged {
             Ok(level) => level,
             Err(e) => {
@@ -754,11 +784,11 @@ impl GroupState {
 }
 
 /// One level's candidates, packed in the order they were encoded.
-/// Candidate `ord` has key `(hash[ord], row(ord))`.
+/// Candidate `ord` has key `(hash[ord], row(ord))` and would be reached
+/// by `link[ord]`.
 struct LevelKeys {
     stride: usize,
-    parent: Vec<u32>,
-    step: Vec<Step>,
+    link: Vec<Link>,
     hash: Vec<u64>,
     words: Vec<u32>,
     /// The packed row of the node whose candidates are being encoded.
@@ -769,8 +799,7 @@ impl LevelKeys {
     fn new(stride: usize) -> Self {
         LevelKeys {
             stride,
-            parent: Vec::new(),
-            step: Vec::new(),
+            link: Vec::new(),
             hash: Vec::new(),
             words: Vec::new(),
             base: Vec::new(),
@@ -810,7 +839,7 @@ impl LevelKeys {
             let at = self.words.len();
             self.words.extend_from_slice(&self.base);
             let row = &mut self.words[at..];
-            row[cand.step.pid.0] = arena.intern_proc(&cand.proc);
+            row[cand.pid as usize] = arena.intern_proc(&cand.proc);
             if let Some((object, value)) = &cand.value {
                 row[n_procs + object] = arena.intern_value(value);
             }
@@ -818,8 +847,7 @@ impl LevelKeys {
                 arena.sort_procs(&mut row[..n_procs]);
             }
             self.hash.push(hash_words(row));
-            self.parent.push(parent);
-            self.step.push(cand.step);
+            self.link.push(Link { parent, pid: cand.pid, coin: cand.coin });
         }
     }
 
@@ -904,14 +932,16 @@ impl LevelKeys {
 /// depths, edges, and the reduction counts are therefore those of a
 /// sequential candidate-by-candidate merge, at every thread count and
 /// on every tier.
+///
+/// Returns the next frontier: the index range this level interned.
 fn merge_level<P: Protocol>(
     search: &Search<'_, P>,
     g: &mut BfsGraph<P::State>,
     dedup: &mut dyn FrontierTransport,
-    frontier: &[u32],
+    frontier: Range<u32>,
     expansions: Vec<NodeExpansion<P::State>>,
-    level_depth: usize,
-) -> Result<(Vec<u32>, LevelStats), TransportError> {
+) -> Result<(Range<u32>, LevelStats), TransportError> {
+    let node = |pos: usize| frontier.start + pos as u32;
     let n_procs = g.arena.n_procs();
     let canonical = search.canon.enabled();
     let mut lev = LevelKeys::new(g.arena.stride());
@@ -922,7 +952,7 @@ fn merge_level<P: Protocol>(
     let mut reduced: Vec<(usize, u32)> = Vec::new();
     for (pos, expansion) in expansions.into_iter().enumerate() {
         let start = lev.len();
-        lev.push_node(&mut g.arena, canonical, frontier[pos], expansion.cands);
+        lev.push_node(&mut g.arena, canonical, node(pos), expansion.cands);
         spans.push(start..lev.len());
         if expansion.reduced {
             reduced.push((pos, expansion.pruned));
@@ -943,9 +973,9 @@ fn merge_level<P: Protocol>(
         if spans[pos].clone().any(|ord| found[group_of[ord] as usize].is_some()) {
             g.por_fallbacks += 1;
             let full =
-                g.arena.with_words(frontier[pos], |row| expand_node(search, &g.arena, row, None));
+                g.arena.with_words(node(pos), |row| expand_node(search, &g.arena, row, None));
             let start = lev.len();
-            lev.push_node(&mut g.arena, canonical, frontier[pos], full.cands);
+            lev.push_node(&mut g.arena, canonical, node(pos), full.cands);
             fallback[pos] = Some(start..lev.len());
         } else {
             g.por_pruned += pruned as usize;
@@ -977,11 +1007,11 @@ fn merge_level<P: Protocol>(
     };
 
     // Pass D: walk candidates in frontier order (a fallen-back node's
-    // reduced candidates, then its full ones) and intern first
-    // occurrences.
-    let mut next_frontier: Vec<u32> = Vec::new();
+    // reduced candidates, then its full ones), intern first occurrences,
+    // and append each node's edges to the CSR.
+    let first_new = g.arena.len() as u32;
     let mut stats = LevelStats { candidates: lev.len() as u64, dedup: 0, interned: 0 };
-    let mut resolve = |ord: usize, edge: bool| {
+    let mut resolve = |g: &mut BfsGraph<P::State>, ord: usize, edge: bool| {
         let gid = group_of[ord] as usize;
         let resolved = match gstate[gid] {
             GroupState::Existing(j) | GroupState::Assigned(j) => {
@@ -1001,31 +1031,29 @@ fn merge_level<P: Protocol>(
                 let row = lev.row(ord);
                 let class = if canonical { permutations_of_sorted(&row[..n_procs]) } else { 1 };
                 let j = g.arena.push(row);
-                g.parent.push(Some((lev.parent[ord], lev.step[ord])));
-                g.depth.push(level_depth as u32 + 1);
-                if search.record_edges {
-                    g.succ.push(Vec::new());
-                }
+                g.parent.push(lev.link[ord]);
                 g.add_class(class);
                 if g.hit.is_none() && search.stop.is_some_and(|pred| pred(&g.arena.decode(j))) {
                     g.hit = Some(j);
                 }
                 stats.interned += 1;
-                next_frontier.push(j);
                 gstate[gid] = GroupState::Assigned(j);
                 Some(j)
             }
         };
         if let (true, true, Some(j)) = (edge, search.record_edges, resolved) {
-            g.succ[lev.parent[ord] as usize].push(j);
+            g.succ.push(j);
         }
     };
-    for (span, full) in spans.into_iter().zip(&fallback) {
+    for (pos, (span, full)) in spans.into_iter().zip(&fallback).enumerate() {
+        if search.record_edges {
+            g.succ.start(node(pos));
+        }
         for ord in span {
-            resolve(ord, full.is_none());
+            resolve(g, ord, full.is_none());
         }
         for ord in full.clone().into_iter().flatten() {
-            resolve(ord, true);
+            resolve(g, ord, true);
         }
     }
 
@@ -1043,7 +1071,7 @@ fn merge_level<P: Protocol>(
         let (h, w) = lev.keys(&new_reps);
         dedup.insert_sorted(&h, &new_idx, &w)?;
     }
-    Ok((next_frontier, stats))
+    Ok((first_new..g.arena.len() as u32, stats))
 }
 
 /// End-of-search bookkeeping: fold the spill statistics into the graph
@@ -1057,6 +1085,14 @@ fn finalize<S: Clone + Eq + Hash>(
     record_edges: bool,
     level_depth: usize,
 ) {
+    if record_edges {
+        g.succ.finish(g.arena.len());
+    }
+    if randsync_obs::metrics_enabled() {
+        randsync_obs::global_metrics()
+            .gauge("explore.graph_bytes")
+            .record_max(g.graph_bytes() as i64);
+    }
     g.spilled_bytes = g.arena.spilled_bytes();
     match dedup {
         Dedup::Local(d) => {
@@ -1089,8 +1125,8 @@ fn finalize<S: Clone + Eq + Hash>(
         n_procs: g.arena.n_procs() as u32,
         n_values: (g.arena.stride() - g.arena.n_procs()) as u32,
         level_depth: level_depth as u64,
-        parent: g.parent.clone(),
-        succ: if record_edges { g.succ.clone() } else { Vec::new() },
+        parent: g.parent.iter().map(|link| link.get()).collect(),
+        succ: if record_edges { g.succ.to_lists() } else { Vec::new() },
     };
     match ck.save(&req.path) {
         Ok(()) => g.checkpoint_written = Some(req.path.clone()),
@@ -1103,6 +1139,7 @@ mod tests {
     use std::collections::HashSet;
 
     use super::*;
+    use crate::execution::Step;
     use crate::kind::ObjectKind;
     use crate::op::{Operation, Response};
     use crate::process::ObjectId;
@@ -1223,7 +1260,11 @@ mod tests {
                 .flat_map(|pid| super::super::successors(&p, &parent, pid))
                 .collect();
             let expansion = delta.with_words(node, |r| expand_node(&search, &delta, r, None));
-            let steps: Vec<Step> = expansion.cands.iter().map(|c| c.step).collect();
+            let steps: Vec<Step> = expansion
+                .cands
+                .iter()
+                .map(|c| Step::with_coin(ProcessId(c.pid as usize), c.coin))
+                .collect();
             assert_eq!(steps, expected.iter().map(|(s, _)| *s).collect::<Vec<_>>());
             let mut lev = LevelKeys::new(delta.stride());
             lev.push_node(&mut delta, canonical, node, expansion.cands);
@@ -1248,6 +1289,32 @@ mod tests {
             candidates > 100,
             "the space is big enough to mean something: {candidates}"
         );
+    }
+
+    /// The graph's heap bytes are exactly one 12-byte link per node,
+    /// `n + 1` CSR offsets and one word per edge, and the CSR holds every
+    /// successor of every node.
+    #[test]
+    fn graph_bytes_are_links_offsets_and_edges() {
+        let p = Climb;
+        let start = Configuration::initial(&p, &[0, 1, 0]);
+        let g = bfs(&p, start, &ExploreConfig::default(), true, None);
+        let (n, e) = (g.arena.len(), g.succ.edges());
+        assert_eq!((g.parent.len(), g.succ.len()), (n, n));
+        assert_eq!(g.graph_bytes(), 12 * n + 4 * (n + 1) + 4 * e);
+        let mut expected = 0;
+        for i in 0..n {
+            let c = g.arena.decode(i as u32);
+            let succs: Vec<_> = c
+                .active_processes()
+                .into_iter()
+                .flat_map(|pid| super::super::successors(&p, &c, pid))
+                .collect();
+            assert_eq!(g.succ.row(i).len(), succs.len(), "node {i}");
+            expected += succs.len();
+        }
+        assert_eq!(e, expected);
+        assert!(n > 100 && e > n, "{n} nodes, {e} edges");
     }
 
     #[test]

@@ -76,6 +76,7 @@
 mod canonical;
 mod checkpoint;
 mod engine;
+mod graph;
 mod pack;
 mod por;
 mod spill;
@@ -93,6 +94,8 @@ use crate::execution::{Execution, Step};
 use crate::process::ProcessId;
 use crate::protocol::{Action, Decision, Protocol};
 use crate::value::Value;
+
+use graph::{path_to, Csr, Link};
 
 /// Budgets bounding an exploration.
 #[derive(Clone, Copy, Debug)]
@@ -753,7 +756,7 @@ impl Explorer {
         // is budget-bounded, so plain clones are affordable here — the
         // packed-arena machinery stays with the exhaustive engine.
         let mut configs: Vec<Configuration<P::State>> = vec![start.clone()];
-        let mut parent: Vec<Option<(u32, Step)>> = vec![None];
+        let mut parent: Vec<Link> = vec![Link::ROOT];
         let mut depth: Vec<u32> = vec![0];
         let mut seen: HashSet<Configuration<P::State>> = HashSet::from([start]);
         // Max-heap on (score, Reverse(insertion seq)): highest score
@@ -783,7 +786,7 @@ impl Explorer {
                     }
                     let j = configs.len() as u32;
                     configs.push(next);
-                    parent.push(Some((idx, step)));
+                    parent.push(Link::new(idx, step));
                     depth.push(d + 1);
                     if bad(&configs[j as usize]) {
                         return (Some(path_to(&parent, j)), false);
@@ -959,7 +962,7 @@ where
 fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
     g: &engine::BfsGraph<S>,
     inputs: &[Decision],
-) -> (ExploreOutcome, Option<Predecessors>) {
+) -> (ExploreOutcome, Option<Csr>) {
     let n = g.arena.len();
 
     // Scan the arena in BFS order — directly over the packed words,
@@ -1001,7 +1004,7 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
     } else {
         None
     };
-    let pred = (!truncated).then(|| Predecessors::of(&g.succ));
+    let pred = (!truncated).then(|| g.succ.transpose());
     let (can_always_reach_termination, infinite_execution_possible) = match &pred {
         None => (None, None),
         Some(pred) => {
@@ -1042,10 +1045,10 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
 
 /// Classify every node of an exhausted graph by the decision values
 /// reachable from it (see [`Explorer::valency`]); `pred` is the graph's
-/// predecessor index.
+/// predecessor index (its edge CSR transposed).
 fn valency_of_graph<S: Clone + Eq + std::hash::Hash>(
     g: &engine::BfsGraph<S>,
-    pred: &Predecessors,
+    pred: &Csr,
 ) -> ValencyAnalysis {
     // mask bit 0 = "0 reachable", bit 1 = "1 reachable".
     let n = g.arena.len();
@@ -1080,7 +1083,8 @@ fn valency_of_graph<S: Clone + Eq + std::hash::Hash>(
     // Critical configurations: bivalent, every successor univalent.
     analysis.critical_configs = (0..n)
         .filter(|&i| {
-            bivalent(i) && !g.succ[i].is_empty() && g.succ[i].iter().all(|&j| !bivalent(j as usize))
+            let outs = g.succ.row(i);
+            bivalent(i) && !outs.is_empty() && outs.iter().all(|&j| !bivalent(j as usize))
         })
         .count();
     analysis
@@ -1091,11 +1095,11 @@ fn valency_of_graph<S: Clone + Eq + std::hash::Hash>(
 /// every node reachable from `i`. A worklist holds the nodes whose mask
 /// just grew; a mask has two bits, so it grows at most twice and each
 /// node's predecessors are scanned at most three times — O(n + e).
-fn propagate_valency(pred: &Predecessors, mask: &mut [u8]) {
+fn propagate_valency(pred: &Csr, mask: &mut [u8]) {
     let mut work: Vec<u32> = (0..mask.len() as u32).filter(|&j| mask[j as usize] != 0).collect();
     while let Some(j) = work.pop() {
         let m = mask[j as usize];
-        for &i in pred.of_node(j) {
+        for &i in pred.row(j as usize) {
             let grown = mask[i as usize] | m;
             if grown != mask[i as usize] {
                 mask[i as usize] = grown;
@@ -1103,17 +1107,6 @@ fn propagate_valency(pred: &Predecessors, mask: &mut [u8]) {
             }
         }
     }
-}
-
-/// Reconstruct the execution reaching node `i` from the BFS forest.
-fn path_to(parent: &[Option<(u32, Step)>], mut i: u32) -> Execution {
-    let mut steps = Vec::new();
-    while let Some((p, step)) = parent[i as usize] {
-        steps.push(step);
-        i = p;
-    }
-    steps.reverse();
-    Execution::from_steps(steps)
 }
 
 /// Estimated bytes held by the packed arena plus the seen-set, for
@@ -1125,54 +1118,11 @@ fn arena_bytes<S: Clone + Eq + std::hash::Hash>(arena: &pack::PackedArena<S>) ->
     arena.bytes() + arena.len() * SEEN_ENTRY_BYTES
 }
 
-/// The reverse edges of a successor graph in compressed sparse-row
-/// form: the predecessors of node `j` are
-/// `preds[offsets[j]..offsets[j + 1]]`, one entry per edge (duplicate
-/// edges repeat). Two flat allocations instead of one vector per node.
-struct Predecessors {
-    offsets: Vec<u32>,
-    preds: Vec<u32>,
-}
-
-impl Predecessors {
-    fn of(succ: &[Vec<u32>]) -> Predecessors {
-        let n = succ.len();
-        let edges: usize = succ.iter().map(Vec::len).sum();
-        assert!(u32::try_from(edges).is_ok(), "{edges} edges overflow the u32 predecessor index");
-        // Count in-degrees, prefix-sum them into range ends, then fill
-        // each range back to front, which leaves `offsets[j]` at the
-        // start of node `j`'s range.
-        let mut offsets = vec![0u32; n + 1];
-        for &j in succ.iter().flatten() {
-            offsets[j as usize] += 1;
-        }
-        let mut end = 0u32;
-        for o in &mut offsets {
-            end += *o;
-            *o = end;
-        }
-        let mut preds = vec![0u32; edges];
-        for (i, outs) in succ.iter().enumerate().rev() {
-            for &j in outs {
-                offsets[j as usize] -= 1;
-                preds[offsets[j as usize] as usize] = i as u32;
-            }
-        }
-        Predecessors { offsets, preds }
-    }
-
-    /// The sources of the edges into node `j`.
-    fn of_node(&self, j: u32) -> &[u32] {
-        let j = j as usize;
-        &self.preds[self.offsets[j] as usize..self.offsets[j + 1] as usize]
-    }
-}
-
 /// Does the subgraph induced by the nodes passing `keep` contain a
 /// cycle? (Over the whole reachable graph: terminal nodes have no
 /// successors, so any cycle is among non-terminal configurations and
 /// witnesses an infinite execution.) Iterative three-color DFS.
-fn has_cycle(succ: &[Vec<u32>], keep: impl Fn(usize) -> bool) -> bool {
+fn has_cycle(succ: &Csr, keep: impl Fn(usize) -> bool) -> bool {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -1189,8 +1139,9 @@ fn has_cycle(succ: &[Vec<u32>], keep: impl Fn(usize) -> bool) -> bool {
         let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
         color[start] = Color::Gray;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < succ[node].len() {
-                let child = succ[node][*next] as usize;
+            let outs = succ.row(node);
+            if *next < outs.len() {
+                let child = outs[*next] as usize;
                 *next += 1;
                 if !keep(child) {
                     continue;
@@ -1214,12 +1165,12 @@ fn has_cycle(succ: &[Vec<u32>], keep: impl Fn(usize) -> bool) -> bool {
 
 /// Backward reachability: can every node reach a terminal node (no
 /// active processes)? `terminal[i]` flags the terminal nodes.
-fn all_can_terminate(terminal: &[bool], pred: &Predecessors) -> bool {
+fn all_can_terminate(terminal: &[bool], pred: &Csr) -> bool {
     let mut can = terminal.to_vec();
     let mut queue: VecDeque<u32> =
         (0..terminal.len() as u32).filter(|&j| terminal[j as usize]).collect();
     while let Some(j) = queue.pop_front() {
-        for &i in pred.of_node(j) {
+        for &i in pred.row(j as usize) {
             if !can[i as usize] {
                 can[i as usize] = true;
                 queue.push_back(i);
@@ -1506,7 +1457,13 @@ mod tests {
             }
             // Masks 0..=3 at random, biased toward undecided (4..8 → 0).
             let init: Vec<u8> = decided[..n].iter().map(|&d| if d < 4 { d } else { 0 }).collect();
-            let pred = Predecessors::of(&succ);
+            let mut csr = Csr::default();
+            for (i, outs) in succ.iter().enumerate() {
+                csr.start(i as u32);
+                outs.iter().for_each(|&j| csr.push(j));
+            }
+            csr.finish(n);
+            let pred = csr.transpose();
             let mut worklist = init.clone();
             propagate_valency(&pred, &mut worklist);
             let mut sweep = init;
@@ -1514,7 +1471,7 @@ mod tests {
             proptest::prop_assert_eq!(worklist, sweep);
 
             let mut reversed: Vec<(u32, u32)> = (0..n as u32)
-                .flat_map(|j| pred.of_node(j).iter().map(move |&i| (i, j)))
+                .flat_map(|j| pred.row(j as usize).iter().map(move |&i| (i, j)))
                 .collect();
             let mut forward: Vec<(u32, u32)> = succ
                 .iter()
@@ -2064,6 +2021,39 @@ mod tests {
         assert_eq!(full.raw_configs, resumed.raw_configs);
         assert_eq!(resumed.truncation_reason, None);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_refuses_a_frontier_that_is_not_the_unexpanded_last_level() {
+        let p = Naive { n: 3 };
+        let inputs = vec![0, 1, 0];
+        let path = std::env::temp_dir()
+            .join(format!("randsync-test-ckpt-{}-frontier.ckpt", std::process::id()));
+        let req = CheckpointRequest {
+            path: path.clone(),
+            protocol: "naive-test".into(),
+            n: 3,
+            r: 0,
+            inputs: inputs.clone(),
+        };
+        Explorer::with_config(ExploreConfig {
+            limits: ExploreLimits { max_configs: 200_000, max_depth: 2 },
+            checkpoint: Some(req),
+            ..ExploreConfig::default()
+        })
+        .explore(&p, &inputs);
+        let ckpt = Checkpoint::load(&path).expect("checkpoint loads");
+        let _ = std::fs::remove_file(&path);
+        assert!(Explorer::default().resume(&p, &ckpt).is_ok());
+        let corrupt = |ckpt: Checkpoint| {
+            matches!(Explorer::default().resume(&p, &ckpt), Err(CheckpointError::Corrupt(_)))
+        };
+        // Deeper nodes than the named frontier depth exist.
+        assert!(corrupt(Checkpoint { level_depth: 1, ..ckpt.clone() }));
+        // A frontier node already has successor edges.
+        let mut expanded = ckpt.clone();
+        expanded.succ.last_mut().expect("nodes").push(0);
+        assert!(corrupt(expanded));
     }
 
     #[test]

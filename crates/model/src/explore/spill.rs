@@ -319,6 +319,16 @@ impl ExternalDedup {
         }
     }
 
+    /// Row width of every key, in `u32` words.
+    pub(super) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Number of keys stored, in RAM and in runs.
+    pub(super) fn len(&self) -> usize {
+        self.hashes.len() + self.runs.iter().map(|r| r.entries).sum::<usize>()
+    }
+
     /// Whether this seen-set can flush runs to disk.
     pub(super) fn spills(&self) -> bool {
         self.dir.is_some()

@@ -16,12 +16,15 @@
 //!
 //! Implementations in this workspace:
 //!
-//! * [`LocalFrontier`] — the in-process reference implementation (a
-//!   plain hash map), used by the equivalence property suites and as
-//!   the semantic model every remote implementation must match.
 //! * `ExternalDedup` (the local seen-set, resident or spilling)
-//!   implements the same trait, so the engine's one level merge is
-//!   written against the seam for every tier.
+//!   implements the trait, so the engine's one level merge is written
+//!   against the seam for every tier.
+//! * [`LocalFrontier`] — the same store (`ExternalDedup`, resident)
+//!   behind a guard for untrusted callers: it checks every batch's
+//!   shape and order before the store sees it. Worker shards host one
+//!   per session, and the equivalence property suites run the engine
+//!   through it. The hash-map model it replaced is kept as a test
+//!   oracle below.
 //! * `randsync-svc`'s `DistributedFrontier` speaks the same contract
 //!   over the JSONL wire protocol to N worker processes.
 //!
@@ -44,8 +47,9 @@
 //! the level boundary and reports a truncated outcome with
 //! [`TruncationReason::Transport`](super::TruncationReason::Transport).
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use super::spill::ExternalDedup;
 
 /// A frontier-exchange failure (connection loss, protocol error, a
 /// worker shard gone away). Carries a human-readable description.
@@ -121,20 +125,20 @@ impl std::fmt::Debug for SharedFrontier {
     }
 }
 
-/// The (index, packed words) entries stored under one fingerprint:
-/// every config whose rows hashed to that value, kept for exact
-/// (non-hash) membership comparison.
-type Bucket = Vec<(u32, Box<[u32]>)>;
-
-/// The in-process reference implementation of the seam: a hash map
-/// from fingerprint to the (words, index) pairs inserted under it.
-/// Semantically identical to the engine's local seen-set; exists so
-/// the seam itself can be property-tested for bit-identity without any
-/// networking, and as the executable model for remote shards.
-#[derive(Debug, Default)]
+/// The engine's resident seen-set behind the seam, for callers the
+/// engine does not control: a worker shard answering wire frames, or a
+/// test driving the seam by hand.
+///
+/// The store itself trusts its batches to be sorted, distinct and
+/// disjoint from what it holds. This wrapper checks that first and
+/// answers a batch that is not with a [`TransportError`], leaving the
+/// store untouched: every batch must be strictly ascending by
+/// `(hash, words)`, and an insert batch must not repeat a stored key.
+#[derive(Default)]
 pub struct LocalFrontier {
-    stride: usize,
-    map: HashMap<u64, Bucket>,
+    /// `None` until [`open`](FrontierTransport::open) and after
+    /// [`close`](FrontierTransport::close).
+    store: Option<ExternalDedup>,
 }
 
 impl LocalFrontier {
@@ -145,12 +149,47 @@ impl LocalFrontier {
 
     /// Number of keys inserted so far.
     pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.store.as_ref().map_or(0, ExternalDedup::len)
     }
 
     /// Whether no keys have been inserted.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+
+    /// The open store, after checking that `hashes`/`words` is a
+    /// well-formed batch for it: whole rows, strictly ascending by
+    /// `(hash, words)`.
+    fn checked(
+        &mut self,
+        what: &str,
+        hashes: &[u64],
+        words: &[u32],
+    ) -> Result<&mut ExternalDedup, TransportError> {
+        let store = self
+            .store
+            .as_mut()
+            .ok_or_else(|| TransportError::new(format!("{what} batch on a frontier that is not open")))?;
+        let stride = store.stride();
+        if words.len() != hashes.len() * stride {
+            return Err(TransportError::new(format!("malformed {what} batch")));
+        }
+        let key = |k: usize| (hashes[k], &words[k * stride..(k + 1) * stride]);
+        if let Some(k) = (1..hashes.len()).find(|&k| key(k - 1) >= key(k)) {
+            return Err(TransportError::new(format!(
+                "{what} batch is not strictly ascending by (hash, words) at key {k}"
+            )));
+        }
+        Ok(store)
+    }
+}
+
+impl std::fmt::Debug for LocalFrontier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LocalFrontier")
+            .field("stride", &self.store.as_ref().map(ExternalDedup::stride))
+            .field("len", &self.len())
+            .finish()
     }
 }
 
@@ -159,8 +198,7 @@ impl FrontierTransport for LocalFrontier {
         if stride == 0 {
             return Err(TransportError::new("frontier stride must be nonzero"));
         }
-        self.stride = stride;
-        self.map.clear();
+        self.store = Some(ExternalDedup::in_ram(stride));
         Ok(())
     }
 
@@ -169,20 +207,7 @@ impl FrontierTransport for LocalFrontier {
         hashes: &[u64],
         words: &[u32],
     ) -> Result<Vec<Option<u32>>, TransportError> {
-        let stride = self.stride;
-        if stride == 0 || words.len() != hashes.len() * stride {
-            return Err(TransportError::new("malformed probe batch"));
-        }
-        Ok(hashes
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let row = &words[i * stride..(i + 1) * stride];
-                self.map.get(h).and_then(|entries| {
-                    entries.iter().find(|(_, w)| &**w == row).map(|&(j, _)| j)
-                })
-            })
-            .collect())
+        Ok(self.checked("probe", hashes, words)?.probe_sorted(hashes, words))
     }
 
     fn insert_sorted(
@@ -191,29 +216,152 @@ impl FrontierTransport for LocalFrontier {
         indices: &[u32],
         words: &[u32],
     ) -> Result<(), TransportError> {
-        let stride = self.stride;
-        if stride == 0
-            || indices.len() != hashes.len()
-            || words.len() != hashes.len() * stride
-        {
+        if indices.len() != hashes.len() {
             return Err(TransportError::new("malformed insert batch"));
         }
-        for (i, (&h, &j)) in hashes.iter().zip(indices).enumerate() {
-            let row = &words[i * stride..(i + 1) * stride];
-            self.map.entry(h).or_default().push((j, row.into()));
+        let store = self.checked("insert", hashes, words)?;
+        if let Some(k) = store.probe_sorted(hashes, words).iter().position(Option::is_some) {
+            return Err(TransportError::new(format!(
+                "insert batch key {k} is already in the frontier"
+            )));
         }
+        store.insert_sorted(hashes, indices, words);
         Ok(())
     }
 
     fn close(&mut self) -> Result<(), TransportError> {
-        self.map.clear();
+        self.store = None;
         Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use super::super::spill::{BudgetPlan, SpillDir};
     use super::*;
+
+    /// The `(index, words)` entries inserted under one fingerprint.
+    type Bucket = Vec<(u32, Box<[u32]>)>;
+
+    /// The hash-map seen-set `LocalFrontier` used to be, kept as an
+    /// independent model of the seam: fingerprint → its bucket,
+    /// compared on full words.
+    #[derive(Default)]
+    struct HashFrontier {
+        stride: usize,
+        map: HashMap<u64, Bucket>,
+    }
+
+    impl HashFrontier {
+        fn probe(&self, hashes: &[u64], words: &[u32]) -> Vec<Option<u32>> {
+            let stride = self.stride;
+            hashes
+                .iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    let row = &words[i * stride..(i + 1) * stride];
+                    self.map.get(h).and_then(|entries| {
+                        entries.iter().find(|(_, w)| &**w == row).map(|&(j, _)| j)
+                    })
+                })
+                .collect()
+        }
+
+        fn insert(&mut self, hashes: &[u64], indices: &[u32], words: &[u32]) {
+            let stride = self.stride;
+            for (i, (&h, &j)) in hashes.iter().zip(indices).enumerate() {
+                let row = &words[i * stride..(i + 1) * stride];
+                self.map.entry(h).or_default().push((j, row.into()));
+            }
+        }
+    }
+
+    /// Key `v` of a 48-key universe: runs of three keys share a hash,
+    /// so equal-hash keys must be told apart by their words.
+    fn key(v: u32) -> (u64, [u32; 2]) {
+        (u64::from(v / 3).wrapping_mul(0x9E37_79B9_7F4A_7C15), [v % 5, v])
+    }
+
+    /// The keys picked by the low 48 bits of `mask`, sorted by
+    /// `(hash, words)`, as a batch.
+    fn batch(mask: u64, keep: impl Fn(u32) -> bool) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+        let mut keys: Vec<(u64, [u32; 2], u32)> = (0..48u32)
+            .filter(|&v| mask >> v & 1 == 1 && keep(v))
+            .map(|v| {
+                let (h, w) = key(v);
+                (h, w, v)
+            })
+            .collect();
+        keys.sort_unstable();
+        (
+            keys.iter().map(|k| k.0).collect(),
+            keys.iter().map(|k| k.2 * 7 + 1).collect(),
+            keys.iter().flat_map(|k| k.1).collect(),
+        )
+    }
+
+    proptest::proptest! {
+        /// Random schedules of sorted probe and insert batches give the
+        /// same answers from the engine's resident store, its spilling
+        /// store, the guarded `LocalFrontier` and the hash-map model.
+        #[test]
+        fn sorted_store_matches_the_hash_map_model(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..24),
+        ) {
+            let tiny = BudgetPlan { segment_bytes: 48, window_segments: 2, dedup_ram_bytes: 64 };
+            let mut ram = ExternalDedup::in_ram(2);
+            let mut spill = ExternalDedup::new(2, &tiny, SpillDir::create(None));
+            let mut guarded = LocalFrontier::new();
+            guarded.open(2).unwrap();
+            let mut model = HashFrontier { stride: 2, ..HashFrontier::default() };
+            let mut inserted = [false; 48];
+            for op in ops {
+                let mask = op >> 16;
+                if op & 1 == 1 {
+                    // Inserts are disjoint from what is stored.
+                    let (h, idx, w) = batch(mask, |v| !inserted[v as usize]);
+                    for &i in &idx {
+                        inserted[((i - 1) / 7) as usize] = true;
+                    }
+                    ram.insert_sorted(&h, &idx, &w);
+                    spill.insert_sorted(&h, &idx, &w);
+                    guarded.insert_sorted(&h, &idx, &w).unwrap();
+                    model.insert(&h, &idx, &w);
+                } else {
+                    let (h, _, w) = batch(mask, |_| true);
+                    let want = model.probe(&h, &w);
+                    proptest::prop_assert_eq!(ram.probe_sorted(&h, &w), want.clone());
+                    proptest::prop_assert_eq!(spill.probe_sorted(&h, &w), want.clone());
+                    proptest::prop_assert_eq!(guarded.probe_sorted(&h, &w).unwrap(), want);
+                }
+            }
+            let stored = inserted.iter().filter(|&&b| b).count();
+            proptest::prop_assert_eq!((ram.len(), spill.len(), guarded.len()), (stored, stored, stored));
+        }
+    }
+
+    #[test]
+    fn unsorted_duplicated_and_repeated_batches_are_refused_untouched() {
+        let mut f = LocalFrontier::new();
+        assert!(f.probe_sorted(&[], &[]).is_err(), "not open yet");
+        f.open(1).unwrap();
+        // Descending hashes, equal hashes with descending words, and a
+        // key given twice.
+        for (h, w) in [(vec![2, 1], vec![0, 0]), (vec![5, 5], vec![9, 3]), (vec![4, 4], vec![6, 6])] {
+            assert!(f.probe_sorted(&h, &w).is_err(), "probe {h:?} {w:?}");
+            assert!(f.insert_sorted(&h, &[0, 1], &w).is_err(), "insert {h:?} {w:?}");
+        }
+        assert!(f.is_empty(), "a refused batch stores nothing");
+        f.insert_sorted(&[1, 2], &[0, 1], &[7, 7]).unwrap();
+        // Re-inserting a stored key (a replayed frame) is refused too.
+        assert!(f.insert_sorted(&[2, 3], &[5, 6], &[7, 7]).is_err());
+        assert_eq!(f.len(), 2);
+        assert_eq!(f.probe_sorted(&[1, 2, 3], &[7, 7, 7]).unwrap(), vec![Some(0), Some(1), None]);
+        f.close().unwrap();
+        assert!(f.probe_sorted(&[1], &[7]).is_err(), "closed");
+    }
 
     #[test]
     fn local_frontier_probe_insert_roundtrip() {

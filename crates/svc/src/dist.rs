@@ -10,9 +10,11 @@
 //!   and answers the four `frontier_*` wire frames *inline on the
 //!   event loop* (never through the worker pool, so a busy pool can
 //!   never deadlock a coordinator). Each open session is a
-//!   [`LocalFrontier`] — the reference implementation of the seam —
-//!   keyed by a server-issued session id, so any number of
-//!   coordinators can search through one shard concurrently.
+//!   [`LocalFrontier`] — the engine's own sorted seen-set store, behind
+//!   checks that refuse a frame whose batch is malformed, unsorted,
+//!   duplicated or repeats a stored key — keyed by a server-issued
+//!   session id, so any number of coordinators can search through one
+//!   shard concurrently.
 //! * **Coordinator side** — [`DistributedFrontier`] implements
 //!   [`FrontierTransport`] over N shard connections. Shard `k` of `N`
 //!   owns the fingerprint range `[k·2⁶⁴/N, (k+1)·2⁶⁴/N)`; because the
@@ -589,23 +591,60 @@ mod tests {
     fn malformed_frontier_frames_are_rejected() {
         let sessions = FrontierSessions::default();
         let parse = |s: &str| randsync_obs::parse_json(s).unwrap();
+        let send = |job: &str, params: &str| {
+            parse(&sessions.handle(&Request {
+                id: Json::Null,
+                job: job.to_string(),
+                params: parse(params),
+                trace: None,
+            }))
+        };
+        let status = |reply: &Json| reply.get("status").and_then(Json::as_str).map(str::to_string);
         for (job, params) in [
             ("frontier_open", "{}"),
             ("frontier_open", "{\"stride\": 0}"),
             ("frontier_probe", "{\"hashes\": [], \"words\": []}"),
             ("frontier_bogus", "{}"),
         ] {
-            let reply = parse(&sessions.handle(&Request {
-                id: Json::Null,
-                job: job.to_string(),
-                params: parse(params),
-                trace: None,
-            }));
-            assert_eq!(
-                reply.get("status").and_then(Json::as_str),
-                Some("error"),
-                "{job} {params}"
-            );
+            assert_eq!(status(&send(job, params)).as_deref(), Some("error"), "{job} {params}");
         }
+
+        // Unsorted and duplicated batches on an open session: each gets
+        // an error frame, and the session stays usable afterwards.
+        let open = send("frontier_open", "{\"stride\": 1}");
+        let sid = open.get("result").unwrap().get("session").and_then(Json::as_u64).unwrap();
+        let insert = |hashes: &str, indices: &str, words: &str| {
+            send(
+                "frontier_insert",
+                &format!(
+                    "{{\"session\": {sid}, \"hashes\": {hashes}, \"indices\": {indices}, \
+                     \"words\": {words}}}"
+                ),
+            )
+        };
+        let probe = |hashes: &str, words: &str| {
+            send(
+                "frontier_probe",
+                &format!("{{\"session\": {sid}, \"hashes\": {hashes}, \"words\": {words}}}"),
+            )
+        };
+        assert_eq!(status(&insert("[5]", "[0]", "[50]")).as_deref(), Some("ok"));
+        for (hashes, words) in [("[9, 2]", "[1, 1]"), ("[7, 7]", "[4, 3]"), ("[6, 6]", "[1, 1]")] {
+            let reply = probe(hashes, words);
+            assert_eq!(status(&reply).as_deref(), Some("error"), "probe {hashes} {words}");
+            assert_eq!(
+                reply.get("error").unwrap().get("code").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            let reply = insert(hashes, "[1, 2]", words);
+            assert_eq!(status(&reply).as_deref(), Some("error"), "insert {hashes} {words}");
+        }
+        // A replayed insert of a stored key is refused as well.
+        assert_eq!(status(&insert("[5]", "[3]", "[50]")).as_deref(), Some("error"));
+
+        assert_eq!(status(&insert("[2, 9]", "[1, 2]", "[1, 1]")).as_deref(), Some("ok"));
+        let found = probe("[2, 5, 9, 9]", "[1, 50, 0, 1]");
+        let found = found.get("result").unwrap().get("found").and_then(Json::as_arr).unwrap();
+        assert_eq!(found, &[Json::Int(1), Json::Int(0), Json::Null, Json::Int(2)]);
     }
 }

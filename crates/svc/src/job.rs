@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use randsync_consensus::registry::{self, AttackFamily, ProtocolEntry};
 use randsync_core::attack::{attack_identical, AttackOutcome};
 use randsync_core::combine31::CombineLimits;
-use randsync_core::combine35::{ample_pool, attack_historyless, GeneralOutcome};
+use randsync_core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
 use randsync_core::witness::InconsistencyWitness;
 use randsync_model::runtime::{replay_execution, Runtime};
 use randsync_model::{
@@ -994,7 +994,7 @@ where
             }
         }
         AttackFamily::Historyless => {
-            match attack_historyless(built, ample_pool(1), &ExploreLimits::default()) {
+            match attack_historyless(built, ample_pool_for(built), &ExploreLimits::default()) {
                 Ok(GeneralOutcome::Inconsistent { witness, .. }) => {
                     let mut fields = base("inconsistent");
                     fields.extend(witness_fields(&witness)?);
@@ -1156,6 +1156,17 @@ mod tests {
             Job::parse("verify_witness", &params).unwrap_err().code,
             code::BAD_REQUEST
         );
+    }
+
+    #[test]
+    fn verify_witness_job_breaks_the_multi_object_target() {
+        // Lemma 3.6's pool grows with the object count; a one-object
+        // pool cannot break mixedzigzag.
+        let params =
+            Json::Obj(vec![("protocol".to_string(), Json::Str("mixedzigzag".to_string()))]);
+        let result = Job::parse("verify_witness", &params).unwrap().execute(far()).unwrap();
+        assert_eq!(result.get("outcome").and_then(Json::as_str), Some("inconsistent"));
+        assert_eq!(result.get("verified"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -85,7 +85,7 @@ use randsync::consensus::spec::decide_concurrently;
 use randsync::consensus::{Consensus, WalkConsensus};
 use randsync::core::attack::{attack_identical, AttackOutcome};
 use randsync::core::combine31::CombineLimits;
-use randsync::core::combine35::{ample_pool, attack_historyless, GeneralOutcome};
+use randsync::core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
 use randsync::core::bounds;
 use randsync::core::hierarchy::render_table;
 use randsync::model::runtime::{replay_execution, Runtime};
@@ -310,7 +310,7 @@ fn run_attack(args: &[String]) -> ExitCode {
     let protocol = (entry.build)(entry.default_n, r);
     match entry.attack {
         AttackFamily::RegisterIdentical => report_register_attack(&protocol),
-        AttackFamily::Historyless => report_general_attack(&protocol, ample_pool(1)),
+        AttackFamily::Historyless => report_general_attack(&protocol, ample_pool_for(&protocol)),
         AttackFamily::NotApplicable => {
             eprintln!(
                 "unknown attack target: {which} (no adversary applies — the protocol is correct)"

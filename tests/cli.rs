@@ -104,6 +104,17 @@ fn attack_swapchain_uses_the_general_adversary() {
 }
 
 #[test]
+fn attack_sizes_the_lemma_36_pool_to_the_object_count() {
+    // mixedzigzag spans several historyless objects: a one-object pool
+    // reports "insufficient processes", the object-count pool breaks it.
+    let (stdout, stderr, ok) = randsync(&["attack", "mixedzigzag"]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains("Lemma 3.6"), "{stdout}");
+    assert!(stdout.contains("pieces executed"), "{stdout}");
+    assert!(!stdout.contains("insufficient"), "{stdout}");
+}
+
+#[test]
 fn check_verdicts_match_the_protocol_zoo() {
     let (stdout, _, ok) = randsync(&["check", "cas"]);
     assert!(ok);
@@ -141,6 +152,25 @@ fn valency_explores_the_space_once() {
     let configs = metric("configurations      :");
     assert_eq!(metric("explore.interned"), configs - 1);
     assert_eq!(metric("explore.levels"), metric("explore.max_depth"));
+}
+
+#[test]
+fn valency_metrics_report_the_graph_bytes() {
+    // The graph beside the arena is one 12-byte parent link per node,
+    // n + 1 CSR offsets and one word per edge; in a raw search every
+    // candidate is an edge. walk-counter's figure is pinned.
+    let (stdout, _, ok) = randsync(&["valency", "walk-counter", "1", "--metrics"]);
+    assert!(ok);
+    let metric = |name: &str| -> usize {
+        let line = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} line in:\n{stdout}"));
+        line.trim().parse().unwrap_or_else(|_| panic!("{name} is not a count: {line}"))
+    };
+    let (n, e) = (metric("configurations      :"), metric("explore.candidates"));
+    assert_eq!(metric("explore.graph_bytes"), 12 * n + 4 * (n + 1) + 4 * e);
+    assert_eq!((n, e, metric("explore.graph_bytes")), (262, 472, 6084));
 }
 
 #[test]
