@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use randsync_model::explore::successors;
+use randsync_model::explore::solo_until;
 use randsync_model::{
     Configuration, Decision, ExploreLimits, ModelError, ObjectId, ProcessId,
     Protocol, Step,
@@ -233,50 +233,6 @@ impl core::fmt::Display for IeError {
 
 impl std::error::Error for IeError {}
 
-/// Drive `pid` solo from `config` until `goal` holds for its
-/// configuration, exhausting its coin nondeterminism breadth-first.
-/// Returns the steps taken (possibly empty if the goal already holds).
-pub fn solo_until<P, F>(
-    protocol: &P,
-    config: &Configuration<P::State>,
-    pid: ProcessId,
-    limits: &ExploreLimits,
-    goal: F,
-) -> Option<Vec<Step>>
-where
-    P: Protocol,
-    F: Fn(&Configuration<P::State>) -> bool,
-{
-    if goal(config) {
-        return Some(Vec::new());
-    }
-    let mut queue: std::collections::VecDeque<(Configuration<P::State>, Vec<Step>)> =
-        std::collections::VecDeque::from([(config.clone(), Vec::new())]);
-    let mut seen: std::collections::HashSet<Configuration<P::State>> = Default::default();
-    seen.insert(config.clone());
-    let mut expanded = 0usize;
-    while let Some((c, path)) = queue.pop_front() {
-        if path.len() >= limits.max_depth {
-            continue;
-        }
-        expanded += 1;
-        if expanded > limits.max_configs {
-            return None;
-        }
-        for (step, next) in successors(protocol, &c, pid) {
-            let mut p = path.clone();
-            p.push(step);
-            if goal(&next) {
-                return Some(p);
-            }
-            if seen.insert(next.clone()) {
-                queue.push_back((next, p));
-            }
-        }
-    }
-    None
-}
-
 /// Lemma 3.4: construct an interruptible execution from `base` with
 /// initial object set `initial`, process set `procs`, and the given
 /// excess capacity, by the paper's recursion. Also returns the final
@@ -388,7 +344,7 @@ pub fn construct_interruptible<P: Protocol>(
             };
             let steps = solo_until(protocol, &config, pid, limits, goal)
                 .ok_or(IeError::SearchExhausted(pid))?;
-            for step in steps {
+            for &step in steps.steps() {
                 let record = config.step(protocol, step.pid, step.coin)?;
                 body.push(step);
                 if let Some(d) = record.decided {
@@ -588,27 +544,6 @@ mod tests {
         // Claim a different decision.
         ie.decides = 1 - ie.decides;
         assert!(ie.validate(&p, &base).is_err());
-    }
-
-    #[test]
-    fn solo_until_finds_goals_and_respects_budgets() {
-        let p = NaiveWriteRead::new(2);
-        let c = Configuration::initial(&p, &[0, 1]);
-        // Goal: P0 poised at nothing (i.e. about to read — not poised).
-        let steps = solo_until(&p, &c, ProcessId(0), &limits(), |cfg| {
-            cfg.poised_at(&p, ProcessId(0)).is_none()
-        })
-        .unwrap();
-        assert_eq!(steps.len(), 1, "one write gets P0 to its read");
-        // Impossible goal within tiny budget.
-        let none = solo_until(
-            &p,
-            &c,
-            ProcessId(0),
-            &ExploreLimits { max_configs: 2, max_depth: 1 },
-            |_| false,
-        );
-        assert!(none.is_none());
     }
 
     #[test]

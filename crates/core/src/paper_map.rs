@@ -6,7 +6,7 @@
 //! | §2 model: processes, objects, configurations, executions | [`randsync_model::Protocol`], [`randsync_model::Configuration`], [`randsync_model::Execution`] |
 //! | §2 trivial / commute / overwrite / historyless / interfering | [`randsync_model::ObjectKind`] (`is_trivial`, `commutes`, `overwrites`, `is_historyless`, `is_interfering`) |
 //! | §2 wait-free / non-blocking / randomized variants | discussed per protocol; termination checks in [`randsync_model::Explorer`] |
-//! | §2 nondeterministic solo termination | [`randsync_model::Explorer::solo_deciding`] (witness search) |
+//! | §2 nondeterministic solo termination | [`randsync_model::explore::solo_until`] (the one solo search; [`randsync_model::Explorer::solo_deciding`] is its "has decided" goal) |
 //! | §2 "randomized consensus from registers must have non-terminating executions" | [`randsync_model::ExploreOutcome::infinite_execution_possible`] |
 //! | Theorem 2.1 (composition g/f) | [`crate::bounds::composition_lower_bound`] |
 //! | §3 poised processes, block writes | [`crate::poised`] |

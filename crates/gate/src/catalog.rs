@@ -397,6 +397,20 @@ pub static CATALOG: &[PropertyEntry] = &[
         run: checks::guided_witness,
     },
     PropertyEntry {
+        id: "explore-counts",
+        paper: "DESIGN.md sections 9, 14 and 15 (exact search counts)",
+        statement: "Raw, canonical and POR exploration of fixed registry workloads reach \
+                    exactly the pinned counts; the raw n = 4 walk completes under a 4 MiB \
+                    budget bit-identical to RAM; best-first search finds the pinned witness \
+                    where breadth-first search exhausts its default budget",
+        protocols: &["optimistic", "walk-default", "phase", "localcoin", "walk-counter"],
+        severity: Severity::Critical,
+        tags: &["equivalence", "explore"],
+        budget_ms: 60_000,
+        requires_witness: false,
+        run: checks::explore_counts,
+    },
+    PropertyEntry {
         id: "runtime-model-equiv",
         paper: "DESIGN.md section 9 (one state machine, many interpreters)",
         statement: "Threaded-runtime executions replay bit-identically through the model \

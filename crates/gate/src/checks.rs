@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use randsync_consensus::registry::{self, ProtocolEntry};
+use randsync_consensus::registry::{self, AnyProtocol, ProtocolEntry};
 use randsync_core::attack::attack_for_witness;
 use randsync_core::bounds::{
     composition_lower_bound, max_identical_processes, min_historyless_objects,
@@ -488,6 +488,185 @@ pub(crate) fn guided_witness(ctx: &CheckContext) -> CheckOutcome {
         BoundOp::Le,
         6,
     )
+}
+
+/// A registry protocol's name, its `n` and `r`, an input vector, and
+/// the exact counts its searches reach, in [`COUNT_FIELDS`] order.
+type CountRow = (&'static str, usize, usize, &'static [u8], [i128; 6]);
+
+/// The workloads `explore-counts` pins: raw, canonical and POR
+/// configuration counts, the raw configurations the canonical set
+/// represents, the moves POR pruned and the nodes its cycle proviso
+/// re-expanded.
+const COUNT_ROWS: &[CountRow] = &[
+    ("optimistic", 3, 3, &[0, 1, 0], [8467, 4244, 23497, 3189, 2874, 0]),
+    ("walk-default", 3, 1, &[0, 1, 0], [154367, 78371, 462216, 135256, 58095, 22991]),
+    ("phase", 3, 3, &[0, 1, 0], [604505, 152655, 877242, 267205, 403557, 18190]),
+    ("localcoin", 2, 4, &[0, 1], [689, 689, 689, 209, 97, 0]),
+    ("localcoin", 3, 2, &[0, 1, 1], [953, 953, 953, 221, 138, 0]),
+];
+
+/// The bound names of a [`COUNT_ROWS`] row's counts.
+const COUNT_FIELDS: [&str; 6] = [
+    "raw_configs",
+    "canonical_configs",
+    "represented_configs",
+    "por_configs",
+    "por_pruned",
+    "por_fallbacks",
+];
+
+/// Build a registry protocol at an explicit size.
+fn built(name: &str, n: usize, r: usize) -> Result<AnyProtocol, CheckOutcome> {
+    Ok((binding(name)?.build)(n, r))
+}
+
+/// The outcome, or a failure if any budget cut the search short.
+fn complete(label: &str, out: ExploreOutcome) -> Result<ExploreOutcome, CheckOutcome> {
+    if out.truncated {
+        return Err(CheckOutcome::fail(format!(
+            "{label}: exploration truncated ({:?})",
+            out.truncation_reason
+        )));
+    }
+    Ok(out)
+}
+
+/// Exact exploration counts. Every count a bounded exhaustive search
+/// reports is a fact about its protocol, so a change to any of them is
+/// a change to what the engine explores: the symmetry quotient, the
+/// ample sets or the cycle proviso. The n = 4 walk's raw space also
+/// completes under a 4 MiB memory budget, bit-identical to RAM, and
+/// best-first search finds a pinned witness where breadth-first search
+/// spends the explorer's default budget.
+pub(crate) fn explore_counts(ctx: &CheckContext) -> CheckOutcome {
+    let mut out = CheckOutcome::pass();
+    for &(name, n, r, inputs, want) in COUNT_ROWS {
+        match count_row(ctx, name, n, r, inputs) {
+            Ok(got) => {
+                for ((field, got), want) in COUNT_FIELDS.into_iter().zip(got).zip(want) {
+                    out = out.bound(format!("{name}({n},{r}).{field}"), got, BoundOp::Eq, want);
+                }
+            }
+            Err(fail) => return fail,
+        }
+    }
+    walk_counter_n4(ctx, out)
+        .and_then(|out| guided_optimistic(ctx, out))
+        .unwrap_or_else(|fail| fail)
+}
+
+/// One [`COUNT_ROWS`] row's observed counts.
+fn count_row(
+    ctx: &CheckContext,
+    name: &str,
+    n: usize,
+    r: usize,
+    inputs: &[u8],
+) -> Result<[i128; 6], CheckOutcome> {
+    let protocol = built(name, n, r)?;
+    let label = format!("{name}({n},{r})");
+    let run = |tweak: fn(&mut ExploreConfig)| {
+        complete(&label, explorer_with(ctx, tweak).explore(&protocol, inputs))
+    };
+    let raw = run(|_| {})?;
+    let canon = run(|c| c.canonical = true)?;
+    let por = run(|c| c.por = true)?;
+    Ok([
+        raw.configs_visited,
+        canon.configs_visited,
+        canon.raw_configs,
+        por.configs_visited,
+        por.por_pruned,
+        por.por_fallbacks,
+    ]
+    .map(|count| count as i128))
+}
+
+/// walk-counter at n = 4 with uniform inputs: the symmetry quotient
+/// completes and counts the raw space it stands for, and that raw
+/// space completes under a 4 MiB resident budget with an outcome
+/// identical to the same search in RAM.
+fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome, CheckOutcome> {
+    const BUDGET: usize = 4 << 20;
+    let label = "walk-counter(4,1)";
+    let protocol = built("walk-counter", 4, 1)?;
+    let inputs = [0; 4];
+    let canon =
+        complete(label, explorer_with(ctx, |c| c.canonical = true).explore(&protocol, &inputs))?;
+    let ram = complete(label, explorer(ctx).explore(&protocol, &inputs))?;
+    let spill = complete(
+        label,
+        explorer_with(ctx, |c| c.mem_budget_bytes = BUDGET).explore(&protocol, &inputs),
+    )?;
+    let observable = |o: &ExploreOutcome| {
+        format!(
+            "{:?}",
+            (
+                (&o.consistency_violation, &o.validity_violation),
+                (o.configs_visited, o.terminal_configs, o.raw_configs, o.arena_bytes),
+                (o.can_always_reach_termination, o.infinite_execution_possible),
+            )
+        )
+    };
+    if observable(&ram) != observable(&spill) {
+        return Err(CheckOutcome::fail(format!(
+            "{label}: the spilled search diverged from RAM: {} vs {}",
+            observable(&spill),
+            observable(&ram)
+        )));
+    }
+    let bounds = [
+        ("canonical_configs", canon.configs_visited, BoundOp::Eq, 25191),
+        ("represented_configs", canon.raw_configs, BoundOp::Eq, 518260),
+        ("spill.raw_configs", spill.configs_visited, BoundOp::Eq, 518260),
+        ("spill.merge_passes", spill.dedup_merge_passes as usize, BoundOp::Ge, 1),
+        ("spill.resident_bytes", spill.resident_arena_bytes, BoundOp::Le, BUDGET),
+    ];
+    Ok(bounds.into_iter().fold(out, |out, (field, got, op, want)| {
+        out.bound(format!("{label}.{field}"), got as i128, op, want as i128)
+    }))
+}
+
+/// optimistic at n = 5, r = 4: breadth-first search at the explorer's
+/// default limits runs out of budget without a witness, while
+/// best-first search finds one that verifies and is already minimal.
+/// (A cut by the entry's deadline would also read as a truncated
+/// search, but the runner fails an entry that overruns its budget.)
+fn guided_optimistic(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome, CheckOutcome> {
+    let label = "optimistic(5,4)";
+    let protocol = built("optimistic", 5, 4)?;
+    let inputs = [0, 1, 0, 1, 0];
+    let search = |mode| {
+        explorer_with(ctx, |c| {
+            c.limits = ExploreLimits::default();
+            c.search = mode;
+        })
+        .find_violation(&protocol, &inputs, |c| c.is_inconsistent())
+    };
+    let fail = |why: String| CheckOutcome::fail(format!("{label}: {why}"));
+    let (bfs_hit, bfs_truncated) = search(SearchMode::Bfs);
+    if bfs_hit.is_some() || !bfs_truncated {
+        return Err(fail(format!(
+            "breadth-first search was to exhaust the default budget without a witness \
+             (witness found: {}, truncated: {bfs_truncated})",
+            bfs_hit.is_some()
+        )));
+    }
+    let Some(execution) = search(SearchMode::BestFirst).0 else {
+        return Err(fail("best-first search found no witness".to_string()));
+    };
+    let steps = execution.len() as i128;
+    let witness = InconsistencyWitness::from_execution(&protocol, &inputs, execution)
+        .ok_or_else(|| fail("the witness does not replay to an inconsistency".to_string()))?;
+    let (minimal, _) = witness.minimize_report(&protocol);
+    for w in [&witness, &minimal] {
+        w.verify(&protocol).map_err(|e| fail(format!("witness failed model replay: {e}")))?;
+    }
+    let minimized = minimal.execution.len() as i128;
+    Ok(out
+        .bound(format!("{label}.witness_steps"), steps, BoundOp::Eq, 18)
+        .bound(format!("{label}.minimized_steps"), minimized, BoundOp::Eq, 18))
 }
 
 /// One state machine, many interpreters: seeded threaded-runtime

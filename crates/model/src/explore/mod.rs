@@ -93,7 +93,6 @@ use crate::config::Configuration;
 use crate::execution::{Execution, Step};
 use crate::process::ProcessId;
 use crate::protocol::{Action, Decision, Protocol};
-use crate::value::Value;
 
 use graph::{path_to, Csr, Link};
 
@@ -822,11 +821,8 @@ impl Explorer {
     }
 
     /// Like [`Explorer::solo_terminating`], but also returns the value
-    /// `pid` decides at the end of the witness.
-    ///
-    /// Solo searches stay sequential: their state space is keyed on a
-    /// single process's state plus the object values and is tiny in
-    /// practice.
+    /// `pid` decides at the end of the witness: [`solo_until`] with
+    /// "`pid` has decided" as the goal, under this explorer's limits.
     pub fn solo_deciding<P>(
         &self,
         protocol: &P,
@@ -839,39 +835,68 @@ impl Explorer {
         if !config.is_active(pid) {
             return None;
         }
-        // Only `pid`'s state and the object values evolve in a solo
-        // execution; key visited states on that pair.
-        let mut queue: VecDeque<(Configuration<P::State>, Execution)> =
-            VecDeque::from([(config.clone(), Execution::new())]);
-        let mut seen: HashSet<(P::State, Vec<Value>)> = HashSet::new();
-        if let Some(s) = config.procs[pid.0].state() {
-            seen.insert((s.clone(), config.values.clone()));
-        }
-        let mut expanded = 0usize;
-        while let Some((c, path)) = queue.pop_front() {
-            if path.len() >= self.config.limits.max_depth {
-                continue;
-            }
-            expanded += 1;
-            if expanded > self.config.limits.max_configs {
+        let mut decided = None;
+        let witness = solo_until(protocol, config, pid, &self.config.limits, |c| {
+            decided = c.procs[pid.0].decision();
+            decided.is_some()
+        })?;
+        Some((witness, decided?))
+    }
+}
+
+/// Drive `pid` solo from `config` until `goal` holds, exhausting its
+/// coin nondeterminism breadth-first in [`successors`] order. Returns a
+/// shortest such execution (empty if `goal` already holds), or `None`
+/// when none exists within `limits`: at most `max_configs` nodes are
+/// expanded, and none at depth `max_depth` or deeper.
+///
+/// Every node keeps one 12-byte parent link, so a witness is rebuilt once
+/// instead of a path being cloned per queued node. Solo searches stay
+/// sequential: only `pid` and the object it touches change, so the
+/// space is tiny in practice.
+pub fn solo_until<P, F>(
+    protocol: &P,
+    config: &Configuration<P::State>,
+    pid: ProcessId,
+    limits: &ExploreLimits,
+    mut goal: F,
+) -> Option<Execution>
+where
+    P: Protocol,
+    F: FnMut(&Configuration<P::State>) -> bool,
+{
+    if goal(config) {
+        return Some(Execution::new());
+    }
+    let mut nodes = vec![config.clone()];
+    let mut links = vec![Link::ROOT];
+    let mut depth = vec![0usize];
+    let mut seen = HashSet::from([config.clone()]);
+    let mut i = 0;
+    while i < nodes.len() {
+        let d = depth[i];
+        if d < limits.max_depth {
+            // BFS order puts every node below `max_depth` before any
+            // node at it, so `i + 1` is the count of nodes expanded.
+            if i >= limits.max_configs {
                 return None;
             }
-            for (step, next) in successors(protocol, &c, pid) {
-                let mut p = path.clone();
-                p.push(step);
-                if let Some(d) = next.procs[pid.0].decision() {
-                    return Some((p, d));
+            for (step, next) in successors(protocol, &nodes[i], pid) {
+                let link = Link::new(i as u32, step);
+                if goal(&next) {
+                    links.push(link);
+                    return Some(path_to(&links, nodes.len() as u32));
                 }
-                if let Some(s) = next.procs[pid.0].state() {
-                    let key = (s.clone(), next.values.clone());
-                    if seen.insert(key) {
-                        queue.push_back((next, p));
-                    }
+                if seen.insert(next.clone()) {
+                    nodes.push(next);
+                    links.push(link);
+                    depth.push(d + 1);
                 }
             }
         }
-        None
+        i += 1;
     }
+    None
 }
 
 /// The valency-split heuristic driving [`SearchMode::BestFirst`]:
@@ -1371,6 +1396,27 @@ mod tests {
         let mut config = Configuration::initial(&p, &[1, 0]);
         config.crash(ProcessId(0));
         assert!(Explorer::default().solo_terminating(&p, &config, ProcessId(0)).is_none());
+    }
+
+    #[test]
+    fn solo_until_finds_goals_and_respects_budgets() {
+        let p = Naive { n: 2 };
+        let c = Configuration::initial(&p, &[0, 1]);
+        // Goal: P0 poised at nothing (i.e. about to read — not poised).
+        let steps = solo_until(&p, &c, ProcessId(0), &ExploreLimits::default(), |cfg| {
+            cfg.poised_at(&p, ProcessId(0)).is_none()
+        })
+        .unwrap();
+        assert_eq!(steps.len(), 1, "one write gets P0 to its read");
+        // Impossible goal within tiny budget.
+        let none = solo_until(
+            &p,
+            &c,
+            ProcessId(0),
+            &ExploreLimits { max_configs: 2, max_depth: 1 },
+            |_| false,
+        );
+        assert!(none.is_none());
     }
 
     #[test]

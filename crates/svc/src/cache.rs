@@ -6,12 +6,12 @@
 //! of their canonical parameters, so a repeated query is served from
 //! memory without touching the queue. *Every* result-shaping knob must
 //! appear in those canonical parameters — including the exploration
-//! strategy flags `por` (partial-order reduction) and `search`
-//! (frontier discipline), which change visited counts even though they
-//! preserve verdicts — so a reduced or guided run can never answer a
-//! raw query from cache, or vice versa. The cache is bounded with FIFO
-//! eviction: a verification service's hot set is small and recency
-//! tracking is not worth a lock per hit beyond the map's own.
+//! strategy flag `por` (partial-order reduction), which changes
+//! visited counts even though it preserves verdicts — so a reduced run
+//! can never answer a raw query from cache, or vice versa. The cache
+//! is bounded with FIFO eviction: a verification service's hot set is
+//! small and recency tracking is not worth a lock per hit beyond the
+//! map's own.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;

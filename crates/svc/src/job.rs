@@ -18,7 +18,7 @@ use randsync_core::witness::InconsistencyWitness;
 use randsync_model::runtime::{replay_execution, Runtime};
 use randsync_model::{
     monte_carlo_summary, Checkpoint, CheckpointRequest, DynObject, Execution, ExploreConfig,
-    ExploreLimits, ExploreOutcome, Explorer, McSummary, Protocol, SearchMode, SharedFrontier,
+    ExploreLimits, ExploreOutcome, Explorer, McSummary, Protocol, SharedFrontier,
 };
 use randsync_obs::{ExecutionTrace, Json};
 use randsync_objects::bridge;
@@ -118,10 +118,6 @@ pub enum Job {
         /// Prune Mazurkiewicz-equivalent interleavings (partial-order
         /// reduction). Part of the cache key.
         por: bool,
-        /// Frontier discipline: "bfs" or "best-first". Guides violation
-        /// search only (full sweeps are breadth-first regardless), but
-        /// is still keyed so result caches stay mode-exact.
-        search: String,
         /// Configuration budget.
         max_configs: usize,
         /// Depth budget.
@@ -233,28 +229,6 @@ fn get_bool(params: &Json, key: &str, default: bool) -> Result<bool, JobError> {
     }
 }
 
-/// The frontier-discipline parameter: `"bfs"` (default) or
-/// `"best-first"`, validated here so the canonical form is one of
-/// exactly two strings.
-fn get_search(params: &Json) -> Result<String, JobError> {
-    match params.get("search") {
-        None | Some(Json::Null) => Ok("bfs".to_string()),
-        Some(Json::Str(s)) if s == "bfs" || s == "best-first" => Ok(s.clone()),
-        Some(_) => {
-            Err(JobError::bad("parameter \"search\" must be \"bfs\" or \"best-first\""))
-        }
-    }
-}
-
-/// The canonical search string as an [`ExploreConfig`] mode.
-fn search_mode(search: &str) -> SearchMode {
-    if search == "best-first" {
-        SearchMode::BestFirst
-    } else {
-        SearchMode::Bfs
-    }
-}
-
 fn get_protocol(params: &Json, default: &str) -> Result<&'static ProtocolEntry, JobError> {
     let name = match params.get("protocol") {
         None | Some(Json::Null) => default,
@@ -298,7 +272,6 @@ impl Job {
                     threads: get_usize(params, "threads", 0)?,
                     canonical: get_bool(params, "canonical", false)?,
                     por: get_bool(params, "por", false)?,
-                    search: get_search(params)?,
                     max_configs: get_usize(params, "max_configs", limits.max_configs)?,
                     max_depth: get_usize(params, "max_depth", limits.max_depth)?,
                     mem_budget: get_usize(params, "mem_budget", 0)?,
@@ -461,7 +434,6 @@ impl Job {
                 threads,
                 canonical,
                 por,
-                search,
                 max_configs,
                 max_depth,
                 mem_budget,
@@ -473,7 +445,6 @@ impl Job {
                 ("threads".to_string(), int(*threads)),
                 ("canonical".to_string(), Json::Bool(*canonical)),
                 ("por".to_string(), Json::Bool(*por)),
-                ("search".to_string(), Json::Str(search.clone())),
                 ("max_configs".to_string(), int(*max_configs)),
                 ("max_depth".to_string(), int(*max_depth)),
                 ("mem_budget".to_string(), int(*mem_budget)),
@@ -588,7 +559,6 @@ impl Job {
                 threads,
                 canonical,
                 por,
-                search,
                 max_configs,
                 max_depth,
                 mem_budget,
@@ -604,7 +574,6 @@ impl Job {
                     threads: *threads,
                     canonical: *canonical,
                     por: *por,
-                    search: search_mode(search),
                     deadline: Some(explore_deadline(deadline, *deadline_millis)),
                     mem_budget_bytes: *mem_budget,
                     transport: ctx.frontier_transport()?,
@@ -1047,19 +1016,6 @@ mod tests {
         let raw = Job::parse("explore", &Json::Null).unwrap();
         let por = Job::parse("explore", &por_params).unwrap();
         assert_ne!(raw.cache_key(), por.cache_key());
-        let guided_params =
-            Json::Obj(vec![("search".to_string(), Json::Str("best-first".to_string()))]);
-        let guided = Job::parse("explore", &guided_params).unwrap();
-        assert_ne!(raw.cache_key(), guided.cache_key());
-        assert_ne!(por.cache_key(), guided.cache_key());
-    }
-
-    #[test]
-    fn search_parameter_is_validated() {
-        let bad = Json::Obj(vec![("search".to_string(), Json::Str("dfs".to_string()))]);
-        let err = Job::parse("explore", &bad).unwrap_err();
-        assert_eq!(err.code, code::BAD_REQUEST);
-        assert!(err.message.contains("best-first"));
     }
 
     #[test]

@@ -14,6 +14,9 @@
 #      (Thm 3.3, Lemma 3.6, Thms 4.2/4.4, the Thm 2.1 bound and the
 #      equivalence properties) plus the witness regression corpus; the
 #      report must also say "passed":true
+#   6. `randsync gate --filter explore-counts`: the exact raw, canonical
+#      and POR configuration counts of fixed workloads (~6 s in release,
+#      which is why it is not in the smoke set)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,5 +32,6 @@ cargo test -q --release --workspace
     --bench target/BENCH_gate_smoke.json
 grep -q '"passed":true' target/verify_gate_report.json \
     || { echo "FAIL: gate report disagrees with its exit status"; exit 1; }
+./target/release/randsync gate --filter explore-counts
 
 echo "verify.sh: all gates passed"

@@ -1521,8 +1521,8 @@ fn run_trace_tree(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Short git revision for benchmark artifacts, `"unknown"` outside a
-/// checkout (matches the `benches/explore_perf.rs` convention).
+/// Short git revision stamped into `BENCH_gate.json`, `"unknown"`
+/// outside a checkout.
 fn git_revision() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
