@@ -423,6 +423,19 @@ pub static CATALOG: &[PropertyEntry] = &[
         run: checks::runtime_model_equiv,
     },
     PropertyEntry {
+        id: "dist-equiv",
+        paper: "DESIGN.md section 16 (bit-identity at any node count)",
+        statement: "Exploration and valency of walk-default(3,1) through two worker shards \
+                    over the frontier RPC equal the single-node search: 154,367 \
+                    configurations, 85,608 zero-valent, 44,093 one-valent, 24,666 bivalent",
+        protocols: &["walk-default"],
+        severity: Severity::Critical,
+        tags: &["smoke", "equivalence"],
+        budget_ms: 60_000,
+        requires_witness: false,
+        run: checks::dist_equiv,
+    },
+    PropertyEntry {
         id: "svc-soak",
         paper: "DESIGN.md section 17 (soak thresholds)",
         statement: "A sustained mixed-job load at the backpressure boundary breaches no \

@@ -8,8 +8,10 @@
 //! replay, or missing registry binding is a *failure* — the gate never
 //! downgrades an unprovable property to a skip on its own.
 
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use randsync_consensus::registry::{self, AnyProtocol, ProtocolEntry};
@@ -30,7 +32,7 @@ use randsync_objects::bridge;
 use randsync_objects::SnapshotCounter;
 use randsync_obs::Json;
 use randsync_svc::soak::{run_soak, SoakConfig, ThresholdCatalog};
-use randsync_svc::{Client, Server, ServerConfig};
+use randsync_svc::{Client, DistributedFrontier, Server, ServerConfig};
 
 use crate::catalog::{BoundOp, CheckContext, CheckOutcome};
 
@@ -583,6 +585,19 @@ fn count_row(
     .map(|count| count as i128))
 }
 
+/// What a search reports about its protocol, without the diagnostics
+/// that describe where its seen-set lived.
+fn observable(o: &ExploreOutcome) -> String {
+    format!(
+        "{:?}",
+        (
+            (&o.consistency_violation, &o.validity_violation),
+            (o.configs_visited, o.terminal_configs, o.raw_configs, o.arena_bytes),
+            (o.can_always_reach_termination, o.infinite_execution_possible),
+        )
+    )
+}
+
 /// walk-counter at n = 4 with uniform inputs: the symmetry quotient
 /// completes and counts the raw space it stands for, and that raw
 /// space completes under a 4 MiB resident budget with an outcome
@@ -599,16 +614,6 @@ fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome
         label,
         explorer_with(ctx, |c| c.mem_budget_bytes = BUDGET).explore(&protocol, &inputs),
     )?;
-    let observable = |o: &ExploreOutcome| {
-        format!(
-            "{:?}",
-            (
-                (&o.consistency_violation, &o.validity_violation),
-                (o.configs_visited, o.terminal_configs, o.raw_configs, o.arena_bytes),
-                (o.can_always_reach_termination, o.infinite_execution_possible),
-            )
-        )
-    };
     if observable(&ram) != observable(&spill) {
         return Err(CheckOutcome::fail(format!(
             "{label}: the spilled search diverged from RAM: {} vs {}",
@@ -730,37 +735,131 @@ pub(crate) fn runtime_model_equiv(_ctx: &CheckContext) -> CheckOutcome {
     out
 }
 
+/// A job server on a thread of this process, on an ephemeral loopback
+/// port.
+struct LoopbackServer {
+    addr: SocketAddr,
+    thread: JoinHandle<()>,
+}
+
+impl LoopbackServer {
+    fn start() -> Result<LoopbackServer, CheckOutcome> {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default())
+            .map_err(|e| CheckOutcome::fail(format!("cannot bind loopback server: {e}")))?;
+        let addr =
+            server.local_addr().map_err(|e| CheckOutcome::fail(format!("no local addr: {e}")))?;
+        let thread = std::thread::spawn(move || {
+            let _ = server.run();
+        });
+        Ok(LoopbackServer { addr, thread })
+    }
+
+    /// Drain the server and join its thread.
+    fn stop(self) -> Result<(), String> {
+        let shutdown = Client::connect(self.addr).and_then(|mut c| c.shutdown());
+        let _ = self.thread.join();
+        shutdown.map(drop).map_err(|e| format!("server did not shut down cleanly: {e}"))
+    }
+}
+
+/// The distributed frontier answers what a single node answers:
+/// walk-default(3,1) explored with its valency through two worker
+/// shards over loopback equals the same search on one node, count for
+/// count. A transport failure truncates the search, which fails the
+/// entry.
+pub(crate) fn dist_equiv(ctx: &CheckContext) -> CheckOutcome {
+    let label = "walk-default(3,1)";
+    let protocol = match built("walk-default", 3, 1) {
+        Ok(p) => p,
+        Err(fail) => return fail,
+    };
+    let inputs = [0, 1, 0];
+    // Start both shards and search through them; then stop every shard
+    // that started, whatever happened.
+    let mut shards = Vec::new();
+    let distributed = loop {
+        if shards.len() == 2 {
+            let addrs: Vec<SocketAddr> = shards.iter().map(|s: &LoopbackServer| s.addr).collect();
+            break DistributedFrontier::connect(&addrs)
+                .map_err(|e| {
+                    CheckOutcome::fail(format!("cannot connect to the worker shards: {e}"))
+                })
+                .map(|transport| {
+                    explorer_with(ctx, |c| c.transport = Some(SharedFrontier::new(transport)))
+                        .explore_with_valency(&protocol, &inputs)
+                });
+        }
+        match LoopbackServer::start() {
+            Ok(shard) => shards.push(shard),
+            Err(fail) => break Err(fail),
+        }
+    };
+    let stopped: Result<Vec<()>, String> = shards.into_iter().map(LoopbackServer::stop).collect();
+    let (dist, dist_val) = match distributed {
+        Ok(searched) => searched,
+        Err(fail) => return fail,
+    };
+    if let Err(e) = stopped {
+        return CheckOutcome::fail(format!("worker shard: {e}"));
+    }
+    let (Some(dist_val), false) = (dist_val, dist.truncated) else {
+        return CheckOutcome::fail(format!(
+            "{label}: the distributed search was cut short ({:?}): {}",
+            dist.truncation_reason,
+            dist.transport_error.as_deref().unwrap_or("no transport error")
+        ));
+    };
+    let (local, local_val) = explorer(ctx).explore_with_valency(&protocol, &inputs);
+    let Some(local_val) = local_val else {
+        return CheckOutcome::fail(format!("{label}: the single-node search was truncated"));
+    };
+    if observable(&dist) != observable(&local) {
+        return CheckOutcome::fail(format!(
+            "{label}: the distributed search diverged from one node: {} vs {}",
+            observable(&dist),
+            observable(&local)
+        ));
+    }
+    if format!("{dist_val:?}") != format!("{local_val:?}") {
+        return CheckOutcome::fail(format!(
+            "{label}: the distributed valency diverged from one node: {dist_val:?} vs \
+             {local_val:?}"
+        ));
+    }
+    let bounds = [
+        ("configs", dist.configs_visited, 154_367),
+        ("zero_valent", dist_val.zero_valent, 85_608),
+        ("one_valent", dist_val.one_valent, 44_093),
+        ("bivalent", dist_val.bivalent, 24_666),
+    ];
+    bounds.into_iter().fold(CheckOutcome::pass(), |out, (field, got, want)| {
+        out.bound(format!("{label}.{field}"), got as i128, BoundOp::Eq, want)
+    })
+}
+
 /// The soak gate: an in-process server under the PR 9 threshold
 /// catalog — sustained mixed load at the backpressure boundary with no
 /// leaking gauges, p99 under its ceiling, cache hit rate above its
 /// floor.
 pub(crate) fn svc_soak(_ctx: &CheckContext) -> CheckOutcome {
-    let server = match Server::bind("127.0.0.1:0", ServerConfig::default()) {
+    let server = match LoopbackServer::start() {
         Ok(s) => s,
-        Err(e) => return CheckOutcome::fail(format!("cannot bind loopback server: {e}")),
+        Err(fail) => return fail,
     };
-    let addr = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => return CheckOutcome::fail(format!("no local addr: {e}")),
-    };
-    let handle = std::thread::spawn(move || {
-        let _ = server.run();
-    });
     let config = SoakConfig {
         duration: Duration::from_secs(2),
         inflight: 8,
         sample_interval: Duration::from_millis(125),
     };
     let catalog = ThresholdCatalog::baked();
-    let result = run_soak(&addr.to_string(), &config, &catalog);
-    let shutdown = Client::connect(addr).and_then(|mut c| c.shutdown());
-    let _ = handle.join();
+    let result = run_soak(&server.addr.to_string(), &config, &catalog);
+    let stopped = server.stop();
     let report = match result {
         Ok(r) => r,
         Err(e) => return CheckOutcome::fail(format!("soak run failed: {e}")),
     };
-    if let Err(e) = shutdown {
-        return CheckOutcome::fail(format!("server did not shut down cleanly: {e}"));
+    if let Err(e) = stopped {
+        return CheckOutcome::fail(e);
     }
     if report.jobs_ok == 0 {
         return CheckOutcome::fail("soak completed zero jobs — the load loop never ran");

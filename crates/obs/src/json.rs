@@ -38,6 +38,18 @@ impl Json {
         }
     }
 
+    /// Move the value under `key` out of an object, removing the field,
+    /// so a large payload changes hands without a deep copy.
+    pub fn remove(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => {
+                let at = fields.iter().position(|(k, _)| k == key)?;
+                Some(fields.remove(at).1)
+            }
+            _ => None,
+        }
+    }
+
     /// This value as a `u64`, if it is a non-negative integer in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -81,11 +93,13 @@ impl Json {
     /// Render to compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact rendering to `out`, so a caller can frame a
+    /// value without first copying it into an enclosing object.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -112,7 +126,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.render_into(out);
                 }
                 out.push(']');
             }
@@ -124,7 +138,7 @@ impl Json {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push('}');
             }
@@ -132,22 +146,30 @@ impl Json {
     }
 }
 
-/// Append `s` to `out` as a quoted, escaped JSON string.
+/// Append `s` to `out` as a quoted, escaped JSON string. Each run of
+/// bytes that needs no escape is copied with one `push_str`.
 pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = fmt::Write::write_fmt(out, format_args!("\\u{b:04x}"));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -175,7 +197,7 @@ impl std::error::Error for JsonError {}
 ///
 /// [`JsonError`] on malformed input.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -186,6 +208,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -291,59 +314,52 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else { return Err(self.err("unterminated string")) };
+            // Copy everything up to the next quote or backslash in one
+            // go: both are ASCII, so the run ends on a char boundary.
+            let Some(len) = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            let end = self.pos + len;
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(out);
+            }
+            let Some(e) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: combine a high surrogate
-                            // with the following \uXXXX low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
+            match e {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let cp = self.hex4()?;
+                    // Surrogate pairs: combine a high surrogate with
+                    // the following \uXXXX low surrogate.
+                    let c = if (0xD800..0xDC00).contains(&cp) {
+                        if self.bytes[self.pos..].starts_with(b"\\u") {
+                            self.pos += 2;
+                            let lo = self.hex4()?;
+                            let combined =
+                                0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                            char::from_u32(combined)
+                        } else {
+                            None
                         }
-                        _ => return Err(self.err("invalid escape character")),
-                    }
+                    } else {
+                        char::from_u32(cp)
+                    };
+                    out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
                 }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: the input is a &str, so the
-                    // sequence is valid; copy it through.
-                    let start = self.pos - 1;
-                    while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                }
+                _ => return Err(self.err("invalid escape character")),
             }
         }
     }
@@ -457,6 +473,77 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\"", "nulll"] {
             let err = parse(bad).expect_err(bad);
             assert!(!err.to_string().is_empty());
+        }
+    }
+
+    #[test]
+    fn remove_moves_a_field_out_of_an_object() {
+        let mut v = parse(r#"{"a": [1, 2], "b": "x"}"#).unwrap();
+        assert_eq!(v.remove("a"), Some(Json::Arr(vec![Json::Int(1), Json::Int(2)])));
+        assert_eq!(v.remove("a"), None);
+        assert_eq!(v.render(), r#"{"b":"x"}"#);
+        assert_eq!(Json::Int(1).remove("a"), None);
+    }
+
+    /// The per-character writer `write_escaped` replaced: the oracle
+    /// its output must match byte for byte.
+    fn write_escaped_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Fragments whose concatenations put quotes, backslashes, control
+    /// characters and multi-byte UTF-8 at the edges of escape-free runs.
+    const PIECES: &[&str] = &[
+        "a", "xyz", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "/", "é", "π≠⊥",
+        "😀", "\u{10ffff}", "\u{fffd}", " ",
+    ];
+
+    proptest::proptest! {
+        /// Rendering is byte-identical to the per-character writer and
+        /// parses back to the same string; the same string with some
+        /// characters spelled as `\u` escapes (astral ones as surrogate
+        /// pairs) parses back too.
+        #[test]
+        fn strings_round_trip_through_the_run_copying_codec(
+            pieces in proptest::collection::vec(proptest::sample::select(PIECES.to_vec()), 0..24),
+            spell_mask in proptest::prelude::any::<u64>(),
+        ) {
+            let s = pieces.concat();
+            let mut fast = String::new();
+            write_escaped(&s, &mut fast);
+            let mut oracle = String::new();
+            write_escaped_per_char(&s, &mut oracle);
+            proptest::prop_assert_eq!(&fast, &oracle);
+            proptest::prop_assert_eq!(parse(&fast).unwrap(), Json::Str(s.clone()));
+
+            let mut spelled = String::from("\"");
+            for (i, c) in s.chars().enumerate() {
+                if spell_mask >> (i % 64) & 1 == 1 {
+                    for unit in c.encode_utf16(&mut [0u16; 2]) {
+                        let _ = fmt::Write::write_fmt(&mut spelled, format_args!("\\u{unit:04x}"));
+                    }
+                } else {
+                    let mut one = String::new();
+                    write_escaped_per_char(c.encode_utf8(&mut [0u8; 4]), &mut one);
+                    spelled.push_str(&one[1..one.len() - 1]);
+                }
+            }
+            spelled.push('"');
+            proptest::prop_assert_eq!(parse(&spelled).unwrap(), Json::Str(s));
         }
     }
 

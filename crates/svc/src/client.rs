@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use randsync_obs::Json;
 
+use crate::poll::{self, fd_of, PollEntry};
 use crate::wire::Request;
 
 /// A completed request: the final `ok`/`error` frame plus any
@@ -117,9 +118,9 @@ impl Client {
     /// Propagates write failures.
     pub fn send_with_id(&mut self, id: &Json, job: &str, params: &Json) -> std::io::Result<()> {
         let trace = randsync_obs::current_context().map(|ctx| (ctx.trace_id, ctx.span_id));
-        let line = Request::render_traced(id, job, params, trace);
+        let mut line = Request::render_traced(id, job, params, trace);
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.writer.flush()
     }
 
@@ -135,6 +136,18 @@ impl Client {
             Some(frame) => Ok(frame),
             None => self.read_frame(),
         }
+    }
+
+    /// Whether input is already waiting: a frame an earlier
+    /// [`Client::wait`] set aside, buffered bytes, or bytes on the
+    /// socket. A read that starts when this is false blocks until the
+    /// server answers.
+    pub(crate) fn has_input(&self) -> bool {
+        if !self.pending.is_empty() || !self.reader.buffer().is_empty() {
+            return true;
+        }
+        let mut entry = [PollEntry::new(fd_of(self.reader.get_ref()), true, false)];
+        poll::wait(&mut entry, Duration::ZERO).is_ok() && entry[0].readable
     }
 
     /// Read the next frame off the socket.
@@ -176,7 +189,7 @@ impl Client {
         let mut progress = Vec::new();
         let mut buffered = std::mem::take(&mut self.pending).into_iter();
         let reply = loop {
-            let frame = match buffered.next() {
+            let mut frame = match buffered.next() {
                 Some(frame) => frame,
                 None => match self.read_frame() {
                     Ok(frame) => frame,
@@ -193,11 +206,11 @@ impl Client {
                     progress.push(frame);
                 }
                 Some("ok") => {
-                    let body = frame.get("result").cloned().unwrap_or(Json::Null);
+                    let body = frame.remove("result").unwrap_or(Json::Null);
                     break Ok(Reply { ok: true, body, progress });
                 }
                 Some("error") => {
-                    let body = frame.get("error").cloned().unwrap_or(Json::Null);
+                    let body = frame.remove("error").unwrap_or(Json::Null);
                     break Ok(Reply { ok: false, body, progress });
                 }
                 _ => {

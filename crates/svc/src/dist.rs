@@ -29,17 +29,26 @@
 //!
 //! ```text
 //! frontier_open    {stride}                            -> {session}
-//! frontier_probe   {session, hashes, words}            -> {found: [idx|null, ...]}
+//! frontier_probe   {session, hashes, words}            -> {found}
 //! frontier_insert  {session, hashes, indices, words}   -> {}
 //! frontier_close   {session}                           -> {}
 //! ```
 //!
-//! Transport failures surface as [`TransportError`]; the engine stops
-//! at the level boundary and reports a truncated outcome — never a
-//! wrong one.
+//! `hashes` (`u64`), `words`, `indices` and `found` (`u32`) are packed:
+//! one lowercase hex string of the values' little-endian bytes, so a
+//! frame costs one string to build and one to scan. `found` marks an
+//! absent key with `u32::MAX`, which a shard therefore refuses to store.
+//!
+//! Each level's batch is one exchange round: the coordinator sends
+//! every chunk to every shard before it reads any reply, so the shards
+//! work at the same time, then collects the replies in shard and chunk
+//! order. Transport failures surface as [`TransportError`]; the engine
+//! stops at the level boundary and reports a truncated outcome — never
+//! a wrong one.
 
 use std::collections::HashMap;
 use std::net::ToSocketAddrs;
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -49,9 +58,10 @@ use randsync_obs::Json;
 use crate::client::Client;
 use crate::wire::{code, error_frame, ok_frame, Request};
 
-/// Keys per `frontier_probe`/`frontier_insert` frame. Bounds frame
-/// size (a key is ~40 bytes of JSON) far below the wire's 64 MiB frame
-/// cap while keeping per-frame overhead amortized.
+/// Keys per `frontier_probe`/`frontier_insert` frame. Packed, a key
+/// costs 24 + 8·stride hex digits in an insert (16 + 8·stride in a
+/// probe), so a frame stays under the wire's 64 MiB cap for any stride
+/// up to 253 words while per-frame overhead stays amortized.
 const MAX_KEYS_PER_FRAME: usize = 32_768;
 
 /// The fingerprint shard that owns hash `h` among `n` shards: the
@@ -59,6 +69,142 @@ const MAX_KEYS_PER_FRAME: usize = 32_768;
 /// split into contiguous per-shard runs).
 fn shard_of(h: u64, n: usize) -> usize {
     ((u128::from(h) * n as u128) >> 64) as usize
+}
+
+// ---------------------------------------------------------------------
+// The packed batch codec, shared by both sides.
+// ---------------------------------------------------------------------
+
+/// A fixed-width unsigned value a packed batch field carries.
+trait Packed: Copy {
+    /// Hex digits per value: two per little-endian byte.
+    const DIGITS: usize;
+    fn to_u64(self) -> u64;
+    fn from_u64(v: u64) -> Self;
+}
+
+impl Packed for u32 {
+    const DIGITS: usize = 8;
+    fn to_u64(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_u64(v: u64) -> u32 {
+        v as u32
+    }
+}
+
+impl Packed for u64 {
+    const DIGITS: usize = 16;
+    fn to_u64(self) -> u64 {
+        self
+    }
+    fn from_u64(v: u64) -> u64 {
+        v
+    }
+}
+
+/// Pack values as one lowercase hex string of their little-endian
+/// bytes.
+fn pack<T: Packed>(values: &[T]) -> Json {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(values.len() * T::DIGITS);
+    for &v in values {
+        let mut v = v.to_u64();
+        for _ in 0..T::DIGITS / 2 {
+            out.push(char::from(HEX[((v >> 4) & 0xf) as usize]));
+            out.push(char::from(HEX[(v & 0xf) as usize]));
+            v >>= 8;
+        }
+    }
+    Json::Str(out)
+}
+
+/// Unpack the field `field` of `obj` that [`pack`] wrote, refusing
+/// anything it could not have written.
+fn unpack<T: Packed>(obj: &Json, field: &'static str) -> Result<Vec<T>, FrameError> {
+    let hex = obj.get(field).and_then(Json::as_str).ok_or(FrameError::NotPacked(field))?;
+    let hex = hex.as_bytes();
+    if !hex.len().is_multiple_of(2) {
+        return Err(FrameError::OddLength { field, len: hex.len() });
+    }
+    if !hex.len().is_multiple_of(T::DIGITS) {
+        return Err(FrameError::Ragged { field, len: hex.len(), digits: T::DIGITS });
+    }
+    let nibble = |at: usize| match hex[at] {
+        c @ b'0'..=b'9' => Ok(u64::from(c - b'0')),
+        c @ b'a'..=b'f' => Ok(u64::from(c - b'a' + 10)),
+        _ => Err(FrameError::NotHex { field, at }),
+    };
+    let mut values = Vec::with_capacity(hex.len() / T::DIGITS);
+    for start in (0..hex.len()).step_by(T::DIGITS) {
+        let mut v = 0u64;
+        for byte in 0..T::DIGITS / 2 {
+            let at = start + 2 * byte;
+            v |= ((nibble(at)? << 4) | nibble(at + 1)?) << (8 * byte);
+        }
+        values.push(T::from_u64(v));
+    }
+    Ok(values)
+}
+
+/// Why a shard refused a `frontier_*` frame. Every refusal is answered
+/// with a `bad_request` error frame carrying its message, and leaves
+/// the session as it was.
+#[derive(Debug)]
+enum FrameError {
+    /// A scalar parameter is missing or not a non-negative integer.
+    NotInteger(&'static str),
+    /// A packed field is missing or not a string.
+    NotPacked(&'static str),
+    /// A packed field has an odd number of hex digits.
+    OddLength { field: &'static str, len: usize },
+    /// A packed field's digits are not a whole number of values.
+    Ragged { field: &'static str, len: usize, digits: usize },
+    /// A packed field holds a byte other than `0-9` or `a-f`.
+    NotHex { field: &'static str, at: usize },
+    /// An insert carries `u32::MAX`, the probe reply's absent marker.
+    ReservedIndex { at: usize },
+    /// No open session has this id (never opened, or closed).
+    UnknownSession(u64),
+    /// The store refused the batch: wrong shape, not strictly
+    /// ascending, or a replay of a stored key.
+    Store(TransportError),
+    /// The frame names no frontier operation.
+    UnknownFrame(String),
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::NotInteger(key) => {
+                write!(f, "parameter {key:?} must be a non-negative integer")
+            }
+            FrameError::NotPacked(key) => {
+                write!(f, "parameter {key:?} must be a packed hex string")
+            }
+            FrameError::OddLength { field, len } => {
+                write!(f, "parameter {field:?} has an odd number of hex digits ({len})")
+            }
+            FrameError::Ragged { field, len, digits } => write!(
+                f,
+                "parameter {field:?} has {len} hex digits, not a multiple of {digits} per value"
+            ),
+            FrameError::NotHex { field, at } => {
+                write!(f, "parameter {field:?} has a non-lowercase-hex byte at offset {at}")
+            }
+            FrameError::ReservedIndex { at } => write!(
+                f,
+                "parameter \"indices\" stores u32::MAX at position {at}, the reserved absent marker"
+            ),
+            FrameError::UnknownSession(id) => write!(f, "unknown frontier session {id}"),
+            FrameError::Store(e) => write!(f, "{e}"),
+            FrameError::UnknownFrame(job) => write!(
+                f,
+                "unknown frontier frame {job:?} (frontier_open, frontier_probe, \
+                 frontier_insert, frontier_close)"
+            ),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -77,6 +223,13 @@ struct Sessions {
     open: HashMap<u64, LocalFrontier>,
 }
 
+impl Sessions {
+    fn get(&mut self, params: &Json) -> Result<&mut LocalFrontier, FrameError> {
+        let id = get_u64(params, "session")?;
+        self.open.get_mut(&id).ok_or(FrameError::UnknownSession(id))
+    }
+}
+
 impl FrontierSessions {
     /// Answer one `frontier_*` request with a complete response frame.
     /// When the frame carries a trace context and a sink is installed,
@@ -93,18 +246,22 @@ impl FrontierSessions {
         };
         match self.dispatch(req) {
             Ok(result) => ok_frame(&req.id, &req.job, result),
-            Err(message) => error_frame(&req.id, code::BAD_REQUEST, &message),
+            Err(e) => error_frame(&req.id, code::BAD_REQUEST, &e.to_string()),
         }
     }
 
-    fn dispatch(&self, req: &Request) -> Result<Json, String> {
+    fn dispatch(&self, req: &Request) -> Result<Json, FrameError> {
         let m = randsync_obs::global_metrics();
         let mut sessions = self.inner.lock().expect("frontier sessions poisoned");
+        let params = &req.params;
         match req.job.as_str() {
             "frontier_open" => {
-                let stride = get_usize(&req.params, "stride")?;
+                let stride = params
+                    .get("stride")
+                    .and_then(Json::as_usize)
+                    .ok_or(FrameError::NotInteger("stride"))?;
                 let mut store = LocalFrontier::new();
-                store.open(stride).map_err(|e| e.to_string())?;
+                store.open(stride).map_err(FrameError::Store)?;
                 sessions.next += 1;
                 let id = sessions.next;
                 sessions.open.insert(id, store);
@@ -112,88 +269,39 @@ impl FrontierSessions {
                 Ok(Json::Obj(vec![("session".to_string(), Json::Int(i128::from(id)))]))
             }
             "frontier_probe" => {
-                let id = get_u64(&req.params, "session")?;
-                let hashes = u64_array(&req.params, "hashes")?;
-                let words = u32_array(&req.params, "words")?;
-                let store = sessions
-                    .open
-                    .get_mut(&id)
-                    .ok_or_else(|| format!("unknown frontier session {id}"))?;
-                let found = store.probe_sorted(&hashes, &words).map_err(|e| e.to_string())?;
+                let store = sessions.get(params)?;
+                let hashes = unpack::<u64>(params, "hashes")?;
+                let words = unpack::<u32>(params, "words")?;
+                let found = store.probe_sorted(&hashes, &words).map_err(FrameError::Store)?;
                 m.counter("svc.frontier.probes").inc();
-                Ok(Json::Obj(vec![(
-                    "found".to_string(),
-                    Json::Arr(
-                        found
-                            .iter()
-                            .map(|slot| match slot {
-                                Some(idx) => Json::Int(i128::from(*idx)),
-                                None => Json::Null,
-                            })
-                            .collect(),
-                    ),
-                )]))
+                let found: Vec<u32> = found.iter().map(|slot| slot.unwrap_or(u32::MAX)).collect();
+                Ok(Json::Obj(vec![("found".to_string(), pack(&found))]))
             }
             "frontier_insert" => {
-                let id = get_u64(&req.params, "session")?;
-                let hashes = u64_array(&req.params, "hashes")?;
-                let indices = u32_array(&req.params, "indices")?;
-                let words = u32_array(&req.params, "words")?;
-                let store = sessions
-                    .open
-                    .get_mut(&id)
-                    .ok_or_else(|| format!("unknown frontier session {id}"))?;
-                store.insert_sorted(&hashes, &indices, &words).map_err(|e| e.to_string())?;
+                let store = sessions.get(params)?;
+                let hashes = unpack::<u64>(params, "hashes")?;
+                let indices = unpack::<u32>(params, "indices")?;
+                let words = unpack::<u32>(params, "words")?;
+                if let Some(at) = indices.iter().position(|&i| i == u32::MAX) {
+                    return Err(FrameError::ReservedIndex { at });
+                }
+                store.insert_sorted(&hashes, &indices, &words).map_err(FrameError::Store)?;
                 m.counter("svc.frontier.inserts").inc();
                 Ok(Json::Obj(vec![]))
             }
             "frontier_close" => {
-                let id = get_u64(&req.params, "session")?;
-                sessions
-                    .open
-                    .remove(&id)
-                    .ok_or_else(|| format!("unknown frontier session {id}"))?;
+                let id = get_u64(params, "session")?;
+                sessions.open.remove(&id).ok_or(FrameError::UnknownSession(id))?;
                 m.gauge("svc.frontier.sessions").set(sessions.open.len() as i64);
                 Ok(Json::Obj(vec![]))
             }
-            other => Err(format!(
-                "unknown frontier frame {other:?} (frontier_open, frontier_probe, \
-                 frontier_insert, frontier_close)"
-            )),
+            other => Err(FrameError::UnknownFrame(other.to_string())),
         }
     }
 }
 
-fn get_usize(params: &Json, key: &str) -> Result<usize, String> {
-    params
-        .get(key)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| format!("parameter {key:?} must be a non-negative integer"))
-}
-
-fn get_u64(params: &Json, key: &str) -> Result<u64, String> {
-    params
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("parameter {key:?} must be a non-negative integer"))
-}
-
-fn u64_array(params: &Json, key: &str) -> Result<Vec<u64>, String> {
-    let arr = params
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("parameter {key:?} must be an array of integers"))?;
-    arr.iter()
-        .map(|v| v.as_u64().ok_or_else(|| format!("parameter {key:?} holds a non-integer")))
-        .collect()
-}
-
-fn u32_array(params: &Json, key: &str) -> Result<Vec<u32>, String> {
-    let values = u64_array(params, key)?;
-    values
-        .into_iter()
-        .map(|v| u32::try_from(v).map_err(|_| format!("parameter {key:?} overflows u32")))
-        .collect()
+fn get_u64(params: &Json, key: &'static str) -> Result<u64, FrameError> {
+    params.get(key).and_then(Json::as_u64).ok_or(FrameError::NotInteger(key))
 }
 
 // ---------------------------------------------------------------------
@@ -209,16 +317,29 @@ struct Shard {
 }
 
 impl Shard {
+    fn err(&self, e: impl std::fmt::Display) -> TransportError {
+        TransportError::new(format!("frontier shard {}: {e}", self.addr))
+    }
+
+    fn session(&self) -> Result<u64, TransportError> {
+        self.session.ok_or_else(|| self.err("no open session"))
+    }
+
     fn request(&mut self, job: &str, params: Json) -> Result<Json, TransportError> {
-        let err = |e: &dyn std::fmt::Display| {
-            TransportError::new(format!("frontier shard {}: {e}", self.addr))
-        };
-        let reply = self.client.request(job, &params).map_err(|e| err(&e))?;
+        let reply = self.client.request(job, &params).map_err(|e| self.err(e))?;
         if !reply.ok {
-            return Err(err(&reply.body.render()));
+            return Err(self.err(reply.body.render()));
         }
         Ok(reply.body)
     }
+}
+
+/// One frame of an exchange round, sent and not yet answered.
+struct Flight {
+    shard: usize,
+    keys: Range<usize>,
+    id: Json,
+    sent: Option<Instant>,
 }
 
 /// Hoisted metric handles for the coordinator side. Every update
@@ -226,16 +347,17 @@ impl Shard {
 /// the RPC path is one relaxed load + branch.
 #[derive(Debug)]
 struct DistMetrics {
-    /// Per-RPC `frontier_probe` round-trip latency.
+    /// Per-frame `frontier_probe` round trip: from the frame's send to
+    /// its reply being read.
     probe_us: randsync_obs::Histogram,
-    /// Per-RPC `frontier_insert` round-trip latency.
+    /// Per-frame `frontier_insert` round trip, measured the same way.
     insert_us: randsync_obs::Histogram,
     /// Keys per wire frame (chunking granularity actually seen).
     chunk_keys: randsync_obs::Histogram,
-    /// Exchange rounds measured for slowest-shard attribution.
+    /// Probe rounds measured for slowest-shard attribution.
     rounds: randsync_obs::Counter,
-    /// `svc.dist.slowest.shard<k>`: rounds in which shard `k` was the
-    /// slowest — per-BFS-level stall attribution.
+    /// `svc.dist.slowest.shard<k>`: probe rounds in which shard `k`
+    /// was the slowest — per-BFS-level stall attribution.
     slowest: Vec<randsync_obs::Counter>,
 }
 
@@ -253,17 +375,14 @@ impl DistMetrics {
         }
     }
 
-    /// Credit the slowest shard of one exchange round.
-    fn attribute_round(&self, per_shard_us: &[u64]) {
-        let Some((k, total)) =
-            per_shard_us.iter().enumerate().max_by_key(|&(_, &us)| us)
-        else {
-            return;
-        };
-        if *total == 0 {
-            return;
-        }
+    /// Credit the slowest shard of one round. Replies are read in
+    /// shard order, so every shard before the slowest one had answered
+    /// by the time the coordinator blocked on it, and every shard after
+    /// it had a reply waiting: the slowest shard is the last one the
+    /// coordinator had to block on.
+    fn attribute_round(&self, blocked_on: &[bool]) {
         self.rounds.inc();
+        let k = blocked_on.iter().rposition(|&b| b).unwrap_or(0);
         if let Some(c) = self.slowest.get(k) {
             c.inc();
         }
@@ -315,7 +434,7 @@ impl DistributedFrontier {
 
     /// The contiguous per-shard runs of a hash-sorted batch: for each
     /// shard in order, the half-open index range it owns.
-    fn split_ranges(&self, hashes: &[u64]) -> Vec<std::ops::Range<usize>> {
+    fn split_ranges(&self, hashes: &[u64]) -> Vec<Range<usize>> {
         let n = self.shards.len();
         let mut ranges = Vec::with_capacity(n);
         let mut start = 0usize;
@@ -329,6 +448,85 @@ impl DistributedFrontier {
             start = end;
         }
         ranges
+    }
+
+    /// One exchange round: send every chunk of every shard's run of the
+    /// sorted batch, then collect the replies in shard and chunk order,
+    /// so their bodies come back in batch order, each with its shard
+    /// and key count. `packed` builds a chunk's packed fields from its
+    /// key range.
+    ///
+    /// The round reads the reply to every frame it sent, even after a
+    /// failure, so no connection is left holding a stale reply; the
+    /// first failure is then returned.
+    fn round(
+        &mut self,
+        job: &str,
+        hashes: &[u64],
+        packed: impl Fn(Range<usize>) -> Vec<(String, Json)>,
+    ) -> Result<Vec<(usize, usize, Json)>, TransportError> {
+        let probe = job == "frontier_probe";
+        let sessions = self.shards.iter().map(Shard::session).collect::<Result<Vec<_>, _>>()?;
+        let instrumented = randsync_obs::metrics_enabled();
+        let mut first_err = None;
+        let mut flights = Vec::new();
+        'send: for (k, run) in self.split_ranges(hashes).into_iter().enumerate() {
+            let shard = &mut self.shards[k];
+            for lo in run.clone().step_by(MAX_KEYS_PER_FRAME) {
+                let keys = lo..(lo + MAX_KEYS_PER_FRAME).min(run.end);
+                let mut fields = vec![("session".to_string(), Json::Int(i128::from(sessions[k])))];
+                fields.extend(packed(keys.clone()));
+                let sent = instrumented.then(Instant::now);
+                match shard.client.send(job, &Json::Obj(fields)) {
+                    Ok(id) => flights.push(Flight { shard: k, keys, id, sent }),
+                    Err(e) => {
+                        first_err = Some(shard.err(e));
+                        break 'send;
+                    }
+                }
+            }
+        }
+
+        let latency = if probe { &self.metrics.probe_us } else { &self.metrics.insert_us };
+        let mut blocked_on = vec![false; self.shards.len()];
+        let mut dead = vec![false; self.shards.len()];
+        let mut bodies = Vec::with_capacity(flights.len());
+        let sent_any = !flights.is_empty();
+        for flight in flights {
+            let k = flight.shard;
+            if dead[k] {
+                continue;
+            }
+            let shard = &mut self.shards[k];
+            if instrumented && !shard.client.has_input() {
+                blocked_on[k] = true;
+            }
+            match shard.client.wait(&flight.id, |_| {}) {
+                Ok(reply) => {
+                    if let Some(sent) = flight.sent {
+                        latency.observe(sent.elapsed().as_micros() as u64);
+                        self.metrics.chunk_keys.observe(flight.keys.len() as u64);
+                    }
+                    if reply.ok {
+                        bodies.push((k, flight.keys.len(), reply.body));
+                    } else {
+                        first_err.get_or_insert_with(|| shard.err(reply.body.render()));
+                    }
+                }
+                Err(e) => {
+                    // A broken connection answers nothing more this round.
+                    dead[k] = true;
+                    first_err.get_or_insert_with(|| shard.err(e));
+                }
+            }
+        }
+        if instrumented && probe && sent_any {
+            self.metrics.attribute_round(&blocked_on);
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(bodies),
+        }
     }
 
     fn close_sessions(&mut self) -> Result<(), TransportError> {
@@ -357,10 +555,6 @@ impl Drop for DistributedFrontier {
     }
 }
 
-fn int_array(values: impl Iterator<Item = i128>) -> Json {
-    Json::Arr(values.map(Json::Int).collect())
-}
-
 impl FrontierTransport for DistributedFrontier {
     fn open(&mut self, stride: usize) -> Result<(), TransportError> {
         // A re-open (resume, or a retried search on one transport)
@@ -370,12 +564,10 @@ impl FrontierTransport for DistributedFrontier {
         for shard in &mut self.shards {
             let params = Json::Obj(vec![("stride".to_string(), Json::Int(stride as i128))]);
             let body = shard.request("frontier_open", params)?;
-            let session = body.get("session").and_then(Json::as_u64).ok_or_else(|| {
-                TransportError::new(format!(
-                    "frontier shard {}: malformed open reply",
-                    shard.addr
-                ))
-            })?;
+            let session = body
+                .get("session")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| shard.err("malformed open reply"))?;
             shard.session = Some(session);
         }
         Ok(())
@@ -390,69 +582,21 @@ impl FrontierTransport for DistributedFrontier {
         if stride == 0 || words.len() != hashes.len() * stride {
             return Err(TransportError::new("malformed probe batch"));
         }
-        let ranges = self.split_ranges(hashes);
-        let instrumented = randsync_obs::metrics_enabled();
-        let mut per_shard_us = vec![0u64; self.shards.len()];
+        let bodies = self.round("frontier_probe", hashes, |keys| {
+            vec![
+                ("hashes".to_string(), pack(&hashes[keys.clone()])),
+                ("words".to_string(), pack(&words[keys.start * stride..keys.end * stride])),
+            ]
+        })?;
         let mut found = Vec::with_capacity(hashes.len());
-        for (k, range) in ranges.into_iter().enumerate() {
-            let shard = &mut self.shards[k];
-            let session = shard.session.ok_or_else(|| {
-                TransportError::new(format!("frontier shard {}: no open session", shard.addr))
-            })?;
-            let mut at = range.start;
-            while at < range.end {
-                let hi = (at + MAX_KEYS_PER_FRAME).min(range.end);
-                let params = Json::Obj(vec![
-                    ("session".to_string(), Json::Int(i128::from(session))),
-                    (
-                        "hashes".to_string(),
-                        int_array(hashes[at..hi].iter().map(|&h| i128::from(h))),
-                    ),
-                    (
-                        "words".to_string(),
-                        int_array(
-                            words[at * stride..hi * stride].iter().map(|&w| i128::from(w)),
-                        ),
-                    ),
-                ]);
-                let rpc_started = if instrumented { Some(Instant::now()) } else { None };
-                let body = shard.request("frontier_probe", params)?;
-                if let Some(started) = rpc_started {
-                    let us = started.elapsed().as_micros() as u64;
-                    self.metrics.probe_us.observe(us);
-                    self.metrics.chunk_keys.observe((hi - at) as u64);
-                    per_shard_us[k] += us;
-                }
-                let slots = body.get("found").and_then(Json::as_arr).ok_or_else(|| {
-                    TransportError::new(format!(
-                        "frontier shard {}: malformed probe reply",
-                        shard.addr
-                    ))
-                })?;
-                if slots.len() != hi - at {
-                    return Err(TransportError::new(format!(
-                        "frontier shard {}: probe reply length mismatch",
-                        shard.addr
-                    )));
-                }
-                for slot in slots {
-                    found.push(match slot {
-                        Json::Null => None,
-                        v => Some(v.as_u64().and_then(|u| u32::try_from(u).ok()).ok_or_else(
-                            || {
-                                TransportError::new(format!(
-                                    "frontier shard {}: non-index probe slot",
-                                    shard.addr
-                                ))
-                            },
-                        )?),
-                    });
-                }
-                at = hi;
+        for (k, keys, body) in bodies {
+            let shard = &self.shards[k];
+            let slots = unpack::<u32>(&body, "found")
+                .map_err(|e| shard.err(format!("malformed probe reply: {e}")))?;
+            if slots.len() != keys {
+                return Err(shard.err("probe reply length mismatch"));
             }
-        }
-        if instrumented {
-            self.metrics.attribute_round(&per_shard_us);
+            found.extend(slots.into_iter().map(|idx| (idx != u32::MAX).then_some(idx)));
         }
         Ok(found)
     }
@@ -464,46 +608,16 @@ impl FrontierTransport for DistributedFrontier {
         words: &[u32],
     ) -> Result<(), TransportError> {
         let stride = self.stride;
-        if stride == 0 || indices.len() != hashes.len() || words.len() != hashes.len() * stride
-        {
+        if stride == 0 || indices.len() != hashes.len() || words.len() != hashes.len() * stride {
             return Err(TransportError::new("malformed insert batch"));
         }
-        let ranges = self.split_ranges(hashes);
-        let instrumented = randsync_obs::metrics_enabled();
-        for (k, range) in ranges.into_iter().enumerate() {
-            let shard = &mut self.shards[k];
-            let session = shard.session.ok_or_else(|| {
-                TransportError::new(format!("frontier shard {}: no open session", shard.addr))
-            })?;
-            let mut at = range.start;
-            while at < range.end {
-                let hi = (at + MAX_KEYS_PER_FRAME).min(range.end);
-                let params = Json::Obj(vec![
-                    ("session".to_string(), Json::Int(i128::from(session))),
-                    (
-                        "hashes".to_string(),
-                        int_array(hashes[at..hi].iter().map(|&h| i128::from(h))),
-                    ),
-                    (
-                        "indices".to_string(),
-                        int_array(indices[at..hi].iter().map(|&i| i128::from(i))),
-                    ),
-                    (
-                        "words".to_string(),
-                        int_array(
-                            words[at * stride..hi * stride].iter().map(|&w| i128::from(w)),
-                        ),
-                    ),
-                ]);
-                let rpc_started = if instrumented { Some(Instant::now()) } else { None };
-                shard.request("frontier_insert", params)?;
-                if let Some(started) = rpc_started {
-                    self.metrics.insert_us.observe(started.elapsed().as_micros() as u64);
-                    self.metrics.chunk_keys.observe((hi - at) as u64);
-                }
-                at = hi;
-            }
-        }
+        self.round("frontier_insert", hashes, |keys| {
+            vec![
+                ("hashes".to_string(), pack(&hashes[keys.clone()])),
+                ("indices".to_string(), pack(&indices[keys.clone()])),
+                ("words".to_string(), pack(&words[keys.start * stride..keys.end * stride])),
+            ]
+        })?;
         Ok(())
     }
 
@@ -515,6 +629,8 @@ impl FrontierTransport for DistributedFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Server, ServerConfig};
+    use randsync_model::SplitMix64;
 
     #[test]
     fn shard_ownership_is_monotone_and_covers_all_shards() {
@@ -531,6 +647,36 @@ mod tests {
     }
 
     #[test]
+    fn packed_fields_are_little_endian_lowercase_hex_and_round_trip() {
+        let field = |v: Json| Json::Obj(vec![("f".to_string(), v)]);
+        assert_eq!(pack(&[1u32, u32::MAX]), Json::Str("01000000ffffffff".to_string()));
+        assert_eq!(pack(&[0x0123_4567_89ab_cdef_u64]), Json::Str("efcdab8967452301".to_string()));
+        assert_eq!(pack::<u32>(&[]), Json::Str(String::new()));
+        let mut rng = SplitMix64::new(7);
+        let wide: Vec<u64> = (0..64).map(|_| rng.next_u64()).chain([0, u64::MAX]).collect();
+        let narrow: Vec<u32> = wide.iter().map(|&v| v as u32).collect();
+        assert_eq!(unpack::<u64>(&field(pack(&wide)), "f").unwrap(), wide);
+        assert_eq!(unpack::<u32>(&field(pack(&narrow)), "f").unwrap(), narrow);
+    }
+
+    /// The packed spelling of `values`, as a JSON string literal.
+    fn hex<T: Packed>(values: &[T]) -> String {
+        pack(values).render()
+    }
+
+    fn status(reply: &Json) -> Option<&str> {
+        reply.get("status").and_then(Json::as_str)
+    }
+
+    fn error_code(reply: &Json) -> Option<&str> {
+        reply.get("error")?.get("code").and_then(Json::as_str)
+    }
+
+    fn found(reply: &Json) -> Vec<u32> {
+        unpack(reply.get("result").expect("ok reply"), "found").expect("packed found")
+    }
+
+    #[test]
     fn frontier_sessions_answer_the_wire_protocol() {
         let sessions = FrontierSessions::default();
         let parse = |s: &str| randsync_obs::parse_json(s).unwrap();
@@ -541,29 +687,33 @@ mod tests {
             params: parse("{\"stride\": 2}"),
             trace: None,
         }));
-        assert_eq!(open.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(status(&open), Some("ok"));
         let sid = open.get("result").unwrap().get("session").and_then(Json::as_u64).unwrap();
 
         let insert = parse(&sessions.handle(&Request {
             id: Json::Int(2),
             job: "frontier_insert".to_string(),
             params: parse(&format!(
-                "{{\"session\": {sid}, \"hashes\": [9], \"indices\": [4], \"words\": [1, 2]}}"
+                "{{\"session\": {sid}, \"hashes\": {}, \"indices\": {}, \"words\": {}}}",
+                hex(&[9u64]),
+                hex(&[4u32]),
+                hex(&[1u32, 2])
             )),
             trace: None,
         }));
-        assert_eq!(insert.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(status(&insert), Some("ok"));
 
         let probe = parse(&sessions.handle(&Request {
             id: Json::Int(3),
             job: "frontier_probe".to_string(),
             params: parse(&format!(
-                "{{\"session\": {sid}, \"hashes\": [9, 9], \"words\": [1, 2, 3, 4]}}"
+                "{{\"session\": {sid}, \"hashes\": {}, \"words\": {}}}",
+                hex(&[9u64, 9]),
+                hex(&[1u32, 2, 3, 4])
             )),
             trace: None,
         }));
-        let found = probe.get("result").unwrap().get("found").and_then(Json::as_arr).unwrap();
-        assert_eq!(found, &[Json::Int(4), Json::Null]);
+        assert_eq!(found(&probe), [4, u32::MAX]);
 
         let close = parse(&sessions.handle(&Request {
             id: Json::Int(4),
@@ -571,20 +721,17 @@ mod tests {
             params: parse(&format!("{{\"session\": {sid}}}")),
             trace: None,
         }));
-        assert_eq!(close.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(status(&close), Some("ok"));
 
         // A closed (or never-opened) session is a clean client error.
         let stale = parse(&sessions.handle(&Request {
             id: Json::Int(5),
             job: "frontier_probe".to_string(),
-            params: parse(&format!("{{\"session\": {sid}, \"hashes\": [], \"words\": []}}")),
+            params: parse(&format!("{{\"session\": {sid}, \"hashes\": \"\", \"words\": \"\"}}")),
             trace: None,
         }));
-        assert_eq!(stale.get("status").and_then(Json::as_str), Some("error"));
-        assert_eq!(
-            stale.get("error").unwrap().get("code").and_then(Json::as_str),
-            Some("bad_request")
-        );
+        assert_eq!(status(&stale), Some("error"));
+        assert_eq!(error_code(&stale), Some("bad_request"));
     }
 
     #[test]
@@ -599,18 +746,17 @@ mod tests {
                 trace: None,
             }))
         };
-        let status = |reply: &Json| reply.get("status").and_then(Json::as_str).map(str::to_string);
         for (job, params) in [
             ("frontier_open", "{}"),
             ("frontier_open", "{\"stride\": 0}"),
-            ("frontier_probe", "{\"hashes\": [], \"words\": []}"),
+            ("frontier_probe", "{\"hashes\": \"\", \"words\": \"\"}"),
             ("frontier_bogus", "{}"),
         ] {
-            assert_eq!(status(&send(job, params)).as_deref(), Some("error"), "{job} {params}");
+            assert_eq!(status(&send(job, params)), Some("error"), "{job} {params}");
         }
 
-        // Unsorted and duplicated batches on an open session: each gets
-        // an error frame, and the session stays usable afterwards.
+        // Malformed batches on an open session: each gets an error
+        // frame, and the session stays usable afterwards.
         let open = send("frontier_open", "{\"stride\": 1}");
         let sid = open.get("result").unwrap().get("session").and_then(Json::as_u64).unwrap();
         let insert = |hashes: &str, indices: &str, words: &str| {
@@ -628,23 +774,154 @@ mod tests {
                 &format!("{{\"session\": {sid}, \"hashes\": {hashes}, \"words\": {words}}}"),
             )
         };
-        assert_eq!(status(&insert("[5]", "[0]", "[50]")).as_deref(), Some("ok"));
-        for (hashes, words) in [("[9, 2]", "[1, 1]"), ("[7, 7]", "[4, 3]"), ("[6, 6]", "[1, 1]")] {
-            let reply = probe(hashes, words);
-            assert_eq!(status(&reply).as_deref(), Some("error"), "probe {hashes} {words}");
-            assert_eq!(
-                reply.get("error").unwrap().get("code").and_then(Json::as_str),
-                Some("bad_request")
+        let refused = |reply: &Json, what: &str| {
+            assert_eq!(status(reply), Some("error"), "{what}");
+            assert_eq!(error_code(reply), Some("bad_request"), "{what}");
+        };
+        assert_eq!(status(&insert(&hex(&[5u64]), &hex(&[0u32]), &hex(&[50u32]))), Some("ok"));
+        // Unsorted, equal-hash descending and duplicated batches.
+        for (hashes, words) in [([9u64, 2], [1u32, 1]), ([7, 7], [4, 3]), ([6, 6], [1, 1])] {
+            refused(&probe(&hex(&hashes), &hex(&words)), &format!("probe {hashes:?} {words:?}"));
+            refused(
+                &insert(&hex(&hashes), &hex(&[1u32, 2]), &hex(&words)),
+                &format!("insert {hashes:?} {words:?}"),
             );
-            let reply = insert(hashes, "[1, 2]", words);
-            assert_eq!(status(&reply).as_deref(), Some("error"), "insert {hashes} {words}");
         }
         // A replayed insert of a stored key is refused as well.
-        assert_eq!(status(&insert("[5]", "[3]", "[50]")).as_deref(), Some("error"));
+        refused(&insert(&hex(&[5u64]), &hex(&[3u32]), &hex(&[50u32])), "replayed insert");
 
-        assert_eq!(status(&insert("[2, 9]", "[1, 2]", "[1, 1]")).as_deref(), Some("ok"));
-        let found = probe("[2, 5, 9, 9]", "[1, 50, 0, 1]");
-        let found = found.get("result").unwrap().get("found").and_then(Json::as_arr).unwrap();
-        assert_eq!(found, &[Json::Int(1), Json::Int(0), Json::Null, Json::Int(2)]);
+        // Packed fields a packer could not have written, and an insert
+        // of the probe reply's absent marker.
+        let one_hash = hex(&[2u64]);
+        for (what, reply) in [
+            ("odd-length hex", probe("\"020000000000000\"", "\"0\"")),
+            ("non-hex character", probe("\"02000000000000g0\"", &hex(&[1u32]))),
+            ("uppercase character", probe("\"0A00000000000000\"", &hex(&[1u32]))),
+            ("partial u64 value", probe("\"0200000000000000ff\"", &hex(&[1u32]))),
+            ("partial u32 value", probe(&one_hash, "\"0100\"")),
+            ("words != hashes x stride", probe(&one_hash, &hex(&[1u32, 1]))),
+            ("number array", probe("[2]", "[1]")),
+            ("reserved index", insert(&one_hash, &hex(&[u32::MAX]), &hex(&[1u32]))),
+            ("words != hashes x stride", insert(&one_hash, &hex(&[1u32]), &hex(&[1u32, 1]))),
+            ("partial index", insert(&one_hash, "\"01\"", &hex(&[1u32]))),
+        ] {
+            refused(&reply, what);
+            // The session keeps serving: the stored key still answers.
+            assert_eq!(found(&probe(&hex(&[5u64]), &hex(&[50u32]))), [0], "after {what}");
+        }
+        let reserved = insert(&one_hash, &hex(&[u32::MAX]), &hex(&[1u32]));
+        let message = reserved.get("error").unwrap().get("message").and_then(Json::as_str);
+        assert!(message.unwrap().contains("reserved absent marker"), "{message:?}");
+
+        assert_eq!(
+            status(&insert(&hex(&[2u64, 9]), &hex(&[1u32, 2]), &hex(&[1u32, 1]))),
+            Some("ok")
+        );
+        let reply = probe(&hex(&[2u64, 5, 9, 9]), &hex(&[1u32, 50, 0, 1]));
+        assert_eq!(found(&reply), [1, 0, u32::MAX, 2]);
+    }
+
+    /// An in-process shard server on an ephemeral loopback port.
+    struct ShardServer {
+        addr: String,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl ShardServer {
+        fn start() -> ShardServer {
+            let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+            let addr = server.local_addr().expect("local addr").to_string();
+            let thread = std::thread::spawn(move || server.run().expect("shard serves"));
+            ShardServer { addr, thread }
+        }
+
+        fn stop(self) {
+            Client::connect(&self.addr).expect("connect").shutdown().expect("shutdown");
+            self.thread.join().expect("shard thread");
+        }
+    }
+
+    const STRIDE: usize = 2;
+
+    /// Distinct keys in strictly ascending `(hash, words)` order, with
+    /// runs of equal hashes, spread uniformly over the hash space.
+    fn sorted_keys(count: usize, seed: u64) -> (Vec<u64>, Vec<u32>) {
+        let mut rng = SplitMix64::new(seed);
+        let mut keys: Vec<(u64, [u32; STRIDE])> = Vec::with_capacity(count);
+        while keys.len() < count {
+            let h = match keys.last() {
+                Some(&(prev, _)) if keys.len().is_multiple_of(10) => prev,
+                _ => rng.next_u64(),
+            };
+            keys.push((h, [rng.next_u64() as u32, rng.next_u64() as u32]));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let hashes = keys.iter().map(|k| k.0).collect();
+        let words = keys.iter().flat_map(|k| k.1).collect();
+        (hashes, words)
+    }
+
+    /// The keys at the even positions of a sorted batch.
+    fn evens(hashes: &[u64], words: &[u32]) -> (Vec<u64>, Vec<u32>) {
+        let hashes = hashes.iter().copied().step_by(2).collect();
+        let words = words.chunks(STRIDE).step_by(2).flat_map(|row| row.iter().copied()).collect();
+        (hashes, words)
+    }
+
+    #[test]
+    fn a_batch_of_several_frames_per_shard_matches_a_local_frontier() {
+        let shards = [ShardServer::start(), ShardServer::start()];
+        let addrs: Vec<&str> = shards.iter().map(|s| s.addr.as_str()).collect();
+        let mut remote = DistributedFrontier::connect(&addrs).expect("connect shards");
+        let mut oracle = LocalFrontier::new();
+        remote.open(STRIDE).unwrap();
+        oracle.open(STRIDE).unwrap();
+
+        let (hashes, words) = sorted_keys(2 * MAX_KEYS_PER_FRAME + 8_192, 11);
+        for run in remote.split_ranges(&hashes) {
+            assert!(run.len() > MAX_KEYS_PER_FRAME, "every shard gets several frames");
+        }
+        let (ins_hashes, ins_words) = evens(&hashes, &words);
+        let indices: Vec<u32> = (0..ins_hashes.len() as u32).map(|i| 3 * i).collect();
+        remote.insert_sorted(&ins_hashes, &indices, &ins_words).unwrap();
+        oracle.insert_sorted(&ins_hashes, &indices, &ins_words).unwrap();
+
+        let want = oracle.probe_sorted(&hashes, &words).unwrap();
+        assert_eq!(remote.probe_sorted(&hashes, &words).unwrap(), want);
+        assert_eq!(want.iter().filter(|f| f.is_some()).count(), ins_hashes.len());
+        remote.close().unwrap();
+        drop(remote);
+        shards.into_iter().for_each(ShardServer::stop);
+    }
+
+    #[test]
+    fn a_shard_error_mid_round_fails_the_call_and_leaves_no_stale_reply() {
+        let shards = [ShardServer::start(), ShardServer::start()];
+        let addrs: Vec<&str> = shards.iter().map(|s| s.addr.as_str()).collect();
+        let mut remote = DistributedFrontier::connect(&addrs).expect("connect shards");
+        remote.open(STRIDE).unwrap();
+
+        // Shard 0's first frame is unsorted, so its store refuses it
+        // while shard 1's frames are still in flight.
+        let (hashes, mut words) = sorted_keys(2 * MAX_KEYS_PER_FRAME + 8_192, 12);
+        assert_eq!(shard_of(hashes[1], 2), 0);
+        words.swap(0, STRIDE);
+        let mut unsorted = hashes.clone();
+        unsorted.swap(0, 1);
+        let err = remote.probe_sorted(&unsorted, &words).expect_err("shard 0 refuses");
+        assert!(err.0.contains(&shards[0].addr), "{err}");
+
+        // The round read every reply it was owed: closing answers, and
+        // each connection's next frame is the reply to its next request.
+        remote.close().expect("sessions close");
+        for shard in &mut remote.shards {
+            let id = shard.client.send("metrics", &Json::Null).unwrap();
+            let frame = shard.client.next_frame().unwrap();
+            assert_eq!(frame.get("id"), Some(&id));
+            assert_eq!(status(&frame), Some("ok"));
+        }
+        drop(remote);
+        shards.into_iter().for_each(ShardServer::stop);
     }
 }

@@ -1,4 +1,5 @@
-//! Zero-dependency readiness polling for the event-loop server.
+//! Zero-dependency readiness polling for the event-loop server, also
+//! used by the frontier coordinator to tell whether a reply is waiting.
 //!
 //! The server multiplexes every socket — listener, connections, and
 //! the self-wake datagram socket — through one blocking wait per loop
@@ -20,6 +21,18 @@ use std::time::Duration;
 /// The raw descriptor type `wait` polls. On the fallback path the
 /// value is ignored, so non-unix builds can pass anything.
 pub(crate) type SysFd = i32;
+
+/// The descriptor `wait` polls for a socket.
+#[cfg(unix)]
+pub(crate) fn fd_of<T: std::os::fd::AsRawFd>(s: &T) -> SysFd {
+    s.as_raw_fd()
+}
+
+/// The descriptor `wait` polls for a socket.
+#[cfg(not(unix))]
+pub(crate) fn fd_of<T>(_: &T) -> SysFd {
+    0
+}
 
 /// One descriptor's interest and (after [`wait`]) readiness.
 #[derive(Clone, Copy, Debug)]

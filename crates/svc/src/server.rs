@@ -60,7 +60,7 @@ use randsync_obs::{Field, Json, TraceSink};
 use crate::cache::{ResultsCache, DEFAULT_CACHE_CAPACITY};
 use crate::dist::FrontierSessions;
 use crate::job::{ExecContext, Job};
-use crate::poll::{self, PollEntry, SysFd};
+use crate::poll::{self, fd_of, PollEntry};
 use crate::wire::{
     code, error_frame, ok_frame, progress_frame, FrameBuffer, Request, WIRE_SCHEMA_VERSION,
 };
@@ -342,16 +342,6 @@ impl Conn {
     fn flushed(&self) -> bool {
         self.wpos == self.wbuf.len()
     }
-}
-
-#[cfg(unix)]
-fn fd_of<T: std::os::fd::AsRawFd>(s: &T) -> SysFd {
-    s.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn fd_of<T>(_: &T) -> SysFd {
-    0
 }
 
 /// A bound job server. [`Server::bind`] claims the address (so an

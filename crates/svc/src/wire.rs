@@ -24,7 +24,7 @@ use randsync_obs::Json;
 
 /// Wire schema version, reported by the `metrics` control frame and
 /// mixed into every cache key; bump on incompatible change.
-pub const WIRE_SCHEMA_VERSION: u32 = 1;
+pub const WIRE_SCHEMA_VERSION: u32 = 2;
 
 /// Machine-readable error codes carried in `error.code`.
 pub mod code {
@@ -67,20 +67,19 @@ impl Request {
     /// A human-readable message when the line is not JSON, not an
     /// object, or lacks a string `job` field.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = randsync_obs::parse_json(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        let mut v = randsync_obs::parse_json(line).map_err(|e| format!("invalid JSON: {e}"))?;
         let Json::Obj(_) = v else {
             return Err("request must be a JSON object".to_string());
         };
-        let job = v
-            .get("job")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "request missing string \"job\" field".to_string())?
-            .to_string();
-        let id = v.get("id").cloned().unwrap_or(Json::Null);
-        let params = v.get("params").cloned().unwrap_or(Json::Null);
         let trace = v.get("trace").and_then(|t| {
             Some((t.get("t").and_then(Json::as_u64)?, t.get("s").and_then(Json::as_u64)?))
         });
+        // Move the fields out: `params` can carry megabytes of batch.
+        let Some(Json::Str(job)) = v.remove("job") else {
+            return Err("request missing string \"job\" field".to_string());
+        };
+        let id = v.remove("id").unwrap_or(Json::Null);
+        let params = v.remove("params").unwrap_or(Json::Null);
         Ok(Request { id, job, params, trace })
     }
 
@@ -90,27 +89,25 @@ impl Request {
     }
 
     /// Render a request frame carrying the caller's trace context.
+    /// The params are rendered in place, never copied into a wrapper
+    /// object first.
     pub fn render_traced(
         id: &Json,
         job: &str,
         params: &Json,
         trace: Option<(u64, u64)>,
     ) -> String {
-        let mut fields = vec![
-            ("id".to_string(), id.clone()),
-            ("job".to_string(), Json::Str(job.to_string())),
-            ("params".to_string(), params.clone()),
-        ];
+        let mut out = String::from("{\"id\":");
+        id.render_into(&mut out);
+        out.push_str(",\"job\":");
+        randsync_obs::json::write_escaped(job, &mut out);
+        out.push_str(",\"params\":");
+        params.render_into(&mut out);
         if let Some((t, s)) = trace {
-            fields.push((
-                "trace".to_string(),
-                Json::Obj(vec![
-                    ("t".to_string(), Json::Int(i128::from(t))),
-                    ("s".to_string(), Json::Int(i128::from(s))),
-                ]),
-            ));
+            out.push_str(&format!(",\"trace\":{{\"t\":{t},\"s\":{s}}}"));
         }
-        Json::Obj(fields).render()
+        out.push('}');
+        out
     }
 }
 
@@ -173,6 +170,9 @@ impl std::error::Error for FrameOverflow {}
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// How far `buf` is known to hold no `\n`: each byte is scanned
+    /// once, however many reads a frame arrives in.
+    scanned: usize,
 }
 
 impl FrameBuffer {
@@ -199,23 +199,29 @@ impl FrameBuffer {
         self.buf.extend_from_slice(data);
         let mut frames = Vec::new();
         let mut start = 0usize;
-        while let Some(nl) = self.buf[start..].iter().position(|&b| b == b'\n') {
-            let line = &self.buf[start..start + nl];
+        while let Some(nl) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let end = self.scanned + nl;
+            self.scanned = end + 1;
+            let line = &self.buf[start..end];
             if line.len() > MAX_FRAME_BYTES {
-                let buffered = line.len();
-                self.buf.clear();
-                return Err(FrameOverflow { buffered });
+                return Err(self.overflow(line.len()));
             }
             frames.push(String::from_utf8_lossy(line).into_owned());
-            start += nl + 1;
+            start = self.scanned;
         }
         self.buf.drain(..start);
+        self.scanned = self.buf.len();
         if self.buf.len() > MAX_FRAME_BYTES {
-            let buffered = self.buf.len();
-            self.buf.clear();
-            return Err(FrameOverflow { buffered });
+            return Err(self.overflow(self.buf.len()));
         }
         Ok(frames)
+    }
+
+    /// Reset after an overflow so the teardown path starts clean.
+    fn overflow(&mut self, buffered: usize) -> FrameOverflow {
+        self.buf.clear();
+        self.scanned = 0;
+        FrameOverflow { buffered }
     }
 }
 
@@ -254,6 +260,20 @@ mod tests {
             Request::render_traced(&Json::Int(1), "explore", &Json::Null, Some((u64::MAX, 42)));
         let req = Request::parse(&line).expect("parses");
         assert_eq!(req.trace, Some((u64::MAX, 42)));
+        // The in-place rendering is the object rendering, byte for byte.
+        let object = Json::Obj(vec![
+            ("id".to_string(), Json::Int(1)),
+            ("job".to_string(), Json::Str("explore".to_string())),
+            ("params".to_string(), Json::Null),
+            (
+                "trace".to_string(),
+                Json::Obj(vec![
+                    ("t".to_string(), Json::Int(i128::from(u64::MAX))),
+                    ("s".to_string(), Json::Int(42)),
+                ]),
+            ),
+        ]);
+        assert_eq!(line, object.render());
         // A malformed trace field degrades to "no context", never an error.
         let req = Request::parse("{\"job\":\"x\",\"trace\":{\"t\":1}}").expect("parses");
         assert_eq!(req.trace, None);
@@ -293,6 +313,60 @@ mod tests {
         let err = fb.push_bytes(&chunk).expect_err("cap must trip");
         assert!(err.buffered > MAX_FRAME_BYTES);
         // The buffer resets so the connection teardown path is clean.
+        assert_eq!(fb.pending_bytes(), 0);
+        assert_eq!(fb.scanned, 0);
+        assert_eq!(fb.push_bytes(b"ok\n").unwrap(), vec!["ok".to_string()]);
+    }
+
+    /// A multi-MiB frame, then a short one, as the byte stream a
+    /// socket would deliver.
+    fn big_stream() -> (String, Vec<u8>) {
+        let big: String = (0..3 << 20).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+        let mut stream = big.clone().into_bytes();
+        stream.extend_from_slice(b"\ntail\n");
+        (big, stream)
+    }
+
+    #[test]
+    fn frame_buffer_reassembles_a_multi_mib_frame_from_16_kib_reads() {
+        let (big, stream) = big_stream();
+        let mut fb = FrameBuffer::new();
+        let mut frames = Vec::new();
+        for piece in stream.chunks(16 * 1024) {
+            frames.extend(fb.push_bytes(piece).unwrap());
+            // The scan never revisits bytes it has already passed.
+            assert_eq!(fb.scanned, fb.pending_bytes());
+        }
+        assert_eq!(frames, vec![big, "tail".to_string()]);
+        assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn frame_buffer_reassembles_a_multi_mib_frame_fed_byte_by_byte() {
+        let (big, stream) = big_stream();
+        let mut fb = FrameBuffer::new();
+        let mut frames = Vec::new();
+        for byte in stream.chunks(1) {
+            frames.extend(fb.push_bytes(byte).unwrap());
+        }
+        assert_eq!(frames, vec![big, "tail".to_string()]);
+        assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn frame_buffer_handles_a_newline_ending_a_read_and_frames_after_a_partial_one() {
+        let mut fb = FrameBuffer::new();
+        // The newline is the last byte of the read.
+        assert_eq!(fb.push_bytes(b"one\n").unwrap(), vec!["one".to_string()]);
+        assert_eq!(fb.pending_bytes(), 0);
+        // A partial frame, then a read that completes it and carries
+        // several more frames and a new partial tail.
+        assert!(fb.push_bytes(b"tw").unwrap().is_empty());
+        assert!(fb.push_bytes(b"o-").unwrap().is_empty());
+        let frames = fb.push_bytes(b"2\nthree\nfour\nfi").unwrap();
+        assert_eq!(frames, vec!["two-2".to_string(), "three".to_string(), "four".to_string()]);
+        assert_eq!(fb.pending_bytes(), 2);
+        assert_eq!(fb.push_bytes(b"ve\n").unwrap(), vec!["five".to_string()]);
         assert_eq!(fb.pending_bytes(), 0);
     }
 
