@@ -538,9 +538,10 @@ fn complete(label: &str, out: ExploreOutcome) -> Result<ExploreOutcome, CheckOut
 /// reports is a fact about its protocol, so a change to any of them is
 /// a change to what the engine explores: the symmetry quotient, the
 /// ample sets or the cycle proviso. The n = 4 walk's raw space also
-/// completes under a 4 MiB memory budget, bit-identical to RAM, and
-/// best-first search finds a pinned witness where breadth-first search
-/// spends the explorer's default budget.
+/// completes under a 4 MiB memory budget, bit-identical to RAM, with
+/// pinned spilled bytes and run scans, and best-first search finds a
+/// pinned witness where breadth-first search spends the explorer's
+/// default budget.
 pub(crate) fn explore_counts(ctx: &CheckContext) -> CheckOutcome {
     let mut out = CheckOutcome::pass();
     for &(name, n, r, inputs, want) in COUNT_ROWS {
@@ -601,7 +602,9 @@ fn observable(o: &ExploreOutcome) -> String {
 /// walk-counter at n = 4 with uniform inputs: the symmetry quotient
 /// completes and counts the raw space it stands for, and that raw
 /// space completes under a 4 MiB resident budget with an outcome
-/// identical to the same search in RAM.
+/// identical to the same search in RAM. The budgeted search's spilled
+/// bytes and run scans are exact, so a change to the run format or the
+/// flush cadence shows.
 fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome, CheckOutcome> {
     const BUDGET: usize = 4 << 20;
     let label = "walk-counter(4,1)";
@@ -625,7 +628,10 @@ fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome
         ("canonical_configs", canon.configs_visited, BoundOp::Eq, 25191),
         ("represented_configs", canon.raw_configs, BoundOp::Eq, 518260),
         ("spill.raw_configs", spill.configs_visited, BoundOp::Eq, 518260),
-        ("spill.merge_passes", spill.dedup_merge_passes as usize, BoundOp::Ge, 1),
+        // The run format and the flush cadence are pinned: the bytes
+        // written to segments and runs, and the scans over the runs.
+        ("spill.merge_passes", spill.dedup_merge_passes as usize, BoundOp::Eq, 48),
+        ("spill.spilled_bytes", spill.spilled_bytes as usize, BoundOp::Eq, 43_146_736),
         ("spill.resident_bytes", spill.resident_arena_bytes, BoundOp::Le, BUDGET),
     ];
     Ok(bounds.into_iter().fold(out, |out, (field, got, op, want)| {

@@ -29,13 +29,16 @@
 //!    sorts the candidates' packed keys (64-bit word hash, then the full
 //!    words), resolves the distinct keys against the seen-set in one
 //!    sorted probe batch, and appends the newly interned keys in one
-//!    sorted insert batch — all through the [`FrontierTransport`] seam.
-//!    Behind the seam sits either the local
+//!    sorted insert batch. The seen-set is either the local
 //!    [`ExternalDedup`](super::spill::ExternalDedup) — an unbounded
 //!    sorted RAM buffer by default, spilling sorted runs to disk under
 //!    [`ExploreConfig::mem_budget_bytes`] — or a caller-supplied
-//!    transport (the distributed tier). Keys compare on full words, so
-//!    every tier makes the same dedup decisions, and every result is
+//!    [`FrontierTransport`](super::FrontierTransport) (the distributed
+//!    tier). The local store keeps only a `(hash, arena index)` pair
+//!    per key and reads a key's words from its arena row when two
+//!    hashes tie, so the arena is the one copy of every row; a
+//!    transport is sent the words. Keys compare on full words, so every
+//!    tier makes the same dedup decisions, and every result is
 //!    identical across tiers. The POR cycle proviso is decided on the
 //!    same probe result (see [`merge_level`]).
 //! 4. **Deterministic parallelism.** Each BFS level is processed in two
@@ -77,7 +80,7 @@ use super::graph::{Csr, Link};
 use super::pack::{hash_words, PackedArena, WordStore};
 use super::por::{Ample, PorContext};
 use super::spill::{BudgetPlan, ExternalDedup, SpillDir, SpillStore};
-use super::transport::{FrontierTransport, SharedFrontier, TransportError};
+use super::transport::{SharedFrontier, TransportError};
 use super::ExploreConfig;
 
 /// A caller-supplied early-stop predicate over configurations.
@@ -88,22 +91,64 @@ pub(super) type StopFn<'a, S> = dyn Fn(&Configuration<S>) -> bool + Sync + 'a;
 const PARALLEL_FRONTIER_MIN: usize = 64;
 
 /// The seen-set behind the level merge: the local sorted-batch store
-/// (resident, or spilling sorted runs under a memory budget) or a
-/// pluggable [`FrontierTransport`] (typically a remote, sharded
-/// seen-set — see [`super::transport`]). [`merge_level`] drives both
-/// through the same seam, so the tier never changes interning order or
-/// any result.
+/// over the arena's rows (resident, or spilling sorted runs under a
+/// memory budget) or a pluggable
+/// [`FrontierTransport`](super::FrontierTransport) (typically a remote,
+/// sharded seen-set — see [`super::transport`]). [`merge_level`] sends
+/// both the same sorted batches, so the tier never changes interning
+/// order or any result.
 pub(super) enum Dedup {
     Local(ExternalDedup),
     Shared(SharedFrontier),
 }
 
 impl Dedup {
-    /// Run `f` against the seen-set through the frontier seam.
-    fn with<R>(&mut self, f: impl FnOnce(&mut dyn FrontierTransport) -> R) -> R {
+    /// Begin the search; the local store starts empty as built.
+    fn open(&mut self, stride: usize) -> Result<(), TransportError> {
         match self {
-            Dedup::Local(d) => f(d),
-            Dedup::Shared(t) => f(&mut *t.lock()),
+            Dedup::Local(_) => Ok(()),
+            Dedup::Shared(t) => t.lock().open(stride),
+        }
+    }
+
+    /// Resolve a sorted batch of distinct keys: the arena index of each
+    /// stored key, `None` for a novel one.
+    fn probe<S: Clone + Eq + Hash>(
+        &mut self,
+        arena: &PackedArena<S>,
+        hashes: &[u64],
+        words: &[u32],
+    ) -> Result<Vec<Option<u32>>, TransportError> {
+        match self {
+            Dedup::Local(d) => Ok(d.probe_sorted(arena, hashes, words)),
+            Dedup::Shared(t) => t.lock().probe_sorted(hashes, words),
+        }
+    }
+
+    /// Record a sorted batch of keys the arena just interned at
+    /// `indices`. The local store reads their words from the arena;
+    /// only a transport is handed them, built by `words`.
+    fn insert<S: Clone + Eq + Hash>(
+        &mut self,
+        arena: &PackedArena<S>,
+        hashes: &[u64],
+        indices: &[u32],
+        words: impl FnOnce() -> Vec<u32>,
+    ) -> Result<(), TransportError> {
+        match self {
+            Dedup::Local(d) => {
+                d.insert_sorted(arena, hashes, indices);
+                Ok(())
+            }
+            Dedup::Shared(t) => t.lock().insert_sorted(hashes, indices, &words()),
+        }
+    }
+
+    /// End the search and release any session state.
+    fn close(&mut self) -> Result<(), TransportError> {
+        match self {
+            Dedup::Local(_) => Ok(()),
+            Dedup::Shared(t) => t.lock().close(),
         }
     }
 }
@@ -193,8 +238,12 @@ pub(super) struct BfsGraph<S> {
     pub(super) spilled_bytes: u64,
     /// Sequential merge scans performed over on-disk dedup runs.
     pub(super) dedup_merge_passes: u64,
-    /// Resident bytes of arena + dedup at the end of the search.
+    /// Resident bytes at the end of the search: the arena's resident
+    /// words plus [`seen_bytes`](BfsGraph::seen_bytes).
     pub(super) resident_bytes: usize,
+    /// Bytes of the local seen-set's resident buffer at the end of the
+    /// search; 0 when the seen-set lives behind a transport.
+    pub(super) seen_bytes: usize,
     /// Path a checkpoint was written to, if one was requested and the
     /// search stopped checkpointably.
     pub(super) checkpoint_written: Option<std::path::PathBuf>,
@@ -234,6 +283,7 @@ impl<S: Clone + Eq + Hash> BfsGraph<S> {
             spilled_bytes: 0,
             dedup_merge_passes: 0,
             resident_bytes: 0,
+            seen_bytes: 0,
             checkpoint_written: None,
             checkpoint_error: None,
             transport_error: None,
@@ -456,8 +506,9 @@ where
     g.parent.push(Link::ROOT);
     g.add_class(search.canon.class_size(&start.procs));
     let stride = g.arena.stride();
-    let opened =
-        dedup.with(|t| t.open(stride).and_then(|()| t.insert_sorted(&[start_hash], &[0], &words)));
+    let opened = dedup
+        .open(stride)
+        .and_then(|()| dedup.insert(&g.arena, &[start_hash], &[0], || words.clone()));
     let final_depth = match opened {
         Err(e) => {
             g.transport_error = Some(e.to_string());
@@ -471,7 +522,7 @@ where
     };
     finalize(&mut g, &dedup, config, record_edges, final_depth);
     // Close failures are unreportable: the search already finished.
-    let _ = dedup.with(|t| t.close());
+    let _ = dedup.close();
     g
 }
 
@@ -536,16 +587,16 @@ where
     g.parent.reserve(ckpt.nodes());
     // Depths only locate the frontier; the live search keeps none.
     let mut depth: Vec<u32> = Vec::with_capacity(ckpt.nodes());
-    dedup.with(|t| t.open(stride)).map_err(|e| {
+    dedup.open(stride).map_err(|e| {
         CheckpointError::Mismatch(format!("frontier transport failed to open: {e}"))
     })?;
 
     // Replay: one decode + step + intern per node, in interning order.
-    // Seen-set entries are accumulated into bounded sorted chunks, so
-    // the rebuild respects a memory budget too.
+    // Seen-set keys are accumulated into bounded sorted chunks, so the
+    // rebuild respects a memory budget too; their words stay in the
+    // arena.
     let mut words: Vec<u32> = Vec::new();
-    let (mut pend_h, mut pend_i, mut pend_w): (Vec<u64>, Vec<u32>, Vec<u32>) =
-        (Vec::new(), Vec::new(), Vec::new());
+    let (mut pend_h, mut pend_i): (Vec<u64>, Vec<u32>) = (Vec::new(), Vec::new());
     let pend_cap = 64 * 1024; // entries per chunk before a sorted insert
     for i in 0..ckpt.nodes() {
         let cfg = if i == 0 {
@@ -573,12 +624,11 @@ where
         g.add_class(search.canon.class_size(&cfg.procs));
         pend_h.push(hash);
         pend_i.push(j);
-        pend_w.extend_from_slice(&words);
         if pend_h.len() >= pend_cap {
-            flush_pending(&mut dedup, &mut pend_h, &mut pend_i, &mut pend_w, stride)?;
+            flush_pending(&mut dedup, &g.arena, &mut pend_h, &mut pend_i)?;
         }
     }
-    flush_pending(&mut dedup, &mut pend_h, &mut pend_i, &mut pend_w, stride)?;
+    flush_pending(&mut dedup, &g.arena, &mut pend_h, &mut pend_i)?;
 
     // The frontier is exactly the nodes at the stop depth: the last BFS
     // level, so an index range at the end. Nothing in it was expanded.
@@ -607,33 +657,35 @@ where
 
     let final_depth = run_levels(&search, config, &mut g, &mut dedup, frontier, level_depth);
     finalize(&mut g, &dedup, config, record_edges, final_depth);
-    let _ = dedup.with(|t| t.close());
+    let _ = dedup.close();
     Ok(g)
 }
 
-/// Sort a chunk of pending rebuild entries by `(hash, words)` and hand
-/// it to the seen-set as one sorted batch; maps a transport failure to
-/// the checkpoint error the resume reports.
-fn flush_pending(
+/// Sort a chunk of pending rebuild keys — interned at arena indices
+/// `idx` — by `(hash, words)` and hand it to the seen-set as one sorted
+/// batch; maps a transport failure to the checkpoint error the resume
+/// reports.
+fn flush_pending<S: Clone + Eq + Hash>(
     dedup: &mut Dedup,
+    arena: &PackedArena<S>,
     h: &mut Vec<u64>,
     idx: &mut Vec<u32>,
-    w: &mut Vec<u32>,
-    stride: usize,
 ) -> Result<(), CheckpointError> {
     if h.is_empty() {
         return Ok(());
     }
-    let row = |o: usize| &w[o * stride..(o + 1) * stride];
-    let mut order: Vec<usize> = (0..h.len()).collect();
-    order.sort_unstable_by(|&a, &b| h[a].cmp(&h[b]).then_with(|| row(a).cmp(row(b))));
-    let sh: Vec<u64> = order.iter().map(|&o| h[o]).collect();
-    let si: Vec<u32> = order.iter().map(|&o| idx[o]).collect();
-    let sw: Vec<u32> = order.iter().flat_map(|&o| row(o).iter().copied()).collect();
-    h.clear();
-    idx.clear();
-    w.clear();
-    dedup.with(|t| t.insert_sorted(&sh, &si, &sw)).map_err(|e| {
+    let mut order: Vec<(u64, u32)> = h.drain(..).zip(idx.drain(..)).collect();
+    order.sort_unstable_by(|&(ha, a), &(hb, b)| {
+        ha.cmp(&hb)
+            .then_with(|| arena.with_words(a, |wa| arena.with_words(b, |wb| wa.cmp(wb))))
+    });
+    let (sh, si): (Vec<u64>, Vec<u32>) = order.into_iter().unzip();
+    let words = || {
+        let mut w = Vec::with_capacity(si.len() * arena.stride());
+        si.iter().for_each(|&i| arena.with_words(i, |row| w.extend_from_slice(row)));
+        w
+    };
+    dedup.insert(arena, &sh, &si, words).map_err(|e| {
         CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
     })
 }
@@ -721,7 +773,7 @@ where
 
         // Phase 2: sequential merge at the level barrier. This is the
         // only place the arena, the codec, and the seen-set grow.
-        let merged = dedup.with(|t| merge_level(search, g, t, frontier.clone(), expansions));
+        let merged = merge_level(search, g, dedup, frontier.clone(), expansions);
         let (next_frontier, stats) = match merged {
             Ok(level) => level,
             Err(e) => {
@@ -884,21 +936,25 @@ impl LevelKeys {
         (group_of, reps)
     }
 
-    /// The keys of `reps` as one batch in the seam's layout.
-    fn keys(&self, reps: &[u32]) -> (Vec<u64>, Vec<u32>) {
-        let h = reps.iter().map(|&rep| self.hash[rep as usize]).collect();
-        let w = reps.iter().flat_map(|&rep| self.row(rep as usize)).copied().collect();
-        (h, w)
+    /// The hashes of the keys of `reps`, as one batch.
+    fn hashes(&self, reps: &[u32]) -> Vec<u64> {
+        reps.iter().map(|&rep| self.hash[rep as usize]).collect()
+    }
+
+    /// The words of the keys of `reps`, concatenated as one batch.
+    fn words(&self, reps: &[u32]) -> Vec<u32> {
+        reps.iter().flat_map(|&rep| self.row(rep as usize)).copied().collect()
     }
 
     /// Resolve the distinct, key-sorted `reps` in one probe batch.
-    fn probe(
+    fn probe<S: Clone + Eq + Hash>(
         &self,
-        dedup: &mut dyn FrontierTransport,
+        dedup: &mut Dedup,
+        arena: &PackedArena<S>,
         reps: &[u32],
     ) -> Result<Vec<Option<u32>>, TransportError> {
-        let (h, w) = self.keys(reps);
-        let found = dedup.probe_sorted(&h, &w)?;
+        let h = self.hashes(reps);
+        let found = dedup.probe(arena, &h, &self.words(reps))?;
         if found.len() != h.len() {
             return Err(TransportError::new(format!(
                 "probe batch of {} keys got {} answers",
@@ -937,7 +993,7 @@ impl LevelKeys {
 fn merge_level<P: Protocol>(
     search: &Search<'_, P>,
     g: &mut BfsGraph<P::State>,
-    dedup: &mut dyn FrontierTransport,
+    dedup: &mut Dedup,
     frontier: Range<u32>,
     expansions: Vec<NodeExpansion<P::State>>,
 ) -> Result<(Range<u32>, LevelStats), TransportError> {
@@ -965,7 +1021,7 @@ fn merge_level<P: Protocol>(
     let (mut group_of, mut reps) = lev.group();
 
     // Pass C: one sorted probe batch against the seen-set.
-    let found = lev.probe(dedup, &reps)?;
+    let found = lev.probe(dedup, &g.arena, &reps)?;
 
     // The cycle proviso, decided on the probe result.
     let mut fallback: Vec<Option<Range<usize>>> = vec![None; frontier.len()];
@@ -988,8 +1044,11 @@ fn merge_level<P: Protocol>(
         // answers, and probe the keys only the fallbacks produced.
         let (all_group_of, all_reps) = lev.group();
         let fresh_reps: Vec<u32> = all_reps.iter().copied().filter(|&r| r as usize >= k).collect();
-        let fresh =
-            if fresh_reps.is_empty() { Vec::new() } else { lev.probe(dedup, &fresh_reps)? };
+        let fresh = if fresh_reps.is_empty() {
+            Vec::new()
+        } else {
+            lev.probe(dedup, &g.arena, &fresh_reps)?
+        };
         let mut fresh = fresh.into_iter();
         let gstate = all_reps
             .iter()
@@ -1068,8 +1127,7 @@ fn merge_level<P: Protocol>(
         })
         .unzip();
     if !new_reps.is_empty() {
-        let (h, w) = lev.keys(&new_reps);
-        dedup.insert_sorted(&h, &new_idx, &w)?;
+        dedup.insert(&g.arena, &lev.hashes(&new_reps), &new_idx, || lev.words(&new_reps))?;
     }
     Ok((first_new..g.arena.len() as u32, stats))
 }
@@ -1088,23 +1146,19 @@ fn finalize<S: Clone + Eq + Hash>(
     if record_edges {
         g.succ.finish(g.arena.len());
     }
-    if randsync_obs::metrics_enabled() {
-        randsync_obs::global_metrics()
-            .gauge("explore.graph_bytes")
-            .record_max(g.graph_bytes() as i64);
-    }
     g.spilled_bytes = g.arena.spilled_bytes();
-    match dedup {
-        Dedup::Local(d) => {
-            g.spilled_bytes += d.spilled_bytes();
-            g.dedup_merge_passes = d.merge_passes();
-            g.resident_bytes = g.arena.resident_word_bytes() + d.resident_bytes();
-        }
-        Dedup::Shared(_) => {
-            // The seen-set lives behind the transport (typically on
-            // other nodes); locally only the arena is resident.
-            g.resident_bytes = g.arena.bytes();
-        }
+    // Behind a transport the seen-set lives elsewhere (typically on
+    // other nodes): locally only the arena is resident.
+    if let Dedup::Local(d) = dedup {
+        g.spilled_bytes += d.spilled_bytes();
+        g.dedup_merge_passes = d.merge_passes();
+        g.seen_bytes = d.resident_bytes();
+    }
+    g.resident_bytes = g.arena.resident_word_bytes() + g.seen_bytes;
+    if randsync_obs::metrics_enabled() {
+        let m = randsync_obs::global_metrics();
+        m.gauge("explore.graph_bytes").record_max(g.graph_bytes() as i64);
+        m.gauge("explore.seen_bytes").record_max(g.seen_bytes as i64);
     }
     let Some(req) = &config.checkpoint else { return };
     // A transport failure can cut a level mid-merge, so a graph that

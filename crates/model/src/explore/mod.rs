@@ -319,10 +319,18 @@ pub struct ExploreOutcome {
     /// correspondingly small probability; this field witnesses exactly
     /// that for model-checked protocols.
     pub infinite_execution_possible: Option<bool>,
-    /// Estimated resident size, in bytes, of the packed configuration
-    /// arena (words plus codec tables) and dedup maps at the end of the
-    /// exploration. The arena is append-only, so this is also its peak.
+    /// Size, in bytes, of the packed configuration arena at the end of
+    /// the exploration: its words (resident or spilled) plus the codec
+    /// tables — the figure the `explore.arena_bytes` gauge reports. The
+    /// arena is append-only, so this is also its peak, and it is the
+    /// same on every storage tier.
     pub arena_bytes: usize,
+    /// Bytes of the local seen-set's resident sorted buffer at the end
+    /// of the exploration, 12 per key it holds (the `explore.seen_bytes`
+    /// gauge). On the in-RAM tier that is every key; under a memory
+    /// budget, the keys not yet flushed to runs; `0` when the seen-set
+    /// lives behind a [`FrontierTransport`].
+    pub seen_bytes: usize,
     /// Whether this exploration ran on the process-symmetry quotient
     /// (requested via [`ExploreConfig::canonical`] *and* granted by the
     /// protocol's symmetry declaration).
@@ -347,8 +355,10 @@ pub struct ExploreOutcome {
     /// Sequential merge scans over on-disk dedup runs; `0` on the
     /// in-RAM tier.
     pub dedup_merge_passes: u64,
-    /// Estimated bytes actually resident at the end of the search —
-    /// under a memory budget this stays bounded while
+    /// Bytes resident at the end of the search, on every tier: the
+    /// arena's resident words plus
+    /// [`seen_bytes`](ExploreOutcome::seen_bytes). Under a memory
+    /// budget this stays bounded while
     /// [`arena_bytes`](ExploreOutcome::arena_bytes) keeps reporting the
     /// total (resident + spilled) footprint.
     pub resident_arena_bytes: usize,
@@ -1037,7 +1047,7 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         }
     };
 
-    let arena_bytes = arena_bytes(&g.arena);
+    let arena_bytes = g.arena.bytes();
     let outcome = ExploreOutcome {
         consistency_violation,
         validity_violation,
@@ -1049,6 +1059,7 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         can_always_reach_termination,
         infinite_execution_possible,
         arena_bytes,
+        seen_bytes: g.seen_bytes,
         canonicalized: g.canonical,
         canonical_configs: n,
         raw_configs: g.raw_represented,
@@ -1132,15 +1143,6 @@ fn propagate_valency(pred: &Csr, mask: &mut [u8]) {
             }
         }
     }
-}
-
-/// Estimated bytes held by the packed arena plus the seen-set, for
-/// reporting: a fixed per-node allowance for the seen-set's hash and
-/// index on top of the arena's own words + codec. The allowance does
-/// not depend on the tier, so footprints stay comparable across them.
-fn arena_bytes<S: Clone + Eq + std::hash::Hash>(arena: &pack::PackedArena<S>) -> usize {
-    const SEEN_ENTRY_BYTES: usize = 24;
-    arena.bytes() + arena.len() * SEEN_ENTRY_BYTES
 }
 
 /// Does the subgraph induced by the nodes passing `keep` contain a
@@ -1690,6 +1692,10 @@ mod tests {
         // At minimum the packed words of every interned configuration
         // (2 process slots + 1 object slot, 4 bytes each).
         assert!(out.arena_bytes >= out.configs_visited * 3 * 4);
+        // The seen-set holds a 12-byte (hash, index) pair per key and
+        // no copy of its row; residency is the rows plus those pairs.
+        assert_eq!(out.seen_bytes, 12 * out.configs_visited);
+        assert_eq!(out.resident_arena_bytes, out.configs_visited * 3 * 4 + out.seen_bytes);
         assert!(out.bytes_per_config >= 12.0);
         // The point of packing: far below the old heap representation
         // (inline struct + two spilled vectors was >100 B/config).
@@ -1926,9 +1932,12 @@ mod tests {
     #[test]
     fn transport_tier_matches_ram_mode_bit_for_bit() {
         let local = |e: Explorer| e.frontier_transport(SharedFrontier::new(LocalFrontier::new()));
-        assert_tier_matches_ram(&Naive { n: 3 }, &[0, 1, 0], local);
+        let naive = assert_tier_matches_ram(&Naive { n: 3 }, &[0, 1, 0], local);
         let toggle = assert_tier_matches_ram(&Toggle { n: 3 }, &[0, 1, 0], local);
         assert!(toggle[1].por_fallbacks > 0, "the cycle proviso must fire");
+        for out in naive.iter().chain(&toggle) {
+            assert_eq!(out.seen_bytes, 0, "the seen-set lives behind the transport");
+        }
         // POR dedups through the transport too, so a dead one cuts it.
         let dead = FlakyTransport { inner: LocalFrontier::new(), probes_left: 0 };
         let out = Explorer::default()

@@ -47,12 +47,13 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
+use std::ops::Range;
 
 use crate::config::{Configuration, ProcState};
 use crate::protocol::Decision;
 use crate::value::Value;
 
-use super::spill::SpillStore;
+use super::spill::{RowSource, SpillStore};
 
 /// Process-slot word for a crashed process.
 const WORD_CRASHED: u32 = 0;
@@ -400,6 +401,26 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
             WordStore::Ram(_) => 0,
             WordStore::Spill(s) => s.spilled_bytes(),
         }
+    }
+}
+
+/// The engine's seen-set reads key words from the arena itself: a
+/// key's slot is its arena index, and a probe answers that index.
+impl<S: Clone + Eq + Hash> RowSource for PackedArena<S> {
+    fn with_row<R>(&self, slot: u32, f: impl FnOnce(&[u32]) -> R) -> R {
+        self.with_words(slot, f)
+    }
+
+    fn copy_rows(&self, slots: Range<u32>, out: &mut Vec<u32>) {
+        let (at, len) = (slots.start as usize * self.stride, slots.len() * self.stride);
+        match &self.store {
+            WordStore::Ram(v) => out.extend_from_slice(&v[at..at + len]),
+            WordStore::Spill(s) => s.copy_words(at, len, out),
+        }
+    }
+
+    fn index_of(&self, slot: u32) -> u32 {
+        slot
     }
 }
 

@@ -12,17 +12,24 @@
 //!   matter how many configurations are interned. Segment size is a
 //!   multiple of the row stride, so a packed row never straddles two
 //!   segments.
-//! * [`ExternalDedup`] is the engine's local seen-set on every tier.
-//!   It stores **exact** entries — the 64-bit word hash *plus the full
-//!   packed words* — so dedup decisions compare full configurations (a
-//!   fingerprint-only store could merge two hash-colliding
-//!   configurations and silently diverge). Entries live in a sorted RAM
-//!   buffer. Without a budget the buffer is unbounded and nothing
-//!   touches disk; under a budget, when the buffer exceeds its share it
-//!   is flushed as a sorted *run* file. Each BFS level probes one sorted
-//!   batch of candidate keys against the buffer and every run with
-//!   two-pointer merges — strictly sequential I/O — and runs are
-//!   compacted by k-way merge when they accumulate.
+//! * [`ExternalDedup`] is the local seen-set on every tier: the
+//!   engine's, and a [`LocalFrontier`](super::LocalFrontier)'s. Its
+//!   sorted RAM buffer holds one `(hash, slot)` pair per key, 12 bytes;
+//!   the key's words stay in a [`RowSource`] — the engine's packed
+//!   arena (slot = arena index) or a [`RowLog`] — and are read only
+//!   when two hashes tie, so dedup decisions still compare full
+//!   configurations (a fingerprint-only store could merge two
+//!   hash-colliding configurations and silently diverge), and the
+//!   engine holds one copy of each row. Without a budget the buffer is
+//!   unbounded and nothing touches disk; under a budget, when the
+//!   buffer's keys would fill its share as a run, it is flushed as a
+//!   sorted *run* file of `(hash, index, words)` entries, the words
+//!   read from the row source (the buffered keys are exactly those
+//!   interned since the last flush, so their rows are the arena's most
+//!   recent). Each BFS level probes one sorted batch of candidate keys
+//!   against the buffer and every run with two-pointer merges —
+//!   strictly sequential run I/O — and runs are compacted by k-way
+//!   merge when they accumulate.
 //!
 //! All files live in one [`SpillDir`] per search, deleted on drop.
 //!
@@ -35,11 +42,10 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-use super::transport::{FrontierTransport, TransportError};
 
 /// Lower bound on the spill segment size (bytes of packed words).
 /// Small enough that even toy budgets genuinely spill (tests rely on
@@ -240,6 +246,17 @@ impl SpillStore {
         words
     }
 
+    /// Append the `len` words at word offset `at` to `out`, one segment
+    /// at a time.
+    pub(super) fn copy_words(&self, mut at: usize, len: usize, out: &mut Vec<u32>) {
+        let end = at + len;
+        while at < end {
+            let run = (self.segment_words - at % self.segment_words).min(end - at);
+            self.with_words(at, run, |w| out.extend_from_slice(w));
+            at += run;
+        }
+    }
+
     /// Run `f` over the `len` words at word offset `at`. The range never
     /// straddles segments (rows are stride-aligned within segments).
     pub(super) fn with_words<R>(&self, at: usize, len: usize, f: impl FnOnce(&[u32]) -> R) -> R {
@@ -253,36 +270,102 @@ impl SpillStore {
     }
 }
 
+/// Where a seen-set's keys keep their words.
+///
+/// The seen-set stores one `(hash, slot)` pair per key and reads the
+/// words of slot `slot` from its row source only when two hashes tie.
+/// The engine's [`PackedArena`](super::pack::PackedArena) is the row
+/// source of the local tiers (slot = arena index); a [`RowLog`] is the
+/// row source of a [`LocalFrontier`](super::LocalFrontier).
+pub(super) trait RowSource {
+    /// Run `f` over the words of row `slot`.
+    fn with_row<R>(&self, slot: u32, f: impl FnOnce(&[u32]) -> R) -> R;
+
+    /// Append the words of rows `slots`, in order, to `out`.
+    fn copy_rows(&self, slots: Range<u32>, out: &mut Vec<u32>);
+
+    /// The index a probe answers for the key in row `slot`.
+    fn index_of(&self, slot: u32) -> u32;
+}
+
+/// An append-only log of rows, each with the caller's index for it:
+/// the row source of a seen-set whose keys are not rows of an arena.
+pub(super) struct RowLog {
+    stride: usize,
+    words: Vec<u32>,
+    indices: Vec<u32>,
+}
+
+impl RowLog {
+    pub(super) fn new(stride: usize) -> RowLog {
+        RowLog { stride, words: Vec::new(), indices: Vec::new() }
+    }
+
+    /// Number of rows logged.
+    pub(super) fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Append one row per index (`words.len() == indices.len() ×
+    /// stride`).
+    pub(super) fn append(&mut self, indices: &[u32], words: &[u32]) {
+        debug_assert_eq!(words.len(), indices.len() * self.stride);
+        self.indices.extend_from_slice(indices);
+        self.words.extend_from_slice(words);
+    }
+}
+
+impl RowSource for RowLog {
+    fn with_row<R>(&self, slot: u32, f: impl FnOnce(&[u32]) -> R) -> R {
+        let at = slot as usize * self.stride;
+        f(&self.words[at..at + self.stride])
+    }
+
+    fn copy_rows(&self, slots: Range<u32>, out: &mut Vec<u32>) {
+        let (lo, hi) = (slots.start as usize, slots.end as usize);
+        out.extend_from_slice(&self.words[lo * self.stride..hi * self.stride]);
+    }
+
+    fn index_of(&self, slot: u32) -> u32 {
+        self.indices[slot as usize]
+    }
+}
+
 /// One sealed sorted run of dedup entries on disk.
 struct DedupRun {
     path: PathBuf,
     entries: usize,
 }
 
-/// Exact seen-set: a sorted RAM buffer, plus sorted run files when it
-/// has a spill directory.
+/// Exact seen-set over a [`RowSource`]: a sorted RAM buffer of
+/// `(hash, slot)` pairs, plus sorted run files when it has a spill
+/// directory.
 ///
-/// An entry is `(hash, packed words, arena index)`; ordering is
-/// lexicographic on `(hash, words)`. Every key is inserted exactly once
-/// (only newly-interned configurations are inserted), so an entry lives
-/// in exactly one place — the RAM buffer or one run.
+/// Keys order lexicographically on `(hash, words)`. The buffer holds
+/// 12 bytes per key; a key's words stay in its row source and are read
+/// only to settle a hash tie. Every key is inserted exactly once (only
+/// newly-interned configurations are inserted), so an entry lives in
+/// exactly one place — the RAM buffer or one run. A run entry is
+/// `(hash, index, words)`, so run probes and compaction never touch the
+/// row source.
 pub(super) struct ExternalDedup {
     stride: usize,
     /// Where runs go; `None` keeps every entry in the RAM buffer.
     dir: Option<Arc<SpillDir>>,
     ram_cap_bytes: usize,
-    /// Sorted parallel arrays: entry `k` is `hashes[k]`, `indices[k]`,
-    /// `words[k*stride..][..stride]`.
+    /// Sorted parallel arrays: entry `k` is the key with hash
+    /// `hashes[k]` whose words are row `slots[k]` of the row source.
     hashes: Vec<u64>,
-    indices: Vec<u32>,
-    words: Vec<u32>,
+    slots: Vec<u32>,
     runs: Vec<DedupRun>,
     run_seq: u64,
     spilled_bytes: u64,
     merge_passes: u64,
 }
 
-/// Bytes one entry costs in the RAM buffer.
+/// Bytes one entry costs in a run. The buffer is flushed when its
+/// entries would fill the budget share as a run, so the flush cadence
+/// (and every run file) does not depend on how the buffer stores them.
 fn entry_bytes(stride: usize) -> usize {
     8 + 4 + stride * 4
 }
@@ -310,8 +393,7 @@ impl ExternalDedup {
             dir: None,
             ram_cap_bytes: usize::MAX,
             hashes: Vec::new(),
-            indices: Vec::new(),
-            words: Vec::new(),
+            slots: Vec::new(),
             runs: Vec::new(),
             run_seq: 0,
             spilled_bytes: 0,
@@ -345,27 +427,36 @@ impl ExternalDedup {
         self.merge_passes
     }
 
-    /// Bytes the RAM buffer holds allocated (capacity, not length).
+    /// Bytes of the keys the RAM buffer holds: 12 per key (hash and
+    /// slot), by length.
     pub(super) fn resident_bytes(&self) -> usize {
-        self.hashes.capacity() * 8 + self.indices.capacity() * 4 + self.words.capacity() * 4
+        self.hashes.len() * 8 + self.slots.len() * 4
     }
 
-    /// The words of buffered entry `k`.
-    fn row(&self, k: usize) -> &[u32] {
-        &self.words[k * self.stride..(k + 1) * self.stride]
-    }
-
-    /// Whether buffered entry `k` sorts before key `(h, w)`.
-    fn below(&self, k: usize, h: u64, w: &[u32]) -> bool {
-        key_cmp(self.hashes[k], self.row(k), h, w) == Ordering::Less
+    /// How buffered entry `k` orders against the key with hash `h`,
+    /// given the comparison of a stored row with the key's words.
+    fn entry_cmp<R: RowSource>(
+        &self,
+        rows: &R,
+        k: usize,
+        h: u64,
+        row_vs_key: &impl Fn(&[u32]) -> Ordering,
+    ) -> Ordering {
+        self.hashes[k].cmp(&h).then_with(|| rows.with_row(self.slots[k], row_vs_key))
     }
 
     /// The first buffered entry in `lo..hi` that does not sort before
-    /// `(h, w)` (or `hi`), by binary search.
-    fn lower_bound(&self, mut lo: usize, mut hi: usize, h: u64, w: &[u32]) -> usize {
+    /// the key (or `hi`), by binary search.
+    fn lower_bound<R: RowSource>(
+        &self,
+        rows: &R,
+        (mut lo, mut hi): (usize, usize),
+        h: u64,
+        row_vs_key: &impl Fn(&[u32]) -> Ordering,
+    ) -> usize {
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.below(mid, h, w) {
+            if self.entry_cmp(rows, mid, h, row_vs_key) == Ordering::Less {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -377,47 +468,80 @@ impl ExternalDedup {
     /// [`lower_bound`](Self::lower_bound) over `from..`, galloping: the
     /// bracket doubles from `from` until it passes the key, so a sparse
     /// batch skips long stretches of the buffer in logarithmic time.
-    fn gallop(&self, from: usize, h: u64, w: &[u32]) -> usize {
+    fn gallop<R: RowSource>(
+        &self,
+        rows: &R,
+        from: usize,
+        h: u64,
+        row_vs_key: &impl Fn(&[u32]) -> Ordering,
+    ) -> usize {
         let len = self.hashes.len();
         let (mut lo, mut step) = (from, 1);
         loop {
             let probe = lo + step - 1;
             if probe >= len {
-                return self.lower_bound(lo, len, h, w);
+                return self.lower_bound(rows, (lo, len), h, row_vs_key);
             }
-            if !self.below(probe, h, w) {
-                return self.lower_bound(lo, probe, h, w);
+            if self.entry_cmp(rows, probe, h, row_vs_key) != Ordering::Less {
+                return self.lower_bound(rows, (lo, probe), h, row_vs_key);
             }
             lo = probe + 1;
             step *= 2;
         }
     }
 
+    /// Find every key of a sorted batch in the RAM buffer with one
+    /// galloping pass: each key's search starts where the last one
+    /// ended. `row_vs_key(k, row)` compares a stored row with key `k`'s
+    /// words. `visit(k, at)` receives `Ok(position)` when key `k` is
+    /// buffered there, or `Err(position)` where it would be inserted.
+    fn locate<R: RowSource>(
+        &self,
+        rows: &R,
+        hashes: &[u64],
+        row_vs_key: impl Fn(usize, &[u32]) -> Ordering,
+        mut visit: impl FnMut(usize, Result<usize, usize>),
+    ) {
+        let mut at = 0usize;
+        for (k, &h) in hashes.iter().enumerate() {
+            let cmp = |row: &[u32]| row_vs_key(k, row);
+            at = self.gallop(rows, at, h, &cmp);
+            let hit = at < self.hashes.len() && self.entry_cmp(rows, at, h, &cmp).is_eq();
+            visit(k, if hit { Ok(at) } else { Err(at) });
+        }
+    }
+
     /// Resolve a sorted batch of candidate keys against the seen-set.
     ///
     /// `keys_h[k]` / `keys_w[k*stride..]` hold key `k`; keys are unique
-    /// and ascending by `(hash, words)`. Returns, per key, the arena
-    /// index of the matching interned configuration if one exists. One
+    /// and ascending by `(hash, words)`. Returns, per key, the index
+    /// the row source gives the matching stored key, if one exists. One
     /// galloping pass over the RAM buffer plus one sequential scan per
     /// run — no random I/O.
-    pub(super) fn probe_sorted(&mut self, keys_h: &[u64], keys_w: &[u32]) -> Vec<Option<u32>> {
+    pub(super) fn probe_sorted<R: RowSource>(
+        &mut self,
+        rows: &R,
+        keys_h: &[u64],
+        keys_w: &[u32],
+    ) -> Vec<Option<u32>> {
+        let stride = self.stride;
+        let key = |k: usize| &keys_w[k * stride..(k + 1) * stride];
+        let mut out = vec![None; keys_h.len()];
+        self.locate(rows, keys_h, |k, row| row.cmp(key(k)), |k, at| {
+            if let Ok(p) = at {
+                out[k] = Some(rows.index_of(self.slots[p]));
+            }
+        });
+        self.probe_runs(keys_h, keys_w, &mut out);
+        out
+    }
+
+    /// Resolve a sorted batch against every run with one sequential
+    /// scan per run, filling in the index of each key a run holds.
+    fn probe_runs(&mut self, keys_h: &[u64], keys_w: &[u32], out: &mut [Option<u32>]) {
         let stride = self.stride;
         let n = keys_h.len();
-        let mut out = vec![None; n];
-        // RAM buffer: each key's search starts where the last one ended.
-        let mut ri = 0usize;
-        for (ki, slot) in out.iter_mut().enumerate() {
-            if ri == self.hashes.len() {
-                break;
-            }
-            let (h, w) = (keys_h[ki], &keys_w[ki * stride..(ki + 1) * stride]);
-            ri = self.gallop(ri, h, w);
-            if ri < self.hashes.len() && self.hashes[ri] == h && self.row(ri) == w {
-                *slot = Some(self.indices[ri]);
-                ri += 1;
-            }
-        }
-        // Run merges.
+        let key = |k: usize| &keys_w[k * stride..(k + 1) * stride];
         self.merge_passes += self.runs.len() as u64;
         for r in 0..self.runs.len() {
             let (path, entries) = (self.runs[r].path.clone(), self.runs[r].entries);
@@ -425,90 +549,137 @@ impl ExternalDedup {
             let mut ki = 0usize;
             while let Some((h, idx)) = reader.next() {
                 let w = reader.words();
-                while ki < n
-                    && key_cmp(keys_h[ki], &keys_w[ki * stride..(ki + 1) * stride], h, w)
-                        == Ordering::Less
-                {
+                while ki < n && key_cmp(keys_h[ki], key(ki), h, w) == Ordering::Less {
                     ki += 1;
                 }
                 if ki == n {
                     break;
                 }
-                if key_cmp(keys_h[ki], &keys_w[ki * stride..(ki + 1) * stride], h, w)
-                    == Ordering::Equal
-                {
+                if key_cmp(keys_h[ki], key(ki), h, w) == Ordering::Equal {
                     out[ki] = Some(idx);
                     ki += 1;
                 }
             }
         }
-        out
     }
 
-    /// Insert a sorted batch of new entries (keys ascending, unique, and
-    /// not present anywhere in the seen-set). The buffer grows in place
-    /// and the batch is merged in from the back, so no second copy of
-    /// the buffer is ever allocated: each new key's slot is found by
-    /// binary search, and the old entries above it move up as one block.
-    /// With a spill directory, flushes the buffer as a run when it
-    /// exceeds its budget share, and compacts runs when they accumulate.
-    pub(super) fn insert_sorted(&mut self, new_h: &[u64], new_idx: &[u32], new_w: &[u32]) {
+    /// Where each key of a sorted batch would go in the RAM buffer,
+    /// found in one pass; `Err(k)` if key `k` is buffered already.
+    pub(super) fn positions<R: RowSource>(
+        &self,
+        rows: &R,
+        keys_h: &[u64],
+        keys_w: &[u32],
+    ) -> Result<Vec<usize>, usize> {
         let stride = self.stride;
-        let (mut a, mut b) = (self.hashes.len(), new_h.len());
+        let mut at = Vec::with_capacity(keys_h.len());
+        let mut stored = None;
+        self.locate(
+            rows,
+            keys_h,
+            |k, row| row.cmp(&keys_w[k * stride..(k + 1) * stride]),
+            |k, found| match found {
+                Ok(_) => {
+                    stored.get_or_insert(k);
+                }
+                Err(p) => at.push(p),
+            },
+        );
+        stored.map_or(Ok(at), Err)
+    }
+
+    /// Insert a sorted batch of new keys (ascending, unique, and not
+    /// present anywhere in the seen-set) whose words are rows
+    /// `new_slots` of `rows`.
+    pub(super) fn insert_sorted<R: RowSource>(
+        &mut self,
+        rows: &R,
+        new_h: &[u64],
+        new_slots: &[u32],
+    ) {
+        let mut at = Vec::with_capacity(new_h.len());
+        self.locate(
+            rows,
+            new_h,
+            |k, row| rows.with_row(new_slots[k], |key| row.cmp(key)),
+            |_, found| {
+                debug_assert!(found.is_err(), "an inserted key is new");
+                let (Ok(p) | Err(p)) = found;
+                at.push(p);
+            },
+        );
+        self.insert_at(rows, &at, new_h, new_slots);
+    }
+
+    /// Insert a sorted batch of new keys at the buffer positions
+    /// [`positions`](Self::positions) found for them. The buffer grows
+    /// in place and the batch is merged in from the back, so no second
+    /// copy of the buffer is ever allocated: the old entries above each
+    /// new key move up as one block. With a spill directory, flushes
+    /// the buffer as a run when it exceeds its budget share, and
+    /// compacts runs when they accumulate.
+    pub(super) fn insert_at<R: RowSource>(
+        &mut self,
+        rows: &R,
+        at: &[usize],
+        new_h: &[u64],
+        new_slots: &[u32],
+    ) {
+        let (len, b) = (self.hashes.len(), new_h.len());
         if self.dir.is_some() {
             // A budgeted buffer grows exactly, so amortized doubling
             // never overshoots the share of the budget it accounts for.
             self.hashes.reserve_exact(b);
-            self.indices.reserve_exact(b);
-            self.words.reserve_exact(b * stride);
+            self.slots.reserve_exact(b);
         }
-        self.hashes.resize(a + b, 0);
-        self.indices.resize(a + b, 0);
-        self.words.resize((a + b) * stride, 0);
-        // Largest new key first: the old entries above its slot `p`
-        // shift up by the `b` keys still to place, and the key lands
-        // just below them. Once the batch is exhausted the remaining old
-        // entries are already in place.
-        while b > 0 {
-            let key_w = &new_w[(b - 1) * stride..b * stride];
-            let p = self.lower_bound(0, a, new_h[b - 1], key_w);
-            self.hashes.copy_within(p..a, p + b);
-            self.indices.copy_within(p..a, p + b);
-            self.words.copy_within(p * stride..a * stride, (p + b) * stride);
-            let out = p + b - 1;
-            self.hashes[out] = new_h[b - 1];
-            self.indices[out] = new_idx[b - 1];
-            self.words[out * stride..(out + 1) * stride].copy_from_slice(key_w);
-            (a, b) = (p, b - 1);
+        self.hashes.resize(len + b, 0);
+        self.slots.resize(len + b, 0);
+        // Largest new key first: the old entries from its position up
+        // to the next new key's shift up by the keys still to place
+        // (itself included), and the key lands just below them. Once
+        // the batch is placed the remaining old entries are in place.
+        let mut hi = len;
+        for k in (0..b).rev() {
+            let p = at[k];
+            self.hashes.copy_within(p..hi, p + k + 1);
+            self.slots.copy_within(p..hi, p + k + 1);
+            self.hashes[p + k] = new_h[k];
+            self.slots[p + k] = new_slots[k];
+            hi = p;
         }
-        if self.hashes.len() * entry_bytes(stride) > self.ram_cap_bytes {
-            self.flush_ram();
+        if self.hashes.len() * entry_bytes(self.stride) > self.ram_cap_bytes {
+            self.flush_ram(rows);
             if self.runs.len() >= MAX_DEDUP_RUNS {
                 self.compact_runs();
             }
         }
     }
 
-    fn flush_ram(&mut self) {
+    /// Write the buffer as one sorted run, with each entry's words read
+    /// from its row source. The words of the slots from the smallest
+    /// buffered one to the largest are read in slot order first, then
+    /// the entries are written in key order: on the engine's tiers the
+    /// buffered keys are the rows interned since the last flush, so
+    /// that range is exactly theirs and is read a segment at a time.
+    fn flush_ram<R: RowSource>(&mut self, rows: &R) {
         let Some(dir) = &self.dir else { return };
-        if self.hashes.is_empty() {
+        let (Some(&lo), Some(&hi)) = (self.slots.iter().min(), self.slots.iter().max()) else {
             return;
-        }
+        };
+        let mut words = Vec::with_capacity((hi - lo + 1) as usize * self.stride);
+        rows.copy_rows(lo..hi + 1, &mut words);
         let path = dir.file(&format!("dedup-run-{}.bin", self.run_seq));
         self.run_seq += 1;
         let mut w = RunWriter::create(&path);
-        for k in 0..self.hashes.len() {
-            w.write(self.hashes[k], self.indices[k], &self.words[k * self.stride..(k + 1) * self.stride]);
+        for (&hash, &slot) in self.hashes.iter().zip(&self.slots) {
+            let at = (slot - lo) as usize * self.stride;
+            w.write(hash, rows.index_of(slot), &words[at..at + self.stride]);
         }
         let bytes = w.finish();
         self.spilled_bytes += bytes;
         self.runs.push(DedupRun { path, entries: self.hashes.len() });
-        self.hashes.clear();
-        self.indices.clear();
-        self.words.clear();
-        self.hashes.shrink_to_fit();
-        self.indices.shrink_to_fit();
-        self.words.shrink_to_fit();
+        self.hashes = Vec::new();
+        self.slots = Vec::new();
     }
 
     /// K-way merge every run into one. Entry keys are globally unique,
@@ -551,40 +722,6 @@ impl ExternalDedup {
             let _ = fs::remove_file(&r.path);
         }
         self.runs.push(DedupRun { path, entries: total });
-    }
-}
-
-/// The local seen-set speaks the frontier-exchange seam natively: its
-/// two batch operations *are* the trait, and it never fails (I/O
-/// trouble panics with a diagnostic, as everywhere else in this module
-/// — a half-written spill file has no sound recovery). `open`/`close`
-/// are no-ops: the store's lifetime is the search's.
-impl FrontierTransport for ExternalDedup {
-    fn open(&mut self, stride: usize) -> Result<(), TransportError> {
-        debug_assert_eq!(stride, self.stride);
-        Ok(())
-    }
-
-    fn probe_sorted(
-        &mut self,
-        hashes: &[u64],
-        words: &[u32],
-    ) -> Result<Vec<Option<u32>>, TransportError> {
-        Ok(ExternalDedup::probe_sorted(self, hashes, words))
-    }
-
-    fn insert_sorted(
-        &mut self,
-        hashes: &[u64],
-        indices: &[u32],
-        words: &[u32],
-    ) -> Result<(), TransportError> {
-        ExternalDedup::insert_sorted(self, hashes, indices, words);
-        Ok(())
-    }
-
-    fn close(&mut self) -> Result<(), TransportError> {
-        Ok(())
     }
 }
 
@@ -665,6 +802,7 @@ impl RunReader {
 
 #[cfg(test)]
 mod tests {
+    use super::super::pack::{PackedArena, WordStore};
     use super::*;
 
     fn plan() -> BudgetPlan {
@@ -707,12 +845,95 @@ mod tests {
         assert!(!path.exists(), "spill dir must be cleaned up");
     }
 
+    /// Key `v` of a 64-key universe. Keys come in pairs that share a
+    /// hash, so equal-hash keys must be told apart by their words.
+    fn key(v: u32) -> (u64, [u32; 2]) {
+        (u64::from(v / 2) * 11, [v, v * 3])
+    }
+
+    /// An arena whose row `v` is key `v`'s words, so slot = index = `v`:
+    /// file-backed with a tiny window when `spill`, resident otherwise.
+    fn key_arena(spill: bool) -> PackedArena<u8> {
+        let mut arena = if spill {
+            let store = SpillStore::new(2, &plan(), SpillDir::create(None));
+            PackedArena::with_store(1, 1, WordStore::Spill(store))
+        } else {
+            PackedArena::new(1, 1)
+        };
+        for v in 0..64u32 {
+            arena.push(&key(v).1);
+        }
+        arena
+    }
+
+    /// Insert `batches` of keys into a seen-set over `rows` —
+    /// `add_rows(rows, indices, words)` stores a batch's rows and
+    /// returns their slots — then probe every key, misses between
+    /// them, and a sparse subset.
+    fn probe_matches_inserts<R: RowSource>(
+        label: &str,
+        batches: &[Vec<u32>],
+        spill: bool,
+        rows: &mut R,
+        add_rows: impl Fn(&mut R, &[u32], &[u32]) -> Vec<u32>,
+    ) {
+        // With a spill directory the tiny RAM cap forces several run
+        // flushes and at least one compaction; without one every entry
+        // stays in the RAM buffer.
+        let mut dd = if spill {
+            ExternalDedup::new(2, &plan(), SpillDir::create(None))
+        } else {
+            ExternalDedup::in_ram(2)
+        };
+        for batch in batches {
+            let mut keys: Vec<(u64, [u32; 2], u32)> = batch
+                .iter()
+                .map(|&v| {
+                    let (h, w) = key(v);
+                    (h, w, v)
+                })
+                .collect();
+            keys.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            let h: Vec<u64> = keys.iter().map(|e| e.0).collect();
+            let idx: Vec<u32> = keys.iter().map(|e| e.2).collect();
+            let w: Vec<u32> = keys.iter().flat_map(|e| e.1).collect();
+            let slots = add_rows(rows, &idx, &w);
+            dd.insert_sorted(rows, &h, &slots);
+        }
+        assert_eq!(dd.spilled_bytes() > 0, spill, "{label}: runs flush only with a dir");
+        assert_eq!(dd.len(), 64, "{label}");
+        // Probe every inserted key plus misses interleaved, sorted.
+        let mut probes: Vec<(u64, [u32; 2], Option<u32>)> = Vec::new();
+        for v in 0..64u32 {
+            let (h, w) = key(v);
+            probes.push((h, w, Some(v)));
+            probes.push((h + 1, [v, v], None));
+            // Same hash, different words: must not match (exact dedup).
+            probes.push((h, [v, v * 3 + 1], None));
+        }
+        probes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        let h: Vec<u64> = probes.iter().map(|e| e.0).collect();
+        let w: Vec<u32> = probes.iter().flat_map(|e| e.1).collect();
+        let got = dd.probe_sorted(rows, &h, &w);
+        for (k, p) in probes.iter().enumerate() {
+            assert_eq!(got[k], p.2, "{label}: probe {k} diverged");
+        }
+        // A sparse batch (every 17th probe plus the first and the last)
+        // gallops over long stretches of the buffer.
+        let last = probes.len() - 1;
+        let sparse: Vec<_> =
+            probes.iter().enumerate().filter(|&(k, _)| k % 17 == 0 || k == last).collect();
+        let h: Vec<u64> = sparse.iter().map(|(_, e)| e.0).collect();
+        let w: Vec<u32> = sparse.iter().flat_map(|(_, e)| e.1).collect();
+        let got = dd.probe_sorted(rows, &h, &w);
+        for (s, (k, p)) in sparse.iter().enumerate() {
+            assert_eq!(got[s], p.2, "{label}: sparse probe {k} diverged");
+        }
+        assert_eq!(dd.merge_passes() > 0, spill, "{label}");
+    }
+
     #[test]
     fn external_dedup_probe_matches_inserts_across_flushes() {
-        let stride = 2usize;
-        // Entries come in pairs that share a hash, so equal-hash keys
-        // must be told apart by their words.
-        let key = |v: u32| (u64::from(v / 2) * 11, [v, v * 3]);
         // Batches covering the same 64 entries. Ascending batches only
         // ever append; strided ones land before, between and after the
         // keys already stored; descending ones land before all of them;
@@ -726,58 +947,20 @@ mod tests {
             ("ends", ends),
         ];
         for (name, batches) in &schedules {
-            // With a spill directory the tiny RAM cap forces several run
-            // flushes and at least one compaction; without one every
-            // entry stays in the RAM buffer.
             for spill in [true, false] {
-                let mut dd = if spill {
-                    ExternalDedup::new(stride, &plan(), SpillDir::create(None))
-                } else {
-                    ExternalDedup::in_ram(stride)
-                };
-                for batch in batches {
-                    let mut keys: Vec<(u64, [u32; 2], u32)> = batch
-                        .iter()
-                        .map(|&v| {
-                            let (h, w) = key(v);
-                            (h, w, v)
-                        })
-                        .collect();
-                    keys.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                    let h: Vec<u64> = keys.iter().map(|e| e.0).collect();
-                    let idx: Vec<u32> = keys.iter().map(|e| e.2).collect();
-                    let w: Vec<u32> = keys.iter().flat_map(|e| e.1).collect();
-                    dd.insert_sorted(&h, &idx, &w);
-                }
-                assert_eq!(dd.spilled_bytes() > 0, spill, "{name}: runs flush only with a dir");
-                // Probe every inserted key plus misses interleaved, sorted.
-                let mut probes: Vec<(u64, [u32; 2], Option<u32>)> = Vec::new();
-                for v in 0..64u32 {
-                    let (h, w) = key(v);
-                    probes.push((h, w, Some(v)));
-                    probes.push((h + 1, [v, v], None));
-                    // Same hash, different words: must not match (exact dedup).
-                    probes.push((h, [v, v * 3 + 1], None));
-                }
-                probes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                let h: Vec<u64> = probes.iter().map(|e| e.0).collect();
-                let w: Vec<u32> = probes.iter().flat_map(|e| e.1).collect();
-                let got = dd.probe_sorted(&h, &w);
-                for (k, p) in probes.iter().enumerate() {
-                    assert_eq!(got[k], p.2, "{name} (spill={spill}): probe {k} diverged");
-                }
-                // A sparse batch (every 17th probe plus the first and the
-                // last) gallops over long stretches of the buffer.
-                let last = probes.len() - 1;
-                let sparse: Vec<_> =
-                    probes.iter().enumerate().filter(|&(k, _)| k % 17 == 0 || k == last).collect();
-                let h: Vec<u64> = sparse.iter().map(|(_, e)| e.0).collect();
-                let w: Vec<u32> = sparse.iter().flat_map(|(_, e)| e.1).collect();
-                let got = dd.probe_sorted(&h, &w);
-                for (s, (k, p)) in sparse.iter().enumerate() {
-                    assert_eq!(got[s], p.2, "{name} (spill={spill}): sparse probe {k} diverged");
-                }
-                assert_eq!(dd.merge_passes() > 0, spill, "{name}");
+                // Over the engine's arena, whose slot is the index...
+                let label = format!("{name} (spill={spill}, arena)");
+                probe_matches_inserts(&label, batches, spill, &mut key_arena(spill), |_, idx, _| {
+                    idx.to_vec()
+                });
+                // ...and over a row log, whose slots are its own.
+                let label = format!("{name} (spill={spill}, row log)");
+                let mut log = RowLog::new(2);
+                probe_matches_inserts(&label, batches, spill, &mut log, |log, idx, w| {
+                    let first = log.len() as u32;
+                    log.append(idx, w);
+                    (first..log.len() as u32).collect()
+                });
             }
         }
     }

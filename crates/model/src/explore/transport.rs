@@ -14,17 +14,20 @@
 //! nodes own disjoint fingerprint ranges of the seen-set and answer
 //! probe/insert batches for their range.
 //!
+//! The engine's own local seen-set, `ExternalDedup`, does not sit
+//! behind the trait: it reads key words from the arena it dedups (see
+//! [`super::spill`]), and the level merge calls it with the arena
+//! directly. The tier changes where the seen-set lives, never the
+//! order of the batches it sees.
+//!
 //! Implementations in this workspace:
 //!
-//! * `ExternalDedup` (the local seen-set, resident or spilling)
-//!   implements the trait, so the engine's one level merge is written
-//!   against the seam for every tier.
 //! * [`LocalFrontier`] — the same store (`ExternalDedup`, resident)
-//!   behind a guard for untrusted callers: it checks every batch's
-//!   shape and order before the store sees it. Worker shards host one
-//!   per session, and the equivalence property suites run the engine
-//!   through it. The hash-map model it replaced is kept as a test
-//!   oracle below.
+//!   over a log of the rows it is given, behind a guard for untrusted
+//!   callers: it checks every batch's shape and order before the store
+//!   sees it. Worker shards host one per session, and the equivalence
+//!   property suites run the engine through it. The hash-map model it
+//!   replaced is kept as a test oracle below.
 //! * `randsync-svc`'s `DistributedFrontier` speaks the same contract
 //!   over the JSONL wire protocol to N worker processes.
 //!
@@ -49,7 +52,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use super::spill::ExternalDedup;
+use super::spill::{ExternalDedup, RowLog};
 
 /// A frontier-exchange failure (connection loss, protocol error, a
 /// worker shard gone away). Carries a human-readable description.
@@ -129,16 +132,28 @@ impl std::fmt::Debug for SharedFrontier {
 /// engine does not control: a worker shard answering wire frames, or a
 /// test driving the seam by hand.
 ///
-/// The store itself trusts its batches to be sorted, distinct and
-/// disjoint from what it holds. This wrapper checks that first and
-/// answers a batch that is not with a [`TransportError`], leaving the
-/// store untouched: every batch must be strictly ascending by
+/// The engine's seen-set reads key words from its arena; this store
+/// has no arena, so it keeps the rows it is given in an append-only
+/// `RowLog` (words plus the caller's index per row) and its
+/// `ExternalDedup` buffer holds `(hash, log slot)` pairs: 16 + 4 ×
+/// stride bytes per key in all.
+///
+/// The seen-set trusts its batches to be sorted, distinct and disjoint
+/// from what it holds. This wrapper checks that first and answers a
+/// batch that is not with a [`TransportError`], leaving the store
+/// untouched: every batch must be strictly ascending by
 /// `(hash, words)`, and an insert batch must not repeat a stored key.
 #[derive(Default)]
 pub struct LocalFrontier {
     /// `None` until [`open`](FrontierTransport::open) and after
     /// [`close`](FrontierTransport::close).
-    store: Option<ExternalDedup>,
+    store: Option<Store>,
+}
+
+/// An open [`LocalFrontier`]: the seen-set and the rows it reads.
+struct Store {
+    seen: ExternalDedup,
+    rows: RowLog,
 }
 
 impl LocalFrontier {
@@ -149,7 +164,7 @@ impl LocalFrontier {
 
     /// Number of keys inserted so far.
     pub fn len(&self) -> usize {
-        self.store.as_ref().map_or(0, ExternalDedup::len)
+        self.store.as_ref().map_or(0, |s| s.seen.len())
     }
 
     /// Whether no keys have been inserted.
@@ -165,12 +180,12 @@ impl LocalFrontier {
         what: &str,
         hashes: &[u64],
         words: &[u32],
-    ) -> Result<&mut ExternalDedup, TransportError> {
+    ) -> Result<&mut Store, TransportError> {
         let store = self
             .store
             .as_mut()
             .ok_or_else(|| TransportError::new(format!("{what} batch on a frontier that is not open")))?;
-        let stride = store.stride();
+        let stride = store.seen.stride();
         if words.len() != hashes.len() * stride {
             return Err(TransportError::new(format!("malformed {what} batch")));
         }
@@ -187,7 +202,7 @@ impl LocalFrontier {
 impl std::fmt::Debug for LocalFrontier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalFrontier")
-            .field("stride", &self.store.as_ref().map(ExternalDedup::stride))
+            .field("stride", &self.store.as_ref().map(|s| s.seen.stride()))
             .field("len", &self.len())
             .finish()
     }
@@ -198,7 +213,7 @@ impl FrontierTransport for LocalFrontier {
         if stride == 0 {
             return Err(TransportError::new("frontier stride must be nonzero"));
         }
-        self.store = Some(ExternalDedup::in_ram(stride));
+        self.store = Some(Store { seen: ExternalDedup::in_ram(stride), rows: RowLog::new(stride) });
         Ok(())
     }
 
@@ -207,7 +222,8 @@ impl FrontierTransport for LocalFrontier {
         hashes: &[u64],
         words: &[u32],
     ) -> Result<Vec<Option<u32>>, TransportError> {
-        Ok(self.checked("probe", hashes, words)?.probe_sorted(hashes, words))
+        let Store { seen, rows } = self.checked("probe", hashes, words)?;
+        Ok(seen.probe_sorted(rows, hashes, words))
     }
 
     fn insert_sorted(
@@ -219,13 +235,18 @@ impl FrontierTransport for LocalFrontier {
         if indices.len() != hashes.len() {
             return Err(TransportError::new("malformed insert batch"));
         }
-        let store = self.checked("insert", hashes, words)?;
-        if let Some(k) = store.probe_sorted(hashes, words).iter().position(Option::is_some) {
-            return Err(TransportError::new(format!(
-                "insert batch key {k} is already in the frontier"
-            )));
-        }
-        store.insert_sorted(hashes, indices, words);
+        let Store { seen, rows } = self.checked("insert", hashes, words)?;
+        // The seen-set is resident, so its buffer holds every key: one
+        // search finds each key's slot and shows whether it is stored.
+        let at = seen.positions(rows, hashes, words).map_err(|k| {
+            TransportError::new(format!("insert batch key {k} is already in the frontier"))
+        })?;
+        let first = rows.len();
+        let slots = u32::try_from(first + hashes.len())
+            .map(|end| first as u32..end)
+            .map_err(|_| TransportError::new("insert batch overflows the frontier's u32 slots"))?;
+        rows.append(indices, words);
+        seen.insert_at(rows, &at, hashes, &slots.collect::<Vec<u32>>());
         Ok(())
     }
 
@@ -239,7 +260,8 @@ impl FrontierTransport for LocalFrontier {
 mod tests {
     use std::collections::HashMap;
 
-    use super::super::spill::{BudgetPlan, SpillDir};
+    use super::super::pack::{PackedArena, WordStore};
+    use super::super::spill::{BudgetPlan, SpillDir, SpillStore};
     use super::*;
 
     /// The `(index, words)` entries inserted under one fingerprint.
@@ -302,17 +324,41 @@ mod tests {
         )
     }
 
+    /// An arena whose row `v` is key `v`'s words (slot = index = `v`):
+    /// file-backed under `plan` when given one, resident otherwise.
+    fn key_arena(plan: Option<&BudgetPlan>) -> PackedArena<u8> {
+        let mut arena = match plan {
+            Some(plan) => {
+                let store = SpillStore::new(2, plan, SpillDir::create(None));
+                PackedArena::with_store(1, 1, WordStore::Spill(store))
+            }
+            None => PackedArena::new(1, 1),
+        };
+        for v in 0..48u32 {
+            arena.push(&key(v).1);
+        }
+        arena
+    }
+
     proptest::proptest! {
         /// Random schedules of sorted probe and insert batches give the
-        /// same answers from the engine's resident store, its spilling
-        /// store, the guarded `LocalFrontier` and the hash-map model.
+        /// same answers from the seen-set over the engine's arena and
+        /// over a row log, each resident and spilling, from the guarded
+        /// `LocalFrontier`, and from the hash-map model.
         #[test]
         fn sorted_store_matches_the_hash_map_model(
             ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..24),
         ) {
             let tiny = BudgetPlan { segment_bytes: 48, window_segments: 2, dedup_ram_bytes: 64 };
-            let mut ram = ExternalDedup::in_ram(2);
-            let mut spill = ExternalDedup::new(2, &tiny, SpillDir::create(None));
+            let spilling = || ExternalDedup::new(2, &tiny, SpillDir::create(None));
+            // Arena rows answer their slot, key `v`; the batch index of
+            // key `v` is `7v + 1`.
+            let mut on_arena = [
+                (ExternalDedup::in_ram(2), key_arena(None)),
+                (spilling(), key_arena(Some(&tiny))),
+            ];
+            let mut on_log =
+                [(ExternalDedup::in_ram(2), RowLog::new(2)), (spilling(), RowLog::new(2))];
             let mut guarded = LocalFrontier::new();
             guarded.open(2).unwrap();
             let mut model = HashFrontier { stride: 2, ..HashFrontier::default() };
@@ -322,23 +368,40 @@ mod tests {
                 if op & 1 == 1 {
                     // Inserts are disjoint from what is stored.
                     let (h, idx, w) = batch(mask, |v| !inserted[v as usize]);
-                    for &i in &idx {
-                        inserted[((i - 1) / 7) as usize] = true;
+                    let keys: Vec<u32> = idx.iter().map(|&i| (i - 1) / 7).collect();
+                    for &v in &keys {
+                        inserted[v as usize] = true;
                     }
-                    ram.insert_sorted(&h, &idx, &w);
-                    spill.insert_sorted(&h, &idx, &w);
+                    for (seen, arena) in &mut on_arena {
+                        seen.insert_sorted(arena, &h, &keys);
+                    }
+                    for (seen, log) in &mut on_log {
+                        let first = log.len() as u32;
+                        log.append(&idx, &w);
+                        seen.insert_sorted(log, &h, &(first..log.len() as u32).collect::<Vec<_>>());
+                    }
                     guarded.insert_sorted(&h, &idx, &w).unwrap();
                     model.insert(&h, &idx, &w);
                 } else {
                     let (h, _, w) = batch(mask, |_| true);
                     let want = model.probe(&h, &w);
-                    proptest::prop_assert_eq!(ram.probe_sorted(&h, &w), want.clone());
-                    proptest::prop_assert_eq!(spill.probe_sorted(&h, &w), want.clone());
+                    for (seen, arena) in &mut on_arena {
+                        let got = seen.probe_sorted(arena, &h, &w);
+                        let got: Vec<Option<u32>> =
+                            got.into_iter().map(|v| v.map(|v| 7 * v + 1)).collect();
+                        proptest::prop_assert_eq!(got, want.clone());
+                    }
+                    for (seen, log) in &mut on_log {
+                        proptest::prop_assert_eq!(seen.probe_sorted(log, &h, &w), want.clone());
+                    }
                     proptest::prop_assert_eq!(guarded.probe_sorted(&h, &w).unwrap(), want);
                 }
             }
             let stored = inserted.iter().filter(|&&b| b).count();
-            proptest::prop_assert_eq!((ram.len(), spill.len(), guarded.len()), (stored, stored, stored));
+            for len in on_arena.iter().map(|s| s.0.len()).chain(on_log.iter().map(|s| s.0.len())) {
+                proptest::prop_assert_eq!(len, stored);
+            }
+            proptest::prop_assert_eq!(guarded.len(), stored);
         }
     }
 

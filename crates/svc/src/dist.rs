@@ -10,11 +10,13 @@
 //!   and answers the four `frontier_*` wire frames *inline on the
 //!   event loop* (never through the worker pool, so a busy pool can
 //!   never deadlock a coordinator). Each open session is a
-//!   [`LocalFrontier`] — the engine's own sorted seen-set store, behind
-//!   checks that refuse a frame whose batch is malformed, unsorted,
-//!   duplicated or repeats a stored key — keyed by a server-issued
-//!   session id, so any number of coordinators can search through one
-//!   shard concurrently.
+//!   [`LocalFrontier`] — the engine's own sorted seen-set store over a
+//!   log of the rows it was sent, behind checks that refuse a frame
+//!   whose batch is malformed, unsorted, duplicated or repeats a stored
+//!   key — keyed by a server-issued session id, so any number of
+//!   coordinators can search through one shard concurrently. A session
+//!   ends on `frontier_close` or when the connection that opened it
+//!   closes, so a coordinator killed mid-search leaves nothing behind.
 //! * **Coordinator side** — [`DistributedFrontier`] implements
 //!   [`FrontierTransport`] over N shard connections. Shard `k` of `N`
 //!   owns the fingerprint range `[k·2⁶⁴/N, (k+1)·2⁶⁴/N)`; because the
@@ -212,6 +214,10 @@ impl std::fmt::Display for FrameError {
 // ---------------------------------------------------------------------
 
 /// The frontier shard sessions a server hosts: session id → store.
+///
+/// A session belongs to the connection that opened it and ends with
+/// that connection, so a coordinator that dies mid-search (and never
+/// sends `frontier_close`) leaves no store resident on the shard.
 #[derive(Debug, Default)]
 pub(crate) struct FrontierSessions {
     inner: Mutex<Sessions>,
@@ -220,22 +226,38 @@ pub(crate) struct FrontierSessions {
 #[derive(Debug, Default)]
 struct Sessions {
     next: u64,
-    open: HashMap<u64, LocalFrontier>,
+    /// Open sessions: id → the opening connection's id and the store.
+    open: HashMap<u64, (u64, LocalFrontier)>,
 }
 
 impl Sessions {
     fn get(&mut self, params: &Json) -> Result<&mut LocalFrontier, FrameError> {
         let id = get_u64(params, "session")?;
-        self.open.get_mut(&id).ok_or(FrameError::UnknownSession(id))
+        self.open.get_mut(&id).map(|(_, store)| store).ok_or(FrameError::UnknownSession(id))
+    }
+}
+
+/// Move the `svc.frontier.sessions` gauge by `delta` sessions opened
+/// (or, negative, ended). It counts open sessions over every server in
+/// the process, so each server adds and removes only its own.
+fn count_sessions(delta: i64) {
+    randsync_obs::global_metrics().gauge("svc.frontier.sessions").add(delta);
+}
+
+impl Drop for FrontierSessions {
+    fn drop(&mut self) {
+        let sessions = self.inner.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+        count_sessions(-(sessions.open.len() as i64));
     }
 }
 
 impl FrontierSessions {
-    /// Answer one `frontier_*` request with a complete response frame.
-    /// When the frame carries a trace context and a sink is installed,
-    /// the work runs under a span in the *coordinator's* causal tree —
-    /// this is how a stalled shard becomes visible from outside.
-    pub(crate) fn handle(&self, req: &Request) -> String {
+    /// Answer one `frontier_*` request that arrived on connection
+    /// `conn` with a complete response frame. When the frame carries a
+    /// trace context and a sink is installed, the work runs under a
+    /// span in the *coordinator's* causal tree — this is how a stalled
+    /// shard becomes visible from outside.
+    pub(crate) fn handle(&self, conn: u64, req: &Request) -> String {
         let _ctx = req
             .trace
             .map(|(t, s)| randsync_obs::push_context(randsync_obs::TraceContext::remote(t, s)));
@@ -244,13 +266,24 @@ impl FrontierSessions {
         } else {
             None
         };
-        match self.dispatch(req) {
+        match self.dispatch(conn, req) {
             Ok(result) => ok_frame(&req.id, &req.job, result),
             Err(e) => error_frame(&req.id, code::BAD_REQUEST, &e.to_string()),
         }
     }
 
-    fn dispatch(&self, req: &Request) -> Result<Json, FrameError> {
+    /// Drop every session connection `conn` opened: it has closed.
+    pub(crate) fn connection_closed(&self, conn: u64) {
+        let mut sessions = self.inner.lock().expect("frontier sessions poisoned");
+        let before = sessions.open.len();
+        sessions.open.retain(|_, (owner, _)| *owner != conn);
+        let ended = before - sessions.open.len();
+        if ended > 0 {
+            count_sessions(-(ended as i64));
+        }
+    }
+
+    fn dispatch(&self, conn: u64, req: &Request) -> Result<Json, FrameError> {
         let m = randsync_obs::global_metrics();
         let mut sessions = self.inner.lock().expect("frontier sessions poisoned");
         let params = &req.params;
@@ -264,8 +297,8 @@ impl FrontierSessions {
                 store.open(stride).map_err(FrameError::Store)?;
                 sessions.next += 1;
                 let id = sessions.next;
-                sessions.open.insert(id, store);
-                m.gauge("svc.frontier.sessions").set(sessions.open.len() as i64);
+                sessions.open.insert(id, (conn, store));
+                count_sessions(1);
                 Ok(Json::Obj(vec![("session".to_string(), Json::Int(i128::from(id)))]))
             }
             "frontier_probe" => {
@@ -292,7 +325,7 @@ impl FrontierSessions {
             "frontier_close" => {
                 let id = get_u64(params, "session")?;
                 sessions.open.remove(&id).ok_or(FrameError::UnknownSession(id))?;
-                m.gauge("svc.frontier.sessions").set(sessions.open.len() as i64);
+                count_sessions(-1);
                 Ok(Json::Obj(vec![]))
             }
             other => Err(FrameError::UnknownFrame(other.to_string())),
@@ -629,6 +662,7 @@ impl FrontierTransport for DistributedFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Reply;
     use crate::{Server, ServerConfig};
     use randsync_model::SplitMix64;
 
@@ -681,7 +715,7 @@ mod tests {
         let sessions = FrontierSessions::default();
         let parse = |s: &str| randsync_obs::parse_json(s).unwrap();
 
-        let open = parse(&sessions.handle(&Request {
+        let open = parse(&sessions.handle(1, &Request {
             id: Json::Int(1),
             job: "frontier_open".to_string(),
             params: parse("{\"stride\": 2}"),
@@ -690,7 +724,7 @@ mod tests {
         assert_eq!(status(&open), Some("ok"));
         let sid = open.get("result").unwrap().get("session").and_then(Json::as_u64).unwrap();
 
-        let insert = parse(&sessions.handle(&Request {
+        let insert = parse(&sessions.handle(1, &Request {
             id: Json::Int(2),
             job: "frontier_insert".to_string(),
             params: parse(&format!(
@@ -703,7 +737,7 @@ mod tests {
         }));
         assert_eq!(status(&insert), Some("ok"));
 
-        let probe = parse(&sessions.handle(&Request {
+        let probe = parse(&sessions.handle(1, &Request {
             id: Json::Int(3),
             job: "frontier_probe".to_string(),
             params: parse(&format!(
@@ -715,7 +749,7 @@ mod tests {
         }));
         assert_eq!(found(&probe), [4, u32::MAX]);
 
-        let close = parse(&sessions.handle(&Request {
+        let close = parse(&sessions.handle(1, &Request {
             id: Json::Int(4),
             job: "frontier_close".to_string(),
             params: parse(&format!("{{\"session\": {sid}}}")),
@@ -724,7 +758,7 @@ mod tests {
         assert_eq!(status(&close), Some("ok"));
 
         // A closed (or never-opened) session is a clean client error.
-        let stale = parse(&sessions.handle(&Request {
+        let stale = parse(&sessions.handle(1, &Request {
             id: Json::Int(5),
             job: "frontier_probe".to_string(),
             params: parse(&format!("{{\"session\": {sid}, \"hashes\": \"\", \"words\": \"\"}}")),
@@ -739,7 +773,7 @@ mod tests {
         let sessions = FrontierSessions::default();
         let parse = |s: &str| randsync_obs::parse_json(s).unwrap();
         let send = |job: &str, params: &str| {
-            parse(&sessions.handle(&Request {
+            parse(&sessions.handle(1, &Request {
                 id: Json::Null,
                 job: job.to_string(),
                 params: parse(params),
@@ -839,6 +873,69 @@ mod tests {
             Client::connect(&self.addr).expect("connect").shutdown().expect("shutdown");
             self.thread.join().expect("shard thread");
         }
+    }
+
+    #[test]
+    fn a_closed_connection_ends_its_frontier_sessions() {
+        let shard = ShardServer::start();
+        let params = |s: &str| randsync_obs::parse_json(s).unwrap();
+        let open = |client: &mut Client| {
+            let reply = client.request("frontier_open", &params("{\"stride\": 1}")).unwrap();
+            reply.body.get("session").and_then(Json::as_u64).expect("a session id")
+        };
+        let insert = |client: &mut Client, sid: u64| {
+            let batch = format!(
+                "{{\"session\": {sid}, \"hashes\": {}, \"indices\": {}, \"words\": {}}}",
+                hex(&[5u64]),
+                hex(&[7u32]),
+                hex(&[50u32])
+            );
+            assert!(client.request("frontier_insert", &params(&batch)).unwrap().ok);
+        };
+        let probe = |client: &mut Client, sid: u64| {
+            let batch = format!(
+                "{{\"session\": {sid}, \"hashes\": {}, \"words\": {}}}",
+                hex(&[5u64, 5]),
+                hex(&[50u32, 51])
+            );
+            client.request("frontier_probe", &params(&batch)).unwrap()
+        };
+
+        // A coordinator opens a session, stores a key, and dies
+        // without closing the session.
+        let mut dying = Client::connect(&shard.addr).expect("connect");
+        let sid = open(&mut dying);
+        insert(&mut dying, sid);
+        drop(dying);
+
+        // The session ends with its connection. The gauge counts the
+        // open sessions of every server in this process, so it is read
+        // until the other tests' sessions have closed as well.
+        let mut client = Client::connect(&shard.addr).expect("connect");
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        while probe(&mut client, sid).ok {
+            assert!(Instant::now() < deadline, "session {sid} outlived its connection");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        loop {
+            let metrics = client.metrics().expect("metrics");
+            let sessions = metrics.get("svc.frontier.sessions").and_then(Json::as_u64);
+            if sessions == Some(0) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "svc.frontier.sessions stayed at {sessions:?}");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+
+        // A new session on the new connection starts empty and serves.
+        let fresh = open(&mut client);
+        assert_ne!(fresh, sid);
+        let found = |reply: Reply| unpack::<u32>(&reply.body, "found").expect("packed found");
+        assert_eq!(found(probe(&mut client, fresh)), [u32::MAX, u32::MAX]);
+        insert(&mut client, fresh);
+        assert_eq!(found(probe(&mut client, fresh)), [7, u32::MAX]);
+        drop(client);
+        shard.stop();
     }
 
     const STRIDE: usize = 2;

@@ -571,21 +571,26 @@ impl Server {
             // Writes: flush whatever each socket accepts; drop dead
             // connections and completed `closing` ones.
             let mut buffered_bytes = 0i64;
-            conns.retain(|_, conn| {
+            conns.retain(|&cid, conn| {
                 conn.writable = false;
+                let mut ok = true;
                 if !conn.flushed() {
                     let flush_started =
                         if randsync_obs::metrics_enabled() { Some(Instant::now()) } else { None };
-                    let ok = conn.try_flush().is_ok();
+                    ok = conn.try_flush().is_ok();
                     if let Some(started) = flush_started {
                         lm.flush_us.observe(started.elapsed().as_micros() as u64);
                     }
-                    if !ok {
-                        return false;
-                    }
                 }
-                buffered_bytes += (conn.wbuf.len() - conn.wpos) as i64;
-                !(conn.closing && conn.flushed())
+                let keep = ok && !(conn.closing && conn.flushed());
+                if keep {
+                    buffered_bytes += (conn.wbuf.len() - conn.wpos) as i64;
+                } else {
+                    // Frontier sessions end with the connection that
+                    // opened them.
+                    self.state.frontier.connection_closed(cid);
+                }
+                keep
             });
             m.gauge("svc.conns.open").set(conns.len() as i64);
             if randsync_obs::metrics_enabled() {
@@ -708,7 +713,7 @@ fn dispatch_request(state: &Arc<ServerState>, conn_id: u64, req: Request, out: &
         // queued: a coordinator blocks its level merge on these, and
         // routing them through the worker pool could deadlock a
         // cluster whose pools are all busy coordinating.
-        name if name.starts_with("frontier_") => out.push(state.frontier.handle(&req)),
+        name if name.starts_with("frontier_") => out.push(state.frontier.handle(conn_id, &req)),
         _ => submit_job(state, conn_id, req, out),
     }
 }

@@ -506,6 +506,7 @@ fn print_explore_footprint(out: &ExploreOutcome) {
         "arena               : {} bytes ({:.1} B/config)",
         out.arena_bytes, out.bytes_per_config
     );
+    println!("seen-set            : {} bytes resident", out.seen_bytes);
     if out.spill_mode {
         println!(
             "out-of-core         : {} bytes resident, {} bytes spilled, {} merge passes",

@@ -174,6 +174,28 @@ fn valency_metrics_report_the_graph_bytes() {
 }
 
 #[test]
+fn valency_metrics_report_the_seen_set_bytes() {
+    // The in-RAM seen-set holds one 12-byte (hash, arena index) pair
+    // per configuration and no copy of its words; the stdout line and
+    // the gauge name the same figure. walk-counter's figure is pinned.
+    let (stdout, _, ok) = randsync(&["valency", "walk-counter", "1", "--metrics"]);
+    assert!(ok);
+    let metric = |name: &str| -> usize {
+        let line = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} line in:\n{stdout}"));
+        let figure = line.split_whitespace().next().unwrap_or_default();
+        figure.parse().unwrap_or_else(|_| panic!("{name} is not a count: {line}"))
+    };
+    let n = metric("configurations      :");
+    assert_eq!(metric("explore.seen_bytes"), 12 * n);
+    assert_eq!(metric("seen-set            :"), metric("explore.seen_bytes"));
+    assert_eq!((n, metric("explore.seen_bytes")), (262, 3144));
+    assert_eq!(metric("arena               :"), metric("explore.arena_bytes"));
+}
+
+#[test]
 fn por_valency_honours_the_memory_budget() {
     // localcoin reduces without cycles; phase exercises the cycle
     // proviso, whose selection is pinned to its established counts.
@@ -185,10 +207,15 @@ fn por_valency_honours_the_memory_budget() {
         assert!(ok);
         let (spill, _, ok) = randsync(&["valency", protocol, "--por", "--mem-budget", "65536"]);
         assert!(ok);
-        let (spill_lines, rest): (Vec<&str>, Vec<&str>) =
-            spill.lines().partition(|l| l.starts_with("out-of-core"));
-        assert_eq!(spill_lines.len(), 1, "{protocol}: the budgeted run reports its spill line");
-        assert_eq!(rest, ram.lines().collect::<Vec<_>>(), "{protocol}: other lines match RAM");
+        // The seen-set line reports what the seen-set holds in RAM,
+        // which a budget bounds; every other line but the spill line
+        // must match.
+        let residency = |l: &&str| l.starts_with("out-of-core") || l.starts_with("seen-set");
+        let (spill_lines, rest): (Vec<&str>, Vec<&str>) = spill.lines().partition(residency);
+        let (ram_lines, ram_rest): (Vec<&str>, Vec<&str>) = ram.lines().partition(residency);
+        assert_eq!(spill_lines.len(), 2, "{protocol}: the budgeted run reports its spill line");
+        assert_eq!(ram_lines.len(), 1, "{protocol}: the RAM run reports its seen-set line");
+        assert_eq!(rest, ram_rest, "{protocol}: other lines match RAM");
         assert!(ram.contains(&format!("partial-order red.  : {por_line}")), "{protocol}: {ram}");
 
         // Against the unreduced search: strictly fewer configurations,
