@@ -603,8 +603,9 @@ fn observable(o: &ExploreOutcome) -> String {
 /// completes and counts the raw space it stands for, and that raw
 /// space completes under a 4 MiB resident budget with an outcome
 /// identical to the same search in RAM. The budgeted search's spilled
-/// bytes and run scans are exact, so a change to the run format or the
-/// flush cadence shows.
+/// bytes, run scans and run bytes read are exact, so a change to the
+/// run format or the flush cadence, or a probe that reads runs twice,
+/// shows.
 fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome, CheckOutcome> {
     const BUDGET: usize = 4 << 20;
     let label = "walk-counter(4,1)";
@@ -629,9 +630,11 @@ fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome
         ("represented_configs", canon.raw_configs, BoundOp::Eq, 518260),
         ("spill.raw_configs", spill.configs_visited, BoundOp::Eq, 518260),
         // The run format and the flush cadence are pinned: the bytes
-        // written to segments and runs, and the scans over the runs.
+        // written to segments and runs, the scans over the runs, and
+        // the bytes those scans read.
         ("spill.merge_passes", spill.dedup_merge_passes as usize, BoundOp::Eq, 48),
         ("spill.spilled_bytes", spill.spilled_bytes as usize, BoundOp::Eq, 43_146_736),
+        ("spill.run_bytes_read", spill.dedup_run_bytes as usize, BoundOp::Eq, 158_854_912),
         ("spill.resident_bytes", spill.resident_arena_bytes, BoundOp::Le, BUDGET),
     ];
     Ok(bounds.into_iter().fold(out, |out, (field, got, op, want)| {

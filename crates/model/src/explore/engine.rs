@@ -238,6 +238,8 @@ pub(super) struct BfsGraph<S> {
     pub(super) spilled_bytes: u64,
     /// Sequential merge scans performed over on-disk dedup runs.
     pub(super) dedup_merge_passes: u64,
+    /// Bytes read from on-disk dedup runs by probes and compactions.
+    pub(super) dedup_run_bytes: u64,
     /// Resident bytes at the end of the search: the arena's resident
     /// words plus [`seen_bytes`](BfsGraph::seen_bytes).
     pub(super) resident_bytes: usize,
@@ -282,6 +284,7 @@ impl<S: Clone + Eq + Hash> BfsGraph<S> {
             spill_mode: matches!(dedup, Dedup::Local(d) if d.spills()),
             spilled_bytes: 0,
             dedup_merge_passes: 0,
+            dedup_run_bytes: 0,
             resident_bytes: 0,
             seen_bytes: 0,
             checkpoint_written: None,
@@ -1152,6 +1155,7 @@ fn finalize<S: Clone + Eq + Hash>(
     if let Dedup::Local(d) = dedup {
         g.spilled_bytes += d.spilled_bytes();
         g.dedup_merge_passes = d.merge_passes();
+        g.dedup_run_bytes = d.run_bytes_read();
         g.seen_bytes = d.resident_bytes();
     }
     g.resident_bytes = g.arena.resident_word_bytes() + g.seen_bytes;
@@ -1159,6 +1163,9 @@ fn finalize<S: Clone + Eq + Hash>(
         let m = randsync_obs::global_metrics();
         m.gauge("explore.graph_bytes").record_max(g.graph_bytes() as i64);
         m.gauge("explore.seen_bytes").record_max(g.seen_bytes as i64);
+        if g.spill_mode {
+            m.counter("explore.dedup_run_bytes").add(g.dedup_run_bytes);
+        }
     }
     let Some(req) = &config.checkpoint else { return };
     // A transport failure can cut a level mid-merge, so a graph that

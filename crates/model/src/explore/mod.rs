@@ -355,6 +355,11 @@ pub struct ExploreOutcome {
     /// Sequential merge scans over on-disk dedup runs; `0` on the
     /// in-RAM tier.
     pub dedup_merge_passes: u64,
+    /// Bytes read from on-disk dedup runs by probes and compactions
+    /// (the `explore.dedup_run_bytes` counter); `0` on the in-RAM tier.
+    /// Like [`dedup_merge_passes`](ExploreOutcome::dedup_merge_passes)
+    /// it describes the storage tier, not the search.
+    pub dedup_run_bytes: u64,
     /// Bytes resident at the end of the search, on every tier: the
     /// arena's resident words plus
     /// [`seen_bytes`](ExploreOutcome::seen_bytes). Under a memory
@@ -1067,6 +1072,7 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         spill_mode: g.spill_mode,
         spilled_bytes: g.spilled_bytes,
         dedup_merge_passes: g.dedup_merge_passes,
+        dedup_run_bytes: g.dedup_run_bytes,
         resident_arena_bytes: g.resident_bytes,
         checkpoint: g.checkpoint_written.clone(),
         checkpoint_error: g.checkpoint_error.clone(),
@@ -1911,13 +1917,16 @@ mod tests {
     #[test]
     fn spill_mode_matches_ram_mode_bit_for_bit() {
         // A budget far below the space's footprint forces real spilling.
-        let budget = |e: Explorer| e.mem_budget(4096);
-        let naive = assert_tier_matches_ram(&Naive { n: 3 }, &[0, 1, 0], budget);
-        assert!(naive[0].spilled_bytes > 0, "the budget must actually spill");
-        let toggle = assert_tier_matches_ram(&Toggle { n: 3 }, &[0, 1, 0], budget);
-        assert!(toggle[1].por_fallbacks > 0, "the cycle proviso must fire");
-        for out in naive.iter().chain(&toggle) {
-            assert!(out.spill_mode, "the budget holds in every mode");
+        // At four threads the expansion threads share the segment window.
+        for threads in [1, 4] {
+            let budget = |e: Explorer| e.threads(threads).mem_budget(4096);
+            let naive = assert_tier_matches_ram(&Naive { n: 3 }, &[0, 1, 0], budget);
+            assert!(naive[0].spilled_bytes > 0, "the budget must actually spill");
+            let toggle = assert_tier_matches_ram(&Toggle { n: 3 }, &[0, 1, 0], budget);
+            assert!(toggle[1].por_fallbacks > 0, "the cycle proviso must fire");
+            for out in naive.iter().chain(&toggle) {
+                assert!(out.spill_mode, "the budget holds in every mode");
+            }
         }
         assert!(!Explorer::default().por(true).explore(&Naive { n: 3 }, &[0, 1, 0]).spill_mode);
     }

@@ -7,11 +7,11 @@
 //! * [`SpillStore`] backs the packed arena's word buffer. Words are
 //!   appended to a RAM *tail segment*; when the tail fills, it is
 //!   sealed to a segment file and a fresh tail starts. Reads go through
-//!   a small resident window of recently-loaded segments, so resident
-//!   arena memory is bounded by `(window + 1) × segment_bytes` no
-//!   matter how many configurations are interned. Segment size is a
-//!   multiple of the row stride, so a packed row never straddles two
-//!   segments.
+//!   a small FIFO window of recently-loaded segments, a handful of
+//!   entries scanned linearly, so resident arena memory is bounded by
+//!   `(window + 1) × segment_bytes` no matter how many configurations
+//!   are interned. Segment size is a multiple of the row stride, so a
+//!   packed row never straddles two segments.
 //! * [`ExternalDedup`] is the local seen-set on every tier: the
 //!   engine's, and a [`LocalFrontier`](super::LocalFrontier)'s. Its
 //!   sorted RAM buffer holds one `(hash, slot)` pair per key, 12 bytes;
@@ -23,15 +23,22 @@
 //!   engine holds one copy of each row. Without a budget the buffer is
 //!   unbounded and nothing touches disk; under a budget, when the
 //!   buffer's keys would fill its share as a run, it is flushed as a
-//!   sorted *run* file of `(hash, index, words)` entries, the words
-//!   read from the row source (the buffered keys are exactly those
-//!   interned since the last flush, so their rows are the arena's most
-//!   recent). Each BFS level probes one sorted batch of candidate keys
-//!   against the buffer and every run with two-pointer merges —
-//!   strictly sequential run I/O — and runs are compacted by k-way
-//!   merge when they accumulate.
+//!   sorted *run* file of fixed-width `(hash, index, words)` entries,
+//!   the words read from the row source (the buffered keys are exactly
+//!   those interned since the last flush, so their rows are the arena's
+//!   most recent). Each BFS level probes one sorted batch of candidate
+//!   keys against the buffer and against every run by galloping. A run
+//!   is read strictly sequentially, in chunks of whole entries of at
+//!   most `RUN_READ_BUF` (64 KiB) bytes, one `read_exact` each, and the batch
+//!   gallops through each chunk on the entries' bytes: hashes are
+//!   compared first and words decoded only when two hashes tie. Runs
+//!   are compacted by a k-way merge over the same chunked reader when
+//!   they accumulate.
 //!
 //! All files live in one [`SpillDir`] per search, deleted on drop.
+//! Run probes, run flushes, compactions and segment loads from disk
+//! are timed into the `explore.phase.{run_probe,run_flush,run_compact,
+//! segment_load}_us` histograms when metrics are on.
 //!
 //! I/O failures (disk full, permission) panic with context: a search
 //! that has lost its backing store cannot produce a sound verdict, and
@@ -39,13 +46,14 @@
 //! contrast, reports errors — see [`super::checkpoint`].
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Lower bound on the spill segment size (bytes of packed words).
 /// Small enough that even toy budgets genuinely spill (tests rely on
@@ -56,7 +64,9 @@ const MIN_SEGMENT_BYTES: usize = 1024;
 const MAX_SEGMENT_BYTES: usize = 1024 * 1024;
 /// Compact dedup runs by k-way merge once this many accumulate.
 const MAX_DEDUP_RUNS: usize = 8;
-/// Read buffer of one sorted-run reader.
+/// Largest chunk of spill I/O, in bytes: a sorted-run reader reads and
+/// a run writer writes whole entries at most this many bytes at a time,
+/// and segments are encoded and loaded in pieces of this size.
 const RUN_READ_BUF: usize = 64 * 1024;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -124,10 +134,22 @@ impl BudgetPlan {
     }
 }
 
-/// FIFO window of resident sealed segments.
-struct SegWindow {
-    resident: HashMap<u64, Arc<Vec<u32>>>,
-    order: std::collections::VecDeque<u64>,
+/// FIFO window of resident sealed segments, oldest first: `(segment,
+/// words)` pairs, at most the window capacity of them. It holds a
+/// handful of segments, so a lookup is a linear scan from the newest.
+type SegWindow = VecDeque<(u64, Arc<Vec<u32>>)>;
+
+/// Start timing one spill phase: the start instant when metrics are on.
+fn phase_start() -> Option<Instant> {
+    randsync_obs::metrics_enabled().then(Instant::now)
+}
+
+/// Record the phase that began at `started` in histogram `name`.
+fn phase_end(started: Option<Instant>, name: &str) {
+    if let Some(started) = started {
+        let us = started.elapsed().as_micros() as u64;
+        randsync_obs::global_metrics().histogram(name).observe(us);
+    }
 }
 
 /// Segmented, file-backed append-only `u32` buffer.
@@ -159,10 +181,7 @@ impl SpillStore {
             sealed: 0,
             total_words: 0,
             spilled_bytes: 0,
-            window: Mutex::new(SegWindow {
-                resident: HashMap::new(),
-                order: std::collections::VecDeque::new(),
-            }),
+            window: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -177,7 +196,7 @@ impl SpillStore {
     /// Resident bytes right now: the tail plus the loaded window.
     pub(super) fn resident_bytes(&self) -> usize {
         let win = self.lock_window();
-        (self.tail.capacity() + win.resident.len() * self.segment_words) * 4
+        (self.tail.capacity() + win.len() * self.segment_words) * 4
     }
 
     fn lock_window(&self) -> MutexGuard<'_, SegWindow> {
@@ -199,16 +218,18 @@ impl SpillStore {
         }
     }
 
+    /// Write the tail to its segment file, encoded `RUN_READ_BUF` bytes
+    /// at a time with one `write_all` each, and start a fresh tail.
     fn seal_tail(&mut self) {
         let path = self.seg_path(self.sealed);
-        let file = File::create(&path)
+        let mut file = File::create(&path)
             .unwrap_or_else(|e| panic!("cannot create spill segment {}: {e}", path.display()));
-        let mut w = BufWriter::new(file);
-        for &word in &self.tail {
-            w.write_all(&word.to_le_bytes())
-                .unwrap_or_else(|e| panic!("spill segment write failed: {e}"));
+        let mut bytes = Vec::with_capacity(RUN_READ_BUF.min(self.tail.len() * 4));
+        for piece in self.tail.chunks(RUN_READ_BUF / 4) {
+            bytes.clear();
+            bytes.extend(piece.iter().flat_map(|w| w.to_le_bytes()));
+            file.write_all(&bytes).unwrap_or_else(|e| panic!("spill segment write failed: {e}"));
         }
-        w.flush().unwrap_or_else(|e| panic!("spill segment flush failed: {e}"));
         self.spilled_bytes += (self.tail.len() * 4) as u64;
         // Freshly sealed segments are the likeliest to be re-read (the
         // next level decodes the frontier just interned): seed the
@@ -220,29 +241,40 @@ impl SpillStore {
         Self::admit(&mut win, self.window_cap, seg, Arc::new(words));
     }
 
+    /// Make `seg` resident, evicting the oldest segments past `cap`.
     fn admit(win: &mut SegWindow, cap: usize, seg: u64, words: Arc<Vec<u32>>) {
-        if win.resident.insert(seg, words).is_none() {
-            win.order.push_back(seg);
-            while win.order.len() > cap {
-                if let Some(old) = win.order.pop_front() {
-                    win.resident.remove(&old);
-                }
+        if win.iter().all(|&(s, _)| s != seg) {
+            win.push_back((seg, words));
+            while win.len() > cap {
+                win.pop_front();
             }
         }
     }
 
+    /// The words of sealed segment `seg`: from the window, or read from
+    /// its file (`RUN_READ_BUF` bytes per `read_exact`) and admitted.
+    /// The window lock is released before this returns, so a caller may
+    /// read a second row while it holds the first one's words.
     fn load(&self, seg: u64) -> Arc<Vec<u32>> {
-        if let Some(words) = self.lock_window().resident.get(&seg) {
+        if let Some((_, words)) = self.lock_window().iter().rev().find(|&&(s, _)| s == seg) {
             return Arc::clone(words);
         }
+        let started = phase_start();
         let path = self.seg_path(seg);
         let mut file = File::open(&path)
             .unwrap_or_else(|e| panic!("cannot reopen spill segment {}: {e}", path.display()));
-        let mut bytes = vec![0u8; self.segment_words * 4];
-        file.read_exact(&mut bytes).unwrap_or_else(|e| panic!("spill segment read failed: {e}"));
-        let words = Arc::new(bytes.chunks_exact(4).map(le_word).collect::<Vec<u32>>());
+        let mut words = Vec::with_capacity(self.segment_words);
+        let mut bytes = vec![0u8; RUN_READ_BUF.min(self.segment_words * 4)];
+        while words.len() < self.segment_words {
+            let piece = &mut bytes[..((self.segment_words - words.len()) * 4).min(RUN_READ_BUF)];
+            file.read_exact(piece).unwrap_or_else(|e| panic!("spill segment read failed: {e}"));
+            words.extend(piece.chunks_exact(4).map(le_word));
+        }
+        let words = Arc::new(words);
         let mut win = self.lock_window();
         Self::admit(&mut win, self.window_cap, seg, Arc::clone(&words));
+        drop(win);
+        phase_end(started, "explore.phase.segment_load_us");
         words
     }
 
@@ -259,6 +291,7 @@ impl SpillStore {
 
     /// Run `f` over the `len` words at word offset `at`. The range never
     /// straddles segments (rows are stride-aligned within segments).
+    /// `f` runs without the window lock held, so it may read other rows.
     pub(super) fn with_words<R>(&self, at: usize, len: usize, f: impl FnOnce(&[u32]) -> R) -> R {
         let seg = (at / self.segment_words) as u64;
         let off = at % self.segment_words;
@@ -361,6 +394,7 @@ pub(super) struct ExternalDedup {
     run_seq: u64,
     spilled_bytes: u64,
     merge_passes: u64,
+    run_bytes_read: u64,
 }
 
 /// Bytes one entry costs in a run. The buffer is flushed when its
@@ -370,13 +404,65 @@ fn entry_bytes(stride: usize) -> usize {
     8 + 4 + stride * 4
 }
 
-fn key_cmp(ha: u64, wa: &[u32], hb: u64, wb: &[u32]) -> Ordering {
-    ha.cmp(&hb).then_with(|| wa.cmp(wb))
-}
-
 /// The little-endian `u32` in a 4-byte chunk.
 fn le_word(b: &[u8]) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// The hash of an encoded run entry.
+fn entry_hash(e: &[u8]) -> u64 {
+    u64::from(le_word(&e[..4])) | u64::from(le_word(&e[4..8])) << 32
+}
+
+/// The index of an encoded run entry.
+fn entry_index(e: &[u8]) -> u32 {
+    le_word(&e[8..12])
+}
+
+/// The words of an encoded run entry, decoded as they are consumed.
+fn entry_words(e: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    e[12..].chunks_exact(4).map(le_word)
+}
+
+/// How an encoded run entry orders against the key `(h, w)`: by hash,
+/// then — only on a tie — by words.
+fn entry_vs_key(e: &[u8], h: u64, w: &[u32]) -> Ordering {
+    entry_hash(e).cmp(&h).then_with(|| entry_words(e).cmp(w.iter().copied()))
+}
+
+/// How two encoded run entries order: by hash, then by words.
+fn entry_cmp(a: &[u8], b: &[u8]) -> Ordering {
+    entry_hash(a).cmp(&entry_hash(b)).then_with(|| entry_words(a).cmp(entry_words(b)))
+}
+
+/// The first position in `from..len` whose entry does not sort before
+/// the key (or `len`), given `before(i)`: "entry `i` sorts before the
+/// key", which must be monotone over the range. Gallops: the bracket
+/// doubles from `from` until it passes the key, then a binary search
+/// closes it, so a sparse batch skips long stretches in logarithmic
+/// time.
+fn gallop(from: usize, len: usize, before: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    let mut hi = loop {
+        let probe = lo + step - 1;
+        if probe >= len {
+            break len;
+        }
+        if !before(probe) {
+            break probe;
+        }
+        lo = probe + 1;
+        step *= 2;
+    };
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 impl ExternalDedup {
@@ -398,6 +484,7 @@ impl ExternalDedup {
             run_seq: 0,
             spilled_bytes: 0,
             merge_passes: 0,
+            run_bytes_read: 0,
         }
     }
 
@@ -427,6 +514,12 @@ impl ExternalDedup {
         self.merge_passes
     }
 
+    /// Bytes read from on-disk sorted runs by probes and compactions —
+    /// reported as `dedup_run_bytes`.
+    pub(super) fn run_bytes_read(&self) -> u64 {
+        self.run_bytes_read
+    }
+
     /// Bytes of the keys the RAM buffer holds: 12 per key (hash and
     /// slot), by length.
     pub(super) fn resident_bytes(&self) -> usize {
@@ -435,7 +528,7 @@ impl ExternalDedup {
 
     /// How buffered entry `k` orders against the key with hash `h`,
     /// given the comparison of a stored row with the key's words.
-    fn entry_cmp<R: RowSource>(
+    fn buffered_cmp<R: RowSource>(
         &self,
         rows: &R,
         k: usize,
@@ -443,51 +536,6 @@ impl ExternalDedup {
         row_vs_key: &impl Fn(&[u32]) -> Ordering,
     ) -> Ordering {
         self.hashes[k].cmp(&h).then_with(|| rows.with_row(self.slots[k], row_vs_key))
-    }
-
-    /// The first buffered entry in `lo..hi` that does not sort before
-    /// the key (or `hi`), by binary search.
-    fn lower_bound<R: RowSource>(
-        &self,
-        rows: &R,
-        (mut lo, mut hi): (usize, usize),
-        h: u64,
-        row_vs_key: &impl Fn(&[u32]) -> Ordering,
-    ) -> usize {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.entry_cmp(rows, mid, h, row_vs_key) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// [`lower_bound`](Self::lower_bound) over `from..`, galloping: the
-    /// bracket doubles from `from` until it passes the key, so a sparse
-    /// batch skips long stretches of the buffer in logarithmic time.
-    fn gallop<R: RowSource>(
-        &self,
-        rows: &R,
-        from: usize,
-        h: u64,
-        row_vs_key: &impl Fn(&[u32]) -> Ordering,
-    ) -> usize {
-        let len = self.hashes.len();
-        let (mut lo, mut step) = (from, 1);
-        loop {
-            let probe = lo + step - 1;
-            if probe >= len {
-                return self.lower_bound(rows, (lo, len), h, row_vs_key);
-            }
-            if self.entry_cmp(rows, probe, h, row_vs_key) != Ordering::Less {
-                return self.lower_bound(rows, (lo, probe), h, row_vs_key);
-            }
-            lo = probe + 1;
-            step *= 2;
-        }
     }
 
     /// Find every key of a sorted batch in the RAM buffer with one
@@ -505,8 +553,8 @@ impl ExternalDedup {
         let mut at = 0usize;
         for (k, &h) in hashes.iter().enumerate() {
             let cmp = |row: &[u32]| row_vs_key(k, row);
-            at = self.gallop(rows, at, h, &cmp);
-            let hit = at < self.hashes.len() && self.entry_cmp(rows, at, h, &cmp).is_eq();
+            at = gallop(at, self.hashes.len(), |i| self.buffered_cmp(rows, i, h, &cmp).is_lt());
+            let hit = at < self.hashes.len() && self.buffered_cmp(rows, at, h, &cmp).is_eq();
             visit(k, if hit { Ok(at) } else { Err(at) });
         }
     }
@@ -536,31 +584,47 @@ impl ExternalDedup {
         out
     }
 
-    /// Resolve a sorted batch against every run with one sequential
-    /// scan per run, filling in the index of each key a run holds.
+    /// Resolve a sorted batch against every run, filling in the index
+    /// of each key a run holds.
+    ///
+    /// Each run is read front to back a chunk at a time (see
+    /// [`RunReader`]) into one buffer reused across runs, and only as
+    /// far as the batch reaches. Every key up to the chunk's last entry
+    /// gallops through the chunk from where the previous key stopped,
+    /// on the entries' bytes; a key that sorts after the last entry
+    /// moves on to the next chunk. The entries past one chunk all sort
+    /// after its last entry, so a key is in the run exactly when it is
+    /// in the first chunk whose last entry does not sort before it —
+    /// an equal-hash group straddling two chunks included.
     fn probe_runs(&mut self, keys_h: &[u64], keys_w: &[u32], out: &mut [Option<u32>]) {
-        let stride = self.stride;
-        let n = keys_h.len();
-        let key = |k: usize| &keys_w[k * stride..(k + 1) * stride];
         self.merge_passes += self.runs.len() as u64;
-        for r in 0..self.runs.len() {
-            let (path, entries) = (self.runs[r].path.clone(), self.runs[r].entries);
-            let mut reader = RunReader::open(&path, entries, stride);
+        if self.runs.is_empty() || keys_h.is_empty() {
+            return;
+        }
+        let started = phase_start();
+        let (stride, width) = (self.stride, entry_bytes(self.stride));
+        let key = |k: usize| &keys_w[k * stride..(k + 1) * stride];
+        let mut chunk = Vec::new();
+        for run in &self.runs {
+            let mut reader = RunReader::open(run, width);
             let mut ki = 0usize;
-            while let Some((h, idx)) = reader.next() {
-                let w = reader.words();
-                while ki < n && key_cmp(keys_h[ki], key(ki), h, w) == Ordering::Less {
-                    ki += 1;
-                }
-                if ki == n {
-                    break;
-                }
-                if key_cmp(keys_h[ki], key(ki), h, w) == Ordering::Equal {
-                    out[ki] = Some(idx);
+            while ki < keys_h.len() && reader.read_chunk(&mut chunk) {
+                let entries = chunk.len() / width;
+                let entry = |i: usize| &chunk[i * width..(i + 1) * width];
+                let last = entry(entries - 1);
+                let mut at = 0usize;
+                while ki < keys_h.len() && entry_vs_key(last, keys_h[ki], key(ki)).is_ge() {
+                    let (h, w) = (keys_h[ki], key(ki));
+                    at = gallop(at, entries, |i| entry_vs_key(entry(i), h, w).is_lt());
+                    if entry_vs_key(entry(at), h, w).is_eq() {
+                        out[ki] = Some(entry_index(entry(at)));
+                    }
                     ki += 1;
                 }
             }
+            self.run_bytes_read += reader.bytes_read;
         }
+        phase_end(started, "explore.phase.run_probe_us");
     }
 
     /// Where each key of a sorted batch would go in the RAM buffer,
@@ -666,6 +730,7 @@ impl ExternalDedup {
         let (Some(&lo), Some(&hi)) = (self.slots.iter().min(), self.slots.iter().max()) else {
             return;
         };
+        let started = phase_start();
         let mut words = Vec::with_capacity((hi - lo + 1) as usize * self.stride);
         rows.copy_rows(lo..hi + 1, &mut words);
         let path = dir.file(&format!("dedup-run-{}.bin", self.run_seq));
@@ -680,54 +745,66 @@ impl ExternalDedup {
         self.runs.push(DedupRun { path, entries: self.hashes.len() });
         self.hashes = Vec::new();
         self.slots = Vec::new();
+        phase_end(started, "explore.phase.run_flush_us");
     }
 
     /// K-way merge every run into one. Entry keys are globally unique,
-    /// so the merge is a pure interleave.
+    /// so the merge is a pure interleave: each run is read a chunk at a
+    /// time by its own [`RunReader`], and the least head entry is copied
+    /// to the merged run as encoded bytes.
     fn compact_runs(&mut self) {
         let Some(dir) = &self.dir else { return };
+        let started = phase_start();
+        let width = entry_bytes(self.stride);
         let path = dir.file(&format!("dedup-run-{}.bin", self.run_seq));
         let old = std::mem::take(&mut self.runs);
         let total: usize = old.iter().map(|r| r.entries).sum();
         self.run_seq += 1;
-        let mut readers: Vec<RunReader> =
-            old.iter().map(|r| RunReader::open(&r.path, r.entries, self.stride)).collect();
-        let mut heads: Vec<Option<(u64, u32)>> = readers.iter_mut().map(RunReader::next).collect();
+        // One source per run: its reader, its current chunk, and the
+        // offset of its head entry in that chunk.
+        let mut sources: Vec<(RunReader, Vec<u8>, usize)> = old
+            .iter()
+            .map(|r| {
+                let (mut reader, mut chunk) = (RunReader::open(r, width), Vec::new());
+                reader.read_chunk(&mut chunk);
+                (reader, chunk, 0)
+            })
+            .collect();
         self.merge_passes += old.len() as u64;
         let mut w = RunWriter::create(&path);
         loop {
-            let mut best: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                let Some((h, _)) = head else { continue };
-                match best {
-                    None => best = Some(i),
-                    Some(j) => {
-                        let (bh, _) = heads[j].unwrap();
-                        if key_cmp(*h, readers[i].words(), bh, readers[j].words())
-                            == Ordering::Less
-                        {
-                            best = Some(i);
-                        }
-                    }
+            let mut best: Option<(usize, &[u8])> = None;
+            for (i, (_, chunk, at)) in sources.iter().enumerate() {
+                let Some(head) = chunk.get(*at..*at + width) else { continue };
+                if best.is_none_or(|(_, b)| entry_cmp(head, b).is_lt()) {
+                    best = Some((i, head));
                 }
             }
-            let Some(i) = best else { break };
-            let (h, idx) = heads[i].unwrap();
-            w.write(h, idx, readers[i].words());
-            heads[i] = readers[i].next();
+            let Some((i, head)) = best else { break };
+            w.write_entry(head);
+            let (reader, chunk, at) = &mut sources[i];
+            *at += width;
+            if *at == chunk.len() && reader.read_chunk(chunk) {
+                *at = 0;
+            }
         }
         let bytes = w.finish();
         self.spilled_bytes += bytes;
+        self.run_bytes_read += sources.iter().map(|(reader, ..)| reader.bytes_read).sum::<u64>();
         for r in &old {
             let _ = fs::remove_file(&r.path);
         }
         self.runs.push(DedupRun { path, entries: total });
+        phase_end(started, "explore.phase.run_compact_us");
     }
 }
 
-/// Sequential writer of one sorted run file.
+/// Sequential writer of one sorted run file: entries are encoded into a
+/// buffer of at most `RUN_READ_BUF` bytes of whole entries, written
+/// with one `write_all` whenever the next entry would not fit.
 struct RunWriter {
-    w: BufWriter<File>,
+    file: File,
+    buf: Vec<u8>,
     bytes: u64,
 }
 
@@ -735,73 +812,83 @@ impl RunWriter {
     fn create(path: &std::path::Path) -> RunWriter {
         let file = File::create(path)
             .unwrap_or_else(|e| panic!("cannot create dedup run {}: {e}", path.display()));
-        RunWriter { w: BufWriter::new(file), bytes: 0 }
+        RunWriter { file, buf: Vec::with_capacity(RUN_READ_BUF), bytes: 0 }
     }
 
-    fn write(&mut self, hash: u64, index: u32, words: &[u32]) {
-        let mut put = |bytes: &[u8]| {
-            self.w.write_all(bytes).unwrap_or_else(|e| panic!("dedup run write failed: {e}"));
-            self.bytes += bytes.len() as u64;
-        };
-        put(&hash.to_le_bytes());
-        put(&index.to_le_bytes());
-        for &word in words {
-            put(&word.to_le_bytes());
+    /// Make room for an entry of `width` bytes.
+    fn reserve(&mut self, width: usize) {
+        if self.buf.len() + width > RUN_READ_BUF {
+            self.drain();
         }
     }
 
+    fn drain(&mut self) {
+        self.file.write_all(&self.buf).unwrap_or_else(|e| panic!("dedup run write failed: {e}"));
+        self.bytes += self.buf.len() as u64;
+        self.buf.clear();
+    }
+
+    /// Encode one entry: hash, index, then the words, all LE.
+    fn write(&mut self, hash: u64, index: u32, words: &[u32]) {
+        self.reserve(12 + 4 * words.len());
+        self.buf.extend_from_slice(&hash.to_le_bytes());
+        self.buf.extend_from_slice(&index.to_le_bytes());
+        self.buf.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+    }
+
+    /// Append one already-encoded entry.
+    fn write_entry(&mut self, entry: &[u8]) {
+        self.reserve(entry.len());
+        self.buf.extend_from_slice(entry);
+    }
+
+    /// Write what is buffered; the run's size in bytes.
     fn finish(mut self) -> u64 {
-        self.w.flush().unwrap_or_else(|e| panic!("dedup run flush failed: {e}"));
+        self.drain();
         self.bytes
     }
 }
 
-/// Sequential reader of one sorted run file; `words()` exposes the
-/// words of the entry most recently returned by [`RunReader::next`].
+/// Sequential reader of one sorted run file, a chunk at a time: each
+/// chunk is the next whole entries, at most `RUN_READ_BUF` bytes (and
+/// at least one entry), read with one `read_exact` into the caller's
+/// buffer.
 struct RunReader {
-    r: BufReader<File>,
+    file: File,
+    /// Entries not yet read.
     remaining: usize,
-    /// One encoded entry: hash, index, then the words (all LE).
-    entry: Vec<u8>,
-    words: Vec<u32>,
+    /// Bytes per encoded entry.
+    width: usize,
+    /// Bytes read from the file so far.
+    bytes_read: u64,
 }
 
 impl RunReader {
-    fn open(path: &std::path::Path, entries: usize, stride: usize) -> RunReader {
-        let file = File::open(path)
-            .unwrap_or_else(|e| panic!("cannot reopen dedup run {}: {e}", path.display()));
-        RunReader {
-            r: BufReader::with_capacity(RUN_READ_BUF, file),
-            remaining: entries,
-            entry: vec![0; 12 + 4 * stride],
-            words: vec![0; stride],
-        }
+    fn open(run: &DedupRun, width: usize) -> RunReader {
+        let file = File::open(&run.path)
+            .unwrap_or_else(|e| panic!("cannot reopen dedup run {}: {e}", run.path.display()));
+        RunReader { file, remaining: run.entries, width, bytes_read: 0 }
     }
 
-    /// Read the next entry with one `read_exact`.
-    fn next(&mut self) -> Option<(u64, u32)> {
+    /// Replace `chunk` with the run's next chunk; `false`, leaving
+    /// `chunk` untouched, once the run is exhausted.
+    fn read_chunk(&mut self, chunk: &mut Vec<u8>) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
-        self.remaining -= 1;
-        self.r.read_exact(&mut self.entry).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
-        let mut lanes = self.entry.chunks_exact(4).map(le_word);
-        let mut lane = || lanes.next().unwrap_or(0);
-        let hash = u64::from(lane()) | u64::from(lane()) << 32;
-        let index = lane();
-        for slot in self.words.iter_mut() {
-            *slot = lane();
-        }
-        Some((hash, index))
-    }
-
-    fn words(&self) -> &[u32] {
-        &self.words
+        let entries = self.remaining.min((RUN_READ_BUF / self.width).max(1));
+        self.remaining -= entries;
+        chunk.resize(entries * self.width, 0);
+        self.file.read_exact(chunk).unwrap_or_else(|e| panic!("dedup run read failed: {e}"));
+        self.bytes_read += chunk.len() as u64;
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::super::pack::{PackedArena, WordStore};
     use super::*;
 
@@ -963,5 +1050,173 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn a_row_read_inside_another_rows_closure_returns() {
+        // The seen-set's tie comparison reads a second row inside the
+        // first row's closure. On a file-backed arena with a two-segment
+        // window, each pair below reads rows of distinct sealed
+        // segments (or the tail), and the innermost read of the triple
+        // evicts the outermost row's segment while that row is held.
+        let (done, finished) = std::sync::mpsc::channel();
+        let reads = std::thread::spawn(move || {
+            let arena = key_arena(true);
+            let row = |v: u32| key(v).1.to_vec();
+            for (a, b) in [(0u32, 59u32), (59, 0), (0, 1), (10, 40), (40, 10), (5, 63)] {
+                arena.with_row(a, |ra| {
+                    arena.with_row(b, |rb| {
+                        assert_eq!((ra.to_vec(), rb.to_vec()), (row(a), row(b)));
+                    });
+                });
+            }
+            arena.with_row(0, |r0| {
+                arena.with_row(30, |r30| {
+                    arena.with_row(50, |r50| {
+                        assert_eq!([r0, r30, r50].map(<[u32]>::to_vec), [row(0), row(30), row(50)]);
+                    });
+                });
+            });
+            let _ = done.send(());
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert_ne!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout), "nested reads deadlocked");
+        reads.join().expect("nested row reads return the right rows");
+    }
+
+    /// Key `v` of the chunked-run tests: sixteen consecutive values
+    /// share a hash and order by `v` within it, so key order is `v`
+    /// order, and a run of every other key holds equal-hash groups of
+    /// eight entries, some of which straddle chunk boundaries.
+    fn wide_key(v: u32) -> (u64, [u32; 2]) {
+        (u64::from(v / 16) * 7, [v, !v])
+    }
+
+    /// A plan whose dedup buffer flushes once it holds more than
+    /// `dedup_ram_bytes` of run entries.
+    fn run_plan(dedup_ram_bytes: usize) -> BudgetPlan {
+        BudgetPlan { dedup_ram_bytes, ..plan() }
+    }
+
+    /// Insert the keys `vs` as one batch whose rows go to `log`, key
+    /// `v` with index `v`.
+    fn insert_wide(dd: &mut ExternalDedup, log: &mut RowLog, vs: &[u32]) {
+        let mut vs = vs.to_vec();
+        vs.sort_unstable();
+        let h: Vec<u64> = vs.iter().map(|&v| wide_key(v).0).collect();
+        let w: Vec<u32> = vs.iter().flat_map(|&v| wide_key(v).1).collect();
+        let first = log.len() as u32;
+        log.append(&vs, &w);
+        dd.insert_sorted(log, &h, &(first..log.len() as u32).collect::<Vec<_>>());
+    }
+
+    /// Probe `keys` as one sorted batch and check every answer against
+    /// `model`; returns the run bytes the probe read.
+    fn probe_against(
+        dd: &mut ExternalDedup,
+        log: &RowLog,
+        model: &BTreeMap<(u64, [u32; 2]), u32>,
+        mut keys: Vec<(u64, [u32; 2])>,
+        label: &str,
+    ) -> u64 {
+        keys.sort_unstable();
+        keys.dedup();
+        let h: Vec<u64> = keys.iter().map(|k| k.0).collect();
+        let w: Vec<u32> = keys.iter().flat_map(|k| k.1).collect();
+        let before = dd.run_bytes_read();
+        let got = dd.probe_sorted(log, &h, &w);
+        for (k, got) in keys.iter().zip(got) {
+            assert_eq!(got, model.get(k).copied(), "{label}: key {k:?}");
+        }
+        dd.run_bytes_read() - before
+    }
+
+    #[test]
+    fn chunked_run_probe_is_exact_at_chunk_boundaries() {
+        let width = entry_bytes(2);
+        let per_chunk = RUN_READ_BUF / width;
+        // One run of every other key from `base`, over three chunks
+        // long, so the run ends in a partial fourth chunk.
+        let (base, n) = (1000u32, 4 * per_chunk - 100);
+        let stored: Vec<u32> = (0..n as u32).map(|i| base + 2 * i).collect();
+        let mut dd = ExternalDedup::new(2, &run_plan(n * width - 1), SpillDir::create(None));
+        let mut log = RowLog::new(2);
+        insert_wide(&mut dd, &mut log, &stored);
+        assert_eq!((dd.runs.len(), dd.runs[0].entries, dd.hashes.len()), (1, n, 0));
+        let model = stored.iter().map(|&v| (wide_key(v), v)).collect();
+        let whole_run = (n * width) as u64;
+        let keys = |vs: &mut dyn Iterator<Item = u32>| vs.map(wide_key).collect::<Vec<_>>();
+
+        // Every stored key, every key between two stored ones, and a
+        // same-hash key whose second word differs from a stored one's.
+        let mut dense = keys(&mut (base - 3..base + 2 * n as u32 + 3));
+        dense.extend(stored.iter().map(|&v| (wide_key(v).0, [v, v])));
+        assert_eq!(probe_against(&mut dd, &log, &model, dense, "dense"), whole_run);
+
+        // At each chunk boundary: the chunk's last entry, the key just
+        // above it (below the next chunk's first entry, with the same
+        // hash when a group straddles the boundary), and the next
+        // chunk's first entry.
+        let boundaries: Vec<usize> = (1..4).map(|c| c * per_chunk).collect();
+        assert!(
+            boundaries.iter().any(|&b| wide_key(stored[b - 1]).0 == wide_key(stored[b]).0),
+            "an equal-hash group straddles a chunk boundary"
+        );
+        for &b in &boundaries {
+            let edge = keys(&mut [stored[b - 1], stored[b - 1] + 1, stored[b]].into_iter());
+            let read = probe_against(&mut dd, &log, &model, edge, &format!("boundary {b}"));
+            // The batch ends in the chunk after the boundary.
+            assert_eq!(read, ((b + per_chunk).min(n) * width) as u64, "boundary {b}");
+        }
+
+        // Batches that miss the run: empty, wholly below it (answered
+        // from the first chunk) and wholly above it (read to the end).
+        assert_eq!(probe_against(&mut dd, &log, &model, Vec::new(), "empty"), 0);
+        let below = keys(&mut (0..base).step_by(3));
+        let first_chunk = (per_chunk * width) as u64;
+        assert_eq!(probe_against(&mut dd, &log, &model, below, "below"), first_chunk);
+        let above = keys(&mut (base + 2 * n as u32..base + 2 * n as u32 + 40));
+        assert_eq!(probe_against(&mut dd, &log, &model, above, "above"), whole_run);
+        // A sparse batch: the first and the last stored keys.
+        let ends = keys(&mut [stored[0], stored[n - 1]].into_iter());
+        assert_eq!(probe_against(&mut dd, &log, &model, ends, "ends"), whole_run);
+    }
+
+    #[test]
+    fn compaction_of_multi_chunk_runs_matches_a_btree_map() {
+        let width = entry_bytes(2);
+        // Eight runs of three chunks each; run `j` holds the keys
+        // `v ≡ j (mod 8)`, so the merge interleaves every run into
+        // every equal-hash group.
+        let run_len = 2 * (RUN_READ_BUF / width) + 7;
+        let mut dd = ExternalDedup::new(2, &run_plan(run_len * width - 1), SpillDir::create(None));
+        let mut log = RowLog::new(2);
+        let total = (MAX_DEDUP_RUNS * run_len) as u32;
+        for j in 0..MAX_DEDUP_RUNS as u32 {
+            insert_wide(&mut dd, &mut log, &(j..total).step_by(MAX_DEDUP_RUNS).collect::<Vec<_>>());
+        }
+        let model: BTreeMap<_, _> = (0..total).map(|v| (wide_key(v), v)).collect();
+        let all_bytes = (total as usize * width) as u64;
+        // Compaction read each run once and wrote one merged run.
+        assert_eq!((dd.runs.len(), dd.runs[0].entries), (1, total as usize));
+        assert_eq!(dd.run_bytes_read(), all_bytes);
+        assert_eq!(dd.spilled_bytes(), 2 * all_bytes);
+        assert_eq!(dd.merge_passes(), MAX_DEDUP_RUNS as u64);
+
+        // The merged run holds the model's entries, in the model's order.
+        let mut reader = RunReader::open(&dd.runs[0], width);
+        let (mut chunk, mut merged) = (Vec::new(), Vec::new());
+        while reader.read_chunk(&mut chunk) {
+            for e in chunk.chunks_exact(width) {
+                let words: Vec<u32> = entry_words(e).collect();
+                merged.push(((entry_hash(e), [words[0], words[1]]), entry_index(e)));
+            }
+        }
+        assert_eq!(merged, model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
+
+        // And every probe of it agrees with the model.
+        let mut probes: Vec<_> = (0..total + 20).map(wide_key).collect();
+        probes.extend((0..total).map(|v| (wide_key(v).0, [v, v])));
+        assert_eq!(probe_against(&mut dd, &log, &model, probes, "merged"), all_bytes);
     }
 }

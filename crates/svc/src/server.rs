@@ -59,7 +59,7 @@ use randsync_obs::{Field, Json, TraceSink};
 
 use crate::cache::{ResultsCache, DEFAULT_CACHE_CAPACITY};
 use crate::dist::FrontierSessions;
-use crate::job::{ExecContext, Job};
+use crate::job::{ExecContext, Job, JobError};
 use crate::poll::{self, fd_of, PollEntry};
 use crate::wire::{
     code, error_frame, ok_frame, progress_frame, FrameBuffer, Request, WIRE_SCHEMA_VERSION,
@@ -792,7 +792,7 @@ fn execute_ticket(state: &Arc<ServerState>, ticket: Ticket, frames: &FrameSender
         .map(|(t, s)| randsync_obs::push_context(randsync_obs::TraceContext::remote(t, s)));
     let span = randsync_obs::span("svc.job", &[("kind", Field::Str(kind.to_string()))]);
     let ctx = ExecContext { frontier_workers: state.frontier_workers.clone() };
-    let outcome = ticket.job.execute_ctx(started + state.job_budget, &ctx);
+    let outcome = run_guarded(|| ticket.job.execute_ctx(started + state.job_budget, &ctx));
     drop(span);
     drop(ctx_guard);
     router.deregister();
@@ -812,5 +812,46 @@ fn execute_ticket(state: &Arc<ServerState>, ticket: Ticket, frames: &FrameSender
             }
             frames.send(ticket.conn, error_frame(&ticket.id, e.code, &e.message));
         }
+    }
+}
+
+/// Run one job, turning a panic into a [`code::JOB_FAILED`] error that
+/// carries the panic message and counting it in `svc.jobs.panicked`. A
+/// job that panics (a full disk under its spill tier, say) then costs
+/// its own ticket only: the worker thread survives to deregister the
+/// job's progress route, answer the client and take the next ticket.
+fn run_guarded(job: impl FnOnce() -> Result<Json, JobError>) -> Result<Json, JobError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        randsync_obs::global_metrics().counter("svc.jobs.panicked").inc();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(JobError { code: code::JOB_FAILED, message: format!("job panicked: {message}") })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_becomes_a_job_failed_error() {
+        let panicked = || randsync_obs::global_metrics().counter("svc.jobs.panicked").get();
+        let before = panicked();
+        let ok = run_guarded(|| Ok(Json::Int(7)));
+        assert_eq!(ok.map(|j| j.render()).map_err(|e| e.message), Ok("7".to_string()));
+        for (payload, shown) in [(None, "spill segment write failed"), (Some(3), "3 bytes left")] {
+            let err = run_guarded(|| match payload {
+                None => panic!("spill segment write failed"),
+                Some(n) => panic!("{n} bytes left"),
+            })
+            .expect_err("the panic is caught");
+            assert_eq!(err.code, code::JOB_FAILED);
+            assert_eq!(err.message, format!("job panicked: {shown}"));
+        }
+        // Other tests in this process may panic jobs too.
+        assert!(panicked() >= before + 2);
     }
 }

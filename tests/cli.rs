@@ -196,6 +196,31 @@ fn valency_metrics_report_the_seen_set_bytes() {
 }
 
 #[test]
+fn budgeted_valency_metrics_time_the_spill_phases() {
+    // localcoin under 4 KiB flushes runs, probes them, compacts them
+    // and faults arena segments back in: each phase is timed.
+    let budgeted = |protocol| ["valency", protocol, "1", "--mem-budget", "4096", "--metrics"];
+    let (stdout, _, ok) = randsync(&budgeted("localcoin"));
+    assert!(ok);
+    for phase in ["run_probe", "run_flush", "run_compact", "segment_load"] {
+        let name = format!("explore.phase.{phase}_us");
+        assert!(
+            stdout.lines().any(|l| l.trim().starts_with(&name) && l.contains("count=")),
+            "no {name} histogram in:\n{stdout}"
+        );
+    }
+    // The bytes probes and compactions read from runs are exact, and
+    // the metrics leave the report's other lines as they were.
+    let (stdout, _, ok) = randsync(&budgeted("walk-counter"));
+    assert!(ok);
+    let run_bytes = stdout.lines().find_map(|l| l.trim().strip_prefix("explore.dedup_run_bytes"));
+    assert_eq!(run_bytes.map(str::trim), Some("43824"), "{stdout}");
+    let (plain, _, ok) = randsync(&budgeted("walk-counter")[..5]);
+    assert!(ok);
+    assert!(stdout.starts_with(&plain), "--metrics only appends to the report:\n{stdout}");
+}
+
+#[test]
 fn por_valency_honours_the_memory_budget() {
     // localcoin reduces without cycles; phase exercises the cycle
     // proviso, whose selection is pinned to its established counts.
