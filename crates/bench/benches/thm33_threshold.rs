@@ -25,7 +25,7 @@ fn main() {
         "{:>4} {:>18} {:>16} {:>16}",
         "r", "threshold r²−r+1", "optimistic used", "zigzag used"
     );
-    for r in 1..=5usize {
+    for r in 1..=12usize {
         let t = max_identical_processes(r as u64);
         let (w1, _) =
             attack_for_witness(&Optimistic::new(2, r), &CombineLimits::default()).unwrap();

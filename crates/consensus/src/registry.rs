@@ -390,7 +390,7 @@ static ENTRIES: &[ProtocolEntry] = &[
     },
     ProtocolEntry {
         name: "mixedzigzag",
-        objects: "2 registers + 1 swap + 1 test&set",
+        objects: "1 register + 1 swap + 1 test&set",
         paper: "Lemma 3.6 target (mixed historyless objects)",
         default_n: 2,
         default_r: 1,

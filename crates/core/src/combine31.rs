@@ -231,7 +231,10 @@ fn subset_case<P: Protocol>(
             weaver.append_all(&inner.cont[..k])?;
 
             // For each register of V, the last write in [seg_start, now)
-            // determines the clone to leave behind.
+            // determines the clone to leave behind. Record every
+            // (owner, upto, coin) before the first spawn: spawning
+            // inserts the clone's shadow steps into the trace, which
+            // shifts the positions of later writes.
             let mut specs = Vec::new();
             for &obj in &inner.objects {
                 let (pos, _) = weaver
@@ -240,18 +243,14 @@ fn subset_case<P: Protocol>(
                     .ok_or(CombineError::Internal(
                         "block-written register has no write in segment",
                     ))?;
-                specs.push((obj, pos));
-            }
-            // Spawn the clones (collect positions first: spawning
-            // inserts steps and would shift positions, but owner step
-            // *counts* are computed inside spawn_clone_before per spec,
-            // so record (owner, upto) now).
-            let mut new_cover = Vec::with_capacity(specs.len() + 1);
-            for (obj, pos) in specs {
                 let trace = weaver.execution();
-                let owner = trace.steps()[pos].pid;
-                let upto = trace.steps()[..pos].iter().filter(|s| s.pid == owner).count();
-                let coin = trace.steps()[pos].coin;
+                let steps = trace.steps();
+                let owner = steps[pos].pid;
+                let upto = steps[..pos].iter().filter(|s| s.pid == owner).count();
+                specs.push((obj, owner, upto, steps[pos].coin));
+            }
+            let mut new_cover = Vec::with_capacity(specs.len() + 1);
+            for (obj, owner, upto, coin) in specs {
                 let clone = weaver.spawn_clone(owner, upto)?;
                 stats.clones_spawned += 1;
                 new_cover.push((Step::with_coin(clone, coin), obj));

@@ -302,8 +302,8 @@ pub static CATALOG: &[PropertyEntry] = &[
         paper: "Theorem 3.3 via Lemma 3.2",
         statement: "The register-identical adversary constructs a replay-verified \
                     inconsistency against the flawed register protocols using at most \
-                    r*r - r + 2 processes",
-        protocols: &["naive", "optimistic"],
+                    r*r - r + 2 processes, swept over r = 1..12 for zigzag and optimistic",
+        protocols: &["naive", "optimistic", "zigzag"],
         severity: Severity::Critical,
         tags: &["smoke", "adversary"],
         budget_ms: 60_000,

@@ -1,34 +1,19 @@
 //! `randsync` — command-line front end for the reproduction.
 //!
-//! ```text
-//! randsync table [n]                 the Section 4 separation table
-//! randsync bounds <n>                thresholds for n processes
-//! randsync protocols                 the protocol registry inventory
-//! randsync attack <protocol> [r]     run the lower-bound adversary
-//! randsync check <protocol> [r]      exhaustively model-check a protocol
-//! randsync valency <protocol> [t]    valency analysis (FLP structure)
-//! randsync shrink <trace.jsonl>      minimize a witness trace (delete + commute)
-//! randsync resume <file.ckpt>        continue a checkpointed exploration
-//! randsync run <protocol> [n] [seed] execute on real threads via the runtime
-//! randsync replay <trace.jsonl>      re-execute a recorded run deterministically
-//! randsync montecarlo <protocol> [trials] [seed] [n]   seeded trial sweep + histogram
-//! randsync walk <n> [seed]           threaded one-counter consensus demo
-//!
-//! randsync serve [addr] [--workers N] [--queue N]   start the verification job server
-//! randsync worker [addr]                            start a frontier shard server
-//! randsync submit <addr> <job> [key=value ...]      run one job against a server
-//! randsync shutdown <addr>                          drain a server and stop it
-//! randsync top <addr>                               live metrics dashboard (watch job)
-//! randsync soak <addr>                              soak the server, judge thresholds
-//! randsync gate [--filter <id|tag>]                 run the fail-closed verification gate
-//! randsync trace-tree <a.jsonl> [b.jsonl ...]       stitch span sinks into one tree
-//! ```
+//! `randsync help` lists every subcommand with its usage line; that
+//! list is generated from the command table below, the same
+//! declaration the argument parser reads, so it is the one reference.
+//! A malformed invocation (an unknown subcommand or flag, a flag
+//! without its value, a number that does not parse, a surplus
+//! argument) is refused with a message naming the offending token and
+//! the command's usage line, and exits 1.
 //!
 //! Protocol names come from the shared registry
 //! (`randsync::consensus::registry`); `randsync protocols` lists them
 //! all with their paper hooks. `attack` applies only to the flawed
 //! entries the adversaries target; `run` applies only to entries whose
-//! termination survives free thread scheduling.
+//! termination survives free thread scheduling. `attack` and `check`
+//! take an explicit r only for entries whose object set it sizes.
 //!
 //! The `serve`/`submit`/`shutdown` trio speaks the framed JSONL
 //! protocol of `randsync::svc` (DESIGN.md §13): `submit` values are
@@ -91,8 +76,8 @@ use randsync::core::hierarchy::render_table;
 use randsync::model::runtime::{replay_execution, Runtime};
 use randsync::core::witness::InconsistencyWitness;
 use randsync::model::{
-    Checkpoint, CheckpointRequest, Configuration, Execution, ExploreConfig, ExploreLimits,
-    ExploreOutcome, Explorer, Protocol, SearchMode,
+    Checkpoint, CheckpointRequest, Configuration, DynObject, Execution, ExploreConfig,
+    ExploreLimits, ExploreOutcome, Explorer, Protocol, SearchMode,
 };
 use randsync::objects::bridge;
 use randsync::obs::{self, ExecutionTrace, Field, Json, MetricValue, Snapshot, TraceSink};
@@ -100,155 +85,368 @@ use randsync::gate;
 use randsync::svc::soak::{run_soak, SoakConfig, ThresholdCatalog};
 use randsync::svc::{job, Client, Server, ServerConfig};
 
+/// One subcommand: its name, its usage line, a one-line summary and
+/// its handler. The usage line is also the grammar [`parse_args`]
+/// reads the command's arguments with: `<x>` is a required positional
+/// and `[x]` an optional one, `[--f]` is a boolean flag and
+/// `[--f <v>]` a flag that takes a value, and `[x ...]` takes the rest
+/// of the positionals.
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    about: &'static str,
+    run: fn(&Args) -> Outcome,
+}
+
+/// Why a command stopped short: a refused argument, printed with the
+/// command's usage line, or a failure while running, printed alone.
+/// Both exit 1.
+#[derive(Debug, PartialEq)]
+enum Stop {
+    Usage(String),
+    Failed(String),
+}
+
+type Outcome = Result<ExitCode, Stop>;
+
+static COMMANDS: &[Command] = &[
+    Command { name: "table", usage: "[n]", about: "the Section 4 separation table", run: run_table },
+    Command { name: "bounds", usage: "<n>", about: "thresholds for n processes", run: run_bounds },
+    Command {
+        name: "protocols",
+        usage: "",
+        about: "the protocol registry inventory",
+        run: run_protocols,
+    },
+    Command {
+        name: "attack",
+        usage: "<protocol> [r]",
+        about: "run the lower-bound adversary",
+        run: run_attack,
+    },
+    Command {
+        name: "check",
+        usage: "<protocol> [r]",
+        about: "exhaustively model-check a protocol",
+        run: run_check,
+    },
+    Command {
+        name: "valency",
+        usage: "<protocol> [threads] [--canonical] [--por] [--best-first] [--metrics] \
+                [--mem-budget <bytes>] [--deadline-ms <ms>] [--checkpoint <file>]",
+        about: "valency analysis (FLP structure)",
+        run: run_valency,
+    },
+    Command {
+        name: "shrink",
+        usage: "<trace.jsonl> [--out <file>]",
+        about: "minimize a witness trace (delete + commute)",
+        run: run_shrink,
+    },
+    Command {
+        name: "resume",
+        usage: "<file.ckpt> [--mem-budget <bytes>]",
+        about: "continue a checkpointed exploration",
+        run: run_resume,
+    },
+    Command {
+        name: "run",
+        usage: "<protocol> [n] [seed] [--metrics] [--trace <file>]",
+        about: "execute on real threads via the runtime",
+        run: run_threaded,
+    },
+    Command {
+        name: "replay",
+        usage: "<trace.jsonl>",
+        about: "re-execute a recorded run deterministically",
+        run: run_replay,
+    },
+    Command {
+        name: "montecarlo",
+        usage: "<protocol> [trials] [seed] [n]",
+        about: "seeded trial sweep + histogram",
+        run: run_montecarlo,
+    },
+    Command {
+        name: "walk",
+        usage: "<n> [seed]",
+        about: "threaded one-counter consensus demo",
+        run: run_walk,
+    },
+    Command {
+        name: "serve",
+        usage: "[addr] [--workers <n>] [--queue <n>] [--max-conns <n>] \
+                [--checkpoint-dir <dir>] [--workers-addrs <a:p,b:p,...>] [--trace <file>]",
+        about: "start the verification job server",
+        run: |args| run_serve(args, false),
+    },
+    // A worker is a server whose job is hosting frontier shard
+    // sessions: same binary, same protocol, zero workers wasted on a
+    // queue nobody submits to.
+    Command {
+        name: "worker",
+        usage: "[addr] [--max-conns <n>] [--trace <file>]",
+        about: "start a frontier shard server",
+        run: |args| run_serve(args, true),
+    },
+    Command {
+        name: "submit",
+        usage: "<addr> <job> [--timeout-s <s>] [--trace <file>] [key=value ...]",
+        about: "run one job against a server",
+        run: run_submit,
+    },
+    Command {
+        name: "shutdown",
+        usage: "<addr>",
+        about: "drain a server and stop it",
+        run: run_shutdown,
+    },
+    Command {
+        name: "top",
+        usage: "<addr> [--interval-ms <ms>] [--ticks <n>]",
+        about: "live metrics dashboard (watch job)",
+        run: run_top,
+    },
+    Command {
+        name: "soak",
+        usage: "<addr> [--duration-s <s>] [--inflight <n>] [--catalog <file>]",
+        about: "soak the server, judge thresholds",
+        run: run_soak_cmd,
+    },
+    Command {
+        name: "gate",
+        usage: "[--list] [--filter <id|tag>] [--report <file>] [--bench <file>] \
+                [--corpus <dir>] [--add-witness <trace.jsonl>] [--seed-corpus]",
+        about: "run the fail-closed verification gate",
+        run: run_gate_cmd,
+    },
+    Command {
+        name: "trace-tree",
+        usage: "<a.jsonl> [b.jsonl ...]",
+        about: "stitch span sinks into one tree",
+        run: run_trace_tree,
+    },
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "table" => {
-            let n = parse(args.get(1), 1024);
-            print!("{}", render_table(n));
-            ExitCode::SUCCESS
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let name = argv.first().map_or("help", String::as_str);
+    if name == "help" || name == "--help" {
+        print!("{}", help());
+        return ExitCode::SUCCESS;
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        eprintln!("unknown subcommand: {name}");
+        eprintln!("usage: randsync <{}> ... (see `randsync help`)", names.join("|"));
+        return ExitCode::FAILURE;
+    };
+    match parse_args(cmd.usage, &argv[1..]).and_then(|args| (cmd.run)(&args)) {
+        Ok(code) => code,
+        Err(Stop::Usage(message)) => {
+            eprintln!("{message}");
+            eprintln!("usage: randsync {} {}", cmd.name, cmd.usage);
+            ExitCode::FAILURE
         }
-        "bounds" => {
-            let Some(n) = args.get(1).and_then(|s| s.parse::<u64>().ok()) else {
-                eprintln!("usage: randsync bounds <n>");
-                return ExitCode::FAILURE;
-            };
-            println!("n-process randomized binary consensus, n = {n}:");
-            println!(
-                "  historyless objects necessary (Thm 3.7) : {}",
-                bounds::min_historyless_objects(n)
-            );
-            println!(
-                "  bounded registers sufficient  (Sec 1)   : {}",
-                bounds::registers_upper_bound(n)
-            );
-            println!(
-                "  registers for identical procs (Thm 3.3) : {}",
-                bounds::min_registers_identical(n)
-            );
-            println!("  counter / fetch&add / CAS instances     : 1  (Thms 4.2/4.4, Herlihy)");
-            ExitCode::SUCCESS
-        }
-        "protocols" => {
-            print!("{}", registry::markdown_table());
-            ExitCode::SUCCESS
-        }
-        "attack" => run_attack(&args[1..]),
-        "check" => run_check(&args[1..]),
-        "valency" => run_valency(&args[1..]),
-        "shrink" => run_shrink(&args[1..]),
-        "resume" => run_resume(&args[1..]),
-        "run" => run_threaded(&args[1..]),
-        "replay" => run_replay(&args[1..]),
-        "montecarlo" => run_montecarlo(&args[1..]),
-        "serve" => run_serve(&args[1..], false),
-        // A worker is a server whose job is hosting frontier shard
-        // sessions: same binary, same protocol, zero workers wasted on
-        // a queue nobody submits to.
-        "worker" => run_serve(&args[1..], true),
-        "submit" => run_submit(&args[1..]),
-        "shutdown" => run_shutdown(&args[1..]),
-        "top" => run_top(&args[1..]),
-        "soak" => run_soak_cmd(&args[1..]),
-        "gate" => run_gate_cmd(&args[1..]),
-        "trace-tree" => run_trace_tree(&args[1..]),
-        "walk" => {
-            let n = parse(args.get(1), 4) as usize;
-            let seed = parse(args.get(2), 42);
-            let proto = WalkConsensus::with_bounded_counter(n.max(2), seed);
-            let inputs: Vec<u8> = (0..n.max(2)).map(|p| (p % 2) as u8).collect();
-            let ds = decide_concurrently(&proto, &inputs);
-            println!(
-                "{} with {} object(s): inputs {:?} → decisions {:?}",
-                proto.name(),
-                proto.object_count(),
-                inputs,
-                ds
-            );
-            ExitCode::SUCCESS
-        }
-        _ => {
-            println!(
-                "randsync — executable reproduction of Fich-Herlihy-Shavit (PODC 1993)\n\n\
-                 usage:\n  randsync table [n]\n  randsync bounds <n>\n  randsync protocols\n  \
-                 randsync attack <naive|optimistic|zigzag|swapchain|tasrace|...> [r]\n  \
-                 randsync check <protocol> [r]\n  \
-                 randsync valency <protocol> [threads] [--canonical] [--por] [--best-first]\n          \
-                 [--metrics] [--mem-budget <bytes>] [--deadline-ms <ms>] [--checkpoint <file>]\n  \
-                 randsync shrink <trace.jsonl> [--out <file>]\n  \
-                 randsync resume <file.ckpt> [--mem-budget <bytes>]\n  \
-                 randsync run <protocol> [n] [seed] [--metrics] [--trace <file>]\n  \
-                 randsync replay <trace.jsonl>\n  \
-                 randsync montecarlo <protocol> [trials] [seed] [n]\n  \
-                 randsync walk <n> [seed]\n  \
-                 randsync serve [addr] [--workers N] [--queue N] [--max-conns N]\n          \
-                 [--checkpoint-dir <dir>] [--workers-addrs a:p,b:p,...] [--trace <file>]\n  \
-                 randsync worker [addr] [--max-conns N] [--trace <file>]\n  \
-                 randsync submit <addr> <job> [--timeout-s S] [--trace <file>] [key=value ...]\n  \
-                 randsync shutdown <addr>\n  \
-                 randsync top <addr> [--interval-ms MS] [--ticks N]\n  \
-                 randsync soak <addr> [--duration-s S] [--inflight N] [--catalog <file>]\n  \
-                 randsync gate [--list] [--filter <id|tag>] [--report <file>] [--bench <file>]\n          \
-                 [--corpus <dir>] [--add-witness <trace.jsonl>] [--seed-corpus]\n  \
-                 randsync trace-tree <a.jsonl> [b.jsonl ...]\n\n\
-                 protocol names: see `randsync protocols`\n\
-                 job kinds: valency, explore, resume, run, monte_carlo, replay, \
-                 verify_witness, protocols, sleep, watch, metrics"
-            );
-            ExitCode::SUCCESS
+        Err(Stop::Failed(message)) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
         }
     }
 }
 
-fn parse(arg: Option<&String>, default: u64) -> u64 {
-    arg.and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The help text: every command's usage line, wrapped at group
+/// boundaries, with its summary.
+fn help() -> String {
+    let mut out = String::from(
+        "randsync — executable reproduction of Fich-Herlihy-Shavit (PODC 1993)\n\nusage:\n",
+    );
+    for cmd in COMMANDS {
+        let mut line = format!("  randsync {}", cmd.name);
+        for group in groups(cmd.usage) {
+            if line.len() + group.len() >= 80 {
+                out.push_str(&line);
+                line = "\n         ".to_string();
+            }
+            line.push(' ');
+            line.push_str(group);
+        }
+        out.push_str(&format!("{line}\n      {}\n", cmd.about));
+    }
+    out.push_str(
+        "\nprotocol names: see `randsync protocols`\n\
+         job kinds: valency, explore, resume, run, monte_carlo, replay, verify_witness,\n\
+         \x20          protocols, sleep, watch, metrics\n",
+    );
+    out
 }
 
-/// Resolve a registry name or fail with the conventional message.
-fn lookup(which: &str) -> Result<&'static ProtocolEntry, ExitCode> {
-    registry::find(which).ok_or_else(|| {
-        eprintln!("unknown protocol: {which} (see `randsync protocols`)");
-        ExitCode::FAILURE
+/// The groups of a usage line: `<x>`, `[x]`, `[--f]`, `[--f <v>]` and
+/// `[x ...]`.
+fn groups(usage: &'static str) -> impl Iterator<Item = &'static str> {
+    let mut rest = usage.trim();
+    std::iter::from_fn(move || {
+        let close = if rest.starts_with('[') { ']' } else { '>' };
+        let (group, tail) = rest.split_at(rest.find(close)? + 1);
+        rest = tail.trim_start();
+        Some(group)
     })
 }
 
-/// Observability flags shared by `run` (and, minus `--trace`,
-/// `valency`): `--metrics` toggles the global registry, `--trace`
-/// consumes a file path for the flight recorder.
-struct ObsFlags {
-    metrics: bool,
-    trace: Option<String>,
+/// One group of a usage line, as the parser reads it.
+#[derive(Debug, PartialEq)]
+enum Slot {
+    Positional { name: &'static str, required: bool },
+    Rest,
+    Flag { name: &'static str, value: Option<&'static str> },
 }
 
-/// Strip recognized observability flags out of `args`, returning the
-/// remaining positional arguments. Unknown `--flags` are rejected so a
-/// typo doesn't silently become a positional argument.
-fn split_obs_flags<'a>(
-    args: &'a [String],
-    allow: &[&str],
-) -> Result<(Vec<&'a String>, ObsFlags), ExitCode> {
-    let mut flags = ObsFlags { metrics: false, trace: None };
-    let mut positional = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--metrics" if allow.contains(&"--metrics") => flags.metrics = true,
-            "--trace" if allow.contains(&"--trace") => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--trace needs a file path");
-                    return Err(ExitCode::FAILURE);
-                };
-                flags.trace = Some(path.clone());
-            }
-            other if other.starts_with("--") && !allow.contains(&other) => {
-                eprintln!("unknown flag: {other}");
-                return Err(ExitCode::FAILURE);
-            }
-            _ => positional.push(arg),
+fn slot(group: &'static str) -> Slot {
+    let inner = &group[1..group.len() - 1];
+    if inner.starts_with("--") {
+        match inner.split_once(' ') {
+            Some((name, value)) => Slot::Flag { name, value: Some(value) },
+            None => Slot::Flag { name: inner, value: None },
+        }
+    } else if inner.ends_with(" ...") {
+        Slot::Rest
+    } else {
+        Slot::Positional { name: inner, required: group.starts_with('<') }
+    }
+}
+
+/// A command's arguments, parsed against its usage line: positionals
+/// by name, flags by `--name` (a boolean flag with an empty value),
+/// and what a `[x ...]` group took.
+#[derive(Debug, Default)]
+struct Args {
+    values: Vec<(&'static str, String)>,
+    rest: Vec<String>,
+}
+
+impl Args {
+    /// The value of a positional or valued flag; the last one wins.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    /// A required positional: the parser has refused its absence.
+    fn required(&self, name: &str) -> &str {
+        self.get(name).unwrap_or_default()
+    }
+
+    /// Whether a flag was given.
+    fn flag(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// A numeric value; one that does not parse is refused.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Stop> {
+        let refuse = |v| Stop::Usage(format!("{name} must be a non-negative integer, got: {v}"));
+        self.get(name).map(|v| v.parse().map_err(|_| refuse(v))).transpose()
+    }
+
+    /// A numeric value that must be positive, `default` when absent.
+    fn positive(&self, name: &str, default: u64) -> Result<u64, Stop> {
+        match self.num(name)? {
+            Some(0) => Err(Stop::Usage(format!("{name} must be a positive integer, got: 0"))),
+            v => Ok(v.unwrap_or(default)),
         }
     }
-    Ok((positional, flags))
+}
+
+/// Parse `argv` against the grammar of `usage`. Flags may appear
+/// anywhere; positionals fill the declared slots in order.
+fn parse_args(usage: &'static str, argv: &[String]) -> Result<Args, Stop> {
+    let slots: Vec<Slot> = groups(usage).map(slot).collect();
+    let mut positionals = slots.iter().filter_map(|s| match s {
+        Slot::Positional { name, .. } => Some(*name),
+        _ => None,
+    });
+    let mut args = Args::default();
+    let mut argv = argv.iter();
+    while let Some(arg) = argv.next() {
+        if arg.starts_with("--") {
+            let Some(&Slot::Flag { name, value }) =
+                slots.iter().find(|s| matches!(s, Slot::Flag { name, .. } if name == arg))
+            else {
+                return Err(Stop::Usage(format!("unknown flag: {arg}")));
+            };
+            let value = match value {
+                None => String::new(),
+                Some(placeholder) => match argv.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => return Err(Stop::Usage(format!("{arg} needs a value {placeholder}"))),
+                },
+            };
+            args.values.push((name, value));
+        } else if let Some(name) = positionals.next() {
+            args.values.push((name, arg.clone()));
+        } else if slots.contains(&Slot::Rest) {
+            args.rest.push(arg.clone());
+        } else {
+            return Err(Stop::Usage(format!("unexpected argument: {arg}")));
+        }
+    }
+    for s in &slots {
+        if let Slot::Positional { name, required: true } = s {
+            if args.get(name).is_none() {
+                return Err(Stop::Usage(format!("missing <{name}>")));
+            }
+        }
+    }
+    Ok(args)
+}
+
+/// Resolve a registry name or fail with the conventional message.
+fn lookup(which: &str) -> Result<&'static ProtocolEntry, Stop> {
+    registry::find(which)
+        .ok_or_else(|| Stop::Failed(format!("unknown protocol: {which} (see `randsync protocols`)")))
+}
+
+fn run_table(args: &Args) -> Outcome {
+    print!("{}", render_table(args.num("n")?.unwrap_or(1024)));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_bounds(args: &Args) -> Outcome {
+    let n: u64 = args.num("n")?.unwrap_or_default();
+    println!("n-process randomized binary consensus, n = {n}:");
+    println!(
+        "  historyless objects necessary (Thm 3.7) : {}",
+        bounds::min_historyless_objects(n)
+    );
+    println!(
+        "  bounded registers sufficient  (Sec 1)   : {}",
+        bounds::registers_upper_bound(n)
+    );
+    println!(
+        "  registers for identical procs (Thm 3.3) : {}",
+        bounds::min_registers_identical(n)
+    );
+    println!("  counter / fetch&add / CAS instances     : 1  (Thms 4.2/4.4, Herlihy)");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_protocols(_: &Args) -> Outcome {
+    print!("{}", registry::markdown_table());
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_walk(args: &Args) -> Outcome {
+    let n = args.num::<usize>("n")?.unwrap_or_default().max(2);
+    let seed = args.num("seed")?.unwrap_or(42);
+    let proto = WalkConsensus::with_bounded_counter(n, seed);
+    let inputs: Vec<u8> = (0..n).map(|p| (p % 2) as u8).collect();
+    let ds = decide_concurrently(&proto, &inputs);
+    println!(
+        "{} with {} object(s): inputs {:?} → decisions {:?}",
+        proto.name(),
+        proto.object_count(),
+        inputs,
+        ds
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Print the global metrics snapshot, indented under a header.
@@ -297,30 +495,32 @@ impl TraceSink for StderrProgress {
     }
 }
 
-fn run_attack(args: &[String]) -> ExitCode {
-    let which = args.first().map(String::as_str).unwrap_or("optimistic");
-    let r = parse(args.get(1), 2) as usize;
-    let entry = match lookup(which) {
-        Ok(e) => e,
-        Err(code) => {
-            eprintln!("unknown attack target: {which}");
-            return code;
-        }
-    };
-    let protocol = (entry.build)(entry.default_n, r);
-    match entry.attack {
-        AttackFamily::RegisterIdentical => report_register_attack(&protocol),
-        AttackFamily::Historyless => report_general_attack(&protocol, ample_pool_for(&protocol)),
-        AttackFamily::NotApplicable => {
-            eprintln!(
-                "unknown attack target: {which} (no adversary applies — the protocol is correct)"
-            );
-            ExitCode::FAILURE
-        }
+/// The round parameter r of `attack` and `check`: 2 when absent, and
+/// refused for an entry whose object set does not depend on it.
+fn round_param(entry: &ProtocolEntry, args: &Args) -> Result<usize, Stop> {
+    match args.num("r")? {
+        Some(r) if !entry.takes_r => Err(Stop::Usage(format!(
+            "{} has a fixed object set ({}) and takes no r, got: {r}",
+            entry.name, entry.objects
+        ))),
+        r => Ok(r.unwrap_or(2)),
     }
 }
 
-fn report_register_attack<P: Protocol>(protocol: &P) -> ExitCode {
+fn run_attack(args: &Args) -> Outcome {
+    let entry = lookup(args.required("protocol"))?;
+    let protocol = (entry.build)(entry.default_n, round_param(entry, args)?);
+    match entry.attack {
+        AttackFamily::RegisterIdentical => report_register_attack(&protocol),
+        AttackFamily::Historyless => report_general_attack(&protocol, ample_pool_for(&protocol)),
+        AttackFamily::NotApplicable => Err(Stop::Failed(format!(
+            "unknown attack target: {} (no adversary applies — the protocol is correct)",
+            entry.name
+        ))),
+    }
+}
+
+fn report_register_attack<P: Protocol>(protocol: &P) -> Outcome {
     match attack_identical(protocol, &CombineLimits::default()) {
         Ok(AttackOutcome::Inconsistent { witness, stats }) => {
             println!("inconsistency constructed (Lemma 3.2 adversary):");
@@ -340,20 +540,16 @@ fn report_register_attack<P: Protocol>(protocol: &P) -> ExitCode {
                 minimal.processes_used
             );
             replay_trace(protocol, &witness);
-            ExitCode::SUCCESS
         }
         Ok(AttackOutcome::InvalidSolo { pid, input, decided, .. }) => {
             println!("validity violation: {pid:?} (input {input}) decided {decided} solo");
-            ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("attack failed: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => return Err(Stop::Failed(format!("attack failed: {e}"))),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn report_general_attack<P: Protocol>(protocol: &P, pool: usize) -> ExitCode {
+fn report_general_attack<P: Protocol>(protocol: &P, pool: usize) -> Outcome {
     match attack_historyless(protocol, pool, &ExploreLimits::default()) {
         Ok(GeneralOutcome::Inconsistent { witness, stats }) => {
             println!("inconsistency constructed (Lemma 3.6 adversary):");
@@ -363,23 +559,16 @@ fn report_general_attack<P: Protocol>(protocol: &P, pool: usize) -> ExitCode {
                 stats.pieces_executed, stats.reconstructions, stats.max_depth
             );
             replay_trace(protocol, &witness);
-            ExitCode::SUCCESS
         }
         Ok(GeneralOutcome::InvalidExecution { input, decided, .. }) => {
             println!("validity violation: unanimous input {input} decided {decided}");
-            ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("attack failed: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => return Err(Stop::Failed(format!("attack failed: {e}"))),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn replay_trace<P: Protocol>(
-    protocol: &P,
-    witness: &randsync::core::witness::InconsistencyWitness,
-) {
+fn replay_trace<P: Protocol>(protocol: &P, witness: &InconsistencyWitness) {
     println!("  trace:");
     let start: Configuration<P::State> = witness.initial_configuration(protocol);
     let text = randsync::model::render_execution(protocol, &start, &witness.execution)
@@ -389,63 +578,19 @@ fn replay_trace<P: Protocol>(
     }
 }
 
-fn run_valency(args: &[String]) -> ExitCode {
-    // `randsync valency <protocol> [threads] [--canonical] [--por]
-    //  [--best-first] [--metrics] [--mem-budget <bytes>]
-    //  [--deadline-ms <ms>] [--checkpoint <file>]`
-    let mut canonical = false;
-    let mut por = false;
-    let mut best_first = false;
-    let mut metrics = false;
-    let mut mem_budget = 0usize;
-    let mut deadline_ms: Option<u64> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--canonical" | "canonical" => canonical = true,
-            "--por" => por = true,
-            "--best-first" => best_first = true,
-            "--metrics" => metrics = true,
-            "--mem-budget" | "--deadline-ms" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                if arg == "--mem-budget" {
-                    mem_budget = v as usize;
-                } else {
-                    deadline_ms = Some(v);
-                }
-            }
-            "--checkpoint" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--checkpoint needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                checkpoint_path = Some(path.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other}");
-                return ExitCode::FAILURE;
-            }
-            _ => positional.push(arg),
-        }
-    }
-    let which = positional.first().map(|s| s.as_str()).unwrap_or("cas");
+fn run_valency(args: &Args) -> Outcome {
     // Optional worker-thread count; 0 (the default) resolves to the
     // host's available parallelism. Results are identical either way.
-    let threads = parse(positional.get(1).copied(), 0) as usize;
-    let entry = match lookup(which) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
+    let threads = args.num("threads")?.unwrap_or(0);
+    let mem_budget = args.num("--mem-budget")?.unwrap_or(0);
+    let deadline_ms = args.num("--deadline-ms")?;
+    let (best_first, metrics) = (args.flag("--best-first"), args.flag("--metrics"));
+    let entry = lookup(args.required("protocol"))?;
     let mut config = ExploreConfig {
         limits: ExploreLimits::EXHAUSTIVE,
         threads,
-        canonical,
-        por,
+        canonical: args.flag("--canonical"),
+        por: args.flag("--por"),
         search: if best_first { SearchMode::BestFirst } else { SearchMode::Bfs },
         mem_budget_bytes: mem_budget,
         ..ExploreConfig::default()
@@ -454,7 +599,7 @@ fn run_valency(args: &[String]) -> ExitCode {
         config.deadline =
             Some(std::time::Instant::now() + std::time::Duration::from_millis(ms));
     }
-    if let Some(path) = &checkpoint_path {
+    if let Some(path) = args.get("--checkpoint") {
         config.checkpoint = Some(CheckpointRequest {
             path: path.into(),
             protocol: entry.name.to_string(),
@@ -470,7 +615,7 @@ fn run_valency(args: &[String]) -> ExitCode {
         obs::set_metrics_enabled(true);
         obs::install_trace_sink(std::sync::Arc::new(StderrProgress));
     }
-    let code = if best_first {
+    let outcome = if best_first {
         best_first_report(&explorer, entry)
     } else {
         valency_report(&explorer, &entry.build_default(), entry.default_inputs)
@@ -479,7 +624,7 @@ fn run_valency(args: &[String]) -> ExitCode {
         obs::clear_trace_sink();
         print_metrics_snapshot();
     }
-    code
+    outcome
 }
 
 /// Print the storage/truncation/checkpoint lines shared by the
@@ -527,7 +672,7 @@ fn print_explore_footprint(out: &ExploreOutcome) {
 /// symmetry reduction achieved and the arena footprint. A truncated
 /// exploration prints why it stopped (and where the checkpoint went)
 /// and fails.
-fn valency_report<P>(explorer: &Explorer, protocol: &P, inputs: &[u8]) -> ExitCode
+fn valency_report<P>(explorer: &Explorer, protocol: &P, inputs: &[u8]) -> Outcome
 where
     P: Protocol + Sync,
     P::State: Send + Sync,
@@ -540,8 +685,9 @@ where
             .unwrap_or_else(|| "budget".to_string());
         println!("configurations      : {} (truncated: {reason})", out.configs_visited);
         print_explore_footprint(&out);
-        eprintln!("exploration truncated ({reason}); valencies would be unsound");
-        return ExitCode::FAILURE;
+        return Err(Stop::Failed(format!(
+            "exploration truncated ({reason}); valencies would be unsound"
+        )));
     };
     println!("initial valency     : {:?}", a.initial);
     println!("configurations      : {}", a.configs);
@@ -552,7 +698,7 @@ where
     println!("critical configs    : {}", a.critical_configs);
     println!("bivalent cycle      : {}", a.bivalent_cycle);
     print_explore_footprint(&out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The guided adversary search behind `valency --best-first`: hunt for
@@ -560,31 +706,29 @@ where
 /// sweeping the space. A found witness is minimized (deletion +
 /// commutation) and dumped as a replayable flight trace in the current
 /// directory.
-fn best_first_report(explorer: &Explorer, entry: &ProtocolEntry) -> ExitCode {
+fn best_first_report(explorer: &Explorer, entry: &ProtocolEntry) -> Outcome {
     let protocol = entry.build_default();
     let (found, truncated) =
         explorer.find_violation(&protocol, entry.default_inputs, |c| c.is_inconsistent());
     let Some(execution) = found else {
         if truncated {
-            eprintln!(
-                "guided search       : no inconsistency within the budget (inconclusive)"
-            );
-            return ExitCode::FAILURE;
+            return Err(Stop::Failed(
+                "guided search       : no inconsistency within the budget (inconclusive)".into(),
+            ));
         }
         println!("guided search       : space exhausted, no inconsistency (protocol consistent)");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     };
     println!("guided search       : inconsistency reached in {} steps", execution.len());
-    let Some(witness) =
-        InconsistencyWitness::from_execution(&protocol, entry.default_inputs, execution)
-    else {
-        eprintln!("internal error: violating execution did not replay to an inconsistency");
-        return ExitCode::FAILURE;
-    };
-    if let Err(e) = witness.verify(&protocol) {
-        eprintln!("internal error: witness failed verification: {e}");
-        return ExitCode::FAILURE;
-    }
+    let witness = InconsistencyWitness::from_execution(&protocol, entry.default_inputs, execution)
+        .ok_or_else(|| {
+            Stop::Failed(
+                "internal error: violating execution did not replay to an inconsistency".into(),
+            )
+        })?;
+    witness
+        .verify(&protocol)
+        .map_err(|e| Stop::Failed(format!("internal error: witness failed verification: {e}")))?;
     let (minimal, stats) = witness.minimize_report(&protocol);
     println!(
         "minimized           : {} steps, {} processes ({} deleted, {} commuted)",
@@ -593,81 +737,30 @@ fn best_first_report(explorer: &Explorer, entry: &ProtocolEntry) -> ExitCode {
         stats.deleted,
         stats.commuted
     );
-    match minimal.dump_flight_trace(
-        entry.name,
-        entry.default_n,
-        entry.default_r,
-        Path::new("."),
-    ) {
-        Ok(path) => {
-            println!(
-                "flight trace        : {} — `randsync replay {}`",
-                path.display(),
-                path.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write flight trace: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let path = minimal
+        .dump_flight_trace(entry.name, entry.default_n, entry.default_r, Path::new("."))
+        .map_err(|e| Stop::Failed(format!("cannot write flight trace: {e}")))?;
+    println!("flight trace        : {} — `randsync replay {}`", path.display(), path.display());
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `randsync shrink <trace.jsonl> [--out <file>]`: minimize a recorded
-/// witness trace — delete steps and commute independent neighbors while
-/// the replay still decides both values — and write the shrunk trace
-/// back out (default: `<input>.min.jsonl`), replayable with
-/// `randsync replay`.
-fn run_shrink(args: &[String]) -> ExitCode {
-    let mut out_path: Option<String> = None;
-    let mut path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                out_path = Some(p.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other}");
-                return ExitCode::FAILURE;
-            }
-            _ if path.is_none() => path = Some(arg.clone()),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("usage: randsync shrink <trace.jsonl> [--out <file>]");
-        return ExitCode::FAILURE;
-    };
-    let trace = match ExecutionTrace::read_from(Path::new(&path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let entry = match lookup(&trace.protocol) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
+/// `randsync shrink`: minimize a recorded witness trace — delete steps
+/// and commute independent neighbors while the replay still decides
+/// both values — and write the shrunk trace back out (default:
+/// `<input>.min.jsonl`), replayable with `randsync replay`.
+fn run_shrink(args: &Args) -> Outcome {
+    let path = args.required("trace.jsonl");
+    let trace = read_trace(path)?;
+    let entry = lookup(&trace.protocol)?;
     let protocol = (entry.build)(trace.n, trace.r);
     let execution = Execution::from_trace(&trace);
-    let Some(witness) = InconsistencyWitness::from_execution(&protocol, &trace.inputs, execution)
-    else {
-        eprintln!(
-            "{path} does not witness an inconsistency (the replay never decides both values); \
-             nothing to shrink"
-        );
-        return ExitCode::FAILURE;
-    };
+    let witness = InconsistencyWitness::from_execution(&protocol, &trace.inputs, execution)
+        .ok_or_else(|| {
+            Stop::Failed(format!(
+                "{path} does not witness an inconsistency (the replay never decides both \
+                 values); nothing to shrink"
+            ))
+        })?;
     let (minimal, stats) = witness.minimize_report(&protocol);
     println!(
         "{} — {} steps shrunk to {} ({} deleted, {} commuted)",
@@ -677,60 +770,30 @@ fn run_shrink(args: &[String]) -> ExitCode {
         stats.deleted,
         stats.commuted
     );
-    let out = out_path.unwrap_or_else(|| format!("{path}.min.jsonl"));
+    let out = args.get("--out").map_or_else(|| format!("{path}.min.jsonl"), str::to_string);
     let min_trace = minimal.flight_trace(entry.name, trace.n, trace.r);
-    if let Err(e) = min_trace.write_to(Path::new(&out)) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    min_trace
+        .write_to(Path::new(&out))
+        .map_err(|e| Stop::Failed(format!("cannot write {out}: {e}")))?;
     println!("minimized trace     : {out} — `randsync replay {out}`");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `randsync resume <file.ckpt> [--mem-budget <bytes>]`: load a
-/// checkpoint written by `valency --checkpoint` (or the job server) and
-/// continue the search to its full verdict. Stdout matches `randsync
-/// check` line-for-line so the two can be diffed; the resume banner
-/// goes to stderr.
-fn run_resume(args: &[String]) -> ExitCode {
-    let mut mem_budget = 0usize;
-    let mut path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--mem-budget" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("--mem-budget needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                mem_budget = v;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other}");
-                return ExitCode::FAILURE;
-            }
-            _ if path.is_none() => path = Some(arg.clone()),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("usage: randsync resume <file.ckpt> [--mem-budget <bytes>]");
-        return ExitCode::FAILURE;
-    };
-    let ckpt = match Checkpoint::load(Path::new(&path)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot load checkpoint {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let entry = match lookup(&ckpt.protocol) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
+fn read_trace(path: &str) -> Result<ExecutionTrace, Stop> {
+    ExecutionTrace::read_from(Path::new(path))
+        .map_err(|e| Stop::Failed(format!("cannot read trace {path}: {e}")))
+}
+
+/// `randsync resume`: load a checkpoint written by `valency
+/// --checkpoint` (or the job server) and continue the search to its
+/// full verdict. Stdout matches `randsync check` line-for-line so the
+/// two can be diffed; the resume banner goes to stderr.
+fn run_resume(args: &Args) -> Outcome {
+    let mem_budget = args.num("--mem-budget")?.unwrap_or(0);
+    let path = args.required("file.ckpt");
+    let ckpt = Checkpoint::load(Path::new(path))
+        .map_err(|e| Stop::Failed(format!("cannot load checkpoint {path}: {e}")))?;
+    let entry = lookup(&ckpt.protocol)?;
     eprintln!(
         "resuming {} (n={}, r={}) from depth {}, {} configs",
         ckpt.protocol,
@@ -739,30 +802,20 @@ fn run_resume(args: &[String]) -> ExitCode {
         ckpt.level_depth,
         ckpt.nodes()
     );
-    let explorer = Explorer::new(ExploreLimits::EXHAUSTIVE)
-        .mem_budget(mem_budget);
-    let out = match explorer.resume(&(entry.build)(ckpt.n as usize, ckpt.r as usize), &ckpt) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("resume failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let explorer = Explorer::new(ExploreLimits::EXHAUSTIVE).mem_budget(mem_budget);
+    let out = explorer
+        .resume(&(entry.build)(ckpt.n as usize, ckpt.r as usize), &ckpt)
+        .map_err(|e| Stop::Failed(format!("resume failed: {e}")))?;
     print_check_summary(&out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_check(args: &[String]) -> ExitCode {
-    let which = args.first().map(String::as_str).unwrap_or("cas");
-    let r = parse(args.get(1), 2) as usize;
-    let entry = match lookup(which) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
-    let explorer = Explorer::new(ExploreLimits::EXHAUSTIVE);
-    let out = explorer.explore(&(entry.build)(entry.default_n, r), entry.default_inputs);
+fn run_check(args: &Args) -> Outcome {
+    let entry = lookup(args.required("protocol"))?;
+    let protocol = (entry.build)(entry.default_n, round_param(entry, args)?);
+    let out = Explorer::new(ExploreLimits::EXHAUSTIVE).explore(&protocol, entry.default_inputs);
     print_check_summary(&out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The two-line model-checking verdict shared by `check` and `resume`
@@ -784,46 +837,32 @@ fn print_check_summary(out: &ExploreOutcome) {
     }
 }
 
-/// `randsync run <protocol> [n] [seed] [--metrics] [--trace <file>]`:
-/// instantiate a registry protocol's state machine on real bridged
-/// objects and execute it with one OS thread per process. With
-/// `--trace` the run goes through the flight recorder and the
+/// `randsync run`: instantiate a registry protocol's state machine on
+/// real bridged objects and execute it with one OS thread per process.
+/// With `--trace` the run goes through the flight recorder and the
 /// linearized schedule is written as JSONL, replayable bit-for-bit
 /// with `randsync replay`.
-fn run_threaded(args: &[String]) -> ExitCode {
-    let (positional, flags) = match split_obs_flags(args, &["--metrics", "--trace"]) {
-        Ok(split) => split,
-        Err(code) => return code,
-    };
-    let which = positional.first().map(|s| s.as_str()).unwrap_or("walk-counter");
-    let entry = match lookup(which) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
+fn run_threaded(args: &Args) -> Outcome {
+    let (metrics, trace_path) = (args.flag("--metrics"), args.get("--trace"));
+    let entry = lookup(args.required("protocol"))?;
     if !entry.runnable {
-        eprintln!(
-            "{which} is model-only (its termination needs a fair scheduler or coin \
-             enumeration); use `randsync check {which}` instead"
-        );
-        return ExitCode::FAILURE;
+        return Err(Stop::Failed(format!(
+            "{0} is model-only (its termination needs a fair scheduler or coin \
+             enumeration); use `randsync check {0}` instead",
+            entry.name
+        )));
     }
-    let n = parse(positional.get(1).copied(), entry.default_n as u64) as usize;
-    let seed = parse(positional.get(2).copied(), 42);
-    if flags.metrics {
+    let n = args.num("n")?.unwrap_or(entry.default_n);
+    let seed = args.num("seed")?.unwrap_or(42);
+    if metrics {
         obs::set_metrics_enabled(true);
     }
     let protocol = (entry.build)(n, entry.default_r);
     let n = protocol.num_processes(); // fixed-arity entries ignore the request
     let inputs = entry.inputs_for(n);
-    let objects = match bridge::instantiate_all(&protocol) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("cannot bridge {which} onto real objects: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let objects = bridged(entry.name, &protocol)?;
     let runtime = Runtime::new(seed);
-    let (report, execution) = if flags.trace.is_some() {
+    let (report, execution) = if trace_path.is_some() {
         let (report, execution) = runtime.run_traced(&protocol, &inputs, &objects);
         (report, Some(execution))
     } else {
@@ -852,7 +891,7 @@ fn run_threaded(args: &[String]) -> ExitCode {
         "  verdict   : {}",
         if ok { "consistent and valid" } else { "VIOLATION (expected for flawed protocols)" }
     );
-    if let (Some(path), Some(execution)) = (&flags.trace, &execution) {
+    if let (Some(path), Some(execution)) = (trace_path, &execution) {
         let trace = ExecutionTrace {
             schema_version: randsync::obs::TRACE_SCHEMA_VERSION,
             protocol: entry.name.to_string(),
@@ -868,106 +907,73 @@ fn run_threaded(args: &[String]) -> ExitCode {
                 .collect(),
             decisions: report.decisions.clone(),
         };
-        if let Err(e) = trace.write_to(Path::new(path)) {
-            eprintln!("cannot write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        trace
+            .write_to(Path::new(path))
+            .map_err(|e| Stop::Failed(format!("cannot write trace to {path}: {e}")))?;
         println!("  trace     : {path} ({} steps) — `randsync replay {path}`", trace.steps.len());
     }
-    if flags.metrics {
+    if metrics {
         print_metrics_snapshot();
     }
-    if ok || !entry.expected_safe {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(if ok || !entry.expected_safe { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// `randsync replay <trace.jsonl>`: re-execute a flight-recorder trace
-/// sequentially on fresh bridged objects and check the decisions
-/// against what the recorded run claimed. Exit code is nonzero on any
-/// divergence, so this doubles as a trace integrity check.
-fn run_replay(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: randsync replay <trace.jsonl>");
-        return ExitCode::FAILURE;
-    };
-    let trace = match ExecutionTrace::read_from(Path::new(path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let entry = match lookup(&trace.protocol) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
+/// The objects of `name`'s protocol as real atomics.
+fn bridged<P: Protocol>(name: &str, protocol: &P) -> Result<Vec<Box<dyn DynObject>>, Stop> {
+    bridge::instantiate_all(protocol)
+        .map_err(|e| Stop::Failed(format!("cannot bridge {name} onto real objects: {e}")))
+}
+
+/// `randsync replay`: re-execute a flight-recorder trace sequentially
+/// on fresh bridged objects and check the decisions against what the
+/// recorded run claimed. Exit code is nonzero on any divergence, so
+/// this doubles as a trace integrity check.
+fn run_replay(args: &Args) -> Outcome {
+    let path = args.required("trace.jsonl");
+    let trace = read_trace(path)?;
+    let entry = lookup(&trace.protocol)?;
     let protocol = (entry.build)(trace.n, trace.r);
-    let objects = match bridge::instantiate_all(&protocol) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("cannot bridge {} onto real objects: {e}", trace.protocol);
-            return ExitCode::FAILURE;
-        }
-    };
-    let refs: Vec<&dyn randsync::model::DynObject> =
-        objects.iter().map(AsRef::as_ref).collect();
+    let objects = bridged(&trace.protocol, &protocol)?;
+    let refs: Vec<&dyn DynObject> = objects.iter().map(AsRef::as_ref).collect();
     let execution = Execution::from_trace(&trace);
-    let decisions = match replay_execution(&protocol, &refs, &trace.inputs, &execution) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("replay diverged from the recorded run: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let decisions = replay_execution(&protocol, &refs, &trace.inputs, &execution)
+        .map_err(|e| Stop::Failed(format!("replay diverged from the recorded run: {e}")))?;
     println!("{} — replayed {} steps from {path}", entry.name, trace.steps.len());
     println!("  recorded by : {} interpreter, seed {}", trace.interpreter, trace.seed);
     println!("  inputs      : {:?}", trace.inputs);
     println!("  decisions   : {decisions:?}");
-    if trace.decisions_match(&decisions) {
-        println!("  verdict     : decisions match the recorded run");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("  verdict     : DIVERGED — the trace recorded {:?}", trace.decisions);
-        ExitCode::FAILURE
+    if !trace.decisions_match(&decisions) {
+        return Err(Stop::Failed(format!(
+            "  verdict     : DIVERGED — the trace recorded {:?}",
+            trace.decisions
+        )));
     }
+    println!("  verdict     : decisions match the recorded run");
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `randsync montecarlo <protocol> [trials] [seed] [n]`: a seeded batch
-/// of simulator trials, printed with the per-decision-value histogram.
-/// Runs through the same job code the server uses, so the numbers here
-/// are bit-identical to a `monte_carlo` job submitted over the wire.
-fn run_montecarlo(args: &[String]) -> ExitCode {
-    let which = args.first().map(String::as_str).unwrap_or("cas");
-    let entry = match lookup(which) {
-        Ok(e) => e,
-        Err(code) => return code,
+/// `randsync montecarlo`: a seeded batch of simulator trials, printed
+/// with the per-decision-value histogram. Runs through the same job
+/// code the server uses, so the numbers here are bit-identical to a
+/// `monte_carlo` job submitted over the wire.
+fn run_montecarlo(args: &Args) -> Outcome {
+    let entry = lookup(args.required("protocol"))?;
+    let int = |name: &str, default: u64| -> Result<Json, Stop> {
+        Ok(Json::Int(i128::from(args.num(name)?.unwrap_or(default))))
     };
     let params = Json::Obj(vec![
         ("protocol".to_string(), Json::Str(entry.name.to_string())),
-        ("trials".to_string(), Json::Int(parse(args.get(1), 256) as i128)),
-        ("seed".to_string(), Json::Int(parse(args.get(2), 0) as i128)),
-        ("n".to_string(), Json::Int(parse(args.get(3), entry.default_n as u64) as i128)),
+        ("trials".to_string(), int("trials", 256)?),
+        ("seed".to_string(), int("seed", 0)?),
+        ("n".to_string(), int("n", entry.default_n as u64)?),
     ]);
-    let job = match job::Job::parse("monte_carlo", &params) {
-        Ok(job) => job,
-        Err(e) => {
-            eprintln!("{}: {}", e.code, e.message);
-            return ExitCode::FAILURE;
-        }
-    };
-    match job.execute(std::time::Instant::now() + std::time::Duration::from_secs(3600)) {
-        Ok(result) => {
-            print_mc_summary(&result);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{}: {}", e.code, e.message);
-            ExitCode::FAILURE
-        }
-    }
+    let job_error = |e: job::JobError| Stop::Failed(format!("{}: {}", e.code, e.message));
+    let job = job::Job::parse("monte_carlo", &params).map_err(job_error)?;
+    let result = job
+        .execute(std::time::Instant::now() + std::time::Duration::from_secs(3600))
+        .map_err(job_error)?;
+    print_mc_summary(&result);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Print a `monte_carlo` result object (local or from a server),
@@ -1011,110 +1017,52 @@ fn print_mc_summary(result: &Json) {
     }
 }
 
-/// `randsync serve [addr] [--workers N] [--queue N] [--max-conns N]
-/// [--checkpoint-dir <dir>] [--workers-addrs a,b,...]` — and, with
-/// `worker_role`, `randsync worker [addr]`: run the job server until a
-/// `shutdown` control frame drains it. Binding port 0 picks an
-/// ephemeral port; the actual address is printed either way. A worker
-/// role is the same server with one queue worker — its purpose is
-/// answering `frontier_*` shard frames, which never touch the queue.
-fn run_serve(args: &[String], worker_role: bool) -> ExitCode {
-    let mut addr: Option<&str> = None;
-    let mut config = ServerConfig::default();
-    if worker_role {
-        config.workers = 1;
-    }
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--checkpoint-dir" => {
-                let Some(dir) = iter.next() else {
-                    eprintln!("--checkpoint-dir needs a path");
-                    return ExitCode::FAILURE;
-                };
-                config.checkpoint_dir = Some(std::path::PathBuf::from(dir));
-            }
-            "--trace" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--trace needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                config.trace_path = Some(std::path::PathBuf::from(path));
-            }
-            "--workers-addrs" => {
-                let Some(list) = iter.next() else {
-                    eprintln!("--workers-addrs needs a comma-separated address list");
-                    return ExitCode::FAILURE;
-                };
-                config.frontier_workers =
-                    list.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect();
-                if config.frontier_workers.is_empty() {
-                    eprintln!("--workers-addrs needs at least one address");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--workers" | "--queue" | "--max-conns" => {
-                let Some(n) = iter.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("{arg} needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                match arg.as_str() {
-                    "--workers" => config.workers = n,
-                    "--queue" => config.queue = n,
-                    _ => config.max_conns = n,
-                }
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other}");
-                return ExitCode::FAILURE;
-            }
-            other if addr.is_none() => addr = Some(other),
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let addr = addr.unwrap_or("127.0.0.1:7450");
-    let server = match Server::bind(addr, config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
+/// `randsync serve` — and, with `worker_role`, `randsync worker`: run
+/// the job server until a `shutdown` control frame drains it. Binding
+/// port 0 picks an ephemeral port; the actual address is printed
+/// either way. A worker role is the same server with one queue worker
+/// — its purpose is answering `frontier_*` shard frames, which never
+/// touch the queue.
+fn run_serve(args: &Args, worker_role: bool) -> Outcome {
+    let defaults = ServerConfig::default();
+    let mut config = ServerConfig {
+        workers: args.num("--workers")?.unwrap_or(if worker_role { 1 } else { defaults.workers }),
+        queue: args.num("--queue")?.unwrap_or(defaults.queue),
+        max_conns: args.num("--max-conns")?.unwrap_or(defaults.max_conns),
+        checkpoint_dir: args.get("--checkpoint-dir").map(Into::into),
+        trace_path: args.get("--trace").map(Into::into),
+        ..defaults
     };
-    match server.local_addr() {
-        Ok(actual) => println!("randsync-svc listening on {actual}"),
-        Err(e) => {
-            eprintln!("cannot resolve bound address: {e}");
-            return ExitCode::FAILURE;
+    if let Some(list) = args.get("--workers-addrs") {
+        config.frontier_workers =
+            list.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect();
+        if config.frontier_workers.is_empty() {
+            return Err(Stop::Usage(format!(
+                "--workers-addrs needs at least one address, got: {list}"
+            )));
         }
     }
+    let addr = args.get("addr").unwrap_or("127.0.0.1:7450");
+    let server = Server::bind(addr, config)
+        .map_err(|e| Stop::Failed(format!("cannot bind {addr}: {e}")))?;
+    let actual = server
+        .local_addr()
+        .map_err(|e| Stop::Failed(format!("cannot resolve bound address: {e}")))?;
+    println!("randsync-svc listening on {actual}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush(); // scripts poll for the line above
-    match server.run() {
-        Ok(()) => {
-            println!("randsync-svc drained and stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("server failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    server.run().map_err(|e| Stop::Failed(format!("server failed: {e}")))?;
+    println!("randsync-svc drained and stopped");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parse one `key=value` argument value: integers and booleans are
 /// typed, `@path` embeds a file's contents, anything else is a string.
-fn parse_submit_value(value: &str) -> Result<Json, ExitCode> {
+fn parse_submit_value(value: &str) -> Result<Json, Stop> {
     if let Some(path) = value.strip_prefix('@') {
-        return match std::fs::read_to_string(path) {
-            Ok(text) => Ok(Json::Str(text)),
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                Err(ExitCode::FAILURE)
-            }
-        };
+        return std::fs::read_to_string(path)
+            .map(Json::Str)
+            .map_err(|e| Stop::Failed(format!("cannot read {path}: {e}")));
     }
     Ok(match value {
         "true" => Json::Bool(true),
@@ -1127,83 +1075,51 @@ fn parse_submit_value(value: &str) -> Result<Json, ExitCode> {
     })
 }
 
-/// `randsync submit <addr> <job> [--timeout-s S] [key=value ...]`: run
-/// one job against a server, streaming progress frames to stderr.
-/// `--timeout-s` bounds the silence tolerated between frames (default
-/// 600; every progress frame resets it). Exit code mirrors the reply
-/// status.
-fn run_submit(args: &[String]) -> ExitCode {
-    let (Some(addr), Some(kind)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: randsync submit <addr> <job> [--timeout-s S] [key=value ...]");
-        return ExitCode::FAILURE;
+/// The failure a server reply carries.
+fn reply_error(body: &Json, code: Option<&str>) -> Stop {
+    Stop::Failed(format!(
+        "{}: {}",
+        code.unwrap_or("error"),
+        body.get("message").and_then(Json::as_str).unwrap_or("(no message)")
+    ))
+}
+
+/// `randsync submit`: run one job against a server, streaming progress
+/// frames to stderr. `--timeout-s` bounds the silence tolerated between
+/// frames (default 600, 0 waits forever; every progress frame resets
+/// it). Exit code mirrors the reply status.
+fn run_submit(args: &Args) -> Outcome {
+    let (addr, kind) = (args.required("addr"), args.required("job"));
+    let idle = match args.num("--timeout-s")? {
+        Some(0) => None,
+        Some(s) => Some(std::time::Duration::from_secs(s)),
+        None => Some(Client::DEFAULT_IDLE_TIMEOUT),
     };
+    let trace_path = args.get("--trace");
     let mut params = Vec::new();
-    let mut idle = Some(Client::DEFAULT_IDLE_TIMEOUT);
-    let mut trace_path: Option<String> = None;
-    let mut iter = args[2..].iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--timeout-s" {
-            match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(0) => idle = None,
-                Some(s) => idle = Some(std::time::Duration::from_secs(s)),
-                None => {
-                    eprintln!("--timeout-s needs a number of seconds (0 = wait forever)");
-                    return ExitCode::FAILURE;
-                }
-            }
-            continue;
-        }
-        if arg == "--trace" {
-            let Some(path) = iter.next() else {
-                eprintln!("--trace needs a file path");
-                return ExitCode::FAILURE;
-            };
-            trace_path = Some(path.clone());
-            continue;
-        }
+    for arg in &args.rest {
         let Some((key, value)) = arg.split_once('=') else {
-            eprintln!("parameters are key=value pairs, got: {arg}");
-            return ExitCode::FAILURE;
+            return Err(Stop::Usage(format!("parameters are key=value pairs, got: {arg}")));
         };
-        match parse_submit_value(value) {
-            Ok(v) => params.push((key.to_string(), v)),
-            Err(code) => return code,
-        }
+        params.push((key.to_string(), parse_submit_value(value)?));
     }
     let params = if params.is_empty() { Json::Null } else { Json::Obj(params) };
-    let mut client = match Client::connect_with_timeout(addr, idle) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut client = Client::connect_with_timeout(addr, idle)
+        .map_err(|e| Stop::Failed(format!("cannot connect to {addr}: {e}")))?;
     // With --trace, record this side's span to a JSONL sink and open a
     // root `submit` span: the client attaches its context to the frame,
     // so the server's `svc.job` span (and any worker spans under it)
     // stitch into one tree with this file via `randsync trace-tree`.
-    if let Some(path) = &trace_path {
-        match obs::JsonlSink::create(Path::new(path)) {
-            Ok(sink) => obs::install_trace_sink(std::sync::Arc::new(sink)),
-            Err(e) => {
-                eprintln!("cannot create trace file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = trace_path {
+        let sink = obs::JsonlSink::create(Path::new(path))
+            .map_err(|e| Stop::Failed(format!("cannot create trace file {path}: {e}")))?;
+        obs::install_trace_sink(std::sync::Arc::new(sink));
     }
-    let ctx_guard = trace_path
-        .as_ref()
-        .map(|_| obs::push_context(obs::TraceContext::root()));
-    let span = trace_path
-        .as_ref()
-        .map(|_| obs::span("submit", &[("job", Field::Str(kind.to_string()))]));
-    let id = match client.send(kind, &params) {
-        Ok(id) => id,
-        Err(e) => {
-            eprintln!("cannot send request: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let ctx_guard = trace_path.map(|_| obs::push_context(obs::TraceContext::root()));
+    let span = trace_path.map(|_| obs::span("submit", &[("job", Field::Str(kind.to_string()))]));
+    let id = client
+        .send(kind, &params)
+        .map_err(|e| Stop::Failed(format!("cannot send request: {e}")))?;
     let reply = client.wait(&id, |frame| {
         let stage = frame.get("stage").and_then(Json::as_str).unwrap_or("?");
         if stage == "explore.level" {
@@ -1222,53 +1138,32 @@ fn run_submit(args: &[String]) -> ExitCode {
     if trace_path.is_some() {
         obs::clear_trace_sink(); // flush the JSONL before exiting
     }
-    match reply {
-        Ok(reply) if reply.ok => {
-            if kind == "monte_carlo" {
-                print_mc_summary(&reply.body);
-            } else if kind == "metrics" {
-                // Render the snapshot as aligned text with quantile
-                // columns rather than raw JSON.
-                match reply.body.get("metrics").and_then(Snapshot::from_json) {
-                    Some(snap) => print!("{}", snap.to_text()),
-                    None => println!("{}", reply.body.render()),
-                }
-            } else {
-                println!("{}", reply.body.render());
-            }
-            ExitCode::SUCCESS
-        }
-        Ok(reply) => {
-            eprintln!(
-                "{}: {}",
-                reply.error_code().unwrap_or("error"),
-                reply.body.get("message").and_then(Json::as_str).unwrap_or("(no message)")
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("request failed: {e}");
-            ExitCode::FAILURE
-        }
+    let reply = reply.map_err(|e| Stop::Failed(format!("request failed: {e}")))?;
+    if !reply.ok {
+        return Err(reply_error(&reply.body, reply.error_code()));
     }
+    if kind == "monte_carlo" {
+        print_mc_summary(&reply.body);
+    } else if kind == "metrics" {
+        // Render the snapshot as aligned text with quantile columns
+        // rather than raw JSON.
+        match reply.body.get("metrics").and_then(Snapshot::from_json) {
+            Some(snap) => print!("{}", snap.to_text()),
+            None => println!("{}", reply.body.render()),
+        }
+    } else {
+        println!("{}", reply.body.render());
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `randsync shutdown <addr>`: drain a running server and stop it.
-fn run_shutdown(args: &[String]) -> ExitCode {
-    let Some(addr) = args.first() else {
-        eprintln!("usage: randsync shutdown <addr>");
-        return ExitCode::FAILURE;
-    };
-    match Client::connect(addr).and_then(|mut c| c.shutdown()) {
-        Ok(draining) => {
-            println!("server draining ({draining} queued job(s)) and stopping");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("shutdown failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+/// `randsync shutdown`: drain a running server and stop it.
+fn run_shutdown(args: &Args) -> Outcome {
+    let draining = Client::connect(args.required("addr"))
+        .and_then(|mut c| c.shutdown())
+        .map_err(|e| Stop::Failed(format!("shutdown failed: {e}")))?;
+    println!("server draining ({draining} queued job(s)) and stopping");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One refresh of the `randsync top` dashboard, rendered from a
@@ -1328,55 +1223,22 @@ fn render_top_tick(tick: u64, interval_millis: u64, delta: &Snapshot) {
     }
 }
 
-/// `randsync top <addr> [--interval-ms MS] [--ticks N]`: submit a
-/// `watch` job and render each streamed metrics delta as a dashboard
-/// refresh. The server computes the deltas; this side only renders.
-fn run_top(args: &[String]) -> ExitCode {
-    let Some(addr) = args.first() else {
-        eprintln!("usage: randsync top <addr> [--interval-ms MS] [--ticks N]");
-        return ExitCode::FAILURE;
-    };
-    let mut interval_millis = 1_000u64;
-    let mut ticks = 30u64;
-    let mut iter = args[1..].iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--interval-ms" | "--ticks" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<u64>().ok()).filter(|v| *v > 0)
-                else {
-                    eprintln!("{arg} needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                if arg == "--interval-ms" {
-                    interval_millis = v;
-                } else {
-                    ticks = v;
-                }
-            }
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// `randsync top`: submit a `watch` job and render each streamed
+/// metrics delta as a dashboard refresh. The server computes the
+/// deltas; this side only renders.
+fn run_top(args: &Args) -> Outcome {
+    let addr = args.required("addr");
+    let interval_millis = args.positive("--interval-ms", 1_000)?;
+    let ticks = args.positive("--ticks", 30)?;
+    let mut client = Client::connect(addr)
+        .map_err(|e| Stop::Failed(format!("cannot connect to {addr}: {e}")))?;
     let params = Json::Obj(vec![
         ("interval_millis".to_string(), Json::Int(i128::from(interval_millis))),
         ("ticks".to_string(), Json::Int(i128::from(ticks))),
     ]);
-    let id = match client.send("watch", &params) {
-        Ok(id) => id,
-        Err(e) => {
-            eprintln!("cannot send watch job: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let id = client
+        .send("watch", &params)
+        .map_err(|e| Stop::Failed(format!("cannot send watch job: {e}")))?;
     let reply = client.wait(&id, |frame| {
         if frame.get("stage").and_then(Json::as_str) != Some("svc.watch") {
             return;
@@ -1393,133 +1255,70 @@ fn run_top(args: &[String]) -> ExitCode {
             None => eprintln!("tick {tick}: undecodable delta frame"),
         }
     });
-    match reply {
-        Ok(reply) if reply.ok => ExitCode::SUCCESS,
-        Ok(reply) => {
-            eprintln!(
-                "{}: {}",
-                reply.error_code().unwrap_or("error"),
-                reply.body.get("message").and_then(Json::as_str).unwrap_or("(no message)")
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("watch failed: {e}");
-            ExitCode::FAILURE
-        }
+    let reply = reply.map_err(|e| Stop::Failed(format!("watch failed: {e}")))?;
+    if !reply.ok {
+        return Err(reply_error(&reply.body, reply.error_code()));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `randsync soak <addr> [--duration-s S] [--inflight N]
-/// [--catalog <file>]`: drive a mixed job load at the backpressure
+/// `randsync soak`: drive a mixed job load at the backpressure
 /// boundary while sampling metrics, then judge leaks, p99 ceilings,
 /// and cache hit rate against the threshold catalog (the baked
 /// defaults, or a JSON file). Exit code is the verdict, so CI can
 /// gate on it.
-fn run_soak_cmd(args: &[String]) -> ExitCode {
-    let Some(addr) = args.first() else {
-        eprintln!("usage: randsync soak <addr> [--duration-s S] [--inflight N] [--catalog <file>]");
-        return ExitCode::FAILURE;
+fn run_soak_cmd(args: &Args) -> Outcome {
+    let defaults = SoakConfig::default();
+    let config = SoakConfig {
+        duration: std::time::Duration::from_secs(
+            args.positive("--duration-s", defaults.duration.as_secs())?,
+        ),
+        inflight: args.positive("--inflight", defaults.inflight as u64)? as usize,
+        ..defaults
     };
-    let mut config = SoakConfig::default();
-    let mut catalog = ThresholdCatalog::baked();
-    let mut iter = args[1..].iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--duration-s" | "--inflight" => {
-                let Some(v) = iter.next().and_then(|s| s.parse::<u64>().ok()).filter(|v| *v > 0)
-                else {
-                    eprintln!("{arg} needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                if arg == "--duration-s" {
-                    config.duration = std::time::Duration::from_secs(v);
-                } else {
-                    config.inflight = v as usize;
-                }
-            }
-            "--catalog" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--catalog needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read catalog {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let json = match obs::parse_json(&text) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("catalog {path} is not valid JSON: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                catalog = match ThresholdCatalog::from_json(&json) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("catalog {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
+    let catalog = match args.get("--catalog") {
+        None => ThresholdCatalog::baked(),
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| Stop::Failed(format!("cannot read catalog {path}: {e}")))?;
+            let json = obs::parse_json(&text)
+                .map_err(|e| Stop::Failed(format!("catalog {path} is not valid JSON: {e}")))?;
+            ThresholdCatalog::from_json(&json)
+                .map_err(|e| Stop::Failed(format!("catalog {path}: {e}")))?
         }
-    }
-    match run_soak(addr, &config, &catalog) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("soak failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    };
+    let report = run_soak(args.required("addr"), &config, &catalog)
+        .map_err(|e| Stop::Failed(format!("soak failed: {e}")))?;
+    print!("{}", report.render());
+    Ok(if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// `randsync trace-tree <a.jsonl> [b.jsonl ...]`: merge the span
-/// events from per-process JSONL trace sinks (`serve --trace`,
-/// `worker --trace`, `submit --trace`) and render each trace's
-/// stitched causal tree with per-span wall time and the critical
-/// path. Exit code is nonzero when any span's parent was never
-/// collected — an orphan means a process's trace file is missing.
-fn run_trace_tree(args: &[String]) -> ExitCode {
-    if args.is_empty() {
-        eprintln!("usage: randsync trace-tree <trace.jsonl> [more.jsonl ...]");
-        return ExitCode::FAILURE;
-    }
+/// `randsync trace-tree`: merge the span events from per-process JSONL
+/// trace sinks (`serve --trace`, `worker --trace`, `submit --trace`)
+/// and render each trace's stitched causal tree with per-span wall
+/// time and the critical path. Exit code is nonzero when any span's
+/// parent was never collected — an orphan means a process's trace
+/// file is missing.
+fn run_trace_tree(args: &Args) -> Outcome {
     let mut inputs = Vec::new();
-    for path in args {
-        match std::fs::read_to_string(path) {
-            Ok(text) => inputs.push((path.clone(), text)),
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let first = args.required("a.jsonl");
+    for path in std::iter::once(first).chain(args.rest.iter().map(String::as_str)) {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| Stop::Failed(format!("cannot read {path}: {e}")))?;
+        inputs.push((path.to_string(), text));
     }
     let forest = obs::merge_spans(&inputs);
     print!("{}", forest.render());
     if forest.traces.is_empty() {
-        eprintln!("no spans found across {} file(s)", inputs.len());
-        return ExitCode::FAILURE;
+        return Err(Stop::Failed(format!("no spans found across {} file(s)", inputs.len())));
     }
     let orphans = forest.orphan_count();
     if orphans > 0 {
-        eprintln!("{orphans} orphaned span(s): a parent span was never collected");
-        return ExitCode::FAILURE;
+        return Err(Stop::Failed(format!(
+            "{orphans} orphaned span(s): a parent span was never collected"
+        )));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Short git revision stamped into `BENCH_gate.json`, `"unknown"`
@@ -1544,60 +1343,13 @@ fn git_revision() -> String {
 /// validates, shrinks, checksums, and files a new witness with
 /// provenance; `--seed-corpus` rebuilds the corpus from the registry's
 /// adversary targets (idempotent).
-fn run_gate_cmd(args: &[String]) -> ExitCode {
-    let mut config = gate::GateConfig::default();
-    let mut list = false;
-    let mut seed = false;
-    let mut report_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
-    let mut add_path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--list" => list = true,
-            "--seed-corpus" => seed = true,
-            "--filter" => {
-                let Some(f) = iter.next() else {
-                    eprintln!("--filter needs a catalog id, id substring, or tag");
-                    return ExitCode::FAILURE;
-                };
-                config.filter = Some(f.clone());
-            }
-            "--corpus" => {
-                let Some(dir) = iter.next() else {
-                    eprintln!("--corpus needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                config.corpus_dir = std::path::PathBuf::from(dir);
-            }
-            "--report" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--report needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                report_path = Some(p.clone());
-            }
-            "--bench" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--bench needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                bench_path = Some(p.clone());
-            }
-            "--add-witness" => {
-                let Some(p) = iter.next() else {
-                    eprintln!("--add-witness needs a trace file");
-                    return ExitCode::FAILURE;
-                };
-                add_path = Some(p.clone());
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if list {
+fn run_gate_cmd(args: &Args) -> Outcome {
+    let defaults = gate::GateConfig::default();
+    let config = gate::GateConfig {
+        filter: args.get("--filter").map(str::to_string),
+        corpus_dir: args.get("--corpus").map_or(defaults.corpus_dir, Into::into),
+    };
+    if args.flag("--list") {
         for e in gate::catalog() {
             println!(
                 "{:<22} {:<32} [{}] budget {} ms{}",
@@ -1609,73 +1361,126 @@ fn run_gate_cmd(args: &[String]) -> ExitCode {
             );
         }
         println!("{:<22} the witness regression corpus [smoke,corpus]", gate::CORPUS_ENTRY_ID);
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if let Some(path) = add_path {
-        return match gate::add_witness(&config.corpus_dir, Path::new(&path)) {
-            Ok(Some(record)) => {
-                println!(
-                    "filed {} — property {} ({} steps, {} processes, checksum {})",
-                    record.file, record.property, record.steps, record.processes_used,
-                    record.checksum
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(None) => {
-                println!("an identical witness is already filed; corpus unchanged");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cannot file witness: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if let Some(path) = args.get("--add-witness") {
+        match gate::add_witness(&config.corpus_dir, Path::new(path)) {
+            Ok(Some(record)) => println!(
+                "filed {} — property {} ({} steps, {} processes, checksum {})",
+                record.file, record.property, record.steps, record.processes_used, record.checksum
+            ),
+            Ok(None) => println!("an identical witness is already filed; corpus unchanged"),
+            Err(e) => return Err(Stop::Failed(format!("cannot file witness: {e}"))),
+        }
+        return Ok(ExitCode::SUCCESS);
     }
-    if seed {
-        return match gate::seed_corpus(&config.corpus_dir) {
-            Ok(added) if added.is_empty() => {
-                println!("corpus already seeded; nothing to add");
-                ExitCode::SUCCESS
-            }
-            Ok(added) => {
-                for record in &added {
-                    println!(
-                        "filed {} — property {} ({} steps, {} processes)",
-                        record.file, record.property, record.steps, record.processes_used
-                    );
-                }
-                println!("{} witness(es) filed", added.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("seeding failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if args.flag("--seed-corpus") {
+        let added = gate::seed_corpus(&config.corpus_dir)
+            .map_err(|e| Stop::Failed(format!("seeding failed: {e}")))?;
+        if added.is_empty() {
+            println!("corpus already seeded; nothing to add");
+            return Ok(ExitCode::SUCCESS);
+        }
+        for record in &added {
+            println!(
+                "filed {} — property {} ({} steps, {} processes)",
+                record.file, record.property, record.steps, record.processes_used
+            );
+        }
+        println!("{} witness(es) filed", added.len());
+        return Ok(ExitCode::SUCCESS);
     }
     let report = gate::run_gate(&config);
     print!("{}", report.render());
-    if let Some(path) = report_path {
+    if let Some(path) = args.get("--report") {
         let mut text = report.to_json().render();
         text.push('\n');
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write report {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, text)
+            .map_err(|e| Stop::Failed(format!("cannot write report {path}: {e}")))?;
         println!("report              : {path}");
     }
-    if let Some(path) = bench_path {
+    if let Some(path) = args.get("--bench") {
         let mut text = report.bench_json(&git_revision()).render();
         text.push('\n');
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write bench {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, text)
+            .map_err(|e| Stop::Failed(format!("cannot write bench {path}: {e}")))?;
         println!("bench               : {path}");
     }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    Ok(if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(usage: &'static str, argv: &[&str]) -> Result<Args, Stop> {
+        parse_args(usage, &argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn refused(message: &str) -> Stop {
+        Stop::Usage(message.to_string())
+    }
+
+    #[test]
+    fn positionals_fill_required_optional_and_rest_slots_in_order() {
+        let usage = "<a> [b] [c ...]";
+        let args = parse(usage, &["x", "y", "z", "w"]).unwrap();
+        assert_eq!((args.get("a"), args.get("b")), (Some("x"), Some("y")));
+        assert_eq!(args.rest, ["z", "w"]);
+        let args = parse(usage, &["x"]).unwrap();
+        assert_eq!((args.required("a"), args.get("b"), args.rest.len()), ("x", None, 0));
+        assert_eq!(parse(usage, &[]).unwrap_err(), refused("missing <a>"));
+        let surplus = parse("<a> [b]", &["x", "y", "z"]).unwrap_err();
+        assert_eq!(surplus, refused("unexpected argument: z"));
+    }
+
+    #[test]
+    fn boolean_and_valued_flags_interleave_with_positionals() {
+        let usage = "<a> [b] [--on] [--size <bytes>]";
+        let args = parse(usage, &["--size", "9", "x", "--on", "y", "--size", "10"]).unwrap();
+        assert_eq!((args.get("a"), args.get("b"), args.flag("--on")), (Some("x"), Some("y"), true));
+        assert_eq!(args.num::<u64>("--size"), Ok(Some(10)), "the last value wins");
+        let args = parse(usage, &["x"]).unwrap();
+        assert_eq!((args.flag("--on"), args.num::<u64>("--size")), (false, Ok(None)));
+    }
+
+    #[test]
+    fn malformed_flags_and_numbers_are_refused_by_token() {
+        let usage = "<a> [--on] [--size <bytes>]";
+        assert_eq!(parse(usage, &["x", "--off"]).unwrap_err(), refused("unknown flag: --off"));
+        for argv in [&["x", "--size"][..], &["x", "--size", "--on"]] {
+            assert_eq!(parse(usage, argv).unwrap_err(), refused("--size needs a value <bytes>"));
+        }
+        let args = parse(usage, &["x", "--size", "lots"]).unwrap();
+        let bad = refused("--size must be a non-negative integer, got: lots");
+        assert_eq!(args.num::<u64>("--size"), Err(bad));
+        let args = parse(usage, &["x", "--size", "0"]).unwrap();
+        let zero = refused("--size must be a positive integer, got: 0");
+        assert_eq!(args.positive("--size", 1), Err(zero));
+    }
+
+    #[test]
+    fn every_usage_line_is_a_grammar() {
+        for cmd in COMMANDS {
+            let words: Vec<&str> = cmd.usage.split_whitespace().collect();
+            let groups: Vec<&str> = groups(cmd.usage).collect();
+            assert_eq!(groups.join(" "), words.join(" "), "{}: every word is in a group", cmd.name);
+            let bracketed = |g: &&str| {
+                (g.starts_with('<') && g.ends_with('>') && !g.contains(' '))
+                    || (g.starts_with('[') && g.ends_with(']'))
+            };
+            assert!(groups.iter().all(bracketed), "{}: {groups:?}", cmd.name);
+            // Required positionals come first and a rest group last, so
+            // each positional has one slot it can fill.
+            let kinds: Vec<u8> = groups
+                .into_iter()
+                .filter_map(|g| match slot(g) {
+                    Slot::Positional { required, .. } => Some(if required { 0 } else { 1 }),
+                    Slot::Rest => Some(2),
+                    Slot::Flag { .. } => None,
+                })
+                .collect();
+            assert!(kinds.windows(2).all(|w| w[0] <= w[1] && w[0] < 2), "{}", cmd.name);
+        }
     }
 }

@@ -56,8 +56,43 @@ fn spawn_server(args: &[&str]) -> (Child, String, thread::JoinHandle<Vec<String>
 fn help_lists_every_subcommand() {
     let (stdout, _, ok) = randsync(&[]);
     assert!(ok);
-    for cmd in ["table", "bounds", "attack", "check", "valency", "walk"] {
-        assert!(stdout.contains(cmd), "help missing {cmd}");
+    for cmd in [
+        "table", "bounds", "protocols", "attack", "check", "valency", "shrink", "resume", "run",
+        "replay", "montecarlo", "walk", "serve", "worker", "submit", "shutdown", "top", "soak",
+        "gate", "trace-tree",
+    ] {
+        assert!(stdout.contains(&format!("\n  randsync {cmd}")), "help missing {cmd}");
+    }
+    for help in ["help", "--help"] {
+        assert_eq!(randsync(&[help]), (stdout.clone(), String::new(), true), "{help}");
+    }
+}
+
+#[test]
+fn malformed_arguments_are_refused_with_the_usage_line() {
+    let cases: [(&[&str], &str, &str); 7] = [
+        (&["valncy", "cas"], "valncy", "usage: randsync <table|bounds|"),
+        (&["check", "cas", "abc"], "abc", "usage: randsync check <protocol> [r]"),
+        (&["check", "cas", "2", "extra"], "extra", "usage: randsync check <protocol> [r]"),
+        (&["valency", "cas", "canonical"], "canonical", "usage: randsync valency <protocol>"),
+        (&["valency", "cas", "--nope"], "--nope", "usage: randsync valency <protocol>"),
+        (&["valency", "cas", "--mem-budget"], "--mem-budget", "usage: randsync valency <protocol>"),
+        // swapchain's object set is fixed: an r would change nothing.
+        (
+            &["attack", "swapchain", "5"],
+            "set (1 swap register (3 processes)) and takes no r, got: 5",
+            "usage: randsync attack <protocol> [r]",
+        ),
+    ];
+    for (argv, token, usage) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_randsync")).args(argv).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed on stdout");
+        assert_eq!(lines.len(), 2, "{argv:?}: {stderr}");
+        assert!(lines[0].contains(token), "{argv:?} must name {token}: {stderr}");
+        assert!(lines[1].starts_with(usage), "{argv:?}: {stderr}");
     }
 }
 

@@ -7,11 +7,17 @@ use randsync::core::combine31::CombineLimits;
 
 #[test]
 fn zigzag_attack_exercises_the_incomparable_case() {
-    for r in 2..=4usize {
+    for r in 2..=12usize {
         let p = Zigzag::new(2, r);
         let (witness, stats) = attack_for_witness(&p, &CombineLimits::default())
             .unwrap_or_else(|e| panic!("r={r}: {e}"));
         witness.verify(&p).unwrap();
+        // Lemma 3.1 bounds the unminimized construction by r² − r + 2.
+        assert!(
+            witness.processes_used <= r * r - r + 2,
+            "r={r}: {} processes exceed r² − r + 2",
+            witness.processes_used
+        );
         assert!(
             stats.incomparable_resolutions > 0,
             "r={r}: zigzag first-writes diverge, Figure 4 must fire; got {stats:?}"
