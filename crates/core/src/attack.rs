@@ -25,7 +25,7 @@ use randsync_model::{
 };
 
 use crate::combine31::{combine, CombineError, CombineLimits, CombineStats, Side};
-use crate::poised::{all_objects_registers, block_write_steps};
+use crate::poised::all_objects_registers;
 use crate::weave::Weaver;
 use crate::witness::InconsistencyWitness;
 
@@ -296,13 +296,6 @@ pub fn attack_minimized<P: Protocol>(
 ) -> Result<(InconsistencyWitness, crate::witness::MinimizeStats), AttackError> {
     let (witness, _) = attack_for_witness(protocol, limits)?;
     Ok(witness.minimize_report(protocol))
-}
-
-/// A reference to keep `block_write_steps` exercised from this module's
-/// tests (the combiner builds its block writes inline).
-#[allow(dead_code)]
-fn _block_write_alias(cover: &[(ProcessId, ObjectId)]) -> Execution {
-    block_write_steps(cover)
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ fn binding(name: &str) -> Result<&'static ProtocolEntry, CheckOutcome> {
 
 /// Verify a witness through the threaded-runtime interpreter over
 /// bridged real atomics (the strongest replay this workspace has).
-fn verify_on_bridged<P: Protocol>(
+pub(crate) fn verify_on_bridged<P: Protocol>(
     protocol: &P,
     witness: &InconsistencyWitness,
 ) -> Result<(), String> {

@@ -21,10 +21,10 @@ use randsync_core::attack::attack_for_witness;
 use randsync_core::combine31::CombineLimits;
 use randsync_core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
 use randsync_core::witness::InconsistencyWitness;
-use randsync_model::runtime::DynObject;
 use randsync_model::{Execution, ExploreLimits, Protocol};
-use randsync_objects::bridge;
 use randsync_obs::{ExecutionTrace, Json};
+
+use crate::checks::verify_on_bridged;
 
 /// Manifest format version, bumped on incompatible change.
 pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
@@ -246,12 +246,7 @@ pub fn replay_record(dir: &Path, record: &WitnessRecord) -> Result<(), String> {
             witness.processes_used, record.processes_used
         ));
     }
-    let objects = bridge::instantiate_all(&protocol)
-        .map_err(|e| format!("objects do not bridge to atomics: {e}"))?;
-    let refs: Vec<&dyn DynObject> = objects.iter().map(AsRef::as_ref).collect();
-    witness
-        .verify_on(&protocol, &refs)
-        .map_err(|e| format!("witness failed replay on bridged atomics: {e}"))
+    verify_on_bridged(&protocol, &witness)
 }
 
 /// Rebuild an [`InconsistencyWitness`] from a flight trace: convert

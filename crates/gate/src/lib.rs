@@ -35,5 +35,5 @@ pub use corpus::{
 };
 pub use runner::{
     run_entry, run_gate, EntryReport, GateConfig, GateReport, WitnessReport,
-    BENCH_SCHEMA_VERSION, CORPUS_ENTRY_ID, REPORT_SCHEMA_VERSION,
+    CORPUS_ENTRY_ID, REPORT_SCHEMA_VERSION,
 };

@@ -18,10 +18,7 @@ use crate::catalog::{self, CheckContext, CheckOutcome, CheckStatus, PropertyEntr
 use crate::corpus::{self, Manifest};
 
 /// Gate report format version, bumped on incompatible change.
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
-
-/// `BENCH_gate.json` format version.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
 /// The id the corpus replay reports under (it behaves like a catalog
 /// entry in filters and reports, but its body is the corpus walk).
@@ -69,64 +66,17 @@ impl EntryReport {
 
     /// JSON encoding.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("id".to_string(), Json::Str(self.id.clone())),
             ("status".to_string(), Json::Str(self.status.clone())),
-            (
-                "reason".to_string(),
-                match &self.reason {
-                    Some(r) => Json::Str(r.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("reason".to_string(), opt_str(&self.reason)),
             ("millis".to_string(), Json::Int(i128::from(self.millis))),
             (
                 "bounds".to_string(),
                 Json::Arr(self.bounds.iter().map(catalog::BoundCheck::to_json).collect()),
             ),
-        ];
-        fields.push((
-            "notes".to_string(),
-            Json::Obj(self.notes.iter().map(|(k, v)| (k.clone(), v.clone())).collect()),
-        ));
-        Json::Obj(fields)
-    }
-
-    /// Parse the encoding [`EntryReport::to_json`] writes.
-    pub fn from_json(v: &Json) -> Result<EntryReport, String> {
-        let s = |field: &str| -> Result<String, String> {
-            v.get(field)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry missing string {field:?}"))
-        };
-        let reason = match v.get("reason") {
-            Some(Json::Str(r)) => Some(r.clone()),
-            Some(Json::Null) | None => None,
-            Some(_) => return Err("entry \"reason\" is neither string nor null".to_string()),
-        };
-        let bounds = v
-            .get("bounds")
-            .and_then(Json::as_arr)
-            .ok_or("entry missing \"bounds\"")?
-            .iter()
-            .map(catalog::BoundCheck::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let notes = match v.get("notes") {
-            Some(Json::Obj(fields)) => fields.clone(),
-            _ => return Err("entry missing \"notes\" object".to_string()),
-        };
-        Ok(EntryReport {
-            id: s("id")?,
-            status: s("status")?,
-            reason,
-            millis: v
-                .get("millis")
-                .and_then(Json::as_u64)
-                .ok_or("entry missing \"millis\"")?,
-            bounds,
-            notes,
-        })
+            ("notes".to_string(), Json::Obj(self.notes.clone())),
+        ])
     }
 }
 
@@ -155,45 +105,9 @@ impl WitnessReport {
             ("property".to_string(), Json::Str(self.property.clone())),
             ("protocol".to_string(), Json::Str(self.protocol.clone())),
             ("passed".to_string(), Json::Bool(self.passed)),
-            (
-                "reason".to_string(),
-                match &self.reason {
-                    Some(r) => Json::Str(r.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("reason".to_string(), opt_str(&self.reason)),
             ("millis".to_string(), Json::Int(i128::from(self.millis))),
         ])
-    }
-
-    /// Parse the encoding [`WitnessReport::to_json`] writes.
-    pub fn from_json(v: &Json) -> Result<WitnessReport, String> {
-        let s = |field: &str| -> Result<String, String> {
-            v.get(field)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("witness missing string {field:?}"))
-        };
-        let passed = match v.get("passed") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("witness missing boolean \"passed\"".to_string()),
-        };
-        let reason = match v.get("reason") {
-            Some(Json::Str(r)) => Some(r.clone()),
-            Some(Json::Null) | None => None,
-            Some(_) => return Err("witness \"reason\" is neither string nor null".to_string()),
-        };
-        Ok(WitnessReport {
-            file: s("file")?,
-            property: s("property")?,
-            protocol: s("protocol")?,
-            passed,
-            reason,
-            millis: v
-                .get("millis")
-                .and_then(Json::as_u64)
-                .ok_or("witness missing \"millis\"")?,
-        })
     }
 }
 
@@ -223,19 +137,18 @@ impl GateReport {
             + self.witnesses.iter().map(|w| w.millis).sum::<u64>()
     }
 
-    /// JSON encoding (`randsync gate --report`).
-    pub fn to_json(&self) -> Json {
+    /// The gate's run record (`randsync gate --report`, and
+    /// `BENCH_gate.json`): the verdict, every entry with its wall time,
+    /// bounds and notes, and every replayed witness, stamped with the
+    /// source revision `git_rev` the run was built from.
+    pub fn to_json(&self, git_rev: &str) -> Json {
         Json::Obj(vec![
             ("schema_version".to_string(), Json::Int(i128::from(REPORT_SCHEMA_VERSION))),
-            (
-                "filter".to_string(),
-                match &self.filter {
-                    Some(f) => Json::Str(f.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("git_rev".to_string(), Json::Str(git_rev.to_string())),
+            ("filter".to_string(), opt_str(&self.filter)),
             ("passed".to_string(), Json::Bool(self.passed())),
             ("corpus_size".to_string(), Json::Int(self.corpus_size as i128)),
+            ("total_millis".to_string(), Json::Int(i128::from(self.total_millis()))),
             (
                 "entries".to_string(),
                 Json::Arr(self.entries.iter().map(EntryReport::to_json).collect()),
@@ -245,47 +158,6 @@ impl GateReport {
                 Json::Arr(self.witnesses.iter().map(WitnessReport::to_json).collect()),
             ),
         ])
-    }
-
-    /// Parse the encoding [`GateReport::to_json`] writes.
-    pub fn from_json(v: &Json) -> Result<GateReport, String> {
-        match v.get("schema_version").and_then(Json::as_u64) {
-            Some(found) if found == u64::from(REPORT_SCHEMA_VERSION) => {}
-            Some(found) => {
-                return Err(format!(
-                    "report schema version {found}, this build reads {REPORT_SCHEMA_VERSION}"
-                ))
-            }
-            None => return Err("report has no schema_version".to_string()),
-        }
-        let filter = match v.get("filter") {
-            Some(Json::Str(f)) => Some(f.clone()),
-            Some(Json::Null) | None => None,
-            Some(_) => return Err("report \"filter\" is neither string nor null".to_string()),
-        };
-        let entries = v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("report missing \"entries\"")?
-            .iter()
-            .map(EntryReport::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let witnesses = v
-            .get("witnesses")
-            .and_then(Json::as_arr)
-            .ok_or("report missing \"witnesses\"")?
-            .iter()
-            .map(WitnessReport::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(GateReport {
-            filter,
-            entries,
-            witnesses,
-            corpus_size: v
-                .get("corpus_size")
-                .and_then(Json::as_usize)
-                .ok_or("report missing \"corpus_size\"")?,
-        })
     }
 
     /// Human-readable rendering for the terminal.
@@ -335,50 +207,11 @@ impl GateReport {
         ));
         out
     }
+}
 
-    /// The `BENCH_gate.json` artifact: per-entry wall time and bound
-    /// margins, in the workspace's standard schema-versioned shape.
-    pub fn bench_json(&self, git_rev: &str) -> Json {
-        Json::Obj(vec![
-            ("schema_version".to_string(), Json::Int(i128::from(BENCH_SCHEMA_VERSION))),
-            ("git_rev".to_string(), Json::Str(git_rev.to_string())),
-            (
-                "filter".to_string(),
-                match &self.filter {
-                    Some(f) => Json::Str(f.clone()),
-                    None => Json::Null,
-                },
-            ),
-            ("passed".to_string(), Json::Bool(self.passed())),
-            ("corpus_size".to_string(), Json::Int(self.corpus_size as i128)),
-            ("total_millis".to_string(), Json::Int(i128::from(self.total_millis()))),
-            (
-                "entries".to_string(),
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .filter(|e| e.status != "filtered")
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("id".to_string(), Json::Str(e.id.clone())),
-                                ("pass".to_string(), Json::Bool(e.ok())),
-                                ("millis".to_string(), Json::Int(i128::from(e.millis))),
-                                (
-                                    "bounds".to_string(),
-                                    Json::Arr(
-                                        e.bounds
-                                            .iter()
-                                            .map(catalog::BoundCheck::to_json)
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
+/// An optional string as JSON: the string, or `null`.
+fn opt_str(s: &Option<String>) -> Json {
+    s.as_ref().map_or(Json::Null, |s| Json::Str(s.clone()))
 }
 
 /// Run one catalog entry under its budget, converting panics and
@@ -627,16 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_through_json() {
-        let report = sample_report();
-        let text = report.to_json().render();
-        let back = GateReport::from_json(&randsync_obs::parse_json(&text).expect("valid JSON"))
-            .expect("parses");
-        assert_eq!(back, report);
-        assert!(back.passed());
-    }
-
-    #[test]
     fn any_failing_witness_fails_the_report() {
         let mut report = sample_report();
         report.witnesses[0].passed = false;
@@ -654,14 +477,16 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_schema_versioned() {
-        let bench = sample_report().bench_json("abc1234");
-        assert_eq!(
-            bench.get("schema_version").and_then(Json::as_u64),
-            Some(u64::from(BENCH_SCHEMA_VERSION))
-        );
-        assert_eq!(bench.get("git_rev").and_then(Json::as_str), Some("abc1234"));
-        let text = bench.render();
-        assert!(randsync_obs::parse_json(&text).is_ok());
+    fn report_json_is_schema_versioned_and_stamped() {
+        let report = sample_report();
+        let parsed = randsync_obs::parse_json(&report.to_json("abc1234").render())
+            .expect("renders valid JSON");
+        assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(2));
+        assert_eq!(parsed.get("git_rev").and_then(Json::as_str), Some("abc1234"));
+        assert_eq!(parsed.get("total_millis").and_then(Json::as_u64), Some(4));
+        assert_eq!(parsed.get("passed"), Some(&Json::Bool(true)));
+        let entries = parsed.get("entries").and_then(Json::as_arr).expect("entries");
+        assert_eq!(entries[0].get("id").and_then(Json::as_str), Some("thm-3.3-bound"));
+        assert_eq!(entries[0].get("notes").and_then(|n| n.get("configs")), Some(&Json::Int(209)));
     }
 }

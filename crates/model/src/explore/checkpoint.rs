@@ -60,6 +60,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
+use super::graph::Csr;
 use crate::execution::Step;
 use crate::process::ProcessId;
 use crate::protocol::Decision;
@@ -119,8 +120,9 @@ pub struct Checkpoint {
     /// `parent[i]` = the node and step that first interned node `i`
     /// (`None` only for node 0).
     pub parent: Vec<Option<(u32, Step)>>,
-    /// Successor adjacency, present iff [`Checkpoint::record_edges`].
-    pub succ: Vec<Vec<u32>>,
+    /// Successor adjacency, the engine's own edge table: one row per
+    /// node iff [`Checkpoint::record_edges`], otherwise empty.
+    pub(super) succ: Csr,
 }
 
 impl Checkpoint {
@@ -181,7 +183,8 @@ impl Checkpoint {
             b.extend_from_slice(&step.coin.to_le_bytes());
         }
         if self.record_edges {
-            for outs in &self.succ {
+            for i in 0..self.succ.len() {
+                let outs = self.succ.row(i);
                 b.extend_from_slice(&(outs.len() as u32).to_le_bytes());
                 for &j in outs {
                     b.extend_from_slice(&j.to_le_bytes());
@@ -219,12 +222,11 @@ impl Checkpoint {
             }
             parent.push(Some((idx, Step::with_coin(ProcessId(pid), coin))));
         }
-        let mut succ = Vec::new();
+        let mut succ = Csr::default();
         if record_edges {
-            succ.reserve(nodes);
-            for _ in 0..nodes {
-                let deg = r.u32()? as usize;
-                let mut outs = Vec::with_capacity(deg);
+            for i in 0..nodes {
+                let deg = r.u32()?;
+                succ.start(i as u32);
                 for _ in 0..deg {
                     let j = r.u32()?;
                     if j as usize >= nodes {
@@ -232,9 +234,8 @@ impl Checkpoint {
                             "successor index out of range".into(),
                         ));
                     }
-                    outs.push(j);
+                    succ.push(j);
                 }
-                succ.push(outs);
             }
         }
         if r.at != payload.len() {
@@ -330,8 +331,17 @@ mod tests {
                 Some((0, Step::with_coin(ProcessId(2), 7))),
                 Some((1, Step::with_coin(ProcessId(0), 1))),
             ],
-            succ: vec![vec![1, 2], vec![3], vec![], vec![0]],
+            succ: edges(&[&[1, 2], &[3], &[], &[0]]),
         }
+    }
+
+    fn edges(lists: &[&[u32]]) -> Csr {
+        let mut csr = Csr::default();
+        for (i, outs) in lists.iter().enumerate() {
+            csr.start(i as u32);
+            outs.iter().for_each(|&j| csr.push(j));
+        }
+        csr
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

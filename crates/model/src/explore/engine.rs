@@ -645,15 +645,16 @@ where
         )));
     }
     if record_edges {
-        if ckpt.succ.len() != ckpt.nodes() || ckpt.succ[first..].iter().any(|outs| !outs.is_empty())
+        if ckpt.succ.len() != ckpt.nodes()
+            || (first..ckpt.nodes()).any(|i| !ckpt.succ.row(i).is_empty())
         {
             return Err(CheckpointError::Corrupt(
                 "successor lists do not match the unexpanded frontier".into(),
             ));
         }
-        for (i, outs) in ckpt.succ[..first].iter().enumerate() {
+        for i in 0..first {
             g.succ.start(i as u32);
-            outs.iter().for_each(|&j| g.succ.push(j));
+            ckpt.succ.row(i).iter().for_each(|&j| g.succ.push(j));
         }
     }
     let frontier = first as u32..ckpt.nodes() as u32;
@@ -1187,7 +1188,7 @@ fn finalize<S: Clone + Eq + Hash>(
         n_values: (g.arena.stride() - g.arena.n_procs()) as u32,
         level_depth: level_depth as u64,
         parent: g.parent.iter().map(|link| link.get()).collect(),
-        succ: if record_edges { g.succ.to_lists() } else { Vec::new() },
+        succ: if record_edges { g.succ.clone() } else { Csr::default() },
     };
     match ck.save(&req.path) {
         Ok(()) => g.checkpoint_written = Some(req.path.clone()),

@@ -150,11 +150,6 @@ impl Csr {
         }
         Csr { offsets, targets }
     }
-
-    /// One owned vector per node, the checkpoint's adjacency layout.
-    pub(super) fn to_lists(&self) -> Vec<Vec<u32>> {
-        (0..self.len()).map(|i| self.row(i).to_vec()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +207,9 @@ mod tests {
             proptest::prop_assert_eq!(csr.len(), total);
             proptest::prop_assert_eq!(csr.edges(), edges.len());
             proptest::prop_assert_eq!(csr.heap_bytes(), 4 * (total + 1) + 4 * edges.len());
-            proptest::prop_assert_eq!(csr.to_lists(), lists.clone());
+            for (i, outs) in lists.iter().enumerate() {
+                proptest::prop_assert_eq!(csr.row(i), &outs[..]);
+            }
 
             let pred = csr.transpose();
             proptest::prop_assert_eq!(pred.len(), total);

@@ -560,13 +560,6 @@ impl Explorer {
         self
     }
 
-    /// Request a checkpoint at a resumable stop (see
-    /// [`ExploreConfig::checkpoint`] and [`Explorer::resume`]).
-    pub fn checkpoint_to(mut self, request: CheckpointRequest) -> Self {
-        self.config.checkpoint = Some(request);
-        self
-    }
-
     /// Explore with partial-order reduction (see
     /// [`ExploreConfig::por`]). Verdicts and the valency envelope are
     /// unchanged; visit counts shrink.
@@ -2116,7 +2109,7 @@ mod tests {
         assert!(corrupt(Checkpoint { level_depth: 1, ..ckpt.clone() }));
         // A frontier node already has successor edges.
         let mut expanded = ckpt.clone();
-        expanded.succ.last_mut().expect("nodes").push(0);
+        expanded.succ.push(0);
         assert!(corrupt(expanded));
     }
 

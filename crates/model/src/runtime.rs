@@ -172,11 +172,6 @@ impl FlightLog {
         self.steps.lock().expect("flight log poisoned").push(step);
     }
 
-    /// The recorded schedule, replayable with [`replay_execution`].
-    pub fn to_execution(&self) -> Execution {
-        Execution::from_steps(self.steps.lock().expect("flight log poisoned").clone())
-    }
-
     /// Consume the log into its recorded schedule.
     pub fn into_execution(self) -> Execution {
         Execution::from_steps(self.steps.into_inner().expect("flight log poisoned"))

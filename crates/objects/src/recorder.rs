@@ -148,14 +148,6 @@ impl Recorder {
             Response::Ack
         });
     }
-
-    /// Record a counter READ.
-    pub fn read_counter(&self, process: usize, c: &dyn Counter) -> i64 {
-        let r = self.record(process, Operation::Read, || {
-            Response::Value(Value::Int(c.read()))
-        });
-        r.as_int().expect("counter read carries an int")
-    }
 }
 
 #[cfg(test)]

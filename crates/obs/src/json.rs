@@ -66,14 +66,6 @@ impl Json {
         }
     }
 
-    /// This value as an `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => i64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
     /// This value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

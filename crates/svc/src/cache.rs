@@ -3,11 +3,11 @@
 //!
 //! Deterministic jobs (valency, monte_carlo, verify_witness,
 //! protocols — see [`crate::job::Job::cacheable`]) are pure functions
-//! of their canonical parameters, so a repeated query is served from
-//! memory without touching the queue. *Every* result-shaping knob must
-//! appear in those canonical parameters — including the exploration
-//! strategy flag `por` (partial-order reduction), which changes
-//! visited counts even though it preserves verdicts — so a reduced run
+//! of their parsed, fully-defaulted [`crate::job::Job`], so a repeated
+//! query is served from memory without touching the queue. *Every*
+//! result-shaping knob must be a field of that job — including the
+//! exploration strategy flag `por` (partial-order reduction), which
+//! changes visited counts even though it preserves verdicts — so a reduced run
 //! can never answer a raw query from cache, or vice versa. The cache
 //! is bounded with FIFO eviction: a verification service's hot set is
 //! small and recency tracking is not worth a lock per hit beyond the

@@ -86,15 +86,6 @@ impl Client {
         Ok(Client { writer, reader: BufReader::new(stream), next_id: 0, pending: VecDeque::new() })
     }
 
-    /// Change the idle deadline of an established connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket option failure.
-    pub fn set_idle_timeout(&mut self, idle: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(idle)
-    }
-
     /// Send one request frame without waiting for its reply; returns
     /// the auto-assigned id to correlate the response with.
     ///

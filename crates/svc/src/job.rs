@@ -1,12 +1,14 @@
-//! Typed jobs: parsing request parameters, canonicalizing them for the
-//! results cache, and executing them through the library crates.
+//! Typed jobs: parsing request parameters into a fully-defaulted
+//! [`Job`], keying the results cache, and executing jobs through the
+//! library crates.
 //!
 //! Every job dispatches through `consensus::registry`, so the server
 //! duplicates no protocol list: an entry added to the registry is
-//! immediately servable. Parameter parsing fills every default, which
-//! gives each job a *canonical* parameter object — two requests that
-//! differ only in spelling (omitted vs. explicit default) produce the
-//! same canonical form and therefore the same cache key.
+//! immediately servable. [`Job::parse`] declares each parameter once —
+//! wire name, type and default — fills every default, and refuses keys
+//! it does not declare, so two requests that differ only in spelling
+//! (omitted vs. explicit default) parse to equal jobs and therefore
+//! share a cache key, while a misspelt key is a `bad_request`.
 
 use std::time::{Duration, Instant};
 
@@ -203,154 +205,184 @@ pub enum Job {
     },
 }
 
-fn get_usize(params: &Json, key: &str, default: usize) -> Result<usize, JobError> {
-    match params.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| JobError::bad(format!("parameter {key:?} must be a non-negative integer"))),
-    }
+/// A request's parameters, read one declared key at a time. Every key
+/// a job accepts is named once, with its type and default, by the
+/// [`Job::parse`] arm that reads it; [`Params::finish`] then refuses
+/// whatever no arm asked for, so a misspelt key is an error instead of
+/// a silently applied default.
+struct Params<'a> {
+    params: &'a Json,
+    asked: Vec<&'static str>,
 }
 
-fn get_u64(params: &Json, key: &str, default: u64) -> Result<u64, JobError> {
-    match params.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| JobError::bad(format!("parameter {key:?} must be a non-negative integer"))),
+impl<'a> Params<'a> {
+    /// The value given for `key`, recording the key as accepted; an
+    /// explicit `null` counts as absent.
+    fn get(&mut self, key: &'static str) -> Option<&'a Json> {
+        self.asked.push(key);
+        self.params.get(key).filter(|v| **v != Json::Null)
     }
-}
 
-fn get_bool(params: &Json, key: &str, default: bool) -> Result<bool, JobError> {
-    match params.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(JobError::bad(format!("parameter {key:?} must be a boolean"))),
+    fn num<T: TryFrom<u64>>(&mut self, key: &'static str, default: T) -> Result<T, JobError> {
+        self.get(key).map_or(Ok(default), |v| {
+            v.as_u64().and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+                JobError::bad(format!("parameter {key:?} must be a non-negative integer"))
+            })
+        })
     }
-}
 
-fn get_protocol(params: &Json, default: &str) -> Result<&'static ProtocolEntry, JobError> {
-    let name = match params.get("protocol") {
-        None | Some(Json::Null) => default,
-        Some(Json::Str(s)) => s.as_str(),
-        Some(_) => return Err(JobError::bad("parameter \"protocol\" must be a string")),
-    };
-    registry::find(name).ok_or_else(|| JobError {
-        code: code::UNKNOWN_PROTOCOL,
-        message: format!("unknown protocol: {name} (see the protocols job)"),
-    })
+    fn bool(&mut self, key: &'static str, default: bool) -> Result<bool, JobError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(Json::Bool(b)) => Ok(*b),
+            Some(_) => Err(JobError::bad(format!("parameter {key:?} must be a boolean"))),
+        }
+    }
+
+    /// A required string parameter; `missing` is the refusal when it
+    /// is absent or not a string.
+    fn string(&mut self, key: &'static str, missing: &str) -> Result<String, JobError> {
+        match self.get(key) {
+            Some(Json::Str(s)) => Ok(s.clone()),
+            _ => Err(JobError::bad(missing)),
+        }
+    }
+
+    /// The `protocol` parameter, resolved in the registry.
+    fn protocol(&mut self, default: &str) -> Result<&'static ProtocolEntry, JobError> {
+        let name = match self.get("protocol") {
+            None => default,
+            Some(Json::Str(s)) => s.as_str(),
+            Some(_) => return Err(JobError::bad("parameter \"protocol\" must be a string")),
+        };
+        registry::find(name).ok_or_else(|| JobError {
+            code: code::UNKNOWN_PROTOCOL,
+            message: format!("unknown protocol: {name} (see the protocols job)"),
+        })
+    }
+
+    /// Refuse params that are neither null nor an object, any key no
+    /// reader asked for, and any key given twice.
+    fn finish(self, kind: &str) -> Result<(), JobError> {
+        let fields = match self.params {
+            Json::Null => return Ok(()),
+            Json::Obj(fields) => fields,
+            _ => return Err(JobError::bad("params must be a JSON object or null")),
+        };
+        for (i, (key, _)) in fields.iter().enumerate() {
+            if !self.asked.contains(&key.as_str()) {
+                return Err(JobError::bad(format!("unknown parameter {key:?} for the {kind} job")));
+            }
+            if fields[..i].iter().any(|(k, _)| k == key) {
+                return Err(JobError::bad(format!("parameter {key:?} given more than once")));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Job {
     /// Parse and validate a request's job kind and parameters, filling
-    /// every default (the result is the canonical form).
+    /// every default. Params must be `null` (all defaults) or an object
+    /// naming each accepted key at most once.
     ///
     /// # Errors
     ///
-    /// `unknown_job`, `unknown_protocol`, or `bad_request` — all cheap,
+    /// `unknown_job`, `unknown_protocol`, or `bad_request` (also for an
+    /// undeclared or repeated key, naming it) — all cheap,
     /// so malformed requests are rejected before touching the queue.
     pub fn parse(kind: &str, params: &Json) -> Result<Job, JobError> {
         let limits = ExploreLimits::EXHAUSTIVE;
-        match kind {
-            "valency" => {
-                let entry = get_protocol(params, "cas")?;
-                Ok(Job::Valency {
-                    protocol: entry.name.to_string(),
-                    threads: get_usize(params, "threads", 0)?,
-                    canonical: get_bool(params, "canonical", false)?,
-                    por: get_bool(params, "por", false)?,
-                    max_configs: get_usize(params, "max_configs", limits.max_configs)?,
-                    max_depth: get_usize(params, "max_depth", limits.max_depth)?,
-                })
-            }
+        let mut p = Params { params, asked: Vec::new() };
+        let job = match kind {
+            "valency" => Job::Valency {
+                protocol: p.protocol("cas")?.name.to_string(),
+                threads: p.num("threads", 0)?,
+                canonical: p.bool("canonical", false)?,
+                por: p.bool("por", false)?,
+                max_configs: p.num("max_configs", limits.max_configs)?,
+                max_depth: p.num("max_depth", limits.max_depth)?,
+            },
             "explore" => {
-                let entry = get_protocol(params, "cas")?;
-                Ok(Job::Explore {
+                let entry = p.protocol("cas")?;
+                Job::Explore {
                     protocol: entry.name.to_string(),
-                    n: get_usize(params, "n", entry.default_n)?,
-                    r: get_usize(params, "r", entry.default_r)?,
-                    threads: get_usize(params, "threads", 0)?,
-                    canonical: get_bool(params, "canonical", false)?,
-                    por: get_bool(params, "por", false)?,
-                    max_configs: get_usize(params, "max_configs", limits.max_configs)?,
-                    max_depth: get_usize(params, "max_depth", limits.max_depth)?,
-                    mem_budget: get_usize(params, "mem_budget", 0)?,
-                    deadline_millis: get_u64(params, "deadline_millis", 0)?,
-                })
+                    n: p.num("n", entry.default_n)?,
+                    r: p.num("r", entry.default_r)?,
+                    threads: p.num("threads", 0)?,
+                    canonical: p.bool("canonical", false)?,
+                    por: p.bool("por", false)?,
+                    max_configs: p.num("max_configs", limits.max_configs)?,
+                    max_depth: p.num("max_depth", limits.max_depth)?,
+                    mem_budget: p.num("mem_budget", 0)?,
+                    deadline_millis: p.num("deadline_millis", 0)?,
+                }
             }
-            "resume" => {
-                let checkpoint = match params.get("checkpoint") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => {
-                        return Err(JobError::bad(
-                            "resume needs a string \"checkpoint\" parameter \
-                             (the id a truncated explore job returned)",
-                        ))
-                    }
-                };
-                Ok(Job::Resume {
-                    checkpoint,
-                    threads: get_usize(params, "threads", 0)?,
-                    max_configs: get_usize(params, "max_configs", limits.max_configs)?,
-                    max_depth: get_usize(params, "max_depth", limits.max_depth)?,
-                    mem_budget: get_usize(params, "mem_budget", 0)?,
-                    deadline_millis: get_u64(params, "deadline_millis", 0)?,
-                })
-            }
+            "resume" => Job::Resume {
+                checkpoint: p.string(
+                    "checkpoint",
+                    "resume needs a string \"checkpoint\" parameter \
+                     (the id a truncated explore job returned)",
+                )?,
+                threads: p.num("threads", 0)?,
+                max_configs: p.num("max_configs", limits.max_configs)?,
+                max_depth: p.num("max_depth", limits.max_depth)?,
+                mem_budget: p.num("mem_budget", 0)?,
+                deadline_millis: p.num("deadline_millis", 0)?,
+            },
             "run" => {
-                let entry = get_protocol(params, "cas")?;
+                let entry = p.protocol("cas")?;
                 if !entry.runnable {
                     return Err(JobError::bad(format!(
                         "{} is model-only; use the valency or monte_carlo job",
                         entry.name
                     )));
                 }
-                Ok(Job::Run {
+                Job::Run {
                     protocol: entry.name.to_string(),
-                    n: get_usize(params, "n", entry.default_n)?,
-                    seed: get_u64(params, "seed", 42)?,
-                    max_steps: get_usize(params, "max_steps", 2_000_000)?,
-                })
+                    n: p.num("n", entry.default_n)?,
+                    seed: p.num("seed", 42)?,
+                    max_steps: p.num("max_steps", 2_000_000)?,
+                }
             }
             "monte_carlo" => {
-                let entry = get_protocol(params, "cas")?;
-                Ok(Job::MonteCarlo {
+                let entry = p.protocol("cas")?;
+                Job::MonteCarlo {
                     protocol: entry.name.to_string(),
-                    n: get_usize(params, "n", entry.default_n)?,
-                    trials: get_u64(params, "trials", 256)?,
-                    seed: get_u64(params, "seed", 0)?,
-                    max_steps: get_usize(params, "max_steps", 100_000)?,
-                    threads: get_usize(params, "threads", 0)?,
-                })
+                    n: p.num("n", entry.default_n)?,
+                    trials: p.num("trials", 256)?,
+                    seed: p.num("seed", 0)?,
+                    max_steps: p.num("max_steps", 100_000)?,
+                    threads: p.num("threads", 0)?,
+                }
             }
-            "replay" => match params.get("trace") {
-                Some(Json::Str(text)) => Ok(Job::Replay { trace: text.clone() }),
-                _ => Err(JobError::bad("replay needs a string \"trace\" parameter (JSONL)")),
+            "replay" => Job::Replay {
+                trace: p.string("trace", "replay needs a string \"trace\" parameter (JSONL)")?,
             },
             "verify_witness" => {
-                let entry = get_protocol(params, "optimistic")?;
+                let entry = p.protocol("optimistic")?;
                 if entry.attack == AttackFamily::NotApplicable {
                     return Err(JobError::bad(format!(
                         "no adversary applies to {} (it is correct, or out of scope)",
                         entry.name
                     )));
                 }
-                Ok(Job::VerifyWitness {
+                Job::VerifyWitness {
                     protocol: entry.name.to_string(),
-                    r: get_usize(params, "r", entry.default_r)?,
-                })
+                    r: p.num("r", entry.default_r)?,
+                }
             }
-            "protocols" => Ok(Job::Protocols),
+            "protocols" => Job::Protocols,
             "sleep" => {
-                let millis = get_u64(params, "millis", 0)?;
+                let millis: u64 = p.num("millis", 0)?;
                 if millis > MAX_SLEEP_MILLIS {
                     return Err(JobError::bad(format!("sleep capped at {MAX_SLEEP_MILLIS} ms")));
                 }
-                Ok(Job::Sleep { millis })
+                Job::Sleep { millis }
             }
             "watch" => {
-                let interval_millis = get_u64(params, "interval_millis", 500)?;
-                let ticks = get_u64(params, "ticks", 8)?;
+                let interval_millis: u64 = p.num("interval_millis", 500)?;
+                let ticks: u64 = p.num("ticks", 8)?;
                 if interval_millis == 0 || ticks == 0 {
                     return Err(JobError::bad("watch needs interval_millis >= 1 and ticks >= 1"));
                 }
@@ -359,16 +391,20 @@ impl Job {
                         "watch capped at {MAX_SLEEP_MILLIS} ms total (interval_millis * ticks)"
                     )));
                 }
-                Ok(Job::Watch { interval_millis, ticks })
+                Job::Watch { interval_millis, ticks }
             }
-            other => Err(JobError {
-                code: code::UNKNOWN_JOB,
-                message: format!(
-                    "unknown job {other:?} (valency, explore, resume, run, monte_carlo, \
-                     replay, verify_witness, protocols, sleep, watch)"
-                ),
-            }),
-        }
+            other => {
+                return Err(JobError {
+                    code: code::UNKNOWN_JOB,
+                    message: format!(
+                        "unknown job {other:?} (valency, explore, resume, run, monte_carlo, \
+                         replay, verify_witness, protocols, sleep, watch)"
+                    ),
+                })
+            }
+        };
+        p.finish(kind)?;
+        Ok(job)
     }
 
     /// The job kind's wire name.
@@ -402,94 +438,15 @@ impl Job {
         )
     }
 
-    /// The cache key: job kind + canonical parameters + wire schema
-    /// version, rendered as one JSON line.
+    /// The cache key: the wire schema version plus the parsed job's
+    /// derived `Debug` form. [`Job::parse`] fills every default and the
+    /// form lists every field, so two requests share a slot exactly
+    /// when they parse to equal jobs. The form is not a stable format
+    /// across builds, and need not be: the results cache lives and dies
+    /// with the serving process, so no key outlives the build that
+    /// made it.
     pub fn cache_key(&self) -> String {
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Int(i128::from(WIRE_SCHEMA_VERSION))),
-            ("job".to_string(), Json::Str(self.kind().to_string())),
-            ("params".to_string(), self.canonical_params()),
-        ])
-        .render()
-    }
-
-    /// The fully-defaulted parameter object (stable field order).
-    pub fn canonical_params(&self) -> Json {
-        let int = |v: usize| Json::Int(v as i128);
-        match self {
-            Job::Valency { protocol, threads, canonical, por, max_configs, max_depth } => {
-                Json::Obj(vec![
-                    ("protocol".to_string(), Json::Str(protocol.clone())),
-                    ("threads".to_string(), int(*threads)),
-                    ("canonical".to_string(), Json::Bool(*canonical)),
-                    ("por".to_string(), Json::Bool(*por)),
-                    ("max_configs".to_string(), int(*max_configs)),
-                    ("max_depth".to_string(), int(*max_depth)),
-                ])
-            }
-            Job::Explore {
-                protocol,
-                n,
-                r,
-                threads,
-                canonical,
-                por,
-                max_configs,
-                max_depth,
-                mem_budget,
-                deadline_millis,
-            } => Json::Obj(vec![
-                ("protocol".to_string(), Json::Str(protocol.clone())),
-                ("n".to_string(), int(*n)),
-                ("r".to_string(), int(*r)),
-                ("threads".to_string(), int(*threads)),
-                ("canonical".to_string(), Json::Bool(*canonical)),
-                ("por".to_string(), Json::Bool(*por)),
-                ("max_configs".to_string(), int(*max_configs)),
-                ("max_depth".to_string(), int(*max_depth)),
-                ("mem_budget".to_string(), int(*mem_budget)),
-                ("deadline_millis".to_string(), Json::Int(i128::from(*deadline_millis))),
-            ]),
-            Job::Resume { checkpoint, threads, max_configs, max_depth, mem_budget, deadline_millis } => {
-                Json::Obj(vec![
-                    ("checkpoint".to_string(), Json::Str(checkpoint.clone())),
-                    ("threads".to_string(), int(*threads)),
-                    ("max_configs".to_string(), int(*max_configs)),
-                    ("max_depth".to_string(), int(*max_depth)),
-                    ("mem_budget".to_string(), int(*mem_budget)),
-                    ("deadline_millis".to_string(), Json::Int(i128::from(*deadline_millis))),
-                ])
-            }
-            Job::Run { protocol, n, seed, max_steps } => Json::Obj(vec![
-                ("protocol".to_string(), Json::Str(protocol.clone())),
-                ("n".to_string(), int(*n)),
-                ("seed".to_string(), Json::Int(i128::from(*seed))),
-                ("max_steps".to_string(), int(*max_steps)),
-            ]),
-            Job::MonteCarlo { protocol, n, trials, seed, max_steps, threads } => Json::Obj(vec![
-                ("protocol".to_string(), Json::Str(protocol.clone())),
-                ("n".to_string(), int(*n)),
-                ("trials".to_string(), Json::Int(i128::from(*trials))),
-                ("seed".to_string(), Json::Int(i128::from(*seed))),
-                ("max_steps".to_string(), int(*max_steps)),
-                ("threads".to_string(), int(*threads)),
-            ]),
-            Job::Replay { trace } => {
-                Json::Obj(vec![("trace".to_string(), Json::Str(trace.clone()))])
-            }
-            Job::VerifyWitness { protocol, r } => Json::Obj(vec![
-                ("protocol".to_string(), Json::Str(protocol.clone())),
-                ("r".to_string(), int(*r)),
-            ]),
-            Job::Protocols => Json::Obj(vec![]),
-            Job::Sleep { millis } => {
-                Json::Obj(vec![("millis".to_string(), Json::Int(i128::from(*millis)))])
-            }
-            Job::Watch { interval_millis, ticks } => Json::Obj(vec![
-                ("interval_millis".to_string(), Json::Int(i128::from(*interval_millis))),
-                ("ticks".to_string(), Json::Int(i128::from(*ticks))),
-            ]),
-        }
+        format!("{WIRE_SCHEMA_VERSION}:{self:?}")
     }
 
     /// Execute the job with default context (all dedup in-process),
@@ -832,9 +789,12 @@ fn commit_checkpoint(outcome: &ExploreOutcome, id: String, path: std::path::Path
 }
 
 /// Serialize an [`ExploreOutcome`] as the `explore`/`resume` job
-/// result. The `transport_error` field appears only when a
-/// distributed frontier actually failed: a successful distributed run
-/// must render byte-identically to the single-node run.
+/// result. The storage-tier figures sit in one `footprint` object: they
+/// describe where the search kept its state (RAM, spill files, remote
+/// shards), not the search, so they legitimately differ between tiers.
+/// Everything outside `footprint` must render byte-identically on every
+/// tier; the `transport_error` field appears only when a distributed
+/// frontier actually failed.
 fn explore_outcome_json(protocol: &str, o: &ExploreOutcome, checkpoint: Option<String>) -> Json {
     let opt_bool = |v: Option<bool>| match v {
         Some(b) => Json::Bool(b),
@@ -862,10 +822,17 @@ fn explore_outcome_json(protocol: &str, o: &ExploreOutcome, checkpoint: Option<S
         ("por_pruned".to_string(), Json::Int(o.por_pruned as i128)),
         ("por_fallbacks".to_string(), Json::Int(o.por_fallbacks as i128)),
         ("arena_bytes".to_string(), Json::Int(o.arena_bytes as i128)),
-        ("spill_mode".to_string(), Json::Bool(o.spill_mode)),
-        ("spilled_bytes".to_string(), Json::Int(i128::from(o.spilled_bytes))),
-        ("dedup_merge_passes".to_string(), Json::Int(i128::from(o.dedup_merge_passes))),
-        ("resident_arena_bytes".to_string(), Json::Int(o.resident_arena_bytes as i128)),
+        (
+            "footprint".to_string(),
+            Json::Obj(vec![
+                ("spill_mode".to_string(), Json::Bool(o.spill_mode)),
+                ("spilled_bytes".to_string(), Json::Int(i128::from(o.spilled_bytes))),
+                ("dedup_merge_passes".to_string(), Json::Int(i128::from(o.dedup_merge_passes))),
+                ("dedup_run_bytes".to_string(), Json::Int(i128::from(o.dedup_run_bytes))),
+                ("seen_bytes".to_string(), Json::Int(o.seen_bytes as i128)),
+                ("resident_arena_bytes".to_string(), Json::Int(o.resident_arena_bytes as i128)),
+            ]),
+        ),
         (
             "checkpoint".to_string(),
             match checkpoint {
@@ -999,9 +966,52 @@ mod tests {
         .unwrap();
         let a = Job::parse("valency", &Json::Null).unwrap();
         let b = Job::parse("valency", &explicit).unwrap();
+        let empty = Job::parse("valency", &Json::Obj(Vec::new())).unwrap();
         assert_eq!(a, b);
+        assert_eq!(a, empty);
         assert_eq!(a.cache_key(), b.cache_key());
+        assert_eq!(empty.cache_key(), b.cache_key());
         assert!(a.cacheable());
+    }
+
+    fn refusal(kind: &str, params: &str) -> JobError {
+        let params = randsync_obs::parse_json(params).unwrap();
+        Job::parse(kind, &params).expect_err("params must be refused")
+    }
+
+    #[test]
+    fn unknown_keys_are_refused_by_name() {
+        let err = refusal("valency", "{\"protocl\":\"naive\"}");
+        assert_eq!(err.code, code::BAD_REQUEST);
+        assert!(err.message.contains("\"protocl\""), "{}", err.message);
+        // A key another job accepts is still unknown here.
+        let err = refusal("valency", "{\"trials\":5}");
+        assert!(err.message.contains("\"trials\""), "{}", err.message);
+        let err = refusal("protocols", "{\"protocol\":\"cas\"}");
+        assert!(err.message.contains("\"protocol\""), "{}", err.message);
+    }
+
+    #[test]
+    fn duplicate_keys_are_refused_by_name() {
+        let err = refusal("monte_carlo", "{\"trials\":5,\"seed\":1,\"trials\":6}");
+        assert_eq!(err.code, code::BAD_REQUEST);
+        assert!(err.message.contains("\"trials\""), "{}", err.message);
+        assert!(err.message.contains("more than once"), "{}", err.message);
+    }
+
+    #[test]
+    fn params_must_be_an_object_or_null() {
+        for params in ["[]", "[1,2]", "7", "\"cas\""] {
+            let err = refusal("valency", params);
+            assert_eq!(err.code, code::BAD_REQUEST, "{params}");
+            assert!(err.message.contains("object"), "{params}: {}", err.message);
+        }
+        // Null params still mean every default, and explicit nulls
+        // stand for absent keys.
+        let defaults = Job::parse("monte_carlo", &Json::Null).unwrap();
+        let nulls = randsync_obs::parse_json("{\"trials\":null}").unwrap();
+        assert_eq!(Job::parse("monte_carlo", &nulls).unwrap(), defaults);
+        assert!(matches!(defaults, Job::MonteCarlo { trials: 256, seed: 0, .. }));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use randsync_obs::Json;
 
 /// Wire schema version, reported by the `metrics` control frame and
 /// mixed into every cache key; bump on incompatible change.
-pub const WIRE_SCHEMA_VERSION: u32 = 2;
+pub const WIRE_SCHEMA_VERSION: u32 = 3;
 
 /// Machine-readable error codes carried in `error.code`.
 pub mod code {

@@ -27,9 +27,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test -q --workspace
 cargo test -q --release --workspace
 
-./target/release/randsync gate --filter smoke \
-    --report target/verify_gate_report.json \
-    --bench target/BENCH_gate_smoke.json
+./target/release/randsync gate --filter smoke --report target/verify_gate_report.json
 grep -q '"passed":true' target/verify_gate_report.json \
     || { echo "FAIL: gate report disagrees with its exit status"; exit 1; }
 ./target/release/randsync gate --filter explore-counts

@@ -215,8 +215,8 @@ static COMMANDS: &[Command] = &[
     },
     Command {
         name: "gate",
-        usage: "[--list] [--filter <id|tag>] [--report <file>] [--bench <file>] \
-                [--corpus <dir>] [--add-witness <trace.jsonl>] [--seed-corpus]",
+        usage: "[--list] [--filter <id|tag>] [--report <file>] [--corpus <dir>] \
+                [--add-witness <trace.jsonl>] [--seed-corpus]",
         about: "run the fail-closed verification gate",
         run: run_gate_cmd,
     },
@@ -495,15 +495,17 @@ impl TraceSink for StderrProgress {
     }
 }
 
-/// The round parameter r of `attack` and `check`: 2 when absent, and
-/// refused for an entry whose object set does not depend on it.
+/// The round parameter r of `attack` and `check`: the entry's
+/// `default_r` when absent (as for `valency`, `run`, the svc jobs and
+/// the gate), and refused for an entry whose object set does not
+/// depend on it.
 fn round_param(entry: &ProtocolEntry, args: &Args) -> Result<usize, Stop> {
     match args.num("r")? {
         Some(r) if !entry.takes_r => Err(Stop::Usage(format!(
             "{} has a fixed object set ({}) and takes no r, got: {r}",
             entry.name, entry.objects
         ))),
-        r => Ok(r.unwrap_or(2)),
+        r => Ok(r.unwrap_or(entry.default_r)),
     }
 }
 
@@ -1321,7 +1323,7 @@ fn run_trace_tree(args: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Short git revision stamped into `BENCH_gate.json`, `"unknown"`
+/// Short git revision stamped into the gate report, `"unknown"`
 /// outside a checkout.
 fn git_revision() -> String {
     std::process::Command::new("git")
@@ -1393,18 +1395,11 @@ fn run_gate_cmd(args: &Args) -> Outcome {
     let report = gate::run_gate(&config);
     print!("{}", report.render());
     if let Some(path) = args.get("--report") {
-        let mut text = report.to_json().render();
+        let mut text = report.to_json(&git_revision()).render();
         text.push('\n');
         std::fs::write(path, text)
             .map_err(|e| Stop::Failed(format!("cannot write report {path}: {e}")))?;
         println!("report              : {path}");
-    }
-    if let Some(path) = args.get("--bench") {
-        let mut text = report.bench_json(&git_revision()).render();
-        text.push('\n');
-        std::fs::write(path, text)
-            .map_err(|e| Stop::Failed(format!("cannot write bench {path}: {e}")))?;
-        println!("bench               : {path}");
     }
     Ok(if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }

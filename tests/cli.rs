@@ -160,6 +160,21 @@ fn check_verdicts_match_the_protocol_zoo() {
 }
 
 #[test]
+fn check_without_r_builds_at_the_entry_default_r() {
+    // localcoin's default_r is 4, and `check` explores the same space
+    // as `valency`.
+    let (stdout, _, ok) = randsync(&["check", "localcoin"]);
+    assert!(ok);
+    assert_eq!(stdout.lines().next(), Some("configs: 689"), "{stdout}");
+    let (valency, _, ok) = randsync(&["valency", "localcoin"]);
+    assert!(ok);
+    assert!(valency.contains("configurations      : 689"), "{valency}");
+    let (explicit, _, ok) = randsync(&["check", "localcoin", "4"]);
+    assert!(ok);
+    assert_eq!(explicit, stdout);
+}
+
+#[test]
 fn valency_reports_the_flp_structure() {
     let (stdout, _, ok) = randsync(&["valency", "walk-deterministic"]);
     assert!(ok);
@@ -416,6 +431,23 @@ fn served_jobs_resume_soak_and_drain_over_a_worker_shard() {
         assert!(out.iter().any(|l| l == "randsync-svc drained and stopped"), "{out:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn misspelt_job_parameters_are_refused_by_the_server() {
+    let (mut server, addr, out) = spawn_server(&["serve", "127.0.0.1:0", "--workers", "1"]);
+    let submit = Command::new(env!("CARGO_BIN_EXE_randsync"))
+        .args(["submit", &addr, "valency", "protocl=naive"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&submit.stderr);
+    assert_eq!(submit.status.code(), Some(1), "{stderr}");
+    assert!(submit.stdout.is_empty(), "no result may be printed");
+    assert!(stderr.contains("bad_request") && stderr.contains("\"protocl\""), "{stderr}");
+    let (_, stderr, ok) = randsync(&["shutdown", &addr]);
+    assert!(ok, "{stderr}");
+    assert!(server.wait().expect("server exits").success());
+    drop(out.join());
 }
 
 #[test]

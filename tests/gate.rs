@@ -220,11 +220,20 @@ fn a_panicking_check_fails_instead_of_crashing_the_runner() {
 #[test]
 fn report_json_round_trips_through_obs_json() {
     let report = gate::run_gate(&corpus_only_config(Path::new("corpus")));
-    let text = report.to_json().render();
+    let text = report.to_json("abc1234").render();
     let parsed = obs::parse_json(&text).expect("report renders valid JSON");
-    let back = gate::GateReport::from_json(&parsed).expect("report parses back");
-    assert_eq!(back, report);
-    assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(1));
+    assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(2));
+    assert_eq!(parsed.get("git_rev").and_then(Json::as_str), Some("abc1234"));
+    assert_eq!(parsed.get("passed"), Some(&Json::Bool(report.passed())));
+    assert_eq!(parsed.get("total_millis").and_then(Json::as_u64), Some(report.total_millis()));
+    let entries = parsed.get("entries").and_then(Json::as_arr).expect("entries");
+    let ids: Vec<&str> = entries.iter().filter_map(|e| e.get("id")?.as_str()).collect();
+    let want: Vec<&str> = report.entries.iter().map(|e| e.id.as_str()).collect();
+    assert_eq!(ids, want);
+    let witnesses = parsed.get("witnesses").and_then(Json::as_arr).expect("witnesses");
+    assert_eq!(witnesses.len(), report.witnesses.len());
+    // The rendered record parses back to the same text.
+    assert_eq!(parsed.render(), text);
 }
 
 #[test]
@@ -276,8 +285,14 @@ fn cli_gate_exits_nonzero_on_a_doctored_corpus_and_writes_the_report() {
     assert!(!ok, "CLI must exit nonzero on a lost witness");
     let text = fs::read_to_string(&report_path).expect("report written even on failure");
     let parsed = obs::parse_json(&text).expect("valid JSON");
-    let report = gate::GateReport::from_json(&parsed).expect("parses");
-    assert!(!report.passed());
+    assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(2));
+    assert_eq!(parsed.get("passed"), Some(&Json::Bool(false)));
+    let entries = parsed.get("entries").and_then(Json::as_arr).expect("entries");
+    let corpus_entry = entries
+        .iter()
+        .find(|e| e.get("id").and_then(Json::as_str) == Some(gate::CORPUS_ENTRY_ID))
+        .expect("corpus entry listed");
+    assert_eq!(corpus_entry.get("status").and_then(Json::as_str), Some("fail"));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -291,22 +306,27 @@ fn cli_gate_arith_passes_and_writes_a_bench_artifact() {
         "gate",
         "--filter",
         "arith",
-        "--bench",
+        "--report",
         bench_path.to_str().unwrap(),
     ]);
     assert!(ok, "arithmetic entries must pass:\n{stdout}\n{stderr}");
     let parsed = obs::parse_json(&fs::read_to_string(&bench_path).unwrap()).unwrap();
-    assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(1));
-    assert_eq!(
-        parsed.get("passed").and_then(|v| match v {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }),
-        Some(true)
-    );
+    assert_eq!(parsed.get("schema_version").and_then(Json::as_u64), Some(2));
+    assert!(parsed.get("git_rev").and_then(Json::as_str).is_some_and(|r| !r.is_empty()));
+    assert!(parsed.get("total_millis").and_then(Json::as_u64).is_some());
+    assert_eq!(parsed.get("passed"), Some(&Json::Bool(true)));
     let entries = parsed.get("entries").and_then(Json::as_arr).unwrap();
-    // Only the selected (non-filtered) entries are benched.
-    assert_eq!(entries.len(), 2, "arith selects thm-3.3-bound and bound-2.1");
+    let run: Vec<&str> = entries
+        .iter()
+        .filter(|e| e.get("status").and_then(Json::as_str) != Some("filtered"))
+        .filter_map(|e| e.get("id")?.as_str())
+        .collect();
+    assert_eq!(run, ["thm-3.3-bound", "bound-2.1"], "arith selects exactly these entries");
+    // `--report` is the gate's only run record; `--bench` is refused.
+    let (stdout, stderr, ok) =
+        randsync_cli(&["gate", "--bench", bench_path.to_str().unwrap()]);
+    assert!(!ok && stdout.is_empty(), "--bench must be refused:\n{stdout}");
+    assert!(stderr.contains("usage: randsync gate"), "{stderr}");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -264,7 +264,10 @@ fn truncated_explore_job_resumes_to_the_uninterrupted_outcome() {
     assert!(cut.ok, "{}", cut.body.render());
     assert_eq!(cut.body.get("truncated"), Some(&Json::Bool(true)));
     assert_eq!(cut.body.get("truncation_reason").and_then(Json::as_str), Some("depth-cap"));
-    assert_eq!(cut.body.get("spill_mode"), Some(&Json::Bool(true)));
+    assert_eq!(
+        cut.body.get("footprint").and_then(|f| f.get("spill_mode")),
+        Some(&Json::Bool(true))
+    );
     let ckpt =
         cut.body.get("checkpoint").and_then(Json::as_str).expect("checkpoint id").to_string();
     assert!(ckpt.starts_with("ckpt-"), "opaque store id, got {ckpt}");

@@ -36,15 +36,15 @@ fn obj(fields: &[(&str, Json)]) -> Json {
     Json::Obj(fields.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect())
 }
 
-/// Render a result with the one backing-dependent diagnostic removed.
-/// `resident_arena_bytes` truthfully reports *local* residency, and in
-/// shared-frontier mode the seen-map overhead lives on the workers —
-/// the same convention the spill tier already follows. Every verdict,
-/// count, witness, and total must still match byte for byte.
+/// Render a result with the storage-tier `footprint` object removed.
+/// Its figures truthfully report *local* residency, and in
+/// shared-frontier mode the seen-set lives on the workers — the same
+/// convention the spill tier already follows. Every verdict, count,
+/// witness, and total must still match byte for byte.
 fn normalized(result: &Json) -> String {
     match result {
         Json::Obj(fields) => Json::Obj(
-            fields.iter().filter(|(k, _)| k != "resident_arena_bytes").cloned().collect(),
+            fields.iter().filter(|(k, _)| k != "footprint").cloned().collect(),
         )
         .render(),
         other => other.render(),
