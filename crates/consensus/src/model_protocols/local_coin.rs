@@ -150,7 +150,7 @@ impl Protocol for LocalCoinModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use randsync_model::{Explorer, SearchMode};
+    use randsync_model::Explorer;
 
     #[test]
     fn model_checked_safe_for_small_instances() {
@@ -198,9 +198,7 @@ mod tests {
     fn best_first_exhausts_the_safe_space_without_a_witness() {
         let p = LocalCoinModel::new(2, 2);
         let bad = |c: &randsync_model::Configuration<LocalCoinState>| c.is_inconsistent();
-        let (w, truncated) = Explorer::default()
-            .search(SearchMode::BestFirst)
-            .find_violation(&p, &[0, 1], bad);
+        let (w, truncated) = Explorer::default().guided_violation(&p, &[0, 1], bad);
         assert!(w.is_none());
         assert!(!truncated);
     }

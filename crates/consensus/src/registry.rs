@@ -118,7 +118,8 @@ any_protocol! {
     LocalCoin: LocalCoinModel, LocalCoinState;
 }
 
-/// Which lower-bound adversary (if any) applies to a protocol.
+/// Which lower-bound adversary (if any) applies to a protocol;
+/// `randsync_core::attack::attack_target` runs it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AttackFamily {
     /// The Lemma 3.2 adversary for identical processes over registers

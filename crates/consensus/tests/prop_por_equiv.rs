@@ -18,7 +18,7 @@ use randsync_consensus::model_protocols::{
     PhaseModel, SwapChain, SwapTwoModel, TasRace, TasTwoModel, WalkBacking, WalkModel, Zigzag,
 };
 use randsync_model::{
-    Configuration, ExploreConfig, ExploreLimits, ExploreOutcome, Explorer, Protocol, SearchMode,
+    Configuration, ExploreConfig, ExploreLimits, ExploreOutcome, Explorer, Protocol,
 };
 
 fn run<P>(
@@ -269,9 +269,7 @@ proptest! {
         prop_assume!(inputs.contains(&0) && inputs.contains(&1));
         let p = Optimistic::new(n, r);
         let bad = |c: &Configuration<_>| c.is_inconsistent();
-        let (guided, truncated) = Explorer::default()
-            .search(SearchMode::BestFirst)
-            .find_violation(&p, inputs, bad);
+        let (guided, truncated) = Explorer::default().guided_violation(&p, inputs, bad);
         prop_assert!(!truncated);
         let exec = guided.expect("optimistic register consensus is inconsistent");
         let start = Configuration::initial(&p, inputs);

@@ -1,5 +1,14 @@
-//! The Lemma 3.2 adversary: break any identical-process register
+//! The lower-bound adversaries' one entry point, their shared outcome,
+//! and the Lemma 3.2 adversary: break any identical-process register
 //! "consensus".
+//!
+//! [`attack_target`] answers "which adversary breaks this registry
+//! target, with which pool": Lemma 3.2 ([`attack_identical`]) for the
+//! register family, Lemma 3.6 ([`crate::combine35::attack_historyless`])
+//! over [`ample_pool_for`] processes for the historyless one. Both
+//! constructions report through [`AttackOutcome`] and [`AttackError`],
+//! and both package their final execution with
+//! [`InconsistencyWitness::from_execution`].
 //!
 //! "There is no implementation of consensus satisfying nondeterministic
 //! solo termination from r read-write registers using r² − r + 2 or
@@ -20,16 +29,30 @@
 //!
 //! The result is a replay-verified [`InconsistencyWitness`].
 
+use core::fmt;
+
+use randsync_consensus::registry::AttackFamily;
 use randsync_model::{
-    Decision, Execution, Explorer, ObjectId, ProcessId, Protocol, Step,
+    Decision, Execution, ExploreLimits, Explorer, ModelError, ObjectId, ProcessId, Protocol, Step,
 };
 
 use crate::combine31::{combine, CombineError, CombineLimits, CombineStats, Side};
+use crate::combine35::{ample_pool_for, attack_historyless, GeneralStats};
+use crate::interruptible::IeError;
 use crate::poised::all_objects_registers;
 use crate::weave::Weaver;
 use crate::witness::InconsistencyWitness;
 
-/// What the adversary produced.
+/// Which proof cases a construction went through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AttackStats {
+    /// The Lemma 3.2 adversary's Lemma 3.1 cases.
+    Register(CombineStats),
+    /// The Lemma 3.6 adversary's Lemma 3.5 cases.
+    Historyless(GeneralStats),
+}
+
+/// What an adversary produced.
 #[derive(Clone, Debug)]
 pub enum AttackOutcome {
     /// An execution deciding both 0 and 1 (the protocol violates
@@ -37,12 +60,13 @@ pub enum AttackOutcome {
     Inconsistent {
         /// The replay-verified witness.
         witness: InconsistencyWitness,
-        /// Which Lemma 3.1 cases fired.
-        stats: CombineStats,
+        /// Which proof cases fired.
+        stats: AttackStats,
     },
     /// A solo execution in which a process decides a value that is not
     /// its own input while running entirely alone — a validity
-    /// violation, found before any combination was necessary.
+    /// violation, found by Lemma 3.2 before any combination was
+    /// necessary.
     InvalidSolo {
         /// The solo execution.
         execution: Execution,
@@ -53,22 +77,59 @@ pub enum AttackOutcome {
         /// What it decided.
         decided: Decision,
     },
+    /// An interruptible execution of processes that all hold the same
+    /// input decided the other value — a validity violation, found by
+    /// Lemma 3.6 before any combination was necessary.
+    InvalidUnanimous {
+        /// The offending execution (replayable from the pool
+        /// configuration).
+        execution: Execution,
+        /// The unanimous input of the participating processes.
+        input: Decision,
+        /// The value decided.
+        decided: Decision,
+    },
 }
 
-/// Why the adversary failed.
+impl fmt::Display for AttackOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttackOutcome::Inconsistent { witness, .. } => write!(f, "{witness}"),
+            AttackOutcome::InvalidSolo { pid, input, decided, .. } => {
+                write!(f, "validity violation: {pid:?} (input {input}) decided {decided} solo")
+            }
+            AttackOutcome::InvalidUnanimous { input, decided, .. } => {
+                write!(f, "validity violation: unanimous input {input} decided {decided}")
+            }
+        }
+    }
+}
+
+/// Why an adversary failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AttackError {
+    /// No adversary applies to the target (its registry family is
+    /// [`AttackFamily::NotApplicable`]).
+    NotApplicable,
     /// The protocol is not symmetric; Section 3.1's cloning technique
     /// does not apply (use the general historyless machinery instead).
     NotSymmetric,
     /// The protocol uses objects other than plain read–write registers;
     /// Section 3.1 is register-specific.
     NotRegisters,
+    /// The protocol uses a non-historyless object; Theorem 3.7 does not
+    /// apply (and the attack would be unsound).
+    NotHistoryless,
+    /// Extending the pool beyond the protocol's own process count
+    /// requires a symmetric protocol.
+    PoolNeedsSymmetry,
     /// No terminating solo execution was found within the exploration
     /// budget (the protocol may not satisfy nondeterministic solo
     /// termination, or the budget is too small).
     SoloSearchExhausted(ProcessId),
-    /// The Lemma 3.1 combination failed.
+    /// A Lemma 3.4 interruptible-execution construction failed.
+    Construction(IeError),
+    /// The Lemma 3.1 or Lemma 3.5 combination failed.
     Combine(CombineError),
     /// The final witness did not verify (an internal bug — this should
     /// never escape the crate's test suite).
@@ -81,18 +142,40 @@ impl From<CombineError> for AttackError {
     }
 }
 
-impl core::fmt::Display for AttackError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+impl From<ModelError> for AttackError {
+    fn from(e: ModelError) -> Self {
+        AttackError::Combine(CombineError::Model(e))
+    }
+}
+
+impl From<IeError> for AttackError {
+    fn from(e: IeError) -> Self {
+        AttackError::Construction(e)
+    }
+}
+
+impl fmt::Display for AttackError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            AttackError::NotApplicable => {
+                write!(f, "no adversary applies (the protocol is correct, or out of scope)")
+            }
             AttackError::NotSymmetric => {
                 write!(f, "protocol is not symmetric (identical processes required)")
             }
             AttackError::NotRegisters => {
                 write!(f, "protocol uses non-register objects (section 3.1 is register-only)")
             }
+            AttackError::NotHistoryless => {
+                write!(f, "protocol uses non-historyless objects; theorem 3.7 does not apply")
+            }
+            AttackError::PoolNeedsSymmetry => {
+                write!(f, "extending the pool requires a symmetric protocol")
+            }
             AttackError::SoloSearchExhausted(p) => {
                 write!(f, "no terminating solo execution found for {p:?} within budget")
             }
+            AttackError::Construction(e) => write!(f, "construction failed: {e}"),
             AttackError::Combine(e) => write!(f, "combination failed: {e}"),
             AttackError::Unverified(m) => write!(f, "witness failed verification: {m}"),
         }
@@ -100,6 +183,45 @@ impl core::fmt::Display for AttackError {
 }
 
 impl std::error::Error for AttackError {}
+
+/// Run the adversary that breaks a target of `family`: Lemma 3.2 with
+/// [`CombineLimits::default`] for [`AttackFamily::RegisterIdentical`],
+/// Lemma 3.6 with [`ExploreLimits::default`] over [`ample_pool_for`]
+/// processes for [`AttackFamily::Historyless`]. The CLI, the job server
+/// and the gate all attack registry targets here, so they cannot
+/// disagree on the adversary or its pool.
+///
+/// # Errors
+///
+/// [`AttackError::NotApplicable`] for [`AttackFamily::NotApplicable`];
+/// otherwise whatever the construction reports.
+pub fn attack_target<P: Protocol>(
+    family: AttackFamily,
+    protocol: &P,
+) -> Result<AttackOutcome, AttackError> {
+    match family {
+        AttackFamily::RegisterIdentical => attack_identical(protocol, &CombineLimits::default()),
+        AttackFamily::Historyless => {
+            attack_historyless(protocol, ample_pool_for(protocol), &ExploreLimits::default())
+        }
+        AttackFamily::NotApplicable => Err(AttackError::NotApplicable),
+    }
+}
+
+/// Package a construction's final execution, replayable from the pool
+/// configuration over `inputs`, as a runtime-verified witness.
+pub(crate) fn inconsistency<P: Protocol>(
+    protocol: &P,
+    inputs: &[Decision],
+    execution: Execution,
+    stats: AttackStats,
+) -> Result<AttackOutcome, AttackError> {
+    let witness = InconsistencyWitness::from_execution(protocol, inputs, execution).ok_or_else(
+        || AttackError::Unverified("the execution does not decide both values".into()),
+    )?;
+    witness.verify(protocol).map_err(|e| AttackError::Unverified(e.to_string()))?;
+    Ok(AttackOutcome::Inconsistent { witness, stats })
+}
 
 /// Run the Lemma 3.2 adversary against a symmetric register protocol.
 ///
@@ -227,32 +349,13 @@ fn finish<P: Protocol>(
     weaver: Weaver<'_, P>,
     stats: CombineStats,
 ) -> Result<AttackOutcome, AttackError> {
-    let decisions = weaver.config().decisions();
-    let zero = decisions
-        .iter()
-        .find(|(_, d)| *d == 0)
-        .map(|(p, _)| *p)
-        .ok_or_else(|| AttackError::Unverified("no process decided 0".into()))?;
-    let one = decisions
-        .iter()
-        .find(|(_, d)| *d == 1)
-        .map(|(p, _)| *p)
-        .ok_or_else(|| AttackError::Unverified("no process decided 1".into()))?;
-    let witness = InconsistencyWitness {
-        inputs: weaver.inputs().to_vec(),
-        execution: weaver.execution(),
-        decides_zero: zero,
-        decides_one: one,
-        processes_used: weaver.processes_used(),
-    };
-    witness
-        .verify(weaver.protocol())
-        .map_err(|e| AttackError::Unverified(e.to_string()))?;
-    Ok(AttackOutcome::Inconsistent { witness, stats })
+    let stats = AttackStats::Register(stats);
+    inconsistency(weaver.protocol(), weaver.inputs(), weaver.execution(), stats)
 }
 
-/// Convenience: run the attack and return just the witness, panicking
-/// on validity violations (useful in benches over protocols known to be
+/// Convenience: run the Lemma 3.2 attack and return just the witness
+/// and its proof-case statistics, panicking on validity violations
+/// (useful in benches over protocols known to be
 /// consistent-but-attackable).
 ///
 /// # Errors
@@ -267,35 +370,11 @@ pub fn attack_for_witness<P: Protocol>(
     limits: &CombineLimits,
 ) -> Result<(InconsistencyWitness, CombineStats), AttackError> {
     match attack_identical(protocol, limits)? {
-        AttackOutcome::Inconsistent { witness, stats } => Ok((witness, stats)),
-        AttackOutcome::InvalidSolo { .. } => {
-            panic!("protocol violates validity; no combination was needed")
+        AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) } => {
+            Ok((witness, stats))
         }
+        other => panic!("no combination was needed: {other}"),
     }
-}
-
-/// [`attack_for_witness`] followed by schedule shrinking: run the
-/// Lemma 3.2 adversary and hand back the **minimized** witness (steps
-/// deleted and independent neighbors commuted until a fixpoint,
-/// re-verified) together with what the shrink removed. The constructed
-/// witness carries clone scaffolding — block writes covering every
-/// register, spliced solo runs — that the minimal counterexample
-/// usually does not need, so this is the form worth archiving as a
-/// flight trace.
-///
-/// # Errors
-///
-/// See [`attack_identical`].
-///
-/// # Panics
-///
-/// Panics if the protocol turned out to violate validity instead.
-pub fn attack_minimized<P: Protocol>(
-    protocol: &P,
-    limits: &CombineLimits,
-) -> Result<(InconsistencyWitness, crate::witness::MinimizeStats), AttackError> {
-    let (witness, _) = attack_for_witness(protocol, limits)?;
-    Ok(witness.minimize_report(protocol))
 }
 
 #[cfg(test)]
@@ -315,52 +394,6 @@ mod tests {
         // r²−r+1 = 1 identical process — so breaking it with a handful
         // is consistent with Theorem 3.3.
         assert!(witness.processes_used as u64 > max_identical_processes(1));
-    }
-
-    #[test]
-    fn optimistic_protocols_are_broken_for_every_register_count() {
-        for r in 1..=4 {
-            let p = Optimistic::new(2, r);
-            let (witness, stats) =
-                attack_for_witness(&p, &CombineLimits::default()).unwrap_or_else(|e| {
-                    panic!("attack on r={r} failed: {e}");
-                });
-            witness.verify(&p).unwrap();
-            // Figure-3 style splits occur as soon as the solo writes
-            // beyond the first register.
-            if r >= 2 {
-                assert!(
-                    stats.subset_splits + stats.incomparable_resolutions > 0,
-                    "r={r}: expected nontrivial proof cases, got {stats:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn process_usage_respects_the_lemma31_budget() {
-        // Lemma 3.1 bounds the processes used by
-        // r² − r + (3v + 3w − v² − w²)/2 with v = w = 1 initially:
-        // r² − r + 2.
-        for r in 1..=4u64 {
-            let p = Optimistic::new(2, r as usize);
-            let (witness, _) = attack_for_witness(&p, &CombineLimits::default()).unwrap();
-            let budget = r * r - r + 2;
-            assert!(
-                (witness.processes_used as u64) <= budget,
-                "r={r}: used {} > budget {budget}",
-                witness.processes_used
-            );
-        }
-    }
-
-    #[test]
-    fn attack_rejects_non_register_protocols() {
-        let p = randsync_consensus::model_protocols::CasModel::new(2);
-        assert_eq!(
-            attack_identical(&p, &CombineLimits::default()).unwrap_err(),
-            AttackError::NotRegisters
-        );
     }
 
     #[test]
@@ -400,9 +433,14 @@ mod tests {
     #[test]
     fn error_messages_are_informative() {
         for e in [
+            AttackError::NotApplicable,
             AttackError::NotSymmetric,
             AttackError::NotRegisters,
+            AttackError::NotHistoryless,
+            AttackError::PoolNeedsSymmetry,
             AttackError::SoloSearchExhausted(ProcessId(0)),
+            AttackError::Construction(IeError::InsufficientProcesses("x".into())),
+            AttackError::Combine(CombineError::DepthExceeded),
             AttackError::Unverified("x".into()),
         ] {
             assert!(!e.to_string().is_empty());

@@ -27,8 +27,9 @@
 //! excess-capacity arithmetic through every construction; this
 //! implementation re-derives the needed poised processes concretely
 //! from the pool at each recursion step and reports
-//! [`IeError::InsufficientProcesses`] when the pool is genuinely too
-//! small. The witnesses produced are verified by replay either way.
+//! [`IeError::InsufficientProcesses`](crate::interruptible::IeError::InsufficientProcesses)
+//! when the pool is genuinely too small. The witnesses produced are
+//! verified by replay either way.
 
 use std::collections::BTreeSet;
 
@@ -37,11 +38,10 @@ use randsync_model::{
     Protocol, Step,
 };
 
-use crate::interruptible::{
-    construct_interruptible, ExcessCapacity, IeError, InterruptibleExecution,
-};
+use crate::attack::{inconsistency, AttackError, AttackOutcome, AttackStats};
+use crate::combine31::CombineError;
+use crate::interruptible::{construct_interruptible, ExcessCapacity, InterruptibleExecution};
 use crate::poised::all_objects_historyless;
-use crate::witness::InconsistencyWitness;
 
 /// A growing execution over a fixed pool configuration (the general
 /// case spawns no clones, so no weaving is needed).
@@ -106,79 +106,6 @@ pub struct GeneralStats {
     pub max_depth: usize,
 }
 
-/// Why the general adversary failed.
-#[derive(Clone, Debug)]
-pub enum GeneralError {
-    /// The protocol uses a non-historyless object; Theorem 3.7 does not
-    /// apply (and the attack would be unsound).
-    NotHistoryless,
-    /// Extending the pool beyond the protocol's own process count
-    /// requires a symmetric protocol.
-    PoolNeedsSymmetry,
-    /// An interruptible-execution construction failed.
-    Construction(IeError),
-    /// A replayed step failed (invariant violation).
-    Model(ModelError),
-    /// The recursion exceeded its depth cap.
-    DepthExceeded,
-    /// The final execution did not decide both values (a bug).
-    Unverified(String),
-}
-
-impl From<IeError> for GeneralError {
-    fn from(e: IeError) -> Self {
-        GeneralError::Construction(e)
-    }
-}
-
-impl From<ModelError> for GeneralError {
-    fn from(e: ModelError) -> Self {
-        GeneralError::Model(e)
-    }
-}
-
-impl core::fmt::Display for GeneralError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            GeneralError::NotHistoryless => {
-                write!(f, "protocol uses non-historyless objects; theorem 3.7 does not apply")
-            }
-            GeneralError::PoolNeedsSymmetry => {
-                write!(f, "extending the pool requires a symmetric protocol")
-            }
-            GeneralError::Construction(e) => write!(f, "construction failed: {e}"),
-            GeneralError::Model(e) => write!(f, "replay failed: {e}"),
-            GeneralError::DepthExceeded => write!(f, "combination recursion too deep"),
-            GeneralError::Unverified(m) => write!(f, "witness failed verification: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for GeneralError {}
-
-/// What the general adversary produced.
-#[derive(Clone, Debug)]
-pub enum GeneralOutcome {
-    /// A replay-verified execution deciding both values.
-    Inconsistent {
-        /// The witness.
-        witness: InconsistencyWitness,
-        /// Which cases fired.
-        stats: GeneralStats,
-    },
-    /// A same-input-only interruptible execution decided the wrong
-    /// value: a validity violation.
-    InvalidExecution {
-        /// The offending execution (replayable from the pool
-        /// configuration).
-        execution: Execution,
-        /// The unanimous input of the participating processes.
-        input: Decision,
-        /// The value decided.
-        decided: Decision,
-    },
-}
-
 /// A pool size ample for this implementation's realization of the
 /// Lemma 3.6 construction over `r` objects.
 ///
@@ -192,9 +119,9 @@ pub fn ample_pool(r: usize) -> usize {
 
 /// The pool to run [`attack_historyless`] with against `protocol`:
 /// [`ample_pool`] over its object count, since Lemma 3.6 needs a pool
-/// that grows with the number of objects. Every caller that attacks a
-/// registry target (CLI, job server, gate) sizes its pool here, so they
-/// cannot disagree.
+/// that grows with the number of objects. Its one caller is
+/// [`crate::attack::attack_target`], so every registry target is
+/// attacked with the same pool.
 pub fn ample_pool_for<P: Protocol>(protocol: &P) -> usize {
     ample_pool(protocol.objects().len())
 }
@@ -205,23 +132,23 @@ pub fn ample_pool_for<P: Protocol>(protocol: &P) -> usize {
 /// `pool` is the total number of processes made available (half with
 /// input 0, half with input 1). Use [`ample_pool`] for a size at which
 /// the construction is comfortable; smaller pools may still succeed or
-/// may return [`GeneralError::Construction`] with an insufficiency
+/// may return [`AttackError::Construction`] with an insufficiency
 /// report — which is itself the space/process trade-off the lemma
 /// quantifies.
 ///
 /// # Errors
 ///
-/// See [`GeneralError`].
+/// See [`AttackError`].
 pub fn attack_historyless<P: Protocol>(
     protocol: &P,
     pool: usize,
     limits: &ExploreLimits,
-) -> Result<GeneralOutcome, GeneralError> {
+) -> Result<AttackOutcome, AttackError> {
     if !all_objects_historyless(protocol) {
-        return Err(GeneralError::NotHistoryless);
+        return Err(AttackError::NotHistoryless);
     }
     if pool > protocol.num_processes() && !protocol.is_symmetric() {
-        return Err(GeneralError::PoolNeedsSymmetry);
+        return Err(AttackError::PoolNeedsSymmetry);
     }
     let pool = pool.max(2);
     let inputs: Vec<Decision> = (0..pool).map(|i| if i < pool / 2 { 0 } else { 1 }).collect();
@@ -244,7 +171,7 @@ pub fn attack_historyless<P: Protocol>(
         limits,
     )?;
     if alpha.decides != 0 {
-        return Ok(GeneralOutcome::InvalidExecution {
+        return Ok(AttackOutcome::InvalidUnanimous {
             execution: Execution::from_steps(alpha.steps()),
             input: 0,
             decided: alpha.decides,
@@ -259,40 +186,19 @@ pub fn attack_historyless<P: Protocol>(
         limits,
     )?;
     if beta.decides != 1 {
-        return Ok(GeneralOutcome::InvalidExecution {
+        return Ok(AttackOutcome::InvalidUnanimous {
             execution: Execution::from_steps(beta.steps()),
             input: 1,
             decided: beta.decides,
         });
     }
 
-    let mut run = Run::new(protocol, base.clone());
+    let mut run = Run::new(protocol, base);
     let mut stats = GeneralStats::default();
     combine_rec(&mut run, alpha, beta, limits, &mut stats, 0)?;
 
-    let decisions = run.config.decisions();
-    let zero = decisions
-        .iter()
-        .find(|(_, d)| *d == 0)
-        .map(|(p, _)| *p)
-        .ok_or_else(|| GeneralError::Unverified("no process decided 0".into()))?;
-    let one = decisions
-        .iter()
-        .find(|(_, d)| *d == 1)
-        .map(|(p, _)| *p)
-        .ok_or_else(|| GeneralError::Unverified("no process decided 1".into()))?;
-    let mut used: Vec<ProcessId> = run.steps.iter().map(|s| s.pid).collect();
-    used.sort_unstable();
-    used.dedup();
-    let witness = InconsistencyWitness {
-        inputs,
-        execution: Execution::from_steps(run.steps.clone()),
-        decides_zero: zero,
-        decides_one: one,
-        processes_used: used.len(),
-    };
-    witness.verify(protocol).map_err(|e| GeneralError::Unverified(e.to_string()))?;
-    Ok(GeneralOutcome::Inconsistent { witness, stats })
+    let execution = Execution::from_steps(run.steps);
+    inconsistency(protocol, &inputs, execution, AttackStats::Historyless(stats))
 }
 
 /// Definition 3.2's parameter for a side facing `other`: capacity
@@ -314,11 +220,11 @@ fn combine_rec<P: Protocol>(
     limits: &ExploreLimits,
     stats: &mut GeneralStats,
     depth: usize,
-) -> Result<(), GeneralError> {
+) -> Result<(), AttackError> {
     stats.max_depth = stats.max_depth.max(depth);
     let r = run.protocol.objects().len();
     if depth > 4 * r + 8 {
-        return Err(GeneralError::DepthExceeded);
+        return Err(CombineError::DepthExceeded.into());
     }
     let v = alpha.initial_objects().clone();
     let w = beta.initial_objects().clone();
@@ -340,20 +246,18 @@ fn subset_case<P: Protocol>(
     limits: &ExploreLimits,
     stats: &mut GeneralStats,
     depth: usize,
-) -> Result<(), GeneralError> {
-    run.append_piece(&inner.pieces[0]).map_err(GeneralError::Model)?;
+) -> Result<(), AttackError> {
+    run.append_piece(&inner.pieces[0])?;
     stats.pieces_executed += 1;
     if inner.pieces.len() == 1 {
         // α decided; β's opening block write to W ⊇ V obliterates
         // everything α did to shared memory.
-        run.append_all_pieces(&outer).map_err(GeneralError::Model)?;
+        run.append_all_pieces(&outer)?;
         stats.pieces_executed += outer.pieces.len();
         if run.config.is_inconsistent() {
             Ok(())
         } else {
-            Err(GeneralError::Unverified(
-                "subset-case splice did not decide both values".into(),
-            ))
+            Err(CombineError::Internal("subset-case splice did not decide both values").into())
         }
     } else {
         combine_rec(run, inner.rest(), outer, limits, stats, depth + 1)
@@ -369,7 +273,7 @@ fn incomparable_case<P: Protocol>(
     limits: &ExploreLimits,
     stats: &mut GeneralStats,
     depth: usize,
-) -> Result<(), GeneralError> {
+) -> Result<(), AttackError> {
     stats.reconstructions += 1;
     let protocol = run.protocol;
     let v = alpha.initial_objects().clone();
@@ -451,8 +355,7 @@ fn incomparable_case<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::max_processes_historyless;
-    use randsync_consensus::model_protocols::{CasModel, NaiveWriteRead, Optimistic};
+    use randsync_consensus::model_protocols::NaiveWriteRead;
 
     fn limits() -> ExploreLimits {
         ExploreLimits::default()
@@ -462,41 +365,12 @@ mod tests {
     fn general_attack_breaks_the_naive_protocol() {
         let p = NaiveWriteRead::new(2);
         match attack_historyless(&p, 8, &limits()).expect("attack runs") {
-            GeneralOutcome::Inconsistent { witness, stats } => {
+            AttackOutcome::Inconsistent { witness, stats: AttackStats::Historyless(stats) } => {
                 witness.verify(&p).unwrap();
                 assert!(stats.pieces_executed >= 2);
             }
-            GeneralOutcome::InvalidExecution { .. } => {
-                panic!("naive protocol is valid; expected inconsistency")
-            }
+            other => panic!("naive protocol is valid; expected inconsistency, got {other}"),
         }
-    }
-
-    #[test]
-    fn general_attack_breaks_optimistic_protocols() {
-        for r in 1..=3usize {
-            let p = Optimistic::new(2, r);
-            let pool = ample_pool(r);
-            assert!(pool as u64 >= max_processes_historyless(r as u64));
-            match attack_historyless(&p, pool, &limits()) {
-                Ok(GeneralOutcome::Inconsistent { witness, .. }) => {
-                    witness.verify(&p).unwrap();
-                }
-                Ok(GeneralOutcome::InvalidExecution { .. }) => {
-                    panic!("optimistic is valid")
-                }
-                Err(e) => panic!("r={r}: {e}"),
-            }
-        }
-    }
-
-    #[test]
-    fn general_attack_rejects_cas() {
-        let p = CasModel::new(4);
-        assert!(matches!(
-            attack_historyless(&p, 8, &limits()),
-            Err(GeneralError::NotHistoryless)
-        ));
     }
 
     #[test]
@@ -504,19 +378,7 @@ mod tests {
         let p = randsync_consensus::model_protocols::TasTwoModel;
         assert!(matches!(
             attack_historyless(&p, 10, &limits()),
-            Err(GeneralError::PoolNeedsSymmetry)
+            Err(AttackError::PoolNeedsSymmetry)
         ));
-    }
-
-    #[test]
-    fn error_display_is_nonempty() {
-        for e in [
-            GeneralError::NotHistoryless,
-            GeneralError::PoolNeedsSymmetry,
-            GeneralError::DepthExceeded,
-            GeneralError::Unverified("x".into()),
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
     }
 }

@@ -18,7 +18,8 @@
 //!   adversary: given any symmetric register protocol that claims to
 //!   solve consensus while satisfying nondeterministic solo
 //!   termination, *construct* an execution that decides both 0 and 1
-//!   (Figures 1–4 of the paper, replayed concretely);
+//!   (Figures 1–4 of the paper, replayed concretely); [`attack_target`]
+//!   picks the adversary (and pool) for a registry target;
 //! * [`interruptible`] / [`combine35`] — Definitions 3.1/3.2 and
 //!   Lemmas 3.4/3.5: interruptible executions with excess capacity over
 //!   arbitrary historyless objects, and their combination (the general
@@ -58,8 +59,8 @@ pub mod poised;
 pub mod weave;
 pub mod witness;
 
-pub use attack::{attack_identical, attack_minimized, AttackError, AttackOutcome};
-pub use combine35::{ample_pool, ample_pool_for, attack_historyless, GeneralError, GeneralOutcome, GeneralStats};
+pub use attack::{attack_identical, attack_target, AttackError, AttackOutcome, AttackStats};
+pub use combine35::{ample_pool, attack_historyless, GeneralStats};
 pub use bounds::*;
 pub use hierarchy::{separation_table, PrimitiveProfile, SpaceBound};
 pub use interruptible::{ExcessCapacity, InterruptibleExecution, Piece};

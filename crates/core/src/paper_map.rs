@@ -17,6 +17,7 @@
 //! | Definition 3.2 (excess capacity) | [`crate::interruptible::ExcessCapacity`] |
 //! | Lemma 3.4 | [`crate::interruptible::construct_interruptible`] |
 //! | Lemma 3.5 / Lemma 3.6 / Theorem 3.7 (Ω(√n)) | [`crate::combine35::attack_historyless`], [`crate::bounds::min_historyless_objects`] |
+//! | Lemma 3.2 or Lemma 3.6, whichever breaks a flawed registry target (with its pool) | [`crate::attack::attack_target`], one [`crate::attack::AttackOutcome`] for both |
 //! | Figure 1 (combining two executions) | the base splice inside [`crate::combine31`]; bench `fig1_combining` |
 //! | Corollary 4.1 / 4.3 / 4.5 | [`crate::hierarchy::implementation_lower_bound`] |
 //! | Theorem 4.2 (one bounded counter — Aspnes) | `randsync_consensus::WalkConsensus::with_bounded_counter` |
@@ -37,7 +38,7 @@ mod tests {
     //! Compile-time liveness of the map: every referenced item must
     //! still exist (imports fail the build otherwise).
     #[allow(unused_imports)]
-    use crate::attack::attack_identical;
+    use crate::attack::{attack_identical, attack_target, AttackOutcome};
     #[allow(unused_imports)]
     use crate::bounds::{
         composition_lower_bound, max_identical_processes, min_historyless_objects,

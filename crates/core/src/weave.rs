@@ -106,15 +106,6 @@ impl<'a, P: Protocol> Weaver<'a, P> {
         self.trace.is_empty()
     }
 
-    /// The number of distinct processes that have taken at least one
-    /// step — the "processes used" quantity of Lemma 3.1.
-    pub fn processes_used(&self) -> usize {
-        let mut pids: Vec<ProcessId> = self.trace.iter().map(|s| s.pid).collect();
-        pids.sort_unstable();
-        pids.dedup();
-        pids.len()
-    }
-
     /// Append one step of `step.pid` with `step.coin`.
     ///
     /// # Errors
@@ -261,7 +252,6 @@ mod tests {
         w.append(Step::of(ProcessId(0))).unwrap();
         w.append(Step::of(ProcessId(1))).unwrap();
         assert_eq!(w.len(), 2);
-        assert_eq!(w.processes_used(), 2);
         assert_eq!(w.steps_of(ProcessId(0)), 1);
         assert!(w.self_check().unwrap());
         assert_eq!(w.inputs(), &[0, 1]);

@@ -267,21 +267,8 @@ impl InconsistencyWitness {
             break;
         }
         let execution = Execution::from_steps(steps);
-        let (end, _) =
-            execution.replay(protocol, &start).expect("minimized witness replays");
-        let decisions = end.decisions();
-        let zero = decisions.iter().find(|(_, d)| *d == 0).map(|(p, _)| *p);
-        let one = decisions.iter().find(|(_, d)| *d == 1).map(|(p, _)| *p);
-        let mut pids: Vec<_> = execution.steps().iter().map(|s| s.pid).collect();
-        pids.sort_unstable();
-        pids.dedup();
-        let minimized = InconsistencyWitness {
-            inputs: self.inputs.clone(),
-            execution,
-            decides_zero: zero.expect("a 0-decider survives minimization"),
-            decides_one: one.expect("a 1-decider survives minimization"),
-            processes_used: pids.len(),
-        };
+        let minimized = InconsistencyWitness::from_execution(protocol, &self.inputs, execution)
+            .expect("a minimized witness still decides both values");
         minimized.verify(protocol).expect("minimized witness verifies");
         (minimized, stats)
     }
@@ -418,19 +405,8 @@ mod tests {
         let p = NaiveWriteRead::new(2);
         let out = Explorer::default().explore(&p, &[0, 1]);
         let execution = out.consistency_violation.expect("naive is flawed");
-        // Determine who decided what by replaying.
-        let start = Configuration::initial(&p, &[0, 1]);
-        let (end, _) = execution.replay(&p, &start).unwrap();
-        let decisions = end.decisions();
-        let zero = decisions.iter().find(|(_, d)| *d == 0).unwrap().0;
-        let one = decisions.iter().find(|(_, d)| *d == 1).unwrap().0;
-        let w = InconsistencyWitness {
-            inputs: vec![0, 1],
-            execution,
-            decides_zero: zero,
-            decides_one: one,
-            processes_used: 2,
-        };
+        let w = InconsistencyWitness::from_execution(&p, &[0, 1], execution)
+            .expect("the violation decides both values");
         (p, w)
     }
 
@@ -509,14 +485,15 @@ mod tests {
             stats.commuted <= stats.deleted,
             "a kept commutation must have unlocked a deletion: {stats:?}"
         );
-        // The convenience wrapper is the same computation.
-        let (m2, s2) = crate::attack::attack_minimized(
+        // The adversary and the shrinker are both deterministic.
+        let (m2, s2) = crate::attack::attack_for_witness(
             &p,
             &crate::combine31::CombineLimits::default(),
         )
-        .unwrap();
+        .unwrap()
+        .0
+        .minimize_report(&p);
         m2.verify(&p).unwrap();
-        // The adversary and the shrinker are both deterministic.
         assert_eq!(m2.execution.len(), m.execution.len());
         assert_eq!(s2, stats);
     }

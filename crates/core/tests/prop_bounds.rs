@@ -121,7 +121,7 @@ mod witness_tampering {
 mod witness_shrinking {
     use proptest::prelude::*;
     use randsync_consensus::model_protocols::{Optimistic, Zigzag};
-    use randsync_core::attack::attack_minimized;
+    use randsync_core::attack::attack_for_witness;
     use randsync_core::combine31::CombineLimits;
 
     proptest! {
@@ -141,8 +141,10 @@ mod witness_shrinking {
             macro_rules! check {
                 ($p:expr) => {{
                     let p = $p;
-                    let (min, stats) =
-                        attack_minimized(&p, &CombineLimits::default()).unwrap();
+                    let (min, stats) = attack_for_witness(&p, &CombineLimits::default())
+                        .unwrap()
+                        .0
+                        .minimize_report(&p);
                     // The shrunk schedule is still a real counterexample.
                     prop_assert!(min.verify(&p).is_ok(), "minimized witness broke");
                     // Idempotence: a second shrink finds nothing to do.

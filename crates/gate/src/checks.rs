@@ -15,18 +15,16 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use randsync_consensus::registry::{self, AnyProtocol, ProtocolEntry};
-use randsync_core::attack::attack_for_witness;
+use randsync_core::attack::{attack_target, AttackOutcome};
 use randsync_core::bounds::{
     composition_lower_bound, max_identical_processes, min_historyless_objects,
     min_registers_identical,
 };
-use randsync_core::combine31::CombineLimits;
-use randsync_core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
 use randsync_core::witness::{InconsistencyWitness, MinimizeStats};
 use randsync_model::runtime::{replay_execution, DynObject, ModelObject, Runtime};
 use randsync_model::{
-    ExploreConfig, ExploreLimits, ExploreOutcome, Explorer, FrontierTransport, LocalFrontier, Protocol,
-    SearchMode, SharedFrontier, TransportError,
+    Configuration, ExploreConfig, ExploreLimits, ExploreOutcome, Explorer, FrontierTransport,
+    LocalFrontier, Protocol, SharedFrontier, TransportError,
 };
 use randsync_objects::bridge;
 use randsync_objects::SnapshotCounter;
@@ -135,7 +133,7 @@ pub(crate) fn thm_3_3_adversary(_ctx: &CheckContext) -> CheckOutcome {
             Err(fail) => return fail,
         };
         let protocol = entry.build_default();
-        let (_, minimal, stats) = match register_witness(name, &protocol) {
+        let (_, minimal, stats) = match shrunk_witness(name, entry, &protocol) {
             Ok(found) => found,
             Err(fail) => return fail,
         };
@@ -157,7 +155,7 @@ pub(crate) fn thm_3_3_adversary(_ctx: &CheckContext) -> CheckOutcome {
         for r in 1..=12 {
             let protocol = (entry.build)(entry.default_n, r);
             let label = format!("{name}(r={r})");
-            let (witness, _, _) = match register_witness(&label, &protocol) {
+            let (witness, _, _) = match shrunk_witness(&label, entry, &protocol) {
                 Ok(found) => found,
                 Err(fail) => return fail,
             };
@@ -178,16 +176,31 @@ fn lemma_3_1_cap<P: Protocol>(protocol: &P) -> i128 {
     i128::from(max_identical_processes(protocol.objects().len() as u64) + 1)
 }
 
-/// Run the Lemma 3.2 adversary on `protocol` and return its witness,
-/// the minimized witness and the shrink statistics. The witness must
+/// The witness the adversary that the registry assigns to `entry`
+/// constructs against `protocol` (an instance of `entry`), or why
+/// there is none.
+pub(crate) fn adversary_witness<P: Protocol>(
+    entry: &ProtocolEntry,
+    protocol: &P,
+) -> Result<InconsistencyWitness, String> {
+    match attack_target(entry.attack, protocol) {
+        Ok(AttackOutcome::Inconsistent { witness, .. }) => Ok(witness),
+        Ok(violation) => Err(format!("expected an inconsistency, got a {violation}")),
+        Err(e) => Err(format!("adversary failed: {e}")),
+    }
+}
+
+/// Run `entry`'s adversary on `protocol` and return its witness, the
+/// minimized witness and the shrink statistics. The witness must
 /// replay on the model interpreter, the minimized one on the model and
 /// on bridged atomics.
-fn register_witness<P: Protocol>(
+fn shrunk_witness<P: Protocol>(
     label: &str,
+    entry: &ProtocolEntry,
     protocol: &P,
 ) -> Result<(InconsistencyWitness, InconsistencyWitness, MinimizeStats), CheckOutcome> {
-    let (witness, _) = attack_for_witness(protocol, &CombineLimits::default())
-        .map_err(|e| CheckOutcome::fail(format!("{label}: adversary failed: {e}")))?;
+    let witness = adversary_witness(entry, protocol)
+        .map_err(|e| CheckOutcome::fail(format!("{label}: {e}")))?;
     witness
         .verify(protocol)
         .map_err(|e| CheckOutcome::fail(format!("{label}: witness failed model replay: {e}")))?;
@@ -243,7 +256,9 @@ pub(crate) fn thm_3_3_symmetry(ctx: &CheckContext) -> CheckOutcome {
 
 /// Lemma 3.6: the historyless adversary breaks each flawed
 /// historyless-object protocol with an ample pool, and the witness
-/// survives model and bridged replay plus shrinking.
+/// survives model and bridged replay plus shrinking. The pool is the
+/// witness's input count: the adversary gives every pool process an
+/// input.
 pub(crate) fn lemma_3_6(_ctx: &CheckContext) -> CheckOutcome {
     let mut out = CheckOutcome::pass();
     for name in ["tasrace", "swapchain", "mixedzigzag"] {
@@ -252,31 +267,16 @@ pub(crate) fn lemma_3_6(_ctx: &CheckContext) -> CheckOutcome {
             Err(fail) => return fail,
         };
         let protocol = entry.build_default();
-        let pool = ample_pool_for(&protocol);
-        let witness =
-            match attack_historyless(&protocol, pool, &ExploreLimits::default()) {
-                Ok(GeneralOutcome::Inconsistent { witness, .. }) => witness,
-                Ok(GeneralOutcome::InvalidExecution { input, decided, .. }) => {
-                    return CheckOutcome::fail(format!(
-                        "{name}: expected an inconsistency, got a validity violation \
-                         (input {input} decided {decided})"
-                    ));
-                }
-                Err(e) => return CheckOutcome::fail(format!("{name}: adversary failed: {e}")),
-            };
-        if let Err(e) = witness.verify(&protocol) {
-            return CheckOutcome::fail(format!("{name}: witness failed model replay: {e}"));
-        }
-        let (minimal, _) = witness.minimize_report(&protocol);
-        if let Err(e) = verify_on_bridged(&protocol, &minimal) {
-            return CheckOutcome::fail(format!("{name}: {e}"));
-        }
+        let (witness, minimal, _) = match shrunk_witness(name, entry, &protocol) {
+            Ok(found) => found,
+            Err(fail) => return fail,
+        };
         out = out
             .bound(
                 format!("{name}.processes_used"),
                 minimal.processes_used as i128,
                 BoundOp::Le,
-                pool as i128,
+                witness.inputs.len() as i128,
             )
             .note(format!("{name}.witness_steps"), Json::Int(minimal.execution.len() as i128));
     }
@@ -490,8 +490,8 @@ pub(crate) fn guided_witness(ctx: &CheckContext) -> CheckOutcome {
         Err(fail) => return fail,
     };
     let protocol = entry.build_default();
-    let (found, truncated) = explorer_with(ctx, |c| c.search = SearchMode::BestFirst)
-        .find_violation(&protocol, entry.default_inputs, |c| c.is_inconsistent());
+    let (found, truncated) =
+        explorer(ctx).guided_violation(&protocol, entry.default_inputs, |c| c.is_inconsistent());
     let Some(execution) = found else {
         return CheckOutcome::fail(if truncated {
             "naive: guided search exhausted its budget without a witness"
@@ -694,15 +694,10 @@ fn guided_optimistic(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutco
     let label = "optimistic(5,4)";
     let protocol = built("optimistic", 5, 4)?;
     let inputs = [0, 1, 0, 1, 0];
-    let search = |mode| {
-        explorer_with(ctx, |c| {
-            c.limits = ExploreLimits::default();
-            c.search = mode;
-        })
-        .find_violation(&protocol, &inputs, |c| c.is_inconsistent())
-    };
+    let explorer = explorer_with(ctx, |c| c.limits = ExploreLimits::default());
+    let bad = |c: &Configuration<_>| c.is_inconsistent();
     let fail = |why: String| CheckOutcome::fail(format!("{label}: {why}"));
-    let (bfs_hit, bfs_truncated) = search(SearchMode::Bfs);
+    let (bfs_hit, bfs_truncated) = explorer.find_violation(&protocol, &inputs, bad);
     if bfs_hit.is_some() || !bfs_truncated {
         return Err(fail(format!(
             "breadth-first search was to exhaust the default budget without a witness \
@@ -710,7 +705,7 @@ fn guided_optimistic(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutco
             bfs_hit.is_some()
         )));
     }
-    let Some(execution) = search(SearchMode::BestFirst).0 else {
+    let Some(execution) = explorer.guided_violation(&protocol, &inputs, bad).0 else {
         return Err(fail("best-first search found no witness".to_string()));
     };
     let steps = execution.len() as i128;

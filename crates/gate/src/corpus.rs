@@ -17,14 +17,11 @@ use std::fs;
 use std::path::Path;
 
 use randsync_consensus::registry::{self, AttackFamily, ProtocolEntry};
-use randsync_core::attack::attack_for_witness;
-use randsync_core::combine31::CombineLimits;
-use randsync_core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
 use randsync_core::witness::InconsistencyWitness;
-use randsync_model::{Execution, ExploreLimits, Protocol};
-use randsync_obs::{ExecutionTrace, Json};
+use randsync_model::{Execution, Protocol};
+use randsync_obs::{fnv1a64, ExecutionTrace, Json};
 
-use crate::checks::verify_on_bridged;
+use crate::checks::{adversary_witness, verify_on_bridged};
 
 /// Manifest format version, bumped on incompatible change.
 pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
@@ -32,18 +29,8 @@ pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
 /// The manifest's filename inside a corpus directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
 
-/// FNV-1a 64-bit — the same checksum the checkpoint format uses, so
-/// the workspace has one integrity primitive.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The checksum as the manifest stores it: 16 lowercase hex digits.
+/// The checksum as the manifest stores it: [`fnv1a64`], the checksum
+/// the checkpoint format uses too, as 16 lowercase hex digits.
 pub fn checksum_hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a64(bytes))
 }
@@ -360,30 +347,8 @@ pub fn seed_corpus(dir: &Path) -> Result<Vec<WitnessRecord>, String> {
     };
     let mut added = Vec::new();
     for entry in registry::adversary_targets() {
-        let protocol = entry.build_default();
-        let witness = match entry.attack {
-            AttackFamily::RegisterIdentical => {
-                match attack_for_witness(&protocol, &CombineLimits::default()) {
-                    Ok((w, _)) => w,
-                    Err(e) => return Err(format!("{}: adversary failed: {e}", entry.name)),
-                }
-            }
-            AttackFamily::Historyless => {
-                // Pool sized to the object count, as Lemma 3.6 requires.
-                let pool = ample_pool_for(&protocol);
-                match attack_historyless(&protocol, pool, &ExploreLimits::default()) {
-                    Ok(GeneralOutcome::Inconsistent { witness, .. }) => witness,
-                    Ok(GeneralOutcome::InvalidExecution { .. }) => {
-                        return Err(format!(
-                            "{}: adversary produced a validity violation, not an inconsistency",
-                            entry.name
-                        ))
-                    }
-                    Err(e) => return Err(format!("{}: adversary failed: {e}", entry.name)),
-                }
-            }
-            AttackFamily::NotApplicable => continue,
-        };
+        let witness = adversary_witness(entry, &entry.build_default())
+            .map_err(|e| format!("{}: {e}", entry.name))?;
         if let Some(record) = file_witness(dir, &mut manifest, entry, &witness)? {
             added.push(record);
         }
@@ -396,12 +361,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    fn checksum_hex_renders_fnv1a64_as_sixteen_hex_digits() {
         assert_eq!(checksum_hex(b"foobar"), "85944171f73967e8");
+        assert_eq!(checksum_hex(b""), "cbf29ce484222325");
     }
 
     #[test]

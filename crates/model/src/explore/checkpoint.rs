@@ -60,6 +60,8 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
+use randsync_obs::fnv1a64;
+
 use super::graph::Csr;
 use crate::execution::Step;
 use crate::process::ProcessId;
@@ -134,7 +136,7 @@ impl Checkpoint {
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&CHECKPOINT_SCHEMA_VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         let tmp = path.with_extension("ckpt.tmp");
         fs::write(&tmp, &out).map_err(|e| CheckpointError::Io(e.to_string()))?;
@@ -158,7 +160,7 @@ impl Checkpoint {
         let payload = bytes.get(28..28 + len).ok_or_else(|| {
             CheckpointError::Corrupt("payload shorter than header claims".into())
         })?;
-        if fnv1a(payload) != sum {
+        if fnv1a64(payload) != sum {
             return Err(CheckpointError::Corrupt("checksum mismatch".into()));
         }
         Self::decode(payload)
@@ -298,16 +300,6 @@ impl<'a> Cursor<'a> {
         let n = self.u32()? as usize;
         self.take(n)
     }
-}
-
-/// FNV-1a 64-bit, the checksum used by the checkpoint header.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -199,29 +199,6 @@ pub struct ExploreConfig {
     /// transport failure stops the search at the level boundary with
     /// [`TruncationReason::Transport`].
     pub transport: Option<SharedFrontier>,
-    /// Frontier discipline for [`Explorer::find_violation`]:
-    /// exhaustive breadth-first (the default; shortest witnesses,
-    /// complete up to the budgets) or best-first guided search (a
-    /// binary-heap frontier scored by the valency-split heuristic —
-    /// reaches violations deep beyond what exhaustive search can
-    /// afford, but makes no completeness or shortest-witness claim).
-    /// Full explorations and valency analysis always run
-    /// breadth-first regardless of this setting.
-    pub search: SearchMode,
-}
-
-/// Which frontier discipline [`Explorer::find_violation`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SearchMode {
-    /// Depth-synchronous exhaustive BFS (shortest witness, complete up
-    /// to budgets).
-    #[default]
-    Bfs,
-    /// Best-first guided search: a binary-heap frontier ordered by
-    /// [`straddle_score`], preferring configurations whose pending
-    /// decisions straddle both values. Finds deep violations within a
-    /// budget exhaustive search exhausts; incomplete by design.
-    BestFirst,
 }
 
 /// Where — and under what identity — to write a checkpoint if the
@@ -576,13 +553,6 @@ impl Explorer {
         self
     }
 
-    /// Pick the violation-search frontier discipline (see
-    /// [`ExploreConfig::search`]).
-    pub fn search(mut self, search: SearchMode) -> Self {
-        self.config.search = search;
-        self
-    }
-
     /// This explorer's full configuration.
     pub fn config(&self) -> &ExploreConfig {
         &self.config
@@ -722,29 +692,31 @@ impl Explorer {
         F: Fn(&Configuration<P::State>) -> bool + Sync,
     {
         let start = Configuration::initial(protocol, inputs);
-        if self.config.search == SearchMode::BestFirst {
-            return self.best_first_violation(protocol, start, &bad);
-        }
         let g = engine::bfs(protocol, start, &self.config, false, Some(&bad));
         let truncated = g.config_capped || g.depth_capped_any || g.deadline_hit;
         (g.hit.map(|i| path_to(&g.parent, i)), truncated)
     }
 
-    /// Best-first guided violation search: a binary-heap frontier
-    /// ordered by [`straddle_score`] (ties broken by insertion order,
-    /// so the search is deterministic), deduplicated against a visited
-    /// set, bounded by [`ExploreLimits`]. Where exhaustive BFS spends
-    /// its whole budget enumerating shallow interleavings, the
-    /// heuristic walks promising configurations — many processes
-    /// decided or poised to decide, pending decisions straddling both
-    /// values — toward a violation first. The returned witness is
-    /// replayable but not necessarily shortest; `truncated` reports
-    /// whether the budget stopped an unfinished hunt.
-    fn best_first_violation<P, F>(
+    /// Best-first guided violation search, with
+    /// [`find_violation`](Explorer::find_violation)'s return shape: a
+    /// binary-heap frontier ordered by [`straddle_score`] (ties broken
+    /// by insertion order, so the search is deterministic),
+    /// deduplicated against a visited set, bounded by
+    /// [`ExploreLimits`]. Where exhaustive BFS spends its whole budget
+    /// enumerating shallow interleavings, the heuristic walks promising
+    /// configurations — many processes decided or poised to decide,
+    /// pending decisions straddling both values — toward a violation
+    /// first. It reaches violations deep beyond what exhaustive search
+    /// can afford, but makes no completeness or shortest-witness claim:
+    /// the returned witness is replayable but not necessarily shortest,
+    /// and `truncated` reports whether the budget stopped an unfinished
+    /// hunt. Of the explorer's settings it reads the limits and
+    /// [`canonical`](ExploreConfig::canonical).
+    pub fn guided_violation<P, F>(
         &self,
         protocol: &P,
-        start: Configuration<P::State>,
-        bad: &F,
+        inputs: &[Decision],
+        bad: F,
     ) -> (Option<Execution>, bool)
     where
         P: Protocol,
@@ -753,7 +725,7 @@ impl Explorer {
         use std::collections::BinaryHeap;
 
         let canon = Canonicalizer::for_protocol(protocol, self.config.canonical);
-        let mut start = start;
+        let mut start = Configuration::initial(protocol, inputs);
         canon.canonicalize(&mut start);
         if bad(&start) {
             return (Some(Execution::new()), false);
@@ -907,7 +879,7 @@ where
     None
 }
 
-/// The valency-split heuristic driving [`SearchMode::BestFirst`]:
+/// The valency-split heuristic driving [`Explorer::guided_violation`]:
 /// prefer configurations whose settled and imminent decisions straddle
 /// both values (a consistency violation is then one or two decide
 /// steps away), then configurations with more processes decided or
@@ -2336,9 +2308,7 @@ mod tests {
     fn best_first_finds_violation_and_path_replays() {
         let p = Naive { n: 2 };
         let bad = |c: &Configuration<St>| c.is_inconsistent();
-        let (w, truncated) = Explorer::default()
-            .search(SearchMode::BestFirst)
-            .find_violation(&p, &[0, 1], bad);
+        let (w, truncated) = Explorer::default().guided_violation(&p, &[0, 1], bad);
         assert!(!truncated);
         let exec = w.expect("naive consensus is inconsistent");
         // The returned schedule is a real counterexample: replaying it
@@ -2356,8 +2326,7 @@ mod tests {
         let p = Naive { n: 3 };
         let bad = |c: &Configuration<St>| c.is_inconsistent();
         let tiny = Explorer::new(ExploreLimits { max_configs: 2, max_depth: 10_000 });
-        let (w, truncated) =
-            tiny.search(SearchMode::BestFirst).find_violation(&p, &[0, 0, 0], bad);
+        let (w, truncated) = tiny.guided_violation(&p, &[0, 0, 0], bad);
         // Unanimous inputs: no quick inconsistency, and the budget is
         // far too small to prove anything — the search must say so.
         assert!(w.is_none());
@@ -2368,9 +2337,7 @@ mod tests {
     fn best_first_on_safe_protocol_exhausts_and_finds_nothing() {
         let p = Cas { n: 2 };
         let bad = |c: &Configuration<CasSt>| c.is_inconsistent();
-        let (w, truncated) = Explorer::default()
-            .search(SearchMode::BestFirst)
-            .find_violation(&p, &[0, 1], bad);
+        let (w, truncated) = Explorer::default().guided_violation(&p, &[0, 1], bad);
         assert!(w.is_none(), "CAS consensus is consistent");
         assert!(!truncated, "the space is small enough to exhaust");
     }

@@ -43,3 +43,28 @@ pub use trace::{
     push_context, span, tracing_active, wall_micros, ContextGuard, FanoutSink, Field, JsonlSink,
     RingSink, Span, TraceContext, TraceSink,
 };
+
+/// FNV-1a 64-bit over `bytes`: the workspace's one integrity checksum,
+/// used by the explorer's checkpoint header and the gate's witness
+/// corpus manifest.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a64;
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

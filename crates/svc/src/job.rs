@@ -13,10 +13,7 @@
 use std::time::{Duration, Instant};
 
 use randsync_consensus::registry::{self, AttackFamily, ProtocolEntry};
-use randsync_core::attack::{attack_identical, AttackOutcome};
-use randsync_core::combine31::CombineLimits;
-use randsync_core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
-use randsync_core::witness::InconsistencyWitness;
+use randsync_core::attack::{attack_target, AttackOutcome};
 use randsync_model::runtime::{replay_execution, Runtime};
 use randsync_model::{
     monte_carlo_summary, Checkpoint, CheckpointRequest, DynObject, Execution, ExploreConfig,
@@ -884,69 +881,43 @@ pub fn mc_summary_json(protocol: &str, n: usize, s: &McSummary) -> Json {
     ])
 }
 
-/// Run the applicable adversary against `built` and verify the witness
-/// through the runtime interpreter on fresh model objects.
+/// Run the adversary the registry assigns to `entry` against `built`
+/// and verify the witness through the runtime interpreter on fresh
+/// model objects.
 fn verify_witness_result<P>(entry: &ProtocolEntry, built: &P) -> Result<Json, JobError>
 where
     P: Protocol,
     P::State: Send + Sync,
 {
-    let family = entry.attack.label();
-    let base = |outcome: &str| {
-        vec![
-            ("protocol".to_string(), Json::Str(entry.name.to_string())),
-            ("family".to_string(), Json::Str(family.to_string())),
-            ("outcome".to_string(), Json::Str(outcome.to_string())),
-        ]
-    };
-    let witness_fields = |witness: &InconsistencyWitness| -> Result<Vec<(String, Json)>, JobError> {
-        witness
-            .verify(built)
-            .map_err(|e| JobError::failed(format!("witness failed verification: {e}")))?;
-        Ok(vec![
-            ("steps".to_string(), Json::Int(witness.execution.len() as i128)),
-            (
-                "processes_used".to_string(),
-                Json::Int(witness.processes_used as i128),
-            ),
-            ("verified".to_string(), Json::Bool(true)),
-        ])
-    };
-    match entry.attack {
-        AttackFamily::RegisterIdentical => {
-            match attack_identical(built, &CombineLimits::default()) {
-                Ok(AttackOutcome::Inconsistent { witness, .. }) => {
-                    let mut fields = base("inconsistent");
-                    fields.extend(witness_fields(&witness)?);
-                    Ok(Json::Obj(fields))
-                }
-                Ok(AttackOutcome::InvalidSolo { input, decided, .. }) => {
-                    let mut fields = base("invalid");
-                    fields.push(("input".to_string(), Json::Int(i128::from(input))));
-                    fields.push(("decided".to_string(), Json::Int(i128::from(decided))));
-                    Ok(Json::Obj(fields))
-                }
-                Err(e) => Err(JobError::failed(format!("attack failed: {e}"))),
-            }
+    let mut fields = vec![
+        ("protocol".to_string(), Json::Str(entry.name.to_string())),
+        ("family".to_string(), Json::Str(entry.attack.label().to_string())),
+    ];
+    match attack_target(entry.attack, built) {
+        Ok(AttackOutcome::Inconsistent { witness, .. }) => {
+            witness
+                .verify(built)
+                .map_err(|e| JobError::failed(format!("witness failed verification: {e}")))?;
+            fields.extend([
+                ("outcome".to_string(), Json::Str("inconsistent".to_string())),
+                ("steps".to_string(), Json::Int(witness.execution.len() as i128)),
+                ("processes_used".to_string(), Json::Int(witness.processes_used as i128)),
+                ("verified".to_string(), Json::Bool(true)),
+            ]);
         }
-        AttackFamily::Historyless => {
-            match attack_historyless(built, ample_pool_for(built), &ExploreLimits::default()) {
-                Ok(GeneralOutcome::Inconsistent { witness, .. }) => {
-                    let mut fields = base("inconsistent");
-                    fields.extend(witness_fields(&witness)?);
-                    Ok(Json::Obj(fields))
-                }
-                Ok(GeneralOutcome::InvalidExecution { input, decided, .. }) => {
-                    let mut fields = base("invalid");
-                    fields.push(("input".to_string(), Json::Int(i128::from(input))));
-                    fields.push(("decided".to_string(), Json::Int(i128::from(decided))));
-                    Ok(Json::Obj(fields))
-                }
-                Err(e) => Err(JobError::failed(format!("attack failed: {e}"))),
-            }
+        Ok(
+            AttackOutcome::InvalidSolo { input, decided, .. }
+            | AttackOutcome::InvalidUnanimous { input, decided, .. },
+        ) => {
+            fields.extend([
+                ("outcome".to_string(), Json::Str("invalid".to_string())),
+                ("input".to_string(), Json::Int(i128::from(input))),
+                ("decided".to_string(), Json::Int(i128::from(decided))),
+            ]);
         }
-        AttackFamily::NotApplicable => unreachable!("parse rejected non-attackable protocols"),
+        Err(e) => return Err(JobError::failed(format!("attack failed: {e}"))),
     }
+    Ok(Json::Obj(fields))
 }
 
 #[cfg(test)]

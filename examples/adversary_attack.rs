@@ -5,8 +5,8 @@
 //! Run with: `cargo run --example adversary_attack`
 
 use randsync::consensus::model_protocols::Optimistic;
-use randsync::core::attack::{attack_identical, AttackOutcome};
-use randsync::core::combine31::CombineLimits;
+use randsync::consensus::AttackFamily;
+use randsync::core::attack::{attack_target, AttackOutcome, AttackStats};
 use randsync::model::Configuration;
 
 fn main() {
@@ -22,11 +22,11 @@ fn main() {
          (symmetric, always terminating)\n"
     );
 
-    let outcome = attack_identical(&protocol, &CombineLimits::default())
+    let outcome = attack_target(AttackFamily::RegisterIdentical, &protocol)
         .expect("the attack applies to symmetric register protocols");
 
     match outcome {
-        AttackOutcome::Inconsistent { witness, stats } => {
+        AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) } => {
             println!("constructed an inconsistent execution:");
             println!("  steps           : {}", witness.execution.len());
             println!("  processes used  : {}", witness.processes_used);
@@ -63,11 +63,6 @@ fn main() {
                 witness.processes_used
             );
         }
-        AttackOutcome::InvalidSolo { pid, input, decided, .. } => {
-            println!(
-                "the protocol is broken even without combination: {pid:?} with \
-                 input {input} decided {decided} running solo (validity violation)"
-            );
-        }
+        other => println!("the protocol is broken even without combination: {other}"),
     }
 }

@@ -65,25 +65,55 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use randsync::consensus::registry::{self, AttackFamily, ProtocolEntry};
+use randsync::consensus::registry::{self, ProtocolEntry};
 use randsync::consensus::spec::decide_concurrently;
 use randsync::consensus::{Consensus, WalkConsensus};
-use randsync::core::attack::{attack_identical, AttackOutcome};
-use randsync::core::combine31::CombineLimits;
-use randsync::core::combine35::{ample_pool_for, attack_historyless, GeneralOutcome};
+use randsync::core::attack::{attack_target, AttackError, AttackOutcome, AttackStats};
 use randsync::core::bounds;
 use randsync::core::hierarchy::render_table;
 use randsync::model::runtime::{replay_execution, Runtime};
 use randsync::core::witness::InconsistencyWitness;
 use randsync::model::{
     Checkpoint, CheckpointRequest, Configuration, DynObject, Execution, ExploreConfig,
-    ExploreLimits, ExploreOutcome, Explorer, Protocol, SearchMode,
+    ExploreLimits, ExploreOutcome, Explorer, Protocol,
 };
 use randsync::objects::bridge;
 use randsync::obs::{self, ExecutionTrace, Field, Json, MetricValue, Snapshot, TraceSink};
 use randsync::gate;
 use randsync::svc::soak::{run_soak, SoakConfig, ThresholdCatalog};
 use randsync::svc::{job, Client, Server, ServerConfig};
+
+/// Write `args` to stdout. A reader that closed the pipe early
+/// (`randsync check localcoin | head -1`) ends the process quietly
+/// with status 141, the shell's status for a SIGPIPE death; the
+/// SIGPIPE disposition itself is left alone, so `serve` and `worker`
+/// still see EPIPE on their sockets as an error.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`]; shadows the std macro in this file.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`]; shadows the std macro in this file.
+macro_rules! println {
+    () => {
+        crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// One subcommand: its name, its usage line, a one-line summary and
 /// its handler. The usage line is also the grammar [`parse_args`]
@@ -509,22 +539,27 @@ fn round_param(entry: &ProtocolEntry, args: &Args) -> Result<usize, Stop> {
     }
 }
 
+/// `randsync attack`: run the adversary the registry assigns to the
+/// target, narrate the witness it constructs, and print its trace.
 fn run_attack(args: &Args) -> Outcome {
     let entry = lookup(args.required("protocol"))?;
     let protocol = (entry.build)(entry.default_n, round_param(entry, args)?);
-    match entry.attack {
-        AttackFamily::RegisterIdentical => report_register_attack(&protocol),
-        AttackFamily::Historyless => report_general_attack(&protocol, ample_pool_for(&protocol)),
-        AttackFamily::NotApplicable => Err(Stop::Failed(format!(
-            "unknown attack target: {} (no adversary applies — the protocol is correct)",
-            entry.name
-        ))),
-    }
-}
-
-fn report_register_attack<P: Protocol>(protocol: &P) -> Outcome {
-    match attack_identical(protocol, &CombineLimits::default()) {
-        Ok(AttackOutcome::Inconsistent { witness, stats }) => {
+    let (witness, stats) = match attack_target(entry.attack, &protocol) {
+        Ok(AttackOutcome::Inconsistent { witness, stats }) => (witness, stats),
+        Ok(violation) => {
+            println!("{violation}");
+            return Ok(ExitCode::SUCCESS);
+        }
+        Err(AttackError::NotApplicable) => {
+            return Err(Stop::Failed(format!(
+                "unknown attack target: {} (no adversary applies — the protocol is correct)",
+                entry.name
+            )))
+        }
+        Err(e) => return Err(Stop::Failed(format!("attack failed: {e}"))),
+    };
+    match stats {
+        AttackStats::Register(stats) => {
             println!("inconsistency constructed (Lemma 3.2 adversary):");
             println!("  {witness}");
             println!(
@@ -535,38 +570,23 @@ fn report_register_attack<P: Protocol>(protocol: &P) -> Outcome {
                 stats.incomparable_resolutions,
                 stats.clones_spawned
             );
-            let minimal = witness.minimize(protocol);
+            let minimal = witness.minimize(&protocol);
             println!(
                 "  minimized: {} steps, {} processes",
                 minimal.execution.len(),
                 minimal.processes_used
             );
-            replay_trace(protocol, &witness);
         }
-        Ok(AttackOutcome::InvalidSolo { pid, input, decided, .. }) => {
-            println!("validity violation: {pid:?} (input {input}) decided {decided} solo");
-        }
-        Err(e) => return Err(Stop::Failed(format!("attack failed: {e}"))),
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn report_general_attack<P: Protocol>(protocol: &P, pool: usize) -> Outcome {
-    match attack_historyless(protocol, pool, &ExploreLimits::default()) {
-        Ok(GeneralOutcome::Inconsistent { witness, stats }) => {
+        AttackStats::Historyless(stats) => {
             println!("inconsistency constructed (Lemma 3.6 adversary):");
             println!("  {witness}");
             println!(
                 "  {} pieces executed, {} reconstructions, recursion depth {}",
                 stats.pieces_executed, stats.reconstructions, stats.max_depth
             );
-            replay_trace(protocol, &witness);
         }
-        Ok(GeneralOutcome::InvalidExecution { input, decided, .. }) => {
-            println!("validity violation: unanimous input {input} decided {decided}");
-        }
-        Err(e) => return Err(Stop::Failed(format!("attack failed: {e}"))),
     }
+    replay_trace(&protocol, &witness);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -593,7 +613,6 @@ fn run_valency(args: &Args) -> Outcome {
         threads,
         canonical: args.flag("--canonical"),
         por: args.flag("--por"),
-        search: if best_first { SearchMode::BestFirst } else { SearchMode::Bfs },
         mem_budget_bytes: mem_budget,
         ..ExploreConfig::default()
     };
@@ -711,7 +730,7 @@ where
 fn best_first_report(explorer: &Explorer, entry: &ProtocolEntry) -> Outcome {
     let protocol = entry.build_default();
     let (found, truncated) =
-        explorer.find_violation(&protocol, entry.default_inputs, |c| c.is_inconsistent());
+        explorer.guided_violation(&protocol, entry.default_inputs, |c| c.is_inconsistent());
     let Some(execution) = found else {
         if truncated {
             return Err(Stop::Failed(

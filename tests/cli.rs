@@ -53,6 +53,24 @@ fn spawn_server(args: &[&str]) -> (Child, String, thread::JoinHandle<Vec<String>
 }
 
 #[test]
+fn a_closed_stdout_ends_the_process_quietly() {
+    // The reader is gone before the first line is written, as with
+    // `randsync check localcoin | true`.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_randsync"))
+        .args(["check", "localcoin"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
 fn help_lists_every_subcommand() {
     let (stdout, _, ok) = randsync(&[]);
     assert!(ok);

@@ -4,9 +4,9 @@
 //! interruptible executions at all.
 
 use randsync::consensus::model_protocols::{MixedZigzag, SwapChain, TasRace, Zigzag};
-use randsync::core::attack::{attack_identical, AttackError};
+use randsync::core::attack::{attack_identical, AttackError, AttackOutcome, AttackStats};
 use randsync::core::combine31::CombineLimits;
-use randsync::core::combine35::{ample_pool, attack_historyless, GeneralOutcome};
+use randsync::core::combine35::{ample_pool, attack_historyless};
 use randsync::model::{ExploreLimits, Protocol};
 
 #[test]
@@ -20,13 +20,11 @@ fn swap_chain_is_beyond_the_register_attack_but_falls_to_the_general_one() {
     );
     // ...while the interruptible-execution adversary succeeds.
     match attack_historyless(&p, 8, &ExploreLimits::default()).expect("attack runs") {
-        GeneralOutcome::Inconsistent { witness, stats } => {
+        AttackOutcome::Inconsistent { witness, stats: AttackStats::Historyless(stats) } => {
             witness.verify(&p).unwrap();
             assert!(stats.pieces_executed >= 2);
         }
-        GeneralOutcome::InvalidExecution { .. } => {
-            panic!("swap chain respects validity; expected inconsistency")
-        }
+        other => panic!("swap chain respects validity; expected inconsistency, got {other}"),
     }
 }
 
@@ -34,14 +32,14 @@ fn swap_chain_is_beyond_the_register_attack_but_falls_to_the_general_one() {
 fn tas_race_falls_to_the_general_attack() {
     let p = TasRace::new(2);
     match attack_historyless(&p, 6, &ExploreLimits::default()).expect("attack runs") {
-        GeneralOutcome::Inconsistent { witness, .. } => {
+        AttackOutcome::Inconsistent { witness, .. } => {
             witness.verify(&p).unwrap();
             // The witness uses the single flag only — one historyless
             // object, broken with a handful of processes, consistent
             // with the r = 1 threshold 3r² + r = 4.
             assert!(witness.processes_used <= 6);
         }
-        GeneralOutcome::InvalidExecution { .. } => panic!("tas race respects validity"),
+        other => panic!("tas race respects validity, got {other}"),
     }
 }
 
@@ -53,14 +51,14 @@ fn the_general_attack_also_covers_registers() {
     // (fresh Lemma 3.4 reconstructions).
     let p = Zigzag::new(2, 2);
     match attack_historyless(&p, 16, &ExploreLimits::default()).expect("attack runs") {
-        GeneralOutcome::Inconsistent { witness, stats } => {
+        AttackOutcome::Inconsistent { witness, stats: AttackStats::Historyless(stats) } => {
             witness.verify(&p).unwrap();
             assert!(
                 stats.reconstructions > 0,
                 "diverging first writes must trigger the incomparable case: {stats:?}"
             );
         }
-        GeneralOutcome::InvalidExecution { .. } => panic!("zigzag respects validity"),
+        other => panic!("zigzag respects validity, got {other}"),
     }
 }
 
@@ -74,11 +72,11 @@ fn the_incomparable_case_fires_across_heterogeneous_historyless_kinds() {
     match attack_historyless(&p, ample_pool(3), &ExploreLimits::default())
         .expect("attack runs")
     {
-        GeneralOutcome::Inconsistent { witness, stats } => {
+        AttackOutcome::Inconsistent { witness, stats: AttackStats::Historyless(stats) } => {
             witness.verify(&p).unwrap();
             assert!(stats.reconstructions > 0, "{stats:?}");
         }
-        GeneralOutcome::InvalidExecution { .. } => panic!("mixed zigzag respects validity"),
+        other => panic!("mixed zigzag respects validity, got {other}"),
     }
 }
 
@@ -92,11 +90,11 @@ fn witnesses_respect_the_lemma36_pool() {
         assert!(p.objects().iter().all(|o| o.kind.is_historyless()));
         assert_eq!(p.objects().len(), objs);
         match attack_historyless(&p, pool, &ExploreLimits::default()).unwrap() {
-            GeneralOutcome::Inconsistent { witness, .. } => {
+            AttackOutcome::Inconsistent { witness, .. } => {
                 assert!(witness.processes_used <= pool);
                 assert_eq!(witness.inputs.len(), pool);
             }
-            GeneralOutcome::InvalidExecution { .. } => unreachable!(),
+            other => panic!("swap chain respects validity, got {other}"),
         }
     }
 }
@@ -111,7 +109,7 @@ fn swap_chain_two_process_instance_survives() {
     // 2-process-only pool.
     let p = SwapChain::new(2);
     match attack_historyless(&p, 2, &ExploreLimits::default()) {
-        Ok(GeneralOutcome::Inconsistent { witness, .. }) => {
+        Ok(AttackOutcome::Inconsistent { witness, .. }) => {
             // A pool of 2 has one process per side; if a witness were
             // produced it must verify — and for a correct protocol
             // verification would have to fail, so reaching this arm at
@@ -120,9 +118,7 @@ fn swap_chain_two_process_instance_survives() {
                 "correct 2-process consensus cannot yield a verified witness: {witness}"
             );
         }
-        Ok(GeneralOutcome::InvalidExecution { .. }) => {
-            panic!("swap chain respects validity")
-        }
+        Ok(other) => panic!("swap chain respects validity, got {other}"),
         Err(_) => { /* expected: the construction cannot complete */ }
     }
 }
