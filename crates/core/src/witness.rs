@@ -213,20 +213,35 @@ impl InconsistencyWitness {
     /// transpositions, and the deciders are recomputed.
     ///
     /// Minimization never weakens a witness — the returned value has
-    /// been re-verified.
+    /// been re-verified on the runtime interpreter, so a caller need
+    /// not replay it again.
+    ///
+    /// # Errors
+    ///
+    /// [`WitnessError::NotInconsistent`] if the schedule (this witness's
+    /// own, when nothing could be removed) does not end with both
+    /// values decided, or the [`verify`](Self::verify) error of a
+    /// minimized witness the runtime interpreter does not reproduce.
     ///
     /// [`ObjectKind::independent`]: randsync_model::ObjectKind::independent
-    pub fn minimize<P>(&self, protocol: &P) -> InconsistencyWitness
+    pub fn minimize<P>(&self, protocol: &P) -> Result<InconsistencyWitness, WitnessError>
     where
         P: Protocol,
     {
-        self.minimize_report(protocol).0
+        self.minimize_report(protocol).map(|(minimized, _)| minimized)
     }
 
     /// [`InconsistencyWitness::minimize`], also reporting how many
     /// steps were deleted and how many independent adjacent pairs were
     /// commuted on the way to the fixpoint.
-    pub fn minimize_report<P>(&self, protocol: &P) -> (InconsistencyWitness, MinimizeStats)
+    ///
+    /// # Errors
+    ///
+    /// See [`InconsistencyWitness::minimize`].
+    pub fn minimize_report<P>(
+        &self,
+        protocol: &P,
+    ) -> Result<(InconsistencyWitness, MinimizeStats), WitnessError>
     where
         P: Protocol,
     {
@@ -268,9 +283,9 @@ impl InconsistencyWitness {
         }
         let execution = Execution::from_steps(steps);
         let minimized = InconsistencyWitness::from_execution(protocol, &self.inputs, execution)
-            .expect("a minimized witness still decides both values");
-        minimized.verify(protocol).expect("minimized witness verifies");
-        (minimized, stats)
+            .ok_or(WitnessError::NotInconsistent)?;
+        minimized.verify(protocol)?;
+        Ok((minimized, stats))
     }
 }
 
@@ -371,6 +386,9 @@ impl fmt::Display for InconsistencyWitness {
 pub enum WitnessError {
     /// The execution could not be replayed.
     Replay(ModelError),
+    /// The execution replays, but does not end with both values
+    /// decided.
+    NotInconsistent,
     /// A designated process did not decide the claimed value.
     WrongDecision {
         /// The process in question.
@@ -386,6 +404,9 @@ impl fmt::Display for WitnessError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WitnessError::Replay(e) => write!(f, "witness replay failed: {e}"),
+            WitnessError::NotInconsistent => {
+                write!(f, "witness execution does not end with both values decided")
+            }
             WitnessError::WrongDecision { pid, expected, got } => {
                 write!(f, "witness claims {pid:?} decides {expected}, replay produced {got:?}")
             }
@@ -432,12 +453,14 @@ mod tests {
         w.execution = Execution::from_steps(w.execution.steps()[..1].to_vec());
         let err = w.verify(&p).unwrap_err();
         assert!(matches!(err, WitnessError::WrongDecision { got: None, .. }));
+        // Minimizing it is refused with a typed error, not a panic.
+        assert_eq!(w.minimize_report(&p).unwrap_err(), WitnessError::NotInconsistent);
     }
 
     #[test]
     fn minimization_shrinks_and_reverifies() {
         let (p, w) = naive_violation();
-        let m = w.minimize(&p);
+        let m = w.minimize(&p).unwrap();
         m.verify(&p).unwrap();
         assert!(m.execution.len() <= w.execution.len());
         // The minimal naive violation: write, write, read, read,
@@ -456,7 +479,7 @@ mod tests {
             &crate::combine31::CombineLimits::default(),
         )
         .unwrap();
-        let m = w.minimize(&p);
+        let m = w.minimize(&p).unwrap();
         m.verify(&p).unwrap();
         assert!(m.execution.len() <= w.execution.len());
         // The constructed witness carries clone scaffolding the minimal
@@ -476,7 +499,7 @@ mod tests {
             &crate::combine31::CombineLimits::default(),
         )
         .unwrap();
-        let (m, stats) = w.minimize_report(&p);
+        let (m, stats) = w.minimize_report(&p).unwrap();
         m.verify(&p).unwrap();
         // Every deletion removes exactly one step and commutations
         // remove none, so the ledger must balance.
@@ -492,7 +515,8 @@ mod tests {
         )
         .unwrap()
         .0
-        .minimize_report(&p);
+        .minimize_report(&p)
+        .unwrap();
         m2.verify(&p).unwrap();
         assert_eq!(m2.execution.len(), m.execution.len());
         assert_eq!(s2, stats);

@@ -144,11 +144,12 @@ mod witness_shrinking {
                     let (min, stats) = attack_for_witness(&p, &CombineLimits::default())
                         .unwrap()
                         .0
-                        .minimize_report(&p);
+                        .minimize_report(&p)
+                        .unwrap();
                     // The shrunk schedule is still a real counterexample.
                     prop_assert!(min.verify(&p).is_ok(), "minimized witness broke");
                     // Idempotence: a second shrink finds nothing to do.
-                    let (again, s2) = min.minimize_report(&p);
+                    let (again, s2) = min.minimize_report(&p).unwrap();
                     prop_assert_eq!(s2.deleted, 0, "first shrink left dead steps");
                     prop_assert_eq!(again.execution.len(), min.execution.len());
                     // Replays are bit-identical: the flight trace is a

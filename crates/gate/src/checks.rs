@@ -191,9 +191,10 @@ pub(crate) fn adversary_witness<P: Protocol>(
 }
 
 /// Run `entry`'s adversary on `protocol` and return its witness, the
-/// minimized witness and the shrink statistics. The witness must
-/// replay on the model interpreter, the minimized one on the model and
-/// on bridged atomics.
+/// minimized witness and the shrink statistics. Each is replayed once
+/// on the model interpreter — the witness inside the adversary, the
+/// minimized one inside `minimize_report` — and the minimized one
+/// also on bridged atomics.
 fn shrunk_witness<P: Protocol>(
     label: &str,
     entry: &ProtocolEntry,
@@ -201,11 +202,7 @@ fn shrunk_witness<P: Protocol>(
 ) -> Result<(InconsistencyWitness, InconsistencyWitness, MinimizeStats), CheckOutcome> {
     let witness = adversary_witness(entry, protocol)
         .map_err(|e| CheckOutcome::fail(format!("{label}: {e}")))?;
-    witness
-        .verify(protocol)
-        .map_err(|e| CheckOutcome::fail(format!("{label}: witness failed model replay: {e}")))?;
-    let (minimal, stats) = witness.minimize_report(protocol);
-    minimal.verify(protocol).map_err(|e| {
+    let (minimal, stats) = witness.minimize_report(protocol).map_err(|e| {
         CheckOutcome::fail(format!("{label}: minimized witness failed model replay: {e}"))
     })?;
     verify_on_bridged(protocol, &minimal)
@@ -507,8 +504,16 @@ pub(crate) fn guided_witness(ctx: &CheckContext) -> CheckOutcome {
     if let Err(e) = witness.verify(&protocol) {
         return CheckOutcome::fail(format!("naive: witness failed model replay: {e}"));
     }
-    let (minimal, _) = witness.minimize_report(&protocol);
-    let (again, stats) = minimal.minimize_report(&protocol);
+    let shrunk = witness.minimize_report(&protocol).and_then(|(minimal, _)| {
+        let (again, stats) = minimal.minimize_report(&protocol)?;
+        Ok((minimal, again, stats))
+    });
+    let (minimal, again, stats) = match shrunk {
+        Ok(shrunk) => shrunk,
+        Err(e) => {
+            return CheckOutcome::fail(format!("naive: minimized witness failed model replay: {e}"))
+        }
+    };
     if again.execution.len() != minimal.execution.len() || stats.deleted != 0 {
         return CheckOutcome::fail(format!(
             "naive: minimization is not a fixpoint ({} -> {} steps)",
@@ -646,9 +651,12 @@ fn observable(o: &ExploreOutcome) -> String {
 /// completes and counts the raw space it stands for, and that raw
 /// space completes under a 4 MiB resident budget with an outcome
 /// identical to the same search in RAM. The budgeted search's spilled
-/// bytes, run scans and run bytes read are exact, so a change to the
-/// run format or the flush cadence, or a probe that reads runs twice,
-/// shows.
+/// bytes, run scans, run bytes read and sealed-segment lookups are
+/// exact, so a change to the run format or the flush cadence, a probe
+/// that reads runs twice, or a pass that reads arena rows one lookup
+/// at a time, shows. The budgeted search runs on one thread: expansion
+/// takes one row cursor per worker chunk, so the lookup count depends
+/// on the thread count (no result does).
 fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome, CheckOutcome> {
     const BUDGET: usize = 4 << 20;
     let label = "walk-counter(4,1)";
@@ -659,7 +667,11 @@ fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome
     let ram = complete(label, explorer(ctx).explore(&protocol, &inputs))?;
     let spill = complete(
         label,
-        explorer_with(ctx, |c| c.mem_budget_bytes = BUDGET).explore(&protocol, &inputs),
+        explorer_with(ctx, |c| {
+            c.mem_budget_bytes = BUDGET;
+            c.threads = 1;
+        })
+        .explore(&protocol, &inputs),
     )?;
     if observable(&ram) != observable(&spill) {
         return Err(CheckOutcome::fail(format!(
@@ -678,6 +690,8 @@ fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome
         ("spill.merge_passes", spill.dedup_merge_passes as usize, BoundOp::Eq, 48),
         ("spill.spilled_bytes", spill.spilled_bytes as usize, BoundOp::Eq, 43_146_736),
         ("spill.run_bytes_read", spill.dedup_run_bytes as usize, BoundOp::Eq, 158_854_912),
+        // One lookup per segment a sequential pass crosses, not per row.
+        ("spill.segment_reads", spill.segment_reads as usize, BoundOp::Eq, 156),
         ("spill.resident_bytes", spill.resident_arena_bytes, BoundOp::Le, BUDGET),
     ];
     Ok(bounds.into_iter().fold(out, |out, (field, got, op, want)| {
@@ -711,10 +725,10 @@ fn guided_optimistic(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutco
     let steps = execution.len() as i128;
     let witness = InconsistencyWitness::from_execution(&protocol, &inputs, execution)
         .ok_or_else(|| fail("the witness does not replay to an inconsistency".to_string()))?;
-    let (minimal, _) = witness.minimize_report(&protocol);
-    for w in [&witness, &minimal] {
-        w.verify(&protocol).map_err(|e| fail(format!("witness failed model replay: {e}")))?;
-    }
+    witness.verify(&protocol).map_err(|e| fail(format!("witness failed model replay: {e}")))?;
+    let (minimal, _) = witness
+        .minimize_report(&protocol)
+        .map_err(|e| fail(format!("minimized witness failed model replay: {e}")))?;
     let minimized = minimal.execution.len() as i128;
     Ok(out
         .bound(format!("{label}.witness_steps"), steps, BoundOp::Eq, 18)

@@ -266,7 +266,9 @@ fn file_witness(
     if let Err(e) = witness.verify(&protocol) {
         return Err(format!("{}: witness failed model replay: {e}", entry.name));
     }
-    let (minimal, _) = witness.minimize_report(&protocol);
+    let (minimal, _) = witness
+        .minimize_report(&protocol)
+        .map_err(|e| format!("{}: minimized witness failed model replay: {e}", entry.name))?;
     let trace = minimal.flight_trace(entry.name, entry.default_n, entry.default_r);
     let bytes = trace.to_jsonl();
     let checksum = checksum_hex(bytes.as_bytes());

@@ -79,7 +79,7 @@ use super::checkpoint::{Checkpoint, CheckpointError};
 use super::graph::{Csr, Link};
 use super::pack::{hash_words, PackedArena, WordStore};
 use super::por::{Ample, PorContext};
-use super::spill::{BudgetPlan, ExternalDedup, SpillDir, SpillStore};
+use super::spill::{BudgetPlan, ExternalDedup, RowCursor, SpillDir, SpillStore};
 use super::transport::{SharedFrontier, TransportError};
 use super::ExploreConfig;
 
@@ -730,7 +730,8 @@ where
     while !frontier.is_empty() && g.hit.is_none() {
         if level_depth >= max_depth {
             g.depth_capped_any = true;
-            if frontier.clone().any(|i| g.arena.has_active(i)) {
+            let mut rows = RowCursor::default();
+            if frontier.clone().any(|i| g.arena.has_active(g.arena.row(&mut rows, i))) {
                 g.depth_capped_active = true;
             }
             break;
@@ -747,11 +748,14 @@ where
         // Phase 1: expand every frontier node against a frozen view of
         // the arena and codec. Nothing is interned yet, so workers may
         // race freely; duplicates are resolved by the merge below.
-        // Frontier nodes are expanded straight from their packed rows.
+        // Frontier nodes are expanded straight from their packed rows,
+        // read in index order through one row cursor per chunk.
         let expansions: Vec<NodeExpansion<P::State>> = {
             let arena = &g.arena;
-            let expand = |i: u32| {
-                arena.with_words(i, |row| expand_node(search, arena, row, search.por.as_ref()))
+            let por = search.por.as_ref();
+            let expand = |ids: Range<u32>| {
+                let mut rows = RowCursor::default();
+                ids.map(|i| expand_node(search, arena, arena.row(&mut rows, i), por)).collect::<Vec<_>>()
             };
             let width = frontier.len();
             if threads > 1 && width >= PARALLEL_FRONTIER_MIN {
@@ -762,7 +766,7 @@ where
                         .step_by(chunk as usize)
                         .map(|lo| {
                             let ids = lo..(lo + chunk).min(frontier.end);
-                            scope.spawn(move || ids.map(expand).collect::<Vec<_>>())
+                            scope.spawn(move || expand(ids))
                         })
                         .collect();
                     handles
@@ -771,7 +775,7 @@ where
                         .collect()
                 })
             } else {
-                frontier.clone().map(expand).collect()
+                expand(frontier.clone())
             }
         };
 
@@ -870,15 +874,16 @@ impl LevelKeys {
         &self.words[ord * self.stride..(ord + 1) * self.stride]
     }
 
-    /// Encode the candidates of frontier node `parent`: each row is the
-    /// parent's row with the stepping slot and the changed object
-    /// re-interned, its process words re-sorted on the symmetry
-    /// quotient. The parent's other slots are interned already, so the
-    /// codec grows exactly as a full encode of each successor would
-    /// grow it.
+    /// Encode the candidates of frontier node `parent`, whose row is
+    /// read through `rows`: each candidate's row is the parent's with
+    /// the stepping slot and the changed object re-interned, its
+    /// process words re-sorted on the symmetry quotient. The parent's
+    /// other slots are interned already, so the codec grows exactly as
+    /// a full encode of each successor would grow it.
     fn push_node<S: Clone + Eq + Ord + Hash>(
         &mut self,
         arena: &mut PackedArena<S>,
+        rows: &mut RowCursor,
         canonical: bool,
         parent: u32,
         cands: Vec<Cand<S>>,
@@ -886,10 +891,8 @@ impl LevelKeys {
         if cands.is_empty() {
             return;
         }
-        arena.with_words(parent, |row| {
-            self.base.clear();
-            self.base.extend_from_slice(row);
-        });
+        self.base.clear();
+        self.base.extend_from_slice(arena.row(rows, parent));
         let n_procs = arena.n_procs();
         for cand in cands {
             let at = self.words.len();
@@ -1007,12 +1010,15 @@ fn merge_level<P: Protocol>(
     let mut lev = LevelKeys::new(g.arena.stride());
 
     // Pass A: encode every candidate in frontier order, remembering
-    // each node's span and any reduction it received.
+    // each node's span and any reduction it received. Parent rows are
+    // read in index order through one cursor, which the fallbacks
+    // below reuse (they revisit a subset of the frontier, in order).
+    let mut rows = RowCursor::default();
     let mut spans: Vec<Range<usize>> = Vec::with_capacity(frontier.len());
     let mut reduced: Vec<(usize, u32)> = Vec::new();
     for (pos, expansion) in expansions.into_iter().enumerate() {
         let start = lev.len();
-        lev.push_node(&mut g.arena, canonical, node(pos), expansion.cands);
+        lev.push_node(&mut g.arena, &mut rows, canonical, node(pos), expansion.cands);
         spans.push(start..lev.len());
         if expansion.reduced {
             reduced.push((pos, expansion.pruned));
@@ -1032,15 +1038,17 @@ fn merge_level<P: Protocol>(
     for (pos, pruned) in reduced {
         if spans[pos].clone().any(|ord| found[group_of[ord] as usize].is_some()) {
             g.por_fallbacks += 1;
-            let full =
-                g.arena.with_words(node(pos), |row| expand_node(search, &g.arena, row, None));
+            let full = expand_node(search, &g.arena, g.arena.row(&mut rows, node(pos)), None);
             let start = lev.len();
-            lev.push_node(&mut g.arena, canonical, node(pos), full.cands);
+            lev.push_node(&mut g.arena, &mut rows, canonical, node(pos), full.cands);
             fallback[pos] = Some(start..lev.len());
         } else {
             g.por_pruned += pruned as usize;
         }
     }
+    // Pass D seals segments as it appends rows, and the window evicts
+    // the oldest; release the pin first so it never outlives that.
+    drop(rows);
     let mut gstate: Vec<GroupState> = if lev.len() == k {
         found.into_iter().map(GroupState::probed).collect()
     } else {
@@ -1329,7 +1337,7 @@ mod tests {
                 .collect();
             assert_eq!(steps, expected.iter().map(|(s, _)| *s).collect::<Vec<_>>());
             let mut lev = LevelKeys::new(delta.stride());
-            lev.push_node(&mut delta, canonical, node, expansion.cands);
+            lev.push_node(&mut delta, &mut RowCursor::default(), canonical, node, expansion.cands);
             for (ord, (_, mut succ)) in expected.into_iter().enumerate() {
                 canon.canonicalize(&mut succ);
                 full.encode_intern(&succ, &mut row);

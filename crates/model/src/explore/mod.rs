@@ -86,7 +86,7 @@ pub use canonical::Canonicalizer;
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
 pub use transport::{FrontierTransport, LocalFrontier, SharedFrontier, TransportError};
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 use crate::config::Configuration;
@@ -95,6 +95,7 @@ use crate::process::ProcessId;
 use crate::protocol::{Action, Decision, Protocol};
 
 use graph::{path_to, Csr, Link};
+use pack::{DECIDED_0, DECIDED_1, INCONSISTENT, INVALID, TERMINAL};
 
 /// Budgets bounding an exploration.
 #[derive(Clone, Copy, Debug)]
@@ -337,6 +338,13 @@ pub struct ExploreOutcome {
     /// Like [`dedup_merge_passes`](ExploreOutcome::dedup_merge_passes)
     /// it describes the storage tier, not the search.
     pub dedup_run_bytes: u64,
+    /// Sealed-segment lookups the search and its analysis made on the
+    /// spilled arena (the `explore.segment_reads` counter): each one
+    /// takes the window lock, scans the window and may load the
+    /// segment from disk. `0` on the in-RAM tier. Like
+    /// [`dedup_run_bytes`](ExploreOutcome::dedup_run_bytes) it
+    /// describes the storage tier, not the search.
+    pub segment_reads: u64,
     /// Bytes resident at the end of the search, on every tier: the
     /// arena's resident words plus
     /// [`seen_bytes`](ExploreOutcome::seen_bytes). Under a memory
@@ -607,8 +615,8 @@ impl Explorer {
     {
         let start = Configuration::initial(protocol, inputs);
         let g = engine::bfs(protocol, start, &self.config, true, None);
-        let (outcome, pred) = outcome_from_graph(&g, inputs);
-        (outcome, pred.map(|pred| valency_of_graph(&g, &pred)))
+        let (outcome, masks) = outcome_from_graph(&g, inputs);
+        (outcome, masks.map(|masks| valency_of_graph(&g.succ, &masks)))
     }
 
     /// Continue a checkpointed exploration to completion (or to this
@@ -958,42 +966,34 @@ where
 }
 
 /// Derive the public [`ExploreOutcome`] from a finished BFS graph,
-/// plus the graph's predecessor index when the search was exhausted
-/// (the index the termination check ran on, handed back so a valency
-/// pass over the same graph need not rebuild it). Shared by
+/// plus the graph's reachability masks when the search was exhausted
+/// (see [`reach_masks`]; handed back so a valency pass over the same
+/// graph need not recompute them). Shared by
 /// [`Explorer::explore_from`], [`Explorer::explore_with_valency`] and
 /// [`Explorer::resume`], so every search reports through exactly the
 /// same lens.
 fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
     g: &engine::BfsGraph<S>,
     inputs: &[Decision],
-) -> (ExploreOutcome, Option<Csr>) {
+) -> (ExploreOutcome, Option<Vec<u8>>) {
     let n = g.arena.len();
 
-    // Scan the arena in BFS order — directly over the packed words,
-    // no decoding: the first violating node found is the one a
-    // sequential BFS would have reported, and its parent chain is a
-    // shortest witness. (In canonical mode, a quotient-level one;
+    // One pass over the packed words, no decoding, reads every row once
+    // into a flag byte. The first violating node in BFS order is the
+    // one a sequential BFS would have reported, and its parent chain is
+    // a shortest witness. (In canonical mode, a quotient-level one;
     // violations are permutation-invariant, so existence agrees with
     // the raw space.)
-    let mut consistency_violation = None;
-    let mut validity_violation = None;
-    let mut terminal = vec![false; n];
-    let mut terminal_configs = 0usize;
-    for i in 0..n {
-        let i = i as u32;
-        if consistency_violation.is_none() && g.arena.is_inconsistent(i) {
-            consistency_violation = Some(path_to(&g.parent, i));
-        }
-        if validity_violation.is_none()
-            && g.arena.decided_values(i).iter().any(|d| !inputs.contains(d))
-        {
-            validity_violation = Some(path_to(&g.parent, i));
-        }
-        if !g.arena.has_active(i) {
-            terminal[i as usize] = true;
-            terminal_configs += 1;
-        }
+    let flags = g.arena.node_flags(inputs);
+    let first = |flag: u8| {
+        flags.iter().position(|&f| f & flag != 0).map(|i| path_to(&g.parent, i as u32))
+    };
+    let consistency_violation = first(INCONSISTENT);
+    let validity_violation = first(INVALID);
+    let terminal_configs = flags.iter().filter(|&&f| f & TERMINAL != 0).count();
+    let segment_reads = g.arena.segment_reads();
+    if g.spill_mode && randsync_obs::metrics_enabled() {
+        randsync_obs::global_metrics().counter("explore.segment_reads").add(segment_reads);
     }
 
     let truncated =
@@ -1009,12 +1009,14 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
     } else {
         None
     };
-    let pred = (!truncated).then(|| g.succ.transpose());
-    let (can_always_reach_termination, infinite_execution_possible) = match &pred {
+    let masks = (!truncated).then(|| reach_masks(&g.succ, &flags));
+    drop(flags);
+    let (can_always_reach_termination, infinite_execution_possible) = match &masks {
         None => (None, None),
-        Some(pred) => {
-            (Some(all_can_terminate(&terminal, pred)), Some(has_cycle(&g.succ, |_| true)))
-        }
+        Some(masks) => (
+            Some(masks.iter().all(|&m| m & TERMINAL != 0)),
+            Some(has_cycle(&g.succ, |_| true)),
+        ),
     };
 
     let arena_bytes = g.arena.bytes();
@@ -1038,6 +1040,7 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         spilled_bytes: g.spilled_bytes,
         dedup_merge_passes: g.dedup_merge_passes,
         dedup_run_bytes: g.dedup_run_bytes,
+        segment_reads,
         resident_arena_bytes: g.resident_bytes,
         checkpoint: g.checkpoint_written.clone(),
         checkpoint_error: g.checkpoint_error.clone(),
@@ -1047,28 +1050,33 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         por_pruned: g.por_pruned,
         por_fallbacks: g.por_fallbacks,
     };
-    (outcome, pred)
+    (outcome, masks)
 }
 
-/// Classify every node of an exhausted graph by the decision values
-/// reachable from it (see [`Explorer::valency`]); `pred` is the graph's
-/// predecessor index (its edge CSR transposed).
-fn valency_of_graph<S: Clone + Eq + std::hash::Hash>(
-    g: &engine::BfsGraph<S>,
-    pred: &Csr,
-) -> ValencyAnalysis {
-    // mask bit 0 = "0 reachable", bit 1 = "1 reachable".
-    let n = g.arena.len();
-    let mut mask = vec![0u8; n];
-    for (i, m) in mask.iter_mut().enumerate() {
-        for d in g.arena.decided_values(i as u32) {
-            *m |= 1 << d.min(1);
-        }
-    }
-    propagate_valency(pred, &mut mask);
+/// The reachability mask of every node of an exhausted graph, from its
+/// flag bytes: bit 0 "a node that decided 0 is reachable", bit 1 "a
+/// node that decided ≥ 1 is reachable", bit 2 "a terminal node is
+/// reachable" (each node reaches itself). The flag bits are laid out
+/// so that a node's own mask is its flags' low three bits. One backward
+/// fixpoint over the predecessor index computes all three; the index
+/// is dropped on return, before any cycle search walks the graph.
+fn reach_masks(succ: &Csr, flags: &[u8]) -> Vec<u8> {
+    const _: () = assert!(DECIDED_0 == 1 && DECIDED_1 == 2 && TERMINAL == 4);
+    let mut mask: Vec<u8> = flags.iter().map(|&f| f & (DECIDED_0 | DECIDED_1 | TERMINAL)).collect();
+    propagate_valency(&succ.transpose(), &mut mask);
+    mask
+}
 
+/// Classify every node of an exhausted graph, whose edges are `succ`,
+/// by the decision values reachable from it (see
+/// [`Explorer::valency`]); `masks` are the graph's [`reach_masks`].
+fn valency_of_graph(succ: &Csr, masks: &[u8]) -> ValencyAnalysis {
+    // Bit 0 = "0 reachable", bit 1 = "1 reachable".
+    const BOTH: u8 = DECIDED_0 | DECIDED_1;
+    let valency = |i: usize| Valency::from_mask(masks[i] & BOTH);
+    let n = masks.len();
     let mut analysis = ValencyAnalysis {
-        initial: Valency::from_mask(mask[0]),
+        initial: valency(0),
         zero_valent: 0,
         one_valent: 0,
         bivalent: 0,
@@ -1077,31 +1085,31 @@ fn valency_of_graph<S: Clone + Eq + std::hash::Hash>(
         bivalent_cycle: false,
         critical_configs: 0,
     };
-    for &m in &mask {
-        match Valency::from_mask(m) {
+    for i in 0..n {
+        match valency(i) {
             Valency::Zero => analysis.zero_valent += 1,
             Valency::One => analysis.one_valent += 1,
             Valency::Bivalent => analysis.bivalent += 1,
             Valency::Stuck => analysis.stuck += 1,
         }
     }
-    let bivalent = |i: usize| mask[i] == 3;
-    analysis.bivalent_cycle = has_cycle(&g.succ, bivalent);
+    let bivalent = |i: usize| masks[i] & BOTH == BOTH;
+    analysis.bivalent_cycle = has_cycle(succ, bivalent);
     // Critical configurations: bivalent, every successor univalent.
     analysis.critical_configs = (0..n)
         .filter(|&i| {
-            let outs = g.succ.row(i);
+            let outs = succ.row(i);
             bivalent(i) && !outs.is_empty() && outs.iter().all(|&j| !bivalent(j as usize))
         })
         .count();
     analysis
 }
 
-/// Propagate reachable decision values backwards to the least
-/// fixpoint: on return, `mask[i]` is the union of the initial masks of
-/// every node reachable from `i`. A worklist holds the nodes whose mask
-/// just grew; a mask has two bits, so it grows at most twice and each
-/// node's predecessors are scanned at most three times — O(n + e).
+/// Propagate reachability masks backwards to the least fixpoint: on
+/// return, `mask[i]` is the union of the initial masks of every node
+/// reachable from `i`. A worklist holds the nodes whose mask just grew;
+/// a mask has three bits, so it grows at most three times and each
+/// node's predecessors are scanned at most four times — O(n + e).
 fn propagate_valency(pred: &Csr, mask: &mut [u8]) {
     let mut work: Vec<u32> = (0..mask.len() as u32).filter(|&j| mask[j as usize] != 0).collect();
     while let Some(j) = work.pop() {
@@ -1159,23 +1167,6 @@ fn has_cycle(succ: &Csr, keep: impl Fn(usize) -> bool) -> bool {
         }
     }
     false
-}
-
-/// Backward reachability: can every node reach a terminal node (no
-/// active processes)? `terminal[i]` flags the terminal nodes.
-fn all_can_terminate(terminal: &[bool], pred: &Csr) -> bool {
-    let mut can = terminal.to_vec();
-    let mut queue: VecDeque<u32> =
-        (0..terminal.len() as u32).filter(|&j| terminal[j as usize]).collect();
-    while let Some(j) = queue.pop_front() {
-        for &i in pred.row(j as usize) {
-            if !can[i as usize] {
-                can[i as usize] = true;
-                queue.push_back(i);
-            }
-        }
-    }
-    can.iter().all(|c| *c)
 }
 
 #[cfg(test)]
@@ -1461,21 +1452,21 @@ mod tests {
 
     proptest::proptest! {
         /// On random digraphs — self-loops, cycles, duplicate edges,
-        /// decided nodes anywhere — the worklist reaches the sweep's
-        /// fixpoint, and the predecessor index holds exactly the
-        /// reversed edges.
+        /// decided and terminal nodes anywhere — the worklist reaches
+        /// the sweep's fixpoint on all three mask bits, and the
+        /// predecessor index holds exactly the reversed edges.
         #[test]
         fn worklist_valency_matches_the_sweep(
             n in 1usize..24,
             edges in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..64),
-            decided in proptest::collection::vec(0u8..8, 24),
+            decided in proptest::collection::vec(0u8..16, 24),
         ) {
             let mut succ = vec![Vec::new(); n];
             for e in &edges {
                 succ[(e % n as u64) as usize].push(((e >> 32) % n as u64) as u32);
             }
-            // Masks 0..=3 at random, biased toward undecided (4..8 → 0).
-            let init: Vec<u8> = decided[..n].iter().map(|&d| if d < 4 { d } else { 0 }).collect();
+            // Masks 0..=7 at random, biased toward empty (8..16 → 0).
+            let init: Vec<u8> = decided[..n].iter().map(|&d| if d < 8 { d } else { 0 }).collect();
             let mut csr = Csr::default();
             for (i, outs) in succ.iter().enumerate() {
                 csr.start(i as u32);

@@ -31,8 +31,10 @@
 //! `Vec<u32>` (the default) or a [`SpillStore`] of file-backed segments
 //! with a bounded resident window, selected by
 //! [`ExploreConfig::mem_budget_bytes`](super::ExploreConfig::mem_budget_bytes).
-//! Every row access goes through [`PackedArena::with_words`], so the
-//! two backings are indistinguishable to the engine — same words, same
+//! Every row access goes through [`PackedArena::row`], which a scan in
+//! index order drives with one [`RowCursor`] and
+//! [`PackedArena::with_words`] with a fresh one per read, so the two
+//! backings are indistinguishable to the engine — same words, same
 //! hashes, same ids. The codec tables always stay in RAM (they are
 //! bounded by distinct states, not configurations).
 //!
@@ -53,7 +55,7 @@ use crate::config::{Configuration, ProcState};
 use crate::protocol::Decision;
 use crate::value::Value;
 
-use super::spill::{RowSource, SpillStore};
+use super::spill::{RowCursor, RowSource, SpillStore};
 
 /// Process-slot word for a crashed process.
 const WORD_CRASHED: u32 = 0;
@@ -63,6 +65,43 @@ const WORD_RETIRED: u32 = 1;
 const DECIDED_BASE: u32 = 2;
 /// Base of the active band: `ACTIVE_BASE + id` encodes `Active(states[id])`.
 const ACTIVE_BASE: u32 = DECIDED_BASE + 256;
+
+/// Node flag: some process decided 0. Bit 0 of the valency mask.
+pub(super) const DECIDED_0: u8 = 1;
+/// Node flag: some process decided a value ≥ 1. Bit 1 of the valency
+/// mask (the analysis folds every nonzero decision into "1").
+pub(super) const DECIDED_1: u8 = 2;
+/// Node flag: no process is active (a terminal configuration). Bit 2
+/// of the reachability mask, "a terminal node is reachable".
+pub(super) const TERMINAL: u8 = 4;
+/// Node flag: two processes decided different values.
+pub(super) const INCONSISTENT: u8 = 8;
+/// Node flag: some process decided a value that is no process's input.
+pub(super) const INVALID: u8 = 16;
+
+/// The flag byte of a row whose process words are `procs`: which of
+/// [`DECIDED_0`], [`DECIDED_1`], [`TERMINAL`], [`INCONSISTENT`] and
+/// [`INVALID`] hold, with `input[d]` saying whether `d` is an input.
+fn proc_flags(procs: &[u32], input: &[bool; 256]) -> u8 {
+    let mut flags = TERMINAL;
+    let mut first: Option<u32> = None;
+    for &w in procs {
+        if w >= ACTIVE_BASE {
+            flags &= !TERMINAL;
+        } else if w >= DECIDED_BASE {
+            let d = w - DECIDED_BASE;
+            flags |= if d == 0 { DECIDED_0 } else { DECIDED_1 };
+            if first.is_some_and(|f| f != d) {
+                flags |= INCONSISTENT;
+            }
+            first.get_or_insert(d);
+            if !input[d as usize] {
+                flags |= INVALID;
+            }
+        }
+    }
+    flags
+}
 
 /// Odd multiplier of the [`WordHasher`] fold (2⁶⁴ / φ).
 const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -212,14 +251,24 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
         words.checked_div(self.stride).unwrap_or(0)
     }
 
-    /// Run `f` over the packed words of configuration `i`. In spill
-    /// mode this may fault the row's segment into the resident window;
-    /// in RAM mode it is a plain slice.
+    /// Run `f` over the packed words of configuration `i`, read through
+    /// a fresh [`RowCursor`]: one row read out of order. In spill mode
+    /// this may fault the row's segment into the resident window; `f`
+    /// runs without the window lock held, so it may read other rows.
     pub(super) fn with_words<R>(&self, i: u32, f: impl FnOnce(&[u32]) -> R) -> R {
+        f(self.row(&mut RowCursor::default(), i))
+    }
+
+    /// The packed words of configuration `i`, read through `cursor`:
+    /// a plain slice in RAM mode; in spill mode a row of the segment
+    /// the cursor pins, so a scan in index order looks each segment up
+    /// once (see [`RowCursor`]).
+    #[inline]
+    pub(super) fn row<'a>(&'a self, cursor: &'a mut RowCursor, i: u32) -> &'a [u32] {
         let at = i as usize * self.stride;
         match &self.store {
-            WordStore::Ram(v) => f(&v[at..at + self.stride]),
-            WordStore::Spill(s) => s.with_words(at, self.stride, f),
+            WordStore::Ram(v) => &v[at..at + self.stride],
+            WordStore::Spill(s) => s.cursor_words(cursor, at, self.stride),
         }
     }
 
@@ -342,29 +391,33 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
         })
     }
 
-    /// Whether configuration `i` has at least one active process.
-    pub(super) fn has_active(&self, i: u32) -> bool {
-        self.with_words(i, |w| w[..self.n_procs].iter().any(|&w| w >= ACTIVE_BASE))
+    /// Whether the configuration whose packed words are `row` has at
+    /// least one active process.
+    pub(super) fn has_active(&self, row: &[u32]) -> bool {
+        row[..self.n_procs].iter().any(|&w| w >= ACTIVE_BASE)
     }
 
-    /// The distinct decided values of configuration `i`, sorted.
-    pub(super) fn decided_values(&self, i: u32) -> Vec<Decision> {
-        let mut vs: Vec<Decision> = self.with_words(i, |w| {
-            w[..self.n_procs]
-                .iter()
-                .filter(|&&w| (DECIDED_BASE..ACTIVE_BASE).contains(&w))
-                .map(|&w| (w - DECIDED_BASE) as Decision)
-                .collect()
-        });
-        vs.sort_unstable();
-        vs.dedup();
-        vs
+    /// One flag byte per configuration, in index order, from one cursor
+    /// pass over the arena: [`TERMINAL`], [`DECIDED_0`], [`DECIDED_1`],
+    /// [`INCONSISTENT`] and [`INVALID`] (a decision outside `inputs`).
+    /// Everything the analysis asks of a row, so it reads each row once.
+    pub(super) fn node_flags(&self, inputs: &[Decision]) -> Vec<u8> {
+        let mut input = [false; 256];
+        for &d in inputs {
+            input[usize::from(d)] = true;
+        }
+        let mut cursor = RowCursor::default();
+        (0..self.len() as u32)
+            .map(|i| proc_flags(&self.row(&mut cursor, i)[..self.n_procs], &input))
+            .collect()
     }
 
-    /// Whether two processes of configuration `i` decided different
-    /// values.
-    pub(super) fn is_inconsistent(&self, i: u32) -> bool {
-        self.decided_values(i).len() > 1
+    /// Sealed-segment lookups made so far (0 in RAM mode).
+    pub(super) fn segment_reads(&self) -> u64 {
+        match &self.store {
+            WordStore::Ram(_) => 0,
+            WordStore::Spill(s) => s.segment_reads(),
+        }
     }
 
     /// Estimated **total** bytes of the arena's contents: every packed
@@ -459,17 +512,37 @@ mod tests {
         assert_eq!(copied, words);
     }
 
+    /// The flag byte a row's heap form implies, read off the
+    /// [`Configuration`] predicates the engine's encoding must match.
+    fn expected_flags(c: &Configuration<u16>, inputs: &[Decision]) -> u8 {
+        let decided = c.decided_values();
+        let mut flags = 0;
+        if c.active_processes().is_empty() {
+            flags |= TERMINAL;
+        }
+        if decided.contains(&0) {
+            flags |= DECIDED_0;
+        }
+        if decided.iter().any(|&d| d >= 1) {
+            flags |= DECIDED_1;
+        }
+        if c.is_inconsistent() {
+            flags |= INCONSISTENT;
+        }
+        if decided.iter().any(|d| !inputs.contains(d)) {
+            flags |= INVALID;
+        }
+        flags
+    }
+
     #[test]
-    fn packed_predicates_match_decoded_ones() {
+    fn node_flags_match_decoded_predicates() {
         let mut arena: PackedArena<u16> = PackedArena::new(5, 3);
         let c = sample();
         let mut words = Vec::new();
         arena.encode_intern(&c, &mut words);
         let i = arena.push(&words);
-        assert!(arena.has_active(i));
-        assert_eq!(arena.decided_values(i), vec![255]);
-        assert!(!arena.is_inconsistent(i));
-
+        assert!(arena.has_active(&words));
         let mut done = c.clone();
         done.procs = vec![
             ProcState::Decided(0),
@@ -480,9 +553,53 @@ mod tests {
         ];
         arena.encode_intern(&done, &mut words);
         let j = arena.push(&words);
-        assert!(!arena.has_active(j));
-        assert_eq!(arena.decided_values(j), vec![0, 1]);
-        assert!(arena.is_inconsistent(j));
+        assert!(!arena.has_active(&words));
+        let flags = arena.node_flags(&[0, 1]);
+        assert_eq!(flags[i as usize], DECIDED_1 | INVALID, "255 is no input");
+        assert_eq!(flags[j as usize], TERMINAL | DECIDED_0 | DECIDED_1 | INCONSISTENT);
+        assert_eq!(arena.node_flags(&[0, 1, 255])[i as usize], DECIDED_1);
+    }
+
+    proptest::proptest! {
+        /// On random rows mixing crashed, retired, active and decided
+        /// slots (0, 1 and values ≥ 2), each flag of the one-pass byte
+        /// is the predicate the decoded configuration answers, and the
+        /// validity flag is checked against the inputs given.
+        #[test]
+        fn node_flags_agree_with_configuration_predicates(
+            slots in proptest::collection::vec(0u8..7, 48),
+            inputs in proptest::collection::vec(0u8..4, 0..3),
+        ) {
+            let mut arena: PackedArena<u16> = PackedArena::new(4, 1);
+            let mut words = Vec::new();
+            let configs: Vec<Configuration<u16>> = slots
+                .chunks_exact(4)
+                .map(|row| Configuration {
+                    procs: row
+                        .iter()
+                        .map(|&k| match k {
+                            0 => ProcState::Crashed,
+                            1 => ProcState::Retired,
+                            2 => ProcState::Active(u16::from(k) * 100),
+                            3 => ProcState::Decided(0),
+                            4 => ProcState::Decided(1),
+                            5 => ProcState::Decided(2),
+                            _ => ProcState::Decided(200),
+                        })
+                        .collect(),
+                    values: vec![Value::Int(0)],
+                })
+                .collect();
+            for c in &configs {
+                arena.encode_intern(c, &mut words);
+                arena.push(&words);
+            }
+            let flags = arena.node_flags(&inputs);
+            proptest::prop_assert_eq!(flags.len(), configs.len());
+            for (c, &f) in configs.iter().zip(&flags) {
+                proptest::prop_assert_eq!(f, expected_flags(c, &inputs), "{:?}", c.procs);
+            }
+        }
     }
 
     #[test]
@@ -622,9 +739,8 @@ mod tests {
             ram.read_words(i, &mut w);
             spill.read_words(i, &mut sw);
             assert_eq!(w, sw);
-            assert_eq!(ram.has_active(i), spill.has_active(i));
-            assert_eq!(ram.decided_values(i), spill.decided_values(i));
         }
+        assert_eq!(ram.node_flags(&[0]), spill.node_flags(&[0]));
         assert!(spill.resident_word_bytes() < spill.bytes());
     }
 }

@@ -9,9 +9,12 @@
 //!   sealed to a segment file and a fresh tail starts. Reads go through
 //!   a small FIFO window of recently-loaded segments, a handful of
 //!   entries scanned linearly, so resident arena memory is bounded by
-//!   `(window + 1) × segment_bytes` no matter how many configurations
-//!   are interned. Segment size is a multiple of the row stride, so a
-//!   packed row never straddles two segments.
+//!   `(window + 1) × segment_bytes`, plus one segment per live
+//!   [`RowCursor`], no matter how many configurations are interned. A
+//!   sequential pass reads rows through a cursor, which looks each
+//!   segment up once and serves its rows from the pinned words. Segment
+//!   size is a multiple of the row stride, so a packed row never
+//!   straddles two segments.
 //! * [`ExternalDedup`] is the local seen-set on every tier: the
 //!   engine's, and a [`LocalFrontier`](super::LocalFrontier)'s. Its
 //!   sorted RAM buffer holds one `(hash, slot)` pair per key, 12 bytes;
@@ -106,10 +109,16 @@ impl Drop for SpillDir {
 
 /// How a memory budget is split between the spill structures.
 ///
-/// The budget bounds the *steady-state resident* set: the arena's
-/// resident window plus the dedup RAM buffer. The per-level working set
-/// (phase-1 candidate deltas and the level merge buffers) is additional
-/// and proportional to the widest BFS level, as it always was for the
+/// The budget bounds the *steady-state resident* set: the arena's tail
+/// segment (a sixteenth), its resident window (half), the segment a
+/// [`RowCursor`] pins after the window has evicted it (a sixteenth per
+/// live cursor: the merge and the analysis each read through one,
+/// expansion through one per worker), and the dedup RAM buffer (a
+/// quarter). From a 16 KiB budget up, where the segment size's lower
+/// clamp no longer binds, the tail, the window, one pinned segment and
+/// the buffer fit in the budget. The per-level working set (phase-1
+/// candidate deltas and the level merge buffers) is additional and
+/// proportional to the widest BFS level, as it always was for the
 /// in-RAM engine.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct BudgetPlan {
@@ -152,6 +161,25 @@ fn phase_end(started: Option<Instant>, name: &str) {
     }
 }
 
+/// A sequential reader's hold on one sealed segment of a
+/// [`SpillStore`]: the segment it last looked up, kept pinned so that
+/// every further row in it is served without another lookup. A scan
+/// over a row range through one cursor costs one window lookup per
+/// segment it crosses instead of one per row, takes no lock in between,
+/// and reads tail rows directly.
+///
+/// A cursor pins at most one segment: it releases the old one before it
+/// looks up the next. The pinned words stay valid if the window evicts
+/// the segment meanwhile, since the cursor shares them; such a segment
+/// is the one extra resident segment per cursor that [`BudgetPlan`]
+/// counts. A cursor is not tied to one store's borrow, so a caller may
+/// interleave reads through it with writes to the codec; it must only
+/// ever be used with one store.
+#[derive(Default)]
+pub(super) struct RowCursor {
+    pinned: Option<(u64, Arc<Vec<u32>>)>,
+}
+
 /// Segmented, file-backed append-only `u32` buffer.
 pub(super) struct SpillStore {
     dir: Arc<SpillDir>,
@@ -167,6 +195,8 @@ pub(super) struct SpillStore {
     total_words: usize,
     /// Bytes written to segment files.
     spilled_bytes: u64,
+    /// Sealed-segment lookups (window hits and disk loads alike).
+    segment_reads: AtomicU64,
     window: Mutex<SegWindow>,
 }
 
@@ -181,6 +211,7 @@ impl SpillStore {
             sealed: 0,
             total_words: 0,
             spilled_bytes: 0,
+            segment_reads: AtomicU64::new(0),
             window: Mutex::new(VecDeque::new()),
         }
     }
@@ -191,6 +222,13 @@ impl SpillStore {
 
     pub(super) fn spilled_bytes(&self) -> u64 {
         self.spilled_bytes
+    }
+
+    /// Sealed-segment lookups so far: every row read outside the tail
+    /// that was not served by a cursor's pinned segment — reported as
+    /// `segment_reads`.
+    pub(super) fn segment_reads(&self) -> u64 {
+        self.segment_reads.load(AtomicOrdering::Relaxed)
     }
 
     /// Resident bytes right now: the tail plus the loaded window.
@@ -256,6 +294,7 @@ impl SpillStore {
     /// The window lock is released before this returns, so a caller may
     /// read a second row while it holds the first one's words.
     fn load(&self, seg: u64) -> Arc<Vec<u32>> {
+        self.segment_reads.fetch_add(1, AtomicOrdering::Relaxed);
         if let Some((_, words)) = self.lock_window().iter().rev().find(|&&(s, _)| s == seg) {
             return Arc::clone(words);
         }
@@ -282,24 +321,38 @@ impl SpillStore {
     /// at a time.
     pub(super) fn copy_words(&self, mut at: usize, len: usize, out: &mut Vec<u32>) {
         let end = at + len;
+        let mut cursor = RowCursor::default();
         while at < end {
             let run = (self.segment_words - at % self.segment_words).min(end - at);
-            self.with_words(at, run, |w| out.extend_from_slice(w));
+            out.extend_from_slice(self.cursor_words(&mut cursor, at, run));
             at += run;
         }
     }
 
-    /// Run `f` over the `len` words at word offset `at`. The range never
-    /// straddles segments (rows are stride-aligned within segments).
-    /// `f` runs without the window lock held, so it may read other rows.
-    pub(super) fn with_words<R>(&self, at: usize, len: usize, f: impl FnOnce(&[u32]) -> R) -> R {
+    /// The `len` words at word offset `at`, read through `cursor`: from
+    /// the tail, from the cursor's pinned segment, or from the segment
+    /// looked up and pinned in its place. The range never straddles
+    /// segments (rows are stride-aligned within segments). The window
+    /// lock is released before this returns, so a caller may read a
+    /// second row through another cursor while it holds this one.
+    #[inline]
+    pub(super) fn cursor_words<'a>(
+        &'a self,
+        cursor: &'a mut RowCursor,
+        at: usize,
+        len: usize,
+    ) -> &'a [u32] {
         let seg = (at / self.segment_words) as u64;
         let off = at % self.segment_words;
         if seg == self.sealed {
-            return f(&self.tail[off..off + len]);
+            return &self.tail[off..off + len];
         }
-        let words = self.load(seg);
-        f(&words[off..off + len])
+        if cursor.pinned.as_ref().is_none_or(|(s, _)| *s != seg) {
+            // Release the old pin first, so a cursor never holds two.
+            cursor.pinned = None;
+        }
+        let (_, words) = cursor.pinned.get_or_insert_with(|| (seg, self.load(seg)));
+        &words[off..off + len]
     }
 }
 
@@ -908,12 +961,14 @@ mod tests {
         }
         assert_eq!(store.len_words(), 150);
         assert!(store.spilled_bytes() > 0, "tiny segments must have sealed");
+        let mut cursor = RowCursor::default();
         for (i, row) in rows.iter().enumerate() {
-            store.with_words(i * stride, stride, |w| assert_eq!(w, row.as_slice()));
+            assert_eq!(store.cursor_words(&mut cursor, i * stride, stride), row.as_slice());
         }
         // Random-order re-reads through the bounded window still agree.
         for &i in &[49usize, 0, 25, 3, 48, 1] {
-            store.with_words(i * stride, stride, |w| assert_eq!(w, rows[i].as_slice()));
+            let mut fresh = RowCursor::default();
+            assert_eq!(store.cursor_words(&mut fresh, i * stride, stride), rows[i].as_slice());
         }
         assert!(store.resident_bytes() > 0);
     }
@@ -1082,6 +1137,62 @@ mod tests {
         let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
         assert_ne!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout), "nested reads deadlocked");
         reads.join().expect("nested row reads return the right rows");
+    }
+
+    #[test]
+    fn a_budget_plan_holds_the_tail_window_a_pinned_segment_and_the_buffer() {
+        for budget in [16 << 10, 64 << 10, 1 << 20, 4 << 20, 16 << 20, 256 << 20] {
+            for stride in [2, 5, 9] {
+                let p = BudgetPlan::for_budget(budget, stride);
+                let resident = (1 + p.window_segments + 1) * p.segment_bytes + p.dedup_ram_bytes;
+                assert!(resident <= budget, "budget {budget}, stride {stride}: {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cursor_scan_looks_each_segment_up_once() {
+        // Six 2-word rows per 48-byte segment: rows 0..60 fill ten
+        // sealed segments and rows 60..64 sit in the tail.
+        let arena = key_arena(true);
+        let row = |v: u32| key(v).1;
+        let mut rows = RowCursor::default();
+        let before = arena.segment_reads();
+        for v in 0..64u32 {
+            assert_eq!(arena.row(&mut rows, v), row(v), "scan, row {v}");
+        }
+        assert_eq!(arena.segment_reads() - before, 10, "one lookup per sealed segment");
+        // Both sides of every segment boundary, and of the tail's.
+        for b in (6..64u32).step_by(6) {
+            let mut rows = RowCursor::default();
+            for v in [b - 1, b, b - 1, b] {
+                assert_eq!(arena.row(&mut rows, v), row(v), "boundary {b}, row {v}");
+            }
+        }
+
+        // The pinned segment is evicted mid-scan: the cursor pins
+        // segment 0, two other reads fill the two-segment window, and
+        // the rest of segment 0 still reads right without a lookup.
+        let stride = 2usize;
+        let mut store = SpillStore::new(stride, &plan(), SpillDir::create(None));
+        for v in 0..64u32 {
+            store.push_words(&row(v));
+        }
+        let mut cursor = RowCursor::default();
+        assert_eq!(store.cursor_words(&mut cursor, 0, stride), row(0));
+        for v in [30, 48] {
+            let mut fresh = RowCursor::default();
+            assert_eq!(store.cursor_words(&mut fresh, v as usize * stride, stride), row(v));
+        }
+        assert!(store.lock_window().iter().all(|&(seg, _)| seg != 0), "segment 0 was evicted");
+        let lookups = store.segment_reads();
+        for v in 1..6u32 {
+            assert_eq!(store.cursor_words(&mut cursor, v as usize * stride, stride), row(v));
+        }
+        assert_eq!(store.segment_reads(), lookups, "the evicted pin still serves its rows");
+        // Moving on releases it: the next segment is looked up afresh.
+        assert_eq!(store.cursor_words(&mut cursor, 6 * stride, stride), row(6));
+        assert_eq!(store.segment_reads(), lookups + 1);
     }
 
     /// Key `v` of the chunked-run tests: sixteen consecutive values

@@ -826,6 +826,7 @@ fn explore_outcome_json(protocol: &str, o: &ExploreOutcome, checkpoint: Option<S
                 ("spilled_bytes".to_string(), Json::Int(i128::from(o.spilled_bytes))),
                 ("dedup_merge_passes".to_string(), Json::Int(i128::from(o.dedup_merge_passes))),
                 ("dedup_run_bytes".to_string(), Json::Int(i128::from(o.dedup_run_bytes))),
+                ("segment_reads".to_string(), Json::Int(i128::from(o.segment_reads))),
                 ("seen_bytes".to_string(), Json::Int(o.seen_bytes as i128)),
                 ("resident_arena_bytes".to_string(), Json::Int(o.resident_arena_bytes as i128)),
             ]),
@@ -881,9 +882,10 @@ pub fn mc_summary_json(protocol: &str, n: usize, s: &McSummary) -> Json {
     ])
 }
 
-/// Run the adversary the registry assigns to `entry` against `built`
-/// and verify the witness through the runtime interpreter on fresh
-/// model objects.
+/// Run the adversary the registry assigns to `entry` against `built`.
+/// A witness it returns has already been verified through the runtime
+/// interpreter on fresh model objects (the adversary fails otherwise),
+/// so it is reported as verified without a second replay.
 fn verify_witness_result<P>(entry: &ProtocolEntry, built: &P) -> Result<Json, JobError>
 where
     P: Protocol,
@@ -895,9 +897,6 @@ where
     ];
     match attack_target(entry.attack, built) {
         Ok(AttackOutcome::Inconsistent { witness, .. }) => {
-            witness
-                .verify(built)
-                .map_err(|e| JobError::failed(format!("witness failed verification: {e}")))?;
             fields.extend([
                 ("outcome".to_string(), Json::Str("inconsistent".to_string())),
                 ("steps".to_string(), Json::Int(witness.execution.len() as i128)),

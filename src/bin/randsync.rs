@@ -570,7 +570,9 @@ fn run_attack(args: &Args) -> Outcome {
                 stats.incomparable_resolutions,
                 stats.clones_spawned
             );
-            let minimal = witness.minimize(&protocol);
+            let minimal = witness.minimize(&protocol).map_err(|e| {
+                Stop::Failed(format!("internal error: minimized witness failed verification: {e}"))
+            })?;
             println!(
                 "  minimized: {} steps, {} processes",
                 minimal.execution.len(),
@@ -750,7 +752,9 @@ fn best_first_report(explorer: &Explorer, entry: &ProtocolEntry) -> Outcome {
     witness
         .verify(&protocol)
         .map_err(|e| Stop::Failed(format!("internal error: witness failed verification: {e}")))?;
-    let (minimal, stats) = witness.minimize_report(&protocol);
+    let (minimal, stats) = witness.minimize_report(&protocol).map_err(|e| {
+        Stop::Failed(format!("internal error: minimized witness failed verification: {e}"))
+    })?;
     println!(
         "minimized           : {} steps, {} processes ({} deleted, {} commuted)",
         minimal.execution.len(),
@@ -782,7 +786,9 @@ fn run_shrink(args: &Args) -> Outcome {
                  values); nothing to shrink"
             ))
         })?;
-    let (minimal, stats) = witness.minimize_report(&protocol);
+    let (minimal, stats) = witness.minimize_report(&protocol).map_err(|e| {
+        Stop::Failed(format!("{path}: the shrunk witness failed verification: {e}"))
+    })?;
     println!(
         "{} — {} steps shrunk to {} ({} deleted, {} commuted)",
         entry.name,
