@@ -826,7 +826,6 @@ fn explore_outcome_json(protocol: &str, o: &ExploreOutcome, checkpoint: Option<S
                 ("spilled_bytes".to_string(), Json::Int(i128::from(o.spilled_bytes))),
                 ("dedup_merge_passes".to_string(), Json::Int(i128::from(o.dedup_merge_passes))),
                 ("dedup_run_bytes".to_string(), Json::Int(i128::from(o.dedup_run_bytes))),
-                ("segment_reads".to_string(), Json::Int(i128::from(o.segment_reads))),
                 ("seen_bytes".to_string(), Json::Int(o.seen_bytes as i128)),
                 ("resident_arena_bytes".to_string(), Json::Int(o.resident_arena_bytes as i128)),
             ]),
