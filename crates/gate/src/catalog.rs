@@ -379,6 +379,19 @@ pub static CATALOG: &[PropertyEntry] = &[
         run: checks::explore_counts,
     },
     PropertyEntry {
+        id: "registry-counts",
+        paper: "DESIGN.md sections 9, 14 and 15 (bit-identical search on every protocol)",
+        statement: "Raw, canonical, POR and 64 KiB-budget valency searches of every registry \
+                    protocol at its defaults reach exactly the pinned configurations, terminal \
+                    configurations, 0-, 1- and bivalent counts and arena bytes",
+        protocols: &[],
+        severity: Severity::Critical,
+        tags: &["smoke", "equivalence"],
+        budget_ms: 60_000,
+        requires_witness: false,
+        run: checks::registry_counts,
+    },
+    PropertyEntry {
         id: "runtime-model-equiv",
         paper: "DESIGN.md section 9 (one state machine, many interpreters)",
         statement: "Threaded-runtime executions replay bit-identically through the model \

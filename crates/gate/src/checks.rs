@@ -737,6 +737,78 @@ fn guided_optimistic(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutco
         .bound(format!("{label}.minimized_steps"), minimized, BoundOp::Eq, 18))
 }
 
+/// The searches `registry-counts` runs on each registry protocol: the
+/// raw space, the symmetry quotient (raw again where the protocol
+/// grants no symmetry), partial-order reduction, and the raw space
+/// under a 64 KiB memory budget.
+const REGISTRY_MODES: [(&str, fn(&mut ExploreConfig)); 4] = [
+    ("raw", |_| {}),
+    ("canonical", |c| c.canonical = true),
+    ("por", |c| c.por = true),
+    ("spill", |c| c.mem_budget_bytes = 64 << 10),
+];
+
+/// The figures `registry-counts` pins per search, in [`REGISTRY_COUNTS`]
+/// column order.
+const REGISTRY_FIELDS: [&str; 6] =
+    ["configs", "terminal_configs", "zero_valent", "one_valent", "bivalent", "arena_bytes"];
+
+/// Every registry protocol at its registry defaults, one row of
+/// [`REGISTRY_FIELDS`] per [`REGISTRY_MODES`] search.
+#[rustfmt::skip]
+const REGISTRY_COUNTS: &[(&str, [[usize; 6]; 4])] = &[
+    ("cas", [[43, 2, 24, 18, 1, 1356], [22, 2, 12, 9, 1, 1020], [25, 2, 15, 9, 1, 1068], [43, 2, 24, 18, 1, 1356]]),
+    ("swap2", [[13, 2, 6, 6, 1, 824], [11, 2, 5, 5, 1, 800], [9, 2, 4, 4, 1, 776], [13, 2, 6, 6, 1, 824]]),
+    ("tas2", [[24, 2, 10, 10, 4, 1748], [24, 2, 10, 10, 4, 1748], [18, 2, 7, 7, 4, 1628], [24, 2, 10, 10, 4, 1748]]),
+    ("fetchinc2", [[24, 2, 10, 10, 4, 1680], [24, 2, 10, 10, 4, 1680], [18, 2, 7, 7, 4, 1560], [24, 2, 10, 10, 4, 1680]]),
+    ("walk-counter", [[262, 4, 109, 109, 44, 7100], [262, 4, 109, 109, 44, 7100], [240, 4, 98, 98, 44, 6836], [262, 4, 109, 109, 44, 7100]]),
+    ("walk-fetchadd", [[262, 4, 109, 109, 44, 7100], [262, 4, 109, 109, 44, 7100], [240, 4, 98, 98, 44, 6836], [262, 4, 109, 109, 44, 7100]]),
+    ("walk-default", [[154367, 6, 85608, 44093, 24666, 2488196], [78371, 6, 43271, 22474, 12626, 1272260], [135256, 6, 71568, 39022, 24666, 2182420], [154367, 6, 85608, 44093, 24666, 2488196]]),
+    ("walk-deterministic", [[227, 4, 97, 97, 33, 6680], [227, 4, 97, 97, 33, 6680], [209, 4, 88, 88, 33, 6464], [227, 4, 97, 97, 33, 6680]]),
+    ("naive", [[37, 4, 9, 9, 19, 1228], [31, 4, 6, 6, 19, 1156], [23, 4, 5, 5, 13, 1060], [37, 4, 9, 9, 19, 1228]]),
+    ("optimistic", [[135, 8, 36, 36, 63, 3756], [131, 8, 34, 34, 63, 3692], [72, 8, 16, 13, 43, 2748], [135, 8, 36, 36, 63, 3756]]),
+    ("zigzag", [[115, 6, 44, 24, 47, 3436], [112, 6, 42, 23, 47, 3388], [67, 6, 24, 11, 32, 2668], [115, 6, 44, 24, 47, 3436]]),
+    ("swapchain", [[67, 5, 0, 12, 55, 1740], [30, 3, 0, 7, 23, 1148], [28, 5, 0, 5, 23, 1116], [67, 5, 0, 12, 55, 1740]]),
+    ("tasrace", [[9, 1, 0, 0, 9, 708], [9, 1, 0, 0, 9, 708], [8, 1, 0, 0, 8, 696], [9, 1, 0, 0, 9, 708]]),
+    ("mixedzigzag", [[73, 6, 8, 18, 47, 2844], [70, 6, 7, 16, 47, 2784], [49, 6, 5, 10, 34, 2364], [73, 6, 8, 18, 47, 2844]]),
+    ("localcoin", [[689, 32, 200, 200, 289, 16276], [689, 32, 200, 200, 289, 16276], [209, 32, 64, 64, 81, 6676], [689, 32, 200, 200, 289, 16276]]),
+    ("phase", [[1644, 4, 556, 561, 110, 84732], [1326, 4, 450, 452, 109, 69468], [590, 4, 147, 176, 62, 34140], [1644, 4, 556, 561, 110, 84732]]),
+];
+
+/// Exact valency searches over the whole registry: every protocol at
+/// its defaults, in each of [`REGISTRY_MODES`], reaches exactly the
+/// pinned configurations, terminal configurations, valency classes and
+/// arena bytes. The arena bytes count the codec, so a change to which
+/// states and values are interned shows as well as one to the graph.
+pub(crate) fn registry_counts(ctx: &CheckContext) -> CheckOutcome {
+    let pinned: Vec<&str> = REGISTRY_COUNTS.iter().map(|&(name, _)| name).collect();
+    let listed: Vec<&str> = registry::registry().iter().map(|e| e.name).collect();
+    if pinned != listed {
+        return CheckOutcome::fail(format!("pinned {pinned:?} but the registry lists {listed:?}"));
+    }
+    let mut out = CheckOutcome::pass();
+    for &(name, pins) in REGISTRY_COUNTS {
+        let entry = match binding(name) {
+            Ok(e) => e,
+            Err(fail) => return fail,
+        };
+        let protocol = entry.build_default();
+        for ((mode, tweak), want) in REGISTRY_MODES.into_iter().zip(pins) {
+            let (o, analysis) =
+                explorer_with(ctx, tweak).explore_with_valency(&protocol, entry.default_inputs);
+            let Some(a) = analysis else {
+                return CheckOutcome::fail(format!("{name} {mode}: exploration truncated"));
+            };
+            let got =
+                [o.configs_visited, o.terminal_configs, a.zero_valent, a.one_valent, a.bivalent, o.arena_bytes];
+            for ((field, got), want) in REGISTRY_FIELDS.into_iter().zip(got).zip(want) {
+                out = out.bound(format!("{name}.{mode}.{field}"), got as i128, BoundOp::Eq, want as i128);
+            }
+        }
+    }
+    out
+}
+
 /// One state machine, many interpreters: seeded threaded-runtime
 /// executions must replay bit-identically through the model
 /// interpreter, deciding one valid value.
