@@ -234,3 +234,20 @@ fn wide_space_is_stable_across_runs_and_threads() {
         }
     }
 }
+
+/// The engine memoizes each step — a process state against the value
+/// of the object its action accesses — on the codec's words. For every
+/// registry protocol at its defaults, every node of the raw graph
+/// expands to the same words against the finished search's step table
+/// as against an empty one, which runs every step through the protocol.
+#[test]
+fn memoized_steps_equal_protocol_steps_across_the_registry() {
+    for entry in randsync_consensus::registry::registry() {
+        let nodes = randsync_model::explore::audit_step_table(&entry.build_default(), entry.default_inputs)
+            .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+        let configs = Explorer::new(ExploreLimits::EXHAUSTIVE)
+            .explore(&entry.build_default(), entry.default_inputs)
+            .configs_visited;
+        assert_eq!(nodes, configs, "{}: the audit covers the raw graph", entry.name);
+    }
+}

@@ -658,7 +658,8 @@ fn observable(o: &ExploreOutcome) -> String {
 /// so the parallel expansion over spilled rows is the path compared
 /// with RAM: expansion takes one row cursor per worker chunk and the
 /// chunk bounds follow the thread count, so the lookup count depends
-/// on it (no result does).
+/// on it (no result does). The step table's misses and entries depend
+/// on neither threads nor tier, so both searches pin the same figures.
 fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome, CheckOutcome> {
     const BUDGET: usize = 4 << 20;
     let label = "walk-counter(4,1)";
@@ -694,6 +695,12 @@ fn walk_counter_n4(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutcome
         ("spill.run_bytes_read", spill.dedup_run_bytes as usize, BoundOp::Eq, 158_854_912),
         // One lookup per segment a sequential pass crosses, not per row.
         ("spill.segment_reads", spill.segment_reads as usize, BoundOp::Eq, 165),
+        // Each distinct step runs through the protocol at the nodes of
+        // the level it first shows up in, on either tier.
+        ("step_misses", ram.step_misses as usize, BoundOp::Eq, 42_836),
+        ("step_entries", ram.step_entries as usize, BoundOp::Eq, 118),
+        ("spill.step_misses", spill.step_misses as usize, BoundOp::Eq, 42_836),
+        ("spill.step_entries", spill.step_entries as usize, BoundOp::Eq, 118),
         ("spill.resident_bytes", spill.resident_arena_bytes, BoundOp::Le, BUDGET),
     ];
     Ok(bounds.into_iter().fold(out, |out, (field, got, op, want)| {

@@ -44,20 +44,21 @@
 //! 4. **Deterministic parallelism.** Each BFS level is processed in two
 //!    phases. Phase 1 expands the frontier — in parallel chunks under
 //!    [`std::thread::scope`] when the frontier is large enough — with
-//!    *read-only* access to the arena: each node is expanded straight
-//!    from its packed row, and each candidate successor is a small
-//!    delta against that row (see [`expand_node`]); no configuration is
-//!    decoded or cloned. Phase 2 merges the candidates sequentially at
-//!    the level barrier: it builds each candidate's row from its
-//!    parent's, interning only the changed state and value into the
-//!    codec in frontier order, resolves duplicates (including those
-//!    discovered concurrently within the level), assigns arena indices
-//!    by first occurrence in frontier order, and records edges. Because
-//!    of that order — and because the
-//!    canonical order is the protocol-level `Ord` on states, not an
-//!    interning artifact — the arena order (and hence every witness,
-//!    count, and flag derived from it) is **identical to a sequential
-//!    BFS regardless of thread count or storage tier**.
+//!    *read-only* access to the arena and its step table: each node is
+//!    expanded straight from its packed row into one flat buffer of
+//!    word deltas per chunk, a step the table holds with no protocol
+//!    call (see [`expand_node`]); no configuration is decoded or
+//!    cloned. Phase 2 merges the candidates sequentially at the level
+//!    barrier: it interns the states and values of the steps the table
+//!    missed, in frontier order, and records those steps, builds each
+//!    candidate's row from its parent's, resolves duplicates (including
+//!    those discovered concurrently within the level), assigns arena
+//!    indices by first occurrence in frontier order, and records edges.
+//!    Because of that order — and because the canonical order is the
+//!    protocol-level `Ord` on states, not an interning artifact — the
+//!    arena order (and hence every witness, count, and flag derived
+//!    from it) is **identical to a sequential BFS regardless of thread
+//!    count or storage tier**.
 //! 5. **Checkpointing.** When a search stops cleanly at a level
 //!    boundary (deadline or depth budget, never a mid-level config cap)
 //!    and [`ExploreConfig::checkpoint`] is set, the parent forest is
@@ -68,6 +69,7 @@
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::config::{Configuration, ProcState};
 use crate::process::ProcessId;
@@ -77,9 +79,9 @@ use crate::value::Value;
 use super::canonical::{permutations_of_sorted, Canonicalizer};
 use super::checkpoint::{Checkpoint, CheckpointError};
 use super::graph::{Csr, Link};
-use super::pack::{hash_words, PackedArena, WordStore};
+use super::pack::{hash_words, Cand, PackedArena, WordStore, NONE};
 use super::por::{Ample, PorContext};
-use super::spill::{BudgetPlan, ExternalDedup, RowCursor, SpillDir, SpillStore};
+use super::spill::{phase_end, phase_start, BudgetPlan, ExternalDedup, RowCursor, SpillDir, SpillStore};
 use super::transport::{SharedFrontier, TransportError};
 use super::ExploreConfig;
 
@@ -256,6 +258,8 @@ pub(super) struct BfsGraph<S> {
     pub(super) transport_error: Option<String>,
     /// Whether the search ran with partial-order reduction.
     pub(super) por_enabled: bool,
+    /// Steps run through the protocol (see [`resolve_misses`]).
+    pub(super) step_misses: u64,
     /// Enabled process moves skipped by ample-set reduction (each a
     /// whole process's turn at a node, however many coin outcomes it
     /// would have fanned into).
@@ -291,6 +295,7 @@ impl<S: Clone + Eq + Hash> BfsGraph<S> {
             checkpoint_error: None,
             transport_error: None,
             por_enabled: search.por.is_some(),
+            step_misses: 0,
             por_pruned: 0,
             por_fallbacks: 0,
         }
@@ -334,40 +339,48 @@ struct Search<'a, P: Protocol> {
     max_configs: usize,
 }
 
-/// One candidate successor, as a delta against its parent's packed
-/// row: the step taken (`pid`, `coin`), the stepping process's new
-/// slot, and the object whose value the step changed, if any. Every
-/// other slot is the parent's.
-struct Cand<S> {
-    pid: u32,
-    coin: u32,
-    proc: ProcState<S>,
-    value: Option<(usize, Value)>,
+/// A step the step table missed, run through the protocol: its answer
+/// in heap form, which [`resolve_misses`] interns into the candidates
+/// from `at` on and records as [`PackedArena::record_step`] takes it.
+struct Miss<S> {
+    at: usize,
+    proc: u32,
+    obj: u32,
+    key: u32,
+    /// The accessed object's new value, if the step changed it.
+    value: Option<Value>,
+    /// The stepping process's successor slot of each coin outcome.
+    next: Vec<ProcState<S>>,
 }
 
-/// One frontier node's expansion: its candidate successors plus what
-/// the ample-set reduction did to it.
-struct NodeExpansion<S> {
-    /// Candidate successors, as deltas against the node's row.
-    cands: Vec<Cand<S>>,
-    /// Only one process's steps were expanded (an ample singleton).
-    reduced: bool,
-    /// Enabled process moves the reduction skipped at this node.
-    pruned: u32,
+/// The expansion of a run of consecutive frontier nodes: their
+/// candidates in one flat buffer, the steps the table missed, and per
+/// node its end offset in `cands` and the enabled moves the ample-set
+/// reduction skipped there (0 if it was not reduced).
+struct Expansion<S> {
+    cands: Vec<Cand>,
+    misses: Vec<Miss<S>>,
+    ends: Vec<(usize, u32)>,
 }
 
-/// All one-step successors of the node whose packed words are `row`,
-/// enumerated in `(pid, coin)` order — the same order as
+impl<S> Default for Expansion<S> {
+    fn default() -> Self {
+        Expansion { cands: Vec::new(), misses: Vec::new(), ends: Vec::new() }
+    }
+}
+
+/// Append all one-step successors of the node whose packed words are
+/// `row` to `out`, in `(pid, coin)` order — the same order as
 /// [`super::successors`] — as deltas against `row`.
 ///
-/// The node is never decoded: process states and object values are
-/// borrowed from the arena's codec, so a candidate costs one protocol
-/// transition and no configuration clone. Canonicalization happens
-/// when the merge builds the candidate's row.
+/// The node is never decoded. A step the arena's step table holds
+/// emits its memoized candidates with no protocol call; only a step
+/// the table misses runs the protocol, on states and values borrowed
+/// from the codec, and leaves a [`Miss`] for [`resolve_misses`].
 ///
 /// With a [`PorContext`], the node may be reduced to a singleton ample
 /// set: only that process's steps are expanded (and the skipped moves
-/// counted). The ample choice is a pure function of the configuration,
+/// recorded). The ample choice is a pure function of the configuration,
 /// so parallel workers and sequential re-expansion agree. If the ample
 /// process turns out to contribute no successors (a degenerate apply
 /// failure), the node falls back to full expansion — a reduced node
@@ -377,7 +390,8 @@ fn expand_node<P: Protocol>(
     arena: &PackedArena<P::State>,
     row: &[u32],
     por: Option<&PorContext<P::State>>,
-) -> NodeExpansion<P::State> {
+    out: &mut Expansion<P::State>,
+) {
     let protocol = search.protocol;
     let (procs, values) = row.split_at(arena.n_procs());
     let restrict: Option<ProcessId> = por.and_then(|ctx| {
@@ -386,7 +400,7 @@ fn expand_node<P: Protocol>(
             Ample::Full => None,
         }
     });
-    let mut cands = Vec::new();
+    let (first, misses) = (out.cands.len(), out.misses.len());
     let mut pruned = 0u32;
     for (slot, &word) in procs.iter().enumerate() {
         let Some(state) = arena.state_of(word) else { continue };
@@ -396,35 +410,59 @@ fn expand_node<P: Protocol>(
         }
         // `make_store` checked that every slot index fits in `u32`.
         let pid = slot as u32;
-        match protocol.action(state) {
+        if let Some(succ) = arena.step(word, values) {
+            out.cands.extend(succ.iter().map(|&c| Cand { pid, ..c }));
+            continue;
+        }
+        let at = out.cands.len();
+        let miss = match protocol.action(state) {
             Action::Decide(d) => {
-                cands.push(Cand { pid, coin: 0, proc: ProcState::Decided(d), value: None });
+                Miss { at, proc: word, obj: NONE, key: NONE, value: None, next: vec![ProcState::Decided(d)] }
             }
             Action::Invoke { object, op } => {
-                let Some(spec) = search.specs.get(object.0) else { continue };
-                let Some(&value_word) = values.get(object.0) else { continue };
-                let value = arena.value_of(value_word);
-                let Ok((new_value, resp)) = spec.kind.apply(value, &op) else { continue };
-                let value = (new_value != *value).then_some((object.0, new_value));
-                let domain = protocol.coin_domain(state, &resp).max(1);
-                for coin in 0..domain {
-                    let next = protocol.transition(state, &resp, coin);
-                    cands.push(Cand {
-                        pid,
-                        coin,
-                        proc: ProcState::Active(next),
-                        value,
-                    });
-                }
+                // An object the protocol does not declare has no step.
+                let (Some(spec), Some(&key)) = (search.specs.get(object.0), values.get(object.0)) else {
+                    continue;
+                };
+                let value = arena.value_of(key);
+                let (value, next) = match spec.kind.apply(value, &op) {
+                    Ok((new_value, resp)) => {
+                        let domain = protocol.coin_domain(state, &resp).max(1);
+                        let next = (0..domain).map(|c| ProcState::Active(protocol.transition(state, &resp, c)));
+                        ((new_value != *value).then_some(new_value), next.collect())
+                    }
+                    Err(_) => (None, Vec::new()),
+                };
+                Miss { at, proc: word, obj: object.0 as u32, key, value, next }
             }
-        }
+        };
+        let coins = 0..miss.next.len() as u32;
+        out.cands.extend(coins.map(|coin| Cand { pid, coin, proc: 0, obj: miss.obj, value: NONE }));
+        out.misses.push(miss);
     }
-    if restrict.is_some() && cands.is_empty() && pruned > 0 {
+    if restrict.is_some() && out.cands.len() == first && pruned > 0 {
         // The ample process contributed nothing; expand in full.
-        return expand_node(search, arena, row, None);
+        out.misses.truncate(misses);
+        return expand_node(search, arena, row, None, out);
     }
-    let reduced = restrict.is_some() && pruned > 0;
-    NodeExpansion { cands, reduced, pruned: if reduced { pruned } else { 0 } }
+    out.ends.push((out.cands.len(), pruned));
+}
+
+/// Intern the answers of the steps `exp` missed, in candidate order,
+/// into its candidates' words and record the steps; only a missed step
+/// can bring a new state or value, so the codec assigns the ids
+/// interning every candidate in order would. Returns the miss count.
+fn resolve_misses<S: Clone + Eq + Hash>(arena: &mut PackedArena<S>, exp: &mut Expansion<S>) -> u64 {
+    let missed = exp.misses.len() as u64;
+    for miss in exp.misses.drain(..) {
+        let value = miss.value.map_or(NONE, |v| arena.intern_value(&v));
+        let cands = &mut exp.cands[miss.at..miss.at + miss.next.len()];
+        for (cand, next) in cands.iter_mut().zip(&miss.next) {
+            (cand.proc, cand.value) = (arena.intern_proc(next), value);
+        }
+        arena.record_step(miss.proc, miss.obj, miss.key, cands);
+    }
+    missed
 }
 
 /// Per-level merge tallies, flushed to metrics at the level barrier.
@@ -750,12 +788,15 @@ where
         // race freely; duplicates are resolved by the merge below.
         // Frontier nodes are expanded straight from their packed rows,
         // read in index order through one row cursor per chunk.
-        let expansions: Vec<NodeExpansion<P::State>> = {
+        let clock = phase_start();
+        let expansions: Vec<Expansion<P::State>> = {
             let arena = &g.arena;
             let por = search.por.as_ref();
             let expand = |ids: Range<u32>| {
                 let mut rows = RowCursor::default();
-                ids.map(|i| expand_node(search, arena, arena.row(&mut rows, i), por)).collect::<Vec<_>>()
+                let mut out = Expansion::default();
+                ids.for_each(|i| expand_node(search, arena, arena.row(&mut rows, i), por, &mut out));
+                out
             };
             let width = frontier.len();
             if threads > 1 && width >= PARALLEL_FRONTIER_MIN {
@@ -771,17 +812,19 @@ where
                         .collect();
                     handles
                         .into_iter()
-                        .flat_map(|h| h.join().expect("exploration worker panicked"))
+                        .map(|h| h.join().expect("exploration worker panicked"))
                         .collect()
                 })
             } else {
-                expand(frontier.clone())
+                vec![expand(frontier.clone())]
             }
         };
+        let clock = phase_end(clock, "explore.phase.expand_us");
 
         // Phase 2: sequential merge at the level barrier. This is the
-        // only place the arena, the codec, and the seen-set grow.
-        let merged = merge_level(search, g, dedup, frontier.clone(), expansions);
+        // only place the arena, the codec, its step table and the
+        // seen-set grow.
+        let merged = merge_level(search, g, dedup, frontier.clone(), expansions, clock);
         let (next_frontier, stats) = match merged {
             Ok(level) => level,
             Err(e) => {
@@ -851,19 +894,11 @@ struct LevelKeys {
     link: Vec<Link>,
     hash: Vec<u64>,
     words: Vec<u32>,
-    /// The packed row of the node whose candidates are being encoded.
-    base: Vec<u32>,
 }
 
 impl LevelKeys {
     fn new(stride: usize) -> Self {
-        LevelKeys {
-            stride,
-            link: Vec::new(),
-            hash: Vec::new(),
-            words: Vec::new(),
-            base: Vec::new(),
-        }
+        LevelKeys { stride, link: Vec::new(), hash: Vec::new(), words: Vec::new() }
     }
 
     fn len(&self) -> usize {
@@ -876,31 +911,29 @@ impl LevelKeys {
 
     /// Encode the candidates of frontier node `parent`, whose row is
     /// read through `rows`: each candidate's row is the parent's with
-    /// the stepping slot and the changed object re-interned, its
-    /// process words re-sorted on the symmetry quotient. The parent's
-    /// other slots are interned already, so the codec grows exactly as
-    /// a full encode of each successor would grow it.
+    /// the stepping slot and the accessed object replaced by the
+    /// candidate's words, its process words re-sorted on the symmetry
+    /// quotient.
     fn push_node<S: Clone + Eq + Ord + Hash>(
         &mut self,
-        arena: &mut PackedArena<S>,
+        arena: &PackedArena<S>,
         rows: &mut RowCursor,
         canonical: bool,
         parent: u32,
-        cands: Vec<Cand<S>>,
+        cands: &[Cand],
     ) {
         if cands.is_empty() {
             return;
         }
-        self.base.clear();
-        self.base.extend_from_slice(arena.row(rows, parent));
+        let base = arena.row(rows, parent);
         let n_procs = arena.n_procs();
         for cand in cands {
             let at = self.words.len();
-            self.words.extend_from_slice(&self.base);
+            self.words.extend_from_slice(base);
             let row = &mut self.words[at..];
-            row[cand.pid as usize] = arena.intern_proc(&cand.proc);
-            if let Some((object, value)) = &cand.value {
-                row[n_procs + object] = arena.intern_value(value);
+            row[cand.pid as usize] = cand.proc;
+            if cand.value != NONE {
+                row[n_procs + cand.obj as usize] = cand.value;
             }
             if canonical {
                 arena.sort_procs(&mut row[..n_procs]);
@@ -1002,33 +1035,42 @@ fn merge_level<P: Protocol>(
     g: &mut BfsGraph<P::State>,
     dedup: &mut Dedup,
     frontier: Range<u32>,
-    expansions: Vec<NodeExpansion<P::State>>,
+    expansions: Vec<Expansion<P::State>>,
+    clock: Option<Instant>,
 ) -> Result<(Range<u32>, LevelStats), TransportError> {
     let node = |pos: usize| frontier.start + pos as u32;
     let n_procs = g.arena.n_procs();
     let canonical = search.canon.enabled();
     let mut lev = LevelKeys::new(g.arena.stride());
 
-    // Pass A: encode every candidate in frontier order, remembering
-    // each node's span and any reduction it received. Parent rows are
-    // read in index order through one cursor, which the fallbacks
-    // below reuse (they revisit a subset of the frontier, in order).
+    // Pass A: intern and record the steps the expansion missed, then
+    // encode every candidate in frontier order, remembering each node's
+    // span and any reduction it received. Parent rows are read in index
+    // order through one cursor, which the fallbacks below reuse (they
+    // revisit a subset of the frontier, in order).
     let mut rows = RowCursor::default();
     let mut spans: Vec<Range<usize>> = Vec::with_capacity(frontier.len());
     let mut reduced: Vec<(usize, u32)> = Vec::new();
-    for (pos, expansion) in expansions.into_iter().enumerate() {
-        let start = lev.len();
-        lev.push_node(&mut g.arena, &mut rows, canonical, node(pos), expansion.cands);
-        spans.push(start..lev.len());
-        if expansion.reduced {
-            reduced.push((pos, expansion.pruned));
+    for mut exp in expansions {
+        g.step_misses += resolve_misses(&mut g.arena, &mut exp);
+        let mut from = 0;
+        for &(end, pruned) in &exp.ends {
+            let (pos, start) = (spans.len(), lev.len());
+            lev.push_node(&g.arena, &mut rows, canonical, node(pos), &exp.cands[from..end]);
+            spans.push(start..lev.len());
+            if pruned > 0 {
+                reduced.push((pos, pruned));
+            }
+            from = end;
         }
     }
     let k = lev.len();
+    let clock = phase_end(clock, "explore.phase.encode_us");
 
     // Pass B: group candidates by key. Two candidates are the same
     // configuration iff their full words match (the hash only orders).
     let (mut group_of, mut reps) = lev.group();
+    let clock = phase_end(clock, "explore.phase.group_us");
 
     // Pass C: one sorted probe batch against the seen-set.
     let found = lev.probe(dedup, &g.arena, &reps)?;
@@ -1038,9 +1080,11 @@ fn merge_level<P: Protocol>(
     for (pos, pruned) in reduced {
         if spans[pos].clone().any(|ord| found[group_of[ord] as usize].is_some()) {
             g.por_fallbacks += 1;
-            let full = expand_node(search, &g.arena, g.arena.row(&mut rows, node(pos)), None);
+            let mut full = Expansion::default();
+            expand_node(search, &g.arena, g.arena.row(&mut rows, node(pos)), None, &mut full);
+            g.step_misses += resolve_misses(&mut g.arena, &mut full);
             let start = lev.len();
-            lev.push_node(&mut g.arena, &mut rows, canonical, node(pos), full.cands);
+            lev.push_node(&g.arena, &mut rows, canonical, node(pos), &full.cands);
             fallback[pos] = Some(start..lev.len());
         } else {
             g.por_pruned += pruned as usize;
@@ -1076,6 +1120,7 @@ fn merge_level<P: Protocol>(
         (group_of, reps) = (all_group_of, all_reps);
         gstate
     };
+    let clock = phase_end(clock, "explore.phase.probe_us");
 
     // Pass D: walk candidates in frontier order (a fallen-back node's
     // reduced candidates, then its full ones), intern first occurrences,
@@ -1128,6 +1173,8 @@ fn merge_level<P: Protocol>(
         }
     }
 
+    let clock = phase_end(clock, "explore.phase.intern_us");
+
     // Pass E: append the level's newly interned keys to the seen-set as
     // one sorted batch (reps are in key order).
     let (new_reps, new_idx): (Vec<u32>, Vec<u32>) = reps
@@ -1141,7 +1188,42 @@ fn merge_level<P: Protocol>(
     if !new_reps.is_empty() {
         dedup.insert(&g.arena, &lev.hashes(&new_reps), &new_idx, || lev.words(&new_reps))?;
     }
+    phase_end(clock, "explore.phase.insert_us");
     Ok((first_new..g.arena.len() as u32, stats))
+}
+
+/// Check the step table on `protocol`'s raw graph from `inputs`: every
+/// node expands to the same words against the finished search's table
+/// as against an empty one, which runs each step through the protocol.
+/// Returns the number of nodes, or the first disagreement — what a
+/// protocol breaking the [`Protocol`] determinism contract produces.
+#[doc(hidden)]
+pub fn audit_step_table<P>(protocol: &P, inputs: &[Decision]) -> Result<usize, String>
+where
+    P: Protocol + Sync,
+    P::State: Send + Sync,
+{
+    let config = ExploreConfig { limits: super::ExploreLimits::EXHAUSTIVE, ..ExploreConfig::default() };
+    let mut g = bfs(protocol, Configuration::initial(protocol, inputs), &config, false, None);
+    let canon = Canonicalizer::for_protocol(protocol, false);
+    let specs = protocol.objects();
+    let search = Search { protocol, specs, canon, por: None, stop: None, record_edges: false, max_configs: 0 };
+    let expand = |arena: &PackedArena<P::State>, i: u32| {
+        let mut out = Expansion::default();
+        arena.with_words(i, |row| expand_node(&search, arena, row, None, &mut out));
+        out
+    };
+    let warm: Vec<_> = (0..g.arena.len() as u32).map(|i| expand(&g.arena, i)).collect();
+    for (i, warm) in warm.into_iter().enumerate() {
+        g.arena.forget_steps();
+        let mut cold = expand(&g.arena, i as u32);
+        resolve_misses(&mut g.arena, &mut cold);
+        if !warm.misses.is_empty() || warm.cands != cold.cands {
+            let misses = warm.misses.len();
+            return Err(format!("node {i}: {:?} ({misses} misses) vs {:?}", warm.cands, cold.cands));
+        }
+    }
+    Ok(g.arena.len())
 }
 
 /// End-of-search bookkeeping: fold the spill statistics into the graph
@@ -1172,6 +1254,8 @@ fn finalize<S: Clone + Eq + Hash>(
         let m = randsync_obs::global_metrics();
         m.gauge("explore.graph_bytes").record_max(g.graph_bytes() as i64);
         m.gauge("explore.seen_bytes").record_max(g.seen_bytes as i64);
+        m.counter("explore.step_misses").add(g.step_misses);
+        m.counter("explore.step_entries").add(g.arena.step_entries() as u64);
         if g.spill_mode {
             m.counter("explore.dedup_run_bytes").add(g.dedup_run_bytes);
         }
@@ -1284,11 +1368,13 @@ mod tests {
     }
 
     /// Exhaust `Climb` from a start with crashed, retired and decided
-    /// slots, building every candidate twice: as a word delta against
-    /// its parent's row, and by `encode_intern` of the heap successor
-    /// (canonicalized on the quotient) in a second arena. The rows,
-    /// their hashes and the codec growth must agree candidate by
-    /// candidate.
+    /// slots, building every candidate three ways: as word deltas
+    /// expanded against a warm step table (kept across nodes), as word
+    /// deltas expanded against a cold one (emptied before every node,
+    /// so every step runs through the protocol), and by
+    /// `encode_intern` of the heap successor (canonicalized on the
+    /// quotient) in a third arena. The rows, their hashes and the codec
+    /// growth must agree candidate by candidate.
     fn deltas_match_full_encoding(canonical: bool) {
         let p = Climb;
         let canon = Canonicalizer::for_protocol(&p, canonical);
@@ -1314,50 +1400,65 @@ mod tests {
             values: vec![Value::Int(0), Value::Bottom],
         };
         canon.canonicalize(&mut start);
-        let (mut delta, mut full) = (PackedArena::new(6, 2), PackedArena::new(6, 2));
+        let mut full = PackedArena::new(6, 2);
+        let (mut warm, mut cold) = (PackedArena::new(6, 2), PackedArena::new(6, 2));
         let mut row = Vec::new();
-        full.encode_intern(&start, &mut row);
-        full.push(&row);
-        delta.encode_intern(&start, &mut row);
-        delta.push(&row);
+        for arena in [&mut full, &mut warm, &mut cold] {
+            arena.encode_intern(&start, &mut row);
+            arena.push(&row);
+        }
         let mut seen: HashSet<Vec<u32>> = HashSet::from([row.clone()]);
-        let (mut node, mut candidates) = (0u32, 0usize);
-        while (node as usize) < delta.len() {
+        let (mut node, mut candidates, mut warm_misses) = (0u32, 0usize, 0u64);
+        while (node as usize) < warm.len() {
             let parent = full.decode(node);
             let expected: Vec<(Step, Configuration<St>)> = parent
                 .active_processes()
                 .into_iter()
                 .flat_map(|pid| super::super::successors(&p, &parent, pid))
                 .collect();
-            let expansion = delta.with_words(node, |r| expand_node(&search, &delta, r, None));
-            let steps: Vec<Step> = expansion
-                .cands
-                .iter()
-                .map(|c| Step::with_coin(ProcessId(c.pid as usize), c.coin))
-                .collect();
-            assert_eq!(steps, expected.iter().map(|(s, _)| *s).collect::<Vec<_>>());
-            let mut lev = LevelKeys::new(delta.stride());
-            lev.push_node(&mut delta, &mut RowCursor::default(), canonical, node, expansion.cands);
+            cold.forget_steps();
+            let mut levels = Vec::new();
+            for (arena, misses) in [(&mut warm, &mut warm_misses), (&mut cold, &mut 0)] {
+                let mut exp = Expansion::default();
+                arena.with_words(node, |r| expand_node(&search, arena, r, None, &mut exp));
+                *misses += resolve_misses(arena, &mut exp);
+                let steps: Vec<Step> = exp
+                    .cands
+                    .iter()
+                    .map(|c| Step::with_coin(ProcessId(c.pid as usize), c.coin))
+                    .collect();
+                assert_eq!(steps, expected.iter().map(|(s, _)| *s).collect::<Vec<_>>());
+                let mut lev = LevelKeys::new(arena.stride());
+                lev.push_node(arena, &mut RowCursor::default(), canonical, node, &exp.cands);
+                levels.push(lev);
+            }
             for (ord, (_, mut succ)) in expected.into_iter().enumerate() {
                 canon.canonicalize(&mut succ);
                 full.encode_intern(&succ, &mut row);
-                assert_eq!(lev.row(ord), row.as_slice(), "node {node}, candidate {ord}");
-                assert_eq!(lev.hash[ord], hash_words(&row));
+                for lev in &levels {
+                    assert_eq!(lev.row(ord), row.as_slice(), "node {node}, candidate {ord}");
+                    assert_eq!(lev.hash[ord], hash_words(&row));
+                }
                 if seen.insert(row.clone()) {
-                    assert_eq!(delta.push(&row), full.push(&row));
+                    let j = full.push(&row);
+                    assert_eq!((warm.push(&row), cold.push(&row)), (j, j));
                 }
                 candidates += 1;
             }
-            // Same ids in the same order: the two codecs are the same size.
-            assert_eq!(delta.bytes(), full.bytes(), "node {node}");
+            // Same ids in the same order: the three codecs are the same size.
+            assert_eq!((warm.bytes(), cold.bytes()), (full.bytes(), full.bytes()), "node {node}");
             node += 1;
         }
-        for i in 0..delta.len() as u32 {
-            assert_eq!(delta.decode(i), full.decode(i));
+        for i in 0..warm.len() as u32 {
+            assert_eq!(warm.decode(i), full.decode(i));
         }
         assert!(
             candidates > 100,
             "the space is big enough to mean something: {candidates}"
+        );
+        assert!(
+            warm_misses < candidates as u64 / 4,
+            "the warm table serves most steps: {warm_misses} misses for {candidates} candidates"
         );
     }
 

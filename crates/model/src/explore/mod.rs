@@ -83,6 +83,8 @@ mod spill;
 mod transport;
 
 pub use canonical::Canonicalizer;
+#[doc(hidden)]
+pub use engine::audit_step_table;
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
 pub use transport::{FrontierTransport, LocalFrontier, SharedFrontier, TransportError};
 
@@ -345,6 +347,15 @@ pub struct ExploreOutcome {
     /// [`dedup_run_bytes`](ExploreOutcome::dedup_run_bytes) it
     /// describes the storage tier, not the search.
     pub segment_reads: u64,
+    /// Steps (a process state against the value of the object its
+    /// action accesses) run through the protocol because the step
+    /// table did not hold them yet, and the distinct steps the table
+    /// ends with: the `explore.step_misses` and `explore.step_entries`
+    /// counters. Both are the same at every thread count and on every
+    /// tier; a resumed search starts from an empty table.
+    pub step_misses: u64,
+    /// See [`step_misses`](ExploreOutcome::step_misses).
+    pub step_entries: u64,
     /// Bytes resident at the end of the search, on every tier: the
     /// arena's resident words plus
     /// [`seen_bytes`](ExploreOutcome::seen_bytes). Under a memory
@@ -590,7 +601,7 @@ impl Explorer {
         P::State: Send + Sync,
     {
         let g = engine::bfs(protocol, start, &self.config, true, None);
-        outcome_from_graph(&g, inputs).0
+        outcome_from_graph(&g, inputs, false).0
     }
 
     /// Explore every interleaving and coin outcome of `protocol`, then
@@ -615,8 +626,7 @@ impl Explorer {
     {
         let start = Configuration::initial(protocol, inputs);
         let g = engine::bfs(protocol, start, &self.config, true, None);
-        let (outcome, masks) = outcome_from_graph(&g, inputs);
-        (outcome, masks.map(|masks| valency_of_graph(&g.succ, &masks)))
+        outcome_from_graph(&g, inputs, true)
     }
 
     /// Continue a checkpointed exploration to completion (or to this
@@ -648,7 +658,7 @@ impl Explorer {
             ));
         }
         let g = engine::bfs_resume(protocol, ckpt, &self.config)?;
-        Ok(outcome_from_graph(&g, &ckpt.inputs).0)
+        Ok(outcome_from_graph(&g, &ckpt.inputs, false).0)
     }
 
     /// FLP-style **valency analysis**: classify every reachable
@@ -965,17 +975,19 @@ where
     }
 }
 
-/// Derive the public [`ExploreOutcome`] from a finished BFS graph,
-/// plus the graph's reachability masks when the search was exhausted
-/// (see [`reach_masks`]; handed back so a valency pass over the same
-/// graph need not recompute them). Shared by
-/// [`Explorer::explore_from`], [`Explorer::explore_with_valency`] and
-/// [`Explorer::resume`], so every search reports through exactly the
-/// same lens.
+/// Derive the public [`ExploreOutcome`] from a finished BFS graph and,
+/// if `valency` is set and the search was exhausted, the valency
+/// analysis of the same graph (from the outcome's reachability masks;
+/// see [`reach_masks`]), timed as one `explore.phase.analysis_us`
+/// observation. Shared by [`Explorer::explore_from`],
+/// [`Explorer::explore_with_valency`] and [`Explorer::resume`], so
+/// every search reports through exactly the same lens.
 fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
     g: &engine::BfsGraph<S>,
     inputs: &[Decision],
-) -> (ExploreOutcome, Option<Vec<u8>>) {
+    valency: bool,
+) -> (ExploreOutcome, Option<ValencyAnalysis>) {
+    let started = spill::phase_start();
     let n = g.arena.len();
 
     // One pass over the packed words, no decoding, reads every row once
@@ -1041,6 +1053,8 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         dedup_merge_passes: g.dedup_merge_passes,
         dedup_run_bytes: g.dedup_run_bytes,
         segment_reads,
+        step_misses: g.step_misses,
+        step_entries: g.arena.step_entries() as u64,
         resident_arena_bytes: g.resident_bytes,
         checkpoint: g.checkpoint_written.clone(),
         checkpoint_error: g.checkpoint_error.clone(),
@@ -1050,7 +1064,9 @@ fn outcome_from_graph<S: Clone + Eq + std::hash::Hash>(
         por_pruned: g.por_pruned,
         por_fallbacks: g.por_fallbacks,
     };
-    (outcome, masks)
+    let analysis = masks.filter(|_| valency).map(|masks| valency_of_graph(&g.succ, &masks));
+    spill::phase_end(started, "explore.phase.analysis_us");
+    (outcome, analysis)
 }
 
 /// The reachability mask of every node of an exhausted graph, from its

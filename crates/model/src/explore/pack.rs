@@ -19,13 +19,15 @@
 //! flat words, and a node costs `4·(procs + objects)` bytes instead of
 //! two allocations.
 //!
-//! The engine never needs a successor's heap form: it expands a node
-//! by reading its row and borrowing codec entries
-//! ([`PackedArena::state_of`], [`PackedArena::value_of`]), and builds
-//! each successor's row by copying the parent's and interning only the
-//! slot and object that changed ([`PackedArena::intern_proc`],
-//! [`PackedArena::intern_value`]), re-sorting the process words with
-//! [`PackedArena::sort_procs`] on the symmetry quotient.
+//! The codec also keeps a **step table** ([`PackedArena::step`]): the
+//! successors, as word deltas ([`Cand`]), of each step — an active
+//! process word against the word of the value of the object its action
+//! accesses, which determine the step (the
+//! [`Protocol`](crate::protocol::Protocol) determinism contract). The
+//! engine expands a node from its row alone and runs the protocol only
+//! for a step the table does not hold yet; a successor's row is the
+//! parent's with the stepping slot and the accessed object replaced,
+//! re-sorted with [`PackedArena::sort_procs`] on the symmetry quotient.
 //!
 //! The word buffer itself is a [`WordStore`]: either one resident
 //! `Vec<u32>` (the default) or a [`SpillStore`] of file-backed segments
@@ -39,13 +41,16 @@
 //! bounded by distinct states, not configurations).
 //!
 //! Ids are assigned only by [`PackedArena::encode_intern`] and the two
-//! delta interners, which the engine calls solely from its sequential
-//! merge — so id assignment, and with it every word in the arena, is
-//! deterministic for every `threads` setting and storage tier. A delta
-//! assigns the same ids a full `encode_intern` of the successor would:
-//! every unchanged slot was interned with the parent, so the changed
-//! state and value are the only ones that can be new.
+//! delta interners, and steps recorded only by
+//! [`PackedArena::record_step`]; the engine calls them solely from its
+//! sequential merge, and its parallel expansion reads the table frozen.
+//! So id assignment and the table, and with them every word in the
+//! arena, are deterministic for every `threads` setting and storage
+//! tier. A delta assigns the same ids a full `encode_intern` of the
+//! successor would: every unchanged slot was interned with the parent,
+//! so the changed state and value are the only ones that can be new.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
@@ -65,6 +70,24 @@ const WORD_RETIRED: u32 = 1;
 const DECIDED_BASE: u32 = 2;
 /// Base of the active band: `ACTIVE_BASE + id` encodes `Active(states[id])`.
 const ACTIVE_BASE: u32 = DECIDED_BASE + 256;
+
+/// The step table's "no word": a delta's value word when the step left
+/// the accessed object as it was, and a decision's object and key.
+pub(super) const NONE: u32 = u32::MAX;
+
+/// One candidate successor, as a word delta against its parent's
+/// packed row: the step (`pid`, `coin`), the stepping process's new
+/// word, and the accessed object `obj`'s new value word ([`NONE`] if
+/// the step left it). Every other slot is the parent's. The step table
+/// memoizes a step's candidates whatever their `pid`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) struct Cand {
+    pub(super) pid: u32,
+    pub(super) coin: u32,
+    pub(super) proc: u32,
+    pub(super) obj: u32,
+    pub(super) value: u32,
+}
 
 /// Node flag: some process decided 0. Bit 0 of the valency mask.
 pub(super) const DECIDED_0: u8 = 1;
@@ -209,6 +232,17 @@ pub(super) struct PackedArena<S> {
     values: Vec<Value>,
     /// Interned object values: value → id.
     value_ids: HashMap<Value, u32, WordBuild>,
+    /// The step table: the object slot the action of the state with id
+    /// `i` accesses ([`NONE`] if it decides), `None` until a process in
+    /// that state first steps.
+    access: Vec<Option<u32>>,
+    /// The step table: `(process word << 32 | key)` → the range of its
+    /// candidates in `succ`, where the key is the accessed value's word
+    /// ([`NONE`] for a decision); empty when the operation fails to
+    /// apply.
+    steps: HashMap<u64, (u32, u32), WordBuild>,
+    /// Every recorded step's candidates, concatenated.
+    succ: Vec<Cand>,
 }
 
 impl<S: Clone + Eq + Hash> PackedArena<S> {
@@ -229,6 +263,9 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
             state_ids: HashMap::default(),
             values: Vec::new(),
             value_ids: HashMap::default(),
+            access: Vec::new(),
+            steps: HashMap::default(),
+            succ: Vec::new(),
         }
     }
 
@@ -337,6 +374,47 @@ impl<S: Clone + Eq + Hash> PackedArena<S> {
     /// The value an object-slot word encodes.
     pub(super) fn value_of(&self, word: u32) -> &Value {
         &self.values[word as usize]
+    }
+
+    /// The memoized candidates, in coin order, of a process in active
+    /// word `proc` stepping in a configuration whose object words are
+    /// `values`, if that step was recorded: looked up by the word of
+    /// the value its action accesses ([`NONE`] for a decision).
+    pub(super) fn step(&self, proc: u32, values: &[u32]) -> Option<&[Cand]> {
+        let obj = self.access.get((proc - ACTIVE_BASE) as usize).copied().flatten()?;
+        let key = values.get(obj as usize).copied().unwrap_or(NONE);
+        let &(start, end) = self.steps.get(&(u64::from(proc) << 32 | u64::from(key)))?;
+        Some(&self.succ[start as usize..end as usize])
+    }
+
+    /// Record that the action of the state in active word `proc`
+    /// accesses object slot `obj` ([`NONE`] if it decides) and, against
+    /// key `key`, has the candidates `succ`, unless that step is
+    /// recorded already. Sequential merge only, like
+    /// [`encode_intern`](Self::encode_intern).
+    pub(super) fn record_step(&mut self, proc: u32, obj: u32, key: u32, succ: &[Cand]) {
+        let id = (proc - ACTIVE_BASE) as usize;
+        if self.access.len() <= id {
+            self.access.resize(id + 1, None);
+        }
+        self.access[id] = Some(obj);
+        if let Entry::Vacant(slot) = self.steps.entry(u64::from(proc) << 32 | u64::from(key)) {
+            let start = self.succ.len() as u32;
+            self.succ.extend_from_slice(succ);
+            let end = u32::try_from(self.succ.len()).expect("step-table size exceeds u32");
+            slot.insert((start, end));
+        }
+    }
+
+    /// Forget every recorded step, keeping the codec.
+    pub(super) fn forget_steps(&mut self) {
+        self.steps.clear();
+        self.succ.clear();
+    }
+
+    /// Distinct steps the table holds.
+    pub(super) fn step_entries(&self) -> usize {
+        self.steps.len()
     }
 
     /// Append an encoded configuration; returns its index.

@@ -115,7 +115,9 @@ impl ObjectKind {
     }
 
     /// Apply `op` to current value `v`, yielding the new value and the
-    /// response.
+    /// response. A pure function of the kind, `v` and `op` (errors
+    /// included), which the explorer's memoized steps rely on (see the
+    /// [`Protocol`](crate::protocol::Protocol) determinism contract).
     ///
     /// # Errors
     ///

@@ -109,9 +109,15 @@ impl fmt::Debug for Action {
 /// An asynchronous shared-memory protocol: per-process state machines
 /// over a fixed set of shared objects.
 ///
-/// Determinism contract: [`action`](Protocol::action) and
+/// Determinism contract: [`action`](Protocol::action),
+/// [`coin_domain`](Protocol::coin_domain) and
 /// [`transition`](Protocol::transition) must be pure functions of their
-/// arguments. All nondeterminism is expressed through the coin domain.
+/// arguments, as [`ObjectKind::apply`](crate::kind::ObjectKind::apply)
+/// is of the value and operation. All nondeterminism is expressed
+/// through the coin domain. The explorer relies on this: it runs each
+/// distinct step — a process state against the value of the object its
+/// action accesses — through the protocol once, and replays the
+/// memoized successors wherever that step recurs.
 pub trait Protocol {
     /// Per-process local state. Must be cheap to clone and hashable so
     /// configurations can be memoized during exploration, and totally

@@ -264,6 +264,32 @@ fn valency_metrics_report_the_seen_set_bytes() {
 }
 
 #[test]
+fn valency_metrics_time_every_search_phase_once_per_level() {
+    // Each level observes expand, encode, group, probe, intern and
+    // insert once; the analysis is one observation per search.
+    let (stdout, _, ok) = randsync(&["valency", "walk-counter", "1", "--metrics"]);
+    assert!(ok);
+    let field = |name: &str, key: &str| -> u64 {
+        let line = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} line in:\n{stdout}"));
+        let figure = line.split_whitespace().find_map(|f| f.strip_prefix(key)).unwrap_or(line.trim());
+        figure.parse().unwrap_or_else(|_| panic!("{name} has no {key} count: {line}"))
+    };
+    let levels = field("explore.levels", "");
+    assert!(levels > 10, "{stdout}");
+    for phase in ["expand", "encode", "group", "probe", "intern", "insert"] {
+        assert_eq!(field(&format!("explore.phase.{phase}_us"), "count="), levels, "{phase}");
+    }
+    assert_eq!(field("explore.phase.analysis_us", "count="), 1);
+    // The step table: a step runs through the protocol at each node of
+    // the level it first shows up in, and is replayed from the table
+    // after that; walk-counter's figures are pinned.
+    assert_eq!((field("explore.step_misses", ""), field("explore.step_entries", "")), (104, 92));
+}
+
+#[test]
 fn budgeted_valency_metrics_time_the_spill_phases() {
     // localcoin under 4 KiB flushes runs, probes them, compacts them
     // and faults arena segments back in: each phase is timed.
