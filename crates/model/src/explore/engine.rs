@@ -765,6 +765,10 @@ where
         None
     };
 
+    // Phase 1's candidate buffers and the merge's key buffers are kept
+    // from level to level: fresh ones would fault their pages in anew.
+    let mut spare: Vec<Expansion<P::State>> = Vec::new();
+    let mut lev = LevelKeys::new(g.arena.stride());
     while !frontier.is_empty() && g.hit.is_none() {
         if level_depth >= max_depth {
             g.depth_capped_any = true;
@@ -792,9 +796,10 @@ where
         let expansions: Vec<Expansion<P::State>> = {
             let arena = &g.arena;
             let por = search.por.as_ref();
-            let expand = |ids: Range<u32>| {
+            let expand = |ids: Range<u32>, mut out: Expansion<P::State>| {
                 let mut rows = RowCursor::default();
-                let mut out = Expansion::default();
+                out.cands.clear();
+                out.ends.clear();
                 ids.for_each(|i| expand_node(search, arena, arena.row(&mut rows, i), por, &mut out));
                 out
             };
@@ -807,7 +812,8 @@ where
                         .step_by(chunk as usize)
                         .map(|lo| {
                             let ids = lo..(lo + chunk).min(frontier.end);
-                            scope.spawn(move || expand(ids))
+                            let out = spare.pop().unwrap_or_default();
+                            scope.spawn(move || expand(ids, out))
                         })
                         .collect();
                     handles
@@ -816,7 +822,7 @@ where
                         .collect()
                 })
             } else {
-                vec![expand(frontier.clone())]
+                vec![expand(frontier.clone(), spare.pop().unwrap_or_default())]
             }
         };
         let clock = phase_end(clock, "explore.phase.expand_us");
@@ -824,7 +830,8 @@ where
         // Phase 2: sequential merge at the level barrier. This is the
         // only place the arena, the codec, its step table and the
         // seen-set grow.
-        let merged = merge_level(search, g, dedup, frontier.clone(), expansions, clock);
+        spare = expansions;
+        let merged = merge_level(search, g, dedup, frontier.clone(), &mut spare, &mut lev, clock);
         let (next_frontier, stats) = match merged {
             Ok(level) => level,
             Err(e) => {
@@ -899,6 +906,12 @@ struct LevelKeys {
 impl LevelKeys {
     fn new(stride: usize) -> Self {
         LevelKeys { stride, link: Vec::new(), hash: Vec::new(), words: Vec::new() }
+    }
+
+    fn clear(&mut self) {
+        self.link.clear();
+        self.hash.clear();
+        self.words.clear();
     }
 
     fn len(&self) -> usize {
@@ -1035,13 +1048,14 @@ fn merge_level<P: Protocol>(
     g: &mut BfsGraph<P::State>,
     dedup: &mut Dedup,
     frontier: Range<u32>,
-    expansions: Vec<Expansion<P::State>>,
+    expansions: &mut [Expansion<P::State>],
+    lev: &mut LevelKeys,
     clock: Option<Instant>,
 ) -> Result<(Range<u32>, LevelStats), TransportError> {
     let node = |pos: usize| frontier.start + pos as u32;
     let n_procs = g.arena.n_procs();
     let canonical = search.canon.enabled();
-    let mut lev = LevelKeys::new(g.arena.stride());
+    lev.clear();
 
     // Pass A: intern and record the steps the expansion missed, then
     // encode every candidate in frontier order, remembering each node's
@@ -1051,8 +1065,8 @@ fn merge_level<P: Protocol>(
     let mut rows = RowCursor::default();
     let mut spans: Vec<Range<usize>> = Vec::with_capacity(frontier.len());
     let mut reduced: Vec<(usize, u32)> = Vec::new();
-    for mut exp in expansions {
-        g.step_misses += resolve_misses(&mut g.arena, &mut exp);
+    for exp in expansions.iter_mut() {
+        g.step_misses += resolve_misses(&mut g.arena, exp);
         let mut from = 0;
         for &(end, pruned) in &exp.ends {
             let (pos, start) = (spans.len(), lev.len());
