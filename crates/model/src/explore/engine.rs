@@ -81,7 +81,7 @@ use super::checkpoint::{Checkpoint, CheckpointError};
 use super::graph::{Csr, Link};
 use super::pack::{hash_words, Cand, PackedArena, WordStore, NONE};
 use super::por::{Ample, PorContext};
-use super::spill::{phase_end, phase_start, BudgetPlan, ExternalDedup, RowCursor, SpillDir, SpillStore};
+use super::spill::{BudgetPlan, ExternalDedup, RowCursor, SpillDir, SpillStore};
 use super::transport::{SharedFrontier, TransportError};
 use super::ExploreConfig;
 
@@ -170,6 +170,26 @@ struct EngineMetrics {
     spilled_bytes: randsync_obs::Gauge,
     max_depth: randsync_obs::Gauge,
     raw_represented: randsync_obs::Gauge,
+    /// `explore.phase.<name>_us` for each of [`PHASES`].
+    phases: [randsync_obs::Histogram; 6],
+}
+
+/// A level's phases, timed once per level when metrics are on:
+/// frontier expansion, then the passes of [`merge_level`].
+const PHASES: [&str; 6] = ["expand", "encode", "group", "probe", "intern", "insert"];
+
+/// A level's phase clock: when the current phase began, and the
+/// histograms to time phases into; `None` when metrics are off.
+type Clock<'a> = Option<(Instant, &'a [randsync_obs::Histogram; 6])>;
+
+/// Time the phase that began at `clock` as [`PHASES`]`[phase]` and
+/// start the next one.
+fn lap(clock: &mut Clock<'_>, phase: usize) {
+    if let Some((started, phases)) = clock {
+        let now = Instant::now();
+        phases[phase].observe(now.duration_since(*started).as_micros() as u64);
+        *started = now;
+    }
 }
 
 impl EngineMetrics {
@@ -188,6 +208,7 @@ impl EngineMetrics {
             spilled_bytes: m.gauge("explore.spilled_bytes"),
             max_depth: m.gauge("explore.max_depth"),
             raw_represented: m.gauge("explore.raw_represented"),
+            phases: PHASES.map(|p| m.histogram(&format!("explore.phase.{p}_us"))),
         })
     }
 }
@@ -792,7 +813,7 @@ where
         // race freely; duplicates are resolved by the merge below.
         // Frontier nodes are expanded straight from their packed rows,
         // read in index order through one row cursor per chunk.
-        let clock = phase_start();
+        let mut clock: Clock = metrics.as_ref().map(|m| (Instant::now(), &m.phases));
         let expansions: Vec<Expansion<P::State>> = {
             let arena = &g.arena;
             let por = search.por.as_ref();
@@ -825,13 +846,13 @@ where
                 vec![expand(frontier.clone(), spare.pop().unwrap_or_default())]
             }
         };
-        let clock = phase_end(clock, "explore.phase.expand_us");
+        lap(&mut clock, 0);
 
         // Phase 2: sequential merge at the level barrier. This is the
         // only place the arena, the codec, its step table and the
         // seen-set grow.
         spare = expansions;
-        let merged = merge_level(search, g, dedup, frontier.clone(), &mut spare, &mut lev, clock);
+        let merged = merge_level(search, g, dedup, frontier.clone(), &mut spare, &mut lev, &mut clock);
         let (next_frontier, stats) = match merged {
             Ok(level) => level,
             Err(e) => {
@@ -1050,7 +1071,7 @@ fn merge_level<P: Protocol>(
     frontier: Range<u32>,
     expansions: &mut [Expansion<P::State>],
     lev: &mut LevelKeys,
-    clock: Option<Instant>,
+    clock: &mut Clock<'_>,
 ) -> Result<(Range<u32>, LevelStats), TransportError> {
     let node = |pos: usize| frontier.start + pos as u32;
     let n_procs = g.arena.n_procs();
@@ -1079,12 +1100,12 @@ fn merge_level<P: Protocol>(
         }
     }
     let k = lev.len();
-    let clock = phase_end(clock, "explore.phase.encode_us");
+    lap(clock, 1);
 
     // Pass B: group candidates by key. Two candidates are the same
     // configuration iff their full words match (the hash only orders).
     let (mut group_of, mut reps) = lev.group();
-    let clock = phase_end(clock, "explore.phase.group_us");
+    lap(clock, 2);
 
     // Pass C: one sorted probe batch against the seen-set.
     let found = lev.probe(dedup, &g.arena, &reps)?;
@@ -1134,7 +1155,7 @@ fn merge_level<P: Protocol>(
         (group_of, reps) = (all_group_of, all_reps);
         gstate
     };
-    let clock = phase_end(clock, "explore.phase.probe_us");
+    lap(clock, 3);
 
     // Pass D: walk candidates in frontier order (a fallen-back node's
     // reduced candidates, then its full ones), intern first occurrences,
@@ -1187,7 +1208,7 @@ fn merge_level<P: Protocol>(
         }
     }
 
-    let clock = phase_end(clock, "explore.phase.intern_us");
+    lap(clock, 4);
 
     // Pass E: append the level's newly interned keys to the seen-set as
     // one sorted batch (reps are in key order).
@@ -1202,7 +1223,7 @@ fn merge_level<P: Protocol>(
     if !new_reps.is_empty() {
         dedup.insert(&g.arena, &lev.hashes(&new_reps), &new_idx, || lev.words(&new_reps))?;
     }
-    phase_end(clock, "explore.phase.insert_us");
+    lap(clock, 5);
     Ok((first_new..g.arena.len() as u32, stats))
 }
 

@@ -148,19 +148,17 @@ impl BudgetPlan {
 /// handful of segments, so a lookup is a linear scan from the newest.
 type SegWindow = VecDeque<(u64, Arc<Vec<u32>>)>;
 
-/// Start timing one search phase: the start instant when metrics are on.
+/// Start timing one phase: the start instant when metrics are on.
 pub(super) fn phase_start() -> Option<Instant> {
     randsync_obs::metrics_enabled().then(Instant::now)
 }
 
-/// Record the phase that began at `started` in histogram `name`;
-/// returns the start of the phase that follows it.
-pub(super) fn phase_end(started: Option<Instant>, name: &str) -> Option<Instant> {
-    let started = started?;
-    let now = Instant::now();
-    let us = now.duration_since(started).as_micros() as u64;
-    randsync_obs::global_metrics().histogram(name).observe(us);
-    Some(now)
+/// Record the phase that began at `started` in histogram `name`.
+pub(super) fn phase_end(started: Option<Instant>, name: &str) {
+    if let Some(started) = started {
+        let us = started.elapsed().as_micros() as u64;
+        randsync_obs::global_metrics().histogram(name).observe(us);
+    }
 }
 
 /// A sequential reader's hold on one sealed segment of a
