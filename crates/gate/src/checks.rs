@@ -744,11 +744,14 @@ fn guided_optimistic(ctx: &CheckContext, out: CheckOutcome) -> Result<CheckOutco
         .bound(format!("{label}.minimized_steps"), minimized, BoundOp::Eq, 18))
 }
 
+/// A change to the explorer's configuration.
+type Tweak = fn(&mut ExploreConfig);
+
 /// The searches `registry-counts` runs on each registry protocol: the
 /// raw space, the symmetry quotient (raw again where the protocol
 /// grants no symmetry), partial-order reduction, and the raw space
 /// under a 64 KiB memory budget.
-const REGISTRY_MODES: [(&str, fn(&mut ExploreConfig)); 4] = [
+const REGISTRY_MODES: [(&str, Tweak); 4] = [
     ("raw", |_| {}),
     ("canonical", |c| c.canonical = true),
     ("por", |c| c.por = true),
