@@ -26,21 +26,22 @@
 //!    search runs on the symmetry quotient (see [`super::canonical`]).
 //! 3. **Dedup.** One level merge, [`merge_level`], decides how every
 //!    search's candidates are deduplicated and ordered. Per level it
-//!    sorts the candidates' packed keys (64-bit word hash, then the full
-//!    words), resolves the distinct keys against the seen-set in one
-//!    sorted probe batch, and appends the newly interned keys in one
-//!    sorted insert batch. The seen-set is either the local
-//!    [`ExternalDedup`](super::spill::ExternalDedup) — an unbounded
-//!    sorted RAM buffer by default, spilling sorted runs to disk under
-//!    [`ExploreConfig::mem_budget_bytes`] — or a caller-supplied
-//!    [`FrontierTransport`](super::FrontierTransport) (the distributed
-//!    tier). The local store keeps only a `(hash, arena index)` pair
-//!    per key and reads a key's words from its arena row when two
-//!    hashes tie, so the arena is the one copy of every row; a
-//!    transport is sent the words. Keys compare on full words, so every
-//!    tier makes the same dedup decisions, and every result is
-//!    identical across tiers. The POR cycle proviso is decided on the
-//!    same probe result (see [`merge_level`]).
+//!    groups the candidates' packed keys (64-bit word hash, then the
+//!    full words) through a table local to the level, sorts only the
+//!    distinct keys and resolves them against the seen-set in one
+//!    sorted probe batch, and inserts the newly interned keys in one
+//!    sorted batch at the positions the probe found. The seen-set is
+//!    either the local [`ExternalDedup`](super::spill::ExternalDedup)
+//!    — an unbounded sorted RAM buffer by default, spilling sorted runs
+//!    to disk under [`ExploreConfig::mem_budget_bytes`] — or a
+//!    caller-supplied [`FrontierTransport`](super::FrontierTransport)
+//!    (the distributed tier). The local store keeps only a
+//!    `(hash, arena index)` pair per key and reads a key's words from
+//!    its arena row when two hashes tie, so the arena is the one copy
+//!    of every row; a transport is sent the words. Keys compare on full
+//!    words, so every tier makes the same dedup decisions, and every
+//!    result is identical across tiers. The POR cycle proviso is
+//!    decided on the same probe result (see [`merge_level`]).
 //! 4. **Deterministic parallelism.** Each BFS level is processed in two
 //!    phases. Phase 1 expands the frontier — in parallel chunks under
 //!    [`std::thread::scope`] when the frontier is large enough — with
@@ -114,32 +115,35 @@ impl Dedup {
     }
 
     /// Resolve a sorted batch of distinct keys: the arena index of each
-    /// stored key, `None` for a novel one.
+    /// stored key (`None` for a novel one) and, on the local tier, its
+    /// buffer position for [`insert`](Self::insert).
     fn probe<S: Clone + Eq + Hash>(
         &mut self,
         arena: &PackedArena<S>,
         hashes: &[u64],
         words: &[u32],
-    ) -> Result<Vec<Option<u32>>, TransportError> {
+    ) -> Result<(Vec<Option<u32>>, Vec<usize>), TransportError> {
         match self {
             Dedup::Local(d) => Ok(d.probe_sorted(arena, hashes, words)),
-            Dedup::Shared(t) => t.lock().probe_sorted(hashes, words),
+            Dedup::Shared(t) => Ok((t.lock().probe_sorted(hashes, words)?, Vec::new())),
         }
     }
 
     /// Record a sorted batch of keys the arena just interned at
-    /// `indices`. The local store reads their words from the arena;
-    /// only a transport is handed them, built by `words`.
+    /// `indices`. The local store reads their words from the arena and
+    /// places them at the buffer positions `at` its probe found; only a
+    /// transport is handed the words, built by `words`.
     fn insert<S: Clone + Eq + Hash>(
         &mut self,
         arena: &PackedArena<S>,
         hashes: &[u64],
         indices: &[u32],
+        at: &[usize],
         words: impl FnOnce() -> Vec<u32>,
     ) -> Result<(), TransportError> {
         match self {
             Dedup::Local(d) => {
-                d.insert_sorted(arena, hashes, indices);
+                d.insert_at(arena, at, hashes, indices);
                 Ok(())
             }
             Dedup::Shared(t) => t.lock().insert_sorted(hashes, indices, &words()),
@@ -163,6 +167,7 @@ impl Dedup {
 struct EngineMetrics {
     levels: randsync_obs::Counter,
     candidates: randsync_obs::Counter,
+    level_keys: randsync_obs::Counter,
     dedup_hits: randsync_obs::Counter,
     interned: randsync_obs::Counter,
     frontier: randsync_obs::Histogram,
@@ -201,6 +206,7 @@ impl EngineMetrics {
         Some(EngineMetrics {
             levels: m.counter("explore.levels"),
             candidates: m.counter("explore.candidates"),
+            level_keys: m.counter("explore.level_keys"),
             dedup_hits: m.counter("explore.dedup_hits"),
             interned: m.counter("explore.interned"),
             frontier: m.histogram("explore.frontier"),
@@ -489,6 +495,7 @@ fn resolve_misses<S: Clone + Eq + Hash>(arena: &mut PackedArena<S>, exp: &mut Ex
 /// Per-level merge tallies, flushed to metrics at the level barrier.
 struct LevelStats {
     candidates: u64,
+    keys: u64,
     dedup: u64,
     interned: u64,
 }
@@ -570,7 +577,7 @@ where
     let stride = g.arena.stride();
     let opened = dedup
         .open(stride)
-        .and_then(|()| dedup.insert(&g.arena, &[start_hash], &[0], || words.clone()));
+        .and_then(|()| dedup.insert(&g.arena, &[start_hash], &[0], &[0], || words.clone()));
     let final_depth = match opened {
         Err(e) => {
             g.transport_error = Some(e.to_string());
@@ -726,8 +733,8 @@ where
 
 /// Sort a chunk of pending rebuild keys — interned at arena indices
 /// `idx` — by `(hash, words)` and hand it to the seen-set as one sorted
-/// batch; maps a transport failure to the checkpoint error the resume
-/// reports.
+/// batch, at the positions [`ExternalDedup::positions`] finds on the
+/// local tier; maps a failure to the checkpoint error the resume reports.
 fn flush_pending<S: Clone + Eq + Hash>(
     dedup: &mut Dedup,
     arena: &PackedArena<S>,
@@ -743,12 +750,15 @@ fn flush_pending<S: Clone + Eq + Hash>(
             .then_with(|| arena.with_words(a, |wa| arena.with_words(b, |wb| wa.cmp(wb))))
     });
     let (sh, si): (Vec<u64>, Vec<u32>) = order.into_iter().unzip();
-    let words = || {
-        let mut w = Vec::with_capacity(si.len() * arena.stride());
-        si.iter().for_each(|&i| arena.with_words(i, |row| w.extend_from_slice(row)));
-        w
+    let mut w = Vec::with_capacity(si.len() * arena.stride());
+    si.iter().for_each(|&i| arena.with_words(i, |row| w.extend_from_slice(row)));
+    let at = match dedup {
+        Dedup::Local(d) => d.positions(arena, &sh, &w).map_err(|k| {
+            CheckpointError::Corrupt(format!("node {} repeats an earlier configuration", si[k]))
+        })?,
+        Dedup::Shared(_) => Vec::new(),
     };
-    dedup.insert(arena, &sh, &si, words).map_err(|e| {
+    dedup.insert(arena, &sh, &si, &at, || w).map_err(|e| {
         CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
     })
 }
@@ -865,6 +875,7 @@ where
         if let Some(m) = &metrics {
             m.levels.inc();
             m.candidates.add(stats.candidates);
+            m.level_keys.add(stats.keys);
             m.dedup_hits.add(stats.dedup);
             m.interned.add(stats.interned);
             m.frontier.observe(frontier.len() as u64);
@@ -908,31 +919,49 @@ enum GroupState {
     Capped,
 }
 
-impl GroupState {
-    fn probed(found: Option<u32>) -> Self {
-        found.map_or(GroupState::Unassigned, GroupState::Existing)
-    }
-}
+/// An empty slot of the [`LevelKeys`] group table.
+const EMPTY: u32 = u32::MAX;
 
-/// One level's candidates, packed in the order they were encoded.
-/// Candidate `ord` has key `(hash[ord], row(ord))` and would be reached
-/// by `link[ord]`.
+/// One level's candidates, packed in the order they were encoded, and
+/// their groups. Candidate `ord` has key `(hash[ord], row(ord))`, would
+/// be reached by `link[ord]`, and joins group `group_of[ord]`. Groups
+/// are numbered by first occurrence; `reps[gid]` is group `gid`'s
+/// earliest candidate.
+#[derive(Default)]
 struct LevelKeys {
     stride: usize,
     link: Vec<Link>,
     hash: Vec<u64>,
     words: Vec<u32>,
+    group_of: Vec<u32>,
+    reps: Vec<u32>,
+    /// Open addressing on the hash, linear probing, at most half full:
+    /// each slot holds a group's representative or [`EMPTY`].
+    table: Vec<u32>,
+    /// The probe batches: group ids, one key-sorted run per
+    /// [`sort`](Self::sort).
+    batch: Vec<u32>,
 }
 
 impl LevelKeys {
     fn new(stride: usize) -> Self {
-        LevelKeys { stride, link: Vec::new(), hash: Vec::new(), words: Vec::new() }
+        LevelKeys { stride, ..LevelKeys::default() }
     }
 
-    fn clear(&mut self) {
+    /// Empty the buffers for a level of `cands` candidates, or drop
+    /// them if they hold over four times that: the arena and the graph
+    /// peak at the end of a search, where levels are small.
+    fn clear(&mut self, cands: usize) {
+        if self.hash.capacity() > 4 * cands {
+            *self = LevelKeys::new(self.stride);
+        }
         self.link.clear();
         self.hash.clear();
         self.words.clear();
+        self.group_of.clear();
+        self.reps.clear();
+        self.table.clear();
+        self.batch.clear();
     }
 
     fn len(&self) -> usize {
@@ -977,66 +1006,119 @@ impl LevelKeys {
         }
     }
 
-    /// Group every candidate by key. Candidates are ordered by
-    /// `(hash, words, ordinal)`: flat `(hash << 32) | ordinal` keys are
-    /// sorted, and only runs of equal hash are re-sorted, stably, on
-    /// their words. Returns the group of each candidate and each
-    /// group's representative (its earliest candidate), in key order.
-    fn group(&self) -> (Vec<u32>, Vec<u32>) {
-        let mut keys: Vec<u128> = self
-            .hash
-            .iter()
-            .enumerate()
-            .map(|(ord, &h)| u128::from(h) << 32 | ord as u128)
-            .collect();
-        keys.sort_unstable();
-        let mut order: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
-        let mut group_of = vec![0u32; self.len()];
-        let mut reps: Vec<u32> = Vec::new();
-        let mut s = 0;
-        while s < keys.len() {
-            let h = keys[s] >> 32;
-            let e = keys[s..].iter().position(|&key| key >> 32 != h).map_or(keys.len(), |n| s + n);
-            let run = &mut order[s..e];
-            run.sort_by(|&a, &b| self.row(a as usize).cmp(self.row(b as usize)));
-            for (i, &ord) in run.iter().enumerate() {
-                if i == 0 || self.row(run[i - 1] as usize) != self.row(ord as usize) {
-                    reps.push(ord);
-                }
-                group_of[ord as usize] = (reps.len() - 1) as u32;
-            }
-            s = e;
+    /// The table slot of candidate `ord`'s key: the slot of the earlier
+    /// candidate whose words it matches, or the empty slot it would take.
+    fn slot(&self, ord: usize) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = self.hash[ord] as usize & mask;
+        while self.table[slot] != EMPTY && self.row(self.table[slot] as usize) != self.row(ord) {
+            slot = (slot + 1) & mask;
         }
-        (group_of, reps)
+        slot
     }
 
-    /// The hashes of the keys of `reps`, as one batch.
-    fn hashes(&self, reps: &[u32]) -> Vec<u64> {
-        reps.iter().map(|&rep| self.hash[rep as usize]).collect()
+    /// Group the candidates not yet grouped, in candidate order: each
+    /// joins the group of the earlier candidate whose words it matches
+    /// (the hash only places it in the table), or opens a new group.
+    /// The new groups are appended to the probe batches as one run in
+    /// key order; returns where the run starts.
+    fn group(&mut self) -> usize {
+        assert!(self.len() < EMPTY as usize, "a level's candidates overflow u32 ordinals");
+        let first = self.reps.len() as u32;
+        if self.table.is_empty() {
+            self.rehash((2 * self.len()).next_power_of_two().max(2));
+        }
+        for ord in self.group_of.len()..self.len() {
+            let slot = self.slot(ord);
+            let gid = match self.table[slot] {
+                EMPTY => {
+                    self.table[slot] = ord as u32;
+                    self.reps.push(ord as u32);
+                    if 2 * self.reps.len() > self.table.len() {
+                        self.rehash(2 * self.table.len());
+                    }
+                    self.reps.len() as u32 - 1
+                }
+                rep => self.group_of[rep as usize],
+            };
+            self.group_of.push(gid);
+        }
+        let run = self.batch.len();
+        self.sort(first..self.reps.len() as u32);
+        run
     }
 
-    /// The words of the keys of `reps`, concatenated as one batch.
-    fn words(&self, reps: &[u32]) -> Vec<u32> {
-        reps.iter().flat_map(|&rep| self.row(rep as usize)).copied().collect()
+    /// Place every group in an empty table of `cap` slots.
+    fn rehash(&mut self, cap: usize) {
+        self.table.clear();
+        self.table.resize(cap, EMPTY);
+        for gid in 0..self.reps.len() {
+            let rep = self.reps[gid];
+            let slot = self.slot(rep as usize);
+            self.table[slot] = rep;
+        }
     }
 
-    /// Resolve the distinct, key-sorted `reps` in one probe batch.
+    /// Append the groups `gids` to the probe batches in key order: flat
+    /// `(hash >> 32 << 32) | gid` keys are sorted, and only runs that tie
+    /// on the top half of the hash are re-sorted on the whole key.
+    fn sort(&mut self, gids: Range<u32>) {
+        let mut keys: Vec<u64> = gids.map(|gid| self.key(gid).0 >> 32 << 32 | u64::from(gid)).collect();
+        keys.sort_unstable();
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut at = batch.len();
+        batch.extend(keys.iter().map(|&key| key as u32));
+        for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            batch[at..at + run.len()].sort_unstable_by(|&a, &b| self.key(a).cmp(&self.key(b)));
+            at += run.len();
+        }
+        self.batch = batch;
+    }
+
+    /// The key of group `gid`: its representative's hash and words.
+    fn key(&self, gid: u32) -> (u64, &[u32]) {
+        let rep = self.reps[gid as usize] as usize;
+        (self.hash[rep], self.row(rep))
+    }
+
+    /// The hashes of the keys of groups `gids`, as one batch.
+    fn hashes(&self, gids: &[u32]) -> Vec<u64> {
+        gids.iter().map(|&gid| self.key(gid).0).collect()
+    }
+
+    /// The words of the keys of groups `gids`, concatenated as one batch.
+    fn words(&self, gids: &[u32]) -> Vec<u32> {
+        let mut words = Vec::with_capacity(gids.len() * self.stride);
+        gids.iter().for_each(|&gid| words.extend_from_slice(self.key(gid).1));
+        words
+    }
+
+    /// Resolve the probe batch run `batch[from..]` against the seen-set:
+    /// record the state of each of its groups in `gstate` (indexed by
+    /// group id), and append each key's buffer position to `at`.
     fn probe<S: Clone + Eq + Hash>(
         &self,
         dedup: &mut Dedup,
         arena: &PackedArena<S>,
-        reps: &[u32],
-    ) -> Result<Vec<Option<u32>>, TransportError> {
-        let h = self.hashes(reps);
-        let found = dedup.probe(arena, &h, &self.words(reps))?;
-        if found.len() != h.len() {
+        from: usize,
+        gstate: &mut Vec<GroupState>,
+        at: &mut Vec<usize>,
+    ) -> Result<(), TransportError> {
+        let gids = &self.batch[from..];
+        let (found, positions) = dedup.probe(arena, &self.hashes(gids), &self.words(gids))?;
+        if found.len() != gids.len() {
             return Err(TransportError::new(format!(
                 "probe batch of {} keys got {} answers",
-                h.len(),
+                gids.len(),
                 found.len()
             )));
         }
-        Ok(found)
+        gstate.resize(self.reps.len(), GroupState::Unassigned);
+        for (&gid, found) in gids.iter().zip(found) {
+            gstate[gid as usize] = found.map_or(GroupState::Unassigned, GroupState::Existing);
+        }
+        at.extend(positions);
+        Ok(())
     }
 }
 
@@ -1044,24 +1126,25 @@ impl LevelKeys {
 /// deduplicated, ordered, and interned, for every storage tier and
 /// every search mode.
 ///
-/// Every candidate is encoded in frontier order (codec ids grow here),
-/// the level's distinct keys are sorted and resolved against the
-/// seen-set in one sorted probe batch, and arena indices are then
-/// assigned by first occurrence in frontier order; the newly interned
-/// keys go back to the seen-set as one sorted insert batch.
+/// Every candidate is encoded and grouped in frontier order (codec ids
+/// and group ids grow here); only the distinct keys are sorted, into
+/// one probe batch against the seen-set. Arena indices are then
+/// assigned by first occurrence in frontier order, and the newly
+/// interned keys go back as one sorted insert batch, at the positions
+/// the probe found.
 ///
 /// This is also where the reduction's **cycle proviso** (C3) lives. A
 /// reduced node falls back to full expansion iff one of its retained
 /// candidates resolves to a key interned *before* this level: such an
 /// edge leads to depth ≤ the current level, the kind of edge every
 /// cycle must contain, while everything interned during the level has
-/// depth one greater. The fallback's candidates are resolved in a
-/// second sorted probe batch (only keys the first did not cover) and
-/// placed, reduced-then-full, at the node's frontier position; its
-/// edges come from the full expansion alone. Arena order, parents,
-/// depths, edges, and the reduction counts are therefore those of a
-/// sequential candidate-by-candidate merge, at every thread count and
-/// on every tier.
+/// depth one greater. The fallback's candidates join the same groups,
+/// and the keys only they produced go in a second sorted probe batch;
+/// they are placed, reduced-then-full, at the node's frontier position,
+/// and its edges come from the full expansion alone. Arena order,
+/// parents, depths, edges, and the reduction counts are therefore those
+/// of a sequential candidate-by-candidate merge, at every thread count
+/// and on every tier.
 ///
 /// Returns the next frontier: the index range this level interned.
 fn merge_level<P: Protocol>(
@@ -1076,7 +1159,7 @@ fn merge_level<P: Protocol>(
     let node = |pos: usize| frontier.start + pos as u32;
     let n_procs = g.arena.n_procs();
     let canonical = search.canon.enabled();
-    lev.clear();
+    lev.clear(expansions.iter().map(|exp| exp.cands.len()).sum());
 
     // Pass A: intern and record the steps the expansion missed, then
     // encode every candidate in frontier order, remembering each node's
@@ -1099,21 +1182,22 @@ fn merge_level<P: Protocol>(
             from = end;
         }
     }
-    let k = lev.len();
     lap(clock, 1);
 
-    // Pass B: group candidates by key. Two candidates are the same
-    // configuration iff their full words match (the hash only orders).
-    let (mut group_of, mut reps) = lev.group();
+    // Pass B: group candidates by key, then sort the distinct keys. Two
+    // candidates are the same configuration iff their full words match.
+    lev.group();
     lap(clock, 2);
 
     // Pass C: one sorted probe batch against the seen-set.
-    let found = lev.probe(dedup, &g.arena, &reps)?;
+    let (mut gstate, mut at) = (Vec::new(), Vec::new());
+    lev.probe(dedup, &g.arena, 0, &mut gstate, &mut at)?;
 
     // The cycle proviso, decided on the probe result.
     let mut fallback: Vec<Option<Range<usize>>> = vec![None; frontier.len()];
     for (pos, pruned) in reduced {
-        if spans[pos].clone().any(|ord| found[group_of[ord] as usize].is_some()) {
+        let existing = |ord: usize| matches!(gstate[lev.group_of[ord] as usize], GroupState::Existing(_));
+        if spans[pos].clone().any(existing) {
             g.por_fallbacks += 1;
             let mut full = Expansion::default();
             expand_node(search, &g.arena, g.arena.row(&mut rows, node(pos)), None, &mut full);
@@ -1128,42 +1212,22 @@ fn merge_level<P: Protocol>(
     // Pass D seals segments as it appends rows, and the window evicts
     // the oldest; release the pin first so it never outlives that.
     drop(rows);
-    let mut gstate: Vec<GroupState> = if lev.len() == k {
-        found.into_iter().map(GroupState::probed).collect()
-    } else {
-        // Regroup with the fallback candidates, reuse the first batch's
-        // answers, and probe the keys only the fallbacks produced.
-        let (all_group_of, all_reps) = lev.group();
-        let fresh_reps: Vec<u32> = all_reps.iter().copied().filter(|&r| r as usize >= k).collect();
-        let fresh = if fresh_reps.is_empty() {
-            Vec::new()
-        } else {
-            lev.probe(dedup, &g.arena, &fresh_reps)?
-        };
-        let mut fresh = fresh.into_iter();
-        let gstate = all_reps
-            .iter()
-            .map(|&rep| {
-                let rep = rep as usize;
-                GroupState::probed(if rep < k {
-                    found[group_of[rep] as usize]
-                } else {
-                    fresh.next().flatten()
-                })
-            })
-            .collect();
-        (group_of, reps) = (all_group_of, all_reps);
-        gstate
-    };
+    // The fallback candidates join the same groups; the keys only they
+    // produced form a second probe batch.
+    let second = lev.group();
+    if second < lev.batch.len() {
+        lev.probe(dedup, &g.arena, second, &mut gstate, &mut at)?;
+    }
     lap(clock, 3);
 
     // Pass D: walk candidates in frontier order (a fallen-back node's
     // reduced candidates, then its full ones), intern first occurrences,
     // and append each node's edges to the CSR.
     let first_new = g.arena.len() as u32;
-    let mut stats = LevelStats { candidates: lev.len() as u64, dedup: 0, interned: 0 };
+    let (candidates, keys) = (lev.len() as u64, lev.reps.len() as u64);
+    let mut stats = LevelStats { candidates, keys, dedup: 0, interned: 0 };
     let mut resolve = |g: &mut BfsGraph<P::State>, ord: usize, edge: bool| {
-        let gid = group_of[ord] as usize;
+        let gid = lev.group_of[ord] as usize;
         let resolved = match gstate[gid] {
             GroupState::Existing(j) | GroupState::Assigned(j) => {
                 stats.dedup += 1;
@@ -1210,18 +1274,22 @@ fn merge_level<P: Protocol>(
 
     lap(clock, 4);
 
-    // Pass E: append the level's newly interned keys to the seen-set as
-    // one sorted batch (reps are in key order).
-    let (new_reps, new_idx): (Vec<u32>, Vec<u32>) = reps
-        .iter()
-        .zip(&gstate)
-        .filter_map(|(&rep, s)| match s {
-            GroupState::Assigned(j) => Some((rep, *j)),
+    // Pass E: the newly interned keys go to the seen-set as one sorted
+    // batch: the probe batches' keys in order, a second run merged in,
+    // each at the position its probe found (a transport finds none).
+    let mut new: Vec<(usize, u32)> = (lev.batch.iter().enumerate())
+        .filter_map(|(i, &gid)| match gstate[gid as usize] {
+            GroupState::Assigned(j) => Some((i, j)),
             _ => None,
         })
-        .unzip();
-    if !new_reps.is_empty() {
-        dedup.insert(&g.arena, &lev.hashes(&new_reps), &new_idx, || lev.words(&new_reps))?;
+        .collect();
+    if second < lev.batch.len() {
+        new.sort_by(|a, b| lev.key(lev.batch[a.0]).cmp(&lev.key(lev.batch[b.0])));
+    }
+    if !new.is_empty() {
+        let (gids, idx): (Vec<u32>, Vec<u32>) = new.iter().map(|&(i, j)| (lev.batch[i], j)).unzip();
+        let at: Vec<usize> = new.iter().filter_map(|&(i, _)| at.get(i).copied()).collect();
+        dedup.insert(&g.arena, &lev.hashes(&gids), &idx, &at, || lev.words(&gids))?;
     }
     lap(clock, 5);
     Ok((first_new..g.arena.len() as u32, stats))
@@ -1325,7 +1393,7 @@ fn finalize<S: Clone + Eq + Hash>(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     use super::*;
     use crate::execution::Step;
@@ -1495,6 +1563,85 @@ mod tests {
             warm_misses < candidates as u64 / 4,
             "the warm table serves most steps: {warm_misses} misses for {candidates} candidates"
         );
+    }
+
+    /// Group `rows` (each a hash and the words it hashes) in two rounds,
+    /// as a level's candidates and then a fallback's are, and check the
+    /// groups and the probe batches against a `BTreeMap` model: a
+    /// candidate shares a group exactly with the candidates whose words
+    /// it matches, group ids follow first occurrence, each group's
+    /// representative is its earliest candidate, and each round's new
+    /// groups form one run in key order.
+    fn grouping_matches_the_model(rows: &[(u64, Vec<u32>)], split: usize) {
+        let mut model: BTreeMap<(u64, &[u32]), u32> = BTreeMap::new();
+        let (mut group_of, mut reps) = (Vec::new(), Vec::new());
+        for (ord, (hash, words)) in rows.iter().enumerate() {
+            let next = model.len() as u32;
+            let gid = *model.entry((*hash, words.as_slice())).or_insert(next);
+            if gid == next {
+                reps.push(ord as u32);
+            }
+            group_of.push(gid);
+        }
+        let mut lev = LevelKeys::new(2);
+        let mut rounds = Vec::new();
+        for part in [&rows[..split], &rows[split..]] {
+            for (hash, words) in part {
+                lev.hash.push(*hash);
+                lev.words.extend_from_slice(words);
+                lev.link.push(Link::ROOT);
+            }
+            let (groups, run) = (lev.reps.len() as u32, lev.group());
+            assert_eq!(run, groups as usize, "one batch key per group");
+            rounds.push(groups..lev.reps.len() as u32);
+        }
+        let label = format!("{rows:?} split at {split}");
+        assert_eq!(lev.group_of, group_of, "{label}");
+        assert_eq!(lev.reps, reps, "{label}");
+        let run = |gids: Range<u32>| model.values().copied().filter(move |g| gids.contains(g));
+        let batch: Vec<u32> = rounds.into_iter().flat_map(run).collect();
+        assert_eq!(lev.batch, batch, "{label}");
+    }
+
+    #[test]
+    fn grouping_is_exact_under_hash_ties() {
+        // Three keys share a whole hash, two share only its top half,
+        // and one stands alone; the fallback rounds bring back old keys
+        // and open new ones.
+        let keys: [(u64, [u32; 2]); 6] = [
+            (7 << 40, [1, 2]),
+            (7 << 40, [1, 3]),
+            (7 << 40, [0, 9]),
+            (9 << 32 | 5, [4, 4]),
+            (9 << 32 | 1, [4, 5]),
+            (3, [8, 8]),
+        ];
+        let order = [2, 0, 5, 1, 2, 3, 0, 4, 2, 1, 5, 3];
+        let rows: Vec<(u64, Vec<u32>)> = order.iter().map(|&i| (keys[i].0, keys[i].1.to_vec())).collect();
+        for split in [rows.len(), 7, 3, 0] {
+            grouping_matches_the_model(&rows, split);
+        }
+    }
+
+    proptest::proptest! {
+        /// Random rows of a 24-row universe, their hashes cut to two or
+        /// three bits so that most distinct rows tie, group as the model
+        /// does, with a fallback round at a random point.
+        #[test]
+        fn grouping_matches_a_btree_map_under_truncated_hashes(
+            picks in proptest::collection::vec(0u32..24, 0..80),
+            bits in 2u32..4,
+            split in 0usize..80,
+        ) {
+            let rows: Vec<(u64, Vec<u32>)> = picks
+                .iter()
+                .map(|&v| {
+                    let words = vec![v % 5, v];
+                    (hash_words(&words) & ((1 << bits) - 1), words)
+                })
+                .collect();
+            grouping_matches_the_model(&rows, split.min(rows.len()));
+        }
     }
 
     /// The graph's heap bytes are exactly one 12-byte link per node,

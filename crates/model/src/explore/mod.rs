@@ -29,12 +29,13 @@
 //! the parent's with only the changed process slot and object
 //! re-interned. Deduplication is one sorted batch merge per BFS level:
 //! the level's candidate keys (a 64-bit hash of the packed words, then
-//! the words themselves) are sorted and resolved against the seen-set
-//! in one probe batch, and the new keys are appended in one insert
-//! batch. The seen-set is a
-//! sorted RAM buffer by default, sorted runs on disk under
-//! [`ExploreConfig::mem_budget_bytes`], or remote shards behind
-//! [`ExploreConfig::transport`]; the merge is the same for all three.
+//! the words themselves) are grouped through a table local to the
+//! level, only the distinct keys are sorted and resolved against the
+//! seen-set in one probe batch, and the new keys are appended in one
+//! insert batch. The seen-set is a sorted RAM buffer by default,
+//! sorted runs on disk under [`ExploreConfig::mem_budget_bytes`], or
+//! remote shards behind [`ExploreConfig::transport`]; the merge is the
+//! same for all three.
 //!
 //! When [`ExploreConfig::canonical`] is set *and* the protocol declares
 //! [`Symmetry::Symmetric`](crate::protocol::Symmetry), the search runs

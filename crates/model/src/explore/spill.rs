@@ -591,50 +591,51 @@ impl ExternalDedup {
         self.hashes[k].cmp(&h).then_with(|| rows.with_row(self.slots[k], row_vs_key))
     }
 
-    /// Find every key of a sorted batch in the RAM buffer with one
-    /// galloping pass: each key's search starts where the last one
-    /// ended. `row_vs_key(k, row)` compares a stored row with key `k`'s
-    /// words. `visit(k, at)` receives `Ok(position)` when key `k` is
-    /// buffered there, or `Err(position)` where it would be inserted.
+    /// Find every key of a sorted batch (`keys_h[k]`,
+    /// `keys_w[k*stride..]`) in the RAM buffer with one galloping pass,
+    /// each key's search starting where the last one ended. Returns each
+    /// key's position: where it is buffered, or where it would be
+    /// inserted; `hit(k, p)` is called for each key `k` buffered at `p`.
     fn locate<R: RowSource>(
         &self,
         rows: &R,
-        hashes: &[u64],
-        row_vs_key: impl Fn(usize, &[u32]) -> Ordering,
-        mut visit: impl FnMut(usize, Result<usize, usize>),
-    ) {
-        let mut at = 0usize;
-        for (k, &h) in hashes.iter().enumerate() {
-            let cmp = |row: &[u32]| row_vs_key(k, row);
-            at = gallop(at, self.hashes.len(), |i| self.buffered_cmp(rows, i, h, &cmp).is_lt());
-            let hit = at < self.hashes.len() && self.buffered_cmp(rows, at, h, &cmp).is_eq();
-            visit(k, if hit { Ok(at) } else { Err(at) });
+        keys_h: &[u64],
+        keys_w: &[u32],
+        mut hit: impl FnMut(usize, usize),
+    ) -> Vec<usize> {
+        let (stride, len) = (self.stride, self.hashes.len());
+        let mut at = Vec::with_capacity(keys_h.len());
+        let mut p = 0usize;
+        for (k, &h) in keys_h.iter().enumerate() {
+            let cmp = |row: &[u32]| row.cmp(&keys_w[k * stride..(k + 1) * stride]);
+            p = gallop(p, len, |i| self.buffered_cmp(rows, i, h, &cmp).is_lt());
+            if p < len && self.buffered_cmp(rows, p, h, &cmp).is_eq() {
+                hit(k, p);
+            }
+            at.push(p);
         }
+        at
     }
 
     /// Resolve a sorted batch of candidate keys against the seen-set.
     ///
     /// `keys_h[k]` / `keys_w[k*stride..]` hold key `k`; keys are unique
     /// and ascending by `(hash, words)`. Returns, per key, the index
-    /// the row source gives the matching stored key, if one exists. One
-    /// galloping pass over the RAM buffer plus one sequential scan per
-    /// run — no random I/O.
+    /// the row source gives the matching stored key, if one exists, and
+    /// the key's position in the RAM buffer: where it is buffered, or
+    /// where [`insert_at`](Self::insert_at) places it while the buffer
+    /// does not change. One galloping pass over the RAM buffer plus one
+    /// sequential scan per run — no random I/O.
     pub(super) fn probe_sorted<R: RowSource>(
         &mut self,
         rows: &R,
         keys_h: &[u64],
         keys_w: &[u32],
-    ) -> Vec<Option<u32>> {
-        let stride = self.stride;
-        let key = |k: usize| &keys_w[k * stride..(k + 1) * stride];
+    ) -> (Vec<Option<u32>>, Vec<usize>) {
         let mut out = vec![None; keys_h.len()];
-        self.locate(rows, keys_h, |k, row| row.cmp(key(k)), |k, at| {
-            if let Ok(p) = at {
-                out[k] = Some(rows.index_of(self.slots[p]));
-            }
-        });
+        let at = self.locate(rows, keys_h, keys_w, |k, p| out[k] = Some(rows.index_of(self.slots[p])));
         self.probe_runs(keys_h, keys_w, &mut out);
-        out
+        (out, at)
     }
 
     /// Resolve a sorted batch against every run, filling in the index
@@ -688,48 +689,19 @@ impl ExternalDedup {
         keys_h: &[u64],
         keys_w: &[u32],
     ) -> Result<Vec<usize>, usize> {
-        let stride = self.stride;
-        let mut at = Vec::with_capacity(keys_h.len());
         let mut stored = None;
-        self.locate(
-            rows,
-            keys_h,
-            |k, row| row.cmp(&keys_w[k * stride..(k + 1) * stride]),
-            |k, found| match found {
-                Ok(_) => {
-                    stored.get_or_insert(k);
-                }
-                Err(p) => at.push(p),
-            },
-        );
+        let at = self.locate(rows, keys_h, keys_w, |k, _| {
+            stored.get_or_insert(k);
+        });
         stored.map_or(Ok(at), Err)
     }
 
     /// Insert a sorted batch of new keys (ascending, unique, and not
-    /// present anywhere in the seen-set) whose words are rows
-    /// `new_slots` of `rows`.
-    pub(super) fn insert_sorted<R: RowSource>(
-        &mut self,
-        rows: &R,
-        new_h: &[u64],
-        new_slots: &[u32],
-    ) {
-        let mut at = Vec::with_capacity(new_h.len());
-        self.locate(
-            rows,
-            new_h,
-            |k, row| rows.with_row(new_slots[k], |key| row.cmp(key)),
-            |_, found| {
-                debug_assert!(found.is_err(), "an inserted key is new");
-                let (Ok(p) | Err(p)) = found;
-                at.push(p);
-            },
-        );
-        self.insert_at(rows, &at, new_h, new_slots);
-    }
-
-    /// Insert a sorted batch of new keys at the buffer positions
-    /// [`positions`](Self::positions) found for them. The buffer grows
+    /// present anywhere in the seen-set), whose words are rows
+    /// `new_slots` of `rows`, at the buffer positions
+    /// [`positions`](Self::positions) or
+    /// [`probe_sorted`](Self::probe_sorted) found for them; debug
+    /// builds check each is still its key's sorted slot. The buffer grows
     /// in place and the batch is merged in from the back, so no second
     /// copy of the buffer is ever allocated: the old entries above each
     /// new key move up as one block. With a spill directory, flushes
@@ -743,6 +715,15 @@ impl ExternalDedup {
         new_slots: &[u32],
     ) {
         let (len, b) = (self.hashes.len(), new_h.len());
+        if cfg!(debug_assertions) {
+            assert!(at.len() == b && at.windows(2).all(|w| w[0] <= w[1]), "positions ascend");
+            for (k, &p) in at.iter().enumerate() {
+                let vs = |i: usize| {
+                    rows.with_row(new_slots[k], |key| self.buffered_cmp(rows, i, new_h[k], &|row| row.cmp(key)))
+                };
+                assert!((p == 0 || vs(p - 1).is_lt()) && (p == len || vs(p).is_gt()), "key {k} is new at {p}");
+            }
+        }
         if self.dir.is_some() {
             // A budgeted buffer grows exactly, so amortized doubling
             // never overshoots the share of the budget it accounts for.
@@ -1008,10 +989,11 @@ mod tests {
         arena
     }
 
-    /// Insert `batches` of keys into a seen-set over `rows` —
-    /// `add_rows(rows, indices, words)` stores a batch's rows and
-    /// returns their slots — then probe every key, misses between
-    /// them, and a sparse subset.
+    /// Insert `batches` of keys into a seen-set over `rows` as the level
+    /// merge does — probe each batch, store its rows with
+    /// `add_rows(rows, indices, words)`, which returns their slots, and
+    /// insert the keys at the positions the probe found — then probe
+    /// every key, misses between them, and a sparse subset.
     fn probe_matches_inserts<R: RowSource>(
         label: &str,
         batches: &[Vec<u32>],
@@ -1039,8 +1021,10 @@ mod tests {
             let h: Vec<u64> = keys.iter().map(|e| e.0).collect();
             let idx: Vec<u32> = keys.iter().map(|e| e.2).collect();
             let w: Vec<u32> = keys.iter().flat_map(|e| e.1).collect();
+            let (found, at) = dd.probe_sorted(rows, &h, &w);
+            assert!(found.iter().all(Option::is_none), "{label}: a batch key is new");
             let slots = add_rows(rows, &idx, &w);
-            dd.insert_sorted(rows, &h, &slots);
+            dd.insert_at(rows, &at, &h, &slots);
         }
         assert_eq!(dd.spilled_bytes() > 0, spill, "{label}: runs flush only with a dir");
         assert_eq!(dd.len(), 64, "{label}");
@@ -1056,7 +1040,7 @@ mod tests {
         probes.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let h: Vec<u64> = probes.iter().map(|e| e.0).collect();
         let w: Vec<u32> = probes.iter().flat_map(|e| e.1).collect();
-        let got = dd.probe_sorted(rows, &h, &w);
+        let (got, _) = dd.probe_sorted(rows, &h, &w);
         for (k, p) in probes.iter().enumerate() {
             assert_eq!(got[k], p.2, "{label}: probe {k} diverged");
         }
@@ -1067,7 +1051,7 @@ mod tests {
             probes.iter().enumerate().filter(|&(k, _)| k % 17 == 0 || k == last).collect();
         let h: Vec<u64> = sparse.iter().map(|(_, e)| e.0).collect();
         let w: Vec<u32> = sparse.iter().flat_map(|(_, e)| e.1).collect();
-        let got = dd.probe_sorted(rows, &h, &w);
+        let (got, _) = dd.probe_sorted(rows, &h, &w);
         for (s, (k, p)) in sparse.iter().enumerate() {
             assert_eq!(got[s], p.2, "{label}: sparse probe {k} diverged");
         }
@@ -1210,15 +1194,17 @@ mod tests {
     }
 
     /// Insert the keys `vs` as one batch whose rows go to `log`, key
-    /// `v` with index `v`.
+    /// `v` with index `v`, at the buffer positions found without
+    /// reading a run.
     fn insert_wide(dd: &mut ExternalDedup, log: &mut RowLog, vs: &[u32]) {
         let mut vs = vs.to_vec();
         vs.sort_unstable();
         let h: Vec<u64> = vs.iter().map(|&v| wide_key(v).0).collect();
         let w: Vec<u32> = vs.iter().flat_map(|&v| wide_key(v).1).collect();
+        let at = dd.positions(log, &h, &w).expect("the keys are new");
         let first = log.len() as u32;
         log.append(&vs, &w);
-        dd.insert_sorted(log, &h, &(first..log.len() as u32).collect::<Vec<_>>());
+        dd.insert_at(log, &at, &h, &(first..log.len() as u32).collect::<Vec<_>>());
     }
 
     /// Probe `keys` as one sorted batch and check every answer against
@@ -1235,7 +1221,7 @@ mod tests {
         let h: Vec<u64> = keys.iter().map(|k| k.0).collect();
         let w: Vec<u32> = keys.iter().flat_map(|k| k.1).collect();
         let before = dd.run_bytes_read();
-        let got = dd.probe_sorted(log, &h, &w);
+        let (got, _) = dd.probe_sorted(log, &h, &w);
         for (k, got) in keys.iter().zip(got) {
             assert_eq!(got, model.get(k).copied(), "{label}: key {k:?}");
         }

@@ -223,7 +223,7 @@ impl FrontierTransport for LocalFrontier {
         words: &[u32],
     ) -> Result<Vec<Option<u32>>, TransportError> {
         let Store { seen, rows } = self.checked("probe", hashes, words)?;
-        Ok(seen.probe_sorted(rows, hashes, words))
+        Ok(seen.probe_sorted(rows, hashes, words).0)
     }
 
     fn insert_sorted(
@@ -372,13 +372,20 @@ mod tests {
                     for &v in &keys {
                         inserted[v as usize] = true;
                     }
+                    // Each store is probed first and takes the batch at
+                    // the positions its probe found, as the level merge
+                    // does.
                     for (seen, arena) in &mut on_arena {
-                        seen.insert_sorted(arena, &h, &keys);
+                        let (found, at) = seen.probe_sorted(arena, &h, &w);
+                        proptest::prop_assert!(found.iter().all(Option::is_none));
+                        seen.insert_at(arena, &at, &h, &keys);
                     }
                     for (seen, log) in &mut on_log {
+                        let (found, at) = seen.probe_sorted(log, &h, &w);
+                        proptest::prop_assert!(found.iter().all(Option::is_none));
                         let first = log.len() as u32;
                         log.append(&idx, &w);
-                        seen.insert_sorted(log, &h, &(first..log.len() as u32).collect::<Vec<_>>());
+                        seen.insert_at(log, &at, &h, &(first..log.len() as u32).collect::<Vec<_>>());
                     }
                     guarded.insert_sorted(&h, &idx, &w).unwrap();
                     model.insert(&h, &idx, &w);
@@ -386,13 +393,13 @@ mod tests {
                     let (h, _, w) = batch(mask, |_| true);
                     let want = model.probe(&h, &w);
                     for (seen, arena) in &mut on_arena {
-                        let got = seen.probe_sorted(arena, &h, &w);
+                        let (got, _) = seen.probe_sorted(arena, &h, &w);
                         let got: Vec<Option<u32>> =
                             got.into_iter().map(|v| v.map(|v| 7 * v + 1)).collect();
                         proptest::prop_assert_eq!(got, want.clone());
                     }
                     for (seen, log) in &mut on_log {
-                        proptest::prop_assert_eq!(seen.probe_sorted(log, &h, &w), want.clone());
+                        proptest::prop_assert_eq!(seen.probe_sorted(log, &h, &w).0, want.clone());
                     }
                     proptest::prop_assert_eq!(guarded.probe_sorted(&h, &w).unwrap(), want);
                 }

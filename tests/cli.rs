@@ -287,6 +287,10 @@ fn valency_metrics_time_every_search_phase_once_per_level() {
     // the level it first shows up in, and is replayed from the table
     // after that; walk-counter's figures are pinned.
     assert_eq!((field("explore.step_misses", ""), field("explore.step_entries", "")), (104, 92));
+    // The level merge groups the candidates of each level into its
+    // distinct keys before it sorts and probes them; walk-counter's 472
+    // candidates make 307 keys.
+    assert_eq!((field("explore.candidates", ""), field("explore.level_keys", "")), (472, 307));
 }
 
 #[test]
