@@ -1,85 +1,17 @@
-//! Shared harness utilities for the experiment benches.
+//! Shared harness utilities for the timing benches.
 //!
-//! Each bench target regenerates one artifact of the paper (a figure's
-//! construction or a theorem's quantitative content): it prints the
-//! measured series in a table mirroring what EXPERIMENTS.md records,
-//! then (where timing is meaningful) runs a small Criterion group.
+//! The two bench targets time the threaded object zoo and the svc
+//! event loop's metrics sites with a small Criterion group each. The
+//! paper's claims are not checked here: the fail-closed `randsync
+//! gate` and the workspace tests check them. [`Summary`] is the
+//! summary-statistics type rsbench reports with.
 
 pub mod stats;
 
 pub use stats::Summary;
 
-use randsync_consensus::model_protocols::{WalkBacking, WalkModel};
-use randsync_model::{monte_carlo, RandomScheduler, Simulator};
-
-/// Print the standard experiment banner.
+/// Print the standard bench banner.
 pub fn banner(id: &str, title: &str, claim: &str) {
     println!("\n== {id}: {title} ==");
     println!("paper claim: {claim}\n");
-}
-
-/// Simulate the walk consensus (model version) for `n` processes with
-/// alternating inputs over `trials` seeds; returns
-/// `(mean steps, max steps, max |cursor| excursion)`.
-///
-/// Seeds fan out across worker threads via [`monte_carlo`]; each trial
-/// derives its simulator and scheduler streams from its seed alone, so
-/// the profile is identical to a sequential loop over `0..trials`.
-pub fn walk_profile(n: usize, backing: WalkBacking, trials: u64) -> (f64, usize, i64) {
-    let p = WalkModel::with_default_margins(n, backing);
-    let inputs: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
-    let per_trial = monte_carlo(0..trials, 0, |seed| {
-        let mut sim = Simulator::new(2_000_000, seed * 7 + 1);
-        let mut sched = RandomScheduler::new(seed * 131 + 3);
-        let out = sim.run(&p, &inputs, &mut sched).expect("simulation runs");
-        assert!(out.all_decided, "walk did not terminate (n={n}, seed={seed})");
-        assert_eq!(out.decided_values().len(), 1, "inconsistent (n={n}, seed={seed})");
-        // Excursion from the records: track the cursor value.
-        let mut cursor = 0i64;
-        let mut exc = 0i64;
-        for r in &out.records {
-            if let Some((_, op, _resp)) = r.op {
-                match op {
-                    randsync_model::Operation::Inc => cursor += 1,
-                    randsync_model::Operation::Dec => cursor -= 1,
-                    randsync_model::Operation::FetchAdd(d) => cursor += d,
-                    _ => {}
-                }
-                exc = exc.max(cursor.abs());
-            }
-        }
-        (out.steps, exc)
-    });
-    let total: usize = per_trial.iter().map(|(s, _)| s).sum();
-    let max_steps = per_trial.iter().map(|(s, _)| *s).max().unwrap_or(0);
-    let max_exc = per_trial.iter().map(|(_, e)| *e).max().unwrap_or(0);
-    (total as f64 / trials as f64, max_steps, max_exc)
-}
-
-/// A simple fixed-width row printer.
-pub fn row(cells: &[String]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
-    println!("{}", line.join(" "));
-}
-
-/// Convenience for building a row from displayables.
-#[macro_export]
-macro_rules! table_row {
-    ($($x:expr),* $(,)?) => {
-        $crate::row(&[$(format!("{}", $x)),*])
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn walk_profile_returns_sane_numbers() {
-        let (mean, max, exc) = walk_profile(2, WalkBacking::BoundedCounter, 3);
-        assert!(mean > 0.0);
-        assert!(max as f64 >= mean);
-        // The excursion is bounded by the protocol's range ±3n.
-        assert!(exc <= 6);
-    }
 }

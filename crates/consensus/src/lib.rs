@@ -22,7 +22,7 @@
 //!
 //! The [`registry`] is the crate's single protocol catalog: every
 //! machine, its objects, its paper hook, and a uniform constructor —
-//! consumed by the CLI, the benches, and the differential test
+//! consumed by the CLI, the gate, and the differential test
 //! harness, which replays each entry under the threaded runtime, the
 //! simulator, and the explorer and cross-checks the three.
 //!

@@ -5,7 +5,9 @@ use proptest::prelude::*;
 use randsync_consensus::model_protocols::{WalkBacking, WalkModel};
 use randsync_consensus::spec::decide_concurrently;
 use randsync_consensus::{CasConsensus, SwapTwoConsensus, WalkConsensus};
-use randsync_model::{RandomScheduler, Simulator};
+use randsync_model::{
+    ContrarianScheduler, CrashScheduler, Operation, ProcessId, RandomScheduler, Scheduler, Simulator,
+};
 use randsync_objects::FetchAddRegister;
 
 proptest! {
@@ -64,7 +66,10 @@ proptest! {
 
     /// The model walk, simulated under arbitrary random schedules with
     /// arbitrary coin seeds, terminates consistently and validly —
-    /// randomized wait-freedom observed end to end.
+    /// randomized wait-freedom observed end to end. The adversary is a
+    /// fair random scheduler, the value-observing contrarian that drags
+    /// the cursor toward zero, or a random scheduler that crashes p0 at
+    /// step 3; none of them pushes the cursor out of Theorem 4.2's ±3n.
     #[test]
     fn simulated_walk_is_correct_under_random_adversaries(
         n in 2usize..5,
@@ -72,18 +77,34 @@ proptest! {
         sched_seed in any::<u64>(),
         input_bits in any::<u8>(),
         backing_fa in any::<bool>(),
+        adversary in 0u8..3,
     ) {
         let backing =
             if backing_fa { WalkBacking::FetchAdd } else { WalkBacking::BoundedCounter };
         let p = WalkModel::with_default_margins(n, backing);
         let inputs: Vec<u8> = (0..n).map(|i| (input_bits >> i) & 1).collect();
         let mut sim = Simulator::new(2_000_000, coin_seed);
-        let mut sched = RandomScheduler::new(sched_seed);
-        let out = sim.run(&p, &inputs, &mut sched).unwrap();
+        let random = RandomScheduler::new(sched_seed);
+        let mut sched: Box<dyn Scheduler> = match adversary {
+            0 => Box::new(random),
+            1 => Box::new(ContrarianScheduler::new(0, sched_seed)),
+            _ => Box::new(CrashScheduler::new(random, vec![(3, ProcessId(0))])),
+        };
+        let out = sim.run(&p, &inputs, sched.as_mut()).unwrap();
         prop_assert!(out.all_decided, "did not terminate within budget");
         let vals = out.decided_values();
         prop_assert_eq!(vals.len(), 1, "inconsistent: {:?}", vals);
         prop_assert!(inputs.contains(&vals[0]), "invalid");
+        let mut cursor = 0i64;
+        for r in &out.records {
+            cursor += match r.op {
+                Some((_, Operation::Inc, _)) => 1,
+                Some((_, Operation::Dec, _)) => -1,
+                Some((_, Operation::FetchAdd(d), _)) => d,
+                _ => continue,
+            };
+            prop_assert!(cursor.abs() <= 3 * n as i64, "cursor {} left ±3n", cursor);
+        }
     }
 
     /// Unanimity is decided deterministically — no coin is consumed —

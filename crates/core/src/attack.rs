@@ -355,7 +355,7 @@ fn finish<P: Protocol>(
 
 /// Convenience: run the Lemma 3.2 attack and return just the witness
 /// and its proof-case statistics, panicking on validity violations
-/// (useful in benches over protocols known to be
+/// (useful in tests over protocols known to be
 /// consistent-but-attackable).
 ///
 /// # Errors

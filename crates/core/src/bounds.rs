@@ -154,6 +154,11 @@ mod tests {
             assert!((r as f64) >= lo, "n={n}, r={r}");
             assert!((r as f64) <= hi, "n={n}, r={r}");
         }
+        // Quadrupling n roughly doubles the bound.
+        for n in [1u64 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18] {
+            let ratio = min_historyless_objects(4 * n) as f64 / min_historyless_objects(n) as f64;
+            assert!((1.8..=2.2).contains(&ratio), "n={n}, ratio={ratio}");
+        }
     }
 
     #[test]

@@ -67,8 +67,8 @@ impl Side {
     }
 }
 
-/// Counters describing which proof cases fired — the quantities the
-/// Figure 2–4 benches report.
+/// Counters describing which proof cases fired — the quantities gate
+/// `thm-3.3-adversary` bounds for Figures 3 and 4.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CombineStats {
     /// Base splices performed (Figure 1/2's final combination).

@@ -200,7 +200,7 @@ pub fn implementation_lower_bound(target: ObjectKind, n: u64) -> Option<u64> {
 }
 
 /// Render the separation table for `n` processes, evaluating the
-/// asymptotic bounds (used by the `separation_table` bench and the
+/// asymptotic bounds (used by `randsync table` and the
 /// `space_separation` example).
 pub fn render_table(n: u64) -> String {
     use core::fmt::Write as _;
@@ -266,11 +266,26 @@ mod tests {
 
     #[test]
     fn every_row_has_consistent_bounds() {
-        for p in separation_table() {
+        let table = separation_table();
+        for p in &table {
             for n in [2u64, 10, 100, 10_000] {
                 assert!(p.bounds_consistent(n), "{} at n={n}", p.kind.name());
             }
+            // Historyless rows need Θ(√n) instances; every other row
+            // solves consensus with one.
+            if p.historyless {
+                assert_eq!(p.randomized_lower, SpaceBound::SqrtN, "{}", p.kind.name());
+            } else {
+                assert_eq!(p.randomized_upper, SpaceBound::Constant(1), "{}", p.kind.name());
+            }
         }
+        // The randomized measure inverts the deterministic order:
+        // counter is below swap deterministically, far above it here.
+        let counter = table.iter().find(|p| p.kind == ObjectKind::Counter).unwrap();
+        let swap = table.iter().find(|p| p.kind == ObjectKind::SwapRegister).unwrap();
+        assert_eq!(counter.consensus_number, ConsensusNumber::Finite(1));
+        assert_eq!(swap.consensus_number, ConsensusNumber::Finite(2));
+        assert!(counter.randomized_upper.eval(1024) < swap.randomized_lower.eval(1024));
     }
 
     #[test]

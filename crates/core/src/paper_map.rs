@@ -18,7 +18,7 @@
 //! | Lemma 3.4 | [`crate::interruptible::construct_interruptible`] |
 //! | Lemma 3.5 / Lemma 3.6 / Theorem 3.7 (Ω(√n)) | [`crate::combine35::attack_historyless`], [`crate::bounds::min_historyless_objects`] |
 //! | Lemma 3.2 or Lemma 3.6, whichever breaks a flawed registry target (with its pool) | [`crate::attack::attack_target`], one [`crate::attack::AttackOutcome`] for both |
-//! | Figure 1 (combining two executions) | the base splice inside [`crate::combine31`]; bench `fig1_combining` |
+//! | Figure 1 (combining two executions) | the base splice inside [`crate::combine31`]; gate `thm-3.3-adversary` |
 //! | Corollary 4.1 / 4.3 / 4.5 | [`crate::hierarchy::implementation_lower_bound`] |
 //! | Theorem 4.2 (one bounded counter — Aspnes) | `randsync_consensus::WalkConsensus::with_bounded_counter` |
 //! | Theorem 4.4 (one fetch&add) | `randsync_consensus::WalkConsensus::with_fetch_add` |
@@ -28,10 +28,10 @@
 //! | Snapshot "Observation 1 in \[3\]" example | `randsync_objects::SnapshotArray` |
 //! | Burns–Lynch lineage (related work) | `randsync_consensus::model_protocols::mutex` |
 //! | Jayanti–Tan–Toueg multi-use n − 1 (conclusions) | [`crate::bounds::multiuse_lower_bound`] |
-//! | Conclusions' Θ(n) conjecture | the measured gap in bench `thm37_sqrt_curve` |
+//! | Conclusions' Θ(n) conjecture | the gap between [`crate::bounds::min_historyless_objects`] and [`crate::bounds::registers_upper_bound`] |
 //!
-//! The experiment-id ↔ bench mapping lives in `DESIGN.md` §4 and the
-//! recorded results in `EXPERIMENTS.md`.
+//! The experiment-id ↔ gate-entry mapping lives in `DESIGN.md` §4 and
+//! the recorded results in `EXPERIMENTS.md`.
 
 #[cfg(test)]
 mod tests {

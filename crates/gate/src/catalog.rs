@@ -291,6 +291,20 @@ pub static CATALOG: &[PropertyEntry] = &[
         run: checks::thm_3_3_symmetry,
     },
     PropertyEntry {
+        id: "lemma-3.4",
+        paper: "Lemma 3.4",
+        statement: "Given enough processes, an interruptible execution with r + 1 strictly \
+                    nested pieces is built and validated, and a smaller pool is reported \
+                    insufficient; the smallest sufficient pool among 1, 2, 4, 8, 16 is pinned \
+                    for optimistic on r = 1..4 registers with unanimous inputs",
+        protocols: &["optimistic"],
+        severity: Severity::Critical,
+        tags: &["smoke", "adversary"],
+        budget_ms: 60_000,
+        requires_witness: false,
+        run: checks::lemma_3_4,
+    },
+    PropertyEntry {
         id: "lemma-3.6",
         paper: "Lemma 3.6 (toward Theorem 3.7)",
         statement: "The historyless adversary breaks the flawed historyless-object protocols \

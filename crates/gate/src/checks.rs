@@ -8,6 +8,7 @@
 //! replay, or missing registry binding is a *failure* — the gate never
 //! downgrades an unprovable property to a skip on its own.
 
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,16 +16,17 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use randsync_consensus::registry::{self, AnyProtocol, ProtocolEntry};
-use randsync_core::attack::{attack_target, AttackOutcome};
+use randsync_core::attack::{attack_target, AttackOutcome, AttackStats};
 use randsync_core::bounds::{
     composition_lower_bound, max_identical_processes, min_historyless_objects,
     min_registers_identical,
 };
+use randsync_core::interruptible::{construct_interruptible, ExcessCapacity, IeError};
 use randsync_core::witness::{InconsistencyWitness, MinimizeStats};
 use randsync_model::runtime::{replay_execution, DynObject, ModelObject, Runtime};
 use randsync_model::{
     Configuration, ExploreConfig, ExploreLimits, ExploreOutcome, Explorer, FrontierTransport,
-    LocalFrontier, Protocol, SharedFrontier, TransportError,
+    LocalFrontier, ProcessId, Protocol, SharedFrontier, TransportError,
 };
 use randsync_objects::bridge;
 use randsync_objects::SnapshotCounter;
@@ -121,10 +123,17 @@ pub(crate) fn thm_3_3_bound(_ctx: &CheckContext) -> CheckOutcome {
 /// interpreter *and* bridged atomics), and shrink an inconsistency on
 /// each flawed register protocol, within the paper's process bound.
 /// The minimized witnesses at the registered defaults are bounded
-/// first; then zigzag and optimistic are swept over r = 1..=12, where
-/// the bound is on the unminimized construction, the quantity Lemma
-/// 3.1 counts (minimizing shrinks every sweep witness to 2 processes,
-/// so a bound on it could not catch a blow-up).
+/// first. Naive is then attacked at n = 4, 8, 16: Figure 1's splice is
+/// two solos and one block write at every n, so its size must equal the
+/// n = 2 splice. Then zigzag and optimistic are swept over r = 1..=12,
+/// where the bound is on the unminimized construction, the quantity
+/// Lemma 3.1 counts (minimizing shrinks every sweep witness to 2
+/// processes, so a bound on it could not catch a blow-up). The sweep
+/// also bounds which proof cases fired: zigzag's two sides write their
+/// registers in opposite orders, so Figure 4 resolves an incomparable
+/// pair for every r >= 2; optimistic's solo crosses each new register
+/// once, so Figure 3 splits it r - 1 times and spawns (r - 1)r/2
+/// clones, and Figure 4 fires r - 2 times from r = 3 on.
 pub(crate) fn thm_3_3_adversary(_ctx: &CheckContext) -> CheckOutcome {
     let mut out = CheckOutcome::pass();
     for name in ["naive", "optimistic"] {
@@ -133,7 +142,7 @@ pub(crate) fn thm_3_3_adversary(_ctx: &CheckContext) -> CheckOutcome {
             Err(fail) => return fail,
         };
         let protocol = entry.build_default();
-        let (_, minimal, stats) = match shrunk_witness(name, entry, &protocol) {
+        let (_, _, minimal, stats) = match shrunk_witness(name, entry, &protocol) {
             Ok(found) => found,
             Err(fail) => return fail,
         };
@@ -147,6 +156,26 @@ pub(crate) fn thm_3_3_adversary(_ctx: &CheckContext) -> CheckOutcome {
             .note(format!("{name}.witness_steps"), Json::Int(minimal.execution.len() as i128))
             .note(format!("{name}.shrunk_steps"), Json::Int(stats.deleted as i128));
     }
+    let naive = match binding("naive") {
+        Ok(e) => e,
+        Err(fail) => return fail,
+    };
+    let mut splice = None;
+    for n in [2, 4, 8, 16] {
+        let label = format!("naive(n={n})");
+        let witness = match adversary_witness(naive, &(naive.build)(n, naive.default_r)) {
+            Ok((witness, _)) => witness,
+            Err(e) => return CheckOutcome::fail(format!("{label}: {e}")),
+        };
+        let size = (witness.execution.len() as i128, witness.processes_used as i128);
+        let Some((steps, processes)) = splice else {
+            splice = Some(size);
+            continue;
+        };
+        out = out
+            .bound(format!("{label}.witness_steps"), size.0, BoundOp::Eq, steps)
+            .bound(format!("{label}.processes_used"), size.1, BoundOp::Eq, processes);
+    }
     for name in ["zigzag", "optimistic"] {
         let entry = match binding(name) {
             Ok(e) => e,
@@ -155,9 +184,12 @@ pub(crate) fn thm_3_3_adversary(_ctx: &CheckContext) -> CheckOutcome {
         for r in 1..=12 {
             let protocol = (entry.build)(entry.default_n, r);
             let label = format!("{name}(r={r})");
-            let (witness, _, _) = match shrunk_witness(&label, entry, &protocol) {
+            let (witness, cases, _, _) = match shrunk_witness(&label, entry, &protocol) {
                 Ok(found) => found,
                 Err(fail) => return fail,
+            };
+            let AttackStats::Register(cases) = cases else {
+                return CheckOutcome::fail(format!("{label}: not a Lemma 3.2 construction"));
             };
             out = out.bound(
                 format!("{label}.processes_used"),
@@ -165,6 +197,35 @@ pub(crate) fn thm_3_3_adversary(_ctx: &CheckContext) -> CheckOutcome {
                 BoundOp::Le,
                 lemma_3_1_cap(&protocol),
             );
+            let r = r as i128;
+            out = match name {
+                "zigzag" if r >= 2 => out.bound(
+                    format!("{label}.incomparable_resolutions"),
+                    cases.incomparable_resolutions as i128,
+                    BoundOp::Ge,
+                    1,
+                ),
+                "optimistic" => out
+                    .bound(
+                        format!("{label}.subset_splits"),
+                        cases.subset_splits as i128,
+                        BoundOp::Eq,
+                        r - 1,
+                    )
+                    .bound(
+                        format!("{label}.clones_spawned"),
+                        cases.clones_spawned as i128,
+                        BoundOp::Eq,
+                        (r - 1) * r / 2,
+                    )
+                    .bound(
+                        format!("{label}.incomparable_resolutions"),
+                        cases.incomparable_resolutions as i128,
+                        BoundOp::Eq,
+                        (r - 2).max(0),
+                    ),
+                _ => out,
+            };
         }
     }
     out
@@ -177,37 +238,38 @@ fn lemma_3_1_cap<P: Protocol>(protocol: &P) -> i128 {
 }
 
 /// The witness the adversary that the registry assigns to `entry`
-/// constructs against `protocol` (an instance of `entry`), or why
-/// there is none.
+/// constructs against `protocol` (an instance of `entry`), with the
+/// proof cases it went through, or why there is none.
 pub(crate) fn adversary_witness<P: Protocol>(
     entry: &ProtocolEntry,
     protocol: &P,
-) -> Result<InconsistencyWitness, String> {
+) -> Result<(InconsistencyWitness, AttackStats), String> {
     match attack_target(entry.attack, protocol) {
-        Ok(AttackOutcome::Inconsistent { witness, .. }) => Ok(witness),
+        Ok(AttackOutcome::Inconsistent { witness, stats }) => Ok((witness, stats)),
         Ok(violation) => Err(format!("expected an inconsistency, got a {violation}")),
         Err(e) => Err(format!("adversary failed: {e}")),
     }
 }
 
-/// Run `entry`'s adversary on `protocol` and return its witness, the
-/// minimized witness and the shrink statistics. Each is replayed once
-/// on the model interpreter — the witness inside the adversary, the
-/// minimized one inside `minimize_report` — and the minimized one
-/// also on bridged atomics.
+/// Run `entry`'s adversary on `protocol` and return its witness and
+/// proof cases, the minimized witness and the shrink statistics. Each
+/// witness is replayed once on the model interpreter — the witness
+/// inside the adversary, the minimized one inside `minimize_report` —
+/// and the minimized one also on bridged atomics.
 fn shrunk_witness<P: Protocol>(
     label: &str,
     entry: &ProtocolEntry,
     protocol: &P,
-) -> Result<(InconsistencyWitness, InconsistencyWitness, MinimizeStats), CheckOutcome> {
-    let witness = adversary_witness(entry, protocol)
+) -> Result<(InconsistencyWitness, AttackStats, InconsistencyWitness, MinimizeStats), CheckOutcome>
+{
+    let (witness, cases) = adversary_witness(entry, protocol)
         .map_err(|e| CheckOutcome::fail(format!("{label}: {e}")))?;
     let (minimal, stats) = witness.minimize_report(protocol).map_err(|e| {
         CheckOutcome::fail(format!("{label}: minimized witness failed model replay: {e}"))
     })?;
     verify_on_bridged(protocol, &minimal)
         .map_err(|e| CheckOutcome::fail(format!("{label}: {e}")))?;
-    Ok((witness, minimal, stats))
+    Ok((witness, cases, minimal, stats))
 }
 
 /// The identical-process lens on exploration: the symmetry quotient
@@ -251,6 +313,61 @@ pub(crate) fn thm_3_3_symmetry(ctx: &CheckContext) -> CheckOutcome {
     out
 }
 
+/// Lemma 3.4: from a configuration with enough poised processes the
+/// construction builds an interruptible execution whose r + 1 pieces
+/// validate, and a smaller pool is reported insufficient. For the
+/// write-all protocol on r = 1..=4 registers with unanimous inputs,
+/// the smallest sufficient pool among 1, 2, 4, 8, 16 is pinned, with
+/// the piece count there.
+pub(crate) fn lemma_3_4(_ctx: &CheckContext) -> CheckOutcome {
+    let entry = match binding("optimistic") {
+        Ok(e) => e,
+        Err(fail) => return fail,
+    };
+    let mut out = CheckOutcome::pass();
+    for (r, want_pool) in [(1, 2), (2, 4), (3, 8), (4, 16)] {
+        let label = format!("optimistic(r={r})");
+        let mut built = None;
+        for pool in [1, 2, 4, 8, 16] {
+            match interruptible_pieces(entry, r, pool) {
+                Ok(None) => {}
+                Ok(Some(pieces)) => {
+                    built = Some((pool, pieces));
+                    break;
+                }
+                Err(e) => return CheckOutcome::fail(format!("{label}, pool {pool}: {e}")),
+            }
+        }
+        let Some((pool, pieces)) = built else {
+            return CheckOutcome::fail(format!("{label}: no pool up to 16 is sufficient"));
+        };
+        out = out
+            .bound(format!("{label}.min_pool"), pool as i128, BoundOp::Eq, want_pool)
+            .bound(format!("{label}.pieces"), pieces as i128, BoundOp::Eq, r as i128 + 1);
+    }
+    out
+}
+
+/// The piece count of the validated interruptible execution Lemma 3.4
+/// builds from `pool` processes, all with input 0, of `entry` on `r`
+/// registers; `None` when the construction reports the pool
+/// insufficient.
+fn interruptible_pieces(
+    entry: &ProtocolEntry,
+    r: usize,
+    pool: usize,
+) -> Result<Option<usize>, String> {
+    let protocol = (entry.build)(pool.max(2), r);
+    let base = Configuration::initial_with_pool(&protocol, &vec![0; pool], pool);
+    let procs = (0..pool).map(ProcessId).collect();
+    let (excess, limits) = (ExcessCapacity::default(), ExploreLimits::default());
+    match construct_interruptible(&protocol, &base, BTreeSet::new(), procs, &excess, &limits) {
+        Ok((ie, _)) => ie.validate(&protocol, &base).map(|()| Some(ie.pieces.len())),
+        Err(IeError::InsufficientProcesses(_)) => Ok(None),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
 /// Lemma 3.6: the historyless adversary breaks each flawed
 /// historyless-object protocol with an ample pool, and the witness
 /// survives model and bridged replay plus shrinking. The pool is the
@@ -264,7 +381,7 @@ pub(crate) fn lemma_3_6(_ctx: &CheckContext) -> CheckOutcome {
             Err(fail) => return fail,
         };
         let protocol = entry.build_default();
-        let (witness, minimal, _) = match shrunk_witness(name, entry, &protocol) {
+        let (witness, _, minimal, _) = match shrunk_witness(name, entry, &protocol) {
             Ok(found) => found,
             Err(fail) => return fail,
         };

@@ -349,7 +349,7 @@ pub fn seed_corpus(dir: &Path) -> Result<Vec<WitnessRecord>, String> {
     };
     let mut added = Vec::new();
     for entry in registry::adversary_targets() {
-        let witness = adversary_witness(entry, &entry.build_default())
+        let (witness, _) = adversary_witness(entry, &entry.build_default())
             .map_err(|e| format!("{}: {e}", entry.name))?;
         if let Some(record) = file_witness(dir, &mut manifest, entry, &witness)? {
             added.push(record);

@@ -387,3 +387,60 @@ fn smoke_subset_runs_the_corpus_and_stays_fast_enough_for_ci() {
     assert_eq!(soak.status, "filtered", "the soak entry is not in the smoke set");
     assert!(started.elapsed().as_secs() < 60, "smoke subset must stay CI-fast");
 }
+
+/// The text of every Rust source under `dir`, concatenated.
+fn rust_sources(dir: &Path, text: &mut String) {
+    for entry in fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("readable").path();
+        if path.is_dir() {
+            rust_sources(&path, text);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            text.push_str(&fs::read_to_string(&path).expect("utf-8 source"));
+        }
+    }
+}
+
+/// EXPERIMENTS.md cannot drift from what is checked: a section whose
+/// shape is marked ✓ cites, in backticks in its Shape paragraph, the
+/// gate entry (`id`, or `id: bound` as BENCH_gate.json names the bound)
+/// or the test (`module::test_name`) that asserts it, and every cited
+/// entry, bound and test must exist.
+#[test]
+fn every_checked_shape_in_experiments_cites_an_existing_check() {
+    let doc = fs::read_to_string("EXPERIMENTS.md").expect("EXPERIMENTS.md at the root");
+    let record = fs::read_to_string("BENCH_gate.json").expect("the gate record at the root");
+    let record = obs::parse_json(&record).expect("the gate record parses");
+    let mut sources = String::new();
+    for dir in ["src", "tests", "crates"] {
+        rust_sources(Path::new(dir), &mut sources);
+    }
+    let mut checked = 0;
+    for section in doc.split("\n## ").skip(1) {
+        let title = section.lines().next().unwrap_or_default();
+        let Some(at) = section.find("**Shape.** ✓") else { continue };
+        let shape = section[at..].split("\n\n").next().unwrap_or_default();
+        let cites: Vec<&str> = shape.split('`').skip(1).step_by(2).collect();
+        assert!(!cites.is_empty(), "{title}: a ✓ shape cites no gate entry or test");
+        for cite in cites {
+            if let Some((_, test)) = cite.rsplit_once("::") {
+                assert!(sources.contains(&format!("fn {test}(")), "{title}: no test {cite:?}");
+                continue;
+            }
+            let (id, bound) = cite.split_once(": ").map_or((cite, None), |(i, b)| (i, Some(b)));
+            assert!(catalog::find(id).is_some(), "{title}: unknown gate entry {id:?}");
+            let Some(bound) = bound else { continue };
+            let entry = record
+                .get("entries")
+                .and_then(Json::as_arr)
+                .and_then(|es| es.iter().find(|e| e.get("id").and_then(Json::as_str) == Some(id)))
+                .unwrap_or_else(|| panic!("{title}: BENCH_gate.json has no entry {id:?}"));
+            let names = entry.get("bounds").and_then(Json::as_arr).unwrap_or_default();
+            assert!(
+                names.iter().any(|b| b.get("name").and_then(Json::as_str) == Some(bound)),
+                "{title}: {id} records no bound {bound:?}"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "EXPERIMENTS.md marks no shape ✓");
+}
