@@ -353,30 +353,6 @@ fn finish<P: Protocol>(
     inconsistency(weaver.protocol(), weaver.inputs(), weaver.execution(), stats)
 }
 
-/// Convenience: run the Lemma 3.2 attack and return just the witness
-/// and its proof-case statistics, panicking on validity violations
-/// (useful in tests over protocols known to be
-/// consistent-but-attackable).
-///
-/// # Errors
-///
-/// See [`attack_identical`].
-///
-/// # Panics
-///
-/// Panics if the protocol turned out to violate validity instead.
-pub fn attack_for_witness<P: Protocol>(
-    protocol: &P,
-    limits: &CombineLimits,
-) -> Result<(InconsistencyWitness, CombineStats), AttackError> {
-    match attack_identical(protocol, limits)? {
-        AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) } => {
-            Ok((witness, stats))
-        }
-        other => panic!("no combination was needed: {other}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,8 +362,11 @@ mod tests {
     #[test]
     fn naive_write_read_is_broken() {
         let p = NaiveWriteRead::new(2);
-        let (witness, stats) =
-            attack_for_witness(&p, &CombineLimits::default()).expect("attack succeeds");
+        let Ok(AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) }) =
+            attack_identical(&p, &CombineLimits::default())
+        else {
+            panic!("the attack breaks the naive protocol");
+        };
         witness.verify(&p).unwrap();
         assert!(stats.base_splices >= 1);
         // The naive protocol has one register; the bound says at most

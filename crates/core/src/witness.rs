@@ -419,8 +419,24 @@ impl std::error::Error for WitnessError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::{attack_identical, AttackOutcome, AttackStats};
+    use crate::combine31::{CombineLimits, CombineStats};
     use randsync_consensus::model_protocols::NaiveWriteRead;
     use randsync_model::{Explorer, Step};
+
+    /// The Lemma 3.2 adversary's witness and its proof-case statistics;
+    /// an error when it finds no register inconsistency.
+    fn register_witness<P: Protocol>(
+        p: &P,
+    ) -> Result<(InconsistencyWitness, CombineStats), String> {
+        match attack_identical(p, &CombineLimits::default()) {
+            Ok(AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) }) => {
+                Ok((witness, stats))
+            }
+            Ok(other) => Err(format!("no combination was needed: {other}")),
+            Err(e) => Err(e.to_string()),
+        }
+    }
 
     fn naive_violation() -> (NaiveWriteRead, InconsistencyWitness) {
         let p = NaiveWriteRead::new(2);
@@ -474,10 +490,7 @@ mod tests {
     fn minimization_shrinks_adversary_witnesses() {
         use randsync_consensus::model_protocols::Optimistic;
         let p = Optimistic::new(2, 3);
-        let (w, _) = crate::attack::attack_for_witness(
-            &p,
-            &crate::combine31::CombineLimits::default(),
-        )
+        let (w, _) = register_witness(&p)
         .unwrap();
         let m = w.minimize(&p).unwrap();
         m.verify(&p).unwrap();
@@ -494,10 +507,7 @@ mod tests {
     fn minimize_report_accounts_for_every_removed_step() {
         use randsync_consensus::model_protocols::Optimistic;
         let p = Optimistic::new(2, 3);
-        let (w, _) = crate::attack::attack_for_witness(
-            &p,
-            &crate::combine31::CombineLimits::default(),
-        )
+        let (w, _) = register_witness(&p)
         .unwrap();
         let (m, stats) = w.minimize_report(&p).unwrap();
         m.verify(&p).unwrap();
@@ -509,10 +519,7 @@ mod tests {
             "a kept commutation must have unlocked a deletion: {stats:?}"
         );
         // The adversary and the shrinker are both deterministic.
-        let (m2, s2) = crate::attack::attack_for_witness(
-            &p,
-            &crate::combine31::CombineLimits::default(),
-        )
+        let (m2, s2) = register_witness(&p)
         .unwrap()
         .0
         .minimize_report(&p)

@@ -2,10 +2,26 @@
 //! machinery's tamper resistance.
 
 use proptest::prelude::*;
+use randsync_core::attack::{attack_identical, AttackOutcome, AttackStats};
+use randsync_core::combine31::{CombineLimits, CombineStats};
+use randsync_core::witness::InconsistencyWitness;
+use randsync_model::Protocol;
 use randsync_core::bounds::{
     composition_lower_bound, max_identical_processes, max_processes_historyless,
     min_historyless_objects, min_registers_identical, registers_upper_bound,
 };
+
+/// The Lemma 3.2 adversary's witness and its proof-case statistics;
+/// an error when it finds no register inconsistency.
+fn register_witness<P: Protocol>(p: &P) -> Result<(InconsistencyWitness, CombineStats), String> {
+    match attack_identical(p, &CombineLimits::default()) {
+        Ok(AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) }) => {
+            Ok((witness, stats))
+        }
+        Ok(other) => Err(format!("no combination was needed: {other}")),
+        Err(e) => Err(e.to_string()),
+    }
+}
 
 proptest! {
     /// The inverse functions are exact: min_objects(threshold(r)) == r
@@ -72,8 +88,7 @@ proptest! {
 mod witness_tampering {
     use proptest::prelude::*;
     use randsync_consensus::model_protocols::Optimistic;
-    use randsync_core::attack::attack_for_witness;
-    use randsync_core::combine31::CombineLimits;
+    use super::register_witness;
     use randsync_model::{Execution, Step};
 
     proptest! {
@@ -89,7 +104,7 @@ mod witness_tampering {
         ) {
             let p = Optimistic::new(2, r);
             let (witness, _) =
-                attack_for_witness(&p, &CombineLimits::default()).unwrap();
+                register_witness(&p).unwrap();
             let len = witness.execution.len();
             prop_assume!(cut < len);
             let mut tampered = witness.clone();
@@ -107,7 +122,7 @@ mod witness_tampering {
         ) {
             let p = Optimistic::new(2, r);
             let (witness, _) =
-                attack_for_witness(&p, &CombineLimits::default()).unwrap();
+                register_witness(&p).unwrap();
             let mut steps = witness.execution.steps().to_vec();
             let pos = at.index(steps.len());
             steps.insert(pos, Step::of(randsync_model::ProcessId(usize::MAX / 2)));
@@ -121,8 +136,7 @@ mod witness_tampering {
 mod witness_shrinking {
     use proptest::prelude::*;
     use randsync_consensus::model_protocols::{Optimistic, Zigzag};
-    use randsync_core::attack::attack_for_witness;
-    use randsync_core::combine31::CombineLimits;
+    use super::register_witness;
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
@@ -141,7 +155,7 @@ mod witness_shrinking {
             macro_rules! check {
                 ($p:expr) => {{
                     let p = $p;
-                    let (min, stats) = attack_for_witness(&p, &CombineLimits::default())
+                    let (min, stats) = register_witness(&p)
                         .unwrap()
                         .0
                         .minimize_report(&p)

@@ -422,7 +422,8 @@ pub static CATALOG: &[PropertyEntry] = &[
         paper: "DESIGN.md section 16 (bit-identity at any node count)",
         statement: "Exploration and valency of walk-default(3,1) through two worker shards \
                     over the frontier RPC equal the single-node search: 154,367 \
-                    configurations, 85,608 zero-valent, 44,093 one-valent, 24,666 bivalent",
+                    configurations, 85,608 zero-valent, 44,093 one-valent, 24,666 bivalent; \
+                    probes send 48 hex digits per key, commits 8 per staged miss",
         protocols: &["walk-default"],
         severity: Severity::Critical,
         tags: &["smoke", "equivalence"],

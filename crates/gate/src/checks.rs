@@ -1028,7 +1028,8 @@ impl LoopbackServer {
 /// walk-default(3,1) explored with its valency through two worker
 /// shards over loopback equals the same search on one node, count for
 /// count. A transport failure truncates the search, which fails the
-/// entry.
+/// entry. The packed hex digits the coordinator sends are pinned too:
+/// a probe sends each key, a commit only an index per staged miss.
 pub(crate) fn dist_equiv(ctx: &CheckContext) -> CheckOutcome {
     let label = "walk-default(3,1)";
     let protocol = match built("walk-default", 3, 1) {
@@ -1036,6 +1037,12 @@ pub(crate) fn dist_equiv(ctx: &CheckContext) -> CheckOutcome {
         Err(fail) => return fail,
     };
     let inputs = [0, 1, 0];
+    let sent_digits = || {
+        ["probe", "commit"].map(|kind| {
+            randsync_obs::global_metrics().counter(&format!("svc.dist.sent_digits.{kind}")).get()
+        })
+    };
+    let before = sent_digits();
     // Start both shards and search through them; then stop every shard
     // that started, whatever happened.
     let mut shards = Vec::new();
@@ -1057,6 +1064,7 @@ pub(crate) fn dist_equiv(ctx: &CheckContext) -> CheckOutcome {
         }
     };
     let stopped: Result<Vec<()>, String> = shards.into_iter().map(LoopbackServer::stop).collect();
+    let [probe_digits, commit_digits] = sent_digits();
     let (dist, dist_val) = match distributed {
         Ok(searched) => searched,
         Err(fail) => return fail,
@@ -1093,6 +1101,11 @@ pub(crate) fn dist_equiv(ctx: &CheckContext) -> CheckOutcome {
         ("zero_valent", dist_val.zero_valent, 85_608),
         ("one_valent", dist_val.one_valent, 44_093),
         ("bivalent", dist_val.bivalent, 24_666),
+        // 16 + 8·4 digits per probed key at stride 4: the start key
+        // and the levels' 196,836 distinct keys.
+        ("sent_digits.probe", (probe_digits - before[0]) as usize, 48 * 196_837),
+        // 8 digits per staged miss: each configuration is one.
+        ("sent_digits.commit", (commit_digits - before[1]) as usize, 8 * 154_367),
     ];
     bounds.into_iter().fold(CheckOutcome::pass(), |out, (field, got, want)| {
         out.bound(format!("{label}.{field}"), got as i128, BoundOp::Eq, want)

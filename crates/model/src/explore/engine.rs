@@ -116,7 +116,8 @@ impl Dedup {
 
     /// Resolve a sorted batch of distinct keys: the arena index of each
     /// stored key (`None` for a novel one) and, on the local tier, its
-    /// buffer position for [`insert`](Self::insert).
+    /// buffer position for [`insert`](Self::insert). A transport stages
+    /// the novel keys with the positions it found for them itself.
     fn probe<S: Clone + Eq + Hash>(
         &mut self,
         arena: &PackedArena<S>,
@@ -130,9 +131,11 @@ impl Dedup {
     }
 
     /// Record a sorted batch of keys the arena just interned at
-    /// `indices`. The local store reads their words from the arena and
-    /// places them at the buffer positions `at` its probe found; only a
-    /// transport is handed the words, built by `words`.
+    /// `indices`, a subset of the novel keys the probes since the last
+    /// insert found. The local store reads their words from the arena
+    /// and places them at the buffer positions `at` its probe found;
+    /// only a transport is handed the words, built by `words`, to name
+    /// each key among its staged misses.
     fn insert<S: Clone + Eq + Hash>(
         &mut self,
         arena: &PackedArena<S>,
@@ -575,9 +578,11 @@ where
     g.parent.push(Link::ROOT);
     g.add_class(search.canon.class_size(&start.procs));
     let stride = g.arena.stride();
-    let opened = dedup
-        .open(stride)
-        .and_then(|()| dedup.insert(&g.arena, &[start_hash], &[0], &[0], || words.clone()));
+    // The start configuration is probed and inserted like any level.
+    let opened = dedup.open(stride).and_then(|()| {
+        let (_, at) = dedup.probe(&g.arena, &[start_hash], &words)?;
+        dedup.insert(&g.arena, &[start_hash], &[0], &at, || words.clone())
+    });
     let final_depth = match opened {
         Err(e) => {
             g.transport_error = Some(e.to_string());
@@ -732,9 +737,9 @@ where
 }
 
 /// Sort a chunk of pending rebuild keys — interned at arena indices
-/// `idx` — by `(hash, words)` and hand it to the seen-set as one sorted
-/// batch, at the positions [`ExternalDedup::positions`] finds on the
-/// local tier; maps a failure to the checkpoint error the resume reports.
+/// `idx` — by `(hash, words)`, probe it as one sorted batch, and insert
+/// it at the positions the probe found; maps a failure to the
+/// checkpoint error the resume reports.
 fn flush_pending<S: Clone + Eq + Hash>(
     dedup: &mut Dedup,
     arena: &PackedArena<S>,
@@ -752,15 +757,16 @@ fn flush_pending<S: Clone + Eq + Hash>(
     let (sh, si): (Vec<u64>, Vec<u32>) = order.into_iter().unzip();
     let mut w = Vec::with_capacity(si.len() * arena.stride());
     si.iter().for_each(|&i| arena.with_words(i, |row| w.extend_from_slice(row)));
-    let at = match dedup {
-        Dedup::Local(d) => d.positions(arena, &sh, &w).map_err(|k| {
-            CheckpointError::Corrupt(format!("node {} repeats an earlier configuration", si[k]))
-        })?,
-        Dedup::Shared(_) => Vec::new(),
-    };
-    dedup.insert(arena, &sh, &si, &at, || w).map_err(|e| {
+    let failed = |e: TransportError| {
         CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
-    })
+    };
+    let (found, at) = dedup.probe(arena, &sh, &w).map_err(failed)?;
+    if let Some(k) = found.iter().position(Option::is_some) {
+        let node = si[k];
+        let repeat = format!("node {node} repeats an earlier configuration");
+        return Err(CheckpointError::Corrupt(repeat));
+    }
+    dedup.insert(arena, &sh, &si, &at, || w).map_err(failed)
 }
 
 /// The level loop shared by [`bfs`] and [`bfs_resume`]: expand, merge,

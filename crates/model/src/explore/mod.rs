@@ -1967,6 +1967,77 @@ mod tests {
         }
     }
 
+    /// The cumulative configuration counts of `p`'s BFS levels through
+    /// depths `d` and `d + 1`: a budget strictly between them falls
+    /// inside level `d + 1`.
+    fn level_bounds<P>(p: &P, inputs: &[Decision], d: usize) -> (usize, usize)
+    where
+        P: Protocol + Sync,
+        P::State: Send + Sync,
+    {
+        let upto = |max_depth| {
+            Explorer::new(ExploreLimits { max_depth, ..ExploreLimits::default() })
+                .explore(p, inputs)
+                .configs_visited
+        };
+        (upto(d), upto(d + 1))
+    }
+
+    #[test]
+    fn transport_tier_matches_ram_mode_when_capped_mid_level() {
+        // A cap inside a level leaves some of the level's probed misses
+        // unstored, so the transport inserts a strict subset of them.
+        let (naive, toggle) = (Naive { n: 3 }, Toggle { n: 3 });
+        let (lo, hi) = level_bounds(&naive, &[0, 1, 0], 3);
+        assert!(hi > lo + 1, "level 4 interns several configurations");
+        let limits = ExploreLimits { max_configs: (lo + hi) / 2, ..ExploreLimits::default() };
+        for (mode, explorer) in modes() {
+            let ram = Explorer::with_config(ExploreConfig { limits, ..explorer.config().clone() });
+            let via = ram.clone().frontier_transport(SharedFrontier::new(LocalFrontier::new()));
+            for (name, a, b) in [
+                ("naive", ram.explore(&naive, &[0, 1, 0]), via.explore(&naive, &[0, 1, 0])),
+                ("toggle", ram.explore(&toggle, &[0, 1, 0]), via.explore(&toggle, &[0, 1, 0])),
+            ] {
+                assert_eq!(fingerprint(&a), fingerprint(&b), "{mode}: capped {name} diverged");
+                let reason = b.truncation_reason;
+                assert_eq!(reason, Some(TruncationReason::ConfigCap), "{mode} {name}");
+                assert_eq!(b.transport_error, None);
+            }
+        }
+    }
+
+    #[test]
+    fn transport_tier_resumes_a_depth_capped_checkpoint_like_ram_mode() {
+        // The rebuild probes each chunk of checkpointed keys before it
+        // inserts them, on the transport as on the local seen-set.
+        let (p, inputs) = (Naive { n: 3 }, vec![0, 1, 0]);
+        let path = std::env::temp_dir()
+            .join(format!("randsync-test-ckpt-{}-transport.ckpt", std::process::id()));
+        let req = CheckpointRequest {
+            path: path.clone(),
+            protocol: "naive-test".into(),
+            n: 3,
+            r: 0,
+            inputs: inputs.clone(),
+        };
+        Explorer::with_config(ExploreConfig {
+            limits: ExploreLimits { max_configs: 200_000, max_depth: 3 },
+            checkpoint: Some(req),
+            ..ExploreConfig::default()
+        })
+        .explore(&p, &inputs);
+        let ckpt = Checkpoint::load(&path).expect("checkpoint loads");
+        let _ = std::fs::remove_file(&path);
+        let ram = Explorer::default().resume(&p, &ckpt).expect("resume in RAM");
+        let via = Explorer::default()
+            .frontier_transport(SharedFrontier::new(LocalFrontier::new()))
+            .resume(&p, &ckpt)
+            .expect("resume through the transport");
+        assert_eq!(fingerprint(&ram), fingerprint(&via));
+        assert_eq!(fingerprint(&Explorer::default().explore(&p, &inputs)), fingerprint(&via));
+        assert_eq!((via.truncation_reason, via.transport_error), (None, None));
+    }
+
     /// A transport that serves a few probe batches and then fails, to
     /// exercise the engine's level-boundary error path.
     #[derive(Debug)]

@@ -591,32 +591,6 @@ impl ExternalDedup {
         self.hashes[k].cmp(&h).then_with(|| rows.with_row(self.slots[k], row_vs_key))
     }
 
-    /// Find every key of a sorted batch (`keys_h[k]`,
-    /// `keys_w[k*stride..]`) in the RAM buffer with one galloping pass,
-    /// each key's search starting where the last one ended. Returns each
-    /// key's position: where it is buffered, or where it would be
-    /// inserted; `hit(k, p)` is called for each key `k` buffered at `p`.
-    fn locate<R: RowSource>(
-        &self,
-        rows: &R,
-        keys_h: &[u64],
-        keys_w: &[u32],
-        mut hit: impl FnMut(usize, usize),
-    ) -> Vec<usize> {
-        let (stride, len) = (self.stride, self.hashes.len());
-        let mut at = Vec::with_capacity(keys_h.len());
-        let mut p = 0usize;
-        for (k, &h) in keys_h.iter().enumerate() {
-            let cmp = |row: &[u32]| row.cmp(&keys_w[k * stride..(k + 1) * stride]);
-            p = gallop(p, len, |i| self.buffered_cmp(rows, i, h, &cmp).is_lt());
-            if p < len && self.buffered_cmp(rows, p, h, &cmp).is_eq() {
-                hit(k, p);
-            }
-            at.push(p);
-        }
-        at
-    }
-
     /// Resolve a sorted batch of candidate keys against the seen-set.
     ///
     /// `keys_h[k]` / `keys_w[k*stride..]` hold key `k`; keys are unique
@@ -624,7 +598,8 @@ impl ExternalDedup {
     /// the row source gives the matching stored key, if one exists, and
     /// the key's position in the RAM buffer: where it is buffered, or
     /// where [`insert_at`](Self::insert_at) places it while the buffer
-    /// does not change. One galloping pass over the RAM buffer plus one
+    /// does not change. One galloping pass over the RAM buffer, each
+    /// key's search starting where the last one ended, plus one
     /// sequential scan per run — no random I/O.
     pub(super) fn probe_sorted<R: RowSource>(
         &mut self,
@@ -632,8 +607,18 @@ impl ExternalDedup {
         keys_h: &[u64],
         keys_w: &[u32],
     ) -> (Vec<Option<u32>>, Vec<usize>) {
+        let (stride, len) = (self.stride, self.hashes.len());
         let mut out = vec![None; keys_h.len()];
-        let at = self.locate(rows, keys_h, keys_w, |k, p| out[k] = Some(rows.index_of(self.slots[p])));
+        let mut at = Vec::with_capacity(keys_h.len());
+        let mut p = 0usize;
+        for (k, &h) in keys_h.iter().enumerate() {
+            let cmp = |row: &[u32]| row.cmp(&keys_w[k * stride..(k + 1) * stride]);
+            p = gallop(p, len, |i| self.buffered_cmp(rows, i, h, &cmp).is_lt());
+            if p < len && self.buffered_cmp(rows, p, h, &cmp).is_eq() {
+                out[k] = Some(rows.index_of(self.slots[p]));
+            }
+            at.push(p);
+        }
         self.probe_runs(keys_h, keys_w, &mut out);
         (out, at)
     }
@@ -681,25 +666,9 @@ impl ExternalDedup {
         phase_end(started, "explore.phase.run_probe_us");
     }
 
-    /// Where each key of a sorted batch would go in the RAM buffer,
-    /// found in one pass; `Err(k)` if key `k` is buffered already.
-    pub(super) fn positions<R: RowSource>(
-        &self,
-        rows: &R,
-        keys_h: &[u64],
-        keys_w: &[u32],
-    ) -> Result<Vec<usize>, usize> {
-        let mut stored = None;
-        let at = self.locate(rows, keys_h, keys_w, |k, _| {
-            stored.get_or_insert(k);
-        });
-        stored.map_or(Ok(at), Err)
-    }
-
     /// Insert a sorted batch of new keys (ascending, unique, and not
     /// present anywhere in the seen-set), whose words are rows
     /// `new_slots` of `rows`, at the buffer positions
-    /// [`positions`](Self::positions) or
     /// [`probe_sorted`](Self::probe_sorted) found for them; debug
     /// builds check each is still its key's sorted slot. The buffer grows
     /// in place and the batch is merged in from the back, so no second
@@ -1194,14 +1163,18 @@ mod tests {
     }
 
     /// Insert the keys `vs` as one batch whose rows go to `log`, key
-    /// `v` with index `v`, at the buffer positions found without
-    /// reading a run.
+    /// `v` with index `v`, at the buffer positions a probe finds. The
+    /// runs are set aside for the probe, so the tests count only the
+    /// run reads of their own probes and of compaction.
     fn insert_wide(dd: &mut ExternalDedup, log: &mut RowLog, vs: &[u32]) {
         let mut vs = vs.to_vec();
         vs.sort_unstable();
         let h: Vec<u64> = vs.iter().map(|&v| wide_key(v).0).collect();
         let w: Vec<u32> = vs.iter().flat_map(|&v| wide_key(v).1).collect();
-        let at = dd.positions(log, &h, &w).expect("the keys are new");
+        let runs = std::mem::take(&mut dd.runs);
+        let (found, at) = dd.probe_sorted(log, &h, &w);
+        dd.runs = runs;
+        assert!(found.iter().all(Option::is_none), "the keys are new");
         let first = log.len() as u32;
         log.append(&vs, &w);
         dd.insert_at(log, &at, &h, &(first..log.len() as u32).collect::<Vec<_>>());

@@ -5,14 +5,14 @@
 //! dedup structure through exactly two bulk operations per BFS level:
 //! sorted *probe* batches (which of these distinct candidate keys are
 //! already interned, and at which arena index?) and one sorted *insert*
-//! batch (these keys were just interned at these indices).
-//! [`FrontierTransport`] names that contract as a trait, which is all
-//! it takes to stretch the fingerprint-sharded seen-set across
-//! machines: a coordinator keeps the arena and performs the in-order
-//! merge — so interning order, and therefore every verdict, count, and
-//! witness, is **bit-identical to a single-node run** — while worker
-//! nodes own disjoint fingerprint ranges of the seen-set and answer
-//! probe/insert batches for their range.
+//! batch (these of the probed misses were just interned at these
+//! indices). [`FrontierTransport`] names that contract as a trait,
+//! which is all it takes to stretch the fingerprint-sharded seen-set
+//! across machines: a coordinator keeps the arena and performs the
+//! in-order merge — so interning order, and therefore every verdict,
+//! count, and witness, is **bit-identical to a single-node run** —
+//! while worker nodes own disjoint fingerprint ranges of the seen-set
+//! and answer probe/insert batches for their range.
 //!
 //! The engine's own local seen-set, `ExternalDedup`, does not sit
 //! behind the trait: it reads key words from the arena it dedups (see
@@ -23,13 +23,16 @@
 //! Implementations in this workspace:
 //!
 //! * [`LocalFrontier`] — the same store (`ExternalDedup`, resident)
-//!   over a log of the rows it is given, behind a guard for untrusted
+//!   over a log of the rows it stores, behind a guard for untrusted
 //!   callers: it checks every batch's shape and order before the store
-//!   sees it. Worker shards host one per session, and the equivalence
-//!   property suites run the engine through it. The hash-map model it
-//!   replaced is kept as a test oracle below.
+//!   sees it. It stages each probe's misses with the buffer positions
+//!   the probe found, and stores an insert at those positions, the way
+//!   the engine's local tier does. Worker shards host one per session,
+//!   and the equivalence property suites run the engine through it.
+//!   The hash-map model it replaced is kept as a test oracle below.
 //! * `randsync-svc`'s `DistributedFrontier` speaks the same contract
-//!   over the JSONL wire protocol to N worker processes.
+//!   over the JSONL wire protocol to N worker processes, naming each
+//!   inserted key by its place among the shard's staged misses.
 //!
 //! # Contract
 //!
@@ -40,10 +43,14 @@
 //!   returns, per key in order, the arena index the key was inserted
 //!   under, or `None` if never inserted. Keys with equal 64-bit hashes
 //!   but different words are different keys (the engine compares full
-//!   words; the hash only routes and orders).
+//!   words; the hash only routes and orders). The keys it reports
+//!   absent are **staged** for the next insert; staging accumulates
+//!   over every probe since the previous insert.
 //! * `insert_sorted(hashes, indices, words)` records keys (sorted the
-//!   same way, disjoint from everything previously inserted) under the
-//!   caller-assigned arena indices.
+//!   same way) under the caller-assigned arena indices. Its keys must
+//!   be a subset of the staged misses — any subset, so a capped search
+//!   may leave misses unstored — and the insert ends the staging. An
+//!   insert of a key that was not staged is refused.
 //! * `close()` ends the search and releases any session state.
 //!
 //! Errors are surfaced, not panicked: the engine stops the search at
@@ -81,14 +88,16 @@ pub trait FrontierTransport: Send {
     fn open(&mut self, stride: usize) -> Result<(), TransportError>;
 
     /// Resolve distinct sorted keys against everything inserted so
-    /// far: `Some(index)` for known keys, `None` for novel ones.
+    /// far: `Some(index)` for known keys, `None` for novel ones, which
+    /// are staged for the next insert.
     fn probe_sorted(
         &mut self,
         hashes: &[u64],
         words: &[u32],
     ) -> Result<Vec<Option<u32>>, TransportError>;
 
-    /// Record newly interned sorted keys under their arena indices.
+    /// Record newly interned sorted keys, a subset of the staged
+    /// misses, under their arena indices; this ends the staging.
     fn insert_sorted(
         &mut self,
         hashes: &[u64],
@@ -133,16 +142,26 @@ impl std::fmt::Debug for SharedFrontier {
 /// test driving the seam by hand.
 ///
 /// The engine's seen-set reads key words from its arena; this store
-/// has no arena, so it keeps the rows it is given in an append-only
+/// has no arena, so it keeps the rows it stores in an append-only
 /// `RowLog` (words plus the caller's index per row) and its
 /// `ExternalDedup` buffer holds `(hash, log slot)` pairs: 16 + 4 ×
 /// stride bytes per key in all.
+///
+/// A probe **stages** the keys it finds absent, each with the buffer
+/// position the probe found for it; staging accumulates over every
+/// probe since the last commit. [`commit`](Self::commit) then stores
+/// the staged misses by reference, one arena index per miss, at those
+/// positions: nothing is sent, decoded or located twice. The buffer
+/// changes only at a commit, so every staged position stays valid
+/// until then. [`insert_sorted`](FrontierTransport::insert_sorted)
+/// matches its keys against the staging and commits.
 ///
 /// The seen-set trusts its batches to be sorted, distinct and disjoint
 /// from what it holds. This wrapper checks that first and answers a
 /// batch that is not with a [`TransportError`], leaving the store
 /// untouched: every batch must be strictly ascending by
-/// `(hash, words)`, and an insert batch must not repeat a stored key.
+/// `(hash, words)`, an insert may carry only staged misses, and a
+/// commit may not store one key twice.
 #[derive(Default)]
 pub struct LocalFrontier {
     /// `None` until [`open`](FrontierTransport::open) and after
@@ -150,10 +169,72 @@ pub struct LocalFrontier {
     store: Option<Store>,
 }
 
-/// An open [`LocalFrontier`]: the seen-set and the rows it reads.
+/// An open [`LocalFrontier`]: the seen-set, the rows it reads, and the
+/// misses staged for the next commit.
 struct Store {
     seen: ExternalDedup,
     rows: RowLog,
+    staged: Staging,
+}
+
+/// The misses the probes since the last commit reported, in staging
+/// order, each with the buffer position its probe found.
+struct Staging {
+    stride: usize,
+    hashes: Vec<u64>,
+    words: Vec<u32>,
+    at: Vec<usize>,
+    /// Whether some probe staged a miss that does not sort after the
+    /// miss staged before it (a level's second probe round).
+    unordered: bool,
+    /// The indices the commits so far have given the first misses.
+    indices: Vec<u32>,
+}
+
+impl Staging {
+    fn new(stride: usize) -> Staging {
+        let (hashes, words, at, indices) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        Staging { stride, hashes, words, at, unordered: false, indices }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The key of miss `s`.
+    fn key(&self, s: usize) -> (u64, &[u32]) {
+        (self.hashes[s], &self.words[s * self.stride..(s + 1) * self.stride])
+    }
+
+    /// Stage the misses of one probe batch (`found[k]` is `None`) at
+    /// their probed positions `at`.
+    fn stage(&mut self, hashes: &[u64], words: &[u32], found: &[Option<u32>], at: &[usize]) {
+        let stride = self.stride;
+        let mut misses = (0..hashes.len()).filter(|&k| found[k].is_none()).peekable();
+        // A batch ascends, so only its first miss can sort before the
+        // misses already staged.
+        if let (Some(&k), Some(last)) = (misses.peek(), self.len().checked_sub(1)) {
+            let first = (at[k], (hashes[k], &words[k * stride..(k + 1) * stride]));
+            self.unordered |= (self.at[last], self.key(last)) >= first;
+        }
+        for k in misses {
+            self.hashes.push(hashes[k]);
+            self.words.extend_from_slice(&words[k * stride..(k + 1) * stride]);
+            self.at.push(at[k]);
+        }
+    }
+
+    /// The staged misses in `(position, hash, words)` order: staging
+    /// order itself unless several probe rounds were staged, whose runs
+    /// are merged. Positions come from one unchanged buffer, so this is
+    /// key order too.
+    fn order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        if self.unordered {
+            order.sort_by(|&a, &b| (self.at[a], self.key(a)).cmp(&(self.at[b], self.key(b))));
+        }
+        order
+    }
 }
 
 impl LocalFrontier {
@@ -172,6 +253,13 @@ impl LocalFrontier {
         self.len() == 0
     }
 
+    /// The open store, or the refusal of a `what` on a closed one.
+    fn open_store(&mut self, what: &str) -> Result<&mut Store, TransportError> {
+        self.store
+            .as_mut()
+            .ok_or_else(|| TransportError::new(format!("{what} on a frontier that is not open")))
+    }
+
     /// The open store, after checking that `hashes`/`words` is a
     /// well-formed batch for it: whole rows, strictly ascending by
     /// `(hash, words)`.
@@ -181,10 +269,7 @@ impl LocalFrontier {
         hashes: &[u64],
         words: &[u32],
     ) -> Result<&mut Store, TransportError> {
-        let store = self
-            .store
-            .as_mut()
-            .ok_or_else(|| TransportError::new(format!("{what} batch on a frontier that is not open")))?;
+        let store = self.open_store(&format!("{what} batch"))?;
         let stride = store.seen.stride();
         if words.len() != hashes.len() * stride {
             return Err(TransportError::new(format!("malformed {what} batch")));
@@ -196,6 +281,56 @@ impl LocalFrontier {
             )));
         }
         Ok(store)
+    }
+
+    /// Give the next staged misses their arena indices, in staging
+    /// order; `u32::MAX` leaves a miss unstored (a capped search). The
+    /// call that gives the last staged miss its index stores every
+    /// staged miss that has one, at the position its probe found, and
+    /// ends the staging.
+    ///
+    /// # Errors
+    ///
+    /// Refuses, with the store untouched, a commit when nothing is
+    /// staged, one whose `indices` outnumber the misses still without
+    /// one, and one that would store two misses of one key.
+    pub fn commit(&mut self, indices: &[u32]) -> Result<(), TransportError> {
+        let Store { seen, rows, staged } = self.open_store("commit")?;
+        let waiting = staged.len() - staged.indices.len();
+        if waiting == 0 {
+            return Err(TransportError::new("commit with no probed misses staged"));
+        }
+        if indices.len() > waiting {
+            return Err(TransportError::new(format!(
+                "commit of {} indices for {waiting} staged misses",
+                indices.len()
+            )));
+        }
+        if indices.len() < waiting {
+            staged.indices.extend_from_slice(indices);
+            return Ok(());
+        }
+        let given = [&staged.indices[..], indices].concat();
+        let stored: Vec<usize> =
+            staged.order().into_iter().filter(|&s| given[s] != u32::MAX).collect();
+        if let Some(w) = stored.windows(2).find(|w| staged.key(w[0]) == staged.key(w[1])) {
+            return Err(TransportError::new(format!(
+                "commit stores one key for staged misses {} and {}",
+                w[0], w[1]
+            )));
+        }
+        let first = rows.len();
+        let slots = u32::try_from(first + stored.len())
+            .map(|end| first as u32..end)
+            .map_err(|_| TransportError::new("commit overflows the frontier's u32 slots"))?;
+        let mut words = Vec::with_capacity(stored.len() * staged.stride);
+        stored.iter().for_each(|&s| words.extend_from_slice(staged.key(s).1));
+        rows.append(&stored.iter().map(|&s| given[s]).collect::<Vec<u32>>(), &words);
+        let (at, hashes): (Vec<usize>, Vec<u64>) =
+            stored.iter().map(|&s| (staged.at[s], staged.hashes[s])).unzip();
+        seen.insert_at(rows, &at, &hashes, &slots.collect::<Vec<u32>>());
+        *staged = Staging::new(staged.stride);
+        Ok(())
     }
 }
 
@@ -213,7 +348,11 @@ impl FrontierTransport for LocalFrontier {
         if stride == 0 {
             return Err(TransportError::new("frontier stride must be nonzero"));
         }
-        self.store = Some(Store { seen: ExternalDedup::in_ram(stride), rows: RowLog::new(stride) });
+        self.store = Some(Store {
+            seen: ExternalDedup::in_ram(stride),
+            rows: RowLog::new(stride),
+            staged: Staging::new(stride),
+        });
         Ok(())
     }
 
@@ -222,8 +361,10 @@ impl FrontierTransport for LocalFrontier {
         hashes: &[u64],
         words: &[u32],
     ) -> Result<Vec<Option<u32>>, TransportError> {
-        let Store { seen, rows } = self.checked("probe", hashes, words)?;
-        Ok(seen.probe_sorted(rows, hashes, words).0)
+        let Store { seen, rows, staged } = self.checked("probe", hashes, words)?;
+        let (found, at) = seen.probe_sorted(rows, hashes, words);
+        staged.stage(hashes, words, &found, &at);
+        Ok(found)
     }
 
     fn insert_sorted(
@@ -235,19 +376,35 @@ impl FrontierTransport for LocalFrontier {
         if indices.len() != hashes.len() {
             return Err(TransportError::new("malformed insert batch"));
         }
-        let Store { seen, rows } = self.checked("insert", hashes, words)?;
-        // The seen-set is resident, so its buffer holds every key: one
-        // search finds each key's slot and shows whether it is stored.
-        let at = seen.positions(rows, hashes, words).map_err(|k| {
-            TransportError::new(format!("insert batch key {k} is already in the frontier"))
-        })?;
-        let first = rows.len();
-        let slots = u32::try_from(first + hashes.len())
-            .map(|end| first as u32..end)
-            .map_err(|_| TransportError::new("insert batch overflows the frontier's u32 slots"))?;
-        rows.append(indices, words);
-        seen.insert_at(rows, &at, hashes, &slots.collect::<Vec<u32>>());
-        Ok(())
+        if let Some(k) = indices.iter().position(|&i| i == u32::MAX) {
+            return Err(TransportError::new(format!(
+                "insert batch key {k} has index u32::MAX, the reserved unstored marker"
+            )));
+        }
+        let staged = &self.checked("insert", hashes, words)?.staged;
+        if !staged.indices.is_empty() {
+            return Err(TransportError::new("insert batch during a partial commit"));
+        }
+        // Both run in key order, so one walk pairs each key with its
+        // staged miss.
+        let key = |k: usize| (hashes[k], &words[k * staged.stride..(k + 1) * staged.stride]);
+        let mut given = vec![u32::MAX; staged.len()];
+        let mut k = 0;
+        for s in staged.order() {
+            if k < hashes.len() && staged.key(s) == key(k) {
+                given[s] = indices[k];
+                k += 1;
+            }
+        }
+        if k < hashes.len() {
+            return Err(TransportError::new(format!(
+                "insert batch key {k} is not a staged probe miss"
+            )));
+        }
+        if given.is_empty() {
+            return Ok(());
+        }
+        self.commit(&given)
     }
 
     fn close(&mut self) -> Result<(), TransportError> {
@@ -344,10 +501,14 @@ mod tests {
         /// Random schedules of sorted probe and insert batches give the
         /// same answers from the seen-set over the engine's arena and
         /// over a row log, each resident and spilling, from the guarded
-        /// `LocalFrontier`, and from the hash-map model.
+        /// `LocalFrontier`, and from the hash-map model. The guarded
+        /// store inserts any subset of the misses its probes since the
+        /// last insert staged — one probe or several, overlapping or
+        /// not — and refuses an insert of a key none of them staged,
+        /// storing nothing.
         #[test]
         fn sorted_store_matches_the_hash_map_model(
-            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..24),
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..32),
         ) {
             let tiny = BudgetPlan { segment_bytes: 48, window_segments: 2, dedup_ram_bytes: 64 };
             let spilling = || ExternalDedup::new(2, &tiny, SpillDir::create(None));
@@ -363,12 +524,26 @@ mod tests {
             guarded.open(2).unwrap();
             let mut model = HashFrontier { stride: 2, ..HashFrontier::default() };
             let mut inserted = [false; 48];
+            // The misses the guarded store's probes staged since its
+            // last insert.
+            let mut staged = [false; 48];
             for op in ops {
                 let mask = op >> 16;
-                if op & 1 == 1 {
-                    // Inserts are disjoint from what is stored.
-                    let (h, idx, w) = batch(mask, |v| !inserted[v as usize]);
-                    let keys: Vec<u32> = idx.iter().map(|&i| (i - 1) / 7).collect();
+                let key_of = |i: &u32| (i - 1) / 7;
+                if op & 3 == 1 || op & 3 == 2 {
+                    // Inserts are disjoint from what is stored: a subset
+                    // of the staged misses, or (2) keys picked whether or
+                    // not a probe staged them.
+                    let unprobed = op & 3 == 2;
+                    let (h, idx, w) =
+                        batch(mask, |v| !inserted[v as usize] && (unprobed || staged[v as usize]));
+                    let keys: Vec<u32> = idx.iter().map(key_of).collect();
+                    if keys.iter().any(|&v| !staged[v as usize]) {
+                        let len = guarded.len();
+                        proptest::prop_assert!(guarded.insert_sorted(&h, &idx, &w).is_err());
+                        proptest::prop_assert_eq!(guarded.len(), len);
+                        continue;
+                    }
                     for &v in &keys {
                         inserted[v as usize] = true;
                     }
@@ -388,9 +563,10 @@ mod tests {
                         seen.insert_at(log, &at, &h, &(first..log.len() as u32).collect::<Vec<_>>());
                     }
                     guarded.insert_sorted(&h, &idx, &w).unwrap();
+                    staged = [false; 48];
                     model.insert(&h, &idx, &w);
                 } else {
-                    let (h, _, w) = batch(mask, |_| true);
+                    let (h, idx, w) = batch(mask, |_| true);
                     let want = model.probe(&h, &w);
                     for (seen, arena) in &mut on_arena {
                         let (got, _) = seen.probe_sorted(arena, &h, &w);
@@ -401,7 +577,10 @@ mod tests {
                     for (seen, log) in &mut on_log {
                         proptest::prop_assert_eq!(seen.probe_sorted(log, &h, &w).0, want.clone());
                     }
-                    proptest::prop_assert_eq!(guarded.probe_sorted(&h, &w).unwrap(), want);
+                    proptest::prop_assert_eq!(guarded.probe_sorted(&h, &w).unwrap(), want.clone());
+                    for (i, found) in idx.iter().zip(&want) {
+                        staged[key_of(i) as usize] |= found.is_none();
+                    }
                 }
             }
             let stored = inserted.iter().filter(|&&b| b).count();
@@ -424,8 +603,13 @@ mod tests {
             assert!(f.insert_sorted(&h, &[0, 1], &w).is_err(), "insert {h:?} {w:?}");
         }
         assert!(f.is_empty(), "a refused batch stores nothing");
+        // An insert of keys no probe staged is refused.
+        assert!(f.insert_sorted(&[1, 2], &[0, 1], &[7, 7]).is_err(), "unprobed");
+        assert!(f.is_empty(), "a refused insert stores nothing");
+        assert_eq!(f.probe_sorted(&[1, 2], &[7, 7]).unwrap(), vec![None, None]);
         f.insert_sorted(&[1, 2], &[0, 1], &[7, 7]).unwrap();
         // Re-inserting a stored key (a replayed frame) is refused too.
+        assert_eq!(f.probe_sorted(&[2, 3], &[7, 7]).unwrap(), vec![Some(1), None]);
         assert!(f.insert_sorted(&[2, 3], &[5, 6], &[7, 7]).is_err());
         assert_eq!(f.len(), 2);
         assert_eq!(f.probe_sorted(&[1, 2, 3], &[7, 7, 7]).unwrap(), vec![Some(0), Some(1), None]);
@@ -451,6 +635,7 @@ mod tests {
     fn local_frontier_distinguishes_hash_collisions_by_words() {
         let mut f = LocalFrontier::new();
         f.open(1).unwrap();
+        assert_eq!(f.probe_sorted(&[7], &[100]).unwrap(), vec![None]);
         f.insert_sorted(&[7], &[0], &[100]).unwrap();
         // Same 64-bit hash, different words: a different key.
         assert_eq!(f.probe_sorted(&[7], &[200]).unwrap(), vec![None]);
@@ -464,16 +649,39 @@ mod tests {
         assert!(f.open(0).is_err());
         f.open(2).unwrap();
         assert!(f.probe_sorted(&[1], &[0]).is_err());
+        assert_eq!(f.probe_sorted(&[1], &[0, 0]).unwrap(), vec![None]);
         assert!(f.insert_sorted(&[1], &[0, 1], &[0, 0]).is_err());
+        assert!(f.insert_sorted(&[1], &[u32::MAX], &[0, 0]).is_err(), "the unstored marker");
     }
 
     #[test]
     fn open_resets_prior_state() {
         let mut f = LocalFrontier::new();
         f.open(1).unwrap();
+        assert_eq!(f.probe_sorted(&[5], &[42]).unwrap(), vec![None]);
         f.insert_sorted(&[5], &[0], &[42]).unwrap();
         f.open(1).unwrap();
         assert!(f.is_empty());
         assert_eq!(f.probe_sorted(&[5], &[42]).unwrap(), vec![None]);
+    }
+
+    #[test]
+    fn a_commit_stores_two_probe_rounds_at_their_positions() {
+        let mut f = LocalFrontier::new();
+        f.open(1).unwrap();
+        assert_eq!(f.probe_sorted(&[2, 4, 6], &[0, 0, 0]).unwrap(), vec![None; 3]);
+        f.commit(&[20, 40, 60]).unwrap();
+        // Two rounds whose misses interleave, each ascending: the
+        // commit names them in staging order and stores them in key
+        // order, one unstored.
+        assert_eq!(f.probe_sorted(&[3, 4, 7], &[0, 0, 0]).unwrap(), vec![None, Some(40), None]);
+        assert_eq!(f.probe_sorted(&[1, 5], &[0, 0]).unwrap(), vec![None, None]);
+        assert!(f.commit(&[30, 70, 10, 50, 0]).is_err(), "one index too many");
+        f.commit(&[30, u32::MAX]).unwrap();
+        f.commit(&[10, 50]).unwrap();
+        let all: Vec<u64> = (1..=7).collect();
+        let want = [Some(10), Some(20), Some(30), Some(40), Some(50), Some(60), None];
+        assert_eq!(f.probe_sorted(&all, &[0; 7]).unwrap(), want);
+        assert_eq!(f.len(), 6);
     }
 }

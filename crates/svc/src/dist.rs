@@ -2,7 +2,7 @@
 //! (DESIGN.md §16).
 //!
 //! The explore engine's level merge talks to its seen-set through the
-//! [`FrontierTransport`] seam: one sorted probe batch and one sorted
+//! [`FrontierTransport`] seam: sorted probe batches and one sorted
 //! insert batch per BFS level. This module stretches that seam across
 //! processes:
 //!
@@ -11,12 +11,13 @@
 //!   event loop* (never through the worker pool, so a busy pool can
 //!   never deadlock a coordinator). Each open session is a
 //!   [`LocalFrontier`] — the engine's own sorted seen-set store over a
-//!   log of the rows it was sent, behind checks that refuse a frame
-//!   whose batch is malformed, unsorted, duplicated or repeats a stored
-//!   key — keyed by a server-issued session id, so any number of
-//!   coordinators can search through one shard concurrently. A session
-//!   ends on `frontier_close` or when the connection that opened it
-//!   closes, so a coordinator killed mid-search leaves nothing behind.
+//!   log of the rows it stores, behind checks that refuse a frame
+//!   whose batch is malformed, unsorted or duplicated, or whose commit
+//!   does not fit what is staged — keyed by a server-issued session id,
+//!   so any number of coordinators can search through one shard
+//!   concurrently. A session ends on `frontier_close` or when the
+//!   connection that opened it closes, so a coordinator killed
+//!   mid-search leaves nothing behind.
 //! * **Coordinator side** — [`DistributedFrontier`] implements
 //!   [`FrontierTransport`] over N shard connections. Shard `k` of `N`
 //!   owns the fingerprint range `[k·2⁶⁴/N, (k+1)·2⁶⁴/N)`; because the
@@ -30,23 +31,37 @@
 //! Wire frames (each a normal request, answered with `ok`/`error`):
 //!
 //! ```text
-//! frontier_open    {stride}                            -> {session}
-//! frontier_probe   {session, hashes, words}            -> {found}
-//! frontier_insert  {session, hashes, indices, words}   -> {}
-//! frontier_close   {session}                           -> {}
+//! frontier_open    {stride}                   -> {session}
+//! frontier_probe   {session, hashes, words}   -> {found}
+//! frontier_commit  {session, indices}         -> {}
+//! frontier_close   {session}                  -> {}
 //! ```
 //!
 //! `hashes` (`u64`), `words`, `indices` and `found` (`u32`) are packed:
 //! one lowercase hex string of the values' little-endian bytes, so a
 //! frame costs one string to build and one to scan. `found` marks an
-//! absent key with `u32::MAX`, which a shard therefore refuses to store.
+//! absent key with `u32::MAX`.
 //!
-//! Each level's batch is one exchange round: the coordinator sends
-//! every chunk to every shard before it reads any reply, so the shards
-//! work at the same time, then collects the replies in shard and chunk
-//! order. Transport failures surface as [`TransportError`]; the engine
-//! stops at the level boundary and reports a truncated outcome — never
-//! a wrong one.
+//! Inserts travel **by reference**. A probe stages the keys it finds
+//! absent on the shard, each with the buffer position the probe found
+//! for it, and staging accumulates over every probe frame until a
+//! commit. A commit carries one index per staged miss, in the shard's
+//! staging order, with `u32::MAX` for a miss that is not stored (a
+//! capped search); the frame that gives the last staged miss its index
+//! stores the staging at those positions. The coordinator remembers
+//! each shard's staged misses (about one level's, 16 + 4·stride bytes
+//! each) to turn the engine's insert batch into those indices, so a
+//! key crosses the wire once, in its probe. A shard that predates
+//! `frontier_commit` answers it with "unknown frontier frame": a typed
+//! transport error that truncates the search, never a wrong count.
+//!
+//! Each batch is one exchange round, so each level makes one
+//! concurrent fan-out per batch kind: the coordinator sends every chunk
+//! to every shard before it reads any reply, so the shards work at the
+//! same time, then collects the replies in shard and chunk order.
+//! Transport failures surface as [`TransportError`]; the engine stops
+//! at the level boundary and reports a truncated outcome — never a
+//! wrong one.
 
 use std::collections::HashMap;
 use std::net::ToSocketAddrs;
@@ -60,10 +75,10 @@ use randsync_obs::Json;
 use crate::client::Client;
 use crate::wire::{code, error_frame, ok_frame, Request};
 
-/// Keys per `frontier_probe`/`frontier_insert` frame. Packed, a key
-/// costs 24 + 8·stride hex digits in an insert (16 + 8·stride in a
-/// probe), so a frame stays under the wire's 64 MiB cap for any stride
-/// up to 253 words while per-frame overhead stays amortized.
+/// Keys per `frontier_probe` frame, and indices per `frontier_commit`
+/// frame. Packed, a key costs 16 + 8·stride hex digits in a probe and 8
+/// in a commit, so a frame stays under the wire's 64 MiB cap for any
+/// stride up to 254 words while per-frame overhead stays amortized.
 const MAX_KEYS_PER_FRAME: usize = 32_768;
 
 /// The fingerprint shard that owns hash `h` among `n` shards: the
@@ -164,12 +179,10 @@ enum FrameError {
     Ragged { field: &'static str, len: usize, digits: usize },
     /// A packed field holds a byte other than `0-9` or `a-f`.
     NotHex { field: &'static str, at: usize },
-    /// An insert carries `u32::MAX`, the probe reply's absent marker.
-    ReservedIndex { at: usize },
     /// No open session has this id (never opened, or closed).
     UnknownSession(u64),
-    /// The store refused the batch: wrong shape, not strictly
-    /// ascending, or a replay of a stored key.
+    /// The store refused the frame: a batch of the wrong shape or not
+    /// strictly ascending, or a commit that does not fit the staging.
     Store(TransportError),
     /// The frame names no frontier operation.
     UnknownFrame(String),
@@ -194,16 +207,12 @@ impl std::fmt::Display for FrameError {
             FrameError::NotHex { field, at } => {
                 write!(f, "parameter {field:?} has a non-lowercase-hex byte at offset {at}")
             }
-            FrameError::ReservedIndex { at } => write!(
-                f,
-                "parameter \"indices\" stores u32::MAX at position {at}, the reserved absent marker"
-            ),
             FrameError::UnknownSession(id) => write!(f, "unknown frontier session {id}"),
             FrameError::Store(e) => write!(f, "{e}"),
             FrameError::UnknownFrame(job) => write!(
                 f,
                 "unknown frontier frame {job:?} (frontier_open, frontier_probe, \
-                 frontier_insert, frontier_close)"
+                 frontier_commit, frontier_close)"
             ),
         }
     }
@@ -310,15 +319,10 @@ impl FrontierSessions {
                 let found: Vec<u32> = found.iter().map(|slot| slot.unwrap_or(u32::MAX)).collect();
                 Ok(Json::Obj(vec![("found".to_string(), pack(&found))]))
             }
-            "frontier_insert" => {
+            "frontier_commit" => {
                 let store = sessions.get(params)?;
-                let hashes = unpack::<u64>(params, "hashes")?;
                 let indices = unpack::<u32>(params, "indices")?;
-                let words = unpack::<u32>(params, "words")?;
-                if let Some(at) = indices.iter().position(|&i| i == u32::MAX) {
-                    return Err(FrameError::ReservedIndex { at });
-                }
-                store.insert_sorted(&hashes, &indices, &words).map_err(FrameError::Store)?;
+                store.commit(&indices).map_err(FrameError::Store)?;
                 m.counter("svc.frontier.inserts").inc();
                 Ok(Json::Obj(vec![]))
             }
@@ -347,6 +351,59 @@ struct Shard {
     addr: String,
     client: Client,
     session: Option<u64>,
+    /// The misses the shard has staged since its last commit.
+    staged: Misses,
+}
+
+/// A shard's staged misses, in its staging order: their hashes and
+/// words, and where each probe round's run of them ends. A round's
+/// misses ascend by `(hash, words)`, as its batch does.
+#[derive(Debug, Default)]
+struct Misses {
+    hashes: Vec<u64>,
+    words: Vec<u32>,
+    rounds: Vec<usize>,
+}
+
+impl Misses {
+    /// Close the current probe round's run, if it staged anything.
+    fn end_round(&mut self) {
+        if self.rounds.last().copied().unwrap_or(0) < self.hashes.len() {
+            self.rounds.push(self.hashes.len());
+        }
+    }
+
+    /// The commit that stores the insert keys `run`: one index per
+    /// staged miss, in staging order, `indices[i]` for the miss equal
+    /// to key `i` and `u32::MAX` for the rest. `None` if a key in `run`
+    /// is not staged.
+    fn commit<'k>(
+        &self,
+        stride: usize,
+        run: Range<usize>,
+        key: impl Fn(usize) -> (u64, &'k [u32]),
+        indices: &[u32],
+    ) -> Option<Vec<u32>> {
+        let mut commit = vec![u32::MAX; self.hashes.len()];
+        let mut named = vec![false; run.len()];
+        let mut start = 0;
+        for &end in &self.rounds {
+            // The round and the run both ascend: one walk pairs them.
+            let mut i = run.start;
+            for (s, slot) in (start..end).zip(&mut commit[start..end]) {
+                let miss = (self.hashes[s], &self.words[s * stride..(s + 1) * stride]);
+                while i < run.end && key(i) < miss {
+                    i += 1;
+                }
+                if i < run.end && key(i) == miss && !named[i - run.start] {
+                    named[i - run.start] = true;
+                    *slot = indices[i];
+                }
+            }
+            start = end;
+        }
+        named.iter().all(|&n| n).then_some(commit)
+    }
 }
 
 impl Shard {
@@ -370,6 +427,8 @@ impl Shard {
 /// One frame of an exchange round, sent and not yet answered.
 struct Flight {
     shard: usize,
+    /// The frame's values: a range of the batch, or of the shard's
+    /// staged misses.
     keys: Range<usize>,
     id: Json,
     sent: Option<Instant>,
@@ -383,8 +442,12 @@ struct DistMetrics {
     /// Per-frame `frontier_probe` round trip: from the frame's send to
     /// its reply being read.
     probe_us: randsync_obs::Histogram,
-    /// Per-frame `frontier_insert` round trip, measured the same way.
+    /// Per-frame `frontier_commit` round trip, measured the same way.
     insert_us: randsync_obs::Histogram,
+    /// `svc.dist.sent_digits.{probe,commit}`: packed hex digits sent
+    /// per frame kind. Counted whether or not metrics are enabled (one
+    /// add per frame): a deterministic proxy for the wire bytes.
+    sent_digits: [randsync_obs::Counter; 2],
     /// Keys per wire frame (chunking granularity actually seen).
     chunk_keys: randsync_obs::Histogram,
     /// Probe rounds measured for slowest-shard attribution.
@@ -400,6 +463,10 @@ impl DistMetrics {
         DistMetrics {
             probe_us: m.histogram("svc.dist.probe_us"),
             insert_us: m.histogram("svc.dist.insert_us"),
+            sent_digits: [
+                m.counter("svc.dist.sent_digits.probe"),
+                m.counter("svc.dist.sent_digits.commit"),
+            ],
             chunk_keys: m.histogram("svc.dist.chunk_keys"),
             rounds: m.counter("svc.dist.rounds"),
             slowest: (0..shard_count)
@@ -454,6 +521,7 @@ impl DistributedFrontier {
                 addr: addr.to_string(),
                 client: Client::connect(addr)?,
                 session: None,
+                staged: Misses::default(),
             });
         }
         let metrics = DistMetrics::new(shards.len());
@@ -483,11 +551,11 @@ impl DistributedFrontier {
         ranges
     }
 
-    /// One exchange round: send every chunk of every shard's run of the
-    /// sorted batch, then collect the replies in shard and chunk order,
-    /// so their bodies come back in batch order, each with its shard
-    /// and key count. `packed` builds a chunk's packed fields from its
-    /// key range.
+    /// One exchange round: send every chunk of every shard's run, then
+    /// collect the replies in shard and chunk order, so their bodies
+    /// come back in run order, each with its shard and value range.
+    /// `runs[k]` is shard `k`'s range of the values, and `packed` builds
+    /// a chunk's packed fields from its shard and range.
     ///
     /// The round reads the reply to every frame it sent, even after a
     /// failure, so no connection is left holding a stale reply; the
@@ -495,20 +563,23 @@ impl DistributedFrontier {
     fn round(
         &mut self,
         job: &str,
-        hashes: &[u64],
-        packed: impl Fn(Range<usize>) -> Vec<(String, Json)>,
-    ) -> Result<Vec<(usize, usize, Json)>, TransportError> {
+        runs: Vec<Range<usize>>,
+        packed: impl Fn(usize, Range<usize>) -> Vec<(String, Json)>,
+    ) -> Result<Vec<(usize, Range<usize>, Json)>, TransportError> {
         let probe = job == "frontier_probe";
         let sessions = self.shards.iter().map(Shard::session).collect::<Result<Vec<_>, _>>()?;
         let instrumented = randsync_obs::metrics_enabled();
         let mut first_err = None;
         let mut flights = Vec::new();
-        'send: for (k, run) in self.split_ranges(hashes).into_iter().enumerate() {
+        let mut digits = 0;
+        'send: for (k, run) in runs.into_iter().enumerate() {
             let shard = &mut self.shards[k];
             for lo in run.clone().step_by(MAX_KEYS_PER_FRAME) {
                 let keys = lo..(lo + MAX_KEYS_PER_FRAME).min(run.end);
                 let mut fields = vec![("session".to_string(), Json::Int(i128::from(sessions[k])))];
-                fields.extend(packed(keys.clone()));
+                fields.extend(packed(k, keys.clone()));
+                let frame: usize = fields.iter().filter_map(|(_, v)| v.as_str()).map(str::len).sum();
+                digits += frame;
                 let sent = instrumented.then(Instant::now);
                 match shard.client.send(job, &Json::Obj(fields)) {
                     Ok(id) => flights.push(Flight { shard: k, keys, id, sent }),
@@ -519,6 +590,7 @@ impl DistributedFrontier {
                 }
             }
         }
+        self.metrics.sent_digits[usize::from(!probe)].add(digits as u64);
 
         let latency = if probe { &self.metrics.probe_us } else { &self.metrics.insert_us };
         let mut blocked_on = vec![false; self.shards.len()];
@@ -541,7 +613,7 @@ impl DistributedFrontier {
                         self.metrics.chunk_keys.observe(flight.keys.len() as u64);
                     }
                     if reply.ok {
-                        bodies.push((k, flight.keys.len(), reply.body));
+                        bodies.push((k, flight.keys, reply.body));
                     } else {
                         first_err.get_or_insert_with(|| shard.err(reply.body.render()));
                     }
@@ -595,6 +667,7 @@ impl FrontierTransport for DistributedFrontier {
         self.close_sessions()?;
         self.stride = stride;
         for shard in &mut self.shards {
+            shard.staged = Misses::default();
             let params = Json::Obj(vec![("stride".to_string(), Json::Int(stride as i128))]);
             let body = shard.request("frontier_open", params)?;
             let session = body
@@ -615,7 +688,8 @@ impl FrontierTransport for DistributedFrontier {
         if stride == 0 || words.len() != hashes.len() * stride {
             return Err(TransportError::new("malformed probe batch"));
         }
-        let bodies = self.round("frontier_probe", hashes, |keys| {
+        let runs = self.split_ranges(hashes);
+        let bodies = self.round("frontier_probe", runs, |_, keys| {
             vec![
                 ("hashes".to_string(), pack(&hashes[keys.clone()])),
                 ("words".to_string(), pack(&words[keys.start * stride..keys.end * stride])),
@@ -623,14 +697,23 @@ impl FrontierTransport for DistributedFrontier {
         })?;
         let mut found = Vec::with_capacity(hashes.len());
         for (k, keys, body) in bodies {
-            let shard = &self.shards[k];
+            let shard = &mut self.shards[k];
             let slots = unpack::<u32>(&body, "found")
                 .map_err(|e| shard.err(format!("malformed probe reply: {e}")))?;
-            if slots.len() != keys {
+            if slots.len() != keys.len() {
                 return Err(shard.err("probe reply length mismatch"));
+            }
+            // The shard staged the keys it found absent; so does the
+            // coordinator, to name them in the commit.
+            for (i, &slot) in keys.zip(&slots) {
+                if slot == u32::MAX {
+                    shard.staged.hashes.push(hashes[i]);
+                    shard.staged.words.extend_from_slice(&words[i * stride..(i + 1) * stride]);
+                }
             }
             found.extend(slots.into_iter().map(|idx| (idx != u32::MAX).then_some(idx)));
         }
+        self.shards.iter_mut().for_each(|shard| shard.staged.end_round());
         Ok(found)
     }
 
@@ -644,12 +727,22 @@ impl FrontierTransport for DistributedFrontier {
         if stride == 0 || indices.len() != hashes.len() || words.len() != hashes.len() * stride {
             return Err(TransportError::new("malformed insert batch"));
         }
-        self.round("frontier_insert", hashes, |keys| {
-            vec![
-                ("hashes".to_string(), pack(&hashes[keys.clone()])),
-                ("indices".to_string(), pack(&indices[keys.clone()])),
-                ("words".to_string(), pack(&words[keys.start * stride..keys.end * stride])),
-            ]
+        if indices.contains(&u32::MAX) {
+            return Err(TransportError::new("insert batch uses u32::MAX, the unstored marker"));
+        }
+        let key = |i: usize| (hashes[i], &words[i * stride..(i + 1) * stride]);
+        let mut commits = Vec::with_capacity(self.shards.len());
+        for (shard, run) in self.shards.iter().zip(self.split_ranges(hashes)) {
+            let commit = shard.staged.commit(stride, run, key, indices);
+            let unstaged = || shard.err("insert batch has a key no probe staged");
+            let commit = commit.ok_or_else(unstaged)?;
+            commits.push(commit);
+        }
+        // The insert ends the staging, on the shards as here.
+        self.shards.iter_mut().for_each(|shard| shard.staged = Misses::default());
+        let runs = commits.iter().map(|c| 0..c.len()).collect();
+        self.round("frontier_commit", runs, |k, r| {
+            vec![("indices".to_string(), pack(&commits[k][r]))]
         })?;
         Ok(())
     }
@@ -724,18 +817,26 @@ mod tests {
         assert_eq!(status(&open), Some("ok"));
         let sid = open.get("result").unwrap().get("session").and_then(Json::as_u64).unwrap();
 
-        let insert = parse(&sessions.handle(1, &Request {
+        // A probe stages the key it finds absent; a commit stores it
+        // by reference.
+        let miss = parse(&sessions.handle(1, &Request {
             id: Json::Int(2),
-            job: "frontier_insert".to_string(),
+            job: "frontier_probe".to_string(),
             params: parse(&format!(
-                "{{\"session\": {sid}, \"hashes\": {}, \"indices\": {}, \"words\": {}}}",
+                "{{\"session\": {sid}, \"hashes\": {}, \"words\": {}}}",
                 hex(&[9u64]),
-                hex(&[4u32]),
                 hex(&[1u32, 2])
             )),
             trace: None,
         }));
-        assert_eq!(status(&insert), Some("ok"));
+        assert_eq!(found(&miss), [u32::MAX]);
+        let commit = parse(&sessions.handle(1, &Request {
+            id: Json::Int(3),
+            job: "frontier_commit".to_string(),
+            params: parse(&format!("{{\"session\": {sid}, \"indices\": {}}}", hex(&[4u32]))),
+            trace: None,
+        }));
+        assert_eq!(status(&commit), Some("ok"));
 
         let probe = parse(&sessions.handle(1, &Request {
             id: Json::Int(3),
@@ -785,6 +886,8 @@ mod tests {
             ("frontier_open", "{\"stride\": 0}"),
             ("frontier_probe", "{\"hashes\": \"\", \"words\": \"\"}"),
             ("frontier_bogus", "{}"),
+            // Inserts travel by reference now: the old frame is unknown.
+            ("frontier_insert", "{}"),
         ] {
             assert_eq!(status(&send(job, params)), Some("error"), "{job} {params}");
         }
@@ -793,14 +896,8 @@ mod tests {
         // frame, and the session stays usable afterwards.
         let open = send("frontier_open", "{\"stride\": 1}");
         let sid = open.get("result").unwrap().get("session").and_then(Json::as_u64).unwrap();
-        let insert = |hashes: &str, indices: &str, words: &str| {
-            send(
-                "frontier_insert",
-                &format!(
-                    "{{\"session\": {sid}, \"hashes\": {hashes}, \"indices\": {indices}, \
-                     \"words\": {words}}}"
-                ),
-            )
+        let commit = |indices: &str| {
+            send("frontier_commit", &format!("{{\"session\": {sid}, \"indices\": {indices}}}"))
         };
         let probe = |hashes: &str, words: &str| {
             send(
@@ -812,20 +909,14 @@ mod tests {
             assert_eq!(status(reply), Some("error"), "{what}");
             assert_eq!(error_code(reply), Some("bad_request"), "{what}");
         };
-        assert_eq!(status(&insert(&hex(&[5u64]), &hex(&[0u32]), &hex(&[50u32]))), Some("ok"));
+        assert_eq!(found(&probe(&hex(&[5u64]), &hex(&[50u32]))), [u32::MAX]);
+        assert_eq!(status(&commit(&hex(&[0u32]))), Some("ok"));
         // Unsorted, equal-hash descending and duplicated batches.
         for (hashes, words) in [([9u64, 2], [1u32, 1]), ([7, 7], [4, 3]), ([6, 6], [1, 1])] {
             refused(&probe(&hex(&hashes), &hex(&words)), &format!("probe {hashes:?} {words:?}"));
-            refused(
-                &insert(&hex(&hashes), &hex(&[1u32, 2]), &hex(&words)),
-                &format!("insert {hashes:?} {words:?}"),
-            );
         }
-        // A replayed insert of a stored key is refused as well.
-        refused(&insert(&hex(&[5u64]), &hex(&[3u32]), &hex(&[50u32])), "replayed insert");
 
-        // Packed fields a packer could not have written, and an insert
-        // of the probe reply's absent marker.
+        // Packed fields a packer could not have written.
         let one_hash = hex(&[2u64]);
         for (what, reply) in [
             ("odd-length hex", probe("\"020000000000000\"", "\"0\"")),
@@ -835,24 +926,76 @@ mod tests {
             ("partial u32 value", probe(&one_hash, "\"0100\"")),
             ("words != hashes x stride", probe(&one_hash, &hex(&[1u32, 1]))),
             ("number array", probe("[2]", "[1]")),
-            ("reserved index", insert(&one_hash, &hex(&[u32::MAX]), &hex(&[1u32]))),
-            ("words != hashes x stride", insert(&one_hash, &hex(&[1u32]), &hex(&[1u32, 1]))),
-            ("partial index", insert(&one_hash, "\"01\"", &hex(&[1u32]))),
+            ("partial index", commit("\"01\"")),
+            ("index array", commit("[1]")),
         ] {
             refused(&reply, what);
             // The session keeps serving: the stored key still answers.
             assert_eq!(found(&probe(&hex(&[5u64]), &hex(&[50u32]))), [0], "after {what}");
         }
-        let reserved = insert(&one_hash, &hex(&[u32::MAX]), &hex(&[1u32]));
-        let message = reserved.get("error").unwrap().get("message").and_then(Json::as_str);
-        assert!(message.unwrap().contains("reserved absent marker"), "{message:?}");
 
-        assert_eq!(
-            status(&insert(&hex(&[2u64, 9]), &hex(&[1u32, 2]), &hex(&[1u32, 1]))),
-            Some("ok")
-        );
+        assert_eq!(found(&probe(&hex(&[2u64, 9]), &hex(&[1u32, 1]))), [u32::MAX, u32::MAX]);
+        assert_eq!(status(&commit(&hex(&[1u32, 2]))), Some("ok"));
         let reply = probe(&hex(&[2u64, 5, 9, 9]), &hex(&[1u32, 50, 0, 1]));
         assert_eq!(found(&reply), [1, 0, u32::MAX, 2]);
+    }
+
+    #[test]
+    fn commit_frames_that_do_not_fit_the_staging_are_rejected() {
+        let sessions = FrontierSessions::default();
+        let parse = |s: &str| randsync_obs::parse_json(s).unwrap();
+        let send = |job: &str, params: &str| {
+            parse(&sessions.handle(1, &Request {
+                id: Json::Null,
+                job: job.to_string(),
+                params: parse(params),
+                trace: None,
+            }))
+        };
+        let open = send("frontier_open", "{\"stride\": 1}");
+        let sid = open.get("result").unwrap().get("session").and_then(Json::as_u64).unwrap();
+        let probe = |hashes: &[u64], words: &[u32]| {
+            let (hashes, words) = (hex(hashes), hex(words));
+            let params =
+                format!("{{\"session\": {sid}, \"hashes\": {hashes}, \"words\": {words}}}");
+            found(&send("frontier_probe", &params))
+        };
+        let commit = |indices: &[u32]| {
+            let params = format!("{{\"session\": {sid}, \"indices\": {}}}", hex(indices));
+            send("frontier_commit", &params)
+        };
+        let refused = |reply: &Json, what: &str| {
+            assert_eq!(status(reply), Some("error"), "{what}");
+            assert_eq!(error_code(reply), Some("bad_request"), "{what}");
+        };
+        const ABSENT: u32 = u32::MAX;
+
+        refused(&commit(&[0]), "a commit with nothing staged");
+        assert_eq!(probe(&[5, 6], &[50, 60]), [ABSENT, ABSENT]);
+        refused(&commit(&[0, 1, 2]), "a wrong index count");
+        // The refusals left the staging as it was: it still commits.
+        assert_eq!(status(&commit(&[0, 1])), Some("ok"));
+        assert_eq!(probe(&[5, 6], &[50, 60]), [0, 1]);
+        refused(&commit(&[2]), "a second commit with no probe between");
+
+        // Two probes stage one key twice: storing both is refused, and
+        // the staging still stores one of them.
+        assert_eq!(probe(&[7], &[70]), [ABSENT]);
+        assert_eq!(probe(&[7], &[70]), [ABSENT]);
+        refused(&commit(&[2, 3]), "a commit that stores one key twice");
+        assert_eq!(probe(&[5, 6], &[50, 60]), [0, 1], "the refused commit stored nothing");
+        assert_eq!(status(&commit(&[ABSENT, 2])), Some("ok"));
+        assert_eq!(probe(&[5, 6, 7], &[50, 60, 70]), [0, 1, 2]);
+
+        // Commit frames fill the staging in order; the last one stores.
+        assert_eq!(probe(&[8, 9], &[80, 90]), [ABSENT, ABSENT]);
+        assert_eq!(status(&commit(&[3])), Some("ok"));
+        assert_eq!(status(&commit(&[4])), Some("ok"));
+        assert_eq!(probe(&[8, 9], &[80, 90]), [3, 4]);
+
+        let close = send("frontier_close", &format!("{{\"session\": {sid}}}"));
+        assert_eq!(status(&close), Some("ok"));
+        refused(&commit(&[0]), "a commit on a closed session");
     }
 
     /// An in-process shard server on an ephemeral loopback port.
@@ -883,14 +1026,10 @@ mod tests {
             let reply = client.request("frontier_open", &params("{\"stride\": 1}")).unwrap();
             reply.body.get("session").and_then(Json::as_u64).expect("a session id")
         };
-        let insert = |client: &mut Client, sid: u64| {
-            let batch = format!(
-                "{{\"session\": {sid}, \"hashes\": {}, \"indices\": {}, \"words\": {}}}",
-                hex(&[5u64]),
-                hex(&[7u32]),
-                hex(&[50u32])
-            );
-            assert!(client.request("frontier_insert", &params(&batch)).unwrap().ok);
+        // Stores the first of the two keys `probe` staged.
+        let commit = |client: &mut Client, sid: u64| {
+            let batch = format!("{{\"session\": {sid}, \"indices\": {}}}", hex(&[7u32, u32::MAX]));
+            assert!(client.request("frontier_commit", &params(&batch)).unwrap().ok);
         };
         let probe = |client: &mut Client, sid: u64| {
             let batch = format!(
@@ -905,7 +1044,8 @@ mod tests {
         // without closing the session.
         let mut dying = Client::connect(&shard.addr).expect("connect");
         let sid = open(&mut dying);
-        insert(&mut dying, sid);
+        assert!(probe(&mut dying, sid).ok);
+        commit(&mut dying, sid);
         drop(dying);
 
         // The session ends with its connection. The gauge counts the
@@ -932,7 +1072,7 @@ mod tests {
         assert_ne!(fresh, sid);
         let found = |reply: Reply| unpack::<u32>(&reply.body, "found").expect("packed found");
         assert_eq!(found(probe(&mut client, fresh)), [u32::MAX, u32::MAX]);
-        insert(&mut client, fresh);
+        commit(&mut client, fresh);
         assert_eq!(found(probe(&mut client, fresh)), [7, u32::MAX]);
         drop(client);
         shard.stop();
@@ -979,10 +1119,19 @@ mod tests {
         for run in remote.split_ranges(&hashes) {
             assert!(run.len() > MAX_KEYS_PER_FRAME, "every shard gets several frames");
         }
+        // Every key is staged; the insert stores half of them, so each
+        // shard's commit spans several frames and leaves misses unstored.
+        let none = vec![None; hashes.len()];
+        assert_eq!(oracle.probe_sorted(&hashes, &words).unwrap(), none);
+        assert_eq!(remote.probe_sorted(&hashes, &words).unwrap(), none);
         let (ins_hashes, ins_words) = evens(&hashes, &words);
         let indices: Vec<u32> = (0..ins_hashes.len() as u32).map(|i| 3 * i).collect();
         remote.insert_sorted(&ins_hashes, &indices, &ins_words).unwrap();
         oracle.insert_sorted(&ins_hashes, &indices, &ins_words).unwrap();
+        // The insert ended the staging: a key no probe staged since is
+        // refused before any frame is sent.
+        let again = remote.insert_sorted(&ins_hashes[..1], &indices[..1], &ins_words[..STRIDE]);
+        assert!(again.is_err(), "an unprobed insert is refused");
 
         let want = oracle.probe_sorted(&hashes, &words).unwrap();
         assert_eq!(remote.probe_sorted(&hashes, &words).unwrap(), want);

@@ -8,14 +8,27 @@
 use randsync::consensus::model_protocols::{CasModel, NaiveWriteRead, Optimistic};
 use randsync::consensus::registry::{self, AttackFamily};
 use randsync::core::attack::{
-    attack_for_witness, attack_identical, attack_target, AttackError, AttackOutcome, AttackStats,
+    attack_identical, attack_target, AttackError, AttackOutcome, AttackStats,
 };
 use randsync::core::bounds::{max_identical_processes, max_processes_historyless};
-use randsync::core::combine31::CombineLimits;
+use randsync::core::combine31::{CombineLimits, CombineStats};
 use randsync::core::combine35::{ample_pool, attack_historyless};
+use randsync::core::witness::InconsistencyWitness;
 use randsync::model::runtime::DynObject;
 use randsync::model::{ExploreLimits, Protocol};
 use randsync::objects::bridge;
+
+/// The Lemma 3.2 adversary's witness and its proof-case statistics;
+/// an error when it finds no register inconsistency.
+fn register_witness<P: Protocol>(p: &P) -> Result<(InconsistencyWitness, CombineStats), String> {
+    match attack_identical(p, &CombineLimits::default()) {
+        Ok(AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) }) => {
+            Ok((witness, stats))
+        }
+        Ok(other) => Err(format!("no combination was needed: {other}")),
+        Err(e) => Err(e.to_string()),
+    }
+}
 
 #[test]
 fn attack_target_breaks_every_registry_target_within_its_budget() {
@@ -63,7 +76,7 @@ fn attack_target_breaks_every_registry_target_within_its_budget() {
 fn lemma_32_breaks_every_optimistic_protocol() {
     for r in 1..=4usize {
         let p = Optimistic::new(2, r);
-        let (witness, stats) = attack_for_witness(&p, &CombineLimits::default())
+        let (witness, stats) = register_witness(&p)
             .unwrap_or_else(|e| panic!("r={r}: {e}"));
         witness.verify(&p).unwrap();
         // Lemma 3.1's budget at v = w = 1: r² − r + 2 processes.
@@ -101,7 +114,7 @@ fn lemma_36_breaks_flawed_protocols_with_an_ample_pool() {
 #[test]
 fn both_attacks_agree_on_the_naive_protocol() {
     let p = NaiveWriteRead::new(2);
-    let (w1, _) = attack_for_witness(&p, &CombineLimits::default()).unwrap();
+    let (w1, _) = register_witness(&p).unwrap();
     w1.verify(&p).unwrap();
     match attack_historyless(&p, 6, &ExploreLimits::default()).unwrap() {
         AttackOutcome::Inconsistent { witness, .. } => witness.verify(&p).unwrap(),
@@ -145,7 +158,7 @@ fn witnesses_grow_with_register_count() {
     let mut last_steps = 0usize;
     for r in 1..=4usize {
         let p = Optimistic::new(2, r);
-        let (witness, _) = attack_for_witness(&p, &CombineLimits::default()).unwrap();
+        let (witness, _) = register_witness(&p).unwrap();
         assert!(
             witness.execution.len() >= last_steps,
             "r={r}: witness shrank ({} < {last_steps})",
@@ -158,7 +171,7 @@ fn witnesses_grow_with_register_count() {
 #[test]
 fn witness_replays_are_deterministic() {
     let p = Optimistic::new(2, 2);
-    let (witness, _) = attack_for_witness(&p, &CombineLimits::default()).unwrap();
+    let (witness, _) = register_witness(&p).unwrap();
     // Replaying twice produces identical final configurations.
     let start = witness.initial_configuration(&p);
     let (end1, _) = witness.execution.replay(&p, &start).unwrap();

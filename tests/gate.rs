@@ -333,14 +333,18 @@ fn cli_gate_arith_passes_and_writes_a_bench_artifact() {
 #[test]
 fn add_witness_validates_shrinks_and_files_with_provenance() {
     use randsync::consensus::registry;
-    use randsync::core::attack::attack_for_witness;
+    use randsync::core::attack::{attack_identical, AttackOutcome, AttackStats};
     use randsync::core::combine31::CombineLimits;
 
     // Produce an UNminimized witness trace the way a user would (an
     // adversary run dumped to disk), then file it through the CLI path.
     let entry = registry::find("naive").unwrap();
     let protocol = entry.build_default();
-    let (witness, _) = attack_for_witness(&protocol, &CombineLimits::default()).unwrap();
+    let Ok(AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(_) }) =
+        attack_identical(&protocol, &CombineLimits::default())
+    else {
+        panic!("the Lemma 3.2 adversary breaks naive");
+    };
     let dir = std::env::temp_dir().join("randsync-gate-test-add");
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();

@@ -148,6 +148,64 @@ fn distributed_frontier_matches_single_node_bit_for_bit() {
 }
 
 #[test]
+fn capped_and_resumed_searches_through_the_shards_match_single_node() {
+    let naive = |limit: (&str, Json)| obj(&[("protocol", Json::Str("naive".to_string())), limit]);
+    let configs = |result: &Json| result.get("configs").and_then(Json::as_u64).expect("configs");
+    // A cap strictly between two levels' cumulative counts falls inside
+    // a level, so the shards store a strict subset of its misses.
+    let (lo, hi) = (
+        configs(&direct("explore", &naive(("max_depth", Json::Int(3))))),
+        configs(&direct("explore", &naive(("max_depth", Json::Int(4))))),
+    );
+    assert!(hi > lo + 1, "level 4 interns several configurations");
+    let capped = naive(("max_configs", Json::Int(i128::from((lo + hi) / 2))));
+    let capped_want = direct("explore", &capped);
+    let reason = capped_want.get("truncation_reason").and_then(Json::as_str);
+    assert_eq!(reason, Some("config-cap"), "{}", capped_want.render());
+
+    for n_workers in [1usize, 2] {
+        let workers: Vec<_> =
+            (0..n_workers).map(|_| start_server(ServerConfig::default())).collect();
+        let (coord_addr, coord) = start_server(ServerConfig {
+            frontier_workers: workers.iter().map(|(addr, _)| addr.to_string()).collect(),
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(coord_addr).expect("connect coordinator");
+
+        let reply = client.request("explore", &capped).expect("request");
+        assert!(reply.ok, "capped explore on {n_workers} workers failed: {}", reply.body.render());
+        assert_eq!(
+            normalized(&reply.body),
+            normalized(&capped_want),
+            "capped explore over {n_workers} workers diverged from single-node"
+        );
+
+        // A depth-capped search through the shards leaves a checkpoint;
+        // resuming it rebuilds the shards' seen-set, probing each chunk
+        // before inserting it.
+        let cut = client.request("explore", &naive(("max_depth", Json::Int(3)))).expect("request");
+        assert!(cut.ok, "{}", cut.body.render());
+        let id = cut.body.get("checkpoint").and_then(Json::as_str).expect("a checkpoint id");
+        let resume = obj(&[("checkpoint", Json::Str(id.to_string()))]);
+        let reply = client.request("resume", &resume).expect("request");
+        assert!(reply.ok, "resume on {n_workers} workers failed: {}", reply.body.render());
+        assert_eq!(
+            normalized(&reply.body),
+            normalized(&direct("resume", &resume)),
+            "resume over {n_workers} workers diverged from single-node"
+        );
+        assert_eq!(reply.body.get("truncated"), Some(&Json::Bool(false)));
+
+        client.shutdown().expect("shutdown coordinator");
+        coord.join().expect("coordinator drains");
+        for (addr, handle) in workers {
+            Client::connect(addr).expect("connect worker").shutdown().expect("shutdown worker");
+            handle.join().expect("worker drains");
+        }
+    }
+}
+
+#[test]
 fn distributed_valency_is_cached_like_local_valency() {
     // ExecContext is deliberately not part of the results-cache key:
     // the transport changes where the seen-set lives, never the

@@ -2,14 +2,28 @@
 //! through its Figure 4 (incomparable object sets) case.
 
 use randsync::consensus::model_protocols::Zigzag;
-use randsync::core::attack::attack_for_witness;
-use randsync::core::combine31::CombineLimits;
+use randsync::core::attack::{attack_identical, AttackOutcome, AttackStats};
+use randsync::core::combine31::{CombineLimits, CombineStats};
+use randsync::core::witness::InconsistencyWitness;
+use randsync::model::Protocol;
+
+/// The Lemma 3.2 adversary's witness and its proof-case statistics;
+/// an error when it finds no register inconsistency.
+fn register_witness<P: Protocol>(p: &P) -> Result<(InconsistencyWitness, CombineStats), String> {
+    match attack_identical(p, &CombineLimits::default()) {
+        Ok(AttackOutcome::Inconsistent { witness, stats: AttackStats::Register(stats) }) => {
+            Ok((witness, stats))
+        }
+        Ok(other) => Err(format!("no combination was needed: {other}")),
+        Err(e) => Err(e.to_string()),
+    }
+}
 
 #[test]
 fn zigzag_attack_exercises_the_incomparable_case() {
     for r in 2..=12usize {
         let p = Zigzag::new(2, r);
-        let (witness, stats) = attack_for_witness(&p, &CombineLimits::default())
+        let (witness, stats) = register_witness(&p)
             .unwrap_or_else(|e| panic!("r={r}: {e}"));
         witness.verify(&p).unwrap();
         // Lemma 3.1 bounds the unminimized construction by r² − r + 2.
@@ -28,7 +42,7 @@ fn zigzag_attack_exercises_the_incomparable_case() {
 #[test]
 fn zigzag_with_one_register_degenerates_to_the_subset_case() {
     let p = Zigzag::new(2, 1);
-    let (witness, stats) = attack_for_witness(&p, &CombineLimits::default()).unwrap();
+    let (witness, stats) = register_witness(&p).unwrap();
     witness.verify(&p).unwrap();
     assert_eq!(stats.incomparable_resolutions, 0);
 }
