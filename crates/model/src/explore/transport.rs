@@ -147,13 +147,12 @@ impl std::fmt::Debug for SharedFrontier {
 /// `ExternalDedup` buffer holds `(hash, log slot)` pairs: 16 + 4 ×
 /// stride bytes per key in all.
 ///
-/// A probe **stages** the keys it finds absent, each with the buffer
-/// position the probe found for it; staging accumulates over every
-/// probe since the last commit. [`commit`](Self::commit) then stores
-/// the staged misses by reference, one arena index per miss, at those
-/// positions: nothing is sent, decoded or located twice. The buffer
-/// changes only at a commit, so every staged position stays valid
-/// until then. [`insert_sorted`](FrontierTransport::insert_sorted)
+/// A probe **stages** the keys it finds absent with the buffer
+/// positions it found, over every probe since the last commit.
+/// [`commit`](Self::commit) stores the staged misses by reference, one
+/// arena index per miss, at those positions, which stay valid because
+/// the buffer changes only at a commit. No key is sent, decoded or
+/// located twice. [`insert_sorted`](FrontierTransport::insert_sorted)
 /// matches its keys against the staging and commits.
 ///
 /// The seen-set trusts its batches to be sorted, distinct and disjoint
@@ -179,24 +178,17 @@ struct Store {
 
 /// The misses the probes since the last commit reported, in staging
 /// order, each with the buffer position its probe found.
+#[derive(Default)]
 struct Staging {
     stride: usize,
     hashes: Vec<u64>,
     words: Vec<u32>,
     at: Vec<usize>,
-    /// Whether some probe staged a miss that does not sort after the
-    /// miss staged before it (a level's second probe round).
-    unordered: bool,
     /// The indices the commits so far have given the first misses.
     indices: Vec<u32>,
 }
 
 impl Staging {
-    fn new(stride: usize) -> Staging {
-        let (hashes, words, at, indices) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        Staging { stride, hashes, words, at, unordered: false, indices }
-    }
-
     fn len(&self) -> usize {
         self.hashes.len()
     }
@@ -209,30 +201,20 @@ impl Staging {
     /// Stage the misses of one probe batch (`found[k]` is `None`) at
     /// their probed positions `at`.
     fn stage(&mut self, hashes: &[u64], words: &[u32], found: &[Option<u32>], at: &[usize]) {
-        let stride = self.stride;
-        let mut misses = (0..hashes.len()).filter(|&k| found[k].is_none()).peekable();
-        // A batch ascends, so only its first miss can sort before the
-        // misses already staged.
-        if let (Some(&k), Some(last)) = (misses.peek(), self.len().checked_sub(1)) {
-            let first = (at[k], (hashes[k], &words[k * stride..(k + 1) * stride]));
-            self.unordered |= (self.at[last], self.key(last)) >= first;
-        }
-        for k in misses {
+        for k in (0..hashes.len()).filter(|&k| found[k].is_none()) {
             self.hashes.push(hashes[k]);
-            self.words.extend_from_slice(&words[k * stride..(k + 1) * stride]);
+            self.words.extend_from_slice(&words[k * self.stride..(k + 1) * self.stride]);
             self.at.push(at[k]);
         }
     }
 
-    /// The staged misses in `(position, hash, words)` order: staging
-    /// order itself unless several probe rounds were staged, whose runs
-    /// are merged. Positions come from one unchanged buffer, so this is
-    /// key order too.
+    /// The staged misses in `(position, hash, words)` order, which is
+    /// key order: every position comes from one unchanged buffer. Each
+    /// probe's misses already ascend, so the stable sort only merges
+    /// the runs of several probes, in linear time for one.
     fn order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len()).collect();
-        if self.unordered {
-            order.sort_by(|&a, &b| (self.at[a], self.key(a)).cmp(&(self.at[b], self.key(b))));
-        }
+        order.sort_by(|&a, &b| (self.at[a], self.key(a)).cmp(&(self.at[b], self.key(b))));
         order
     }
 }
@@ -329,7 +311,7 @@ impl LocalFrontier {
         let (at, hashes): (Vec<usize>, Vec<u64>) =
             stored.iter().map(|&s| (staged.at[s], staged.hashes[s])).unzip();
         seen.insert_at(rows, &at, &hashes, &slots.collect::<Vec<u32>>());
-        *staged = Staging::new(staged.stride);
+        *staged = Staging { stride: staged.stride, ..Staging::default() };
         Ok(())
     }
 }
@@ -351,7 +333,7 @@ impl FrontierTransport for LocalFrontier {
         self.store = Some(Store {
             seen: ExternalDedup::in_ram(stride),
             rows: RowLog::new(stride),
-            staged: Staging::new(stride),
+            staged: Staging { stride, ..Staging::default() },
         });
         Ok(())
     }

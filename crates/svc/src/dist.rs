@@ -78,7 +78,7 @@ use crate::wire::{code, error_frame, ok_frame, Request};
 /// Keys per `frontier_probe` frame, and indices per `frontier_commit`
 /// frame. Packed, a key costs 16 + 8·stride hex digits in a probe and 8
 /// in a commit, so a frame stays under the wire's 64 MiB cap for any
-/// stride up to 254 words while per-frame overhead stays amortized.
+/// stride up to 253 words while per-frame overhead stays amortized.
 const MAX_KEYS_PER_FRAME: usize = 32_768;
 
 /// The fingerprint shard that owns hash `h` among `n` shards: the
