@@ -199,13 +199,27 @@ impl Staging {
     }
 
     /// Stage the misses of one probe batch (`found[k]` is `None`) at
-    /// their probed positions `at`.
+    /// their probed positions `at`. The buffers keep their capacity
+    /// across commits and grow exactly, so staging costs the widest
+    /// level's misses once, not a doubling per level.
     fn stage(&mut self, hashes: &[u64], words: &[u32], found: &[Option<u32>], at: &[usize]) {
+        let misses = found.iter().filter(|f| f.is_none()).count();
+        self.hashes.reserve_exact(misses);
+        self.words.reserve_exact(misses * self.stride);
+        self.at.reserve_exact(misses);
         for k in (0..hashes.len()).filter(|&k| found[k].is_none()) {
             self.hashes.push(hashes[k]);
             self.words.extend_from_slice(&words[k * self.stride..(k + 1) * self.stride]);
             self.at.push(at[k]);
         }
+    }
+
+    /// End the staging.
+    fn clear(&mut self) {
+        self.hashes.clear();
+        self.words.clear();
+        self.at.clear();
+        self.indices.clear();
     }
 
     /// The staged misses in `(position, hash, words)` order, which is
@@ -311,7 +325,7 @@ impl LocalFrontier {
         let (at, hashes): (Vec<usize>, Vec<u64>) =
             stored.iter().map(|&s| (staged.at[s], staged.hashes[s])).unzip();
         seen.insert_at(rows, &at, &hashes, &slots.collect::<Vec<u32>>());
-        *staged = Staging { stride: staged.stride, ..Staging::default() };
+        staged.clear();
         Ok(())
     }
 }

@@ -366,6 +366,35 @@ struct Misses {
 }
 
 impl Misses {
+    /// Stage the keys `keys` of a probe batch whose `found` slot is
+    /// `u32::MAX`. The buffers keep their capacity across inserts and
+    /// grow exactly, as the shard's do.
+    fn stage(
+        &mut self,
+        stride: usize,
+        hashes: &[u64],
+        words: &[u32],
+        keys: Range<usize>,
+        found: &[u32],
+    ) {
+        let misses = found.iter().filter(|&&slot| slot == u32::MAX).count();
+        self.hashes.reserve_exact(misses);
+        self.words.reserve_exact(misses * stride);
+        for (i, &slot) in keys.zip(found) {
+            if slot == u32::MAX {
+                self.hashes.push(hashes[i]);
+                self.words.extend_from_slice(&words[i * stride..(i + 1) * stride]);
+            }
+        }
+    }
+
+    /// End the staging.
+    fn clear(&mut self) {
+        self.hashes.clear();
+        self.words.clear();
+        self.rounds.clear();
+    }
+
     /// Close the current probe round's run, if it staged anything.
     fn end_round(&mut self) {
         if self.rounds.last().copied().unwrap_or(0) < self.hashes.len() {
@@ -667,7 +696,7 @@ impl FrontierTransport for DistributedFrontier {
         self.close_sessions()?;
         self.stride = stride;
         for shard in &mut self.shards {
-            shard.staged = Misses::default();
+            shard.staged.clear();
             let params = Json::Obj(vec![("stride".to_string(), Json::Int(stride as i128))]);
             let body = shard.request("frontier_open", params)?;
             let session = body
@@ -705,12 +734,7 @@ impl FrontierTransport for DistributedFrontier {
             }
             // The shard staged the keys it found absent; so does the
             // coordinator, to name them in the commit.
-            for (i, &slot) in keys.zip(&slots) {
-                if slot == u32::MAX {
-                    shard.staged.hashes.push(hashes[i]);
-                    shard.staged.words.extend_from_slice(&words[i * stride..(i + 1) * stride]);
-                }
-            }
+            shard.staged.stage(stride, hashes, words, keys, &slots);
             found.extend(slots.into_iter().map(|idx| (idx != u32::MAX).then_some(idx)));
         }
         self.shards.iter_mut().for_each(|shard| shard.staged.end_round());
@@ -739,7 +763,7 @@ impl FrontierTransport for DistributedFrontier {
             commits.push(commit);
         }
         // The insert ends the staging, on the shards as here.
-        self.shards.iter_mut().for_each(|shard| shard.staged = Misses::default());
+        self.shards.iter_mut().for_each(|shard| shard.staged.clear());
         let runs = commits.iter().map(|c| 0..c.len()).collect();
         self.round("frontier_commit", runs, |k, r| {
             vec![("indices".to_string(), pack(&commits[k][r]))]
