@@ -760,11 +760,18 @@ fn flush_pending<S: Clone + Eq + Hash>(
     let failed = |e: TransportError| {
         CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
     };
+    let repeat = |node: u32| {
+        CheckpointError::Corrupt(format!("node {node} repeats an earlier configuration"))
+    };
+    // A repeat inside the chunk sorts next to its twin; the probe finds
+    // one from an earlier chunk.
+    let row = |k: usize| &w[k * arena.stride()..(k + 1) * arena.stride()];
+    if let Some(k) = (1..si.len()).find(|&k| row(k - 1) == row(k)) {
+        return Err(repeat(si[k]));
+    }
     let (found, at) = dedup.probe(arena, &sh, &w).map_err(failed)?;
     if let Some(k) = found.iter().position(Option::is_some) {
-        let node = si[k];
-        let repeat = format!("node {node} repeats an earlier configuration");
-        return Err(CheckpointError::Corrupt(repeat));
+        return Err(repeat(si[k]));
     }
     dedup.insert(arena, &sh, &si, &at, || w).map_err(failed)
 }

@@ -2162,6 +2162,14 @@ mod tests {
         let mut expanded = ckpt.clone();
         expanded.succ.push(0);
         assert!(corrupt(expanded));
+        // The last node twice: one configuration interned under two
+        // indices, in one rebuild chunk.
+        let mut repeated = ckpt.clone();
+        repeated.parent.push(*ckpt.parent.last().expect("nodes"));
+        repeated.succ.start(ckpt.nodes() as u32);
+        let via = Explorer::default().frontier_transport(SharedFrontier::new(LocalFrontier::new()));
+        assert!(matches!(via.resume(&p, &repeated), Err(CheckpointError::Corrupt(_))));
+        assert!(corrupt(repeated));
     }
 
     #[test]
