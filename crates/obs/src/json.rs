@@ -138,18 +138,40 @@ impl Json {
     }
 }
 
+/// The offset of the first byte of `bytes` equal to one of `stops` or
+/// below `below` (at most 0x80; 0 for none), testing 8 bytes per step
+/// in a `u64`. A byte `b` is below `n` when `b - n` borrows into its
+/// clear high bit, and equals `c` when `b ^ c` is below 1; a borrow
+/// only runs upwards from a truly flagged byte, so the lowest flag of a
+/// word is exact. The tail is a zero-padded word, its padding masked.
+pub fn scan<const N: usize>(bytes: &[u8], stops: [u8; N], below: u8) -> Option<usize> {
+    const LO: u64 = u64::from_ne_bytes([0x01; 8]);
+    let lt = |w: u64, n: u8| w.wrapping_sub(LO * u64::from(n)) & !w & (LO << 7);
+    let flags = |w| stops.iter().fold(lt(w, below), |m, &c| m | lt(w ^ (LO * u64::from(c)), 1));
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let m = flags(u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")));
+        if m != 0 {
+            return Some(8 * i + m.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let word = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+    let m = flags(word) & !(u64::MAX << (8 * tail.len()));
+    (m != 0).then(|| bytes.len() - tail.len() + m.trailing_zeros() as usize / 8)
+}
+
 /// Append `s` to `out` as a quoted, escaped JSON string. Each run of
-/// bytes that needs no escape is copied with one `push_str`.
+/// bytes that needs no escape is found by [`scan`] and copied with one
+/// `push_str`.
 pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        // `b` is ASCII, so `i` is a char boundary.
+    while let Some(len) = scan(&s.as_bytes()[run..], [b'"', b'\\'], 0x20) {
+        // The byte is ASCII, so `i` is a char boundary.
+        let i = run + len;
         out.push_str(&s[run..i]);
-        match b {
+        match s.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
@@ -308,8 +330,7 @@ impl<'a> Parser<'a> {
         loop {
             // Copy everything up to the next quote or backslash in one
             // go: both are ASCII, so the run ends on a char boundary.
-            let Some(len) = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\')
-            else {
+            let Some(len) = scan(&self.bytes[self.pos..], [b'"', b'\\'], 0) else {
                 self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
@@ -511,10 +532,13 @@ mod tests {
         /// pairs) parses back too.
         #[test]
         fn strings_round_trip_through_the_run_copying_codec(
+            lead in 0..=17usize,
             pieces in proptest::collection::vec(proptest::sample::select(PIECES.to_vec()), 0..24),
             spell_mask in proptest::prelude::any::<u64>(),
         ) {
-            let s = pieces.concat();
+            // A lead of plain bytes moves every piece across the scan's
+            // 8-byte word edges.
+            let s = " ".repeat(lead) + &pieces.concat();
             let mut fast = String::new();
             write_escaped(&s, &mut fast);
             let mut oracle = String::new();
@@ -536,6 +560,55 @@ mod tests {
             }
             spelled.push('"');
             proptest::prop_assert_eq!(parse(&spelled).unwrap(), Json::Str(s));
+        }
+    }
+
+    /// `len` bytes of characters no scan stops at: 0x20, 0x7f, `#` and
+    /// `]` (one bit away from `"` and `\`), and the two-byte `é`, whose
+    /// bytes both have the high bit set.
+    fn plain(len: usize) -> String {
+        let mut s = String::new();
+        for c in [' ', '#', '\u{7f}', ']', 'é'].into_iter().cycle() {
+            if s.len() == len {
+                break;
+            }
+            s.push(if s.len() + c.len_utf8() > len { ' ' } else { c });
+        }
+        s
+    }
+
+    #[test]
+    fn specials_are_found_at_every_offset_of_the_scan_words() {
+        for len in 0..=40 {
+            assert_eq!(scan(plain(len).as_bytes(), [b'"', b'\\'], 0x20), None, "{len}");
+            for special in ['"', '\\', '\u{0}', '\u{1f}'] {
+                for at in (0..=17).filter(|&at| at < len) {
+                    let s = plain(at) + &special.to_string() + &plain(len - at - 1);
+                    let quote_or_backslash = special == '"' || special == '\\';
+                    let want = quote_or_backslash.then_some(at);
+                    assert_eq!(scan(s.as_bytes(), [b'"', b'\\'], 0), want, "{special:?} at {at}");
+                    assert_eq!(scan(s.as_bytes(), [b'"', b'\\'], 0x20), Some(at), "{special:?}");
+                    let mut fast = String::new();
+                    write_escaped(&s, &mut fast);
+                    let mut oracle = String::new();
+                    write_escaped_per_char(&s, &mut oracle);
+                    assert_eq!(fast, oracle, "{special:?} at {at} of {len}");
+                    assert_eq!(parse(&fast).unwrap(), Json::Str(s));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unterminated_string_fails_at_its_end_at_every_word_offset() {
+        for k in 0..3 {
+            for r in 0..8 {
+                let body = plain(8 * k + r);
+                let err = parse(&format!("\"{body}")).expect_err("unterminated");
+                assert_eq!((err.message.as_str(), err.at), ("unterminated string", body.len() + 1));
+                let err = parse(&format!("\"{body}\\")).expect_err("unterminated escape");
+                assert_eq!((err.message.as_str(), err.at), ("unterminated escape", body.len() + 2));
+            }
         }
     }
 

@@ -38,9 +38,10 @@
 //! ```
 //!
 //! `hashes` (`u64`), `words`, `indices` and `found` (`u32`) are packed:
-//! one lowercase hex string of the values' little-endian bytes, so a
-//! frame costs one string to build and one to scan. `found` marks an
-//! absent key with `u32::MAX`.
+//! one lowercase hex string of the values' little-endian bytes. A byte
+//! costs two digit-table reads to pack and two nibble-table reads to
+//! unpack, and the JSON layer crosses a packed string 8 bytes per step;
+//! `found` marks an absent key with `u32::MAX`.
 //!
 //! Inserts travel **by reference**. A probe stages the keys it finds
 //! absent on the shard, each with the buffer position the probe found
@@ -120,24 +121,39 @@ impl Packed for u64 {
     }
 }
 
+/// The lowercase hex digits, by value.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Set in [`NIBBLE`] for a byte that is not a lowercase hex digit.
+const NOT_HEX: u8 = 0x10;
+
+/// The value of each byte as a lowercase hex digit, or [`NOT_HEX`].
+const NIBBLE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[HEX[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
 /// Pack values as one lowercase hex string of their little-endian
-/// bytes.
+/// bytes, filling a buffer sized once from the [`HEX`] table.
 fn pack<T: Packed>(values: &[T]) -> Json {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(values.len() * T::DIGITS);
-    for &v in values {
-        let mut v = v.to_u64();
-        for _ in 0..T::DIGITS / 2 {
-            out.push(char::from(HEX[((v >> 4) & 0xf) as usize]));
-            out.push(char::from(HEX[(v & 0xf) as usize]));
-            v >>= 8;
+    let mut out = vec![0; values.len() * T::DIGITS];
+    for (&v, digits) in values.iter().zip(out.chunks_exact_mut(T::DIGITS)) {
+        for (&byte, pair) in v.to_u64().to_le_bytes().iter().zip(digits.chunks_exact_mut(2)) {
+            pair.copy_from_slice(&[HEX[usize::from(byte >> 4)], HEX[usize::from(byte & 0xf)]]);
         }
     }
-    Json::Str(out)
+    Json::Str(String::from_utf8(out).expect("hex digits are ASCII"))
 }
 
 /// Unpack the field `field` of `obj` that [`pack`] wrote, refusing
-/// anything it could not have written.
+/// anything it could not have written. Each byte's [`NIBBLE`] is ORed
+/// into `bad`; only a field that raised [`NOT_HEX`] there is scanned
+/// again, for the offset of its first bad byte.
 fn unpack<T: Packed>(obj: &Json, field: &'static str) -> Result<Vec<T>, FrameError> {
     let hex = obj.get(field).and_then(Json::as_str).ok_or(FrameError::NotPacked(field))?;
     let hex = hex.as_bytes();
@@ -147,19 +163,22 @@ fn unpack<T: Packed>(obj: &Json, field: &'static str) -> Result<Vec<T>, FrameErr
     if !hex.len().is_multiple_of(T::DIGITS) {
         return Err(FrameError::Ragged { field, len: hex.len(), digits: T::DIGITS });
     }
-    let nibble = |at: usize| match hex[at] {
-        c @ b'0'..=b'9' => Ok(u64::from(c - b'0')),
-        c @ b'a'..=b'f' => Ok(u64::from(c - b'a' + 10)),
-        _ => Err(FrameError::NotHex { field, at }),
-    };
-    let mut values = Vec::with_capacity(hex.len() / T::DIGITS);
-    for start in (0..hex.len()).step_by(T::DIGITS) {
-        let mut v = 0u64;
-        for byte in 0..T::DIGITS / 2 {
-            let at = start + 2 * byte;
-            v |= ((nibble(at)? << 4) | nibble(at + 1)?) << (8 * byte);
-        }
-        values.push(T::from_u64(v));
+    let mut bad = 0;
+    let values = hex
+        .chunks_exact(T::DIGITS)
+        .map(|digits| {
+            let mut v = 0u64;
+            for (byte, pair) in digits.chunks_exact(2).enumerate() {
+                let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
+                bad |= hi | lo;
+                v |= u64::from(hi << 4 | lo) << (8 * byte);
+            }
+            T::from_u64(v)
+        })
+        .collect();
+    if bad & NOT_HEX != 0 {
+        let at = hex.iter().position(|&c| NIBBLE[usize::from(c)] == NOT_HEX);
+        return Err(FrameError::NotHex { field, at: at.expect("a byte raised the flag") });
     }
     Ok(values)
 }
@@ -808,6 +827,100 @@ mod tests {
         let narrow: Vec<u32> = wide.iter().map(|&v| v as u32).collect();
         assert_eq!(unpack::<u64>(&field(pack(&wide)), "f").unwrap(), wide);
         assert_eq!(unpack::<u32>(&field(pack(&narrow)), "f").unwrap(), narrow);
+    }
+
+    /// The per-digit packer the table-driven `pack` replaced: the oracle
+    /// its strings must match byte for byte.
+    fn pack_per_digit<T: Packed>(values: &[T]) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut out = String::with_capacity(values.len() * T::DIGITS);
+        for &v in values {
+            let mut v = v.to_u64();
+            for _ in 0..T::DIGITS / 2 {
+                out.push(char::from(HEX[((v >> 4) & 0xf) as usize]));
+                out.push(char::from(HEX[(v & 0xf) as usize]));
+                v >>= 8;
+            }
+        }
+        out
+    }
+
+    /// The per-digit unpacker the table-driven `unpack` replaced: the
+    /// oracle for its values and its refusals.
+    fn unpack_per_digit<T: Packed>(obj: &Json, field: &'static str) -> Result<Vec<T>, FrameError> {
+        let hex = obj.get(field).and_then(Json::as_str).ok_or(FrameError::NotPacked(field))?;
+        let hex = hex.as_bytes();
+        if !hex.len().is_multiple_of(2) {
+            return Err(FrameError::OddLength { field, len: hex.len() });
+        }
+        if !hex.len().is_multiple_of(T::DIGITS) {
+            return Err(FrameError::Ragged { field, len: hex.len(), digits: T::DIGITS });
+        }
+        let nibble = |at: usize| match hex[at] {
+            c @ b'0'..=b'9' => Ok(u64::from(c - b'0')),
+            c @ b'a'..=b'f' => Ok(u64::from(c - b'a' + 10)),
+            _ => Err(FrameError::NotHex { field, at }),
+        };
+        let mut values = Vec::with_capacity(hex.len() / T::DIGITS);
+        for start in (0..hex.len()).step_by(T::DIGITS) {
+            let mut v = 0u64;
+            for byte in 0..T::DIGITS / 2 {
+                let at = start + 2 * byte;
+                v |= ((nibble(at)? << 4) | nibble(at + 1)?) << (8 * byte);
+            }
+            values.push(T::from_u64(v));
+        }
+        Ok(values)
+    }
+
+    /// `pack` and `unpack` against the per-digit oracles: random values
+    /// at every length 0..=70, identical strings and round trips, and
+    /// identical refusals of a truncated field and of a bad byte (`g`,
+    /// `A`, or the two bytes of `é`) at each of the 16 digit positions
+    /// of a `u64`, with the same offset.
+    fn codec_matches_the_per_digit_oracle<T: Packed + PartialEq + std::fmt::Debug>(seed: u64) {
+        let field = |hex: &str| Json::Obj(vec![("f".to_string(), Json::Str(hex.to_string()))]);
+        let mut rng = SplitMix64::new(seed);
+        for len in 0..=70 {
+            let values: Vec<T> = (0..len).map(|_| T::from_u64(rng.next_u64())).collect();
+            let hex = pack_per_digit(&values);
+            assert_eq!(pack(&values), Json::Str(hex.clone()), "{len} values");
+            assert_eq!(unpack::<T>(&field(&hex), "f").expect("round trip"), values);
+            for cut in [1, 2, 3] {
+                let short = field(&hex[..hex.len().saturating_sub(cut)]);
+                let (got, want) = (unpack::<T>(&short, "f"), unpack_per_digit::<T>(&short, "f"));
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{len} values less {cut}");
+            }
+            // The 16 positions start at a random value that leaves room
+            // for them, where the field has one.
+            let starts = hex.len().saturating_sub(17) / T::DIGITS + 1;
+            let start = T::DIGITS * rng.next_below(starts as u64) as usize;
+            for at in start..start + 16 {
+                for bad in ["g", "A", "é"] {
+                    if at + bad.len() > hex.len() {
+                        continue;
+                    }
+                    let mut spoiled = hex.clone();
+                    spoiled.replace_range(at..at + bad.len(), bad);
+                    let spoiled = field(&spoiled);
+                    let got = unpack::<T>(&spoiled, "f");
+                    let want = unpack_per_digit::<T>(&spoiled, "f");
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{bad:?} at {at}");
+                    assert!(
+                        matches!(got, Err(FrameError::NotHex { at: a, .. }) if a == at),
+                        "{bad:?} at {at}: {got:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_driven_codec_matches_the_per_digit_oracle() {
+        for seed in 0..8 {
+            codec_matches_the_per_digit_oracle::<u32>(seed);
+            codec_matches_the_per_digit_oracle::<u64>(seed);
+        }
     }
 
     /// The packed spelling of `values`, as a JSON string literal.

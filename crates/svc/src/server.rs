@@ -558,10 +558,15 @@ impl Server {
                 }
                 let mut out = Vec::new();
                 for line in &lines {
-                    if line.trim().is_empty() {
-                        continue;
+                    match line {
+                        Ok(line) if line.trim().is_empty() => {}
+                        Ok(line) => handle_line(&self.state, cid, line, &mut out, &lm),
+                        Err(e) => out.push(error_frame(
+                            &Json::Null,
+                            code::BAD_REQUEST,
+                            &format!("frame is not UTF-8: {e}"),
+                        )),
                     }
-                    handle_line(&self.state, cid, line, &mut out, &lm);
                 }
                 for frame in &out {
                     conn.push_frame(frame);

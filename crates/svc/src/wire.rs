@@ -5,7 +5,8 @@
 //! hand-rolled parser the flight recorder uses, so the server adds no
 //! second encoding. Requests carry an `id` the server echoes verbatim
 //! on every frame it emits for that request, which is what makes
-//! pipelining many requests over one connection safe.
+//! pipelining many requests over one connection safe. A line that is
+//! not UTF-8 is answered with a `bad_request`, never rewritten.
 //!
 //! ```text
 //! request   {"id": <any>, "job": "<kind>", "params": {...}, "trace": {"t": <u64>, "s": <u64>}}
@@ -19,6 +20,8 @@
 //! decimal u64s) so spans opened while serving the request — on this
 //! server and on any worker it fans out to — stitch into the caller's
 //! causal tree (DESIGN.md §17). Requests without it trace locally.
+
+use std::str::Utf8Error;
 
 use randsync_obs::Json;
 
@@ -187,26 +190,30 @@ impl FrameBuffer {
     }
 
     /// Append raw bytes and split off every completed frame, in order.
-    /// Frames are decoded lossily (the JSON layer rejects garbage with
-    /// a `bad_request`, which is richer than a UTF-8 error here).
+    /// A frame that is not UTF-8 comes back as its [`Utf8Error`], never
+    /// rewritten: the server answers it with a `bad_request` and goes
+    /// on to the next frame.
     ///
     /// # Errors
     ///
     /// [`FrameOverflow`] once the unterminated tail (or a single frame
     /// within `data`) exceeds [`MAX_FRAME_BYTES`]; the connection
     /// should be dropped — the buffer is left cleared.
-    pub fn push_bytes(&mut self, data: &[u8]) -> Result<Vec<String>, FrameOverflow> {
+    pub fn push_bytes(
+        &mut self,
+        data: &[u8],
+    ) -> Result<Vec<Result<String, Utf8Error>>, FrameOverflow> {
         self.buf.extend_from_slice(data);
         let mut frames = Vec::new();
         let mut start = 0usize;
-        while let Some(nl) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+        while let Some(nl) = randsync_obs::json::scan(&self.buf[self.scanned..], [b'\n'], 0) {
             let end = self.scanned + nl;
             self.scanned = end + 1;
             let line = &self.buf[start..end];
             if line.len() > MAX_FRAME_BYTES {
                 return Err(self.overflow(line.len()));
             }
-            frames.push(String::from_utf8_lossy(line).into_owned());
+            frames.push(std::str::from_utf8(line).map(str::to_owned));
             start = self.scanned;
         }
         self.buf.drain(..start);
@@ -241,6 +248,12 @@ pub fn progress_frame(id: &Json, stage: &str, extra: &[(&str, Json)]) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Push `data`, expecting no overflow and only UTF-8 frames.
+    fn push(fb: &mut FrameBuffer, data: &[u8]) -> Vec<String> {
+        let frames = fb.push_bytes(data).expect("no overflow");
+        frames.into_iter().map(|f| f.expect("a UTF-8 frame")).collect()
+    }
 
     #[test]
     fn request_round_trips_with_arbitrary_ids() {
@@ -289,19 +302,19 @@ mod tests {
     #[test]
     fn frame_buffer_reassembles_split_frames() {
         let mut fb = FrameBuffer::new();
-        assert_eq!(fb.push_bytes(b"{\"id\":1,").unwrap(), Vec::<String>::new());
+        assert_eq!(push(&mut fb, b"{\"id\":1,"), Vec::<String>::new());
         assert_eq!(fb.pending_bytes(), 8);
-        let frames = fb.push_bytes(b"\"job\":\"metrics\"}\nnext").unwrap();
+        let frames = push(&mut fb, b"\"job\":\"metrics\"}\nnext");
         assert_eq!(frames, vec!["{\"id\":1,\"job\":\"metrics\"}".to_string()]);
         assert_eq!(fb.pending_bytes(), 4);
-        assert_eq!(fb.push_bytes(b"\n\n").unwrap(), vec!["next".to_string(), String::new()]);
+        assert_eq!(push(&mut fb, b"\n\n"), vec!["next".to_string(), String::new()]);
         assert_eq!(fb.pending_bytes(), 0);
     }
 
     #[test]
     fn frame_buffer_yields_many_frames_from_one_read() {
         let mut fb = FrameBuffer::new();
-        let frames = fb.push_bytes(b"a\nb\nc\n").unwrap();
+        let frames = push(&mut fb, b"a\nb\nc\n");
         assert_eq!(frames, vec!["a".to_string(), "b".to_string(), "c".to_string()]);
     }
 
@@ -315,7 +328,7 @@ mod tests {
         // The buffer resets so the connection teardown path is clean.
         assert_eq!(fb.pending_bytes(), 0);
         assert_eq!(fb.scanned, 0);
-        assert_eq!(fb.push_bytes(b"ok\n").unwrap(), vec!["ok".to_string()]);
+        assert_eq!(push(&mut fb, b"ok\n"), vec!["ok".to_string()]);
     }
 
     /// A multi-MiB frame, then a short one, as the byte stream a
@@ -333,7 +346,7 @@ mod tests {
         let mut fb = FrameBuffer::new();
         let mut frames = Vec::new();
         for piece in stream.chunks(16 * 1024) {
-            frames.extend(fb.push_bytes(piece).unwrap());
+            frames.extend(push(&mut fb, piece));
             // The scan never revisits bytes it has already passed.
             assert_eq!(fb.scanned, fb.pending_bytes());
         }
@@ -347,7 +360,7 @@ mod tests {
         let mut fb = FrameBuffer::new();
         let mut frames = Vec::new();
         for byte in stream.chunks(1) {
-            frames.extend(fb.push_bytes(byte).unwrap());
+            frames.extend(push(&mut fb, byte));
         }
         assert_eq!(frames, vec![big, "tail".to_string()]);
         assert_eq!(fb.pending_bytes(), 0);
@@ -357,16 +370,54 @@ mod tests {
     fn frame_buffer_handles_a_newline_ending_a_read_and_frames_after_a_partial_one() {
         let mut fb = FrameBuffer::new();
         // The newline is the last byte of the read.
-        assert_eq!(fb.push_bytes(b"one\n").unwrap(), vec!["one".to_string()]);
+        assert_eq!(push(&mut fb, b"one\n"), vec!["one".to_string()]);
         assert_eq!(fb.pending_bytes(), 0);
         // A partial frame, then a read that completes it and carries
         // several more frames and a new partial tail.
-        assert!(fb.push_bytes(b"tw").unwrap().is_empty());
-        assert!(fb.push_bytes(b"o-").unwrap().is_empty());
-        let frames = fb.push_bytes(b"2\nthree\nfour\nfi").unwrap();
+        assert!(push(&mut fb, b"tw").is_empty());
+        assert!(push(&mut fb, b"o-").is_empty());
+        let frames = push(&mut fb, b"2\nthree\nfour\nfi");
         assert_eq!(frames, vec!["two-2".to_string(), "three".to_string(), "four".to_string()]);
         assert_eq!(fb.pending_bytes(), 2);
-        assert_eq!(fb.push_bytes(b"ve\n").unwrap(), vec!["five".to_string()]);
+        assert_eq!(push(&mut fb, b"ve\n"), vec!["five".to_string()]);
+        assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn frame_buffer_finds_a_newline_at_every_offset_of_a_read() {
+        // Bytes next to `\n` (0x0a) in value, so a scan that compares
+        // loosely would stop early.
+        let filler = b"\x09\x0b\x1a\x7fx ";
+        for lead in 0..=8 {
+            for nl in 0..24 {
+                let mut fb = FrameBuffer::new();
+                let partial: Vec<u8> = filler.iter().copied().cycle().take(lead).collect();
+                assert!(push(&mut fb, &partial).is_empty());
+                let mut read: Vec<u8> =
+                    filler.iter().copied().cycle().skip(lead).take(24).collect();
+                read[nl] = b'\n';
+                let mut frame = partial.clone();
+                frame.extend_from_slice(&read[..nl]);
+                let frame = String::from_utf8(frame).expect("ASCII");
+                assert_eq!(push(&mut fb, &read), vec![frame], "lead {lead}, newline at {nl}");
+                assert_eq!(fb.pending_bytes(), 23 - nl, "lead {lead}, newline at {nl}");
+            }
+        }
+    }
+
+    #[test]
+    fn frames_that_are_not_utf8_come_back_as_errors_between_good_ones() {
+        let mut fb = FrameBuffer::new();
+        // A bad byte in the id, one inside a packed field, then a good
+        // frame: each is judged alone.
+        let stream = b"{\"id\":\"\xff\",\"job\":\"metrics\"}\n\
+            {\"id\":2,\"job\":\"frontier_probe\",\"params\":{\"hashes\":\"0200\xc3000000000000\"}}\n\
+            {\"id\":3,\"job\":\"metrics\"}\n";
+        let frames = fb.push_bytes(stream).expect("no overflow");
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames[0].as_ref().map_err(Utf8Error::valid_up_to), Err(7));
+        assert_eq!(frames[1].as_ref().map_err(Utf8Error::valid_up_to), Err(55));
+        assert_eq!(frames[2].as_deref(), Ok("{\"id\":3,\"job\":\"metrics\"}"));
         assert_eq!(fb.pending_bytes(), 0);
     }
 

@@ -17,6 +17,10 @@
 #   6. `randsync gate --filter explore-counts`: the exact raw, canonical
 #      and POR configuration counts of fixed workloads (~6 s in release,
 #      which is why it is not in the smoke set)
+#   7. the benchmark package `rsbench` (its own manifest and lock file,
+#      linking the workspace crates by path): clippy over every target,
+#      warnings denied, then its tests in release; `--locked` fails on a
+#      lock file that has drifted instead of rewriting it
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,5 +35,8 @@ cargo test -q --release --workspace
 grep -q '"passed":true' target/verify_gate_report.json \
     || { echo "FAIL: gate report disagrees with its exit status"; exit 1; }
 ./target/release/randsync gate --filter explore-counts
+
+cargo clippy --locked --manifest-path rsbench/Cargo.toml --all-targets -- -D warnings
+cargo test -q --release --locked --manifest-path rsbench/Cargo.toml
 
 echo "verify.sh: all gates passed"

@@ -187,3 +187,44 @@ fn partial_and_batched_frames_are_reassembled() {
     last.shutdown().expect("shutdown");
     server.join().expect("server drains");
 }
+
+#[test]
+fn a_frame_that_is_not_utf8_is_refused_and_the_connection_serves_on() {
+    let (addr, server) = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    // A bad byte in the id, one inside a packed `hashes` field, then a
+    // good frame on the same connection.
+    stream
+        .write_all(
+            b"{\"id\":\"\xff\",\"job\":\"metrics\"}\n\
+              {\"id\":2,\"job\":\"frontier_probe\",\"params\":{\"session\":1,\
+              \"hashes\":\"0200\xff00000000000000\",\"words\":\"01000000\"}}\n\
+              {\"id\":3,\"job\":\"metrics\"}\n",
+        )
+        .expect("write");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for what in ["the id", "the hashes field"] {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply line");
+        let reply = randsync::obs::parse_json(line.trim()).expect("reply parses");
+        assert_eq!(reply.get("id"), Some(&Json::Null), "a bad byte in {what}: {line}");
+        let error = reply.get("error").expect("an error frame");
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_request"), "{what}");
+        let message = error.get("message").and_then(Json::as_str).unwrap_or_default();
+        assert!(message.contains("not UTF-8"), "a bad byte in {what}: {message}");
+    }
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reply line");
+    let reply = randsync::obs::parse_json(line.trim()).expect("reply parses");
+    assert_eq!(reply.get("id"), Some(&Json::Int(3)));
+    assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
+
+    drop(stream);
+    let mut last = Client::connect(addr).expect("connect");
+    last.shutdown().expect("shutdown");
+    server.join().expect("server drains");
+}
