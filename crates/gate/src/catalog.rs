@@ -311,7 +311,7 @@ pub static CATALOG: &[PropertyEntry] = &[
                     within the ample pool bound 2*(3r*r + r)",
         protocols: &["tasrace", "swapchain", "mixedzigzag"],
         severity: Severity::Critical,
-        tags: &["adversary"],
+        tags: &["smoke", "adversary"],
         budget_ms: 120_000,
         requires_witness: true,
         run: checks::lemma_3_6,

@@ -97,7 +97,7 @@ const PARALLEL_FRONTIER_MIN: usize = 64;
 /// over the arena's rows (resident, or spilling sorted runs under a
 /// memory budget) or a pluggable
 /// [`FrontierTransport`](super::FrontierTransport) (typically a remote,
-/// sharded seen-set — see [`super::transport`]). [`merge_level`] sends
+/// sharded seen-set — see [`super::transport`]). [`LevelKeys`] sends
 /// both the same sorted batches, so the tier never changes interning
 /// order or any result.
 pub(super) enum Dedup {
@@ -111,45 +111,6 @@ impl Dedup {
         match self {
             Dedup::Local(_) => Ok(()),
             Dedup::Shared(t) => t.lock().open(stride),
-        }
-    }
-
-    /// Resolve a sorted batch of distinct keys: the arena index of each
-    /// stored key (`None` for a novel one) and, on the local tier, its
-    /// buffer position for [`insert`](Self::insert). A transport stages
-    /// the novel keys with the positions it found for them itself.
-    fn probe<S: Clone + Eq + Hash>(
-        &mut self,
-        arena: &PackedArena<S>,
-        hashes: &[u64],
-        words: &[u32],
-    ) -> Result<(Vec<Option<u32>>, Vec<usize>), TransportError> {
-        match self {
-            Dedup::Local(d) => Ok(d.probe_sorted(arena, hashes, words)),
-            Dedup::Shared(t) => Ok((t.lock().probe_sorted(hashes, words)?, Vec::new())),
-        }
-    }
-
-    /// Record a sorted batch of keys the arena just interned at
-    /// `indices`, a subset of the novel keys the probes since the last
-    /// insert found. The local store reads their words from the arena
-    /// and places them at the buffer positions `at` its probe found;
-    /// only a transport is handed the words, built by `words`, to name
-    /// each key among its staged misses.
-    fn insert<S: Clone + Eq + Hash>(
-        &mut self,
-        arena: &PackedArena<S>,
-        hashes: &[u64],
-        indices: &[u32],
-        at: &[usize],
-        words: impl FnOnce() -> Vec<u32>,
-    ) -> Result<(), TransportError> {
-        match self {
-            Dedup::Local(d) => {
-                d.insert_at(arena, at, hashes, indices);
-                Ok(())
-            }
-            Dedup::Shared(t) => t.lock().insert_sorted(hashes, indices, &words()),
         }
     }
 
@@ -573,15 +534,15 @@ where
     let mut g = BfsGraph::new(arena, &search, &dedup);
     let mut words: Vec<u32> = Vec::new();
     g.arena.encode_intern(&start, &mut words);
-    let start_hash = hash_words(&words);
     g.arena.push(&words);
     g.parent.push(Link::ROOT);
     g.add_class(search.canon.class_size(&start.procs));
-    let stride = g.arena.stride();
-    // The start configuration is probed and inserted like any level.
-    let opened = dedup.open(stride).and_then(|()| {
-        let (_, at) = dedup.probe(&g.arena, &[start_hash], &words)?;
-        dedup.insert(&g.arena, &[start_hash], &[0], &at, || words.clone())
+    // The start configuration goes to the seen-set as a batch of one.
+    let mut lev = LevelKeys::new(g.arena.stride());
+    lev.push_row(&words, Link::ROOT);
+    let opened = dedup.open(g.arena.stride()).and_then(|()| match lev.admit(&mut dedup, &g.arena, 0)? {
+        None => Ok(()),
+        Some(_) => Err(TransportError::new("the seen-set already holds the start configuration")),
     });
     let final_depth = match opened {
         Err(e) => {
@@ -592,7 +553,7 @@ where
             g.hit = Some(0);
             0
         }
-        Ok(()) => run_levels(&search, config, &mut g, &mut dedup, 0..1, 0),
+        Ok(()) => run_levels(&search, config, &mut g, &mut dedup, lev, 0..1, 0),
     };
     finalize(&mut g, &dedup, config, record_edges, final_depth);
     // Close failures are unreportable: the search already finished.
@@ -656,54 +617,18 @@ where
         max_configs: config.limits.max_configs,
     };
 
-    let (arena, mut dedup) = make_store(config, n_procs, n_values);
-    let mut g = BfsGraph::new(arena, &search, &dedup);
-    g.parent.reserve(ckpt.nodes());
-    // Depths only locate the frontier; the live search keeps none.
+    // Depths only locate the levels and the frontier; the live search
+    // keeps none.
     let mut depth: Vec<u32> = Vec::with_capacity(ckpt.nodes());
-    dedup.open(stride).map_err(|e| {
-        CheckpointError::Mismatch(format!("frontier transport failed to open: {e}"))
-    })?;
-
-    // Replay: one decode + step + intern per node, in interning order.
-    // Seen-set keys are accumulated into bounded sorted chunks, so the
-    // rebuild respects a memory budget too; their words stay in the
-    // arena.
-    let mut words: Vec<u32> = Vec::new();
-    let (mut pend_h, mut pend_i): (Vec<u64>, Vec<u32>) = (Vec::new(), Vec::new());
-    let pend_cap = 64 * 1024; // entries per chunk before a sorted insert
-    for i in 0..ckpt.nodes() {
-        let cfg = if i == 0 {
-            start.clone()
-        } else {
-            let (p, step) = ckpt.parent[i].ok_or_else(|| {
-                CheckpointError::Corrupt(format!("node {i} lacks a parent"))
-            })?;
-            let mut c = g.arena.decode(p);
-            c.step(protocol, step.pid, step.coin).map_err(|e| {
-                CheckpointError::Mismatch(format!(
-                    "replaying step {step:?} at node {i} failed: {e:?} — \
-                     checkpoint does not match this protocol"
-                ))
-            })?;
-            search.canon.canonicalize(&mut c);
-            c
-        };
-        g.arena.encode_intern(&cfg, &mut words);
-        let hash = hash_words(&words);
-        let j = g.arena.push(&words);
-        debug_assert_eq!(j as usize, i);
-        g.parent.push(Link::from_entry(ckpt.parent[i]));
-        depth.push(ckpt.parent[i].map_or(0, |(p, _)| depth[p as usize] + 1));
-        g.add_class(search.canon.class_size(&cfg.procs));
-        pend_h.push(hash);
-        pend_i.push(j);
-        if pend_h.len() >= pend_cap {
-            flush_pending(&mut dedup, &g.arena, &mut pend_h, &mut pend_i)?;
-        }
+    for (i, entry) in ckpt.parent.iter().enumerate() {
+        depth.push(match *entry {
+            None if i == 0 => 0,
+            None => return Err(CheckpointError::Corrupt(format!("node {i} lacks a parent"))),
+            Some((p, _)) => depth.get(p as usize).map(|d| d + 1).ok_or_else(|| {
+                CheckpointError::Corrupt(format!("node {i} has non-topological parent {p}"))
+            })?,
+        });
     }
-    flush_pending(&mut dedup, &g.arena, &mut pend_h, &mut pend_i)?;
-
     // The frontier is exactly the nodes at the stop depth: the last BFS
     // level, so an index range at the end. Nothing in it was expanded.
     let level_depth = ckpt.level_depth as usize;
@@ -715,14 +640,65 @@ where
             "the nodes at depth {level_depth} are not the last BFS level"
         )));
     }
-    if record_edges {
-        if ckpt.succ.len() != ckpt.nodes()
-            || (first..ckpt.nodes()).any(|i| !ckpt.succ.row(i).is_empty())
-        {
-            return Err(CheckpointError::Corrupt(
-                "successor lists do not match the unexpanded frontier".into(),
-            ));
+    if record_edges
+        && (ckpt.succ.len() != ckpt.nodes()
+            || (first..ckpt.nodes()).any(|i| !ckpt.succ.row(i).is_empty()))
+    {
+        return Err(CheckpointError::Corrupt(
+            "successor lists do not match the unexpanded frontier".into(),
+        ));
+    }
+
+    let (arena, mut dedup) = make_store(config, n_procs, n_values);
+    let mut g = BfsGraph::new(arena, &search, &dedup);
+    g.parent.reserve(ckpt.nodes());
+    dedup.open(stride).map_err(|e| {
+        CheckpointError::Mismatch(format!("frontier transport failed to open: {e}"))
+    })?;
+
+    // Replay: one decode + step + intern per node, in interning order,
+    // and one seen-set batch per BFS level, as the search that wrote
+    // the checkpoint made. The level's keys are grouped, so a
+    // configuration it holds twice is refused, and probed, so one an
+    // earlier level holds is refused too.
+    let mut lev = LevelKeys::new(stride);
+    let mut words: Vec<u32> = Vec::new();
+    for level in depth.chunk_by(|a, b| a == b) {
+        let nodes = g.arena.len()..g.arena.len() + level.len();
+        lev.clear(level.len());
+        for i in nodes.clone() {
+            let cfg = match ckpt.parent[i] {
+                None => start.clone(),
+                Some((p, step)) => {
+                    let mut c = g.arena.decode(p);
+                    c.step(protocol, step.pid, step.coin).map_err(|e| {
+                        CheckpointError::Mismatch(format!(
+                            "replaying step {step:?} at node {i} failed: {e:?} — \
+                             checkpoint does not match this protocol"
+                        ))
+                    })?;
+                    search.canon.canonicalize(&mut c);
+                    c
+                }
+            };
+            g.arena.encode_intern(&cfg, &mut words);
+            let link = Link::from_entry(ckpt.parent[i]);
+            let j = g.arena.push(&words);
+            debug_assert_eq!(j as usize, i);
+            g.parent.push(link);
+            g.add_class(search.canon.class_size(&cfg.procs));
+            lev.push_row(&words, link);
         }
+        let admitted = lev.admit(&mut dedup, &g.arena, nodes.start as u32).map_err(|e| {
+            CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
+        })?;
+        if let Some(node) = admitted {
+            return Err(CheckpointError::Corrupt(format!(
+                "node {node} repeats an earlier configuration"
+            )));
+        }
+    }
+    if record_edges {
         for i in 0..first {
             g.succ.start(i as u32);
             ckpt.succ.row(i).iter().for_each(|&j| g.succ.push(j));
@@ -730,50 +706,10 @@ where
     }
     let frontier = first as u32..ckpt.nodes() as u32;
 
-    let final_depth = run_levels(&search, config, &mut g, &mut dedup, frontier, level_depth);
+    let final_depth = run_levels(&search, config, &mut g, &mut dedup, lev, frontier, level_depth);
     finalize(&mut g, &dedup, config, record_edges, final_depth);
     let _ = dedup.close();
     Ok(g)
-}
-
-/// Sort a chunk of pending rebuild keys — interned at arena indices
-/// `idx` — by `(hash, words)`, probe it as one sorted batch, and insert
-/// it at the positions the probe found; maps a failure to the
-/// checkpoint error the resume reports.
-fn flush_pending<S: Clone + Eq + Hash>(
-    dedup: &mut Dedup,
-    arena: &PackedArena<S>,
-    h: &mut Vec<u64>,
-    idx: &mut Vec<u32>,
-) -> Result<(), CheckpointError> {
-    if h.is_empty() {
-        return Ok(());
-    }
-    let mut order: Vec<(u64, u32)> = h.drain(..).zip(idx.drain(..)).collect();
-    order.sort_unstable_by(|&(ha, a), &(hb, b)| {
-        ha.cmp(&hb)
-            .then_with(|| arena.with_words(a, |wa| arena.with_words(b, |wb| wa.cmp(wb))))
-    });
-    let (sh, si): (Vec<u64>, Vec<u32>) = order.into_iter().unzip();
-    let mut w = Vec::with_capacity(si.len() * arena.stride());
-    si.iter().for_each(|&i| arena.with_words(i, |row| w.extend_from_slice(row)));
-    let failed = |e: TransportError| {
-        CheckpointError::Mismatch(format!("frontier transport failed during rebuild: {e}"))
-    };
-    let repeat = |node: u32| {
-        CheckpointError::Corrupt(format!("node {node} repeats an earlier configuration"))
-    };
-    // A repeat inside the chunk sorts next to its twin; the probe finds
-    // one from an earlier chunk.
-    let row = |k: usize| &w[k * arena.stride()..(k + 1) * arena.stride()];
-    if let Some(k) = (1..si.len()).find(|&k| row(k - 1) == row(k)) {
-        return Err(repeat(si[k]));
-    }
-    let (found, at) = dedup.probe(arena, &sh, &w).map_err(failed)?;
-    if let Some(k) = found.iter().position(Option::is_some) {
-        return Err(repeat(si[k]));
-    }
-    dedup.insert(arena, &sh, &si, &at, || w).map_err(failed)
 }
 
 /// The level loop shared by [`bfs`] and [`bfs_resume`]: expand, merge,
@@ -790,6 +726,7 @@ fn run_levels<P>(
     config: &ExploreConfig,
     g: &mut BfsGraph<P::State>,
     dedup: &mut Dedup,
+    mut lev: LevelKeys,
     mut frontier: Range<u32>,
     mut level_depth: usize,
 ) -> usize
@@ -809,10 +746,10 @@ where
         None
     };
 
-    // Phase 1's candidate buffers and the merge's key buffers are kept
-    // from level to level: fresh ones would fault their pages in anew.
+    // Phase 1's candidate buffers and the merge's key buffers (`lev`,
+    // from the batch before the loop) are kept from level to level:
+    // fresh ones would fault their pages in anew.
     let mut spare: Vec<Expansion<P::State>> = Vec::new();
-    let mut lev = LevelKeys::new(g.arena.stride());
     while !frontier.is_empty() && g.hit.is_none() {
         if level_depth >= max_depth {
             g.depth_capped_any = true;
@@ -954,6 +891,8 @@ struct LevelKeys {
     /// The probe batches: group ids, one key-sorted run per
     /// [`sort`](Self::sort).
     batch: Vec<u32>,
+    /// Whether `batch` holds a second nonempty run.
+    two_runs: bool,
 }
 
 impl LevelKeys {
@@ -975,6 +914,7 @@ impl LevelKeys {
         self.reps.clear();
         self.table.clear();
         self.batch.clear();
+        self.two_runs = false;
     }
 
     fn len(&self) -> usize {
@@ -983,6 +923,13 @@ impl LevelKeys {
 
     fn row(&self, ord: usize) -> &[u32] {
         &self.words[ord * self.stride..(ord + 1) * self.stride]
+    }
+
+    /// Append a candidate whose row is already built, reached by `link`.
+    fn push_row(&mut self, row: &[u32], link: Link) {
+        self.words.extend_from_slice(row);
+        self.hash.push(hash_words(row));
+        self.link.push(link);
     }
 
     /// Encode the candidates of frontier node `parent`, whose row is
@@ -1058,6 +1005,7 @@ impl LevelKeys {
         }
         let run = self.batch.len();
         self.sort(first..self.reps.len() as u32);
+        self.two_runs |= run > 0 && run < self.batch.len();
         run
     }
 
@@ -1118,7 +1066,13 @@ impl LevelKeys {
         at: &mut Vec<usize>,
     ) -> Result<(), TransportError> {
         let gids = &self.batch[from..];
-        let (found, positions) = dedup.probe(arena, &self.hashes(gids), &self.words(gids))?;
+        let (hashes, words) = (self.hashes(gids), self.words(gids));
+        // A transport stages the novel keys with the positions it found
+        // for them itself.
+        let (found, positions) = match dedup {
+            Dedup::Local(d) => d.probe_sorted(arena, &hashes, &words),
+            Dedup::Shared(t) => (t.lock().probe_sorted(&hashes, &words)?, Vec::new()),
+        };
         if found.len() != gids.len() {
             return Err(TransportError::new(format!(
                 "probe batch of {} keys got {} answers",
@@ -1132,6 +1086,73 @@ impl LevelKeys {
         }
         at.extend(positions);
         Ok(())
+    }
+
+    /// Send the groups interned since the probes (`Assigned` in
+    /// `gstate`) to the seen-set as one sorted batch: the probe
+    /// batches' keys in order, a second run merged in. The local store
+    /// reads their words from the arena and places each at the
+    /// position `at` its probe found; only a transport is handed the
+    /// words, to name each key among its staged misses.
+    fn insert<S: Clone + Eq + Hash>(
+        &self,
+        dedup: &mut Dedup,
+        arena: &PackedArena<S>,
+        gstate: &[GroupState],
+        at: &[usize],
+    ) -> Result<(), TransportError> {
+        let mut new: Vec<(usize, u32)> = (self.batch.iter().enumerate())
+            .filter_map(|(i, &gid)| match gstate[gid as usize] {
+                GroupState::Assigned(j) => Some((i, j)),
+                _ => None,
+            })
+            .collect();
+        if self.two_runs {
+            new.sort_by(|a, b| self.key(self.batch[a.0]).cmp(&self.key(self.batch[b.0])));
+        }
+        if new.is_empty() {
+            return Ok(());
+        }
+        let (gids, idx): (Vec<u32>, Vec<u32>) = new.iter().map(|&(i, j)| (self.batch[i], j)).unzip();
+        let hashes = self.hashes(&gids);
+        match dedup {
+            Dedup::Local(d) => {
+                let at: Vec<usize> = new.iter().map(|&(i, _)| at[i]).collect();
+                d.insert_at(arena, &at, &hashes, &idx);
+                Ok(())
+            }
+            Dedup::Shared(t) => t.lock().insert_sorted(&hashes, &idx, &self.words(&gids)),
+        }
+    }
+
+    /// Send a batch the engine gives its seen-set outside a level — the
+    /// start configuration, or one level of a resume rebuild — whose
+    /// candidates the arena already holds, in order, from index
+    /// `first`: group, probe and insert it as the level merge does.
+    /// Returns the first node that repeats an earlier configuration,
+    /// one of the batch (its group has an earlier candidate) or one
+    /// the seen-set holds, and then inserts nothing.
+    fn admit<S: Clone + Eq + Hash>(
+        &mut self,
+        dedup: &mut Dedup,
+        arena: &PackedArena<S>,
+        first: u32,
+    ) -> Result<Option<u32>, TransportError> {
+        self.group();
+        let (mut gstate, mut at) = (Vec::new(), Vec::new());
+        self.probe(dedup, arena, 0, &mut gstate, &mut at)?;
+        let repeat = (0..self.len()).find(|&ord| {
+            let gid = self.group_of[ord] as usize;
+            self.reps[gid] as usize != ord || matches!(gstate[gid], GroupState::Existing(_))
+        });
+        if let Some(ord) = repeat {
+            return Ok(Some(first + ord as u32));
+        }
+        for (state, &rep) in gstate.iter_mut().zip(&self.reps) {
+            *state = GroupState::Assigned(first + rep);
+        }
+        self.insert(dedup, arena, &gstate, &at)?;
+        Ok(None)
     }
 }
 
@@ -1287,23 +1308,8 @@ fn merge_level<P: Protocol>(
 
     lap(clock, 4);
 
-    // Pass E: the newly interned keys go to the seen-set as one sorted
-    // batch: the probe batches' keys in order, a second run merged in,
-    // each at the position its probe found (a transport finds none).
-    let mut new: Vec<(usize, u32)> = (lev.batch.iter().enumerate())
-        .filter_map(|(i, &gid)| match gstate[gid as usize] {
-            GroupState::Assigned(j) => Some((i, j)),
-            _ => None,
-        })
-        .collect();
-    if second < lev.batch.len() {
-        new.sort_by(|a, b| lev.key(lev.batch[a.0]).cmp(&lev.key(lev.batch[b.0])));
-    }
-    if !new.is_empty() {
-        let (gids, idx): (Vec<u32>, Vec<u32>) = new.iter().map(|&(i, j)| (lev.batch[i], j)).unzip();
-        let at: Vec<usize> = new.iter().filter_map(|&(i, _)| at.get(i).copied()).collect();
-        dedup.insert(&g.arena, &lev.hashes(&gids), &idx, &at, || lev.words(&gids))?;
-    }
+    // Pass E: the newly interned keys go to the seen-set.
+    lev.insert(dedup, &g.arena, &gstate, &at)?;
     lap(clock, 5);
     Ok((first_new..g.arena.len() as u32, stats))
 }

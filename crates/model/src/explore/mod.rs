@@ -87,7 +87,7 @@ pub use canonical::Canonicalizer;
 #[doc(hidden)]
 pub use engine::audit_step_table;
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
-pub use transport::{FrontierTransport, LocalFrontier, SharedFrontier, TransportError};
+pub use transport::{FrontierTransport, LocalFrontier, SharedFrontier, StagedMisses, TransportError};
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -2162,14 +2162,60 @@ mod tests {
         let mut expanded = ckpt.clone();
         expanded.succ.push(0);
         assert!(corrupt(expanded));
+        // A node named as its own parent.
+        let mut cyclic = ckpt.clone();
+        cyclic.parent[1] = cyclic.parent[1].map(|(_, step)| (1, step));
+        assert!(corrupt(cyclic));
         // The last node twice: one configuration interned under two
-        // indices, in one rebuild chunk.
+        // indices, in one rebuild level. Every tier refuses the later
+        // twin.
         let mut repeated = ckpt.clone();
         repeated.parent.push(*ckpt.parent.last().expect("nodes"));
         repeated.succ.start(ckpt.nodes() as u32);
         let via = Explorer::default().frontier_transport(SharedFrontier::new(LocalFrontier::new()));
-        assert!(matches!(via.resume(&p, &repeated), Err(CheckpointError::Corrupt(_))));
-        assert!(corrupt(repeated));
+        for tier in [Explorer::default(), Explorer::default().mem_budget(4096), via] {
+            match tier.resume(&p, &repeated) {
+                Err(CheckpointError::Corrupt(e)) => {
+                    assert!(e.contains(&format!("node {} repeats", ckpt.nodes())), "{e}")
+                }
+                other => panic!("a twin resumed: {:?}", other.map(|o| o.configs_visited)),
+            }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_node_that_repeats_an_earlier_level() {
+        // One toggling process: its second flip with coin 0 returns to
+        // the configuration its first reached, a level earlier.
+        let p = Toggle { n: 1 };
+        let path = std::env::temp_dir()
+            .join(format!("randsync-test-ckpt-{}-cycle.ckpt", std::process::id()));
+        let req = CheckpointRequest { path: path.clone(), protocol: "toggle-test".into(), n: 1, r: 0, inputs: vec![0] };
+        Explorer::with_config(ExploreConfig {
+            limits: ExploreLimits { max_configs: 1_000, max_depth: 3 },
+            checkpoint: Some(req),
+            ..ExploreConfig::default()
+        })
+        .explore(&p, &[0]);
+        let ckpt = Checkpoint::load(&path).expect("checkpoint loads");
+        let _ = std::fs::remove_file(&path);
+        let flip = Step::with_coin(ProcessId(0), 0);
+        let child = |of: u32| ckpt.parent.iter().position(|&e| e == Some((of, flip))).expect("a flip") as u32;
+        // A last-level node reached by flipping twice more from the
+        // first flip's configuration.
+        let mut forged = ckpt.clone();
+        forged.parent.push(Some((child(child(0)), flip)));
+        forged.succ.start(ckpt.nodes() as u32);
+        let via = Explorer::default().frontier_transport(SharedFrontier::new(LocalFrontier::new()));
+        for tier in [Explorer::default(), Explorer::default().mem_budget(4096), via] {
+            match tier.resume(&p, &forged) {
+                Err(CheckpointError::Corrupt(e)) => {
+                    assert!(e.contains(&format!("node {} repeats", ckpt.nodes())), "{e}")
+                }
+                other => panic!("a repeat resumed: {:?}", other.map(|o| o.configs_visited)),
+            }
+        }
+        assert!(Explorer::default().resume(&p, &ckpt).is_ok());
     }
 
     #[test]

@@ -25,14 +25,14 @@
 //! * [`LocalFrontier`] — the same store (`ExternalDedup`, resident)
 //!   over a log of the rows it stores, behind a guard for untrusted
 //!   callers: it checks every batch's shape and order before the store
-//!   sees it. It stages each probe's misses with the buffer positions
-//!   the probe found, and stores an insert at those positions, the way
-//!   the engine's local tier does. Worker shards host one per session,
-//!   and the equivalence property suites run the engine through it.
-//!   The hash-map model it replaced is kept as a test oracle below.
+//!   sees it, and stores a commit at the buffer positions its probes
+//!   found, the way the engine's local tier does. Worker shards host
+//!   one per session, and the equivalence property suites run the
+//!   engine through it. The hash-map model it replaced is kept as a
+//!   test oracle below.
 //! * `randsync-svc`'s `DistributedFrontier` speaks the same contract
-//!   over the JSONL wire protocol to N worker processes, naming each
-//!   inserted key by its place among the shard's staged misses.
+//!   over the JSONL wire protocol to N worker processes: a probe frame
+//!   carries keys, a commit frame only indices.
 //!
 //! # Contract
 //!
@@ -52,6 +52,22 @@
 //!   may leave misses unstored — and the insert ends the staging. An
 //!   insert of a key that was not staged is refused.
 //! * `close()` ends the search and releases any session state.
+//!
+//! # Staging
+//!
+//! Inserts travel **by reference**, and [`StagedMisses`] keeps the
+//! books on both ends of a wire. It holds the misses in staging order:
+//! probe by probe, each probe's misses as one run in key order. An
+//! insert batch becomes a **commit**: one index per staged miss, in
+//! staging order, the batch's index for the first miss equal to one of
+//! its keys and `u32::MAX` for a miss left unstored.
+//! [`StagedMisses::name`] is the one walk that builds it, and it
+//! refuses a key no probe staged and a `u32::MAX` index. A commit may
+//! arrive in several parts that fill the staging in order; the part
+//! that gives the last miss its index stores every miss that has one
+//! and ends the staging. A commit that would store one key twice (two
+//! probes staged it) is refused. So a key crosses a wire once, in its
+//! probe, and a commit carries one `u32` per staged miss.
 //!
 //! Errors are surfaced, not panicked: the engine stops the search at
 //! the level boundary and reports a truncated outcome with
@@ -137,6 +153,113 @@ impl std::fmt::Debug for SharedFrontier {
     }
 }
 
+/// The misses a seen-set's probes reported since its last insert, in
+/// staging order: their hashes and words, and where each probe's run
+/// of them ends. A run ascends by `(hash, words)`, as its probe batch
+/// does. [`name`](Self::name) is the one walk that turns an insert
+/// batch into the commit of the module docs' contract; `LocalFrontier`
+/// and each `randsync-svc` `DistributedFrontier` shard hold one.
+#[derive(Debug, Default)]
+pub struct StagedMisses {
+    stride: usize,
+    hashes: Vec<u64>,
+    words: Vec<u32>,
+    /// The end of each probe's run of misses.
+    runs: Vec<usize>,
+}
+
+impl StagedMisses {
+    /// An empty staging of `stride`-word keys.
+    pub fn new(stride: usize) -> Self {
+        StagedMisses { stride, ..StagedMisses::default() }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The key of miss `s`.
+    fn key(&self, s: usize) -> (u64, &[u32]) {
+        (self.hashes[s], &self.words[s * self.stride..(s + 1) * self.stride])
+    }
+
+    /// Stage the misses (`found[k]` is `None`) of one sorted probe
+    /// batch as one run. The buffers keep their capacity across
+    /// inserts and grow exactly, so staging costs the widest level's
+    /// misses once, not a doubling per level.
+    pub fn stage(&mut self, hashes: &[u64], words: &[u32], found: &[Option<u32>]) {
+        let misses = found.iter().filter(|f| f.is_none()).count();
+        if misses == 0 {
+            return;
+        }
+        self.hashes.reserve_exact(misses);
+        self.words.reserve_exact(misses * self.stride);
+        for k in (0..hashes.len()).filter(|&k| found[k].is_none()) {
+            self.hashes.push(hashes[k]);
+            self.words.extend_from_slice(&words[k * self.stride..(k + 1) * self.stride]);
+        }
+        self.runs.push(self.len());
+    }
+
+    /// End the staging.
+    pub fn clear(&mut self) {
+        self.hashes.clear();
+        self.words.clear();
+        self.runs.clear();
+    }
+
+    /// The commit that stores the key-sorted insert batch: one index
+    /// per staged miss, in staging order, `indices[k]` for the first
+    /// miss equal to key `k` and `u32::MAX` for a miss left unstored.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a batch whose `indices` or `words` do not fit its
+    /// `hashes`, one with a `u32::MAX` index, and one with a key no
+    /// probe staged.
+    pub fn name(
+        &self,
+        hashes: &[u64],
+        indices: &[u32],
+        words: &[u32],
+    ) -> Result<Vec<u32>, TransportError> {
+        let stride = self.stride;
+        if indices.len() != hashes.len() || words.len() != hashes.len() * stride {
+            return Err(TransportError::new("malformed insert batch"));
+        }
+        if let Some(k) = indices.iter().position(|&i| i == u32::MAX) {
+            return Err(TransportError::new(format!(
+                "insert batch key {k} has index u32::MAX, the reserved unstored marker"
+            )));
+        }
+        let key = |k: usize| (hashes[k], &words[k * stride..(k + 1) * stride]);
+        let mut given = vec![u32::MAX; self.len()];
+        let mut named = vec![false; hashes.len()];
+        let mut start = 0;
+        for &end in &self.runs {
+            // The run and the batch both ascend: one walk pairs them,
+            // from the batch's first key at the run's first hash.
+            let mut k = hashes.partition_point(|&h| h < self.hashes[start]);
+            for (s, slot) in (start..end).zip(&mut given[start..end]) {
+                while k < hashes.len() && key(k) < self.key(s) {
+                    k += 1;
+                }
+                if k < hashes.len() && key(k) == self.key(s) && !named[k] {
+                    named[k] = true;
+                    *slot = indices[k];
+                }
+            }
+            start = end;
+        }
+        match named.iter().position(|&n| !n) {
+            Some(k) => Err(TransportError::new(format!(
+                "insert batch key {k} is not a staged probe miss"
+            ))),
+            None => Ok(given),
+        }
+    }
+}
+
 /// The engine's resident seen-set behind the seam, for callers the
 /// engine does not control: a worker shard answering wire frames, or a
 /// test driving the seam by hand.
@@ -147,13 +270,11 @@ impl std::fmt::Debug for SharedFrontier {
 /// `ExternalDedup` buffer holds `(hash, log slot)` pairs: 16 + 4 ×
 /// stride bytes per key in all.
 ///
-/// A probe **stages** the keys it finds absent with the buffer
-/// positions it found, over every probe since the last commit.
-/// [`commit`](Self::commit) stores the staged misses by reference, one
-/// arena index per miss, at those positions, which stay valid because
-/// the buffer changes only at a commit. No key is sent, decoded or
-/// located twice. [`insert_sorted`](FrontierTransport::insert_sorted)
-/// matches its keys against the staging and commits.
+/// Beside its [`StagedMisses`], it keeps the buffer position each
+/// probe found for each miss. [`commit`](Self::commit) stores the
+/// staged misses by reference at those positions, which stay valid
+/// because the buffer changes only at a commit. No key is sent,
+/// decoded or located twice.
 ///
 /// The seen-set trusts its batches to be sorted, distinct and disjoint
 /// from what it holds. This wrapper checks that first and answers a
@@ -169,68 +290,15 @@ pub struct LocalFrontier {
 }
 
 /// An open [`LocalFrontier`]: the seen-set, the rows it reads, and the
-/// misses staged for the next commit.
+/// misses staged for the next commit with the buffer position its
+/// probe found for each and the indices the commits so far gave the
+/// first of them.
 struct Store {
     seen: ExternalDedup,
     rows: RowLog,
-    staged: Staging,
-}
-
-/// The misses the probes since the last commit reported, in staging
-/// order, each with the buffer position its probe found.
-#[derive(Default)]
-struct Staging {
-    stride: usize,
-    hashes: Vec<u64>,
-    words: Vec<u32>,
+    staged: StagedMisses,
     at: Vec<usize>,
-    /// The indices the commits so far have given the first misses.
     indices: Vec<u32>,
-}
-
-impl Staging {
-    fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// The key of miss `s`.
-    fn key(&self, s: usize) -> (u64, &[u32]) {
-        (self.hashes[s], &self.words[s * self.stride..(s + 1) * self.stride])
-    }
-
-    /// Stage the misses of one probe batch (`found[k]` is `None`) at
-    /// their probed positions `at`. The buffers keep their capacity
-    /// across commits and grow exactly, so staging costs the widest
-    /// level's misses once, not a doubling per level.
-    fn stage(&mut self, hashes: &[u64], words: &[u32], found: &[Option<u32>], at: &[usize]) {
-        let misses = found.iter().filter(|f| f.is_none()).count();
-        self.hashes.reserve_exact(misses);
-        self.words.reserve_exact(misses * self.stride);
-        self.at.reserve_exact(misses);
-        for k in (0..hashes.len()).filter(|&k| found[k].is_none()) {
-            self.hashes.push(hashes[k]);
-            self.words.extend_from_slice(&words[k * self.stride..(k + 1) * self.stride]);
-            self.at.push(at[k]);
-        }
-    }
-
-    /// End the staging.
-    fn clear(&mut self) {
-        self.hashes.clear();
-        self.words.clear();
-        self.at.clear();
-        self.indices.clear();
-    }
-
-    /// The staged misses in `(position, hash, words)` order, which is
-    /// key order: every position comes from one unchanged buffer. Each
-    /// probe's misses already ascend, so the stable sort only merges
-    /// the runs of several probes, in linear time for one.
-    fn order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| (self.at[a], self.key(a)).cmp(&(self.at[b], self.key(b))));
-        order
-    }
 }
 
 impl LocalFrontier {
@@ -291,8 +359,8 @@ impl LocalFrontier {
     /// staged, one whose `indices` outnumber the misses still without
     /// one, and one that would store two misses of one key.
     pub fn commit(&mut self, indices: &[u32]) -> Result<(), TransportError> {
-        let Store { seen, rows, staged } = self.open_store("commit")?;
-        let waiting = staged.len() - staged.indices.len();
+        let store = self.open_store("commit")?;
+        let waiting = store.staged.len() - store.indices.len();
         if waiting == 0 {
             return Err(TransportError::new("commit with no probed misses staged"));
         }
@@ -303,12 +371,16 @@ impl LocalFrontier {
             )));
         }
         if indices.len() < waiting {
-            staged.indices.extend_from_slice(indices);
+            store.indices.extend_from_slice(indices);
             return Ok(());
         }
-        let given = [&staged.indices[..], indices].concat();
-        let stored: Vec<usize> =
-            staged.order().into_iter().filter(|&s| given[s] != u32::MAX).collect();
+        let Store { seen, rows, staged, at, indices: partial } = &mut *store;
+        let given = [&partial[..], indices].concat();
+        // Position then key is key order, as every position comes from
+        // one unchanged buffer; each probe's run already ascends, so
+        // the stable sort only merges runs.
+        let mut stored: Vec<usize> = (0..staged.len()).filter(|&s| given[s] != u32::MAX).collect();
+        stored.sort_by(|&a, &b| (at[a], staged.key(a)).cmp(&(at[b], staged.key(b))));
         if let Some(w) = stored.windows(2).find(|w| staged.key(w[0]) == staged.key(w[1])) {
             return Err(TransportError::new(format!(
                 "commit stores one key for staged misses {} and {}",
@@ -319,13 +391,15 @@ impl LocalFrontier {
         let slots = u32::try_from(first + stored.len())
             .map(|end| first as u32..end)
             .map_err(|_| TransportError::new("commit overflows the frontier's u32 slots"))?;
-        let mut words = Vec::with_capacity(stored.len() * staged.stride);
+        let mut words = Vec::with_capacity(stored.len() * seen.stride());
         stored.iter().for_each(|&s| words.extend_from_slice(staged.key(s).1));
         rows.append(&stored.iter().map(|&s| given[s]).collect::<Vec<u32>>(), &words);
-        let (at, hashes): (Vec<usize>, Vec<u64>) =
-            stored.iter().map(|&s| (staged.at[s], staged.hashes[s])).unzip();
-        seen.insert_at(rows, &at, &hashes, &slots.collect::<Vec<u32>>());
+        let (positions, hashes): (Vec<usize>, Vec<u64>) =
+            stored.iter().map(|&s| (at[s], staged.key(s).0)).unzip();
+        seen.insert_at(rows, &positions, &hashes, &slots.collect::<Vec<u32>>());
         staged.clear();
+        at.clear();
+        partial.clear();
         Ok(())
     }
 }
@@ -347,7 +421,9 @@ impl FrontierTransport for LocalFrontier {
         self.store = Some(Store {
             seen: ExternalDedup::in_ram(stride),
             rows: RowLog::new(stride),
-            staged: Staging { stride, ..Staging::default() },
+            staged: StagedMisses::new(stride),
+            at: Vec::new(),
+            indices: Vec::new(),
         });
         Ok(())
     }
@@ -357,9 +433,12 @@ impl FrontierTransport for LocalFrontier {
         hashes: &[u64],
         words: &[u32],
     ) -> Result<Vec<Option<u32>>, TransportError> {
-        let Store { seen, rows, staged } = self.checked("probe", hashes, words)?;
-        let (found, at) = seen.probe_sorted(rows, hashes, words);
-        staged.stage(hashes, words, &found, &at);
+        let Store { seen, rows, staged, at, .. } = self.checked("probe", hashes, words)?;
+        let (found, positions) = seen.probe_sorted(rows, hashes, words);
+        let before = staged.len();
+        staged.stage(hashes, words, &found);
+        at.reserve_exact(staged.len() - before);
+        at.extend(positions.iter().zip(&found).filter(|(_, f)| f.is_none()).map(|(&p, _)| p));
         Ok(found)
     }
 
@@ -369,34 +448,11 @@ impl FrontierTransport for LocalFrontier {
         indices: &[u32],
         words: &[u32],
     ) -> Result<(), TransportError> {
-        if indices.len() != hashes.len() {
-            return Err(TransportError::new("malformed insert batch"));
-        }
-        if let Some(k) = indices.iter().position(|&i| i == u32::MAX) {
-            return Err(TransportError::new(format!(
-                "insert batch key {k} has index u32::MAX, the reserved unstored marker"
-            )));
-        }
-        let staged = &self.checked("insert", hashes, words)?.staged;
-        if !staged.indices.is_empty() {
+        let store = self.checked("insert", hashes, words)?;
+        if !store.indices.is_empty() {
             return Err(TransportError::new("insert batch during a partial commit"));
         }
-        // Both run in key order, so one walk pairs each key with its
-        // staged miss.
-        let key = |k: usize| (hashes[k], &words[k * staged.stride..(k + 1) * staged.stride]);
-        let mut given = vec![u32::MAX; staged.len()];
-        let mut k = 0;
-        for s in staged.order() {
-            if k < hashes.len() && staged.key(s) == key(k) {
-                given[s] = indices[k];
-                k += 1;
-            }
-        }
-        if k < hashes.len() {
-            return Err(TransportError::new(format!(
-                "insert batch key {k} is not a staged probe miss"
-            )));
-        }
+        let given = store.staged.name(hashes, indices, words)?;
         if given.is_empty() {
             return Ok(());
         }

@@ -79,7 +79,7 @@ pub use execution::{Execution, Step, StepRecord};
 pub use explore::{
     straddle_score, Canonicalizer, Checkpoint, CheckpointError, CheckpointRequest,
     ExploreConfig, ExploreLimits, ExploreOutcome, Explorer, FrontierTransport, LocalFrontier,
-    SharedFrontier, TransportError, TruncationReason, Valency, ValencyAnalysis,
+    SharedFrontier, StagedMisses, TransportError, TruncationReason, Valency, ValencyAnalysis,
     CHECKPOINT_SCHEMA_VERSION,
 };
 pub use history::{Event, History};

@@ -43,18 +43,14 @@
 //! unpack, and the JSON layer crosses a packed string 8 bytes per step;
 //! `found` marks an absent key with `u32::MAX`.
 //!
-//! Inserts travel **by reference**. A probe stages the keys it finds
-//! absent on the shard, each with the buffer position the probe found
-//! for it, and staging accumulates over every probe frame until a
-//! commit. A commit carries one index per staged miss, in the shard's
-//! staging order, with `u32::MAX` for a miss that is not stored (a
-//! capped search); the frame that gives the last staged miss its index
-//! stores the staging at those positions. The coordinator remembers
-//! each shard's staged misses (about one level's, 16 + 4·stride bytes
-//! each) to turn the engine's insert batch into those indices, so a
-//! key crosses the wire once, in its probe. A shard that predates
-//! `frontier_commit` answers it with "unknown frontier frame": a typed
-//! transport error that truncates the search, never a wrong count.
+//! Inserts travel **by reference**, under the staging contract of
+//! `randsync_model`'s `transport` module docs: each session and each
+//! coordinator shard holds one [`StagedMisses`], a shard's commit frames
+//! carry one index per miss it staged, and a key crosses the wire once,
+//! in its probe. The coordinator's staging is about one level's misses,
+//! 16 + 4·stride bytes each. A shard that predates `frontier_commit`
+//! answers it with "unknown frontier frame": a typed transport error
+//! that truncates the search, never a wrong count.
 //!
 //! Each batch is one exchange round, so each level makes one
 //! concurrent fan-out per batch kind: the coordinator sends every chunk
@@ -70,7 +66,7 @@ use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use randsync_model::{FrontierTransport, LocalFrontier, TransportError};
+use randsync_model::{FrontierTransport, LocalFrontier, StagedMisses, TransportError};
 use randsync_obs::Json;
 
 use crate::client::Client;
@@ -342,7 +338,7 @@ impl FrontierSessions {
                 let store = sessions.get(params)?;
                 let indices = unpack::<u32>(params, "indices")?;
                 store.commit(&indices).map_err(FrameError::Store)?;
-                m.counter("svc.frontier.inserts").inc();
+                m.counter("svc.frontier.commits").inc();
                 Ok(Json::Obj(vec![]))
             }
             "frontier_close" => {
@@ -371,87 +367,7 @@ struct Shard {
     client: Client,
     session: Option<u64>,
     /// The misses the shard has staged since its last commit.
-    staged: Misses,
-}
-
-/// A shard's staged misses, in its staging order: their hashes and
-/// words, and where each probe round's run of them ends. A round's
-/// misses ascend by `(hash, words)`, as its batch does.
-#[derive(Debug, Default)]
-struct Misses {
-    hashes: Vec<u64>,
-    words: Vec<u32>,
-    rounds: Vec<usize>,
-}
-
-impl Misses {
-    /// Stage the keys `keys` of a probe batch whose `found` slot is
-    /// `u32::MAX`. The buffers keep their capacity across inserts and
-    /// grow exactly, as the shard's do.
-    fn stage(
-        &mut self,
-        stride: usize,
-        hashes: &[u64],
-        words: &[u32],
-        keys: Range<usize>,
-        found: &[u32],
-    ) {
-        let misses = found.iter().filter(|&&slot| slot == u32::MAX).count();
-        self.hashes.reserve_exact(misses);
-        self.words.reserve_exact(misses * stride);
-        for (i, &slot) in keys.zip(found) {
-            if slot == u32::MAX {
-                self.hashes.push(hashes[i]);
-                self.words.extend_from_slice(&words[i * stride..(i + 1) * stride]);
-            }
-        }
-    }
-
-    /// End the staging.
-    fn clear(&mut self) {
-        self.hashes.clear();
-        self.words.clear();
-        self.rounds.clear();
-    }
-
-    /// Close the current probe round's run, if it staged anything.
-    fn end_round(&mut self) {
-        if self.rounds.last().copied().unwrap_or(0) < self.hashes.len() {
-            self.rounds.push(self.hashes.len());
-        }
-    }
-
-    /// The commit that stores the insert keys `run`: one index per
-    /// staged miss, in staging order, `indices[i]` for the miss equal
-    /// to key `i` and `u32::MAX` for the rest. `None` if a key in `run`
-    /// is not staged.
-    fn commit<'k>(
-        &self,
-        stride: usize,
-        run: Range<usize>,
-        key: impl Fn(usize) -> (u64, &'k [u32]),
-        indices: &[u32],
-    ) -> Option<Vec<u32>> {
-        let mut commit = vec![u32::MAX; self.hashes.len()];
-        let mut named = vec![false; run.len()];
-        let mut start = 0;
-        for &end in &self.rounds {
-            // The round and the run both ascend: one walk pairs them.
-            let mut i = run.start;
-            for (s, slot) in (start..end).zip(&mut commit[start..end]) {
-                let miss = (self.hashes[s], &self.words[s * stride..(s + 1) * stride]);
-                while i < run.end && key(i) < miss {
-                    i += 1;
-                }
-                if i < run.end && key(i) == miss && !named[i - run.start] {
-                    named[i - run.start] = true;
-                    *slot = indices[i];
-                }
-            }
-            start = end;
-        }
-        named.iter().all(|&n| n).then_some(commit)
-    }
+    staged: StagedMisses,
 }
 
 impl Shard {
@@ -491,7 +407,7 @@ struct DistMetrics {
     /// its reply being read.
     probe_us: randsync_obs::Histogram,
     /// Per-frame `frontier_commit` round trip, measured the same way.
-    insert_us: randsync_obs::Histogram,
+    commit_us: randsync_obs::Histogram,
     /// `svc.dist.sent_digits.{probe,commit}`: packed hex digits sent
     /// per frame kind. Counted whether or not metrics are enabled (one
     /// add per frame): a deterministic proxy for the wire bytes.
@@ -510,7 +426,7 @@ impl DistMetrics {
         let m = randsync_obs::global_metrics();
         DistMetrics {
             probe_us: m.histogram("svc.dist.probe_us"),
-            insert_us: m.histogram("svc.dist.insert_us"),
+            commit_us: m.histogram("svc.dist.commit_us"),
             sent_digits: [
                 m.counter("svc.dist.sent_digits.probe"),
                 m.counter("svc.dist.sent_digits.commit"),
@@ -569,7 +485,7 @@ impl DistributedFrontier {
                 addr: addr.to_string(),
                 client: Client::connect(addr)?,
                 session: None,
-                staged: Misses::default(),
+                staged: StagedMisses::default(),
             });
         }
         let metrics = DistMetrics::new(shards.len());
@@ -640,7 +556,7 @@ impl DistributedFrontier {
         }
         self.metrics.sent_digits[usize::from(!probe)].add(digits as u64);
 
-        let latency = if probe { &self.metrics.probe_us } else { &self.metrics.insert_us };
+        let latency = if probe { &self.metrics.probe_us } else { &self.metrics.commit_us };
         let mut blocked_on = vec![false; self.shards.len()];
         let mut dead = vec![false; self.shards.len()];
         let mut bodies = Vec::with_capacity(flights.len());
@@ -715,7 +631,7 @@ impl FrontierTransport for DistributedFrontier {
         self.close_sessions()?;
         self.stride = stride;
         for shard in &mut self.shards {
-            shard.staged.clear();
+            shard.staged = StagedMisses::new(stride);
             let params = Json::Obj(vec![("stride".to_string(), Json::Int(stride as i128))]);
             let body = shard.request("frontier_open", params)?;
             let session = body
@@ -751,12 +667,13 @@ impl FrontierTransport for DistributedFrontier {
             if slots.len() != keys.len() {
                 return Err(shard.err("probe reply length mismatch"));
             }
-            // The shard staged the keys it found absent; so does the
-            // coordinator, to name them in the commit.
-            shard.staged.stage(stride, hashes, words, keys, &slots);
+            let from = found.len();
             found.extend(slots.into_iter().map(|idx| (idx != u32::MAX).then_some(idx)));
+            // The shard staged the keys this frame found absent; so does
+            // the coordinator, to name them in the commit.
+            let (hashes, words) = (&hashes[keys.clone()], &words[keys.start * stride..keys.end * stride]);
+            shard.staged.stage(hashes, words, &found[from..]);
         }
-        self.shards.iter_mut().for_each(|shard| shard.staged.end_round());
         Ok(found)
     }
 
@@ -767,19 +684,14 @@ impl FrontierTransport for DistributedFrontier {
         words: &[u32],
     ) -> Result<(), TransportError> {
         let stride = self.stride;
-        if stride == 0 || indices.len() != hashes.len() || words.len() != hashes.len() * stride {
+        if indices.len() != hashes.len() || words.len() != hashes.len() * stride {
             return Err(TransportError::new("malformed insert batch"));
         }
-        if indices.contains(&u32::MAX) {
-            return Err(TransportError::new("insert batch uses u32::MAX, the unstored marker"));
-        }
-        let key = |i: usize| (hashes[i], &words[i * stride..(i + 1) * stride]);
         let mut commits = Vec::with_capacity(self.shards.len());
         for (shard, run) in self.shards.iter().zip(self.split_ranges(hashes)) {
-            let commit = shard.staged.commit(stride, run, key, indices);
-            let unstaged = || shard.err("insert batch has a key no probe staged");
-            let commit = commit.ok_or_else(unstaged)?;
-            commits.push(commit);
+            let words = &words[run.start * stride..run.end * stride];
+            let commit = shard.staged.name(&hashes[run.clone()], &indices[run], words);
+            commits.push(commit.map_err(|e| shard.err(e))?);
         }
         // The insert ends the staging, on the shards as here.
         self.shards.iter_mut().for_each(|shard| shard.staged.clear());
@@ -1273,6 +1185,57 @@ mod tests {
         let want = oracle.probe_sorted(&hashes, &words).unwrap();
         assert_eq!(remote.probe_sorted(&hashes, &words).unwrap(), want);
         assert_eq!(want.iter().filter(|f| f.is_some()).count(), ins_hashes.len());
+        remote.close().unwrap();
+        drop(remote);
+        shards.into_iter().for_each(ShardServer::stop);
+    }
+
+    #[test]
+    fn two_probe_rounds_before_one_insert_match_a_local_frontier() {
+        let shards = [ShardServer::start(), ShardServer::start()];
+        let addrs: Vec<&str> = shards.iter().map(|s| s.addr.as_str()).collect();
+        let mut remote = DistributedFrontier::connect(&addrs).expect("connect shards");
+        let mut oracle = LocalFrontier::new();
+        remote.open(STRIDE).unwrap();
+        oracle.open(STRIDE).unwrap();
+        let mut both: [&mut dyn FrontierTransport; 2] = [&mut remote, &mut oracle];
+        // Key `(h, w)` has hash `h` sixteenths of the way up the hash
+        // space (shard 1 owns `h` from 8 on), words `[w, w]` and index
+        // `100h + w`.
+        let batch = |keys: &[(u64, u32)]| -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+            let hashes = keys.iter().map(|&(h, _)| h * (u64::MAX / 16)).collect();
+            let indices = keys.iter().map(|&(h, w)| 100 * h as u32 + w).collect();
+            (hashes, indices, keys.iter().flat_map(|&(_, w)| [w, w]).collect())
+        };
+        let probe = |both: &mut [&mut dyn FrontierTransport; 2], keys: &[(u64, u32)]| {
+            let (hashes, _, words) = batch(keys);
+            let want = both[1].probe_sorted(&hashes, &words).unwrap();
+            assert_eq!(both[0].probe_sorted(&hashes, &words).unwrap(), want, "probe {keys:?}");
+            want
+        };
+        let insert = |both: &mut [&mut dyn FrontierTransport; 2], keys: &[(u64, u32)]| {
+            let (hashes, indices, words) = batch(keys);
+            both.iter_mut().for_each(|t| t.insert_sorted(&hashes, &indices, &words).unwrap());
+        };
+        assert_eq!(probe(&mut both, &[(9, 0)]), [None]);
+        insert(&mut both, &[(9, 0)]);
+
+        // Each shard's second round has keys before, between and after
+        // its first round's, one hash tied with two first-round keys
+        // and told apart by its words, and a stored key.
+        let first = [(3, 1), (8, 1), (8, 3), (12, 0)];
+        let second = [(1, 0), (8, 2), (9, 0), (10, 5), (15, 7), (15, 8)];
+        assert_eq!(probe(&mut both, &first), [None; 4]);
+        assert_eq!(probe(&mut both, &second), [None, None, Some(900), None, None, None]);
+        // One insert names a subset of both rounds' misses.
+        insert(&mut both, &[(1, 0), (3, 1), (8, 2), (8, 3), (15, 8)]);
+
+        let mut all: Vec<(u64, u32)> = first.iter().chain(&second).copied().collect();
+        all.sort_unstable();
+        let found = probe(&mut both, &all);
+        let stored: Vec<_> = all.iter().zip(found).filter_map(|(k, f)| f.map(|i| (*k, i))).collect();
+        let want = [(1, 0), (3, 1), (8, 2), (8, 3), (9, 0), (15, 8)].map(|(h, w)| ((h, w), 100 * h as u32 + w));
+        assert_eq!(stored, want);
         remote.close().unwrap();
         drop(remote);
         shards.into_iter().for_each(ShardServer::stop);

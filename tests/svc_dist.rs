@@ -54,9 +54,13 @@ fn normalized(result: &Json) -> String {
 /// The deterministic job mix every ensemble size must agree on:
 /// valency envelopes and full explorations, raw, canonical and
 /// partial-order reduced, sequential and multi-threaded expansion.
+/// `phase` under reduction falls back on the cycle proviso (64 times
+/// at its defaults), so its levels probe the shards twice before an
+/// insert.
 fn job_mix() -> Vec<(&'static str, Json)> {
     vec![
         ("valency", por_valency()),
+        ("valency", obj(&[("protocol", Json::Str("phase".to_string())), ("por", Json::Bool(true))])),
         ("valency", obj(&[("protocol", Json::Str("cas".to_string()))])),
         (
             "valency",
@@ -126,17 +130,17 @@ fn distributed_frontier_matches_single_node_bit_for_bit() {
 
         // The equivalence must not be vacuous: the dedup genuinely ran
         // over the wire. Every BFS level sends the owning shards probe
-        // and insert batches (`svc.frontier.sessions` is a gauge of
+        // and commit batches (`svc.frontier.sessions` is a gauge of
         // *currently open* sessions, so it is back to zero here).
         let probes =
             counter(&after, "svc.frontier.probes") - counter(&before, "svc.frontier.probes");
-        let inserts =
-            counter(&after, "svc.frontier.inserts") - counter(&before, "svc.frontier.inserts");
+        let commits =
+            counter(&after, "svc.frontier.commits") - counter(&before, "svc.frontier.commits");
         assert!(
             probes >= job_mix().len() as u64,
             "every job must probe the shards at least once (saw {probes})"
         );
-        assert!(inserts > 0, "interned keys must travel to the shards (saw {inserts})");
+        assert!(commits > 0, "interned keys must travel to the shards (saw {commits})");
 
         client.shutdown().expect("shutdown coordinator");
         coord.join().expect("coordinator drains");
@@ -181,7 +185,7 @@ fn capped_and_resumed_searches_through_the_shards_match_single_node() {
         );
 
         // A depth-capped search through the shards leaves a checkpoint;
-        // resuming it rebuilds the shards' seen-set, probing each chunk
+        // resuming it rebuilds the shards' seen-set, probing each level
         // before inserting it.
         let cut = client.request("explore", &naive(("max_depth", Json::Int(3)))).expect("request");
         assert!(cut.ok, "{}", cut.body.render());
